@@ -9,12 +9,12 @@ from .harness import (DEFAULT_EPS_GRID, ConfigError, RunConfig, export_vtk,
                       run_acceptance, run_sweep_eps, run_sweep_h)
 from .mesh import (Mesh, MeshError, MeshFormatError, MeshTopologyError,
                    build_structured_mesh, load_mesh, mesh_size, validate_mesh)
-from .sparse import CsrMatrix, SolverError, SolverReport, solve
+from .sparse import SolverError, SolverReport, solve
 from .verification import (ErrorRow, ErrorTable, ManufacturedCase,
                            fit_log_slope, get_case, registry)
 
 __all__ = [
-    "CsrMatrix", "ConfigError", "DEFAULT_EPS_GRID", "Discretization",
+    "ConfigError", "DEFAULT_EPS_GRID", "Discretization",
     "ErrorRow", "ErrorTable", "Field", "IncompatibleDataError",
     "ManufacturedCase", "Mesh", "MeshError", "MeshFormatError",
     "MeshTopologyError", "ProblemInput", "QuadratureRule", "RunConfig",

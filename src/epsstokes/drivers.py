@@ -25,7 +25,7 @@ from scipy import sparse as sps
 from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
-from .sparse import DEFAULT_TOL, SolverReport, scipy_to_csr, solve
+from .sparse import DEFAULT_TOL, SolverReport, solve
 
 COMPATIBILITY_TOL = 1e-8
 
@@ -126,17 +126,16 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
     _require_compatible(inp)
     nu, npp = disc.nu, disc.np_
 
-    a = disc.stiff_u.to_scipy()
-    b = disc.div.to_scipy()
     m = sps.csr_matrix(disc.mean_p[None, :])
-    system = sps.bmat([[a, -b.T, None],
-                       [-b, None, m.T],
+    system = sps.bmat([[disc.stiff_u, -disc.div.T, None],
+                       [-disc.div, None, m.T],
                        [None, m, None]], format="csr")
+    system.sum_duplicates()               # canonical: sorted, no duplicates
     rhs = np.zeros(nu + npp + 1)
     rhs[:nu] = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
 
     bdofs, bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    mat, rhs = fem.apply_dirichlet(scipy_to_csr(system), rhs, bdofs, bvals)
+    mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
     x, report = solve(mat, rhs, tol)
     x[bdofs] = bvals                      # boundary dofs hold exactly
 
@@ -192,9 +191,9 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
         raise ValueError("pressure boundary data is required")
     nu, npp = disc.nu, disc.np_
 
-    system = sps.bmat(
-        [[disc.stiff_u.to_scipy(), disc.grad.to_scipy()],
-         [disc.div.to_scipy(), eps * disc.stiff_p.to_scipy()]], format="csr")
+    system = sps.bmat([[disc.stiff_u, disc.grad],
+                       [disc.div, eps * disc.stiff_p]], format="csr")
+    system.sum_duplicates()               # canonical: sorted, no duplicates
     rhs = np.empty(nu + npp)
     rhs[:nu] = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
     rhs[nu:] = eps * fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
@@ -203,7 +202,7 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     bdofs = np.concatenate([u_bdofs, p_bdofs + nu])
     bvals = np.concatenate([u_bvals, p_bvals])
-    mat, rhs = fem.apply_dirichlet(scipy_to_csr(system), rhs, bdofs, bvals)
+    mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
     x, report = solve(mat, rhs, tol)
     x[bdofs] = bvals
 

@@ -10,13 +10,11 @@ triangle rule; boundary integration uses 3-point Gauss per edge (degree 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse as sps
 
 from .mesh import Mesh
-from .sparse import CsrMatrix, scale_add, scipy_to_csr, transpose
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -96,61 +94,15 @@ def shape_gradients(degree: int, ref_pts: np.ndarray) -> np.ndarray:
     return np.stack([np.stack(pair, axis=-1) for pair in g], axis=-2)
 
 
-@lru_cache(maxsize=None)
-def _geometry(mesh: Mesh):
-    """Affine maps per triangle: Jacobian, inverse transpose, determinant."""
-    p = mesh.vertices[mesh.triangles]
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)  # (M,2,2)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv /= det[:, None, None]
-    inv_t = np.swapaxes(inv, 1, 2)
-    return jac, inv, inv_t, det
-
-
-@lru_cache(maxsize=None)
-def _edge_numbering(mesh: Mesh):
-    """Global numbering of triangle edges, in first-seen order.
-
-    Returns (edge_index, tri_edges) where edge_index maps a sorted vertex
-    pair to an edge id and tri_edges is (M, 3) with the ids of local edges
-    (0,1), (1,2), (0,2).
-    """
-    edge_index = {}
-    tri_edges = np.empty((mesh.num_triangles, 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        for k, (u, v) in enumerate(((a, b), (b, c), (a, c))):
-            key = (min(u, v), max(u, v))
-            idx = edge_index.get(key)
-            if idx is None:
-                idx = len(edge_index)
-                edge_index[key] = idx
-            tri_edges[t, k] = idx
-    return edge_index, tri_edges
-
-
-@lru_cache(maxsize=None)
-def _boundary_owner(mesh: Mesh) -> np.ndarray:
-    """Index of the unique triangle owning each boundary edge."""
-    owner = {}
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            owner[(min(u, v), max(u, v))] = t
-    return np.array([owner[(min(i, j), max(i, j))]
-                     for i, j, _ in mesh.boundary_edges], dtype=np.int64)
-
-
 class Space:
     """Continuous piecewise-polynomial space on a mesh.
 
     degree 1 puts one node per vertex; degree 2 adds one per edge.  Vector
     spaces (components=2) interleave components: node k carries dofs
     2k (x) and 2k+1 (y).  boundary_dofs are exactly the dofs whose support
-    point lies on a boundary edge.
+    point lies on a boundary edge.  Row k of boundary_edge_nodes holds the
+    scalar nodes on boundary edge k: its endpoints, then for degree 2 its
+    midpoint node.
     """
 
     def __init__(self, mesh: Mesh, degree: int, components: int = 1):
@@ -163,26 +115,22 @@ class Space:
         self.components = components
 
         nv = mesh.num_vertices
+        ends = mesh.boundary_edges[:, :2]
         if degree == 1:
             self.num_nodes = nv
             self.cells = mesh.triangles
             self.node_coords = mesh.vertices
-            boundary_nodes = np.unique(mesh.boundary_edges[:, :2])
+            self.boundary_edge_nodes = ends
         else:
-            edge_index, tri_edges = _edge_numbering(mesh)
-            self.num_nodes = nv + len(edge_index)
-            self.cells = np.hstack([mesh.triangles, tri_edges + nv])
-            coords = np.empty((self.num_nodes, 2))
-            coords[:nv] = mesh.vertices
-            for (a, b), k in edge_index.items():
-                coords[nv + k] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            self.node_coords = coords
-            bnodes = set(np.unique(mesh.boundary_edges[:, :2]).tolist())
-            for i, j, _ in mesh.boundary_edges:
-                bnodes.add(nv + edge_index[(min(i, j), max(i, j))])
-            boundary_nodes = np.array(sorted(bnodes), dtype=np.int64)
-
-        self.boundary_nodes = boundary_nodes
+            edges = mesh.edges
+            self.num_nodes = nv + len(edges.vertices)
+            self.cells = np.hstack([mesh.triangles, edges.tri_edges + nv])
+            a, b = edges.vertices.T
+            self.node_coords = np.concatenate(
+                [mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+            self.boundary_edge_nodes = np.column_stack(
+                [ends, nv + mesh.boundary_edge_ids])
+        self.boundary_nodes = boundary_nodes = np.unique(self.boundary_edge_nodes)
         self.ndofs = self.num_nodes * components
         if components == 1:
             self.dof_coords = self.node_coords
@@ -193,7 +141,8 @@ class Space:
                 np.concatenate([2 * boundary_nodes, 2 * boundary_nodes + 1]))
         # immutable after construction; safe to share across threads
         for arr in (self.cells, self.node_coords, self.dof_coords,
-                    self.boundary_nodes, self.boundary_dofs):
+                    self.boundary_edge_nodes, self.boundary_nodes,
+                    self.boundary_dofs):
             arr.setflags(write=False)
 
     @property
@@ -208,16 +157,6 @@ class Space:
         out[:, 0::2] = 2 * self.cells
         out[:, 1::2] = 2 * self.cells + 1
         return out
-
-    def boundary_edge_nodes(self, k: int) -> np.ndarray:
-        """Scalar nodes supported on boundary edge k (endpoints, plus the
-        edge midpoint for degree 2)."""
-        i, j, _ = self.mesh.boundary_edges[k]
-        if self.degree == 1:
-            return np.array([i, j], dtype=np.int64)
-        edge_index, _ = _edge_numbering(self.mesh)
-        mid = self.mesh.num_vertices + edge_index[(min(i, j), max(i, j))]
-        return np.array([i, j, mid], dtype=np.int64)
 
 
 @dataclass
@@ -245,7 +184,7 @@ def zero_field(space: Space) -> Field:
 
 def quad_points_physical(mesh: Mesh, quad: QuadratureRule):
     """Physical coordinates of the rule's points on every triangle: (M, Q) x/y."""
-    jac, _, _, _ = _geometry(mesh)
+    jac, _, _, _ = mesh.geometry
     ref = quad.ref_points()
     x0 = mesh.vertices[mesh.triangles[:, 0]]
     pts = np.einsum("mdk,qk->mqd", jac, ref) + x0[:, None, :]
@@ -254,13 +193,13 @@ def quad_points_physical(mesh: Mesh, quad: QuadratureRule):
 
 def quad_weights_physical(mesh: Mesh, quad: QuadratureRule) -> np.ndarray:
     """Quadrature weights scaled by the Jacobian determinant: (M, Q)."""
-    _, _, _, det = _geometry(mesh)
+    _, _, _, det = mesh.geometry
     return quad.weights[None, :] * det[:, None]
 
 
 def _physical_gradients(space: Space, quad: QuadratureRule) -> np.ndarray:
     """(M, Q, nloc, 2) gradients of the scalar shape functions."""
-    _, _, inv_t, _ = _geometry(space.mesh)
+    _, _, inv_t, _ = space.mesh.geometry
     dref = shape_gradients(space.degree, quad.ref_points())
     return np.einsum("mdk,qik->mqid", inv_t, dref)
 
@@ -305,7 +244,7 @@ def eval_div_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
 # global assembly
 
 
-def _scatter(cell_dofs: np.ndarray, local: np.ndarray, shape) -> CsrMatrix:
+def _scatter(cell_dofs: np.ndarray, local: np.ndarray, shape) -> sps.csr_matrix:
     """Accumulate (M, a, b) local blocks into a global CSR matrix."""
     rows_dofs, cols_dofs = cell_dofs if isinstance(cell_dofs, tuple) else (cell_dofs, cell_dofs)
     m, a = rows_dofs.shape
@@ -315,17 +254,17 @@ def _scatter(cell_dofs: np.ndarray, local: np.ndarray, shape) -> CsrMatrix:
     mat = sps.coo_matrix((local.reshape(m * a * b), (rows, cols)), shape=shape).tocsr()
     mat.sum_duplicates()
     mat.eliminate_zeros()
-    return scipy_to_csr(mat)
+    return mat
 
 
-def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> CsrMatrix:
+def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> sps.csr_matrix:
     """Gradient-gradient form; for vector spaces the full grad(u):grad(v).
 
     Symmetric positive semidefinite; constants (per component) span the
     kernel before boundary conditions are applied.
     """
     quad = quad or triangle_rule_d5()
-    _, _, _, det = _geometry(space.mesh)
+    _, _, _, det = space.mesh.geometry
     grads = _physical_gradients(space, quad)
     local = np.einsum("q,m,mqid,mqjd->mij", quad.weights, det, grads, grads)
     if space.components == 2:
@@ -335,10 +274,9 @@ def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> CsrM
         big[:, 1::2, 1::2] = local
         local = big
     dofs = space.cell_dofs()
-    out = _scatter(dofs, local, (space.ndofs, space.ndofs)).to_scipy()
+    out = _scatter(dofs, local, (space.ndofs, space.ndofs))
     # exact symmetry independent of accumulation order
-    out = 0.5 * (out + out.T)
-    return scipy_to_csr(out.tocsr())
+    return (0.5 * (out + out.T)).tocsr()
 
 
 def assemble_mass_against_one(space: Space, quad: QuadratureRule | None = None) -> np.ndarray:
@@ -346,7 +284,7 @@ def assemble_mass_against_one(space: Space, quad: QuadratureRule | None = None) 
     if space.components != 1:
         raise ValueError("mean vector is defined for scalar spaces")
     quad = quad or triangle_rule_d5()
-    _, _, _, det = _geometry(space.mesh)
+    _, _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
     local = np.einsum("q,m,qi->mi", quad.weights, det, vals)
     out = np.zeros(space.ndofs)
@@ -355,12 +293,12 @@ def assemble_mass_against_one(space: Space, quad: QuadratureRule | None = None) 
 
 
 def assemble_div_coupling(vspace: Space, pspace: Space,
-                          quad: QuadratureRule | None = None) -> CsrMatrix:
+                          quad: QuadratureRule | None = None) -> sps.csr_matrix:
     """Matrix B with B[q, udof] = integral of div(phi_udof) * psi_q."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces must share a mesh")
     quad = quad or triangle_rule_d5()
-    _, _, _, det = _geometry(vspace.mesh)
+    _, _, _, det = vspace.mesh.geometry
     gu = _physical_gradients(vspace, quad)                      # (M,Q,nu,2)
     pv = shape_values(pspace.degree, quad.ref_points())         # (Q,np)
     local = np.einsum("q,m,qj,mqac->mjac", quad.weights, det, pv, gu)
@@ -371,7 +309,7 @@ def assemble_div_coupling(vspace: Space, pspace: Space,
 
 
 def assemble_grad_coupling(vspace: Space, pspace: Space, form: str = "transpose",
-                           quad: QuadratureRule | None = None) -> CsrMatrix:
+                           quad: QuadratureRule | None = None) -> sps.csr_matrix:
     """Matrix G with G[udof, q] = integral of grad(psi_q) . phi_udof.
 
     form="transpose" (default) builds -B^T from the divergence coupling and
@@ -381,7 +319,7 @@ def assemble_grad_coupling(vspace: Space, pspace: Space, form: str = "transpose"
     """
     if form == "direct":
         quad = quad or triangle_rule_d5()
-        _, _, _, det = _geometry(vspace.mesh)
+        _, _, _, det = vspace.mesh.geometry
         gp = _physical_gradients(pspace, quad)                  # (M,Q,np,2)
         uv = shape_values(vspace.degree, quad.ref_points())     # (Q,nu)
         local = np.einsum("q,m,mqjc,qa->majc", quad.weights, det, gp, uv)
@@ -393,40 +331,32 @@ def assemble_grad_coupling(vspace: Space, pspace: Space, form: str = "transpose"
         raise ValueError(f"unknown form {form!r}")
 
     b = assemble_div_coupling(vspace, pspace, quad)
-    return scale_add(transpose(b), -1.0, _boundary_pressure_flux(vspace, pspace))
+    out = (_boundary_pressure_flux(vspace, pspace) - b.T).tocsr()
+    out.eliminate_zeros()
+    return out
 
 
-def _boundary_pressure_flux(vspace: Space, pspace: Space) -> CsrMatrix:
+def _boundary_pressure_flux(vspace: Space, pspace: Space) -> sps.csr_matrix:
     """Boundary matrix C[udof, q] = integral over Gamma of psi_q (phi_udof . nu)."""
     mesh = vspace.mesh
-    rows, cols, vals = [], [], []
-    lengths = mesh.boundary_edge_lengths()
-    for k in range(mesh.num_boundary_edges):
-        i, j, _ = mesh.boundary_edges[k]
-        nu = mesh.edge_normals[k]
-        # 1D traces along the edge, parametrised by t in [0,1] from i to j.
-        t = _EDGE_T
-        u_nodes = vspace.boundary_edge_nodes(k)
-        if vspace.degree == 2:
-            u_tr = np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1)
-        else:
-            u_tr = np.stack([1 - t, t], axis=1)
-        p_nodes = pspace.boundary_edge_nodes(k)
-        if pspace.degree == 2:
-            p_tr = np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1)
-        else:
-            p_tr = np.stack([1 - t, t], axis=1)
-        block = lengths[k] * np.einsum("q,qa,qb->ab", _EDGE_W, u_tr, p_tr)
-        for a, un in enumerate(u_nodes):
-            for c in range(2):
-                rows.extend([2 * un + c] * len(p_nodes))
-                cols.extend(p_nodes)
-                vals.extend(nu[c] * block[a])
-    mat = sps.coo_matrix((vals, (rows, cols)),
+    # 1D traces along each edge, parametrised by t in [0,1] from i to j.
+    t = _EDGE_T
+    traces = {1: np.stack([1 - t, t], axis=1),
+              2: np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1)}
+    edge_block = np.einsum("q,qa,qb->ab", _EDGE_W, traces[vspace.degree],
+                           traces[pspace.degree])
+    block = mesh.boundary_edge_lengths()[:, None, None] * edge_block   # (B, a, b)
+    # Triplets in the order (edge, velocity node a, component c, pressure node b).
+    vals = mesh.edge_normals[:, None, :, None] * block[:, :, None, :]
+    u_nodes = vspace.boundary_edge_nodes[:, :, None, None]
+    rows = 2 * u_nodes + np.arange(2)[None, None, :, None]
+    cols = pspace.boundary_edge_nodes[:, None, None, :]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    mat = sps.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(vspace.ndofs, pspace.ndofs)).tocsr()
     mat.sum_duplicates()
     mat.eliminate_zeros()
-    return scipy_to_csr(mat)
+    return mat
 
 
 def assemble_load(space: Space, f, quad: QuadratureRule | None = None) -> np.ndarray:
@@ -502,11 +432,8 @@ def interpolate_boundary(space: Space, g, marker: int | None = None):
     if marker is None:
         nodes = space.boundary_nodes
     else:
-        picked = set()
-        for k in range(space.mesh.num_boundary_edges):
-            if space.mesh.boundary_edges[k, 2] == marker:
-                picked.update(space.boundary_edge_nodes(k).tolist())
-        nodes = np.array(sorted(picked), dtype=np.int64)
+        nodes = np.unique(
+            space.boundary_edge_nodes[space.mesh.boundary_edges[:, 2] == marker])
     coords = space.node_coords[nodes]
     gv = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
     if space.components == 1:
@@ -521,17 +448,18 @@ def interpolate_boundary(space: Space, g, marker: int | None = None):
     return dofs, gv.ravel()
 
 
-def apply_dirichlet(a: CsrMatrix, b: np.ndarray, bdofs, bvals):
+def apply_dirichlet(a: sps.csr_matrix, b: np.ndarray, bdofs, bvals):
     """Symmetric elimination of Dirichlet dofs.
 
     Moves the known columns to the right-hand side, zeroes the rows and
     columns, places 1 on the diagonal and the prescribed value in b, so the
-    solved system reproduces the boundary values exactly.
+    solved system reproduces the boundary values exactly.  Returns a new
+    matrix, or a itself when there are no Dirichlet dofs.
     """
     bdofs = np.asarray(bdofs, dtype=np.int64)
     bvals = np.asarray(bvals, dtype=float)
     n = a.shape[0]
-    mat = a.to_scipy()
+    mat = a
     rhs = np.array(b, dtype=float, copy=True)
     if bdofs.size:
         lift = np.zeros(n)
@@ -540,13 +468,12 @@ def apply_dirichlet(a: CsrMatrix, b: np.ndarray, bdofs, bvals):
         keep = np.ones(n)
         keep[bdofs] = 0.0
         sel = sps.diags(keep)
-        mat = sel @ mat @ sel + sps.diags(1.0 - keep)
-        mat = mat.tocsr()
+        mat = (sel @ mat @ sel + sps.diags(1.0 - keep)).tocsr()
         mat.sum_duplicates()
         mat.eliminate_zeros()
         rhs *= keep
         rhs[bdofs] = bvals
-    return scipy_to_csr(mat.tocsr()), rhs
+    return mat, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +498,8 @@ def eval_on_boundary(field: Field, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     """
     sp = field.space
     mesh = sp.mesh
-    owner = _boundary_owner(mesh)
-    _, inv, _, _ = _geometry(mesh)
+    owner = mesh.edges.owner[mesh.boundary_edge_ids]
+    _, inv, _, _ = mesh.geometry
     x0 = mesh.vertices[mesh.triangles[owner, 0]]
     rel = np.stack([xs - x0[:, None, 0], ys - x0[:, None, 1]], axis=-1)
     ref = np.einsum("bdk,bqk->bqd", inv[owner], rel)

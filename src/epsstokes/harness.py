@@ -497,7 +497,7 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
         edge_normals=np.array([[0.0, -1.0],
                                [np.sqrt(0.5), np.sqrt(0.5)],
                                [-1.0, 0.0]]))
-    local = fem.assemble_stiffness(fem.Space(ref_mesh, degree=1)).to_dense()
+    local = fem.assemble_stiffness(fem.Space(ref_mesh, degree=1)).toarray()
     stiff_dev = float(np.abs(local - P1_REFERENCE_STIFFNESS).max())
     details8["p1_stiffness_deviation"] = stiff_dev
 

@@ -9,6 +9,8 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,63 @@ class MeshTopologyError(MeshError):
     """Mesh violates a topological invariant; message names the simplex."""
 
 
+class EdgeTable(NamedTuple):
+    """Edges of a triangulation, numbered in first-seen order.
+
+    Triangles are visited in order, each contributing its local edges
+    (0,1), (1,2), (0,2) in that order; an edge's id is the rank of its first
+    appearance.  The owner of an edge is the triangle where it first appears.
+
+    vertices    : (E, 2) endpoints of each edge, smaller vertex first
+    tri_edges   : (M, 3) ids of each triangle's local edges
+    counts      : (E,) number of triangles sharing each edge
+    owner       : (E,) owner triangle of each edge
+    owner_local : (E,) local index of each edge in its owner (0, 1 or 2)
+    """
+
+    vertices: np.ndarray
+    tri_edges: np.ndarray
+    counts: np.ndarray
+    owner: np.ndarray
+    owner_local: np.ndarray
+
+    def find(self, pairs) -> np.ndarray:
+        """Edge id of each vertex pair, in either order; -1 if no triangle has it."""
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        both = np.concatenate([self.vertices, pairs])
+        _, inverse = np.unique(_pair_keys(both), return_inverse=True)
+        slot = np.full(len(both), -1, dtype=np.int64)
+        slot[inverse[:len(self.vertices)]] = np.arange(len(self.vertices))
+        return slot[inverse[len(self.vertices):]]
+
+
+def edge_table(triangles) -> EdgeTable:
+    """Enumerate the edges of (M, 3) triangles; see EdgeTable."""
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    pairs = np.sort(tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+    _, first, inverse, counts = np.unique(
+        _pair_keys(pairs), return_index=True, return_inverse=True, return_counts=True)
+    # np.unique orders the edges by key; renumber them in first-seen order
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    table = EdgeTable(vertices=pairs[first],
+                      tri_edges=rank[inverse].reshape(-1, 3),
+                      counts=counts[order], owner=first // 3,
+                      owner_local=first % 3)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _pair_keys(pairs) -> np.ndarray:
+    """One integer per (N, 2) row of sorted vertex pairs; equal rows only
+    share a key."""
+    pairs = pairs.astype(np.int64, copy=False)     # int32 products would wrap
+    return pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulation of a polygon.
@@ -38,6 +97,11 @@ class Mesh:
     triangles      : (M, 3) int array of vertex indices, counterclockwise
     boundary_edges : (B, 3) int array of rows (i, j, marker)
     edge_normals   : (B, 2) float array, unit outward normal per boundary edge
+
+    Derived data is computed on first use and stored on the mesh itself, so
+    it lives and dies with the mesh: ``edges`` (the EdgeTable of the
+    triangles), ``boundary_edge_ids`` (the edge id of each boundary edge)
+    and ``geometry`` (the affine map of each triangle).
     """
 
     vertices: np.ndarray
@@ -70,6 +134,35 @@ class Mesh:
 
     def area(self) -> float:
         return float(self.triangle_areas().sum())
+
+    @cached_property
+    def edges(self) -> EdgeTable:
+        return edge_table(self.triangles)
+
+    @cached_property
+    def boundary_edge_ids(self) -> np.ndarray:
+        """(B,) edge id of each boundary edge; -1 if no triangle has it."""
+        ids = self.edges.find(self.boundary_edges[:, :2])
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
+    def geometry(self):
+        """Affine map of each triangle from the reference triangle:
+        (jac, inv, inv_t, det) of shapes (M,2,2), (M,2,2), (M,2,2), (M,)."""
+        p = self.vertices[self.triangles]
+        jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        inv = np.empty_like(jac)
+        inv[:, 0, 0] = jac[:, 1, 1]
+        inv[:, 0, 1] = -jac[:, 0, 1]
+        inv[:, 1, 0] = -jac[:, 1, 0]
+        inv[:, 1, 1] = jac[:, 0, 0]
+        inv /= det[:, None, None]
+        inv_t = np.swapaxes(inv, 1, 2)
+        for arr in (jac, inv, inv_t, det):
+            arr.setflags(write=False)
+        return jac, inv, inv_t, det
 
     def boundary_edge_lengths(self) -> np.ndarray:
         d = (self.vertices[self.boundary_edges[:, 1]]
@@ -195,18 +288,22 @@ def load_mesh(path) -> Mesh:
 
     # Reorient each declared boundary edge to match the traversal of its
     # owning triangle (domain on the left).
-    owner_dir = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            owner_dir.setdefault((min(u, v), max(u, v)), []).append((u, v))
+    table = edge_table(triangles)
+    ids = table.find(boundary[:, :2])
+    if np.any(ids < 0):
+        k = int(np.argmax(ids < 0))
+        i, j, _ = boundary[k]
+        raise MeshTopologyError(
+            f"boundary edge {k} ({i},{j}) is not an edge of any triangle")
+    # Counterclockwise, local edge k of a triangle runs from its vertex k
+    # to its vertex (k + 1) % 3.
+    single = table.counts[ids] == 1
+    owner = triangles[table.owner[ids[single]]]
+    local = table.owner_local[ids[single]]
+    rows = np.arange(len(owner))
     oriented = boundary.copy()
-    for k, (i, j, _) in enumerate(boundary):
-        key = (min(i, j), max(i, j))
-        if key not in owner_dir:
-            raise MeshTopologyError(
-                f"boundary edge {k} ({i},{j}) is not an edge of any triangle")
-        if len(owner_dir[key]) == 1:
-            oriented[k, :2] = owner_dir[key][0]
+    oriented[single, :2] = np.column_stack(
+        (owner[rows, local], owner[rows, (local + 1) % 3]))
 
     mesh = Mesh(vertices, triangles, oriented, _outward_normals(vertices, oriented))
     validate_mesh(mesh)
@@ -221,31 +318,35 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshTopologyError(
             f"triangle {bad} has non-positive area {areas[bad]:.3e} (not counterclockwise)")
 
-    counts = {}
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            counts[key] = counts.get(key, 0) + 1
-    if counts and max(counts.values()) > 2:
-        key = max(counts, key=counts.get)
-        raise MeshTopologyError(f"edge {key} is shared by more than 2 triangles")
+    table = mesh.edges
+    if table.counts.size and table.counts.max() > 2:
+        e = int(np.argmax(table.counts))
+        raise MeshTopologyError(
+            f"edge {_pair(table.vertices[e])} is shared by more than 2 triangles")
 
-    declared = {}
-    for k, (i, j, _) in enumerate(mesh.boundary_edges):
-        key = (min(i, j), max(i, j))
-        if key in declared:
-            raise MeshTopologyError(f"boundary edge {k} duplicates edge {declared[key]}")
-        declared[key] = k
+    declared = np.sort(mesh.boundary_edges[:, :2], axis=1)
+    _, first, inverse = np.unique(_pair_keys(declared), return_index=True,
+                                  return_inverse=True)
+    first = first[inverse]                        # first declaration of each edge
+    repeated = first != np.arange(len(declared))
+    if np.any(repeated):
+        k = int(np.argmax(repeated))
+        raise MeshTopologyError(f"boundary edge {k} duplicates edge {first[k]}")
 
-    for key, k in declared.items():
-        if counts.get(key, 0) != 1:
-            raise MeshTopologyError(
-                f"boundary edge {k} {key} is shared by {counts.get(key, 0)} triangles "
-                "(expected exactly 1)")
-    for key, cnt in counts.items():
-        if cnt == 1 and key not in declared:
-            raise MeshTopologyError(
-                f"edge {key} lies on the boundary but is not declared as a boundary edge")
+    ids = mesh.boundary_edge_ids
+    counts = np.append(table.counts, 0)[ids]      # id -1 reads the appended 0
+    if np.any(counts != 1):
+        k = int(np.argmax(counts != 1))
+        raise MeshTopologyError(
+            f"boundary edge {k} {_pair(declared[k])} is shared by {counts[k]} "
+            "triangles (expected exactly 1)")
+    undeclared = table.counts == 1
+    undeclared[ids] = False
+    if np.any(undeclared):
+        e = int(np.argmax(undeclared))
+        raise MeshTopologyError(
+            f"edge {_pair(table.vertices[e])} lies on the boundary but is not "
+            "declared as a boundary edge")
 
     # Boundary edges must form closed loops: as a directed graph every
     # touched vertex has in-degree 1 and out-degree 1.
@@ -276,9 +377,11 @@ def validate_mesh(mesh: Mesh) -> None:
 
 def mesh_size(mesh: Mesh) -> float:
     """Longest triangle edge in the mesh."""
-    p = mesh.vertices[mesh.triangles]
-    h = 0.0
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        d = p[:, a] - p[:, b]
-        h = max(h, float(np.hypot(d[:, 0], d[:, 1]).max()))
-    return h
+    ends = mesh.vertices[mesh.edges.vertices]
+    d = ends[:, 1] - ends[:, 0]
+    return float(np.hypot(d[:, 0], d[:, 1]).max(initial=0.0))
+
+
+def _pair(p) -> tuple:
+    """A vertex pair as plain ints, for messages."""
+    return int(p[0]), int(p[1])

@@ -1,4 +1,4 @@
-"""Sparse CSR storage and direct linear solution for the assembled systems.
+"""Direct linear solution of the assembled sparse systems.
 
 Systems are solved by sparse LU with a fill-reducing column ordering after
 row equilibration, followed by iterative refinement until the relative
@@ -50,74 +50,11 @@ class SolverReport:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class CsrMatrix:
-    """Compressed sparse row matrix.
-
-    Invariants: offsets nondecreasing, column indices strictly increasing
-    within each row, no duplicate entries.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def to_scipy(self) -> sps.csr_matrix:
-        return sps.csr_matrix((self.data, self.indices, self.indptr),
-                              shape=self.shape)
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+def _rel_residual(a, x, b, bnorm):
+    return float(np.linalg.norm(b - a @ x) / bnorm)
 
 
-def scipy_to_csr(mat) -> CsrMatrix:
-    """Wrap a scipy sparse matrix, canonicalising it first."""
-    mat = mat.tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return CsrMatrix(mat.indptr.copy(), mat.indices.copy(),
-                     mat.data.astype(float, copy=True), mat.shape)
-
-
-def csr_from_coo(rows, cols, vals, shape) -> CsrMatrix:
-    """Build from triplets; duplicate entries are summed."""
-    return scipy_to_csr(sps.coo_matrix((vals, (rows, cols)), shape=shape))
-
-
-def csr_identity(n: int) -> CsrMatrix:
-    return scipy_to_csr(sps.identity(n, format="csr"))
-
-
-def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[1],):
-        raise ValueError(f"shape mismatch: matrix {a.shape}, vector {x.shape}")
-    return a.to_scipy() @ x
-
-
-def transpose(a: CsrMatrix) -> CsrMatrix:
-    return scipy_to_csr(a.to_scipy().transpose().tocsr())
-
-
-def scale_add(a: CsrMatrix, alpha: float, b: CsrMatrix) -> CsrMatrix:
-    """alpha * A + B."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    out = (alpha * a.to_scipy() + b.to_scipy()).tocsr()
-    out.eliminate_zeros()
-    return scipy_to_csr(out)
-
-
-def _rel_residual(a_sp, x, b, bnorm):
-    return float(np.linalg.norm(b - a_sp @ x) / bnorm)
-
-
-def solve(a: CsrMatrix, b: np.ndarray, tol: float = DEFAULT_TOL):
+def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL):
     """Solve A x = b to a relative residual of at most tol.
 
     Sparse LU (COLAMD ordering) on the row-equilibrated matrix, then
@@ -138,16 +75,15 @@ def solve(a: CsrMatrix, b: np.ndarray, tol: float = DEFAULT_TOL):
         _DUMP_COUNTER += 1
 
     start = time.perf_counter()
-    a_sp = a.to_scipy()
 
     # Row equilibration keeps pivot growth bounded when one block of the
     # system carries an extreme parameter scaling.
-    row_max = np.abs(a_sp).max(axis=1).toarray().ravel()
+    row_max = np.abs(a).max(axis=1).toarray().ravel()
     if np.any(row_max == 0.0):
         k = int(np.argmin(row_max))
         raise SolverError(f"matrix is structurally singular: row {k} is zero")
     d = 1.0 / row_max
-    scaled = sps.diags(d) @ a_sp
+    scaled = sps.diags(d) @ a
 
     try:
         lu = splu(scaled.tocsc(), permc_spec="COLAMD")
@@ -159,11 +95,11 @@ def solve(a: CsrMatrix, b: np.ndarray, tol: float = DEFAULT_TOL):
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution "
                           "(singular matrix)")
-    res = _rel_residual(a_sp, x, b, bnorm)
+    res = _rel_residual(a, x, b, bnorm)
     its = 0
     while res > tol and its < _MAX_REFINEMENTS:
-        x = x + lu.solve(d * (b - a_sp @ x))
-        res = _rel_residual(a_sp, x, b, bnorm)
+        x = x + lu.solve(d * (b - a @ x))
+        res = _rel_residual(a, x, b, bnorm)
         its += 1
     elapsed = time.perf_counter() - start
     report = SolverReport(method="sparse_lu(colamd)+row_equilibration",
@@ -175,7 +111,7 @@ def solve(a: CsrMatrix, b: np.ndarray, tol: float = DEFAULT_TOL):
     return x, report
 
 
-def dump_matrix_market(a: CsrMatrix, path) -> None:
+def dump_matrix_market(a: sps.csr_matrix, path) -> None:
     """Write the matrix in MatrixMarket coordinate format (debug aid)."""
     from scipy.io import mmwrite
-    mmwrite(str(path), a.to_scipy())
+    mmwrite(str(path), a)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,10 @@ from epsstokes.drivers import (Discretization, IncompatibleDataError,
                                ProblemInput, check_compatibility, solve_es,
                                solve_pp, solve_stokes)
 from epsstokes.mesh import build_structured_mesh
+from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
-                                    quotient_norm_l2, seminorm_h1, get_case)
+                                    gauss_formula_residual, quotient_norm_l2,
+                                    seminorm_h1, get_case)
 from helpers import linear_x_minus_half, unit_x, zero_scalar, zero_vec
 
 
@@ -249,3 +254,18 @@ def test_gauge_invariance_of_stokes_vs_pp_pressure():
     gap = quotient_norm_l2(diff_field(pp.p, s.p), None)
     floor = quotient_norm_l2(s.p, case.p_exact)
     assert gap <= 2.0 * floor
+
+
+def test_dead_mesh_is_freed():
+    # derived mesh data lives on the mesh, so nothing keeps a dead mesh alive
+    mesh = build_structured_mesh(3)
+    disc = Discretization(mesh)
+    case = get_case("ms1")
+    u = Field(disc.vspace, np.zeros(disc.nu))
+    w = Field(disc.pspace, np.ones(disc.np_))
+    error_h1(u, case.u_exact, case.grad_u_exact)
+    gauss_formula_residual(u, w)
+    ref = weakref.ref(mesh)
+    del mesh, disc, u, w
+    gc.collect()
+    assert ref() is None

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse as sps
 
 from epsstokes import fem
 from epsstokes.fem import (Field, Space, apply_dirichlet, assemble_div_coupling,
@@ -9,7 +10,6 @@ from epsstokes.fem import (Field, Space, apply_dirichlet, assemble_div_coupling,
                            assemble_load, assemble_stiffness,
                            interpolate_boundary, triangle_rule_d5)
 from epsstokes.mesh import build_structured_mesh
-from epsstokes.sparse import csr_from_coo, spmv
 from epsstokes.verification import gauss_formula_residual
 from helpers import ref_triangle_mesh
 
@@ -55,7 +55,7 @@ def test_edge_gauss_rule_exact_through_degree_5():
 
 def test_p1_local_stiffness_matches_symbolic_oracle():
     space = Space(ref_triangle_mesh(), degree=1)
-    a = assemble_stiffness(space).to_dense()
+    a = assemble_stiffness(space).toarray()
     assert np.abs(a - P1_STIFFNESS).max() <= 1e-12
 
 
@@ -63,19 +63,19 @@ def test_stiffness_kernel_contains_constants():
     for degree in (1, 2):
         space = Space(build_structured_mesh(3), degree=degree)
         a = assemble_stiffness(space)
-        assert np.abs(spmv(a, np.ones(space.ndofs))).max() <= 1e-12
+        assert np.abs(a @ np.ones(space.ndofs)).max() <= 1e-12
     vspace = Space(build_structured_mesh(3), degree=2, components=2)
     a = assemble_stiffness(vspace)
     for comp in (0, 1):
         ones = np.zeros(vspace.ndofs)
         ones[comp::2] = 1.0
-        assert np.abs(spmv(a, ones)).max() <= 1e-12
+        assert np.abs(a @ ones).max() <= 1e-12
 
 
 def test_stiffness_symmetry_exact():
     for degree, comps in ((1, 1), (2, 1), (2, 2)):
         space = Space(build_structured_mesh(4), degree=degree, components=comps)
-        a = assemble_stiffness(space).to_scipy()
+        a = assemble_stiffness(space)
         assert abs(a - a.T).max() == 0.0
 
 
@@ -98,7 +98,7 @@ def _dense_p1_stiffness_oracle(mesh):
 
 def test_p1_stiffness_five_point_stencil_on_n2():
     mesh = build_structured_mesh(2)
-    a = assemble_stiffness(Space(mesh, degree=1)).to_dense()
+    a = assemble_stiffness(Space(mesh, degree=1)).toarray()
     oracle = _dense_p1_stiffness_oracle(mesh)
     assert np.abs(a - oracle).max() <= 1e-13
     center = np.where((mesh.vertices == [0.5, 0.5]).all(axis=1))[0][0]
@@ -112,7 +112,7 @@ def test_div_coupling_constant_field():
     b = assemble_div_coupling(vspace, pspace)
     const = np.zeros(vspace.ndofs)
     const[0::2] = 1.0
-    assert np.abs(spmv(b, const)).max() <= 1e-13
+    assert np.abs(b @ const).max() <= 1e-13
 
 
 def test_div_coupling_partition_of_unity():
@@ -123,13 +123,13 @@ def test_div_coupling_partition_of_unity():
     # u = (x, 0): entries sum to the integral of div u = 1
     coeffs = np.zeros(vspace.ndofs)
     coeffs[0::2] = vspace.node_coords[:, 0]
-    assert abs(spmv(b, coeffs).sum() - 1.0) <= 1e-12
+    assert abs((b @ coeffs).sum() - 1.0) <= 1e-12
 
 
 def test_div_coupling_local_block_matches_symbolic_oracle():
     mesh = ref_triangle_mesh()
     b = assemble_div_coupling(Space(mesh, degree=2, components=2),
-                              Space(mesh, degree=1)).to_dense()
+                              Space(mesh, degree=1)).toarray()
     assert np.abs(b - DIV_BLOCK).max() <= 1e-14
 
 
@@ -159,7 +159,7 @@ def test_grad_load_gradient_of_coordinate():
     space = Space(mesh, degree=1)
     vec = assemble_grad_load(
         space, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(y)], axis=-1))
-    stiff_action = spmv(assemble_stiffness(space), space.node_coords[:, 0])
+    stiff_action = assemble_stiffness(space) @ space.node_coords[:, 0]
     assert np.abs(vec - stiff_action).max() <= 1e-12
 
 
@@ -210,18 +210,18 @@ def test_interpolate_boundary_vector():
 
 
 def test_apply_dirichlet_no_dofs_is_identity_operation():
-    a = csr_from_coo([0, 0, 1], [0, 1, 1], [2.0, 1.0, 2.0], (2, 2))
+    a = sps.csr_matrix(([2.0, 1.0, 2.0], ([0, 0, 1], [0, 1, 1])), (2, 2))
     b = np.array([3.0, 3.0])
     a2, b2 = apply_dirichlet(a, b, np.array([], dtype=int), np.array([]))
-    assert np.allclose(a2.to_dense(), a.to_dense())
+    assert np.allclose(a2.toarray(), a.toarray())
     assert np.array_equal(b2, b)
 
 
 def test_apply_dirichlet_all_dofs_gives_identity_system():
-    a = csr_from_coo([0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 2.0], (2, 2))
+    a = sps.csr_matrix(([2.0, 1.0, 1.0, 2.0], ([0, 0, 1, 1], [0, 1, 0, 1])), (2, 2))
     b = np.zeros(2)
     a2, b2 = apply_dirichlet(a, b, np.array([0, 1]), np.array([5.0, -1.0]))
-    assert np.allclose(a2.to_dense(), np.eye(2))
+    assert np.allclose(a2.toarray(), np.eye(2))
     assert np.array_equal(b2, [5.0, -1.0])
 
 
@@ -229,21 +229,21 @@ def test_apply_dirichlet_three_point_laplace():
     rows = [0, 0, 1, 1, 1, 2, 2]
     cols = [0, 1, 0, 1, 2, 1, 2]
     vals = [2.0, -1.0, -1.0, 2.0, -1.0, -1.0, 2.0]
-    a = csr_from_coo(rows, cols, vals, (3, 3))
+    a = sps.csr_matrix((vals, (rows, cols)), (3, 3))
     a2, b2 = apply_dirichlet(a, np.zeros(3), np.array([0, 2]), np.array([0.0, 1.0]))
-    x = np.linalg.solve(a2.to_dense(), b2)
+    x = np.linalg.solve(a2.toarray(), b2)
     assert abs(x[1] - 0.5) <= 1e-14
     assert x[0] == 0.0 and x[2] == 1.0
     # symmetric elimination keeps the matrix symmetric
-    assert np.abs(a2.to_dense() - a2.to_dense().T).max() == 0.0
+    assert np.abs(a2.toarray() - a2.toarray().T).max() == 0.0
 
 
 def test_grad_coupling_forms_agree_on_interior_dofs():
     mesh = build_structured_mesh(4)
     vspace = Space(mesh, degree=2, components=2)
     pspace = Space(mesh, degree=1)
-    g_t = assemble_grad_coupling(vspace, pspace, form="transpose").to_dense()
-    g_d = assemble_grad_coupling(vspace, pspace, form="direct").to_dense()
+    g_t = assemble_grad_coupling(vspace, pspace, form="transpose").toarray()
+    g_d = assemble_grad_coupling(vspace, pspace, form="direct").toarray()
     interior = np.setdiff1d(np.arange(vspace.ndofs), vspace.boundary_dofs)
     assert np.abs(g_t[interior] - g_d[interior]).max() <= 1e-12
     # the boundary correction makes the two forms agree everywhere
@@ -255,8 +255,8 @@ def test_grad_coupling_transpose_identity_against_div():
     mesh = build_structured_mesh(4)
     vspace = Space(mesh, degree=2, components=2)
     pspace = Space(mesh, degree=1)
-    g = assemble_grad_coupling(vspace, pspace).to_dense()
-    b = assemble_div_coupling(vspace, pspace).to_dense()
+    g = assemble_grad_coupling(vspace, pspace).toarray()
+    b = assemble_div_coupling(vspace, pspace).toarray()
     rng = np.random.default_rng(7)
     u = rng.standard_normal(vspace.ndofs)
     p = rng.standard_normal(pspace.ndofs)
@@ -287,7 +287,7 @@ def test_galerkin_exactness():
              lambda x, y: 2.0 * np.ones_like(x))):
         space = Space(mesh, degree=degree)
         coeffs = poly(space.node_coords[:, 0], space.node_coords[:, 1])
-        lhs = spmv(assemble_stiffness(space), coeffs)
+        lhs = assemble_stiffness(space) @ coeffs
         rhs = assemble_load(space, neg_lap)
         interior = np.setdiff1d(np.arange(space.ndofs), space.boundary_dofs)
         assert np.abs(lhs[interior] - rhs[interior]).max() <= 1e-10

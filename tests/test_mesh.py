@@ -1,10 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epsstokes.mesh import (MeshFormatError, MeshTopologyError,
+from epsstokes.fem import Space
+from epsstokes.mesh import (Mesh, MeshFormatError, MeshTopologyError,
                             build_structured_mesh, load_mesh, mesh_size,
                             validate_mesh)
-from helpers import ref_triangle_mesh
+from helpers import (boundary_owner_loop, edge_numbering_loop,
+                     p2_boundary_nodes_loop, ref_triangle_mesh)
 
 
 def test_structured_counts_small():
@@ -137,7 +143,7 @@ def test_load_mesh_dangling_boundary_edge(tmp_path):
     path = tmp_path / "dangle.mesh"
     path.write_text(_three_triangle_strip(
         ["0 1 1", "1 2 1", "2 4 2", "4 3 3", "3 0 4", "1 3 1"]))
-    with pytest.raises(MeshTopologyError):
+    with pytest.raises(MeshTopologyError, match=r"boundary edge 5 \(1, 3\) is shared by 2"):
         load_mesh(path)
 
 
@@ -184,3 +190,84 @@ def test_load_mesh_reorients_boundary_edges(tmp_path):
                   + loaded.vertices[loaded.boundary_edges[:, 1]])
     bottom = np.where(mids[:, 1] == 0.0)[0][0]
     assert np.allclose(loaded.edge_normals[bottom], [0.0, -1.0])
+
+
+def _without_last_boundary_edge(n):
+    m = build_structured_mesh(n)
+    return Mesh(m.vertices, m.triangles, m.boundary_edges[:-1], m.edge_normals[:-1])
+
+
+def _with_repeated_triangle():
+    m = build_structured_mesh(1)
+    return Mesh(m.vertices, np.vstack([m.triangles, m.triangles[:1]]),
+                m.boundary_edges, m.edge_normals)
+
+
+@pytest.mark.parametrize("mesh, message", [
+    (_without_last_boundary_edge(2), "lies on the boundary"),
+    (_with_repeated_triangle(), "is shared by more than 2 triangles"),
+])
+def test_topology_errors_name_the_edge_as_plain_ints(mesh, message):
+    with pytest.raises(MeshTopologyError, match=r"edge \(0, 3\) " + message):
+        validate_mesh(mesh)
+
+
+def _scrambled_structured_mesh(n, seed):
+    """Structured mesh with interior vertices jittered, vertices relabelled
+    and each triangle's vertex list rotated (orientation kept)."""
+    rng = np.random.default_rng(seed)
+    m = build_structured_mesh(n)
+    vertices = m.vertices.copy()
+    interior = ~np.isin(np.arange(m.num_vertices), m.boundary_edges[:, :2])
+    vertices[interior] += rng.uniform(-0.1, 0.1, (interior.sum(), 2)) / n
+    perm = rng.permutation(m.num_vertices)
+    relabelled = np.empty_like(vertices)
+    relabelled[perm] = vertices
+    shift = rng.integers(0, 3, m.num_triangles)
+    cols = (np.arange(3)[None, :] + shift[:, None]) % 3
+    triangles = perm[np.take_along_axis(m.triangles, cols, axis=1)]
+    boundary = m.boundary_edges.copy()
+    boundary[:, :2] = perm[boundary[:, :2]]
+    mesh = Mesh(relabelled, triangles, boundary, m.edge_normals)
+    validate_mesh(mesh)
+    return mesh
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_edge_table_matches_loop_reference(n, seed):
+    mesh = _scrambled_structured_mesh(n, seed)
+    edge_index, tri_edges, counts = edge_numbering_loop(mesh)
+    table = mesh.edges
+    assert np.array_equal(table.vertices, np.array(list(edge_index), dtype=np.int64))
+    assert np.array_equal(table.tri_edges, tri_edges)
+    assert np.array_equal(table.counts, counts)
+    assert np.array_equal(table.tri_edges[table.owner, table.owner_local],
+                          np.arange(len(counts)))
+    assert np.array_equal(table.owner[mesh.boundary_edge_ids],
+                          boundary_owner_loop(mesh))
+
+    space = Space(mesh, 2, 2)
+    assert np.array_equal(space.cells,
+                          np.hstack([mesh.triangles, tri_edges + mesh.num_vertices]))
+    bnodes = p2_boundary_nodes_loop(mesh, edge_index)
+    assert np.array_equal(space.boundary_dofs,
+                          np.sort(np.concatenate([2 * bnodes, 2 * bnodes + 1])))
+
+    # load_mesh turns boundary edges written backwards to run with the
+    # domain on their left again
+    rng = np.random.default_rng(seed)
+    written = mesh.boundary_edges.copy()
+    flip = rng.random(len(written)) < 0.5
+    written[flip, :2] = written[flip, 1::-1]
+    text = ["mesh2d v1", f"vertices {mesh.num_vertices}"]
+    text += [f"{x!r} {y!r}" for x, y in mesh.vertices.tolist()]
+    text += [f"triangles {mesh.num_triangles}"]
+    text += [" ".join(map(str, t)) for t in mesh.triangles.tolist()]
+    text += [f"boundary {len(written)}"]
+    text += [" ".join(map(str, e)) for e in written.tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scrambled.mesh"
+        path.write_text("\n".join(text) + "\n")
+        loaded = load_mesh(path)
+    assert np.array_equal(loaded.boundary_edges, mesh.boundary_edges)

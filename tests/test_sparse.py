@@ -1,33 +1,32 @@
 import numpy as np
 import pytest
+from scipy import sparse as sps
 from scipy.io import mmread
 
 from epsstokes import sparse as sp
-from epsstokes.drivers import Discretization, ProblemInput, solve_es, solve_stokes
+from epsstokes.drivers import Discretization, ProblemInput, solve_es
 from epsstokes.mesh import build_structured_mesh
-from epsstokes.sparse import (CsrMatrix, SolverError, csr_from_coo,
-                              csr_identity, scale_add, solve, spmv, transpose)
+from epsstokes.sparse import SolverError, solve
 from epsstokes.verification import get_case
-from helpers import zero_vec
 
 
 def _random_pair(rng, shape=(5, 5), density=0.4):
     dense = rng.standard_normal(shape) * (rng.random(shape) < density)
     mask = dense != 0.0
     rows, cols = np.nonzero(mask)
-    return csr_from_coo(rows, cols, dense[mask], shape), dense
+    return sps.csr_matrix((dense[mask], (rows, cols)), shape), dense
 
 
 def test_solve_identity():
     rng = np.random.default_rng(1)
     b = rng.standard_normal(6)
-    x, report = solve(csr_identity(6), b)
+    x, report = solve(sps.identity(6, format="csr"), b)
     assert np.array_equal(x, b)
     assert report.rel_residual <= 1e-10
 
 
 def test_solve_two_by_two():
-    a = csr_from_coo([0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 2.0], (2, 2))
+    a = sps.csr_matrix(([2.0, 1.0, 1.0, 2.0], ([0, 0, 1, 1], [0, 1, 0, 1])), (2, 2))
     x, report = solve(a, np.array([3.0, 3.0]))
     assert np.abs(x - 1.0).max() <= 1e-12
     assert report.rel_residual <= 1e-10
@@ -35,94 +34,49 @@ def test_solve_two_by_two():
 
 def test_solve_matches_dense_lu_on_stokes_system():
     # assembled Stokes saddle system on the n=2 mesh vs a dense-LU oracle
-    from scipy import sparse as sps
     from epsstokes import fem
 
     mesh = build_structured_mesh(2)
     disc = Discretization(mesh)
     m = sps.csr_matrix(disc.mean_p[None, :])
-    system = sps.bmat([[disc.stiff_u.to_scipy(), -disc.div.to_scipy().T, None],
-                       [-disc.div.to_scipy(), None, m.T],
+    system = sps.bmat([[disc.stiff_u, -disc.div.T, None],
+                       [-disc.div, None, m.T],
                        [None, m, None]], format="csr")
     case = get_case("ms1")
     rhs = np.zeros(system.shape[0])
     rhs[:disc.nu] = fem.assemble_load(disc.vspace, case.body_force, disc.quad)
     bdofs, bvals = fem.interpolate_boundary(disc.vspace, case.u_bc())
-    mat, rhs = fem.apply_dirichlet(sp.scipy_to_csr(system), rhs, bdofs, bvals)
+    mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
 
     x, report = solve(mat, rhs)
-    x_dense = np.linalg.solve(mat.to_dense(), rhs)
+    x_dense = np.linalg.solve(mat.toarray(), rhs)
     assert np.abs(x - x_dense).max() <= 1e-10
     assert report.rel_residual <= 1e-10
-
-
-def test_spmv_identity_and_shapes():
-    ident = csr_identity(4)
-    x = np.arange(4.0)
-    assert np.array_equal(spmv(ident, x), x)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        spmv(ident, np.zeros(5))
 
 
 def test_ops_against_dense_oracle():
     rng = np.random.default_rng(42)
     a, da = _random_pair(rng)
-    b, db = _random_pair(rng)
     x = rng.standard_normal(5)
-    assert np.abs(spmv(a, x) - da @ x).max() <= 1e-14
-    assert np.abs(transpose(a).to_dense() - da.T).max() == 0.0
-    assert np.abs(scale_add(a, 2.5, b).to_dense() - (2.5 * da + db)).max() <= 1e-14
-
-
-def test_transpose_involution_exact():
-    rng = np.random.default_rng(11)
-    a, _ = _random_pair(rng)
-    att = transpose(transpose(a))
-    assert np.array_equal(att.indptr, a.indptr)
-    assert np.array_equal(att.indices, a.indices)
-    assert np.array_equal(att.data, a.data)
-
-
-def test_scale_add_zero_alpha_returns_other():
-    rng = np.random.default_rng(5)
-    a, _ = _random_pair(rng)
-    b, db = _random_pair(rng)
-    assert np.abs(scale_add(a, 0.0, b).to_dense() - db).max() == 0.0
-
-
-def test_scale_add_shape_mismatch():
-    a = csr_identity(3)
-    b = csr_identity(4)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        scale_add(a, 1.0, b)
-
-
-def test_csr_invariants():
-    a = csr_from_coo([0, 0, 0, 1], [2, 0, 2, 1], [1.0, 2.0, 3.0, 4.0], (2, 3))
-    # duplicates summed, indices sorted strictly increasing per row
-    assert a.nnz == 3
-    for r in range(2):
-        row_cols = a.indices[a.indptr[r]:a.indptr[r + 1]]
-        assert np.all(np.diff(row_cols) > 0)
-    assert a.to_dense()[0, 2] == 4.0
+    assert np.abs(a @ x - da @ x).max() <= 1e-14
 
 
 def test_solve_rejects_structurally_singular():
-    a = csr_from_coo([0, 1], [0, 1], [1.0, 0.0], (2, 2))
+    a = sps.csr_matrix(([1.0, 0.0], ([0, 1], [0, 1])), (2, 2))
     with pytest.raises(SolverError):
         solve(a, np.ones(2))
 
 
 def test_solve_rejects_singular_factorization():
     # rank-deficient but structurally full pattern
-    a = csr_from_coo([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0], (2, 2))
+    a = sps.csr_matrix(([1.0, 1.0, 1.0, 1.0], ([0, 0, 1, 1], [0, 1, 0, 1])), (2, 2))
     with pytest.raises(SolverError):
         solve(a, np.array([1.0, 2.0]))
 
 
 def test_solve_rejects_too_tight_tolerance():
     with pytest.raises(ValueError, match="floor"):
-        solve(csr_identity(2), np.ones(2), tol=1e-15)
+        solve(sps.identity(2, format="csr"), np.ones(2), tol=1e-15)
 
 
 def test_conditioning_robustness_gate():
@@ -150,8 +104,8 @@ def test_debug_dump_hook(tmp_path):
     prefix = str(tmp_path / "sys_")
     sp.configure_debug_dump(prefix)
     try:
-        solve(csr_identity(3), np.ones(3))
-        solve(csr_identity(3), np.ones(3))
+        solve(sps.identity(3, format="csr"), np.ones(3))
+        solve(sps.identity(3, format="csr"), np.ones(3))
     finally:
         sp.configure_debug_dump(None)
     assert (tmp_path / "sys_000.mtx").exists()
@@ -159,7 +113,7 @@ def test_debug_dump_hook(tmp_path):
 
 
 def test_report_fields():
-    x, report = solve(csr_identity(3), np.zeros(3))
+    x, report = solve(sps.identity(3, format="csr"), np.zeros(3))
     assert np.array_equal(x, np.zeros(3))
     assert report.method.startswith("sparse_lu")
     assert report.wall_time >= 0.0

@@ -158,6 +158,8 @@ def _summary(case, results) -> dict:
             "rel_residual": res.report.rel_residual,
             "solver": res.report.method,
             "wall_time": res.report.wall_time,
+            "fill": res.report.fill,
+            "lu_nnz": res.report.lu_nnz,
             "err_u_H1_vs_exact": ver.error_h1(res.u, case.u_exact, case.grad_u_exact),
             "err_p_L2R_vs_exact": ver.quotient_norm_l2(res.p, case.p_exact),
             "div_u_L2": ver.div_l2(res.u),

@@ -3,8 +3,9 @@
 All three problems use continuous P2 velocity and continuous P1 pressure on
 the same mesh, so their solutions are directly comparable:
 
-* ``solve_stokes``  -- saddle-point system with velocity Dirichlet data and
-  a scalar Lagrange multiplier pinning the pressure mean to zero;
+* ``solve_stokes``  -- saddle-point system with velocity Dirichlet data; the
+  first pressure dof is pinned to fix the gauge and the pressure is then
+  shifted to zero mean;
 * ``solve_pp``      -- two decoupled Poisson solves: pressure first from the
   gradient-type right-hand side, then velocity driven by the discrete
   pressure gradient;
@@ -112,36 +113,42 @@ def _merge_reports(first: SolverReport, second: SolverReport) -> SolverReport:
     return SolverReport(method=first.method + " [2 stages]",
                         rel_residual=worse,
                         iterations=first.iterations + second.iterations,
-                        wall_time=first.wall_time + second.wall_time)
+                        wall_time=first.wall_time + second.wall_time,
+                        ordering=first.ordering,
+                        lu_nnz=first.lu_nnz + second.lu_nnz,
+                        fill=max(first.fill, second.fill),
+                        factor_time=first.factor_time + second.factor_time)
 
 
 def solve_stokes(inp: ProblemInput, disc: Discretization = None,
                  tol: float = DEFAULT_TOL) -> SolveResult:
     """Velocity-pressure saddle solve with zero-mean pressure gauge.
 
-    The mean constraint is enforced through one extra Lagrange-multiplier
-    row/column rather than by pinning a pressure dof.
+    The first pressure dof is pinned to zero with the velocity Dirichlet
+    dofs, then the pressure is shifted to zero discrete mean: the solution
+    of a mean-value Lagrange multiplier, without its dense row and column.
     """
     disc = disc or Discretization(inp.mesh)
     _require_compatible(inp)
-    nu, npp = disc.nu, disc.np_
+    nu = disc.nu
 
-    m = sps.csr_matrix(disc.mean_p[None, :])
-    system = sps.bmat([[disc.stiff_u, -disc.div.T, None],
-                       [-disc.div, None, m.T],
-                       [None, m, None]], format="csr")
+    system = sps.bmat([[disc.stiff_u, -disc.div.T],
+                       [-disc.div, None]], format="csr")
     system.sum_duplicates()               # canonical: sorted, no duplicates
-    rhs = np.zeros(nu + npp + 1)
+    rhs = np.zeros(nu + disc.np_)
     rhs[:nu] = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
 
     bdofs, bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    bdofs = np.append(bdofs, nu)          # pressure gauge: first p dof = 0
+    bvals = np.append(bvals, 0.0)
     mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
     x, report = solve(mat, rhs, tol)
     x[bdofs] = bvals                      # boundary dofs hold exactly
 
-    u = Field(disc.vspace, x[:nu])
-    p = Field(disc.pspace, x[nu:nu + npp])
-    return SolveResult(u=u, p=p, problem="S", epsilon=None, report=report)
+    p = x[nu:]
+    p -= (disc.mean_p @ p) / disc.mean_p.sum()
+    return SolveResult(u=Field(disc.vspace, x[:nu]), p=Field(disc.pspace, p),
+                       problem="S", epsilon=None, report=report)
 
 
 def solve_pp(inp: ProblemInput, disc: Discretization = None,

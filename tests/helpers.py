@@ -1,7 +1,10 @@
 """Shared callables and small meshes used across the test modules."""
 
 import numpy as np
+from scipy import sparse as sps
+from scipy.sparse.linalg import spsolve
 
+from epsstokes import fem
 from epsstokes.mesh import Mesh
 
 
@@ -80,3 +83,24 @@ def p2_boundary_nodes_loop(mesh, edge_index) -> np.ndarray:
     for i, j, _ in mesh.boundary_edges:
         bnodes.add(nv + edge_index[(min(i, j), max(i, j))])
     return np.array(sorted(bnodes), dtype=np.int64)
+
+
+def stokes_lagrange_reference(inp, disc):
+    """Stokes (u, p) coefficients with the zero-mean gauge as a multiplier.
+
+    Builds the saddle system bordered by the dense mean-value row and column,
+    [[A, -D^T, 0], [-D, 0, m^T], [0, m, 0]], and solves it with spsolve: the
+    reference for the pinned-dof gauge in drivers.solve_stokes.
+    """
+    nu, npp = disc.nu, disc.np_
+    m = sps.csr_matrix(disc.mean_p[None, :])
+    system = sps.bmat([[disc.stiff_u, -disc.div.T, None],
+                       [-disc.div, None, m.T],
+                       [None, m, None]], format="csr")
+    rhs = np.zeros(nu + npp + 1)
+    rhs[:nu] = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
+    bdofs, bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
+    x = spsolve(mat.tocsc(), rhs)
+    x[bdofs] = bvals
+    return x[:nu], x[nu:nu + npp]

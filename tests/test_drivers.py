@@ -12,7 +12,8 @@ from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     seminorm_h1, get_case)
-from helpers import linear_x_minus_half, unit_x, zero_scalar, zero_vec
+from helpers import (linear_x_minus_half, stokes_lagrange_reference, unit_x,
+                     zero_scalar, zero_vec)
 
 
 def _inp(mesh, case, eps=None):
@@ -217,13 +218,11 @@ def test_es_solutions_identical_for_both_gradient_couplings():
         assert np.abs(rt.p.coefficients - rd.p.coefficients).max() <= 1e-11
 
 
-def test_gradient_forcing_on_loaded_parallelogram_mesh(tmp_path):
-    # end-to-end on a sheared, file-loaded mesh: (u, p) = (0, x) solves the
-    # coupled problem exactly for gradient forcing with matching trace data
+def _loaded_parallelogram_mesh(tmp_path):
+    """The n=3 unit-square mesh sheared by 0.4, written and read back."""
     from epsstokes.mesh import load_mesh
 
-    n = 3
-    square = build_structured_mesh(n)
+    square = build_structured_mesh(3)
     sheared = square.vertices @ np.array([[1.0, 0.0], [0.4, 1.0]])
     lines = ["mesh2d v1", f"vertices {square.num_vertices}"]
     lines += [f"{float(x)!r} {float(y)!r}" for x, y in sheared]
@@ -233,8 +232,13 @@ def test_gradient_forcing_on_loaded_parallelogram_mesh(tmp_path):
     lines += [f"{i} {j} {m}" for i, j, m in square.boundary_edges]
     path = tmp_path / "shear.mesh"
     path.write_text("\n".join(lines) + "\n")
+    return load_mesh(path)
 
-    mesh = load_mesh(path)
+
+def test_gradient_forcing_on_loaded_parallelogram_mesh(tmp_path):
+    # end-to-end on a sheared, file-loaded mesh: (u, p) = (0, x) solves the
+    # coupled problem exactly for gradient forcing with matching trace data
+    mesh = _loaded_parallelogram_mesh(tmp_path)
     assert abs(mesh.area() - 1.0) <= 1e-12   # shear preserves area
     disc = Discretization(mesh)
     inp = ProblemInput(mesh=mesh, body_force=unit_x, u_bc=zero_vec,
@@ -242,6 +246,34 @@ def test_gradient_forcing_on_loaded_parallelogram_mesh(tmp_path):
     res = solve_es(inp, disc)
     assert np.abs(res.u.coefficients).max() <= 1e-9
     assert np.abs(res.p.coefficients - disc.pspace.node_coords[:, 0]).max() <= 1e-9
+
+
+def test_stokes_pinned_gauge_matches_lagrange_multiplier(tmp_path):
+    # pinning one pressure dof and shifting to zero mean reproduces the
+    # solution of the system bordered by the mean-value multiplier
+    case = get_case("ms1")
+    square = build_structured_mesh(8)
+    sheared = _loaded_parallelogram_mesh(tmp_path)
+    inputs = [_inp(square, case),
+              ProblemInput(mesh=sheared, body_force=case.body_force,
+                           u_bc=zero_vec)]
+    for inp in inputs:
+        disc = Discretization(inp.mesh)
+        res = solve_stokes(inp, disc)
+        u_ref, p_ref = stokes_lagrange_reference(inp, disc)
+        for got, ref in ((res.u.coefficients, u_ref), (res.p.coefficients, p_ref)):
+            assert np.linalg.norm(ref) > 0.0
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_factor_fill_at_n32():
+    # a dense gauge row or a column-only ordering would fill the Stokes and
+    # coupled factors several times more than these bounds allow
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(32)
+    disc = Discretization(mesh)
+    assert solve_stokes(_inp(mesh, case), disc).report.fill <= 15.0
+    assert solve_es(_inp(mesh, case, eps=1e-6), disc).report.fill <= 12.0
 
 
 def test_gauge_invariance_of_stokes_vs_pp_pressure():

@@ -307,6 +307,9 @@ def test_cli_solve_all_problems(tmp_path):
     payload = json.loads(out.read_text())
     assert set(payload) == {"S", "PP", "ES"}
     assert payload["ES"]["epsilon"] == 2.0
+    for entry in payload.values():
+        assert entry["lu_nnz"] > 0
+        assert entry["fill"] >= 1.0
 
 
 def test_cli_solver_failure_exits_3(monkeypatch, capsys):

@@ -116,5 +116,9 @@ def test_report_fields():
     x, report = solve(sps.identity(3, format="csr"), np.zeros(3))
     assert np.array_equal(x, np.zeros(3))
     assert report.method.startswith("sparse_lu")
+    assert report.ordering.lower() in report.method
     assert report.wall_time >= 0.0
     assert report.iterations >= 0
+    assert report.lu_nnz == 6          # unit-diagonal L and diagonal U
+    assert report.fill == 2.0
+    assert 0.0 <= report.factor_time <= report.wall_time

@@ -160,6 +160,7 @@ def _summary(case, results) -> dict:
             "wall_time": res.report.wall_time,
             "fill": res.report.fill,
             "lu_nnz": res.report.lu_nnz,
+            "iterations": res.report.iterations,
             "err_u_H1_vs_exact": ver.error_h1(res.u, case.u_exact, case.grad_u_exact),
             "err_p_L2R_vs_exact": ver.quotient_norm_l2(res.p, case.p_exact),
             "div_u_L2": ver.div_l2(res.u),

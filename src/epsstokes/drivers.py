@@ -12,13 +12,31 @@ the same mesh, so their solutions are directly comparable:
 * ``solve_es``      -- the coupled one-parameter system whose pressure block
   is scaled by epsilon, with Dirichlet data on both fields.
 
-Drivers are pure functions of their input; sweeps can share one
-Discretization (mesh, spaces and epsilon-independent blocks).
+Drivers are pure functions of their input; sweeps share one Discretization
+(mesh, spaces, epsilon-independent blocks, the load vectors of each body
+force and the factors below), so a sweep factors each shared block once.
+
+Each system is solved by GMRES (sparse.solve) against a preconditioner
+built from factors that the Discretization makes on first use:
+
+* A  -- the velocity Laplacian with every boundary node eliminated, one
+  scalar P2 factor for both components;
+* Kp -- the P1 pressure Laplacian with every boundary node eliminated;
+* Mp -- the P1 mass matrix, negated, with the Stokes gauge dof eliminated.
+
+PP's two stages are preconditioned by the factors of their own matrices,
+Kp and A.  Stokes and ES use the block lower-triangular preconditioner
+[[A, 0], [L, S]], where L is the lower-left block of the solved matrix and
+S stands for the Schur complement: eps*Kp + Mp for ES, a P1 matrix
+factored per epsilon, and its eps -> 0 limit -Mp for Stokes, whose gauge
+row stays an identity row (Elman, Silvester & Wathen, Finite Elements and
+Fast Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse as sps
@@ -26,9 +44,10 @@ from scipy import sparse as sps
 from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
-from .sparse import DEFAULT_TOL, SolverReport, solve
+from .sparse import DEFAULT_TOL, Factor, Preconditioner, SolverReport, solve
 
 COMPATIBILITY_TOL = 1e-8
+GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
 
 
 class IncompatibleDataError(ValueError):
@@ -69,7 +88,12 @@ class SolveResult:
 
 
 class Discretization:
-    """Taylor-Hood spaces and the epsilon-independent operator blocks."""
+    """Taylor-Hood spaces and the epsilon-independent operator blocks.
+
+    Load vectors (memoized per body-force callable) and the factors A, Kp
+    and Mp are built on first use, never at construction, and live as long
+    as the Discretization.
+    """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -82,6 +106,7 @@ class Discretization:
         self.grad = fem.assemble_grad_coupling(self.vspace, self.pspace,
                                                form="transpose", quad=self.quad)
         self.mean_p = fem.assemble_mass_against_one(self.pspace, self.quad)
+        self._loads = {}
 
     @property
     def nu(self):
@@ -90,6 +115,42 @@ class Discretization:
     @property
     def np_(self):
         return self.pspace.ndofs
+
+    @cached_property
+    def mass_p(self) -> sps.csr_matrix:
+        return fem.assemble_mass(self.pspace, self.quad)
+
+    @cached_property
+    def velocity_factor(self) -> Factor:
+        """A for one velocity component; both components share it."""
+        scalar = self.stiff_u[0::2, 0::2].tocsr()
+        return Factor(fem.eliminate(scalar, self.vspace.boundary_nodes))
+
+    @cached_property
+    def pressure_factor(self) -> Factor:
+        return Factor(fem.eliminate(self.stiff_p, self.pspace.boundary_dofs))
+
+    @cached_property
+    def mass_factor(self) -> Factor:
+        """-Mp with the gauge dof eliminated: the Stokes Schur block."""
+        return Factor(fem.eliminate(-self.mass_p, [GAUGE_DOF]))
+
+    def velocity_load(self, body_force) -> np.ndarray:
+        """Read-only load vector of body_force against the velocity basis."""
+        return self._load(fem.assemble_load, self.vspace, body_force)
+
+    def pressure_load(self, body_force) -> np.ndarray:
+        """Read-only load vector of body_force against the pressure gradients."""
+        return self._load(fem.assemble_grad_load, self.pspace, body_force)
+
+    def _load(self, assemble, space, body_force):
+        key = (assemble, body_force)
+        vec = self._loads.get(key)
+        if vec is None:
+            vec = assemble(space, body_force, self.quad)
+            vec.setflags(write=False)
+            self._loads[key] = vec
+        return vec
 
 
 def check_compatibility(inp: ProblemInput) -> float:
@@ -110,14 +171,40 @@ def _require_compatible(inp):
 
 def _merge_reports(first: SolverReport, second: SolverReport) -> SolverReport:
     worse = max(first.rel_residual, second.rel_residual)
-    return SolverReport(method=first.method + " [2 stages]",
+    return SolverReport(method=f"{first.method}; {second.method}",
                         rel_residual=worse,
                         iterations=first.iterations + second.iterations,
                         wall_time=first.wall_time + second.wall_time,
                         ordering=first.ordering,
                         lu_nnz=first.lu_nnz + second.lu_nnz,
                         fill=max(first.fill, second.fill),
-                        factor_time=first.factor_time + second.factor_time)
+                        factor_time=first.factor_time + second.factor_time,
+                        residual_history=(first.residual_history
+                                          + second.residual_history))
+
+
+def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
+    """A^-1 r for interleaved velocity dofs, one column per component."""
+    return factor.solve(r.reshape(-1, 2)).ravel()
+
+
+def _velocity_precond(disc: Discretization) -> Preconditioner:
+    vel = disc.velocity_factor
+    return Preconditioner("A", lambda r: _solve_velocity(vel, r), (vel,))
+
+
+def _block_lower(disc: Discretization, a, name: str,
+                 schur: Factor) -> Preconditioner:
+    """[[A, 0], [L, S]] with L the lower-left block of a and S factored."""
+    nu = disc.nu
+    vel = disc.velocity_factor
+    lower = a[nu:, :nu]
+
+    def apply(r):
+        z = _solve_velocity(vel, r[:nu])
+        return np.concatenate([z, schur.solve(r[nu:] - lower @ z)])
+
+    return Preconditioner(f"block_lower(A, {name})", apply, (vel, schur))
 
 
 def solve_stokes(inp: ProblemInput, disc: Discretization = None,
@@ -136,13 +223,15 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
                        [-disc.div, None]], format="csr")
     system.sum_duplicates()               # canonical: sorted, no duplicates
     rhs = np.zeros(nu + disc.np_)
-    rhs[:nu] = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
+    rhs[:nu] = disc.velocity_load(inp.body_force)
 
     bdofs, bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    bdofs = np.append(bdofs, nu)          # pressure gauge: first p dof = 0
+    bdofs = np.append(bdofs, nu + GAUGE_DOF)   # pressure gauge: p dof = 0
     bvals = np.append(bvals, 0.0)
     mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
-    x, report = solve(mat, rhs, tol)
+
+    x, report = solve(mat, rhs, tol, lambda: _block_lower(
+        disc, mat, "-Mp", disc.mass_factor))
     x[bdofs] = bvals                      # boundary dofs hold exactly
 
     p = x[nu:]
@@ -163,18 +252,19 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
 
-    g = fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
+    g = disc.pressure_load(inp.body_force)
     p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     kp, g = fem.apply_dirichlet(disc.stiff_p, g, p_bdofs, p_bvals)
-    p_coeff, rep1 = solve(kp, g, tol)
+    p_coeff, rep1 = solve(kp, g, tol, lambda: Preconditioner(
+        "Kp", disc.pressure_factor.solve, (disc.pressure_factor,)))
     p_coeff[p_bdofs] = p_bvals
     p = Field(disc.pspace, p_coeff)
 
-    f = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
-    f -= fem.assemble_field_grad_load(disc.vspace, p, disc.quad)
+    f = (disc.velocity_load(inp.body_force)
+         - fem.assemble_field_grad_load(disc.vspace, p, disc.quad))
     u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     au, f = fem.apply_dirichlet(disc.stiff_u, f, u_bdofs, u_bvals)
-    u_coeff, rep2 = solve(au, f, tol)
+    u_coeff, rep2 = solve(au, f, tol, lambda: _velocity_precond(disc))
     u_coeff[u_bdofs] = u_bvals
 
     return SolveResult(u=Field(disc.vspace, u_coeff), p=p, problem="PP",
@@ -202,15 +292,17 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
                        [disc.div, eps * disc.stiff_p]], format="csr")
     system.sum_duplicates()               # canonical: sorted, no duplicates
     rhs = np.empty(nu + npp)
-    rhs[:nu] = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
-    rhs[nu:] = eps * fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
+    rhs[:nu] = disc.velocity_load(inp.body_force)
+    rhs[nu:] = eps * disc.pressure_load(inp.body_force)
 
     u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     bdofs = np.concatenate([u_bdofs, p_bdofs + nu])
     bvals = np.concatenate([u_bvals, p_bvals])
     mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
-    x, report = solve(mat, rhs, tol)
+    x, report = solve(mat, rhs, tol, lambda: _block_lower(
+        disc, mat, "eps*Kp + Mp",
+        Factor(fem.eliminate(eps * disc.stiff_p + disc.mass_p, p_bdofs))))
     x[bdofs] = bvals
 
     return SolveResult(u=Field(disc.vspace, x[:nu]),

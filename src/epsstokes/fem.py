@@ -221,17 +221,20 @@ def eval_grad_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
     """Gradients at quadrature points.
 
     Scalar fields give (M, Q, 2); vector fields give (M, Q, 2, 2) with entry
-    [..., i, d] = d(u_i)/d(x_d).
+    [..., i, d] = d(u_i)/d(x_d).  The cell coefficients meet the reference
+    shape gradients first, then each cell's inverse Jacobian maps the result.
     """
     sp = field.space
-    grads = _physical_gradients(sp, quad)                      # (M, Q, nloc, 2)
+    _, inv, _, _ = sp.mesh.geometry
+    dref = shape_gradients(sp.degree, quad.ref_points())       # (Q, nloc, 2)
+    m, q = sp.cells.shape[0], dref.shape[0]
+    table = dref.transpose(1, 0, 2).reshape(sp.nloc, 2 * q)
     if sp.components == 1:
-        local = field.coefficients[sp.cells]
-        return np.einsum("mi,mqid->mqd", local, grads)
-    cx = field.coefficients[0::2][sp.cells]
-    cy = field.coefficients[1::2][sp.cells]
-    return np.stack([np.einsum("mi,mqid->mqd", cx, grads),
-                     np.einsum("mi,mqid->mqd", cy, grads)], axis=-2)
+        ref = (field.coefficients[sp.cells] @ table).reshape(m, q, 2)
+        return ref @ inv
+    local = field.coefficients.reshape(-1, 2)[sp.cells]        # (M, nloc, 2)
+    ref = (local.transpose(0, 2, 1) @ table).reshape(m, 2 * q, 2)
+    return (ref @ inv).reshape(m, 2, q, 2).transpose(0, 2, 1, 3)
 
 
 def eval_div_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
@@ -267,15 +270,26 @@ def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> sps.
     _, _, _, det = space.mesh.geometry
     grads = _physical_gradients(space, quad)
     local = np.einsum("q,m,mqid,mqjd->mij", quad.weights, det, grads, grads)
-    if space.components == 2:
-        m, nloc, _ = local.shape
-        big = np.zeros((m, 2 * nloc, 2 * nloc))
-        big[:, 0::2, 0::2] = local
-        big[:, 1::2, 1::2] = local
-        local = big
-    dofs = space.cell_dofs()
-    out = _scatter(dofs, local, (space.ndofs, space.ndofs))
+    out = _scatter(space.cells, local, (space.num_nodes, space.num_nodes))
     # exact symmetry independent of accumulation order
+    out = (0.5 * (out + out.T)).tocsr()
+    if space.components == 2:        # interleaved dofs: one copy per component
+        out = sps.kron(out, sps.identity(2), format="csr")
+    return out
+
+
+def assemble_mass(space: Space, quad: QuadratureRule | None = None) -> sps.csr_matrix:
+    """Mass matrix of a scalar space: entries integral of phi_i * phi_j.
+
+    Symmetric positive definite.
+    """
+    if space.components != 1:
+        raise ValueError("mass matrix is defined for scalar spaces")
+    quad = quad or triangle_rule_d5()
+    _, _, _, det = space.mesh.geometry
+    vals = shape_values(space.degree, quad.ref_points())
+    local = det[:, None, None] * np.einsum("q,qi,qj->ij", quad.weights, vals, vals)
+    out = _scatter(space.cells, local, (space.ndofs, space.ndofs))
     return (0.5 * (out + out.T)).tocsr()
 
 
@@ -458,22 +472,25 @@ def apply_dirichlet(a: sps.csr_matrix, b: np.ndarray, bdofs, bvals):
     """
     bdofs = np.asarray(bdofs, dtype=np.int64)
     bvals = np.asarray(bvals, dtype=float)
-    n = a.shape[0]
-    mat = a
     rhs = np.array(b, dtype=float, copy=True)
-    if bdofs.size:
-        lift = np.zeros(n)
-        lift[bdofs] = bvals
-        rhs -= mat @ lift
-        keep = np.ones(n)
-        keep[bdofs] = 0.0
-        sel = sps.diags(keep)
-        mat = (sel @ mat @ sel + sps.diags(1.0 - keep)).tocsr()
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        rhs *= keep
-        rhs[bdofs] = bvals
-    return mat, rhs
+    if not bdofs.size:
+        return a, rhs
+    lift = np.zeros(a.shape[0])
+    lift[bdofs] = bvals
+    rhs -= a @ lift
+    rhs[bdofs] = bvals
+    return eliminate(a, bdofs), rhs
+
+
+def eliminate(a: sps.csr_matrix, bdofs) -> sps.csr_matrix:
+    """a with the rows and columns of bdofs zeroed and 1 on their diagonal."""
+    keep = np.ones(a.shape[0])
+    keep[bdofs] = 0.0
+    sel = sps.diags(keep)
+    mat = (sel @ a @ sel + sps.diags(1.0 - keep)).tocsr()
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
 
 
 # ---------------------------------------------------------------------------

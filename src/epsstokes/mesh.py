@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -236,43 +237,56 @@ def load_mesh(path) -> Mesh:
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
-
+    texts = list(filter(None, map(str.strip, lines)))      # non-blank lines
     pos = 0
 
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            stripped = lines[pos - 1].strip()
-            if stripped:
-                return pos, stripped
-        raise MeshFormatError(f"line {len(lines) + 1}: unexpected end of file")
+    def lineno(i):
+        """File line number of texts[i]; only error messages need it."""
+        return [k for k, line in enumerate(lines, 1) if line.strip()][i]
 
-    lineno, header = next_line()
+    def take(count):
+        nonlocal pos
+        if pos + count > len(texts):
+            raise MeshFormatError(f"line {len(lines) + 1}: unexpected end of file")
+        pos += count
+        return texts[pos - count:pos]
+
+    [header] = take(1)
     if header != "mesh2d v1":
-        raise MeshFormatError(f"line {lineno}: expected header 'mesh2d v1', got {header!r}")
+        raise MeshFormatError(f"line {lineno(pos - 1)}: expected header "
+                              f"'mesh2d v1', got {header!r}")
 
     def read_section(keyword, width, dtype):
-        lineno, head = next_line()
+        [head] = take(1)
         parts = head.split()
         if len(parts) != 2 or parts[0] != keyword:
-            raise MeshFormatError(f"line {lineno}: expected '{keyword} <count>', got {head!r}")
+            raise MeshFormatError(f"line {lineno(pos - 1)}: expected "
+                                  f"'{keyword} <count>', got {head!r}")
         try:
             count = int(parts[1])
         except ValueError:
-            raise MeshFormatError(f"line {lineno}: bad count {parts[1]!r}") from None
-        rows = np.empty((count, width), dtype=dtype)
-        for r in range(count):
-            lineno, body = next_line()
-            fields = body.split()
-            if len(fields) != width:
-                raise MeshFormatError(
-                    f"line {lineno}: expected {width} fields, got {len(fields)}")
+            count = -1
+        if count < 0:
+            raise MeshFormatError(f"line {lineno(pos - 1)}: bad count {parts[1]!r}")
+        first = pos
+        body = take(count)
+        fields = list(map(str.split, body))
+        if set(map(len, fields)) <= {width}:
             try:
-                rows[r] = [dtype(tok) for tok in fields]
-            except ValueError:
-                raise MeshFormatError(f"line {lineno}: bad value in {body!r}") from None
-        return rows
+                return np.array(list(chain.from_iterable(fields)),
+                                dtype=dtype).reshape(count, width)
+            except (ValueError, OverflowError):
+                pass
+        for k, row in enumerate(fields):                    # find the bad line
+            if len(row) != width:
+                raise MeshFormatError(f"line {lineno(first + k)}: expected "
+                                      f"{width} fields, got {len(row)}")
+            try:
+                np.array(row, dtype=dtype)
+            except (ValueError, OverflowError):
+                raise MeshFormatError(f"line {lineno(first + k)}: bad value "
+                                      f"in {body[k]!r}") from None
+        raise AssertionError("unreachable: every line of the section parsed")
 
     vertices = read_section("vertices", 2, float)
     triangles = read_section("triangles", 3, np.int64)

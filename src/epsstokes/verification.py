@@ -125,12 +125,12 @@ def get_case(name: str, delta: float = None) -> ManufacturedCase:
 
 
 def _as_exact(field: Field, exact):
-    """Exact values at quadrature points, broadcast to the field's layout."""
+    """Exact values at quadrature points, broadcast to the field's layout;
+    0.0 when exact is None."""
+    if exact is None:
+        return 0.0
     quad = fem.triangle_rule_d5()
     xs, ys = fem.quad_points_physical(field.space.mesh, quad)
-    if exact is None:
-        shape = xs.shape if field.space.components == 1 else xs.shape + (2,)
-        return np.zeros(shape)
     vals = np.asarray(exact(xs, ys), dtype=float)
     want = xs.shape if field.space.components == 1 else xs.shape + (2,)
     return np.broadcast_to(vals, want)

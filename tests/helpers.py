@@ -104,3 +104,41 @@ def stokes_lagrange_reference(inp, disc):
     x = spsolve(mat.tocsc(), rhs)
     x[bdofs] = bvals
     return x[:nu], x[nu:nu + npp]
+
+
+def monolithic_reference(problem, inp, disc):
+    """(u, p) coefficients of a driver's assembled system, solved by spsolve.
+
+    The reference for the preconditioned GMRES path in drivers: the same
+    systems, Dirichlet elimination and Stokes gauge (first pressure dof
+    pinned, then shifted to zero mean), each factored whole.
+    """
+    nu = disc.nu
+    f = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
+    u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    if problem == "S":
+        system = sps.bmat([[disc.stiff_u, -disc.div.T], [-disc.div, None]])
+        x = _spsolve_dirichlet(system, np.concatenate([f, np.zeros(disc.np_)]),
+                               np.append(u_bdofs, nu), np.append(u_bvals, 0.0))
+        p = x[nu:] - (disc.mean_p @ x[nu:]) / disc.mean_p.sum()
+        return x[:nu], p
+    g = fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
+    p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
+    if problem == "PP":
+        p = _spsolve_dirichlet(disc.stiff_p, g, p_bdofs, p_bvals)
+        f = f - fem.assemble_field_grad_load(disc.vspace, fem.Field(disc.pspace, p),
+                                             disc.quad)
+        return _spsolve_dirichlet(disc.stiff_u, f, u_bdofs, u_bvals), p
+    eps = inp.epsilon
+    system = sps.bmat([[disc.stiff_u, disc.grad], [disc.div, eps * disc.stiff_p]])
+    x = _spsolve_dirichlet(system, np.concatenate([f, eps * g]),
+                           np.concatenate([u_bdofs, p_bdofs + nu]),
+                           np.concatenate([u_bvals, p_bvals]))
+    return x[:nu], x[nu:]
+
+
+def _spsolve_dirichlet(a, b, bdofs, bvals):
+    mat, rhs = fem.apply_dirichlet(a.tocsr(), b, bdofs, bvals)
+    x = spsolve(mat.tocsc(), rhs)
+    x[bdofs] = bvals
+    return x

@@ -4,16 +4,21 @@ import weakref
 import numpy as np
 import pytest
 
+from epsstokes import sparse
 from epsstokes.drivers import (Discretization, IncompatibleDataError,
                                ProblemInput, check_compatibility, solve_es,
                                solve_pp, solve_stokes)
+from epsstokes.harness import RunConfig, run_sweep_eps
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     seminorm_h1, get_case)
-from helpers import (linear_x_minus_half, stokes_lagrange_reference, unit_x,
-                     zero_scalar, zero_vec)
+from helpers import (linear_x_minus_half, monolithic_reference,
+                     stokes_lagrange_reference, unit_x, zero_scalar, zero_vec)
+
+DRIVERS = {"S": solve_stokes, "PP": solve_pp, "ES": solve_es}
+FACTORS = ("velocity_factor", "pressure_factor", "mass_factor")
 
 
 def _inp(mesh, case, eps=None):
@@ -267,13 +272,118 @@ def test_stokes_pinned_gauge_matches_lagrange_multiplier(tmp_path):
 
 
 def test_factor_fill_at_n32():
-    # a dense gauge row or a column-only ordering would fill the Stokes and
-    # coupled factors several times more than these bounds allow
+    # the symmetric ordering keeps every factor near 5x its matrix (a
+    # column-only ordering gives about 9x), and the block preconditioners keep
+    # GMRES short over the whole epsilon range
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(32)
     disc = Discretization(mesh)
-    assert solve_stokes(_inp(mesh, case), disc).report.fill <= 15.0
-    assert solve_es(_inp(mesh, case, eps=1e-6), disc).report.fill <= 12.0
+    stokes = solve_stokes(_inp(mesh, case), disc).report
+    assert stokes.fill <= 6.0
+    assert 1 <= stokes.iterations == len(stokes.residual_history) <= 45
+    assert solve_pp(_inp(mesh, case), disc).report.fill <= 6.0
+    for eps, most in ((1e-6, 30), (1.0, 10), (1e6, 5)):
+        report = solve_es(_inp(mesh, case, eps=eps), disc).report
+        assert report.fill <= 6.0
+        assert report.iterations <= most, eps
+    # the velocity factor is one scalar P2 matrix shared by both components
+    assert disc.velocity_factor.lu.shape[0] == disc.nu // 2
+
+
+@pytest.mark.parametrize("problem", ["S", "PP", "ES"])
+def test_drivers_match_monolithic_reference(problem, tmp_path):
+    # GMRES on the shared factors reproduces spsolve on each assembled system
+    case = get_case("ms1-mismatch")
+    square = build_structured_mesh(8)
+    sheared = _loaded_parallelogram_mesh(tmp_path)
+    inputs = [_inp(square, case),
+              ProblemInput(mesh=sheared, body_force=case.body_force,
+                           u_bc=zero_vec, p_bc=case.p_bc())]
+    for base in inputs:
+        disc = Discretization(base.mesh)
+        for eps in ((1e-6, 1.0, 1e6) if problem == "ES" else (None,)):
+            inp = ProblemInput(mesh=base.mesh, body_force=base.body_force,
+                               u_bc=base.u_bc, p_bc=base.p_bc, epsilon=eps)
+            res = DRIVERS[problem](inp, disc)
+            u_ref, p_ref = monolithic_reference(problem, inp, disc)
+            for got, ref in ((res.u.coefficients, u_ref), (res.p.coefficients, p_ref)):
+                assert np.linalg.norm(ref) > 0.0
+                assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), eps
+
+
+def _count_factorizations(monkeypatch):
+    """Sizes of the matrices factored from now on, in order."""
+    sizes = []
+    real = sparse.splu
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(sparse, "splu", counting)
+    return sizes
+
+
+def test_discretization_builds_no_factor(monkeypatch):
+    sizes = _count_factorizations(monkeypatch)
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    assert sizes == []
+    assert not set(FACTORS + ("mass_p",)) & set(vars(disc))
+    solve_pp(_inp(mesh, get_case("ms1")), disc)
+    assert sizes == [disc.np_, disc.nu // 2]          # Kp, then A
+    assert set(FACTORS) & set(vars(disc)) == {"pressure_factor", "velocity_factor"}
+
+
+def test_sweep_factors_velocity_block_once(monkeypatch):
+    sizes = _count_factorizations(monkeypatch)
+    table, reports = run_sweep_eps(RunConfig(case="ms1-mismatch", n=8))
+    n_velocity = 17 * 17                  # scalar P2 nodes at n = 8
+    assert len(table.rows) == 13 and len(reports) == 15
+    assert sizes.count(n_velocity) == 1
+    # besides A: Mp for Stokes, Kp for PP and one eps*Kp + Mp per epsilon
+    assert sizes.count(9 * 9) == 15 and len(sizes) == 16
+    assert reports[0].factor_time > 0.0   # Stokes builds A inside its solve
+
+
+def test_loads_assembled_once_per_body_force(monkeypatch):
+    from epsstokes import fem
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("assemble_load", "assemble_grad_load"):
+        monkeypatch.setattr(fem, name, counted(name, getattr(fem, name)))
+    mesh = build_structured_mesh(4)
+    disc = Discretization(mesh)
+    case = get_case("ms1-mismatch")
+    solve_stokes(_inp(mesh, case), disc)
+    solve_pp(_inp(mesh, case), disc)
+    for eps in (1e-3, 1e3):
+        solve_es(_inp(mesh, case, eps=eps), disc)
+    assert sorted(calls) == ["assemble_grad_load", "assemble_load"]
+    assert not disc.velocity_load(case.body_force).flags.writeable
+    solve_es(ProblemInput(mesh=mesh, body_force=unit_x, u_bc=zero_vec,
+                          p_bc=linear_x_minus_half, epsilon=1.0), disc)
+    assert len(calls) == 4                # a new body force is assembled
+
+
+def test_discretization_with_factors_is_freed():
+    # factors, load vectors and results hold no reference cycle, so a
+    # dead Discretization's factors go as soon as its last reference does
+    mesh = build_structured_mesh(3)
+    disc = Discretization(mesh)
+    inp = _inp(mesh, get_case("ms1"), eps=1.0)
+    results = [solve(inp, disc) for solve in DRIVERS.values()]
+    assert set(FACTORS) <= set(vars(disc))
+    ref = weakref.ref(disc)
+    del disc
+    assert ref() is None
+    assert results[0].report.iterations >= 1
 
 
 def test_gauge_invariance_of_stokes_vs_pp_pressure():

@@ -310,6 +310,8 @@ def test_cli_solve_all_problems(tmp_path):
     for entry in payload.values():
         assert entry["lu_nnz"] > 0
         assert entry["fill"] >= 1.0
+        assert entry["iterations"] >= 0
+    assert payload["S"]["iterations"] >= 1      # block-preconditioned GMRES
 
 
 def test_cli_solver_failure_exits_3(monkeypatch, capsys):

@@ -170,6 +170,20 @@ def test_load_mesh_parse_error_carries_line_number(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("mesh2d v1\nvertices -1\n", "line 2: bad count"),
+    ("mesh2d v1\nvertices 1\n0 0\ntriangles 1\n0 0 99999999999999999999\n",
+     "line 5: bad value"),
+    ("\nmesh2d v1\n\nvertices 2\n0 0\n\n1 2 3\n", "line 7: expected 2 fields"),
+])
+def test_load_mesh_format_errors_name_the_line(tmp_path, text, line):
+    # blank lines count toward the line number
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=line):
+        load_mesh(path)
+
+
 def test_load_mesh_bad_header(tmp_path):
     path = tmp_path / "hdr.mesh"
     path.write_text("mesh3d v7\n")

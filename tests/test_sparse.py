@@ -115,10 +115,42 @@ def test_debug_dump_hook(tmp_path):
 def test_report_fields():
     x, report = solve(sps.identity(3, format="csr"), np.zeros(3))
     assert np.array_equal(x, np.zeros(3))
-    assert report.method.startswith("sparse_lu")
+    assert report.method.startswith("gmres[sparse_lu")
     assert report.ordering.lower() in report.method
     assert report.wall_time >= 0.0
-    assert report.iterations >= 0
+    assert report.iterations == 0      # the factor of a meets tol by itself
+    assert report.residual_history == ()
     assert report.lu_nnz == 6          # unit-diagonal L and diagonal U
     assert report.fill == 2.0
     assert 0.0 <= report.factor_time <= report.wall_time
+
+
+def _laplace_1d(n, diag=2.0):
+    return sps.diags([-np.ones(n - 1), np.full(n, diag), -np.ones(n - 1)],
+                     [-1, 0, 1], format="csr")
+
+
+def test_gmres_with_kept_inexact_factor():
+    # preconditioned by the factor of a nearby matrix, built before the call:
+    # GMRES iterates, records one residual per iteration, and the factor
+    # costs this solve no factor time
+    a = _laplace_1d(60)
+    b = np.random.default_rng(3).standard_normal(60)
+    near = sp.Factor(_laplace_1d(60, diag=2.2))
+    x, report = solve(a, b, precond=lambda: sp.Preconditioner(
+        "near", near.solve, (near,)))
+    assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
+    assert report.rel_residual <= 1e-10
+    assert report.method == "gmres[near]"
+    assert 2 <= report.iterations == len(report.residual_history) <= 40
+    assert report.residual_history[-1] < 1e-3 * report.residual_history[0]
+    assert report.factor_time == 0.0
+    assert report.lu_nnz == near.nnz and report.fill == near.nnz / near.matrix_nnz
+
+
+def test_factor_solves_several_right_hand_sides():
+    a = _laplace_1d(20)
+    rhs = np.random.default_rng(4).standard_normal((20, 2))
+    both = sp.Factor(a).solve(rhs)
+    assert both.shape == (20, 2)
+    assert np.abs(a @ both - rhs).max() <= 1e-12

@@ -3,7 +3,7 @@ epsilon-parameter flow problems on triangulated 2D domains."""
 
 from .drivers import (Discretization, IncompatibleDataError, ProblemInput,
                       SolveResult, check_compatibility, solve_es, solve_pp,
-                      solve_stokes)
+                      solve_problem, solve_stokes)
 from .fem import Field, QuadratureRule, Space, triangle_rule_d5
 from .harness import (DEFAULT_EPS_GRID, ConfigError, RunConfig, export_vtk,
                       run_acceptance, run_sweep_eps, run_sweep_h)
@@ -22,7 +22,8 @@ __all__ = [
     "build_structured_mesh", "check_compatibility", "export_vtk",
     "fit_log_slope", "get_case", "load_mesh", "mesh_size", "registry",
     "run_acceptance", "run_sweep_eps", "run_sweep_h", "solve", "solve_es",
-    "solve_pp", "solve_stokes", "triangle_rule_d5", "validate_mesh",
+    "solve_pp", "solve_problem", "solve_stokes", "triangle_rule_d5",
+    "validate_mesh",
 ]
 
 __version__ = "0.1.0"

@@ -13,8 +13,7 @@ import json
 import sys
 
 from . import sparse
-from .drivers import (Discretization, IncompatibleDataError, solve_es,
-                      solve_pp, solve_stokes)
+from .drivers import Discretization, IncompatibleDataError, solve_problem
 from .harness import (DEFAULT_EPS_GRID, DEFAULT_N, ConfigError, RunConfig,
                       export_vtk, problem_input, run_acceptance, run_sweep_eps,
                       run_sweep_h)
@@ -26,6 +25,10 @@ EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+# The keys of a --config file; each is also a flag.
+CONFIG_KEYS = ("case", "problem", "n", "eps", "delta", "tol", "out", "format",
+               "dump_matrix")
 
 
 def _parse_floats(text):
@@ -43,19 +46,18 @@ def _build_parser():
                     "on triangulated domains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, need_eps=True):
+    def add_common(p):
         p.add_argument("--config", help="JSON file presetting any flag")
         p.add_argument("--case", help="manufactured case name (default ms1)")
         p.add_argument("--problem", help="S, PP, ES or all (default ES)")
         p.add_argument("--n", help="mesh subdivisions; list for sweep-h, e.g. 8,16,32")
-        if need_eps:
-            p.add_argument("--eps", help="comma-separated epsilon list")
+        p.add_argument("--eps", help="comma-separated epsilon list")
         p.add_argument("--delta", type=float, help="trace-mismatch amplitude override")
         p.add_argument("--tol", type=float, help="solver relative-residual tolerance")
         p.add_argument("--out", help="output path (table, report or VTK file)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+        p.add_argument("--format", choices=("csv", "json"),
                        help="table format (default csv)")
-        p.add_argument("--dump-matrix", dest="dump_matrix",
+        p.add_argument("--dump-matrix",
                        help="prefix for MatrixMarket dumps of each solved system")
 
     add_common(sub.add_parser("solve", help="run one problem and print a summary"))
@@ -76,26 +78,15 @@ def _make_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_conf, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(file_conf) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in "
+                              f"{args.config}; allowed: {', '.join(CONFIG_KEYS)}")
         settings.update(file_conf)
 
-    if args.case is not None:
-        settings["case"] = args.case
-    if args.problem is not None:
-        settings["problem"] = args.problem
-    if args.n is not None:
-        settings["n"] = args.n
-    if getattr(args, "eps", None) is not None:
-        settings["eps"] = args.eps
-    if args.delta is not None:
-        settings["delta"] = args.delta
-    if args.tol is not None:
-        settings["tol"] = args.tol
-    if args.out is not None:
-        settings["out"] = args.out
-    if args.fmt is not None:
-        settings["format"] = args.fmt
-    if args.dump_matrix is not None:
-        settings["dump_matrix"] = args.dump_matrix
+    for key in CONFIG_KEYS:               # explicit flags override the file
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
 
     n_raw = settings.get("n", DEFAULT_N)
     if isinstance(n_raw, str):
@@ -136,18 +127,10 @@ def _solve_one(config: RunConfig):
     case = config.manufactured_case()
     mesh = build_structured_mesh(config.n)
     disc = Discretization(mesh)
-    problems = ("S", "PP", "ES") if config.problem == "all" else (config.problem,)
-    results = {}
-    for prob in problems:
-        if prob == "S":
-            res = solve_stokes(problem_input(case, mesh), disc, config.tol)
-        elif prob == "PP":
-            res = solve_pp(problem_input(case, mesh), disc, config.tol)
-        else:
-            eps = config.eps_list[0] if config.eps_list else 1.0
-            res = solve_es(problem_input(case, mesh, epsilon=eps), disc, config.tol)
-        results[prob] = res
-    return case, results
+    eps = config.eps_list[0] if config.eps_list else 1.0
+    inp = problem_input(case, mesh, epsilon=eps)
+    return case, {prob: solve_problem(prob, inp, disc, config.tol)
+                  for prob in config.problems}
 
 
 def _summary(case, results) -> dict:
@@ -187,13 +170,6 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
 
-def _print_table(table, config: RunConfig) -> None:
-    if config.fmt == "json":
-        print(json.dumps(table.to_json_obj(), indent=2))
-    else:
-        print(table.to_csv_text(), end="")
-
-
 def _dispatch(command: str, config: RunConfig) -> int:
     if command == "solve":
         case, results = _solve_one(config)
@@ -204,18 +180,13 @@ def _dispatch(command: str, config: RunConfig) -> int:
         print(payload)
         return EXIT_OK
 
-    if command == "sweep-eps":
-        table, _ = run_sweep_eps(config)
-        if config.out is None:
-            _print_table(table, config)
-        return EXIT_OK
-
-    if command == "sweep-h":
-        if not config.n_list or len(config.n_list) < 1:
-            raise ConfigError("sweep-h needs --n with one or more values")
-        table, _ = run_sweep_h(config)
-        if config.out is None:
-            _print_table(table, config)
+    if command in ("sweep-eps", "sweep-h"):
+        sweep = run_sweep_eps if command == "sweep-eps" else run_sweep_h
+        table, _ = sweep(config)
+        if config.out is None and config.fmt == "json":
+            print(json.dumps(table.to_json_obj(), indent=2))
+        elif config.out is None:
+            print(table.to_csv_text(), end="")
         return EXIT_OK
 
     if command == "verify":

@@ -12,9 +12,12 @@ the same mesh, so their solutions are directly comparable:
 * ``solve_es``      -- the coupled one-parameter system whose pressure block
   is scaled by epsilon, with Dirichlet data on both fields.
 
-Drivers are pure functions of their input; sweeps share one Discretization
-(mesh, spaces, epsilon-independent blocks, the load vectors of each body
-force and the factors below), so a sweep factors each shared block once.
+``solve_problem`` dispatches on the problem name.  Drivers are pure
+functions of their input; sweeps share one Discretization (mesh, spaces,
+epsilon-independent blocks, the load vectors of each body force, each
+problem's system with its Dirichlet dofs eliminated, and the factors
+below), so a sweep assembles, eliminates and factors each block once.  ES
+keeps its system at eps = 1 and scales a copy's Kp entries per epsilon.
 
 Each system is solved by GMRES (sparse.solve) against a preconditioner
 built from factors that the Discretization makes on first use:
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse as sps
@@ -48,6 +52,7 @@ from .sparse import DEFAULT_TOL, Factor, Preconditioner, SolverReport, solve
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
+PROBLEMS = ("S", "PP", "ES")
 
 
 class IncompatibleDataError(ValueError):
@@ -87,12 +92,30 @@ class SolveResult:
     report: SolverReport
 
 
+class Eliminated(NamedTuple):
+    """A linear system with its fixed dofs eliminated.
+
+    matrix is the system with the rows and columns of the sorted dofs
+    `fixed` zeroed and 1 on their diagonal; lift holds the system's columns
+    at those dofs, which carry the fixed values to the right-hand side.
+    """
+
+    matrix: sps.csr_matrix
+    lift: sps.csr_matrix
+    fixed: np.ndarray
+
+
+def _eliminated(system: sps.csr_matrix, fixed: np.ndarray) -> Eliminated:
+    system.sum_duplicates()               # canonical: sorted, no duplicates
+    return Eliminated(fem.eliminate(system, fixed), system[:, fixed], fixed)
+
+
 class Discretization:
     """Taylor-Hood spaces and the epsilon-independent operator blocks.
 
-    Load vectors (memoized per body-force callable) and the factors A, Kp
-    and Mp are built on first use, never at construction, and live as long
-    as the Discretization.
+    Load vectors (memoized per body-force callable), each problem's
+    eliminated system and the factors A, Kp and Mp are built on first use,
+    never at construction, and live as long as the Discretization.
     """
 
     def __init__(self, mesh: Mesh):
@@ -128,12 +151,52 @@ class Discretization:
 
     @cached_property
     def pressure_factor(self) -> Factor:
-        return Factor(fem.eliminate(self.stiff_p, self.pspace.boundary_dofs))
+        return Factor(self.pressure_system.matrix)
 
     @cached_property
     def mass_factor(self) -> Factor:
         """-Mp with the gauge dof eliminated: the Stokes Schur block."""
         return Factor(fem.eliminate(-self.mass_p, [GAUGE_DOF]))
+
+    @cached_property
+    def stokes_system(self) -> Eliminated:
+        """[[K, -D^T], [-D, 0]] with the velocity boundary and the gauge dof fixed."""
+        return _eliminated(
+            sps.bmat([[self.stiff_u, -self.div.T], [-self.div, None]], format="csr"),
+            np.append(self.vspace.boundary_dofs, self.nu + GAUGE_DOF))
+
+    @cached_property
+    def pressure_system(self) -> Eliminated:
+        """Kp with the pressure boundary fixed: the first PP stage."""
+        return _eliminated(self.stiff_p, self.pspace.boundary_dofs)
+
+    @cached_property
+    def velocity_system(self) -> Eliminated:
+        """K with the velocity boundary fixed: the second PP stage."""
+        return _eliminated(self.stiff_u, self.vspace.boundary_dofs)
+
+    def coupled_system(self, eps: float) -> Eliminated:
+        """[[K, G], [D, eps*Kp]] with both boundaries fixed: a copy of the
+        eps = 1 system with its stored Kp entries scaled by eps."""
+        unit, in_matrix, in_lift = self._coupled_unit
+        matrix, lift = unit.matrix.copy(), unit.lift.copy()
+        matrix.data[in_matrix] *= eps
+        lift.data[in_lift] *= eps
+        return Eliminated(matrix, lift, unit.fixed)
+
+    @cached_property
+    def _coupled_unit(self):
+        """The ES system at eps = 1 and the positions of its stored Kp entries."""
+        nu = self.nu
+        unit = _eliminated(
+            sps.bmat([[self.stiff_u, self.grad], [self.div, self.stiff_p]], format="csr"),
+            np.concatenate([self.vspace.boundary_dofs,
+                            self.pspace.boundary_dofs + nu]))
+        free = np.ones(unit.matrix.shape[0], dtype=bool)
+        free[unit.fixed] = False          # a fixed row keeps only its unit diagonal
+        mat, lift = unit.matrix.tocoo(), unit.lift.tocoo()    # entries in CSR order
+        return (unit, np.flatnonzero(free[mat.row] & (mat.row >= nu) & (mat.col >= nu)),
+                np.flatnonzero((lift.row >= nu) & (unit.fixed[lift.col] >= nu)))
 
     def velocity_load(self, body_force) -> np.ndarray:
         """Read-only load vector of body_force against the velocity basis."""
@@ -207,6 +270,16 @@ def _block_lower(disc: Discretization, a, name: str,
     return Preconditioner(f"block_lower(A, {name})", apply, (vel, schur))
 
 
+def _solve_fixed(system: Eliminated, rhs: np.ndarray, values: np.ndarray,
+                 tol: float, precond) -> tuple[np.ndarray, SolverReport]:
+    """Solve an eliminated system, lifting and restoring the fixed values."""
+    rhs = rhs - system.lift @ values
+    rhs[system.fixed] = values
+    x, report = solve(system.matrix, rhs, tol, precond)
+    x[system.fixed] = values
+    return x, report
+
+
 def solve_stokes(inp: ProblemInput, disc: Discretization = None,
                  tol: float = DEFAULT_TOL) -> SolveResult:
     """Velocity-pressure saddle solve with zero-mean pressure gauge.
@@ -218,21 +291,14 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
     disc = disc or Discretization(inp.mesh)
     _require_compatible(inp)
     nu = disc.nu
+    system = disc.stokes_system
 
-    system = sps.bmat([[disc.stiff_u, -disc.div.T],
-                       [-disc.div, None]], format="csr")
-    system.sum_duplicates()               # canonical: sorted, no duplicates
     rhs = np.zeros(nu + disc.np_)
     rhs[:nu] = disc.velocity_load(inp.body_force)
-
-    bdofs, bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    bdofs = np.append(bdofs, nu + GAUGE_DOF)   # pressure gauge: p dof = 0
-    bvals = np.append(bvals, 0.0)
-    mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
-
-    x, report = solve(mat, rhs, tol, lambda: _block_lower(
-        disc, mat, "-Mp", disc.mass_factor))
-    x[bdofs] = bvals                      # boundary dofs hold exactly
+    _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    x, report = _solve_fixed(
+        system, rhs, np.append(u_vals, 0.0), tol,    # pressure gauge: p dof = 0
+        lambda: _block_lower(disc, system.matrix, "-Mp", disc.mass_factor))
 
     p = x[nu:]
     p -= (disc.mean_p @ p) / disc.mean_p.sum()
@@ -252,20 +318,18 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
 
-    g = disc.pressure_load(inp.body_force)
-    p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
-    kp, g = fem.apply_dirichlet(disc.stiff_p, g, p_bdofs, p_bvals)
-    p_coeff, rep1 = solve(kp, g, tol, lambda: Preconditioner(
-        "Kp", disc.pressure_factor.solve, (disc.pressure_factor,)))
-    p_coeff[p_bdofs] = p_bvals
+    _, p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
+    p_coeff, rep1 = _solve_fixed(
+        disc.pressure_system, disc.pressure_load(inp.body_force), p_vals, tol,
+        lambda: Preconditioner("Kp", disc.pressure_factor.solve,
+                               (disc.pressure_factor,)))
     p = Field(disc.pspace, p_coeff)
 
     f = (disc.velocity_load(inp.body_force)
          - fem.assemble_field_grad_load(disc.vspace, p, disc.quad))
-    u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    au, f = fem.apply_dirichlet(disc.stiff_u, f, u_bdofs, u_bvals)
-    u_coeff, rep2 = solve(au, f, tol, lambda: _velocity_precond(disc))
-    u_coeff[u_bdofs] = u_bvals
+    _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    u_coeff, rep2 = _solve_fixed(disc.velocity_system, f, u_vals, tol,
+                                 lambda: _velocity_precond(disc))
 
     return SolveResult(u=Field(disc.vspace, u_coeff), p=p, problem="PP",
                        epsilon=None, report=_merge_reports(rep1, rep2))
@@ -287,24 +351,30 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
     nu, npp = disc.nu, disc.np_
+    system = disc.coupled_system(eps)
 
-    system = sps.bmat([[disc.stiff_u, disc.grad],
-                       [disc.div, eps * disc.stiff_p]], format="csr")
-    system.sum_duplicates()               # canonical: sorted, no duplicates
     rhs = np.empty(nu + npp)
     rhs[:nu] = disc.velocity_load(inp.body_force)
     rhs[nu:] = eps * disc.pressure_load(inp.body_force)
-
-    u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
-    bdofs = np.concatenate([u_bdofs, p_bdofs + nu])
-    bvals = np.concatenate([u_bvals, p_bvals])
-    mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
-    x, report = solve(mat, rhs, tol, lambda: _block_lower(
-        disc, mat, "eps*Kp + Mp",
-        Factor(fem.eliminate(eps * disc.stiff_p + disc.mass_p, p_bdofs))))
-    x[bdofs] = bvals
+    _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    _, p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
+    x, report = _solve_fixed(
+        system, rhs, np.concatenate([u_vals, p_vals]), tol,
+        lambda: _block_lower(disc, system.matrix, "eps*Kp + Mp", Factor(fem.eliminate(
+            eps * disc.stiff_p + disc.mass_p, disc.pspace.boundary_dofs))))
 
     return SolveResult(u=Field(disc.vspace, x[:nu]),
                        p=Field(disc.pspace, x[nu:]),
                        problem="ES", epsilon=eps, report=report)
+
+
+def solve_problem(name: str, inp: ProblemInput, disc: Discretization = None,
+                  tol: float = DEFAULT_TOL) -> SolveResult:
+    """Solve problem `name`, one of PROBLEMS, with its driver."""
+    if name == "S":
+        return solve_stokes(inp, disc, tol)
+    if name == "PP":
+        return solve_pp(inp, disc, tol)
+    if name == "ES":
+        return solve_es(inp, disc, tol)
+    raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEMS}")

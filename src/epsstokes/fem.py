@@ -3,7 +3,7 @@
 Provides the bilinear and linear forms used by the three flow problems:
 scalar/vector stiffness, velocity-pressure divergence and gradient coupling,
 body-force and gradient-type load vectors, nodal boundary interpolation and
-symmetric Dirichlet elimination.  All volume integration uses a degree-5
+symmetric elimination of fixed dofs.  All volume integration uses a degree-5
 triangle rule; boundary integration uses 3-point Gauss per edge (degree 5).
 """
 
@@ -172,10 +172,6 @@ class Field:
             raise ValueError(
                 f"expected {self.space.ndofs} coefficients, "
                 f"got {self.coefficients.shape}")
-
-
-def zero_field(space: Space) -> Field:
-    return Field(space, np.zeros(space.ndofs))
 
 
 # ---------------------------------------------------------------------------
@@ -460,26 +456,6 @@ def interpolate_boundary(space: Space, g, marker: int | None = None):
     dofs[0::2] = 2 * nodes
     dofs[1::2] = 2 * nodes + 1
     return dofs, gv.ravel()
-
-
-def apply_dirichlet(a: sps.csr_matrix, b: np.ndarray, bdofs, bvals):
-    """Symmetric elimination of Dirichlet dofs.
-
-    Moves the known columns to the right-hand side, zeroes the rows and
-    columns, places 1 on the diagonal and the prescribed value in b, so the
-    solved system reproduces the boundary values exactly.  Returns a new
-    matrix, or a itself when there are no Dirichlet dofs.
-    """
-    bdofs = np.asarray(bdofs, dtype=np.int64)
-    bvals = np.asarray(bvals, dtype=float)
-    rhs = np.array(b, dtype=float, copy=True)
-    if not bdofs.size:
-        return a, rhs
-    lift = np.zeros(a.shape[0])
-    lift[bdofs] = bvals
-    rhs -= a @ lift
-    rhs[bdofs] = bvals
-    return eliminate(a, bdofs), rhs
 
 
 def eliminate(a: sps.csr_matrix, bdofs) -> sps.csr_matrix:

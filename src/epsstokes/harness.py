@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, verification as ver
-from .drivers import Discretization, ProblemInput, SolveResult, solve_es, solve_pp, solve_stokes
+from .drivers import (PROBLEMS, Discretization, ProblemInput, SolveResult,
+                      solve_es, solve_pp, solve_problem, solve_stokes)
 from .mesh import Mesh, build_structured_mesh
 from .sparse import DEFAULT_TOL
 from .verification import ErrorRow, ErrorTable, ManufacturedCase
@@ -48,7 +49,7 @@ class RunConfig:
     dump_matrix: str = None
 
     def __post_init__(self):
-        if self.problem not in ("S", "PP", "ES", "all"):
+        if self.problem not in PROBLEMS + ("all",):
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
@@ -63,6 +64,11 @@ class RunConfig:
             raise ConfigError(f"delta must be >= 0, got {self.delta}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+
+    @property
+    def problems(self) -> tuple:
+        """The problems a run covers: all three for "all"."""
+        return PROBLEMS if self.problem == "all" else (self.problem,)
 
     def manufactured_case(self) -> ManufacturedCase:
         try:
@@ -88,18 +94,26 @@ def write_table(table: ErrorTable, config: RunConfig) -> None:
         fh.write(text)
 
 
-def _norm_pack(result: SolveResult, s_ref: SolveResult, pp_ref: SolveResult,
+def _error_row(result: SolveResult, s_ref: SolveResult, pp_ref: SolveResult,
                case: ManufacturedCase, mesh: Mesh, n: int) -> ErrorRow:
-    """Measure one solve against the Stokes and pressure-Poisson references."""
-    du_s = ver.diff_field(result.u, s_ref.u)
-    dp_s = ver.diff_field(result.p, s_ref.p)
+    """Measure one solve against the Stokes and pressure-Poisson references.
+
+    The Stokes solve itself is measured against the closed-form solution,
+    which gives the discretization floor.
+    """
+    if result.problem == "S":
+        du_s, u_s, grad_u_s = result.u, case.u_exact, case.grad_u_exact
+        dp_s, p_s = result.p, case.p_exact
+    else:
+        du_s, u_s, grad_u_s = ver.diff_field(result.u, s_ref.u), None, None
+        dp_s, p_s = ver.diff_field(result.p, s_ref.p), None
     du_pp = ver.diff_field(result.u, pp_ref.u)
     dp_pp = ver.diff_field(result.p, pp_ref.p)
     return ErrorRow(
         problem=result.problem, n=n, eps=result.epsilon,
-        err_u_H1_vs_S=ver.error_h1(du_s, None, None),
-        err_u_L2_vs_S=ver.error_l2(du_s, None),
-        err_p_L2R_vs_S=ver.quotient_norm_l2(dp_s, None),
+        err_u_H1_vs_S=ver.error_h1(du_s, u_s, grad_u_s),
+        err_u_L2_vs_S=ver.error_l2(du_s, u_s),
+        err_p_L2R_vs_S=ver.quotient_norm_l2(dp_s, p_s),
         err_u_H1_vs_PP=ver.error_h1(du_pp, None, None),
         err_p_H1_vs_PP=ver.error_h1(dp_pp, None, None),
         div_u_L2=ver.div_l2(result.u),
@@ -127,29 +141,12 @@ def run_sweep_eps(config: RunConfig):
         for eps in config.eps_list:
             res = solve_es(problem_input(case, mesh, epsilon=eps), disc, config.tol)
             reports.append(res.report)
-            rows.append(_norm_pack(res, s_ref, pp_ref, case, mesh, config.n))
+            rows.append(_error_row(res, s_ref, pp_ref, case, mesh, config.n))
     except Exception:
         write_table(table, config)
         raise
     write_table(table, config)
     return table, reports
-
-
-def _exact_row(result: SolveResult, case: ManufacturedCase, mesh: Mesh, n: int,
-               pp_ref: SolveResult) -> ErrorRow:
-    """Row for a solve measured against the closed-form solution."""
-    du_pp = ver.diff_field(result.u, pp_ref.u)
-    dp_pp = ver.diff_field(result.p, pp_ref.p)
-    return ErrorRow(
-        problem=result.problem, n=n, eps=result.epsilon,
-        err_u_H1_vs_S=ver.error_h1(result.u, case.u_exact, case.grad_u_exact),
-        err_u_L2_vs_S=ver.error_l2(result.u, case.u_exact),
-        err_p_L2R_vs_S=ver.quotient_norm_l2(result.p, case.p_exact),
-        err_u_H1_vs_PP=ver.error_h1(du_pp, None, None),
-        err_p_H1_vs_PP=ver.error_h1(dp_pp, None, None),
-        div_u_L2=ver.div_l2(result.u),
-        trace_mismatch_L2G=ver.trace_mismatch(case.p_bc(), case.p_exact, mesh),
-    )
 
 
 def run_sweep_h(config: RunConfig):
@@ -162,7 +159,6 @@ def run_sweep_h(config: RunConfig):
     if not config.n_list:
         raise ConfigError("h sweep needs a nonempty n list")
     case = config.manufactured_case()
-    problems = ("S", "PP", "ES") if config.problem == "all" else (config.problem,)
     eps0 = config.eps_list[0] if config.eps_list else 1.0
     rows, reports = [], []
     table = ErrorTable(rows=rows)
@@ -173,16 +169,14 @@ def run_sweep_h(config: RunConfig):
             s_ref = solve_stokes(problem_input(case, mesh), disc, config.tol)
             pp_ref = solve_pp(problem_input(case, mesh), disc, config.tol)
             reports.extend([s_ref.report, pp_ref.report])
-            for prob in problems:
-                if prob == "S":
-                    rows.append(_exact_row(s_ref, case, mesh, n, pp_ref))
-                elif prob == "PP":
-                    rows.append(_norm_pack(pp_ref, s_ref, pp_ref, case, mesh, n))
-                else:
+            for prob in config.problems:
+                if prob == "ES":
                     res = solve_es(problem_input(case, mesh, epsilon=eps0),
                                    disc, config.tol)
                     reports.append(res.report)
-                    rows.append(_norm_pack(res, s_ref, pp_ref, case, mesh, n))
+                else:
+                    res = s_ref if prob == "S" else pp_ref
+                rows.append(_error_row(res, s_ref, pp_ref, case, mesh, n))
     except Exception:
         write_table(table, config)
         raise
@@ -190,7 +184,7 @@ def run_sweep_h(config: RunConfig):
     if len(config.n_list) >= 2:
         table.rates = {}
         floor = 10.0 * config.tol
-        for prob in problems:
+        for prob in config.problems:
             sel = [r for r in rows if r.problem == prob]
             for col in ("err_u_H1_vs_S", "err_p_L2R_vs_S"):
                 pairs = [(1.0 / r.n, getattr(r, col)) for r in sel]
@@ -463,17 +457,17 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
     def zero_vec(x, y):
         return np.zeros(np.broadcast(x, y).shape + (2,))
 
+    def deviation(inp, p_nodes):
+        """Largest |u| and |p - p_nodes| over the three problems' solutions."""
+        results = [track(solve_problem(name, inp, disc, tol)) for name in PROBLEMS]
+        return max(max(float(np.abs(res.u.coefficients).max()),
+                       float(np.abs(res.p.coefficients - p_nodes).max()))
+                   for res in results)
+
     grad_inp = ProblemInput(mesh, body_force=unit_x_force, u_bc=zero_vec,
                             p_bc=linear_pressure, epsilon=1.0)
-    grad_dev = 0.0
-    for res in (track(solve_stokes(grad_inp, disc, tol)),
-                track(solve_pp(grad_inp, disc, tol)),
-                track(solve_es(grad_inp, disc, tol))):
-        q_nodes = linear_pressure(disc.pspace.node_coords[:, 0],
-                                  disc.pspace.node_coords[:, 1])
-        grad_dev = max(grad_dev,
-                       float(np.abs(res.u.coefficients).max()),
-                       float(np.abs(res.p.coefficients - q_nodes).max()))
+    grad_dev = deviation(grad_inp, linear_pressure(disc.pspace.node_coords[:, 0],
+                                                   disc.pspace.node_coords[:, 1]))
     details8["gradient_forcing_deviation"] = grad_dev
 
     def zero_scalar(x, y):
@@ -481,13 +475,7 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
 
     zero_inp = ProblemInput(mesh, body_force=zero_vec, u_bc=zero_vec,
                             p_bc=zero_scalar, epsilon=1.0)
-    zero_dev = 0.0
-    for res in (track(solve_stokes(zero_inp, disc, tol)),
-                track(solve_pp(zero_inp, disc, tol)),
-                track(solve_es(zero_inp, disc, tol))):
-        zero_dev = max(zero_dev,
-                       float(np.abs(res.u.coefficients).max()),
-                       float(np.abs(res.p.coefficients).max()))
+    zero_dev = deviation(zero_inp, 0.0)
     details8["zero_data_deviation"] = zero_dev
 
     ref_mesh = Mesh(

@@ -122,10 +122,6 @@ class Mesh:
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @property
-    def num_boundary_edges(self) -> int:
-        return self.boundary_edges.shape[0]
-
     def triangle_areas(self) -> np.ndarray:
         """Signed areas (positive for counterclockwise triangles)."""
         p = self.vertices[self.triangles]

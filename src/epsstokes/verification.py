@@ -233,23 +233,17 @@ def gauss_formula_residual(u: Field, w: Field) -> float:
 # rate fitting and tables
 
 
-def fit_log_slope(pairs, window=None) -> float:
+def fit_log_slope(pairs) -> float:
     """Least-squares slope of log(y) against log(x).
 
-    pairs is a sequence of (x, y) with strictly positive entries; window
-    optionally restricts to an index range (anything np.ndarray indexing
-    accepts).
+    pairs is a sequence of (x, y) with strictly positive entries.
     """
     arr = np.asarray(list(pairs), dtype=float)
-    if window is not None:
-        arr = arr[window]
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need at least two (x, y) pairs")
     if np.any(arr <= 0.0):
         raise ValueError("log-log fit requires positive data")
-    lx, ly = np.log(arr[:, 0]), np.log(arr[:, 1])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)[0])
 
 
 def saturation_filter(pairs, floor: float):

@@ -5,6 +5,7 @@ from scipy import sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from epsstokes import fem
+from epsstokes.fem import Field
 from epsstokes.mesh import Mesh
 
 
@@ -33,6 +34,10 @@ def ref_triangle_mesh() -> Mesh:
         boundary_edges=np.array([[0, 1, 1], [1, 2, 2], [2, 0, 4]]),
         edge_normals=np.array([[0.0, -1.0], [s, s], [-1.0, 0.0]]),
     )
+
+
+def zero_field(space) -> Field:
+    return Field(space, np.zeros(space.ndofs))
 
 
 def dense_from(mat):
@@ -85,6 +90,26 @@ def p2_boundary_nodes_loop(mesh, edge_index) -> np.ndarray:
     return np.array(sorted(bnodes), dtype=np.int64)
 
 
+def apply_dirichlet(a, b, bdofs, bvals):
+    """Reference symmetric elimination of Dirichlet dofs from a full system.
+
+    Moves the known columns to the right-hand side, zeroes the rows and
+    columns, places 1 on the diagonal and the prescribed value in b, so the
+    solved system reproduces the boundary values exactly.  Returns a new
+    matrix, or a itself when there are no Dirichlet dofs.
+    """
+    bdofs = np.asarray(bdofs, dtype=np.int64)
+    bvals = np.asarray(bvals, dtype=float)
+    rhs = np.array(b, dtype=float, copy=True)
+    if not bdofs.size:
+        return a, rhs
+    lift = np.zeros(a.shape[0])
+    lift[bdofs] = bvals
+    rhs -= a @ lift
+    rhs[bdofs] = bvals
+    return fem.eliminate(a, bdofs), rhs
+
+
 def stokes_lagrange_reference(inp, disc):
     """Stokes (u, p) coefficients with the zero-mean gauge as a multiplier.
 
@@ -100,10 +125,42 @@ def stokes_lagrange_reference(inp, disc):
     rhs = np.zeros(nu + npp + 1)
     rhs[:nu] = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
     bdofs, bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    mat, rhs = fem.apply_dirichlet(system, rhs, bdofs, bvals)
-    x = spsolve(mat.tocsc(), rhs)
-    x[bdofs] = bvals
+    x = _spsolve_dirichlet(system, rhs, bdofs, bvals)
     return x[:nu], x[nu:nu + npp]
+
+
+def reference_system(stage, inp, disc, p=None):
+    """(system, rhs, fixed dofs, values) of one system a driver solves.
+
+    The whole system assembled with sps.bmat, before any elimination: with
+    apply_dirichlet it is the reference for the eliminated systems that
+    drivers.Discretization keeps.  stage is S, ES, PP-p (the pressure
+    Poisson stage) or PP-u (the velocity stage, driven by the pressure
+    coefficients p).
+    """
+    nu = disc.nu
+    f = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
+    u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    if stage == "S":
+        system = sps.bmat([[disc.stiff_u, -disc.div.T], [-disc.div, None]],
+                          format="csr")
+        system.sum_duplicates()
+        return (system, np.concatenate([f, np.zeros(disc.np_)]),
+                np.append(u_bdofs, nu), np.append(u_bvals, 0.0))
+    if stage == "PP-u":
+        f = f - fem.assemble_field_grad_load(disc.vspace, Field(disc.pspace, p),
+                                             disc.quad)
+        return disc.stiff_u, f, u_bdofs, u_bvals
+    g = fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
+    p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
+    if stage == "PP-p":
+        return disc.stiff_p, g, p_bdofs, p_bvals
+    eps = inp.epsilon
+    system = sps.bmat([[disc.stiff_u, disc.grad], [disc.div, eps * disc.stiff_p]],
+                      format="csr")
+    system.sum_duplicates()
+    return (system, np.concatenate([f, eps * g]),
+            np.concatenate([u_bdofs, p_bdofs + nu]), np.concatenate([u_bvals, p_bvals]))
 
 
 def monolithic_reference(problem, inp, disc):
@@ -113,32 +170,18 @@ def monolithic_reference(problem, inp, disc):
     systems, Dirichlet elimination and Stokes gauge (first pressure dof
     pinned, then shifted to zero mean), each factored whole.
     """
-    nu = disc.nu
-    f = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
-    u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    if problem == "S":
-        system = sps.bmat([[disc.stiff_u, -disc.div.T], [-disc.div, None]])
-        x = _spsolve_dirichlet(system, np.concatenate([f, np.zeros(disc.np_)]),
-                               np.append(u_bdofs, nu), np.append(u_bvals, 0.0))
-        p = x[nu:] - (disc.mean_p @ x[nu:]) / disc.mean_p.sum()
-        return x[:nu], p
-    g = fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
-    p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     if problem == "PP":
-        p = _spsolve_dirichlet(disc.stiff_p, g, p_bdofs, p_bvals)
-        f = f - fem.assemble_field_grad_load(disc.vspace, fem.Field(disc.pspace, p),
-                                             disc.quad)
-        return _spsolve_dirichlet(disc.stiff_u, f, u_bdofs, u_bvals), p
-    eps = inp.epsilon
-    system = sps.bmat([[disc.stiff_u, disc.grad], [disc.div, eps * disc.stiff_p]])
-    x = _spsolve_dirichlet(system, np.concatenate([f, eps * g]),
-                           np.concatenate([u_bdofs, p_bdofs + nu]),
-                           np.concatenate([u_bvals, p_bvals]))
-    return x[:nu], x[nu:]
+        p = _spsolve_dirichlet(*reference_system("PP-p", inp, disc))
+        return _spsolve_dirichlet(*reference_system("PP-u", inp, disc, p)), p
+    x = _spsolve_dirichlet(*reference_system(problem, inp, disc))
+    u, p = x[:disc.nu], x[disc.nu:]
+    if problem == "S":
+        p = p - (disc.mean_p @ p) / disc.mean_p.sum()
+    return u, p
 
 
 def _spsolve_dirichlet(a, b, bdofs, bvals):
-    mat, rhs = fem.apply_dirichlet(a.tocsr(), b, bdofs, bvals)
+    mat, rhs = apply_dirichlet(a.tocsr(), b, bdofs, bvals)
     x = spsolve(mat.tocsc(), rhs)
     x[bdofs] = bvals
     return x

@@ -4,21 +4,26 @@ import weakref
 import numpy as np
 import pytest
 
-from epsstokes import sparse
+from scipy import sparse as sps
+
+from epsstokes import drivers, sparse
 from epsstokes.drivers import (Discretization, IncompatibleDataError,
                                ProblemInput, check_compatibility, solve_es,
-                               solve_pp, solve_stokes)
+                               solve_pp, solve_problem, solve_stokes)
 from epsstokes.harness import RunConfig, run_sweep_eps
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     seminorm_h1, get_case)
-from helpers import (linear_x_minus_half, monolithic_reference,
-                     stokes_lagrange_reference, unit_x, zero_scalar, zero_vec)
+from helpers import (apply_dirichlet, linear_x_minus_half, monolithic_reference,
+                     reference_system, stokes_lagrange_reference, unit_x,
+                     zero_scalar, zero_vec)
 
 DRIVERS = {"S": solve_stokes, "PP": solve_pp, "ES": solve_es}
 FACTORS = ("velocity_factor", "pressure_factor", "mass_factor")
+SYSTEMS = ("stokes_system", "pressure_system", "velocity_system",
+           "_coupled_unit")
 
 
 def _inp(mesh, case, eps=None):
@@ -233,7 +238,7 @@ def _loaded_parallelogram_mesh(tmp_path):
     lines += [f"{float(x)!r} {float(y)!r}" for x, y in sheared]
     lines += [f"triangles {square.num_triangles}"]
     lines += [f"{a} {b} {c}" for a, b, c in square.triangles]
-    lines += [f"boundary {square.num_boundary_edges}"]
+    lines += [f"boundary {len(square.boundary_edges)}"]
     lines += [f"{i} {j} {m}" for i, j, m in square.boundary_edges]
     path = tmp_path / "shear.mesh"
     path.write_text("\n".join(lines) + "\n")
@@ -311,6 +316,72 @@ def test_drivers_match_monolithic_reference(problem, tmp_path):
                 assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), eps
 
 
+def _record_solves(monkeypatch):
+    """(matrix, rhs) of every system the drivers hand to sparse.solve."""
+    seen = []
+    real = drivers.solve
+
+    def recording(a, b, *args, **kwargs):
+        seen.append((a, np.array(b)))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(drivers, "solve", recording)
+    return seen
+
+
+@pytest.mark.parametrize("problem, eps", [("S", None), ("PP", None)]
+                         + [("ES", eps) for eps in (1e-6, 0.37, 1.0, 1e6)])
+def test_solved_systems_match_reference_elimination(problem, eps, tmp_path,
+                                                    monkeypatch):
+    # the systems eliminated once per mesh (ES: scaled from eps = 1) are the
+    # whole assembled systems eliminated per call, entry for entry
+    seen = _record_solves(monkeypatch)
+    case = get_case("ms1-mismatch")
+    square = build_structured_mesh(8)
+    sheared = _loaded_parallelogram_mesh(tmp_path)
+    stages = ("PP-p", "PP-u") if problem == "PP" else (problem,)
+    # a constant velocity trace has no net flux through the parallelogram
+    for mesh, u_bc in ((square, case.u_bc()), (sheared, unit_x)):
+        disc = Discretization(mesh)
+        data = dict(mesh=mesh, body_force=case.body_force, u_bc=u_bc,
+                    p_bc=case.p_bc())
+        # a first solve at another eps fills the caches the checked one reuses
+        solve_problem(problem, ProblemInput(epsilon=1e3, **data), disc)
+        seen.clear()
+        inp = ProblemInput(epsilon=eps, **data)
+        res = solve_problem(problem, inp, disc)
+        assert len(seen) == len(stages)
+        for (mat, rhs), stage in zip(seen, stages):
+            ref, ref_rhs = apply_dirichlet(*reference_system(
+                stage, inp, disc, res.p.coefficients))
+            assert mat.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(mat, name), getattr(ref, name)), name
+            assert np.array_equal(rhs, ref_rhs)
+
+
+@pytest.mark.parametrize("name", ["S", "PP", "ES"])
+def test_solve_problem_matches_driver(name, monkeypatch):
+    mesh = build_structured_mesh(4)
+    disc = Discretization(mesh)
+    inp = _inp(mesh, get_case("ms1-mismatch"), eps=0.37)
+    driver, calls = DRIVERS[name], []
+    monkeypatch.setattr(drivers, driver.__name__,
+                        lambda *args: calls.append(args) or driver(*args))
+    got = solve_problem(name, inp, disc)
+    assert len(calls) == 1                # the driver is looked up per call
+    ref = driver(inp, disc)
+    assert (got.problem, got.epsilon) == (ref.problem, ref.epsilon)
+    assert np.array_equal(got.u.coefficients, ref.u.coefficients)
+    assert np.array_equal(got.p.coefficients, ref.p.coefficients)
+
+
+def test_solve_problem_rejects_unknown_name():
+    mesh = build_structured_mesh(2)
+    with pytest.raises(ValueError, match="unknown problem 'SP'"):
+        solve_problem("SP", _inp(mesh, get_case("ms1")))
+
+
 def _count_factorizations(monkeypatch):
     """Sizes of the matrices factored from now on, in order."""
     sizes = []
@@ -329,7 +400,7 @@ def test_discretization_builds_no_factor(monkeypatch):
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
     assert sizes == []
-    assert not set(FACTORS + ("mass_p",)) & set(vars(disc))
+    assert not set(FACTORS + SYSTEMS + ("mass_p",)) & set(vars(disc))
     solve_pp(_inp(mesh, get_case("ms1")), disc)
     assert sizes == [disc.np_, disc.nu // 2]          # Kp, then A
     assert set(FACTORS) & set(vars(disc)) == {"pressure_factor", "velocity_factor"}
@@ -337,7 +408,16 @@ def test_discretization_builds_no_factor(monkeypatch):
 
 def test_sweep_factors_velocity_block_once(monkeypatch):
     sizes = _count_factorizations(monkeypatch)
+    assembled = []
+    real_bmat = sps.bmat
+
+    def counting_bmat(*args, **kwargs):
+        assembled.append(args)
+        return real_bmat(*args, **kwargs)
+
+    monkeypatch.setattr(sps, "bmat", counting_bmat)
     table, reports = run_sweep_eps(RunConfig(case="ms1-mismatch", n=8))
+    assert len(assembled) <= 2            # one Stokes, one ES system
     n_velocity = 17 * 17                  # scalar P2 nodes at n = 8
     assert len(table.rows) == 13 and len(reports) == 15
     assert sizes.count(n_velocity) == 1

@@ -5,13 +5,13 @@ import pytest
 from scipy import sparse as sps
 
 from epsstokes import fem
-from epsstokes.fem import (Field, Space, apply_dirichlet, assemble_div_coupling,
+from epsstokes.fem import (Field, Space, assemble_div_coupling,
                            assemble_grad_coupling, assemble_grad_load,
                            assemble_load, assemble_stiffness,
                            interpolate_boundary, triangle_rule_d5)
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.verification import gauss_formula_residual
-from helpers import ref_triangle_mesh
+from helpers import apply_dirichlet, ref_triangle_mesh
 
 # local P1 stiffness on the reference triangle, by symbolic integration
 P1_STIFFNESS = np.array([[1.0, -0.5, -0.5],

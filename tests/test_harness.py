@@ -10,7 +10,7 @@ from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError
 from epsstokes.verification import error_h1, get_case
-from helpers import zero_scalar, zero_vec
+from helpers import zero_field, zero_scalar, zero_vec
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_export_vtk_smallest_mesh_geometry(tmp_path):
     # the 2-triangle mesh is below the mixed pair's solvability threshold,
     # so write a zero result directly; the exporter only reads fields
     from epsstokes.drivers import SolveResult
-    from epsstokes.fem import Space, zero_field
+    from epsstokes.fem import Space
     from epsstokes.sparse import SolverReport
 
     mesh = build_structured_mesh(1)
@@ -261,6 +261,14 @@ def test_cli_config_file_with_flag_override(tmp_path):
     code = main(["solve", "--config", str(conf), "--n", "4", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["S"]["rel_residual"] <= 1e-10
+
+
+def test_cli_config_file_rejects_unknown_key(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"eps_list": [1.0], "nn": 4}))
+    assert main(["sweep-eps", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert "eps_list" in err and "nn" in err
 
 
 def test_cli_export_vtk(tmp_path):

@@ -15,16 +15,16 @@ from helpers import (boundary_owner_loop, edge_numbering_loop,
 
 def test_structured_counts_small():
     m1 = build_structured_mesh(1)
-    assert (m1.num_triangles, m1.num_vertices, m1.num_boundary_edges) == (2, 4, 4)
+    assert (m1.num_triangles, m1.num_vertices, len(m1.boundary_edges)) == (2, 4, 4)
     m2 = build_structured_mesh(2)
-    assert (m2.num_triangles, m2.num_vertices, m2.num_boundary_edges) == (8, 9, 8)
+    assert (m2.num_triangles, m2.num_vertices, len(m2.boundary_edges)) == (8, 9, 8)
 
 
 def test_structured_counts_n4_and_area():
     m = build_structured_mesh(4)
     assert m.num_triangles == 32
     assert m.num_vertices == 25
-    assert m.num_boundary_edges == 16
+    assert len(m.boundary_edges) == 16
     # shoelace oracle for the total area
     p = m.vertices[m.triangles]
     shoelace = 0.5 * np.abs(
@@ -39,7 +39,7 @@ def test_structured_counts_formula_up_to_128():
         m = build_structured_mesh(n)
         assert m.num_triangles == 2 * n * n
         assert m.num_vertices == (n + 1) * (n + 1)
-        assert m.num_boundary_edges == 4 * n
+        assert len(m.boundary_edges) == 4 * n
 
 
 def test_rejects_zero_subdivisions():
@@ -103,7 +103,7 @@ def test_load_mesh_round_trip(tmp_path):
     assert np.allclose(np.sort(loaded.vertices, axis=0),
                        np.sort(built.vertices, axis=0))
     assert loaded.num_triangles == built.num_triangles
-    assert loaded.num_boundary_edges == built.num_boundary_edges
+    assert len(loaded.boundary_edges) == len(built.boundary_edges)
     assert abs(loaded.area() - 1.0) <= 1e-12
     validate_mesh(loaded)
 

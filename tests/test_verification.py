@@ -214,11 +214,6 @@ def test_fit_log_slope_rejects_bad_input():
         fit_log_slope([(1.0, 1.0)])
 
 
-def test_fit_log_slope_window():
-    pairs = [(1, 1.0), (10, 0.1), (100, 0.01), (1000, 0.01)]
-    assert abs(fit_log_slope(pairs, window=slice(0, 3)) + 1.0) <= 1e-12
-
-
 def test_saturation_filter():
     pairs = [(1.0, 1e-3), (10.0, 1e-6), (100.0, 1e-11)]
     assert saturation_filter(pairs, 1e-9) == pairs[:2]

@@ -127,7 +127,8 @@ class Discretization:
         self.stiff_p = fem.assemble_stiffness(self.pspace, self.quad)
         self.div = fem.assemble_div_coupling(self.vspace, self.pspace, self.quad)
         self.grad = fem.assemble_grad_coupling(self.vspace, self.pspace,
-                                               form="transpose", quad=self.quad)
+                                               form="transpose", quad=self.quad,
+                                               div=self.div)
         self.mean_p = fem.assemble_mass_against_one(self.pspace, self.quad)
         self._loads = {}
 

@@ -5,6 +5,13 @@ scalar/vector stiffness, velocity-pressure divergence and gradient coupling,
 body-force and gradient-type load vectors, nodal boundary interpolation and
 symmetric elimination of fixed dofs.  All volume integration uses a degree-5
 triangle rule; boundary integration uses 3-point Gauss per edge (degree 5).
+
+Matrices are assembled from reference tensors (Kirby, Knepley, Logg & Scott,
+"Optimizing the evaluation of finite element matrices", SISC 2005).  On an
+affine triangle every local matrix is a small per-cell geometric factor,
+built from the Jacobian, contracted with a tensor that is integrated once on
+the reference triangle; each form is then one (M, 4) or (M, 2, 2) matmul
+over the mesh instead of a sum over quadrature points per cell.
 """
 
 from __future__ import annotations
@@ -180,24 +187,16 @@ class Field:
 
 def quad_points_physical(mesh: Mesh, quad: QuadratureRule):
     """Physical coordinates of the rule's points on every triangle: (M, Q) x/y."""
-    jac, _, _, _ = mesh.geometry
-    ref = quad.ref_points()
+    jac, _, _ = mesh.geometry
     x0 = mesh.vertices[mesh.triangles[:, 0]]
-    pts = np.einsum("mdk,qk->mqd", jac, ref) + x0[:, None, :]
+    pts = quad.ref_points() @ jac.transpose(0, 2, 1) + x0[:, None, :]
     return pts[..., 0], pts[..., 1]
 
 
 def quad_weights_physical(mesh: Mesh, quad: QuadratureRule) -> np.ndarray:
     """Quadrature weights scaled by the Jacobian determinant: (M, Q)."""
-    _, _, _, det = mesh.geometry
+    _, _, det = mesh.geometry
     return quad.weights[None, :] * det[:, None]
-
-
-def _physical_gradients(space: Space, quad: QuadratureRule) -> np.ndarray:
-    """(M, Q, nloc, 2) gradients of the scalar shape functions."""
-    _, _, inv_t, _ = space.mesh.geometry
-    dref = shape_gradients(space.degree, quad.ref_points())
-    return np.einsum("mdk,qik->mqid", inv_t, dref)
 
 
 def eval_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
@@ -205,12 +204,8 @@ def eval_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
     sp = field.space
     vals = shape_values(sp.degree, quad.ref_points())          # (Q, nloc)
     if sp.components == 1:
-        local = field.coefficients[sp.cells]                   # (M, nloc)
-        return np.einsum("mi,qi->mq", local, vals)
-    cx = field.coefficients[0::2][sp.cells]
-    cy = field.coefficients[1::2][sp.cells]
-    return np.stack([np.einsum("mi,qi->mq", cx, vals),
-                     np.einsum("mi,qi->mq", cy, vals)], axis=-1)
+        return field.coefficients[sp.cells] @ vals.T
+    return vals @ field.coefficients.reshape(-1, 2)[sp.cells]
 
 
 def eval_grad_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
@@ -221,7 +216,7 @@ def eval_grad_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
     shape gradients first, then each cell's inverse Jacobian maps the result.
     """
     sp = field.space
-    _, inv, _, _ = sp.mesh.geometry
+    _, inv, _ = sp.mesh.geometry
     dref = shape_gradients(sp.degree, quad.ref_points())       # (Q, nloc, 2)
     m, q = sp.cells.shape[0], dref.shape[0]
     table = dref.transpose(1, 0, 2).reshape(sp.nloc, 2 * q)
@@ -263,9 +258,13 @@ def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> sps.
     kernel before boundary conditions are applied.
     """
     quad = quad or triangle_rule_d5()
-    _, _, _, det = space.mesh.geometry
-    grads = _physical_gradients(space, quad)
-    local = np.einsum("q,m,mqid,mqjd->mij", quad.weights, det, grads, grads)
+    _, inv, det = space.mesh.geometry
+    dref = shape_gradients(space.degree, quad.ref_points())      # (Q, nloc, 2)
+    # ref[a, b, i, j] = sum_q w_q d_a(phi_i) d_b(phi_j)
+    ref = np.einsum("q,qia,qjb->abij", quad.weights, dref, dref)
+    geo = det[:, None, None] * (inv @ inv.transpose(0, 2, 1))    # |J| J^-1 J^-T
+    nloc = space.nloc
+    local = (geo.reshape(-1, 4) @ ref.reshape(4, nloc * nloc)).reshape(-1, nloc, nloc)
     out = _scatter(space.cells, local, (space.num_nodes, space.num_nodes))
     # exact symmetry independent of accumulation order
     out = (0.5 * (out + out.T)).tocsr()
@@ -282,9 +281,9 @@ def assemble_mass(space: Space, quad: QuadratureRule | None = None) -> sps.csr_m
     if space.components != 1:
         raise ValueError("mass matrix is defined for scalar spaces")
     quad = quad or triangle_rule_d5()
-    _, _, _, det = space.mesh.geometry
+    _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
-    local = det[:, None, None] * np.einsum("q,qi,qj->ij", quad.weights, vals, vals)
+    local = det[:, None, None] * ((quad.weights * vals.T) @ vals)
     out = _scatter(space.cells, local, (space.ndofs, space.ndofs))
     return (0.5 * (out + out.T)).tocsr()
 
@@ -294,12 +293,28 @@ def assemble_mass_against_one(space: Space, quad: QuadratureRule | None = None) 
     if space.components != 1:
         raise ValueError("mean vector is defined for scalar spaces")
     quad = quad or triangle_rule_d5()
-    _, _, _, det = space.mesh.geometry
+    _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
-    local = np.einsum("q,m,qi->mi", quad.weights, det, vals)
+    local = np.outer(det, quad.weights @ vals)
     out = np.zeros(space.ndofs)
     np.add.at(out, space.cells.ravel(), local.ravel())
     return out
+
+
+def _value_gradient_local(val_space: Space, grad_space: Space,
+                          quad: QuadratureRule) -> np.ndarray:
+    """(M, 2, nv, ng) integrals of phi_j * d(chi_a)/dx_c over each triangle,
+    indexed [m, c, j, a], for the values phi of val_space and the
+    gradients chi of grad_space."""
+    _, inv, det = val_space.mesh.geometry
+    pts = quad.ref_points()
+    vals = shape_values(val_space.degree, pts)                  # (Q, nv)
+    dref = shape_gradients(grad_space.degree, pts)             # (Q, ng, 2)
+    # ref[k, j, a] = sum_q w_q phi_j d_k(chi_a)
+    ref = np.einsum("q,qj,qak->kja", quad.weights, vals, dref)
+    geo = det[:, None, None] * inv.transpose(0, 2, 1)           # |J| J^-T
+    nv, ng = vals.shape[1], dref.shape[1]
+    return (geo @ ref.reshape(2, nv * ng)).reshape(-1, 2, nv, ng)
 
 
 def assemble_div_coupling(vspace: Space, pspace: Space,
@@ -307,40 +322,34 @@ def assemble_div_coupling(vspace: Space, pspace: Space,
     """Matrix B with B[q, udof] = integral of div(phi_udof) * psi_q."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces must share a mesh")
-    quad = quad or triangle_rule_d5()
-    _, _, _, det = vspace.mesh.geometry
-    gu = _physical_gradients(vspace, quad)                      # (M,Q,nu,2)
-    pv = shape_values(pspace.degree, quad.ref_points())         # (Q,np)
-    local = np.einsum("q,m,qj,mqac->mjac", quad.weights, det, pv, gu)
-    m, nlp, nlu, _ = local.shape
-    local = local.reshape(m, nlp, 2 * nlu)                      # col 2a+c
+    local = _value_gradient_local(pspace, vspace, quad or triangle_rule_d5())
+    m, _, nlp, nlu = local.shape
+    local = local.transpose(0, 2, 3, 1).reshape(m, nlp, 2 * nlu)   # col 2a+c
     return _scatter((pspace.cells, vspace.cell_dofs()), local,
                     (pspace.ndofs, vspace.ndofs))
 
 
 def assemble_grad_coupling(vspace: Space, pspace: Space, form: str = "transpose",
-                           quad: QuadratureRule | None = None) -> sps.csr_matrix:
+                           quad: QuadratureRule | None = None,
+                           div: sps.csr_matrix | None = None) -> sps.csr_matrix:
     """Matrix G with G[udof, q] = integral of grad(psi_q) . phi_udof.
 
     form="transpose" (default) builds -B^T from the divergence coupling and
     adds the boundary term of the integration-by-parts identity, so the
     discrete identity p^T G^T u = -p^T B u holds exactly on interior dofs.
+    div, if given, is that B already assembled on these spaces.
     form="direct" integrates grad(psi_q).phi_udof by quadrature.
     """
     if form == "direct":
-        quad = quad or triangle_rule_d5()
-        _, _, _, det = vspace.mesh.geometry
-        gp = _physical_gradients(pspace, quad)                  # (M,Q,np,2)
-        uv = shape_values(vspace.degree, quad.ref_points())     # (Q,nu)
-        local = np.einsum("q,m,mqjc,qa->majc", quad.weights, det, gp, uv)
-        m, nlu, nlp, _ = local.shape
-        local = local.transpose(0, 1, 3, 2).reshape(m, 2 * nlu, nlp)
+        local = _value_gradient_local(vspace, pspace, quad or triangle_rule_d5())
+        m, _, nlu, nlp = local.shape
+        local = local.transpose(0, 2, 1, 3).reshape(m, 2 * nlu, nlp)   # row 2a+c
         return _scatter((vspace.cell_dofs(), pspace.cells), local,
                         (vspace.ndofs, pspace.ndofs))
     if form != "transpose":
         raise ValueError(f"unknown form {form!r}")
 
-    b = assemble_div_coupling(vspace, pspace, quad)
+    b = assemble_div_coupling(vspace, pspace, quad) if div is None else div
     out = (_boundary_pressure_flux(vspace, pspace) - b.T).tocsr()
     out.eliminate_zeros()
     return out
@@ -383,29 +392,35 @@ def assemble_load(space: Space, f, quad: QuadratureRule | None = None) -> np.nda
     fv = np.asarray(f(xs, ys), dtype=float)
     out = np.zeros(space.ndofs)
     if space.components == 1:
-        fv = np.broadcast_to(fv, xs.shape)
-        local = np.einsum("mq,mq,qi->mi", w, fv, vals)
+        local = (w * fv) @ vals
         np.add.at(out, space.cells.ravel(), local.ravel())
     else:
         if fv.shape != xs.shape + (2,):
             raise ValueError("vector load callable must return shape (..., 2)")
-        local = np.einsum("mq,mqc,qi->mic", w, fv, vals)
+        local = vals.T @ (w[..., None] * fv)                    # (M, nloc, 2)
         dofs = space.cell_dofs().reshape(space.cells.shape[0], space.nloc, 2)
         np.add.at(out, dofs.ravel(), local.ravel())
     return out
 
 
 def assemble_grad_load(pspace: Space, F, quad: QuadratureRule | None = None) -> np.ndarray:
-    """Load vector with entries integral of F . grad(psi_q)."""
+    """Load vector with entries integral of F . grad(psi_q).
+
+    The weighted F values meet each cell's inverse Jacobian first, then the
+    reference shape gradients: the adjoint of eval_grad_at_quad.
+    """
     quad = quad or triangle_rule_d5()
     _require_load_quad(pspace, quad)
     xs, ys = quad_points_physical(pspace.mesh, quad)
     w = quad_weights_physical(pspace.mesh, quad)
-    grads = _physical_gradients(pspace, quad)
     fv = np.asarray(F(xs, ys), dtype=float)
     if fv.shape != xs.shape + (2,):
         raise ValueError("gradient load expects a vector-valued callable")
-    local = np.einsum("mq,mqc,mqic->mi", w, fv, grads)
+    _, inv, _ = pspace.mesh.geometry
+    ref = (w[..., None] * fv) @ inv.transpose(0, 2, 1)          # (M, Q, 2)
+    dref = shape_gradients(pspace.degree, quad.ref_points())   # (Q, nloc, 2)
+    table = dref.transpose(0, 2, 1).reshape(-1, pspace.nloc)    # row 2q+k
+    local = ref.reshape(len(ref), -1) @ table
     out = np.zeros(pspace.ndofs)
     np.add.at(out, pspace.cells.ravel(), local.ravel())
     return out
@@ -419,7 +434,7 @@ def assemble_field_grad_load(vspace: Space, p_field: Field,
     w = quad_weights_physical(vspace.mesh, quad)
     gp = eval_grad_at_quad(p_field, quad)                      # (M,Q,2)
     vals = shape_values(vspace.degree, quad.ref_points())
-    local = np.einsum("mq,mqc,qi->mic", w, gp, vals)
+    local = vals.T @ (w[..., None] * gp)                        # (M, nloc, 2)
     out = np.zeros(vspace.ndofs)
     dofs = vspace.cell_dofs().reshape(vspace.cells.shape[0], vspace.nloc, 2)
     np.add.at(out, dofs.ravel(), local.ravel())
@@ -492,7 +507,7 @@ def eval_on_boundary(field: Field, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     sp = field.space
     mesh = sp.mesh
     owner = mesh.edges.owner[mesh.boundary_edge_ids]
-    _, inv, _, _ = mesh.geometry
+    _, inv, _ = mesh.geometry
     x0 = mesh.vertices[mesh.triangles[owner, 0]]
     rel = np.stack([xs - x0[:, None, 0], ys - x0[:, None, 1]], axis=-1)
     ref = np.einsum("bdk,bqk->bqd", inv[owner], rel)

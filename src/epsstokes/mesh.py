@@ -102,7 +102,8 @@ class Mesh:
     Derived data is computed on first use and stored on the mesh itself, so
     it lives and dies with the mesh: ``edges`` (the EdgeTable of the
     triangles), ``boundary_edge_ids`` (the edge id of each boundary edge)
-    and ``geometry`` (the affine map of each triangle).
+    and ``geometry`` (the affine map of each triangle: its Jacobian, the
+    inverse Jacobian and the determinant).
     """
 
     vertices: np.ndarray
@@ -146,7 +147,7 @@ class Mesh:
     @cached_property
     def geometry(self):
         """Affine map of each triangle from the reference triangle:
-        (jac, inv, inv_t, det) of shapes (M,2,2), (M,2,2), (M,2,2), (M,)."""
+        (jac, inv, det) of shapes (M,2,2), (M,2,2), (M,)."""
         p = self.vertices[self.triangles]
         jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
@@ -156,10 +157,9 @@ class Mesh:
         inv[:, 1, 0] = -jac[:, 1, 0]
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= det[:, None, None]
-        inv_t = np.swapaxes(inv, 1, 2)
-        for arr in (jac, inv, inv_t, det):
+        for arr in (jac, inv, det):
             arr.setflags(write=False)
-        return jac, inv, inv_t, det
+        return jac, inv, det
 
     def boundary_edge_lengths(self) -> np.ndarray:
         d = (self.vertices[self.boundary_edges[:, 1]]

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import spsolve
 
 from epsstokes import fem
 from epsstokes.fem import Field
-from epsstokes.mesh import Mesh
+from epsstokes.mesh import Mesh, build_structured_mesh, load_mesh
 
 
 def zero_scalar(x, y):
@@ -88,6 +88,97 @@ def p2_boundary_nodes_loop(mesh, edge_index) -> np.ndarray:
     for i, j, _ in mesh.boundary_edges:
         bnodes.add(nv + edge_index[(min(i, j), max(i, j))])
     return np.array(sorted(bnodes), dtype=np.int64)
+
+
+# Per-quadrature-point einsum kernels: the assembly that fem replaced with
+# reference tensors, kept for the tests to compare against.
+
+def physical_gradients_einsum(space, quad):
+    """(M, Q, nloc, 2) physical gradients of the scalar shape functions."""
+    _, inv, _ = space.mesh.geometry
+    dref = fem.shape_gradients(space.degree, quad.ref_points())
+    return np.einsum("mkd,qik->mqid", inv, dref)
+
+
+def quad_points_einsum(mesh, quad):
+    jac, _, _ = mesh.geometry
+    x0 = mesh.vertices[mesh.triangles[:, 0]]
+    pts = np.einsum("mdk,qk->mqd", jac, quad.ref_points()) + x0[:, None, :]
+    return pts[..., 0], pts[..., 1]
+
+
+def stiffness_einsum(space, quad):
+    _, _, det = space.mesh.geometry
+    grads = physical_gradients_einsum(space, quad)
+    local = np.einsum("q,m,mqid,mqjd->mij", quad.weights, det, grads, grads)
+    out = fem._scatter(space.cells, local, (space.num_nodes, space.num_nodes))
+    out = (0.5 * (out + out.T)).tocsr()
+    if space.components == 2:
+        out = sps.kron(out, sps.identity(2), format="csr")
+    return out
+
+
+def div_coupling_einsum(vspace, pspace, quad):
+    _, _, det = vspace.mesh.geometry
+    gu = physical_gradients_einsum(vspace, quad)
+    pv = fem.shape_values(pspace.degree, quad.ref_points())
+    local = np.einsum("q,m,qj,mqac->mjac", quad.weights, det, pv, gu)
+    m, nlp, nlu, _ = local.shape
+    return fem._scatter((pspace.cells, vspace.cell_dofs()),
+                        local.reshape(m, nlp, 2 * nlu), (pspace.ndofs, vspace.ndofs))
+
+
+def grad_coupling_einsum(vspace, pspace, form, quad):
+    if form == "transpose":
+        out = (fem._boundary_pressure_flux(vspace, pspace)
+               - div_coupling_einsum(vspace, pspace, quad).T).tocsr()
+        out.eliminate_zeros()
+        return out
+    _, _, det = vspace.mesh.geometry
+    gp = physical_gradients_einsum(pspace, quad)
+    uv = fem.shape_values(vspace.degree, quad.ref_points())
+    local = np.einsum("q,m,mqjc,qa->majc", quad.weights, det, gp, uv)
+    m, nlu, nlp, _ = local.shape
+    local = local.transpose(0, 1, 3, 2).reshape(m, 2 * nlu, nlp)
+    return fem._scatter((vspace.cell_dofs(), pspace.cells), local,
+                        (vspace.ndofs, pspace.ndofs))
+
+
+def grad_load_einsum(pspace, F, quad):
+    xs, ys = quad_points_einsum(pspace.mesh, quad)
+    w = fem.quad_weights_physical(pspace.mesh, quad)
+    grads = physical_gradients_einsum(pspace, quad)
+    local = np.einsum("mq,mqc,mqic->mi", w, F(xs, ys), grads)
+    out = np.zeros(pspace.ndofs)
+    np.add.at(out, pspace.cells.ravel(), local.ravel())
+    return out
+
+
+def field_grad_load_einsum(vspace, p_field, quad):
+    w = fem.quad_weights_physical(vspace.mesh, quad)
+    gp = np.einsum("mi,mqid->mqd", p_field.coefficients[p_field.space.cells],
+                   physical_gradients_einsum(p_field.space, quad))
+    vals = fem.shape_values(vspace.degree, quad.ref_points())
+    local = np.einsum("mq,mqc,qi->mic", w, gp, vals)
+    out = np.zeros(vspace.ndofs)
+    dofs = vspace.cell_dofs().reshape(vspace.cells.shape[0], vspace.nloc, 2)
+    np.add.at(out, dofs.ravel(), local.ravel())
+    return out
+
+
+def loaded_parallelogram_mesh(tmp_path):
+    """The n=3 unit-square mesh sheared by 0.4, written and read back."""
+    square = build_structured_mesh(3)
+    sheared = square.vertices @ np.array([[1.0, 0.0], [0.4, 1.0]])
+    lines = ["mesh2d v1", f"vertices {square.num_vertices}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in sheared]
+    lines += [f"triangles {square.num_triangles}"]
+    lines += [f"{a} {b} {c}" for a, b, c in square.triangles]
+    lines += [f"boundary {len(square.boundary_edges)}"]
+    lines += [f"{i} {j} {m}" for i, j, m in square.boundary_edges]
+    path = tmp_path / "shear.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    return load_mesh(path)
 
 
 def apply_dirichlet(a, b, bdofs, bvals):

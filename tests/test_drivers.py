@@ -16,7 +16,8 @@ from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     seminorm_h1, get_case)
-from helpers import (apply_dirichlet, linear_x_minus_half, monolithic_reference,
+from helpers import (apply_dirichlet, linear_x_minus_half,
+                     loaded_parallelogram_mesh, monolithic_reference,
                      reference_system, stokes_lagrange_reference, unit_x,
                      zero_scalar, zero_vec)
 
@@ -228,27 +229,10 @@ def test_es_solutions_identical_for_both_gradient_couplings():
         assert np.abs(rt.p.coefficients - rd.p.coefficients).max() <= 1e-11
 
 
-def _loaded_parallelogram_mesh(tmp_path):
-    """The n=3 unit-square mesh sheared by 0.4, written and read back."""
-    from epsstokes.mesh import load_mesh
-
-    square = build_structured_mesh(3)
-    sheared = square.vertices @ np.array([[1.0, 0.0], [0.4, 1.0]])
-    lines = ["mesh2d v1", f"vertices {square.num_vertices}"]
-    lines += [f"{float(x)!r} {float(y)!r}" for x, y in sheared]
-    lines += [f"triangles {square.num_triangles}"]
-    lines += [f"{a} {b} {c}" for a, b, c in square.triangles]
-    lines += [f"boundary {len(square.boundary_edges)}"]
-    lines += [f"{i} {j} {m}" for i, j, m in square.boundary_edges]
-    path = tmp_path / "shear.mesh"
-    path.write_text("\n".join(lines) + "\n")
-    return load_mesh(path)
-
-
 def test_gradient_forcing_on_loaded_parallelogram_mesh(tmp_path):
     # end-to-end on a sheared, file-loaded mesh: (u, p) = (0, x) solves the
     # coupled problem exactly for gradient forcing with matching trace data
-    mesh = _loaded_parallelogram_mesh(tmp_path)
+    mesh = loaded_parallelogram_mesh(tmp_path)
     assert abs(mesh.area() - 1.0) <= 1e-12   # shear preserves area
     disc = Discretization(mesh)
     inp = ProblemInput(mesh=mesh, body_force=unit_x, u_bc=zero_vec,
@@ -263,7 +247,7 @@ def test_stokes_pinned_gauge_matches_lagrange_multiplier(tmp_path):
     # solution of the system bordered by the mean-value multiplier
     case = get_case("ms1")
     square = build_structured_mesh(8)
-    sheared = _loaded_parallelogram_mesh(tmp_path)
+    sheared = loaded_parallelogram_mesh(tmp_path)
     inputs = [_inp(square, case),
               ProblemInput(mesh=sheared, body_force=case.body_force,
                            u_bc=zero_vec)]
@@ -300,7 +284,7 @@ def test_drivers_match_monolithic_reference(problem, tmp_path):
     # GMRES on the shared factors reproduces spsolve on each assembled system
     case = get_case("ms1-mismatch")
     square = build_structured_mesh(8)
-    sheared = _loaded_parallelogram_mesh(tmp_path)
+    sheared = loaded_parallelogram_mesh(tmp_path)
     inputs = [_inp(square, case),
               ProblemInput(mesh=sheared, body_force=case.body_force,
                            u_bc=zero_vec, p_bc=case.p_bc())]
@@ -338,7 +322,7 @@ def test_solved_systems_match_reference_elimination(problem, eps, tmp_path,
     seen = _record_solves(monkeypatch)
     case = get_case("ms1-mismatch")
     square = build_structured_mesh(8)
-    sheared = _loaded_parallelogram_mesh(tmp_path)
+    sheared = loaded_parallelogram_mesh(tmp_path)
     stages = ("PP-p", "PP-u") if problem == "PP" else (problem,)
     # a constant velocity trace has no net flux through the parallelogram
     for mesh, u_bc in ((square, case.u_bc()), (sheared, unit_x)):
@@ -424,6 +408,24 @@ def test_sweep_factors_velocity_block_once(monkeypatch):
     # besides A: Mp for Stokes, Kp for PP and one eps*Kp + Mp per epsilon
     assert sizes.count(9 * 9) == 15 and len(sizes) == 16
     assert reports[0].factor_time > 0.0   # Stokes builds A inside its solve
+
+
+def test_discretization_assembles_div_coupling_once(monkeypatch):
+    from epsstokes import fem
+    calls = []
+    real_div = fem.assemble_div_coupling
+
+    def counting_div(*args, **kwargs):
+        calls.append(args)
+        return real_div(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble_div_coupling", counting_div)
+    disc = Discretization(build_structured_mesh(4))
+    assert len(calls) == 1                # G reuses B for its transpose form
+    reference = fem.assemble_grad_coupling(disc.vspace, disc.pspace,
+                                           form="transpose", quad=disc.quad)
+    assert len(calls) == 2                # without div, G assembles its own B
+    assert abs(disc.grad - reference).max() == 0.0
 
 
 def test_loads_assembled_once_per_body_force(monkeypatch):

@@ -2,21 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse as sps
 
+import helpers
 from epsstokes import fem
 from epsstokes.fem import (Field, Space, assemble_div_coupling,
-                           assemble_grad_coupling, assemble_grad_load,
-                           assemble_load, assemble_stiffness,
-                           interpolate_boundary, triangle_rule_d5)
-from epsstokes.mesh import build_structured_mesh
+                           assemble_field_grad_load, assemble_grad_coupling,
+                           assemble_grad_load, assemble_load,
+                           assemble_stiffness, interpolate_boundary,
+                           triangle_rule_d5)
+from epsstokes.mesh import Mesh, build_structured_mesh
 from epsstokes.verification import gauss_formula_residual
-from helpers import apply_dirichlet, ref_triangle_mesh
+from helpers import apply_dirichlet, loaded_parallelogram_mesh, ref_triangle_mesh
 
 # local P1 stiffness on the reference triangle, by symbolic integration
 P1_STIFFNESS = np.array([[1.0, -0.5, -0.5],
                          [-0.5, 0.5, 0.0],
                          [-0.5, 0.0, 0.5]])
+
+# local P2 stiffness on the reference triangle, by symbolic integration; node
+# order: vertices 0, 1, 2, then midpoints of edges 01, 12, 02
+P2_STIFFNESS = np.array([
+    [6, 1, 1, -4, 0, -4],
+    [1, 3, 0, -4, 0, 0],
+    [1, 0, 3, 0, 0, -4],
+    [-4, -4, 0, 16, -8, 0],
+    [0, 0, 0, -8, 16, -8],
+    [-4, 0, -4, 0, -8, 16],
+]) / 6.0
+# (vertex, midpoint of the opposite edge): zero on every triangle, since
+# grad(lambda_k (2 lambda_k - 1)) . grad(4 lambda_i lambda_j) integrates to 0
+VERTEX_OPPOSITE_MIDPOINT = ((0, 4), (1, 5), (2, 3))
 
 # local P2-velocity/P1-pressure divergence block on the reference triangle,
 # by symbolic integration; column 2a+c is velocity node a, component c
@@ -57,6 +74,20 @@ def test_p1_local_stiffness_matches_symbolic_oracle():
     space = Space(ref_triangle_mesh(), degree=1)
     a = assemble_stiffness(space).toarray()
     assert np.abs(a - P1_STIFFNESS).max() <= 1e-12
+
+
+def test_p2_local_stiffness_matches_symbolic_oracle():
+    a = assemble_stiffness(Space(ref_triangle_mesh(), degree=2)).toarray()
+    assert np.abs(a - P2_STIFFNESS).max() <= 1e-14
+    # on a sheared, scaled triangle the vertex/opposite-midpoint entries
+    # still vanish to round-off
+    ref = ref_triangle_mesh()
+    mapped = Mesh(ref.vertices @ np.array([[2.0, 0.0], [0.7, 0.5]]),
+                  ref.triangles, ref.boundary_edges, ref.edge_normals)
+    a = assemble_stiffness(Space(mapped, degree=2)).toarray()
+    for i, j in VERTEX_OPPOSITE_MIDPOINT:
+        assert P2_STIFFNESS[i, j] == 0.0
+        assert abs(a[i, j]) <= 1e-15 * np.abs(a).max()
 
 
 def test_stiffness_kernel_contains_constants():
@@ -325,3 +356,66 @@ def test_field_length_check():
     space = Space(build_structured_mesh(2), degree=1)
     with pytest.raises(ValueError):
         Field(space, np.zeros(space.ndofs + 1))
+
+
+def _assert_matches(new, oracle):
+    """Entries agree to 1e-14 of the oracle's largest; a stored entry
+    missing from the other pattern counts with its full value."""
+    diff = abs(new - oracle).max()
+    assert diff <= 1e-14 * abs(oracle).max(), diff
+
+
+def _assert_kernels_match_einsum_oracle(mesh, seed=0):
+    quad = triangle_rule_d5()
+    vspace, pspace = Space(mesh, 2, 2), Space(mesh, 1)
+    for space in (pspace, Space(mesh, 2), vspace):
+        _assert_matches(assemble_stiffness(space, quad),
+                        helpers.stiffness_einsum(space, quad))
+    _assert_matches(assemble_div_coupling(vspace, pspace, quad),
+                    helpers.div_coupling_einsum(vspace, pspace, quad))
+    for form in ("transpose", "direct"):
+        _assert_matches(assemble_grad_coupling(vspace, pspace, form, quad),
+                        helpers.grad_coupling_einsum(vspace, pspace, form, quad))
+
+    def force(x, y):
+        return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)
+
+    _assert_matches(assemble_grad_load(pspace, force, quad),
+                    helpers.grad_load_einsum(pspace, force, quad))
+    p = Field(pspace, np.random.default_rng(seed).standard_normal(pspace.ndofs))
+    _assert_matches(assemble_field_grad_load(vspace, p, quad),
+                    helpers.field_grad_load_einsum(vspace, p, quad))
+    for new, oracle in zip(fem.quad_points_physical(mesh, quad),
+                           helpers.quad_points_einsum(mesh, quad)):
+        _assert_matches(new, oracle)
+
+
+def _affine_jittered_mesh(n, seed, linear, offset):
+    """Structured mesh with jittered interior vertices, mapped by x -> A x + b."""
+    m = build_structured_mesh(n)
+    rng = np.random.default_rng(seed)
+    vertices = m.vertices.copy()
+    interior = ~np.isin(np.arange(m.num_vertices), m.boundary_edges[:, :2])
+    vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
+    vertices = vertices @ np.asarray(linear).T + np.asarray(offset)
+    d = vertices[m.boundary_edges[:, 1]] - vertices[m.boundary_edges[:, 0]]
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return Mesh(vertices, m.triangles, m.boundary_edges, normals)
+
+
+_SCALE = st.floats(0.05, 20.0)
+_LINEAR_MAPS = st.one_of(
+    st.floats(-2.0, 2.0).map(lambda s: [[1.0, s], [0.0, 1.0]]),       # shear
+    st.tuples(_SCALE, _SCALE).map(lambda s: [[s[0], 0.0], [0.0, s[1]]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       linear=_LINEAR_MAPS, offset=st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+def test_reference_tensor_kernels_match_einsum_oracle(n, seed, linear, offset):
+    mesh = _affine_jittered_mesh(n, seed, linear, offset)
+    _assert_kernels_match_einsum_oracle(mesh, seed)
+
+
+def test_reference_tensor_kernels_match_einsum_oracle_on_loaded_mesh(tmp_path):
+    _assert_kernels_match_einsum_oracle(loaded_parallelogram_mesh(tmp_path))

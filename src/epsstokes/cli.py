@@ -155,13 +155,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _make_config(args)
-        if config.dump_matrix:
-            sparse.configure_debug_dump(config.dump_matrix)
-        try:
+        with sparse.dump_matrices(config.dump_matrix or None):
             return _dispatch(args.command, config)
-        finally:
-            if config.dump_matrix:
-                sparse.configure_debug_dump(None)
     except (ConfigError, IncompatibleDataError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

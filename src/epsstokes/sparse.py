@@ -12,11 +12,28 @@ preconditioned step is then the direct solve, and GMRES only refines it.
 The drivers pass block preconditioners built from the factors that one
 Discretization keeps for its mesh, so a sweep factors the shared blocks
 once (see drivers).
+
+A solve runs numpy's BLAS on one thread.  GMRES vectors at n = 40 are past
+OpenBLAS's threading cut-off for dot products, and the woken second thread
+busy-waits: it doubled the CPU time and saved no wall time.  SuperLU calls
+scipy's own OpenBLAS, which is left as it is.
+
+A solve, and each factorization, first hands the C heap's free pages back to
+the operating system (glibc's malloc_trim).  SuperLU's work arrays and the
+assembly temporaries are freed into that heap, which otherwise shrinks only
+from its top, so how much of them stayed resident depended on allocation
+order: the peak memory of the acceptance battery varied by 15 MiB from one
+process to the next.
 """
 
 from __future__ import annotations
 
+import ctypes
+import contextvars
+import functools
+import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -33,16 +50,92 @@ _ORDERING = "MMD_AT_PLUS_A"
 _AIM = 1e-4
 _RESTART = 80        # Krylov vectors per GMRES cycle; Stokes needs about 35
 
-# Flag-gated debugging aid: when set, every solved matrix is written to
-# "<prefix><counter>.mtx" in MatrixMarket coordinate format.
-_DUMP_PREFIX = None
-_DUMP_COUNTER = 0
+# (prefix, counter) of the active dump_matrices block, or None.
+_DUMP_SINK = contextvars.ContextVar("epsstokes_dump_sink", default=None)
+# Names of OpenBLAS's thread-count functions in the builds numpy ships with.
+_BLAS_THREAD_NAMES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
-def configure_debug_dump(prefix) -> None:
-    global _DUMP_PREFIX, _DUMP_COUNTER
-    _DUMP_PREFIX = prefix
-    _DUMP_COUNTER = 0
+@contextmanager
+def dump_matrices(prefix):
+    """Write every matrix solved inside the block to a MatrixMarket file.
+
+    The files are <prefix>000.mtx, <prefix>001.mtx, ... in solve order.  A
+    prefix of None dumps nothing.  A debugging aid for --dump-matrix.
+    """
+    token = _DUMP_SINK.set(None if prefix is None else (prefix, itertools.count()))
+    try:
+        yield
+    finally:
+        _DUMP_SINK.reset(token)
+
+
+@functools.cache
+def _blas_thread_functions():
+    """(get, set) of numpy's OpenBLAS thread count, or None if not found.
+
+    dlsym on numpy's core extension also searches the libraries it links, so
+    this finds the OpenBLAS numpy uses wherever its wheel keeps it.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                     # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _BLAS_THREAD_NAMES:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's BLAS on one thread; restore the count after.
+
+    The count is process-wide, so solves run concurrently in threads would
+    restore each other's setting.  Without OpenBLAS this does nothing.
+    """
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_free_heap():
+    """Return the free pages of the C heap to the operating system."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 class SolverError(RuntimeError):
@@ -104,6 +197,8 @@ class Factor:
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
+        del scaled
+        _release_free_heap()        # SuperLU's work arrays are free now
         self.nnz = self.lu.nnz
         self.matrix_nnz = a.nnz
         self.finished = time.perf_counter()
@@ -133,6 +228,7 @@ def _rel_residual(a, x, b, bnorm):
     return float(np.linalg.norm(b - a @ x) / bnorm)
 
 
+@_one_blas_thread()
 def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
           precond: Callable[[], Preconditioner] = None):
     """Solve A x = b to a relative residual of at most tol.
@@ -141,7 +237,9 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     so factors it creates count in the report's factor_time.  By default
     the matrix is factored itself.  The first step is x = M b; GMRES
     restarts from there until ||b - A x|| <= tol ||b||.  Raises SolverError
-    if a factorization fails or the residual contract cannot be met.
+    if a factorization fails or the residual contract cannot be met.  The
+    factorization, the preconditioner and GMRES run with numpy's BLAS on one
+    thread; the previous count is restored on return or raise.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
@@ -151,11 +249,12 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: matrix {a.shape}, rhs {b.shape}")
 
-    global _DUMP_COUNTER
-    if _DUMP_PREFIX is not None:
-        dump_matrix_market(a, f"{_DUMP_PREFIX}{_DUMP_COUNTER:03d}.mtx")
-        _DUMP_COUNTER += 1
+    sink = _DUMP_SINK.get()
+    if sink is not None:
+        prefix, counter = sink
+        dump_matrix_market(a, f"{prefix}{next(counter):03d}.mtx")
 
+    _release_free_heap()
     start = time.perf_counter()
     pre = _direct(a) if precond is None else precond()
     factor_time = sum(f.factor_time for f in pre.factors if f.finished >= start)
@@ -177,12 +276,12 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         restarts += 1
     elapsed = time.perf_counter() - start
     lu_nnz = sum(f.nnz for f in pre.factors)
-    fill = lu_nnz / sum(f.matrix_nnz for f in pre.factors)
+    matrix_nnz = sum(f.matrix_nnz for f in pre.factors)
     report = SolverReport(
         method=f"gmres[{pre.name}]", rel_residual=res,
         iterations=len(history), wall_time=elapsed, ordering=_ORDERING,
-        lu_nnz=lu_nnz, fill=fill, factor_time=factor_time,
-        residual_history=tuple(history))
+        lu_nnz=lu_nnz, fill=lu_nnz / matrix_nnz if matrix_nnz else 0.0,
+        factor_time=factor_time, residual_history=tuple(history))
     if not res <= tol:
         raise SolverError(
             f"solver did not reach tol={tol:g}; achieved residual {res:.3e}",

@@ -1,5 +1,7 @@
 """Shared callables and small meshes used across the test modules."""
 
+import ctypes
+
 import numpy as np
 from scipy import sparse as sps
 from scipy.sparse.linalg import spsolve
@@ -34,6 +36,20 @@ def ref_triangle_mesh() -> Mesh:
         boundary_edges=np.array([[0, 1, 1], [1, 2, 2], [2, 0, 4]]),
         edge_normals=np.array([[0.0, -1.0], [s, s], [-1.0, 0.0]]),
     )
+
+
+def affine_jittered_mesh(n, seed, linear=((1.0, 0.0), (0.0, 1.0)),
+                         offset=(0.0, 0.0)):
+    """Structured mesh with jittered interior vertices, mapped by x -> A x + b."""
+    m = build_structured_mesh(n)
+    rng = np.random.default_rng(seed)
+    vertices = m.vertices.copy()
+    interior = ~np.isin(np.arange(m.num_vertices), m.boundary_edges[:, :2])
+    vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
+    vertices = vertices @ np.asarray(linear).T + np.asarray(offset)
+    d = vertices[m.boundary_edges[:, 1]] - vertices[m.boundary_edges[:, 0]]
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return Mesh(vertices, m.triangles, m.boundary_edges, normals)
 
 
 def zero_field(space) -> Field:
@@ -276,3 +292,65 @@ def _spsolve_dirichlet(a, b, bdofs, bvals):
     x = spsolve(mat.tocsc(), rhs)
     x[bdofs] = bvals
     return x
+
+
+def export_vtk_loop(result, path):
+    """The line-by-line VTK writer that harness.export_vtk replaced."""
+    mesh = result.u.space.mesh
+    nv = mesh.num_vertices
+    nt = mesh.num_triangles
+
+    ux = result.u.coefficients[0::2][:nv]
+    uy = result.u.coefficients[1::2][:nv]
+    pressure = result.p.coefficients[:nv]
+
+    corner_rule = fem.QuadratureRule(
+        points=np.array([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+        weights=np.full(3, 1.0 / 6.0), degree=1)
+    div_corner = fem.eval_div_at_quad(result.u, corner_rule)     # (M, 3)
+    div_sum = np.zeros(nv)
+    div_cnt = np.zeros(nv)
+    np.add.at(div_sum, mesh.triangles.ravel(), div_corner.ravel())
+    np.add.at(div_cnt, mesh.triangles.ravel(), 1.0)
+    div_avg = div_sum / np.maximum(div_cnt, 1.0)
+
+    lines = [
+        "# vtk DataFile Version 3.0",
+        f"epsstokes {result.problem} solution",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {nv} double",
+    ]
+    lines += [f"{x:.12e} {y:.12e} 0.0" for x, y in mesh.vertices]
+    lines.append(f"CELLS {nt} {4 * nt}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    lines.append(f"CELL_TYPES {nt}")
+    lines += ["5"] * nt
+    lines.append(f"POINT_DATA {nv}")
+    lines.append("VECTORS velocity double")
+    lines += [f"{a:.12e} {b:.12e} 0.0" for a, b in zip(ux, uy)]
+    lines.append("SCALARS pressure double 1")
+    lines.append("LOOKUP_TABLE default")
+    lines += [f"{v:.12e}" for v in pressure]
+    lines.append("SCALARS div_velocity double 1")
+    lines.append("LOOKUP_TABLE default")
+    lines += [f"{v:.12e}" for v in div_avg]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def numpy_blas_threads():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None.
+
+    A probe for the tests, looked up by ctypes apart from the solver's own.
+    """
+    core = np._core if hasattr(np, "_core") else np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for stem in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(lib, stem.format("set")):
+            get, set_ = getattr(lib, stem.format("get")), getattr(lib, stem.format("set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None

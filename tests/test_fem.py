@@ -390,19 +390,6 @@ def _assert_kernels_match_einsum_oracle(mesh, seed=0):
         _assert_matches(new, oracle)
 
 
-def _affine_jittered_mesh(n, seed, linear, offset):
-    """Structured mesh with jittered interior vertices, mapped by x -> A x + b."""
-    m = build_structured_mesh(n)
-    rng = np.random.default_rng(seed)
-    vertices = m.vertices.copy()
-    interior = ~np.isin(np.arange(m.num_vertices), m.boundary_edges[:, :2])
-    vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
-    vertices = vertices @ np.asarray(linear).T + np.asarray(offset)
-    d = vertices[m.boundary_edges[:, 1]] - vertices[m.boundary_edges[:, 0]]
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
-    return Mesh(vertices, m.triangles, m.boundary_edges, normals)
-
-
 _SCALE = st.floats(0.05, 20.0)
 _LINEAR_MAPS = st.one_of(
     st.floats(-2.0, 2.0).map(lambda s: [[1.0, s], [0.0, 1.0]]),       # shear
@@ -413,7 +400,7 @@ _LINEAR_MAPS = st.one_of(
 @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
        linear=_LINEAR_MAPS, offset=st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
 def test_reference_tensor_kernels_match_einsum_oracle(n, seed, linear, offset):
-    mesh = _affine_jittered_mesh(n, seed, linear, offset)
+    mesh = helpers.affine_jittered_mesh(n, seed, linear, offset)
     _assert_kernels_match_einsum_oracle(mesh, seed)
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from epsstokes.cli import main
-from epsstokes.drivers import Discretization, ProblemInput, solve_stokes
+from epsstokes.drivers import Discretization, ProblemInput, solve_es, solve_stokes
 from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
                                problem_input, run_sweep_eps, run_sweep_h)
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError
 from epsstokes.verification import error_h1, get_case
-from helpers import zero_field, zero_scalar, zero_vec
+from helpers import (affine_jittered_mesh, export_vtk_loop,
+                     loaded_parallelogram_mesh, zero_field, zero_scalar, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,18 @@ def test_export_vtk_round_trip_pressure(tmp_path):
     nv = mesh.num_vertices
     assert np.abs(data["pressure"] - res.p.coefficients[:nv]).max() <= 1e-12
     assert np.abs(data["velocity"][:, 0] - res.u.coefficients[0::2][:nv]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["jittered", "parallelogram"])
+def test_export_vtk_matches_line_writer(tmp_path, which):
+    mesh = (affine_jittered_mesh(6, seed=3) if which == "jittered"
+            else loaded_parallelogram_mesh(tmp_path))
+    case = get_case("ms1-mismatch")
+    res = solve_es(ProblemInput(mesh=mesh, body_force=case.body_force, u_bc=zero_vec,
+                                p_bc=case.p_bc(), epsilon=1.0))
+    export_vtk(res, tmp_path / "new.vtk")
+    export_vtk_loop(res, tmp_path / "old.vtk")
+    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from epsstokes.drivers import Discretization, ProblemInput, solve_es
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError, solve
 from epsstokes.verification import get_case
-from helpers import apply_dirichlet
+from helpers import apply_dirichlet, numpy_blas_threads
 
 
 def _random_pair(rng, shape=(5, 5), density=0.4):
@@ -103,14 +103,22 @@ def test_matrix_market_dump_round_trip(tmp_path):
 
 def test_debug_dump_hook(tmp_path):
     prefix = str(tmp_path / "sys_")
-    sp.configure_debug_dump(prefix)
-    try:
+    with sp.dump_matrices(prefix):
         solve(sps.identity(3, format="csr"), np.ones(3))
         solve(sps.identity(3, format="csr"), np.ones(3))
-    finally:
-        sp.configure_debug_dump(None)
     assert (tmp_path / "sys_000.mtx").exists()
     assert (tmp_path / "sys_001.mtx").exists()
+
+
+def test_dump_sink_ends_with_its_block(tmp_path):
+    with sp.dump_matrices(str(tmp_path / "a_")):
+        pass
+    solve(sps.identity(3, format="csr"), np.ones(3))
+    with pytest.raises(SolverError):
+        with sp.dump_matrices(str(tmp_path / "b_")):
+            solve(sps.csr_matrix((2, 2)), np.ones(2))
+    solve(sps.identity(3, format="csr"), np.ones(3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b_000.mtx"]
 
 
 def test_report_fields():
@@ -149,9 +157,99 @@ def test_gmres_with_kept_inexact_factor():
     assert report.lu_nnz == near.nnz and report.fill == near.nnz / near.matrix_nnz
 
 
+def test_factor_less_preconditioner_reports_zero_fill():
+    a = sps.diags([2.0, 3.0, 4.0], format="csr")
+    jacobi = sp.Preconditioner("jacobi", lambda r: r / a.diagonal(), ())
+    x, report = solve(a, np.ones(3), precond=lambda: jacobi)
+    assert np.abs(a @ x - 1.0).max() <= 1e-12
+    assert report.lu_nnz == 0 and report.fill == 0.0
+    assert report.factor_time == 0.0
+
+
 def test_factor_solves_several_right_hand_sides():
     a = _laplace_1d(20)
     rhs = np.random.default_rng(4).standard_normal((20, 2))
     both = sp.Factor(a).solve(rhs)
     assert both.shape == (20, 2)
     assert np.abs(a @ both - rhs).max() <= 1e-12
+
+
+_BLAS = numpy_blas_threads()
+needs_openblas = pytest.mark.skipif(_BLAS is None,
+                                    reason="numpy's BLAS is not OpenBLAS")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's BLAS set to two threads; the count before is restored after."""
+    get, set_ = _BLAS
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def _counting(factor=None):
+    """A preconditioner that records numpy's BLAS thread count per apply."""
+    seen = []
+
+    def apply(r):
+        seen.append(_BLAS[0]())
+        return r.copy() if factor is None else factor.solve(r)
+
+    factors = () if factor is None else (factor,)
+    return seen, lambda: sp.Preconditioner("counting", apply, factors)
+
+
+@needs_openblas
+def test_solve_runs_on_one_blas_thread(two_blas_threads):
+    a = _laplace_1d(60)
+    seen, precond = _counting(sp.Factor(_laplace_1d(60, diag=2.2)))
+    solve(a, np.ones(60), precond=precond)
+    assert len(seen) >= 2 and set(seen) == {1}
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("failure", ["unreachable tol", "zero row"])
+def test_blas_threads_restored_after_solver_error(two_blas_threads, failure):
+    if failure == "zero row":
+        with pytest.raises(SolverError, match="zero"):
+            solve(sps.diags([1.0, 0.0, 1.0], format="csr"), np.ones(3))
+    else:
+        # unpreconditioned restarted GMRES cannot reach 1e-14 on a long
+        # 1D Laplacian in ten cycles
+        a = _laplace_1d(2000)
+        seen, precond = _counting()
+        with pytest.raises(SolverError, match="did not reach"):
+            solve(a, np.ones(2000), tol=1e-14, precond=precond)
+        assert set(seen) == {1}
+    assert two_blas_threads() == 2
+
+
+def test_solve_without_blas_thread_control(monkeypatch):
+    a = _laplace_1d(60)
+    b = np.random.default_rng(5).standard_normal(60)
+    near = sp.Factor(_laplace_1d(60, diag=2.2))
+
+    def precond():
+        return sp.Preconditioner("near", near.solve, (near,))
+
+    x, report = solve(a, b, precond=precond)
+    monkeypatch.setattr(sp, "_blas_thread_functions", lambda: None)
+    x_none, report_none = solve(a, b, precond=precond)
+    assert np.array_equal(x_none, x)
+    assert report_none.iterations == report.iterations
+
+
+def test_solve_releases_free_heap_before_and_after_factoring(monkeypatch):
+    a = _laplace_1d(60)
+    b = np.random.default_rng(6).standard_normal(60)
+    x, _ = solve(a, b)
+    pads = []
+    monkeypatch.setattr(sp, "_malloc_trim", lambda: pads.append)
+    x_counted, _ = solve(a, b)
+    assert pads == [0, 0]            # on entry, and after the factorization
+    monkeypatch.setattr(sp, "_malloc_trim", lambda: None)
+    x_none, _ = solve(a, b)
+    assert np.array_equal(x_counted, x) and np.array_equal(x_none, x)

@@ -6,34 +6,43 @@ the same mesh, so their solutions are directly comparable:
 * ``solve_stokes``  -- saddle-point system with velocity Dirichlet data; the
   first pressure dof is pinned to fix the gauge and the pressure is then
   shifted to zero mean;
-* ``solve_pp``      -- two decoupled Poisson solves: pressure first from the
-  gradient-type right-hand side, then velocity driven by the discrete
-  pressure gradient;
+* ``solve_pp``      -- decoupled Poisson solves: pressure first from the
+  gradient-type right-hand side, then each velocity component, driven by
+  the discrete pressure gradient, as its own scalar problem;
 * ``solve_es``      -- the coupled one-parameter system whose pressure block
   is scaled by epsilon, with Dirichlet data on both fields.
 
 ``solve_problem`` dispatches on the problem name.  Drivers are pure
-functions of their input; sweeps share one Discretization (mesh, spaces,
-epsilon-independent blocks, the load vectors of each body force, each
-problem's system with its Dirichlet dofs eliminated, and the factors
-below), so a sweep assembles, eliminates and factors each block once.  ES
-keeps its system at eps = 1 and scales a copy's Kp entries per epsilon.
+functions of their input; sweeps share one Discretization, so a sweep
+assembles, eliminates and factors each block once.  At construction it
+assembles the scalar blocks: the P2 stiffness K of one velocity component
+and the P1 stiffness Kp.  On first use it builds the couplings B and G (S
+and ES only), the load vectors of each body force, each problem's system
+with its Dirichlet dofs eliminated, and the factors below.  The interleaved
+velocity block kron(K, I2) exists only while S or ES assemble their system;
+PP never forms it.  ES keeps its system at eps = 1 and scales a copy's Kp
+entries per epsilon.
 
 Each system is solved by GMRES (sparse.solve) against a preconditioner
 built from factors that the Discretization makes on first use:
 
-* A  -- the velocity Laplacian with every boundary node eliminated, one
-  scalar P2 factor for both components;
+* A  -- K with every boundary node eliminated: one scalar P2 factor for
+  both velocity components;
 * Kp -- the P1 pressure Laplacian with every boundary node eliminated;
 * Mp -- the P1 mass matrix, negated, with the Stokes gauge dof eliminated.
 
-PP's two stages are preconditioned by the factors of their own matrices,
-Kp and A.  Stokes and ES use the block lower-triangular preconditioner
-[[A, 0], [L, S]], where L is the lower-left block of the solved matrix and
-S stands for the Schur complement: eps*Kp + Mp for ES, a P1 matrix
-factored per epsilon, and its eps -> 0 limit -Mp for Stokes, whose gauge
-row stays an identity row (Elman, Silvester & Wathen, Finite Elements and
+PP makes three scalar solves, each preconditioned by the factor of its own
+matrix: Kp, then A once per velocity component, each component meeting the
+tolerance against its own right-hand side.  Stokes and ES use the block
+lower-triangular preconditioner [[A, 0], [L, S]], where L is the lower-left
+block of the solved matrix and S stands for the Schur complement:
+eps*Kp + Mp for ES, a P1 matrix factored per epsilon, and its eps -> 0
+limit -Mp for Stokes, whose gauge row stays an identity row (Elman, Silvester & Wathen, Finite Elements and
 Fast Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).
+
+Building a Discretization and each driver call run numpy's BLAS on one
+thread (sparse.one_blas_thread), which covers the per-cell matmuls of
+assembly and of the load vectors as well as the solves.
 """
 
 from __future__ import annotations
@@ -48,7 +57,8 @@ from scipy import sparse as sps
 from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
-from .sparse import DEFAULT_TOL, Factor, Preconditioner, SolverReport, solve
+from .sparse import (DEFAULT_TOL, Factor, Preconditioner, SolverReport,
+                     one_blas_thread, solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
@@ -113,22 +123,22 @@ def _eliminated(system: sps.csr_matrix, fixed: np.ndarray) -> Eliminated:
 class Discretization:
     """Taylor-Hood spaces and the epsilon-independent operator blocks.
 
-    Load vectors (memoized per body-force callable), each problem's
-    eliminated system and the factors A, Kp and Mp are built on first use,
-    never at construction, and live as long as the Discretization.
+    The scalar P2 stiffness K, the P1 stiffness Kp and the pressure mean are
+    assembled at construction.  The couplings B and G, load vectors
+    (memoized per body-force callable), each problem's eliminated system and
+    the factors A, Kp and Mp are built on first use and live as long as the
+    Discretization.  The interleaved velocity block kron(K, I2) is formed
+    only while S or ES builds its system, and is not kept.
     """
 
+    @one_blas_thread()
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.vspace = Space(mesh, degree=2, components=2)
         self.pspace = Space(mesh, degree=1, components=1)
         self.quad = fem.triangle_rule_d5()
-        self.stiff_u = fem.assemble_stiffness(self.vspace, self.quad)
+        self.stiff_u_scalar = fem.assemble_stiffness(Space(mesh, degree=2), self.quad)
         self.stiff_p = fem.assemble_stiffness(self.pspace, self.quad)
-        self.div = fem.assemble_div_coupling(self.vspace, self.pspace, self.quad)
-        self.grad = fem.assemble_grad_coupling(self.vspace, self.pspace,
-                                               form="transpose", quad=self.quad,
-                                               div=self.div)
         self.mean_p = fem.assemble_mass_against_one(self.pspace, self.quad)
         self._loads = {}
 
@@ -141,14 +151,22 @@ class Discretization:
         return self.pspace.ndofs
 
     @cached_property
+    def div(self) -> sps.csr_matrix:
+        return fem.assemble_div_coupling(self.vspace, self.pspace, self.quad)
+
+    @cached_property
+    def grad(self) -> sps.csr_matrix:
+        return fem.assemble_grad_coupling(self.vspace, self.pspace, form="transpose",
+                                          quad=self.quad, div=self.div)
+
+    @cached_property
     def mass_p(self) -> sps.csr_matrix:
         return fem.assemble_mass(self.pspace, self.quad)
 
     @cached_property
     def velocity_factor(self) -> Factor:
         """A for one velocity component; both components share it."""
-        scalar = self.stiff_u[0::2, 0::2].tocsr()
-        return Factor(fem.eliminate(scalar, self.vspace.boundary_nodes))
+        return Factor(self.velocity_system.matrix)
 
     @cached_property
     def pressure_factor(self) -> Factor:
@@ -163,7 +181,8 @@ class Discretization:
     def stokes_system(self) -> Eliminated:
         """[[K, -D^T], [-D, 0]] with the velocity boundary and the gauge dof fixed."""
         return _eliminated(
-            sps.bmat([[self.stiff_u, -self.div.T], [-self.div, None]], format="csr"),
+            sps.bmat([[fem.vector_block(self.stiff_u_scalar), -self.div.T],
+                      [-self.div, None]], format="csr"),
             np.append(self.vspace.boundary_dofs, self.nu + GAUGE_DOF))
 
     @cached_property
@@ -173,8 +192,9 @@ class Discretization:
 
     @cached_property
     def velocity_system(self) -> Eliminated:
-        """K with the velocity boundary fixed: the second PP stage."""
-        return _eliminated(self.stiff_u, self.vspace.boundary_dofs)
+        """Scalar K with the velocity boundary nodes fixed: PP's second stage,
+        solved once per velocity component."""
+        return _eliminated(self.stiff_u_scalar, self.vspace.boundary_nodes)
 
     def coupled_system(self, eps: float) -> Eliminated:
         """[[K, G], [D, eps*Kp]] with both boundaries fixed: a copy of the
@@ -190,7 +210,8 @@ class Discretization:
         """The ES system at eps = 1 and the positions of its stored Kp entries."""
         nu = self.nu
         unit = _eliminated(
-            sps.bmat([[self.stiff_u, self.grad], [self.div, self.stiff_p]], format="csr"),
+            sps.bmat([[fem.vector_block(self.stiff_u_scalar), self.grad],
+                      [self.div, self.stiff_p]], format="csr"),
             np.concatenate([self.vspace.boundary_dofs,
                             self.pspace.boundary_dofs + nu]))
         free = np.ones(unit.matrix.shape[0], dtype=bool)
@@ -233,14 +254,18 @@ def _require_compatible(inp):
     return flux
 
 
-def _merge_reports(first: SolverReport, second: SolverReport) -> SolverReport:
+def _merge_reports(first: SolverReport, second: SolverReport,
+                   shared: bool = False) -> SolverReport:
+    """One report for two solves run in sequence.  shared: both applied the
+    same preconditioner, whose name and factors then count once."""
     worse = max(first.rel_residual, second.rel_residual)
-    return SolverReport(method=f"{first.method}; {second.method}",
+    return SolverReport(method=(first.method if shared
+                                else f"{first.method}; {second.method}"),
                         rel_residual=worse,
                         iterations=first.iterations + second.iterations,
                         wall_time=first.wall_time + second.wall_time,
                         ordering=first.ordering,
-                        lu_nnz=first.lu_nnz + second.lu_nnz,
+                        lu_nnz=first.lu_nnz + (0 if shared else second.lu_nnz),
                         fill=max(first.fill, second.fill),
                         factor_time=first.factor_time + second.factor_time,
                         residual_history=(first.residual_history
@@ -250,11 +275,6 @@ def _merge_reports(first: SolverReport, second: SolverReport) -> SolverReport:
 def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
     """A^-1 r for interleaved velocity dofs, one column per component."""
     return factor.solve(r.reshape(-1, 2)).ravel()
-
-
-def _velocity_precond(disc: Discretization) -> Preconditioner:
-    vel = disc.velocity_factor
-    return Preconditioner("A", lambda r: _solve_velocity(vel, r), (vel,))
 
 
 def _block_lower(disc: Discretization, a, name: str,
@@ -281,6 +301,7 @@ def _solve_fixed(system: Eliminated, rhs: np.ndarray, values: np.ndarray,
     return x, report
 
 
+@one_blas_thread()
 def solve_stokes(inp: ProblemInput, disc: Discretization = None,
                  tol: float = DEFAULT_TOL) -> SolveResult:
     """Velocity-pressure saddle solve with zero-mean pressure gauge.
@@ -307,6 +328,7 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
                        problem="S", epsilon=None, report=report)
 
 
+@one_blas_thread()
 def solve_pp(inp: ProblemInput, disc: Discretization = None,
              tol: float = DEFAULT_TOL) -> SolveResult:
     """Two-stage decoupled solve: scalar pressure Poisson, then velocity.
@@ -329,13 +351,21 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     f = (disc.velocity_load(inp.body_force)
          - fem.assemble_field_grad_load(disc.vspace, p, disc.quad))
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    u_coeff, rep2 = _solve_fixed(disc.velocity_system, f, u_vals, tol,
-                                 lambda: _velocity_precond(disc))
+    u_coeff = np.empty(disc.nu)
+    reports = []
+    for c in (0, 1):          # one scalar solve per interleaved component
+        u_coeff[c::2], report = _solve_fixed(
+            disc.velocity_system, f[c::2], u_vals[c::2], tol,
+            lambda: Preconditioner("A", disc.velocity_factor.solve,
+                                   (disc.velocity_factor,)))
+        reports.append(report)
 
     return SolveResult(u=Field(disc.vspace, u_coeff), p=p, problem="PP",
-                       epsilon=None, report=_merge_reports(rep1, rep2))
+                       epsilon=None, report=_merge_reports(
+                           rep1, _merge_reports(*reports, shared=True)))
 
 
+@one_blas_thread()
 def solve_es(inp: ProblemInput, disc: Discretization = None,
              tol: float = DEFAULT_TOL) -> SolveResult:
     """Coupled solve of the epsilon-scaled system.

@@ -268,9 +268,13 @@ def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> sps.
     out = _scatter(space.cells, local, (space.num_nodes, space.num_nodes))
     # exact symmetry independent of accumulation order
     out = (0.5 * (out + out.T)).tocsr()
-    if space.components == 2:        # interleaved dofs: one copy per component
-        out = sps.kron(out, sps.identity(2), format="csr")
-    return out
+    return vector_block(out) if space.components == 2 else out
+
+
+def vector_block(scalar: sps.csr_matrix) -> sps.csr_matrix:
+    """A scalar operator applied to each component of interleaved vector dofs:
+    kron(scalar, I2)."""
+    return sps.kron(scalar, sps.identity(2), format="csr")
 
 
 def assemble_mass(space: Space, quad: QuadratureRule | None = None) -> sps.csr_matrix:

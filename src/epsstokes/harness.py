@@ -18,7 +18,7 @@ from . import fem, verification as ver
 from .drivers import (PROBLEMS, Discretization, ProblemInput, SolveResult,
                       solve_es, solve_pp, solve_problem, solve_stokes)
 from .mesh import Mesh, build_structured_mesh
-from .sparse import DEFAULT_TOL
+from .sparse import DEFAULT_TOL, one_blas_thread
 from .verification import ErrorRow, ErrorTable, ManufacturedCase
 
 DEFAULT_N = 32
@@ -94,13 +94,15 @@ def write_table(table: ErrorTable, config: RunConfig) -> None:
         fh.write(text)
 
 
+@one_blas_thread()
 def _error_row(result: SolveResult, s_ref: SolveResult, pp_ref: SolveResult,
                case: ManufacturedCase, n: int, mismatch: float) -> ErrorRow:
     """Measure one solve against the Stokes and pressure-Poisson references.
 
     The Stokes solve itself is measured against the closed-form solution,
     which gives the discretization floor.  mismatch is the case's trace
-    mismatch on the mesh, which does not depend on the solve.
+    mismatch on the mesh, which does not depend on the solve.  The norms'
+    per-cell matmuls run on one numpy BLAS thread, like the solves.
     """
     if result.problem == "S":
         du_s, u_s, grad_u_s = result.u, case.u_exact, case.grad_u_exact

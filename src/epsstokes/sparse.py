@@ -101,11 +101,12 @@ def _blas_thread_functions():
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the block with numpy's BLAS on one thread; restore the count after.
 
-    The count is process-wide, so solves run concurrently in threads would
+    The count is process-wide, so blocks run concurrently in threads would
     restore each other's setting.  Without OpenBLAS this does nothing.
+    Usable as a decorator; solve, the drivers and Discretization use it.
     """
     functions = _blas_thread_functions()
     if functions is None:
@@ -185,14 +186,20 @@ class Factor:
         start = time.perf_counter()
         # Row equilibration keeps pivot growth bounded when one block of the
         # system carries an extreme parameter scaling.
-        row_max = np.abs(a).max(axis=1).toarray().ravel()
+        a = a.tocsr()
+        row_max = _row_abs_max(a)
         if np.any(row_max == 0.0):
             k = int(np.argmin(row_max))
             raise SolverError(f"matrix is structurally singular: row {k} is zero")
         self.row_scale = 1.0 / row_max
-        scaled = sps.diags(self.row_scale) @ a
+        # diag(row_scale) @ a in CSC, built as one copy: the copy is all that
+        # is held besides a while SuperLU works
+        scaled = a.tocsc()
+        scaled.data *= self.row_scale[scaled.indices]
+        scaled.sum_duplicates()          # as the sparse product would
+        scaled.eliminate_zeros()
         try:
-            self.lu = splu(scaled.tocsc(), permc_spec=_ORDERING,
+            self.lu = splu(scaled, permc_spec=_ORDERING,
                            diag_pivot_thresh=1e-3,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
@@ -207,6 +214,19 @@ class Factor:
     def solve(self, r: np.ndarray) -> np.ndarray:
         d = self.row_scale if r.ndim == 1 else self.row_scale[:, None]
         return self.lu.solve(d * r)
+
+
+def _row_abs_max(a: sps.csr_matrix) -> np.ndarray:
+    """Largest absolute stored entry of each row, 0 for an empty row; no
+    copy of the matrix is made."""
+    out = np.zeros(a.shape[0])
+    starts = a.indptr[:-1]
+    full = np.flatnonzero(np.diff(a.indptr))
+    if full.size:
+        data = a.data[:a.indptr[-1]]
+        out[full] = np.maximum(np.maximum.reduceat(data, starts[full]),
+                               -np.minimum.reduceat(data, starts[full]))
+    return out
 
 
 class Preconditioner(NamedTuple):
@@ -228,7 +248,7 @@ def _rel_residual(a, x, b, bnorm):
     return float(np.linalg.norm(b - a @ x) / bnorm)
 
 
-@_one_blas_thread()
+@one_blas_thread()
 def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
           precond: Callable[[], Preconditioner] = None):
     """Solve A x = b to a relative residual of at most tol.

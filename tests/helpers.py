@@ -217,6 +217,12 @@ def apply_dirichlet(a, b, bdofs, bvals):
     return fem.eliminate(a, bdofs), rhs
 
 
+def vector_stiffness(disc):
+    """kron(K, I2) on disc's interleaved velocity dofs, assembled afresh:
+    a Discretization keeps only the scalar K."""
+    return fem.assemble_stiffness(disc.vspace, disc.quad)
+
+
 def stokes_lagrange_reference(inp, disc):
     """Stokes (u, p) coefficients with the zero-mean gauge as a multiplier.
 
@@ -226,7 +232,7 @@ def stokes_lagrange_reference(inp, disc):
     """
     nu, npp = disc.nu, disc.np_
     m = sps.csr_matrix(disc.mean_p[None, :])
-    system = sps.bmat([[disc.stiff_u, -disc.div.T, None],
+    system = sps.bmat([[vector_stiffness(disc), -disc.div.T, None],
                        [-disc.div, None, m.T],
                        [None, m, None]], format="csr")
     rhs = np.zeros(nu + npp + 1)
@@ -249,22 +255,22 @@ def reference_system(stage, inp, disc, p=None):
     f = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
     u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     if stage == "S":
-        system = sps.bmat([[disc.stiff_u, -disc.div.T], [-disc.div, None]],
-                          format="csr")
+        system = sps.bmat([[vector_stiffness(disc), -disc.div.T],
+                           [-disc.div, None]], format="csr")
         system.sum_duplicates()
         return (system, np.concatenate([f, np.zeros(disc.np_)]),
                 np.append(u_bdofs, nu), np.append(u_bvals, 0.0))
     if stage == "PP-u":
         f = f - fem.assemble_field_grad_load(disc.vspace, Field(disc.pspace, p),
                                              disc.quad)
-        return disc.stiff_u, f, u_bdofs, u_bvals
+        return vector_stiffness(disc), f, u_bdofs, u_bvals
     g = fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
     p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     if stage == "PP-p":
         return disc.stiff_p, g, p_bdofs, p_bvals
     eps = inp.epsilon
-    system = sps.bmat([[disc.stiff_u, disc.grad], [disc.div, eps * disc.stiff_p]],
-                      format="csr")
+    system = sps.bmat([[vector_stiffness(disc), disc.grad],
+                       [disc.div, eps * disc.stiff_p]], format="csr")
     system.sum_duplicates()
     return (system, np.concatenate([f, eps * g]),
             np.concatenate([u_bdofs, p_bdofs + nu]), np.concatenate([u_bvals, p_bvals]))

@@ -313,17 +313,29 @@ def _record_solves(monkeypatch):
     return seen
 
 
+def _reference_solves(problem, inp, disc, p):
+    """(eliminated matrix, rhs) of each system a driver hands to sparse.solve.
+
+    PP's velocity stage is the eliminated vector system restricted to one
+    interleaved component at a time."""
+    if problem != "PP":
+        return [apply_dirichlet(*reference_system(problem, inp, disc))]
+    vec, vec_rhs = apply_dirichlet(*reference_system("PP-u", inp, disc, p))
+    return ([apply_dirichlet(*reference_system("PP-p", inp, disc))]
+            + [(vec[c::2, c::2].tocsr(), vec_rhs[c::2]) for c in (0, 1)])
+
+
 @pytest.mark.parametrize("problem, eps", [("S", None), ("PP", None)]
                          + [("ES", eps) for eps in (1e-6, 0.37, 1.0, 1e6)])
 def test_solved_systems_match_reference_elimination(problem, eps, tmp_path,
                                                     monkeypatch):
     # the systems eliminated once per mesh (ES: scaled from eps = 1) are the
-    # whole assembled systems eliminated per call, entry for entry
+    # whole assembled systems eliminated per call, entry for entry; PP hands
+    # over Kp, then the scalar velocity system once per component
     seen = _record_solves(monkeypatch)
     case = get_case("ms1-mismatch")
     square = build_structured_mesh(8)
     sheared = loaded_parallelogram_mesh(tmp_path)
-    stages = ("PP-p", "PP-u") if problem == "PP" else (problem,)
     # a constant velocity trace has no net flux through the parallelogram
     for mesh, u_bc in ((square, case.u_bc()), (sheared, unit_x)):
         disc = Discretization(mesh)
@@ -334,14 +346,44 @@ def test_solved_systems_match_reference_elimination(problem, eps, tmp_path,
         seen.clear()
         inp = ProblemInput(epsilon=eps, **data)
         res = solve_problem(problem, inp, disc)
-        assert len(seen) == len(stages)
-        for (mat, rhs), stage in zip(seen, stages):
-            ref, ref_rhs = apply_dirichlet(*reference_system(
-                stage, inp, disc, res.p.coefficients))
+        refs = _reference_solves(problem, inp, disc, res.p.coefficients)
+        assert len(seen) == len(refs) == (3 if problem == "PP" else 1)
+        for (mat, rhs), (ref, ref_rhs) in zip(seen, refs):
             assert mat.shape == ref.shape
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(mat, name), getattr(ref, name)), name
             assert np.array_equal(rhs, ref_rhs)
+
+
+def test_pp_report_is_worst_of_its_three_solves(monkeypatch):
+    reports = []
+    real = drivers.solve
+
+    def recording(*args, **kwargs):
+        x, report = real(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(drivers, "solve", recording)
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    res = solve_pp(_inp(mesh, get_case("ms1-mismatch")), disc)
+    assert len(reports) == 3              # Kp, then A for each component
+    assert res.report.rel_residual == max(r.rel_residual for r in reports)
+    assert res.report.method == "gmres[Kp]; gmres[A]"
+    # A is factored in the first component's solve and counted once
+    assert res.report.lu_nnz == disc.pressure_factor.nnz + disc.velocity_factor.nnz
+    assert res.report.factor_time == sum(r.factor_time for r in reports)
+    assert reports[2].factor_time == 0.0
+
+    # a component whose right-hand side is all zero meets the gate exactly
+    reports.clear()
+    flow = solve_pp(ProblemInput(mesh=mesh, body_force=zero_vec, u_bc=unit_x,
+                                 p_bc=zero_scalar), disc)
+    assert reports[2].rel_residual == 0.0
+    assert not np.any(flow.u.coefficients[1::2])
+    assert np.allclose(flow.u.coefficients[0::2], 1.0, rtol=0.0, atol=1e-12)
+    assert flow.report.rel_residual <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["S", "PP", "ES"])
@@ -410,22 +452,56 @@ def test_sweep_factors_velocity_block_once(monkeypatch):
     assert reports[0].factor_time > 0.0   # Stokes builds A inside its solve
 
 
+def _count_calls(monkeypatch, module, names):
+    """Names of the given module functions called from now on, in order."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 def test_discretization_assembles_div_coupling_once(monkeypatch):
     from epsstokes import fem
-    calls = []
-    real_div = fem.assemble_div_coupling
-
-    def counting_div(*args, **kwargs):
-        calls.append(args)
-        return real_div(*args, **kwargs)
-
-    monkeypatch.setattr(fem, "assemble_div_coupling", counting_div)
-    disc = Discretization(build_structured_mesh(4))
+    calls = _count_calls(monkeypatch, fem, ["assemble_div_coupling"])
+    mesh = build_structured_mesh(4)
+    case = get_case("ms1-mismatch")
+    disc = Discretization(mesh)
+    solve_pp(_inp(mesh, case), disc)
+    assert calls == []                    # PP alone needs no coupling
+    solve_stokes(_inp(mesh, case), disc)
+    assert len(calls) == 1                # B, on first use by S
+    solve_es(_inp(mesh, case, eps=1.0), disc)
     assert len(calls) == 1                # G reuses B for its transpose form
     reference = fem.assemble_grad_coupling(disc.vspace, disc.pspace,
                                            form="transpose", quad=disc.quad)
     assert len(calls) == 2                # without div, G assembles its own B
     assert abs(disc.grad - reference).max() == 0.0
+
+
+def test_pp_builds_no_vector_block(monkeypatch):
+    from epsstokes import fem
+    kron = _count_calls(monkeypatch, sps, ["kron"])
+    couplings = _count_calls(monkeypatch, fem, ["assemble_div_coupling",
+                                                "assemble_grad_coupling"])
+    mesh = build_structured_mesh(8)
+    case = get_case("ms1-mismatch")
+    disc = Discretization(mesh)
+    solve_pp(_inp(mesh, case), disc)
+    assert kron == [] and couplings == []
+    assert disc.velocity_factor.lu.shape[0] == disc.nu // 2
+    # S and ES each form kron(K, I2) once, to build their system
+    solve_stokes(_inp(mesh, case), disc)
+    for eps in (1e-3, 1e3):
+        solve_es(_inp(mesh, case, eps=eps), disc)
+    assert len(kron) == 2
+    assert couplings == ["assemble_div_coupling", "assemble_grad_coupling"]
 
 
 def test_loads_assembled_once_per_body_force(monkeypatch):

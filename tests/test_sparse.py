@@ -4,11 +4,12 @@ from scipy import sparse as sps
 from scipy.io import mmread
 
 from epsstokes import sparse as sp
-from epsstokes.drivers import Discretization, ProblemInput, solve_es
+from epsstokes.drivers import (Discretization, ProblemInput, solve_es, solve_pp,
+                               solve_stokes)
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError, solve
 from epsstokes.verification import get_case
-from helpers import apply_dirichlet, numpy_blas_threads
+from helpers import apply_dirichlet, numpy_blas_threads, vector_stiffness
 
 
 def _random_pair(rng, shape=(5, 5), density=0.4):
@@ -40,7 +41,7 @@ def test_solve_matches_dense_lu_on_stokes_system():
     mesh = build_structured_mesh(2)
     disc = Discretization(mesh)
     m = sps.csr_matrix(disc.mean_p[None, :])
-    system = sps.bmat([[disc.stiff_u, -disc.div.T, None],
+    system = sps.bmat([[vector_stiffness(disc), -disc.div.T, None],
                        [-disc.div, None, m.T],
                        [None, m, None]], format="csr")
     case = get_case("ms1")
@@ -224,6 +225,49 @@ def test_blas_threads_restored_after_solver_error(two_blas_threads, failure):
         with pytest.raises(SolverError, match="did not reach"):
             solve(a, np.ones(2000), tol=1e-14, precond=precond)
         assert set(seen) == {1}
+    assert two_blas_threads() == 2
+
+
+def _record_blas_threads(monkeypatch, module, names):
+    """numpy's BLAS thread count at each call of the named functions."""
+    seen = []
+
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            seen.append(_BLAS[0]())
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    return seen
+
+
+@needs_openblas
+def test_assembly_in_drivers_runs_on_one_blas_thread(two_blas_threads, monkeypatch):
+    # the per-cell matmuls of assembly and loads, outside sparse.solve
+    from epsstokes import fem
+    seen = _record_blas_threads(monkeypatch, fem, (
+        "assemble_stiffness", "assemble_div_coupling", "assemble_load",
+        "assemble_grad_load", "assemble_field_grad_load"))
+    mesh = build_structured_mesh(4)
+    case = get_case("ms1")
+    disc = Discretization(mesh)
+    inp = ProblemInput(mesh=mesh, body_force=case.body_force, u_bc=case.u_bc(),
+                       p_bc=case.p_bc(), epsilon=1.0)
+    for driver in (solve_pp, solve_stokes, solve_es):
+        driver(inp, disc)
+    assert len(seen) == 6 and set(seen) == {1}
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+def test_sweep_error_rows_run_on_one_blas_thread(two_blas_threads, monkeypatch):
+    from epsstokes import harness, verification as ver
+    seen = _record_blas_threads(monkeypatch, ver, ("error_h1",))
+    table, _ = harness.run_sweep_eps(harness.RunConfig(case="ms1-mismatch", n=4,
+                                                       eps_list=(1.0,)))
+    assert len(table.rows) == 1 and len(seen) == 3 and set(seen) == {1}
     assert two_blas_threads() == 2
 
 

@@ -1,7 +1,9 @@
 """Drivers for the three discrete problems on a shared Taylor-Hood pair.
 
 All three problems use continuous P2 velocity and continuous P1 pressure on
-the same mesh, so their solutions are directly comparable:
+the same mesh, so their solutions are directly comparable.  A velocity is a
+Field on the scalar P2 space with one (x, y) coefficient row per node; in the
+assembled systems its dofs are those rows raveled (fem.vector_dofs).
 
 * ``solve_stokes``  -- saddle-point system with velocity Dirichlet data; the
   first pressure dof is pinned to fix the gauge and the pressure is then
@@ -15,19 +17,19 @@ the same mesh, so their solutions are directly comparable:
 ``solve_problem`` dispatches on the problem name.  Drivers are pure
 functions of their input; sweeps share one Discretization, so a sweep
 assembles, eliminates and factors each block once.  At construction it
-assembles the scalar blocks: the P2 stiffness K of one velocity component
-and the P1 stiffness Kp.  On first use it builds the couplings B and G (S
-and ES only), the load vectors of each body force, each problem's system
-with its Dirichlet dofs eliminated, and the factors below.  The interleaved
-velocity block kron(K, I2) exists only while S or ES assemble their system;
-PP never forms it.  ES keeps its system at eps = 1 and scales a copy's Kp
-entries per epsilon.
+builds the P2 and P1 spaces and assembles their stiffness matrices: K, the
+Laplacian of one velocity component, and Kp.  On first use it builds the
+couplings B and G (S and ES only), the load vectors of each body force,
+each problem's system with its Dirichlet dofs eliminated, and the factors
+below.  The interleaved velocity block kron(K, I2) exists only while S or
+ES assemble their system; PP never forms it.  ES keeps its system at
+eps = 1 and scales a copy's Kp entries per epsilon.
 
 Each system is solved by GMRES (sparse.solve) against a preconditioner
 built from factors that the Discretization makes on first use:
 
-* A  -- K with every boundary node eliminated: one scalar P2 factor for
-  both velocity components;
+* A  -- K with every boundary node eliminated: one scalar P2 factor that
+  serves the x and the y velocity;
 * Kp -- the P1 pressure Laplacian with every boundary node eliminated;
 * Mp -- the P1 mass matrix, negated, with the Stokes gauge dof eliminated.
 
@@ -123,28 +125,29 @@ def _eliminated(system: sps.csr_matrix, fixed: np.ndarray) -> Eliminated:
 class Discretization:
     """Taylor-Hood spaces and the epsilon-independent operator blocks.
 
-    The scalar P2 stiffness K, the P1 stiffness Kp and the pressure mean are
-    assembled at construction.  The couplings B and G, load vectors
-    (memoized per body-force callable), each problem's eliminated system and
-    the factors A, Kp and Mp are built on first use and live as long as the
-    Discretization.  The interleaved velocity block kron(K, I2) is formed
-    only while S or ES builds its system, and is not kept.
+    The P2 stiffness K of one velocity component, the P1 stiffness Kp and
+    the pressure mean are assembled at construction.  The couplings B and G,
+    load vectors (memoized per body-force callable), each problem's
+    eliminated system and the factors A, Kp and Mp are built on first use and
+    live as long as the Discretization.  The interleaved velocity block
+    kron(K, I2) is formed only while S or ES builds its system, and is not
+    kept.
     """
 
     @one_blas_thread()
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.vspace = Space(mesh, degree=2, components=2)
-        self.pspace = Space(mesh, degree=1, components=1)
+        self.vspace = Space(mesh, degree=2)
+        self.pspace = Space(mesh, degree=1)
         self.quad = fem.triangle_rule_d5()
-        self.stiff_u_scalar = fem.assemble_stiffness(Space(mesh, degree=2), self.quad)
+        self.stiff_u = fem.assemble_stiffness(self.vspace, self.quad)
         self.stiff_p = fem.assemble_stiffness(self.pspace, self.quad)
         self.mean_p = fem.assemble_mass_against_one(self.pspace, self.quad)
         self._loads = {}
 
     @property
     def nu(self):
-        return self.vspace.ndofs
+        return 2 * self.vspace.ndofs
 
     @property
     def np_(self):
@@ -165,7 +168,7 @@ class Discretization:
 
     @cached_property
     def velocity_factor(self) -> Factor:
-        """A for one velocity component; both components share it."""
+        """A, the factor of K with the boundary nodes fixed, for x and y alike."""
         return Factor(self.velocity_system.matrix)
 
     @cached_property
@@ -181,20 +184,21 @@ class Discretization:
     def stokes_system(self) -> Eliminated:
         """[[K, -D^T], [-D, 0]] with the velocity boundary and the gauge dof fixed."""
         return _eliminated(
-            sps.bmat([[fem.vector_block(self.stiff_u_scalar), -self.div.T],
+            sps.bmat([[fem.vector_block(self.stiff_u), -self.div.T],
                       [-self.div, None]], format="csr"),
-            np.append(self.vspace.boundary_dofs, self.nu + GAUGE_DOF))
+            np.append(fem.vector_dofs(self.vspace.boundary_nodes),
+                      self.nu + GAUGE_DOF))
 
     @cached_property
     def pressure_system(self) -> Eliminated:
         """Kp with the pressure boundary fixed: the first PP stage."""
-        return _eliminated(self.stiff_p, self.pspace.boundary_dofs)
+        return _eliminated(self.stiff_p, self.pspace.boundary_nodes)
 
     @cached_property
     def velocity_system(self) -> Eliminated:
         """Scalar K with the velocity boundary nodes fixed: PP's second stage,
         solved once per velocity component."""
-        return _eliminated(self.stiff_u_scalar, self.vspace.boundary_nodes)
+        return _eliminated(self.stiff_u, self.vspace.boundary_nodes)
 
     def coupled_system(self, eps: float) -> Eliminated:
         """[[K, G], [D, eps*Kp]] with both boundaries fixed: a copy of the
@@ -210,10 +214,10 @@ class Discretization:
         """The ES system at eps = 1 and the positions of its stored Kp entries."""
         nu = self.nu
         unit = _eliminated(
-            sps.bmat([[fem.vector_block(self.stiff_u_scalar), self.grad],
+            sps.bmat([[fem.vector_block(self.stiff_u), self.grad],
                       [self.div, self.stiff_p]], format="csr"),
-            np.concatenate([self.vspace.boundary_dofs,
-                            self.pspace.boundary_dofs + nu]))
+            np.concatenate([fem.vector_dofs(self.vspace.boundary_nodes),
+                            self.pspace.boundary_nodes + nu]))
         free = np.ones(unit.matrix.shape[0], dtype=bool)
         free[unit.fixed] = False          # a fixed row keeps only its unit diagonal
         mat, lift = unit.matrix.tocoo(), unit.lift.tocoo()    # entries in CSR order
@@ -221,7 +225,7 @@ class Discretization:
                 np.flatnonzero((lift.row >= nu) & (unit.fixed[lift.col] >= nu)))
 
     def velocity_load(self, body_force) -> np.ndarray:
-        """Read-only load vector of body_force against the velocity basis."""
+        """Read-only (x, y) load rows of body_force against the P2 basis."""
         return self._load(fem.assemble_load, self.vspace, body_force)
 
     def pressure_load(self, body_force) -> np.ndarray:
@@ -316,7 +320,7 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
     system = disc.stokes_system
 
     rhs = np.zeros(nu + disc.np_)
-    rhs[:nu] = disc.velocity_load(inp.body_force)
+    rhs[:nu] = disc.velocity_load(inp.body_force).ravel()
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     x, report = _solve_fixed(
         system, rhs, np.append(u_vals, 0.0), tol,    # pressure gauge: p dof = 0
@@ -324,7 +328,8 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
 
     p = x[nu:]
     p -= (disc.mean_p @ p) / disc.mean_p.sum()
-    return SolveResult(u=Field(disc.vspace, x[:nu]), p=Field(disc.pspace, p),
+    return SolveResult(u=Field(disc.vspace, x[:nu].reshape(-1, 2)),
+                       p=Field(disc.pspace, p),
                        problem="S", epsilon=None, report=report)
 
 
@@ -351,11 +356,11 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     f = (disc.velocity_load(inp.body_force)
          - fem.assemble_field_grad_load(disc.vspace, p, disc.quad))
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    u_coeff = np.empty(disc.nu)
+    u_coeff = np.empty_like(f)
     reports = []
-    for c in (0, 1):          # one scalar solve per interleaved component
-        u_coeff[c::2], report = _solve_fixed(
-            disc.velocity_system, f[c::2], u_vals[c::2], tol,
+    for c in (0, 1):          # one scalar solve per velocity component
+        u_coeff[:, c], report = _solve_fixed(
+            disc.velocity_system, f[:, c], u_vals[:, c], tol,
             lambda: Preconditioner("A", disc.velocity_factor.solve,
                                    (disc.velocity_factor,)))
         reports.append(report)
@@ -385,16 +390,16 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     system = disc.coupled_system(eps)
 
     rhs = np.empty(nu + npp)
-    rhs[:nu] = disc.velocity_load(inp.body_force)
+    rhs[:nu] = disc.velocity_load(inp.body_force).ravel()
     rhs[nu:] = eps * disc.pressure_load(inp.body_force)
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     _, p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     x, report = _solve_fixed(
-        system, rhs, np.concatenate([u_vals, p_vals]), tol,
+        system, rhs, np.concatenate([u_vals.ravel(), p_vals]), tol,
         lambda: _block_lower(disc, system.matrix, "eps*Kp + Mp", Factor(fem.eliminate(
-            eps * disc.stiff_p + disc.mass_p, disc.pspace.boundary_dofs))))
+            eps * disc.stiff_p + disc.mass_p, disc.pspace.boundary_nodes))))
 
-    return SolveResult(u=Field(disc.vspace, x[:nu]),
+    return SolveResult(u=Field(disc.vspace, x[:nu].reshape(-1, 2)),
                        p=Field(disc.pspace, x[nu:]),
                        problem="ES", epsilon=eps, report=report)
 

@@ -1,10 +1,16 @@
 """Continuous P1/P2 finite elements on triangles: spaces, quadrature, assembly.
 
 Provides the bilinear and linear forms used by the three flow problems:
-scalar/vector stiffness, velocity-pressure divergence and gradient coupling,
-body-force and gradient-type load vectors, nodal boundary interpolation and
-symmetric elimination of fixed dofs.  All volume integration uses a degree-5
-triangle rule; boundary integration uses 3-point Gauss per edge (degree 5).
+stiffness, velocity-pressure divergence and gradient coupling, body-force and
+gradient-type load vectors, nodal boundary interpolation and symmetric
+elimination of fixed dofs.  All volume integration uses a degree-5 triangle
+rule; boundary integration uses 3-point Gauss per edge (degree 5).
+
+Spaces are scalar.  A vector field, such as a velocity, has one (x, y)
+coefficient row per node; raveled, the rows are the interleaved dofs of the
+assembled systems, which vector_dofs alone forms.  The field kernels
+eval_at_quad and eval_grad_at_quad, which every error norm goes through, run
+numpy's BLAS on one thread, like the solves (sparse.one_blas_thread).
 
 Matrices are assembled from reference tensors (Kirby, Knepley, Logg & Scott,
 "Optimizing the evaluation of finite element matrices", SISC 2005).  On an
@@ -22,6 +28,7 @@ import numpy as np
 from scipy import sparse as sps
 
 from .mesh import Mesh
+from .sparse import one_blas_thread
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -102,83 +109,68 @@ def shape_gradients(degree: int, ref_pts: np.ndarray) -> np.ndarray:
 
 
 class Space:
-    """Continuous piecewise-polynomial space on a mesh.
+    """Continuous piecewise-polynomial scalar space on a mesh.
 
-    degree 1 puts one node per vertex; degree 2 adds one per edge.  Vector
-    spaces (components=2) interleave components: node k carries dofs
-    2k (x) and 2k+1 (y).  boundary_dofs are exactly the dofs whose support
-    point lies on a boundary edge.  Row k of boundary_edge_nodes holds the
-    scalar nodes on boundary edge k: its endpoints, then for degree 2 its
-    midpoint node.
+    degree 1 puts one node per vertex; degree 2 adds one per edge; ndofs
+    counts the nodes.  boundary_nodes are exactly the nodes that lie on a
+    boundary edge.  Row k of boundary_edge_nodes holds the nodes on boundary
+    edge k: its endpoints, then for degree 2 its midpoint node.
     """
 
-    def __init__(self, mesh: Mesh, degree: int, components: int = 1):
+    def __init__(self, mesh: Mesh, degree: int):
         if degree not in (1, 2):
             raise ValueError(f"unsupported degree {degree}")
-        if components not in (1, 2):
-            raise ValueError(f"unsupported component count {components}")
         self.mesh = mesh
         self.degree = degree
-        self.components = components
 
         nv = mesh.num_vertices
         ends = mesh.boundary_edges[:, :2]
         if degree == 1:
-            self.num_nodes = nv
             self.cells = mesh.triangles
             self.node_coords = mesh.vertices
             self.boundary_edge_nodes = ends
         else:
             edges = mesh.edges
-            self.num_nodes = nv + len(edges.vertices)
             self.cells = np.hstack([mesh.triangles, edges.tri_edges + nv])
             a, b = edges.vertices.T
             self.node_coords = np.concatenate(
                 [mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
             self.boundary_edge_nodes = np.column_stack(
                 [ends, nv + mesh.boundary_edge_ids])
-        self.boundary_nodes = boundary_nodes = np.unique(self.boundary_edge_nodes)
-        self.ndofs = self.num_nodes * components
-        if components == 1:
-            self.dof_coords = self.node_coords
-            self.boundary_dofs = boundary_nodes.astype(np.int64)
-        else:
-            self.dof_coords = np.repeat(self.node_coords, 2, axis=0)
-            self.boundary_dofs = np.sort(
-                np.concatenate([2 * boundary_nodes, 2 * boundary_nodes + 1]))
+        self.ndofs = len(self.node_coords)
+        self.boundary_nodes = np.unique(self.boundary_edge_nodes)
         # immutable after construction; safe to share across threads
-        for arr in (self.cells, self.node_coords, self.dof_coords,
-                    self.boundary_edge_nodes, self.boundary_nodes,
-                    self.boundary_dofs):
+        for arr in (self.cells, self.node_coords, self.boundary_edge_nodes,
+                    self.boundary_nodes):
             arr.setflags(write=False)
 
     @property
     def nloc(self) -> int:
         return 3 if self.degree == 1 else 6
 
-    def cell_dofs(self) -> np.ndarray:
-        """Per-triangle global dof indices, (M, nloc*components)."""
-        if self.components == 1:
-            return self.cells
-        out = np.empty((self.cells.shape[0], 2 * self.nloc), dtype=np.int64)
-        out[:, 0::2] = 2 * self.cells
-        out[:, 1::2] = 2 * self.cells + 1
-        return out
+
+def vector_dofs(nodes) -> np.ndarray:
+    """Interleaved dofs of vector coefficients at nodes: node k carries 2k (x)
+    and 2k+1 (y).  An (..., a) array of nodes gives (..., 2a), column 2i+c
+    for component c of node i."""
+    nodes = np.asarray(nodes)
+    return (2 * nodes[..., None] + np.arange(2)).reshape(*nodes.shape[:-1], -1)
 
 
 @dataclass
 class Field:
-    """Finite-element function: a space plus one coefficient per dof."""
+    """Finite-element function on a scalar space: one coefficient per node,
+    or, for a vector field, one (x, y) row per node."""
 
     space: Space
     coefficients: np.ndarray
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.space.ndofs,):
-            raise ValueError(
-                f"expected {self.space.ndofs} coefficients, "
-                f"got {self.coefficients.shape}")
+        n = self.space.ndofs
+        if self.coefficients.shape not in ((n,), (n, 2)):
+            raise ValueError(f"expected shape ({n},) or ({n}, 2) coefficients, "
+                             f"got {self.coefficients.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +191,16 @@ def quad_weights_physical(mesh: Mesh, quad: QuadratureRule) -> np.ndarray:
     return quad.weights[None, :] * det[:, None]
 
 
+@one_blas_thread()
 def eval_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
     """Field values at quadrature points: (M, Q) scalar or (M, Q, 2) vector."""
     sp = field.space
     vals = shape_values(sp.degree, quad.ref_points())          # (Q, nloc)
-    if sp.components == 1:
-        return field.coefficients[sp.cells] @ vals.T
-    return vals @ field.coefficients.reshape(-1, 2)[sp.cells]
+    local = field.coefficients[sp.cells]             # (M, nloc) or (M, nloc, 2)
+    return local @ vals.T if local.ndim == 2 else vals @ local
 
 
+@one_blas_thread()
 def eval_grad_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
     """Gradients at quadrature points.
 
@@ -220,10 +213,9 @@ def eval_grad_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
     dref = shape_gradients(sp.degree, quad.ref_points())       # (Q, nloc, 2)
     m, q = sp.cells.shape[0], dref.shape[0]
     table = dref.transpose(1, 0, 2).reshape(sp.nloc, 2 * q)
-    if sp.components == 1:
-        ref = (field.coefficients[sp.cells] @ table).reshape(m, q, 2)
-        return ref @ inv
-    local = field.coefficients.reshape(-1, 2)[sp.cells]        # (M, nloc, 2)
+    local = field.coefficients[sp.cells]             # (M, nloc) or (M, nloc, 2)
+    if local.ndim == 2:
+        return (local @ table).reshape(m, q, 2) @ inv
     ref = (local.transpose(0, 2, 1) @ table).reshape(m, 2 * q, 2)
     return (ref @ inv).reshape(m, 2, q, 2).transpose(0, 2, 1, 3)
 
@@ -238,9 +230,10 @@ def eval_div_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
 # global assembly
 
 
-def _scatter(cell_dofs: np.ndarray, local: np.ndarray, shape) -> sps.csr_matrix:
-    """Accumulate (M, a, b) local blocks into a global CSR matrix."""
-    rows_dofs, cols_dofs = cell_dofs if isinstance(cell_dofs, tuple) else (cell_dofs, cell_dofs)
+def _scatter(dofs: np.ndarray, local: np.ndarray, shape) -> sps.csr_matrix:
+    """Accumulate (M, a, b) local blocks into a global CSR matrix; dofs is
+    one (M, a) index array for both sides, or a (rows, cols) pair."""
+    rows_dofs, cols_dofs = dofs if isinstance(dofs, tuple) else (dofs, dofs)
     m, a = rows_dofs.shape
     b = cols_dofs.shape[1]
     rows = np.repeat(rows_dofs, b, axis=1).ravel()
@@ -252,10 +245,10 @@ def _scatter(cell_dofs: np.ndarray, local: np.ndarray, shape) -> sps.csr_matrix:
 
 
 def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> sps.csr_matrix:
-    """Gradient-gradient form; for vector spaces the full grad(u):grad(v).
+    """Gradient-gradient form: entries integral of grad(phi_i) . grad(phi_j).
 
-    Symmetric positive semidefinite; constants (per component) span the
-    kernel before boundary conditions are applied.
+    Symmetric positive semidefinite; constants span the kernel before
+    boundary conditions are applied.
     """
     quad = quad or triangle_rule_d5()
     _, inv, det = space.mesh.geometry
@@ -265,25 +258,22 @@ def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> sps.
     geo = det[:, None, None] * (inv @ inv.transpose(0, 2, 1))    # |J| J^-1 J^-T
     nloc = space.nloc
     local = (geo.reshape(-1, 4) @ ref.reshape(4, nloc * nloc)).reshape(-1, nloc, nloc)
-    out = _scatter(space.cells, local, (space.num_nodes, space.num_nodes))
+    out = _scatter(space.cells, local, (space.ndofs, space.ndofs))
     # exact symmetry independent of accumulation order
-    out = (0.5 * (out + out.T)).tocsr()
-    return vector_block(out) if space.components == 2 else out
+    return (0.5 * (out + out.T)).tocsr()
 
 
 def vector_block(scalar: sps.csr_matrix) -> sps.csr_matrix:
-    """A scalar operator applied to each component of interleaved vector dofs:
-    kron(scalar, I2)."""
+    """A scalar operator applied to each component of vector dofs laid out
+    as vector_dofs numbers them: kron(scalar, I2)."""
     return sps.kron(scalar, sps.identity(2), format="csr")
 
 
 def assemble_mass(space: Space, quad: QuadratureRule | None = None) -> sps.csr_matrix:
-    """Mass matrix of a scalar space: entries integral of phi_i * phi_j.
+    """Mass matrix: entries integral of phi_i * phi_j.
 
     Symmetric positive definite.
     """
-    if space.components != 1:
-        raise ValueError("mass matrix is defined for scalar spaces")
     quad = quad or triangle_rule_d5()
     _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
@@ -293,16 +283,11 @@ def assemble_mass(space: Space, quad: QuadratureRule | None = None) -> sps.csr_m
 
 
 def assemble_mass_against_one(space: Space, quad: QuadratureRule | None = None) -> np.ndarray:
-    """Vector of integrals of each basis function (scalar spaces)."""
-    if space.components != 1:
-        raise ValueError("mean vector is defined for scalar spaces")
+    """Vector of integrals of each basis function."""
     quad = quad or triangle_rule_d5()
     _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
-    local = np.outer(det, quad.weights @ vals)
-    out = np.zeros(space.ndofs)
-    np.add.at(out, space.cells.ravel(), local.ravel())
-    return out
+    return _add_cells(space, np.outer(det, quad.weights @ vals))
 
 
 def _value_gradient_local(val_space: Space, grad_space: Space,
@@ -323,14 +308,15 @@ def _value_gradient_local(val_space: Space, grad_space: Space,
 
 def assemble_div_coupling(vspace: Space, pspace: Space,
                           quad: QuadratureRule | None = None) -> sps.csr_matrix:
-    """Matrix B with B[q, udof] = integral of div(phi_udof) * psi_q."""
+    """Matrix B with B[q, udof] = integral of div(phi_udof) * psi_q, for the
+    vector dofs of vspace (vector_dofs)."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces must share a mesh")
     local = _value_gradient_local(pspace, vspace, quad or triangle_rule_d5())
     m, _, nlp, nlu = local.shape
     local = local.transpose(0, 2, 3, 1).reshape(m, nlp, 2 * nlu)   # col 2a+c
-    return _scatter((pspace.cells, vspace.cell_dofs()), local,
-                    (pspace.ndofs, vspace.ndofs))
+    return _scatter((pspace.cells, vector_dofs(vspace.cells)), local,
+                    (pspace.ndofs, 2 * vspace.ndofs))
 
 
 def assemble_grad_coupling(vspace: Space, pspace: Space, form: str = "transpose",
@@ -348,8 +334,8 @@ def assemble_grad_coupling(vspace: Space, pspace: Space, form: str = "transpose"
         local = _value_gradient_local(vspace, pspace, quad or triangle_rule_d5())
         m, _, nlu, nlp = local.shape
         local = local.transpose(0, 2, 1, 3).reshape(m, 2 * nlu, nlp)   # row 2a+c
-        return _scatter((vspace.cell_dofs(), pspace.cells), local,
-                        (vspace.ndofs, pspace.ndofs))
+        return _scatter((vector_dofs(vspace.cells), pspace.cells), local,
+                        (2 * vspace.ndofs, pspace.ndofs))
     if form != "transpose":
         raise ValueError(f"unknown form {form!r}")
 
@@ -371,12 +357,11 @@ def _boundary_pressure_flux(vspace: Space, pspace: Space) -> sps.csr_matrix:
     block = mesh.boundary_edge_lengths()[:, None, None] * edge_block   # (B, a, b)
     # Triplets in the order (edge, velocity node a, component c, pressure node b).
     vals = mesh.edge_normals[:, None, :, None] * block[:, :, None, :]
-    u_nodes = vspace.boundary_edge_nodes[:, :, None, None]
-    rows = 2 * u_nodes + np.arange(2)[None, None, :, None]
+    rows = vector_dofs(vspace.boundary_edge_nodes[:, :, None])[..., None]
     cols = pspace.boundary_edge_nodes[:, None, None, :]
     rows, cols = np.broadcast_arrays(rows, cols)
     mat = sps.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(vspace.ndofs, pspace.ndofs)).tocsr()
+                         shape=(2 * vspace.ndofs, pspace.ndofs)).tocsr()
     mat.sum_duplicates()
     mat.eliminate_zeros()
     return mat
@@ -385,8 +370,8 @@ def _boundary_pressure_flux(vspace: Space, pspace: Space) -> sps.csr_matrix:
 def assemble_load(space: Space, f, quad: QuadratureRule | None = None) -> np.ndarray:
     """Load vector with entries integral of f . phi_i by quadrature.
 
-    f maps coordinate arrays (x, y) to values; vector spaces expect an
-    extra trailing axis of length 2.
+    f maps coordinate arrays (x, y) to scalar values, giving (ndofs,), or to
+    vectors with a trailing axis of length 2, giving one (x, y) row per node.
     """
     quad = quad or triangle_rule_d5()
     _require_load_quad(space, quad)
@@ -394,16 +379,17 @@ def assemble_load(space: Space, f, quad: QuadratureRule | None = None) -> np.nda
     w = quad_weights_physical(space.mesh, quad)
     vals = shape_values(space.degree, quad.ref_points())
     fv = np.asarray(f(xs, ys), dtype=float)
-    out = np.zeros(space.ndofs)
-    if space.components == 1:
-        local = (w * fv) @ vals
-        np.add.at(out, space.cells.ravel(), local.ravel())
-    else:
-        if fv.shape != xs.shape + (2,):
-            raise ValueError("vector load callable must return shape (..., 2)")
-        local = vals.T @ (w[..., None] * fv)                    # (M, nloc, 2)
-        dofs = space.cell_dofs().reshape(space.cells.shape[0], space.nloc, 2)
-        np.add.at(out, dofs.ravel(), local.ravel())
+    if fv.ndim == xs.ndim:
+        return _add_cells(space, (w * fv) @ vals)
+    if fv.shape != xs.shape + (2,):
+        raise ValueError("vector load callable must return shape (..., 2)")
+    return _add_cells(space, vals.T @ (w[..., None] * fv))     # (M, nloc, 2)
+
+
+def _add_cells(space: Space, local: np.ndarray) -> np.ndarray:
+    """Sum (M, nloc) or (M, nloc, 2) per-cell entries into one per node."""
+    out = np.zeros((space.ndofs,) + local.shape[2:])
+    np.add.at(out, space.cells.ravel(), local.reshape((-1,) + local.shape[2:]))
     return out
 
 
@@ -424,25 +410,19 @@ def assemble_grad_load(pspace: Space, F, quad: QuadratureRule | None = None) -> 
     ref = (w[..., None] * fv) @ inv.transpose(0, 2, 1)          # (M, Q, 2)
     dref = shape_gradients(pspace.degree, quad.ref_points())   # (Q, nloc, 2)
     table = dref.transpose(0, 2, 1).reshape(-1, pspace.nloc)    # row 2q+k
-    local = ref.reshape(len(ref), -1) @ table
-    out = np.zeros(pspace.ndofs)
-    np.add.at(out, pspace.cells.ravel(), local.ravel())
-    return out
+    return _add_cells(pspace, ref.reshape(len(ref), -1) @ table)
 
 
 def assemble_field_grad_load(vspace: Space, p_field: Field,
                              quad: QuadratureRule | None = None) -> np.ndarray:
-    """Entries integral of grad(p_h) . phi_i, with grad(p_h) taken directly
-    from the coefficients at quadrature points (no re-projection)."""
+    """Entries integral of grad(p_h) . phi_i, one (x, y) row per node of
+    vspace, with grad(p_h) taken directly from the coefficients at
+    quadrature points (no re-projection)."""
     quad = quad or triangle_rule_d5()
     w = quad_weights_physical(vspace.mesh, quad)
     gp = eval_grad_at_quad(p_field, quad)                      # (M,Q,2)
     vals = shape_values(vspace.degree, quad.ref_points())
-    local = vals.T @ (w[..., None] * gp)                        # (M, nloc, 2)
-    out = np.zeros(vspace.ndofs)
-    dofs = vspace.cell_dofs().reshape(vspace.cells.shape[0], vspace.nloc, 2)
-    np.add.at(out, dofs.ravel(), local.ravel())
-    return out
+    return _add_cells(vspace, vals.T @ (w[..., None] * gp))    # (M, nloc, 2)
 
 
 def _require_load_quad(space: Space, quad: QuadratureRule):
@@ -451,30 +431,18 @@ def _require_load_quad(space: Space, quad: QuadratureRule):
             f"quadrature degree {quad.degree} too low for degree-{space.degree} loads")
 
 
-def interpolate_boundary(space: Space, g, marker: int | None = None):
+def interpolate_boundary(space: Space, g):
     """Nodal interpolation of boundary data.
 
-    Returns (dofs, values): the boundary dof indices (restricted to edges
-    with the given marker if one is passed) and the interpolated values.
-    Scalar g maps (x, y) arrays to values; vector g returns (..., 2).
+    Returns (nodes, values): the boundary nodes and the interpolated values.
+    Scalar g maps (x, y) arrays to values, one per node; vector g returns
+    (..., 2), one (x, y) row per node.
     """
-    if marker is None:
-        nodes = space.boundary_nodes
-    else:
-        nodes = np.unique(
-            space.boundary_edge_nodes[space.mesh.boundary_edges[:, 2] == marker])
+    nodes = space.boundary_nodes
     coords = space.node_coords[nodes]
     gv = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
-    if space.components == 1:
-        if gv.shape != (len(nodes),):
-            gv = np.broadcast_to(gv, (len(nodes),)).copy()
-        return nodes.copy(), gv
-    if gv.shape != (len(nodes), 2):
-        raise ValueError("vector boundary data must return shape (..., 2)")
-    dofs = np.empty(2 * len(nodes), dtype=np.int64)
-    dofs[0::2] = 2 * nodes
-    dofs[1::2] = 2 * nodes + 1
-    return dofs, gv.ravel()
+    shape = (len(nodes), 2) if gv.ndim == 2 else (len(nodes),)
+    return nodes.copy(), np.broadcast_to(gv, shape).copy()
 
 
 def eliminate(a: sps.csr_matrix, bdofs) -> sps.csr_matrix:
@@ -517,11 +485,5 @@ def eval_on_boundary(field: Field, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     ref = np.einsum("bdk,bqk->bqd", inv[owner], rel)
     vals = shape_values(sp.degree, ref.reshape(-1, 2)).reshape(
         ref.shape[0], ref.shape[1], sp.nloc)
-    cells = sp.cells[owner]                                     # (B, nloc)
-    if sp.components == 1:
-        local = field.coefficients[cells]
-        return np.einsum("bi,bqi->bq", local, vals)
-    cx = field.coefficients[0::2][cells]
-    cy = field.coefficients[1::2][cells]
-    return np.stack([np.einsum("bi,bqi->bq", cx, vals),
-                     np.einsum("bi,bqi->bq", cy, vals)], axis=-1)
+    local = field.coefficients[sp.cells[owner]]     # (B, nloc) or (B, nloc, 2)
+    return np.einsum("bi...,bqi->bq...", local, vals)

@@ -18,7 +18,7 @@ from . import fem, verification as ver
 from .drivers import (PROBLEMS, Discretization, ProblemInput, SolveResult,
                       solve_es, solve_pp, solve_problem, solve_stokes)
 from .mesh import Mesh, build_structured_mesh
-from .sparse import DEFAULT_TOL, one_blas_thread
+from .sparse import DEFAULT_TOL
 from .verification import ErrorRow, ErrorTable, ManufacturedCase
 
 DEFAULT_N = 32
@@ -94,15 +94,13 @@ def write_table(table: ErrorTable, config: RunConfig) -> None:
         fh.write(text)
 
 
-@one_blas_thread()
 def _error_row(result: SolveResult, s_ref: SolveResult, pp_ref: SolveResult,
                case: ManufacturedCase, n: int, mismatch: float) -> ErrorRow:
     """Measure one solve against the Stokes and pressure-Poisson references.
 
     The Stokes solve itself is measured against the closed-form solution,
     which gives the discretization floor.  mismatch is the case's trace
-    mismatch on the mesh, which does not depend on the solve.  The norms'
-    per-cell matmuls run on one numpy BLAS thread, like the solves.
+    mismatch on the mesh, which does not depend on the solve.
     """
     if result.problem == "S":
         du_s, u_s, grad_u_s = result.u, case.u_exact, case.grad_u_exact
@@ -124,6 +122,18 @@ def _error_row(result: SolveResult, s_ref: SolveResult, pp_ref: SolveResult,
     )
 
 
+def _sweep_mesh(case: ManufacturedCase, n: int, tol: float, reports: list):
+    """(mesh, disc, s_ref, pp_ref, mismatch) of one sweep mesh: mesh n, its
+    Discretization, the Stokes and pressure-Poisson reference solves, whose
+    reports go to reports, and the case's trace mismatch on the mesh."""
+    mesh = build_structured_mesh(n)
+    disc = Discretization(mesh)
+    s_ref = solve_stokes(problem_input(case, mesh), disc, tol)
+    pp_ref = solve_pp(problem_input(case, mesh), disc, tol)
+    reports.extend([s_ref.report, pp_ref.report])
+    return mesh, disc, s_ref, pp_ref, ver.trace_mismatch(case.p_bc(), case.p_exact, mesh)
+
+
 def run_sweep_eps(config: RunConfig):
     """Solve the references once, then the coupled problem per epsilon.
 
@@ -133,15 +143,11 @@ def run_sweep_eps(config: RunConfig):
     if not config.eps_list:
         raise ConfigError("epsilon sweep needs a nonempty epsilon list")
     case = config.manufactured_case()
-    mesh = build_structured_mesh(config.n)
-    disc = Discretization(mesh)
     rows, reports = [], []
     table = ErrorTable(rows=rows)
     try:
-        s_ref = solve_stokes(problem_input(case, mesh), disc, config.tol)
-        pp_ref = solve_pp(problem_input(case, mesh), disc, config.tol)
-        reports.extend([s_ref.report, pp_ref.report])
-        mismatch = ver.trace_mismatch(case.p_bc(), case.p_exact, mesh)
+        mesh, disc, s_ref, pp_ref, mismatch = _sweep_mesh(case, config.n,
+                                                          config.tol, reports)
         for eps in config.eps_list:
             res = solve_es(problem_input(case, mesh, epsilon=eps), disc, config.tol)
             reports.append(res.report)
@@ -168,12 +174,8 @@ def run_sweep_h(config: RunConfig):
     table = ErrorTable(rows=rows)
     try:
         for n in config.n_list:
-            mesh = build_structured_mesh(n)
-            disc = Discretization(mesh)
-            s_ref = solve_stokes(problem_input(case, mesh), disc, config.tol)
-            pp_ref = solve_pp(problem_input(case, mesh), disc, config.tol)
-            reports.extend([s_ref.report, pp_ref.report])
-            mismatch = ver.trace_mismatch(case.p_bc(), case.p_exact, mesh)
+            mesh, disc, s_ref, pp_ref, mismatch = _sweep_mesh(case, n, config.tol,
+                                                              reports)
             for prob in config.problems:
                 if prob == "ES":
                     res = solve_es(problem_input(case, mesh, epsilon=eps0),
@@ -214,8 +216,6 @@ def export_vtk(result: SolveResult, path) -> None:
     nv = mesh.num_vertices
     nt = mesh.num_triangles
 
-    ux = result.u.coefficients[0::2][:nv]
-    uy = result.u.coefficients[1::2][:nv]
     pressure = result.p.coefficients[:nv]
 
     corner_rule = fem.QuadratureRule(
@@ -245,7 +245,7 @@ def export_vtk(result: SolveResult, path) -> None:
         fh.write("5\n" * nt)
         fh.write(f"POINT_DATA {nv}\n"
                  "VECTORS velocity double\n")
-        fh.write(rows("%.12e %.12e 0.0", np.column_stack([ux, uy])))
+        fh.write(rows("%.12e %.12e 0.0", result.u.coefficients[:nv]))
         fh.write("SCALARS pressure double 1\n"
                  "LOOKUP_TABLE default\n")
         fh.write(rows("%.12e", pressure))
@@ -444,11 +444,11 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
     # 8: structural identities.
     details8 = {}
     mesh16 = build_structured_mesh(16)
-    v16 = fem.Space(mesh16, degree=2, components=2)
+    v16 = fem.Space(mesh16, degree=2)
     rng = np.random.default_rng(0)
     gauss_res = 0.0
     for k in range(20):
-        uf = fem.Field(v16, rng.standard_normal(v16.ndofs))
+        uf = fem.Field(v16, rng.standard_normal((v16.ndofs, 2)))
         wspace = fem.Space(mesh16, degree=1 if k % 2 == 0 else 2)
         wf = fem.Field(wspace, rng.standard_normal(wspace.ndofs))
         gauss_res = max(gauss_res, abs(ver.gauss_formula_residual(uf, wf)))

@@ -360,15 +360,14 @@ def validate_mesh(mesh: Mesh) -> None:
 
     # Boundary edges must form closed loops: as a directed graph every
     # touched vertex has in-degree 1 and out-degree 1.
-    out_deg, in_deg = {}, {}
-    for i, j, _ in mesh.boundary_edges:
-        out_deg[i] = out_deg.get(i, 0) + 1
-        in_deg[j] = in_deg.get(j, 0) + 1
-    for v in set(out_deg) | set(in_deg):
-        if out_deg.get(v, 0) != 1 or in_deg.get(v, 0) != 1:
-            raise MeshTopologyError(
-                f"boundary is not a closed loop at vertex {v} "
-                f"(out {out_deg.get(v, 0)}, in {in_deg.get(v, 0)})")
+    out_deg = np.bincount(mesh.boundary_edges[:, 0], minlength=mesh.num_vertices)
+    in_deg = np.bincount(mesh.boundary_edges[:, 1], minlength=mesh.num_vertices)
+    off_loop = (out_deg != in_deg) | (out_deg > 1)
+    if np.any(off_loop):
+        v = int(np.argmax(off_loop))                 # the smallest such vertex
+        raise MeshTopologyError(
+            f"boundary is not a closed loop at vertex {v} "
+            f"(out {out_deg[v]}, in {in_deg[v]})")
 
     norms = np.hypot(mesh.edge_normals[:, 0], mesh.edge_normals[:, 1])
     if np.any(np.abs(norms - 1.0) > _GEOM_TOL):

@@ -125,15 +125,14 @@ def get_case(name: str, delta: float = None) -> ManufacturedCase:
 
 
 def _as_exact(field: Field, exact):
-    """Exact values at quadrature points, broadcast to the field's layout;
-    0.0 when exact is None."""
+    """Exact values at quadrature points, broadcast to the field's layout
+    (a trailing axis of 2 for a vector field); 0.0 when exact is None."""
     if exact is None:
         return 0.0
     quad = fem.triangle_rule_d5()
     xs, ys = fem.quad_points_physical(field.space.mesh, quad)
     vals = np.asarray(exact(xs, ys), dtype=float)
-    want = xs.shape if field.space.components == 1 else xs.shape + (2,)
-    return np.broadcast_to(vals, want)
+    return np.broadcast_to(vals, xs.shape + field.coefficients.shape[1:])
 
 
 def error_l2(field: Field, exact) -> float:
@@ -168,7 +167,7 @@ def error_h1(field: Field, exact, grad_exact) -> float:
 
 def quotient_norm_l2(field: Field, exact) -> float:
     """L2 norm of (field - exact) after removing the mean of the difference."""
-    if field.space.components != 1:
+    if field.coefficients.ndim != 1:
         raise ValueError("quotient norm applies to scalar fields")
     quad = fem.triangle_rule_d5()
     w = fem.quad_weights_physical(field.space.mesh, quad)
@@ -189,10 +188,10 @@ def div_l2(field: Field) -> float:
 
 def diff_field(a: Field, b: Field) -> Field:
     """Coefficient-wise difference of two fields on the same space."""
-    if a.space is not b.space:
-        if (a.space.mesh is not b.space.mesh or a.space.degree != b.space.degree
-                or a.space.components != b.space.components):
-            raise ValueError("fields live on different spaces")
+    if a.coefficients.shape != b.coefficients.shape or (
+            a.space is not b.space and (a.space.mesh is not b.space.mesh
+                                        or a.space.degree != b.space.degree)):
+        raise ValueError("fields live on different spaces")
     return Field(a.space, a.coefficients - b.coefficients)
 
 

@@ -127,11 +127,8 @@ def stiffness_einsum(space, quad):
     _, _, det = space.mesh.geometry
     grads = physical_gradients_einsum(space, quad)
     local = np.einsum("q,m,mqid,mqjd->mij", quad.weights, det, grads, grads)
-    out = fem._scatter(space.cells, local, (space.num_nodes, space.num_nodes))
-    out = (0.5 * (out + out.T)).tocsr()
-    if space.components == 2:
-        out = sps.kron(out, sps.identity(2), format="csr")
-    return out
+    out = fem._scatter(space.cells, local, (space.ndofs, space.ndofs))
+    return (0.5 * (out + out.T)).tocsr()
 
 
 def div_coupling_einsum(vspace, pspace, quad):
@@ -140,8 +137,8 @@ def div_coupling_einsum(vspace, pspace, quad):
     pv = fem.shape_values(pspace.degree, quad.ref_points())
     local = np.einsum("q,m,qj,mqac->mjac", quad.weights, det, pv, gu)
     m, nlp, nlu, _ = local.shape
-    return fem._scatter((pspace.cells, vspace.cell_dofs()),
-                        local.reshape(m, nlp, 2 * nlu), (pspace.ndofs, vspace.ndofs))
+    return fem._scatter((pspace.cells, fem.vector_dofs(vspace.cells)),
+                        local.reshape(m, nlp, 2 * nlu), (pspace.ndofs, 2 * vspace.ndofs))
 
 
 def grad_coupling_einsum(vspace, pspace, form, quad):
@@ -156,8 +153,8 @@ def grad_coupling_einsum(vspace, pspace, form, quad):
     local = np.einsum("q,m,mqjc,qa->majc", quad.weights, det, gp, uv)
     m, nlu, nlp, _ = local.shape
     local = local.transpose(0, 1, 3, 2).reshape(m, 2 * nlu, nlp)
-    return fem._scatter((vspace.cell_dofs(), pspace.cells), local,
-                        (vspace.ndofs, pspace.ndofs))
+    return fem._scatter((fem.vector_dofs(vspace.cells), pspace.cells), local,
+                        (2 * vspace.ndofs, pspace.ndofs))
 
 
 def grad_load_einsum(pspace, F, quad):
@@ -176,9 +173,8 @@ def field_grad_load_einsum(vspace, p_field, quad):
                    physical_gradients_einsum(p_field.space, quad))
     vals = fem.shape_values(vspace.degree, quad.ref_points())
     local = np.einsum("mq,mqc,qi->mic", w, gp, vals)
-    out = np.zeros(vspace.ndofs)
-    dofs = vspace.cell_dofs().reshape(vspace.cells.shape[0], vspace.nloc, 2)
-    np.add.at(out, dofs.ravel(), local.ravel())
+    out = np.zeros((vspace.ndofs, 2))
+    np.add.at(out, vspace.cells.ravel(), local.reshape(-1, 2))
     return out
 
 
@@ -220,7 +216,19 @@ def apply_dirichlet(a, b, bdofs, bvals):
 def vector_stiffness(disc):
     """kron(K, I2) on disc's interleaved velocity dofs, assembled afresh:
     a Discretization keeps only the scalar K."""
-    return fem.assemble_stiffness(disc.vspace, disc.quad)
+    return sps.kron(fem.assemble_stiffness(disc.vspace, disc.quad),
+                    sps.identity(2), format="csr")
+
+
+def velocity_load(disc, body_force):
+    """The velocity load vector in the interleaved layout of the systems."""
+    return fem.assemble_load(disc.vspace, body_force, disc.quad).ravel()
+
+
+def velocity_boundary(disc, u_bc):
+    """(dofs, values) of the velocity boundary data in the interleaved layout."""
+    nodes, vals = fem.interpolate_boundary(disc.vspace, u_bc)
+    return fem.vector_dofs(nodes), vals.ravel()
 
 
 def stokes_lagrange_reference(inp, disc):
@@ -236,10 +244,9 @@ def stokes_lagrange_reference(inp, disc):
                        [-disc.div, None, m.T],
                        [None, m, None]], format="csr")
     rhs = np.zeros(nu + npp + 1)
-    rhs[:nu] = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
-    bdofs, bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    x = _spsolve_dirichlet(system, rhs, bdofs, bvals)
-    return x[:nu], x[nu:nu + npp]
+    rhs[:nu] = velocity_load(disc, inp.body_force)
+    x = _spsolve_dirichlet(system, rhs, *velocity_boundary(disc, inp.u_bc))
+    return x[:nu].reshape(-1, 2), x[nu:nu + npp]
 
 
 def reference_system(stage, inp, disc, p=None):
@@ -252,8 +259,8 @@ def reference_system(stage, inp, disc, p=None):
     coefficients p).
     """
     nu = disc.nu
-    f = fem.assemble_load(disc.vspace, inp.body_force, disc.quad)
-    u_bdofs, u_bvals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    f = velocity_load(disc, inp.body_force)
+    u_bdofs, u_bvals = velocity_boundary(disc, inp.u_bc)
     if stage == "S":
         system = sps.bmat([[vector_stiffness(disc), -disc.div.T],
                            [-disc.div, None]], format="csr")
@@ -262,7 +269,7 @@ def reference_system(stage, inp, disc, p=None):
                 np.append(u_bdofs, nu), np.append(u_bvals, 0.0))
     if stage == "PP-u":
         f = f - fem.assemble_field_grad_load(disc.vspace, Field(disc.pspace, p),
-                                             disc.quad)
+                                             disc.quad).ravel()
         return vector_stiffness(disc), f, u_bdofs, u_bvals
     g = fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
     p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
@@ -281,13 +288,15 @@ def monolithic_reference(problem, inp, disc):
 
     The reference for the preconditioned GMRES path in drivers: the same
     systems, Dirichlet elimination and Stokes gauge (first pressure dof
-    pinned, then shifted to zero mean), each factored whole.
+    pinned, then shifted to zero mean), each factored whole.  u has one
+    (x, y) row per node, like the drivers' velocity.
     """
     if problem == "PP":
         p = _spsolve_dirichlet(*reference_system("PP-p", inp, disc))
-        return _spsolve_dirichlet(*reference_system("PP-u", inp, disc, p)), p
+        u = _spsolve_dirichlet(*reference_system("PP-u", inp, disc, p))
+        return u.reshape(-1, 2), p
     x = _spsolve_dirichlet(*reference_system(problem, inp, disc))
-    u, p = x[:disc.nu], x[disc.nu:]
+    u, p = x[:disc.nu].reshape(-1, 2), x[disc.nu:]
     if problem == "S":
         p = p - (disc.mean_p @ p) / disc.mean_p.sum()
     return u, p
@@ -306,8 +315,7 @@ def export_vtk_loop(result, path):
     nv = mesh.num_vertices
     nt = mesh.num_triangles
 
-    ux = result.u.coefficients[0::2][:nv]
-    uy = result.u.coefficients[1::2][:nv]
+    ux, uy = result.u.coefficients[:nv].T
     pressure = result.p.coefficients[:nv]
 
     corner_rule = fem.QuadratureRule(

@@ -381,8 +381,8 @@ def test_pp_report_is_worst_of_its_three_solves(monkeypatch):
     flow = solve_pp(ProblemInput(mesh=mesh, body_force=zero_vec, u_bc=unit_x,
                                  p_bc=zero_scalar), disc)
     assert reports[2].rel_residual == 0.0
-    assert not np.any(flow.u.coefficients[1::2])
-    assert np.allclose(flow.u.coefficients[0::2], 1.0, rtol=0.0, atol=1e-12)
+    assert not np.any(flow.u.coefficients[:, 1])
+    assert np.allclose(flow.u.coefficients[:, 0], 1.0, rtol=0.0, atol=1e-12)
     assert flow.report.rel_residual <= 1e-10
 
 
@@ -430,6 +430,23 @@ def test_discretization_builds_no_factor(monkeypatch):
     solve_pp(_inp(mesh, get_case("ms1")), disc)
     assert sizes == [disc.np_, disc.nu // 2]          # Kp, then A
     assert set(FACTORS) & set(vars(disc)) == {"pressure_factor", "velocity_factor"}
+
+
+def test_discretization_builds_one_space_per_field(monkeypatch):
+    # the P2 velocity space serves both components and K; P1 the pressure
+    from epsstokes import fem
+    built = []
+    real = fem.Space.__init__
+
+    def counting(self, mesh, degree):
+        built.append(degree)
+        real(self, mesh, degree)
+
+    monkeypatch.setattr(fem.Space, "__init__", counting)
+    disc = Discretization(build_structured_mesh(4))
+    assert built == [2, 1]
+    assert disc.nu == 2 * disc.vspace.ndofs
+    assert disc.stiff_u.shape == (disc.vspace.ndofs, disc.vspace.ndofs)
 
 
 def test_sweep_factors_velocity_block_once(monkeypatch):
@@ -561,7 +578,7 @@ def test_dead_mesh_is_freed():
     mesh = build_structured_mesh(3)
     disc = Discretization(mesh)
     case = get_case("ms1")
-    u = Field(disc.vspace, np.zeros(disc.nu))
+    u = Field(disc.vspace, np.zeros((disc.vspace.ndofs, 2)))
     w = Field(disc.pspace, np.ones(disc.np_))
     error_h1(u, case.u_exact, case.grad_u_exact)
     gauss_formula_residual(u, w)

@@ -11,7 +11,7 @@ from epsstokes.fem import (Field, Space, assemble_div_coupling,
                            assemble_field_grad_load, assemble_grad_coupling,
                            assemble_grad_load, assemble_load,
                            assemble_stiffness, interpolate_boundary,
-                           triangle_rule_d5)
+                           triangle_rule_d5, vector_block, vector_dofs)
 from epsstokes.mesh import Mesh, build_structured_mesh
 from epsstokes.verification import gauss_formula_residual
 from helpers import apply_dirichlet, loaded_parallelogram_mesh, ref_triangle_mesh
@@ -95,18 +95,20 @@ def test_stiffness_kernel_contains_constants():
         space = Space(build_structured_mesh(3), degree=degree)
         a = assemble_stiffness(space)
         assert np.abs(a @ np.ones(space.ndofs)).max() <= 1e-12
-    vspace = Space(build_structured_mesh(3), degree=2, components=2)
-    a = assemble_stiffness(vspace)
+    # the vector block on (x, y) rows raveled: constants per component
+    vspace = Space(build_structured_mesh(3), degree=2)
+    a = vector_block(assemble_stiffness(vspace))
     for comp in (0, 1):
-        ones = np.zeros(vspace.ndofs)
-        ones[comp::2] = 1.0
-        assert np.abs(a @ ones).max() <= 1e-12
+        ones = np.zeros((vspace.ndofs, 2))
+        ones[:, comp] = 1.0
+        assert np.abs(a @ ones.ravel()).max() <= 1e-12
 
 
 def test_stiffness_symmetry_exact():
-    for degree, comps in ((1, 1), (2, 1), (2, 2)):
-        space = Space(build_structured_mesh(4), degree=degree, components=comps)
-        a = assemble_stiffness(space)
+    for degree in (1, 2):
+        a = assemble_stiffness(Space(build_structured_mesh(4), degree=degree))
+        assert abs(a - a.T).max() == 0.0
+        a = vector_block(a)
         assert abs(a - a.T).max() == 0.0
 
 
@@ -138,28 +140,28 @@ def test_p1_stiffness_five_point_stencil_on_n2():
 
 def test_div_coupling_constant_field():
     mesh = build_structured_mesh(3)
-    vspace = Space(mesh, degree=2, components=2)
+    vspace = Space(mesh, degree=2)
     pspace = Space(mesh, degree=1)
     b = assemble_div_coupling(vspace, pspace)
-    const = np.zeros(vspace.ndofs)
-    const[0::2] = 1.0
-    assert np.abs(b @ const).max() <= 1e-13
+    const = np.zeros((vspace.ndofs, 2))
+    const[:, 0] = 1.0
+    assert np.abs(b @ const.ravel()).max() <= 1e-13
 
 
 def test_div_coupling_partition_of_unity():
     mesh = build_structured_mesh(3)
-    vspace = Space(mesh, degree=2, components=2)
+    vspace = Space(mesh, degree=2)
     pspace = Space(mesh, degree=1)
     b = assemble_div_coupling(vspace, pspace)
     # u = (x, 0): entries sum to the integral of div u = 1
-    coeffs = np.zeros(vspace.ndofs)
-    coeffs[0::2] = vspace.node_coords[:, 0]
-    assert abs((b @ coeffs).sum() - 1.0) <= 1e-12
+    coeffs = np.zeros((vspace.ndofs, 2))
+    coeffs[:, 0] = vspace.node_coords[:, 0]
+    assert abs((b @ coeffs.ravel()).sum() - 1.0) <= 1e-12
 
 
 def test_div_coupling_local_block_matches_symbolic_oracle():
     mesh = ref_triangle_mesh()
-    b = assemble_div_coupling(Space(mesh, degree=2, components=2),
+    b = assemble_div_coupling(Space(mesh, degree=2),
                               Space(mesh, degree=1)).toarray()
     assert np.abs(b - DIV_BLOCK).max() <= 1e-14
 
@@ -211,33 +213,22 @@ def test_load_quadrature_degree_precondition():
 def test_interpolate_boundary_scalar():
     mesh = build_structured_mesh(2)
     space = Space(mesh, degree=1)
-    dofs, vals = interpolate_boundary(space, lambda x, y: np.zeros_like(x))
+    nodes, vals = interpolate_boundary(space, lambda x, y: np.zeros_like(x))
     assert np.abs(vals).max() == 0.0
-    assert np.array_equal(dofs, space.boundary_dofs)
-    dofs, vals = interpolate_boundary(space, lambda x, y: x)
+    assert np.array_equal(nodes, space.boundary_nodes)
+    nodes, vals = interpolate_boundary(space, lambda x, y: x)
     corner = np.where((space.node_coords == [1.0, 1.0]).all(axis=1))[0][0]
-    assert vals[np.where(dofs == corner)[0][0]] == 1.0
-
-
-def test_interpolate_boundary_marker_restriction():
-    # bottom-edge data on the n=4 P2 space: midpoint dof at (1/8, 0)
-    mesh = build_structured_mesh(4)
-    space = Space(mesh, degree=2)
-    dofs, vals = interpolate_boundary(space, lambda x, y: np.sin(np.pi * x),
-                                      marker=1)
-    coords = space.node_coords[dofs]
-    assert np.all(coords[:, 1] == 0.0)
-    k = np.where(coords[:, 0] == 0.125)[0][0]
-    assert abs(vals[k] - np.sin(np.pi / 8)) <= 1e-15
+    assert vals[np.where(nodes == corner)[0][0]] == 1.0
 
 
 def test_interpolate_boundary_vector():
     mesh = build_structured_mesh(2)
-    vspace = Space(mesh, degree=2, components=2)
-    dofs, vals = interpolate_boundary(vspace, lambda x, y: np.stack([x, -y], axis=-1))
-    coords = vspace.dof_coords[dofs]
-    expected = np.where(dofs % 2 == 0, coords[:, 0], -coords[:, 1])
-    assert np.abs(vals - expected).max() == 0.0
+    vspace = Space(mesh, degree=2)
+    nodes, vals = interpolate_boundary(vspace, lambda x, y: np.stack([x, -y], axis=-1))
+    assert np.array_equal(nodes, vspace.boundary_nodes)
+    coords = vspace.node_coords[nodes]
+    assert vals.shape == (len(nodes), 2)
+    assert np.abs(vals - coords * [1.0, -1.0]).max() == 0.0
 
 
 def test_apply_dirichlet_no_dofs_is_identity_operation():
@@ -271,11 +262,12 @@ def test_apply_dirichlet_three_point_laplace():
 
 def test_grad_coupling_forms_agree_on_interior_dofs():
     mesh = build_structured_mesh(4)
-    vspace = Space(mesh, degree=2, components=2)
+    vspace = Space(mesh, degree=2)
     pspace = Space(mesh, degree=1)
     g_t = assemble_grad_coupling(vspace, pspace, form="transpose").toarray()
     g_d = assemble_grad_coupling(vspace, pspace, form="direct").toarray()
-    interior = np.setdiff1d(np.arange(vspace.ndofs), vspace.boundary_dofs)
+    interior = np.setdiff1d(np.arange(2 * vspace.ndofs),
+                            vector_dofs(vspace.boundary_nodes))
     assert np.abs(g_t[interior] - g_d[interior]).max() <= 1e-12
     # the boundary correction makes the two forms agree everywhere
     assert np.abs(g_t - g_d).max() <= 1e-12
@@ -284,26 +276,27 @@ def test_grad_coupling_forms_agree_on_interior_dofs():
 def test_grad_coupling_transpose_identity_against_div():
     # p^T G^T u = -p^T B u for interior-supported u and p
     mesh = build_structured_mesh(4)
-    vspace = Space(mesh, degree=2, components=2)
+    vspace = Space(mesh, degree=2)
     pspace = Space(mesh, degree=1)
     g = assemble_grad_coupling(vspace, pspace).toarray()
     b = assemble_div_coupling(vspace, pspace).toarray()
     rng = np.random.default_rng(7)
-    u = rng.standard_normal(vspace.ndofs)
+    u = rng.standard_normal((vspace.ndofs, 2))
     p = rng.standard_normal(pspace.ndofs)
-    u[vspace.boundary_dofs] = 0.0
-    p[pspace.boundary_dofs] = 0.0
+    u[vspace.boundary_nodes] = 0.0
+    p[pspace.boundary_nodes] = 0.0
+    u = u.ravel()
     assert abs(u @ (g @ p) + p @ (b @ u)) <= 1e-12
 
 
 def test_discrete_gauss_formula_random_fields():
     mesh = build_structured_mesh(8)
-    vspace = Space(mesh, degree=2, components=2)
+    vspace = Space(mesh, degree=2)
     rng = np.random.default_rng(3)
     for degree in (1, 2):
         wspace = Space(mesh, degree=degree)
         for _ in range(5):
-            u = Field(vspace, rng.standard_normal(vspace.ndofs))
+            u = Field(vspace, rng.standard_normal((vspace.ndofs, 2)))
             w = Field(wspace, rng.standard_normal(wspace.ndofs))
             assert abs(gauss_formula_residual(u, w)) <= 1e-10
 
@@ -320,7 +313,7 @@ def test_galerkin_exactness():
         coeffs = poly(space.node_coords[:, 0], space.node_coords[:, 1])
         lhs = assemble_stiffness(space) @ coeffs
         rhs = assemble_load(space, neg_lap)
-        interior = np.setdiff1d(np.arange(space.ndofs), space.boundary_dofs)
+        interior = np.setdiff1d(np.arange(space.ndofs), space.boundary_nodes)
         assert np.abs(lhs[interior] - rhs[interior]).max() <= 1e-10
 
 
@@ -331,14 +324,25 @@ def test_space_dof_counts_and_boundary_dofs():
     p2 = Space(mesh, degree=2)
     n_edges = 3 * 3 * 3 + 2 * 3   # 3n^2 + 2n interior grid edges plus diagonals
     assert p2.ndofs == 16 + n_edges
-    v2 = Space(mesh, degree=2, components=2)
-    assert v2.ndofs == 2 * p2.ndofs
-    # boundary dofs lie on the boundary
+    # a vector field's (x, y) rows number 2 * ndofs dofs without gaps
+    assert np.array_equal(vector_dofs(np.arange(p2.ndofs)), np.arange(2 * p2.ndofs))
+    # boundary nodes lie on the boundary
     for space in (p1, p2):
-        coords = space.node_coords[space.boundary_dofs]
+        coords = space.node_coords[space.boundary_nodes]
         on_edge = ((coords == 0.0) | (coords == 1.0)).any(axis=1)
         assert on_edge.all()
-    assert len(p2.boundary_dofs) == 4 * 3 * 2   # vertices + midpoints
+    assert len(p2.boundary_nodes) == 4 * 3 * 2   # vertices + midpoints
+
+
+def test_vector_dofs_interleave_components():
+    assert np.array_equal(vector_dofs([3, 5]), [6, 7, 10, 11])
+    # (M, a) cell nodes give (M, 2a): column 2i+c is component c of node i
+    assert np.array_equal(vector_dofs(np.array([[0, 2], [4, 1]])),
+                          [[0, 1, 4, 5], [8, 9, 2, 3]])
+    # raveling (x, y) rows by row puts coefficient [k, c] at dof 2k+c
+    rows = np.arange(12.0).reshape(6, 2)
+    nodes = np.array([4, 1, 5])
+    assert np.array_equal(rows.ravel()[vector_dofs(nodes)], rows[nodes].ravel())
 
 
 def test_eval_on_boundary_matches_callable():
@@ -356,6 +360,40 @@ def test_field_length_check():
     space = Space(build_structured_mesh(2), degree=1)
     with pytest.raises(ValueError):
         Field(space, np.zeros(space.ndofs + 1))
+    assert Field(space, np.zeros((space.ndofs, 2))).coefficients.shape == (9, 2)
+    for shape in ((space.ndofs, 3), (2 * space.ndofs,), (space.ndofs, 2, 1)):
+        with pytest.raises(ValueError):
+            Field(space, np.zeros(shape))
+
+
+def test_vector_field_kernels_match_components():
+    # a vector field evaluates, differentiates, loads and restricts to the
+    # boundary as its two scalar components do, bit for bit
+    mesh = helpers.affine_jittered_mesh(3, 11)
+    quad = triangle_rule_d5()
+    vspace = Space(mesh, degree=2)
+    rng = np.random.default_rng(5)
+    u = Field(vspace, rng.standard_normal((vspace.ndofs, 2)))
+    parts = [Field(vspace, u.coefficients[:, c].copy()) for c in (0, 1)]
+    values = fem.eval_at_quad(u, quad)
+    grads = fem.eval_grad_at_quad(u, quad)
+    xs, ys, _, _ = fem.boundary_quadrature(mesh)
+    trace = fem.eval_on_boundary(u, xs, ys)
+    for c, part in enumerate(parts):
+        assert np.array_equal(values[..., c], fem.eval_at_quad(part, quad))
+        assert np.array_equal(grads[..., c, :], fem.eval_grad_at_quad(part, quad))
+        assert np.abs(trace[..., c] - fem.eval_on_boundary(part, xs, ys)).max() <= 1e-15
+
+    def force(x, y):
+        return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)
+
+    load = assemble_load(vspace, force)
+    assert load.shape == (vspace.ndofs, 2)
+    for c in (0, 1):
+        scalar = assemble_load(vspace, lambda x, y, c=c: force(x, y)[..., c])
+        assert np.array_equal(load[:, c], scalar)
+    with pytest.raises(ValueError, match="shape"):
+        assemble_load(vspace, lambda x, y: np.zeros(np.shape(x) + (3,)))
 
 
 def _assert_matches(new, oracle):
@@ -367,8 +405,8 @@ def _assert_matches(new, oracle):
 
 def _assert_kernels_match_einsum_oracle(mesh, seed=0):
     quad = triangle_rule_d5()
-    vspace, pspace = Space(mesh, 2, 2), Space(mesh, 1)
-    for space in (pspace, Space(mesh, 2), vspace):
+    vspace, pspace = Space(mesh, 2), Space(mesh, 1)
+    for space in (pspace, vspace):
         _assert_matches(assemble_stiffness(space, quad),
                         helpers.stiffness_einsum(space, quad))
     _assert_matches(assemble_div_coupling(vspace, pspace, quad),

@@ -184,11 +184,12 @@ def test_export_vtk_smallest_mesh_geometry(tmp_path):
     # the 2-triangle mesh is below the mixed pair's solvability threshold,
     # so write a zero result directly; the exporter only reads fields
     from epsstokes.drivers import SolveResult
-    from epsstokes.fem import Space
+    from epsstokes.fem import Field, Space
     from epsstokes.sparse import SolverReport
 
     mesh = build_structured_mesh(1)
-    res = SolveResult(u=zero_field(Space(mesh, 2, components=2)),
+    vspace = Space(mesh, 2)
+    res = SolveResult(u=Field(vspace, np.zeros((vspace.ndofs, 2))),
                       p=zero_field(Space(mesh, 1)), problem="S", epsilon=None,
                       report=SolverReport("none", 0.0, 0, 0.0))
     path = tmp_path / "tiny.vtk"
@@ -208,7 +209,7 @@ def test_export_vtk_round_trip_pressure(tmp_path):
     assert np.abs(points[:, :2] - mesh.vertices).max() <= 1e-12
     nv = mesh.num_vertices
     assert np.abs(data["pressure"] - res.p.coefficients[:nv]).max() <= 1e-12
-    assert np.abs(data["velocity"][:, 0] - res.u.coefficients[0::2][:nv]).max() <= 1e-12
+    assert np.abs(data["velocity"][:, :2] - res.u.coefficients[:nv]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("which", ["jittered", "parallelogram"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsstokes.fem import Space
+from epsstokes.fem import Space, vector_dofs
 from epsstokes.mesh import (Mesh, MeshFormatError, MeshTopologyError,
                             build_structured_mesh, load_mesh, mesh_size,
                             validate_mesh)
@@ -226,6 +226,35 @@ def test_topology_errors_name_the_edge_as_plain_ints(mesh, message):
         validate_mesh(mesh)
 
 
+def _corner_chain(labels):
+    """Triangles joined corner to corner along the diagonal, each sharing
+    only one vertex with the next; vertex k of the chain gets labels[k]."""
+    count = (len(labels) - 1) // 2
+    chain = np.array([[0.0, 0.0]] + [[k + 1.0, k + d] for k in range(count)
+                                     for d in (0.0, 1.0)])
+    vertices = np.zeros((max(labels) + 1, 2))
+    vertices[labels] = chain
+    labels = np.asarray(labels)
+    triangles = labels[np.array([[2 * k, 2 * k + 1, 2 * k + 2] for k in range(count)])]
+    edges = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    boundary = np.column_stack([edges, np.ones(len(edges), dtype=np.int64)])
+    d = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return Mesh(vertices, triangles, boundary, normals)
+
+
+@pytest.mark.parametrize("labels, vertex", [
+    ([0, 1, 2, 3, 4], 2),                 # a bowtie: (0,1,2) and (2,3,4)
+    ([0, 1, 33, 3, 2, 4, 5], 2),          # two pinch vertices, 33 and 2
+])
+def test_boundary_pinched_at_a_vertex_is_not_a_closed_loop(labels, vertex):
+    # each pinch vertex starts and ends two boundary edges; the error names
+    # the smallest such vertex
+    with pytest.raises(MeshTopologyError,
+                       match=rf"not a closed loop at vertex {vertex} \(out 2, in 2\)"):
+        validate_mesh(_corner_chain(labels))
+
+
 def _scrambled_structured_mesh(n, seed):
     """Structured mesh with interior vertices jittered, vertices relabelled
     and each triangle's vertex list rotated (orientation kept)."""
@@ -261,11 +290,12 @@ def test_edge_table_matches_loop_reference(n, seed):
     assert np.array_equal(table.owner[mesh.boundary_edge_ids],
                           boundary_owner_loop(mesh))
 
-    space = Space(mesh, 2, 2)
+    space = Space(mesh, 2)
     assert np.array_equal(space.cells,
                           np.hstack([mesh.triangles, tri_edges + mesh.num_vertices]))
     bnodes = p2_boundary_nodes_loop(mesh, edge_index)
-    assert np.array_equal(space.boundary_dofs,
+    assert np.array_equal(space.boundary_nodes, bnodes)
+    assert np.array_equal(vector_dofs(space.boundary_nodes),
                           np.sort(np.concatenate([2 * bnodes, 2 * bnodes + 1])))
 
     # load_mesh turns boundary edges written backwards to run with the

@@ -9,7 +9,8 @@ from epsstokes.drivers import (Discretization, ProblemInput, solve_es, solve_pp,
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError, solve
 from epsstokes.verification import get_case
-from helpers import apply_dirichlet, numpy_blas_threads, vector_stiffness
+from helpers import (apply_dirichlet, numpy_blas_threads, velocity_boundary,
+                     velocity_load, vector_stiffness)
 
 
 def _random_pair(rng, shape=(5, 5), density=0.4):
@@ -36,8 +37,6 @@ def test_solve_two_by_two():
 
 def test_solve_matches_dense_lu_on_stokes_system():
     # assembled Stokes saddle system on the n=2 mesh vs a dense-LU oracle
-    from epsstokes import fem
-
     mesh = build_structured_mesh(2)
     disc = Discretization(mesh)
     m = sps.csr_matrix(disc.mean_p[None, :])
@@ -46,9 +45,8 @@ def test_solve_matches_dense_lu_on_stokes_system():
                        [None, m, None]], format="csr")
     case = get_case("ms1")
     rhs = np.zeros(system.shape[0])
-    rhs[:disc.nu] = fem.assemble_load(disc.vspace, case.body_force, disc.quad)
-    bdofs, bvals = fem.interpolate_boundary(disc.vspace, case.u_bc())
-    mat, rhs = apply_dirichlet(system, rhs, bdofs, bvals)
+    rhs[:disc.nu] = velocity_load(disc, case.body_force)
+    mat, rhs = apply_dirichlet(system, rhs, *velocity_boundary(disc, case.u_bc()))
 
     x, report = solve(mat, rhs)
     x_dense = np.linalg.solve(mat.toarray(), rhs)
@@ -261,13 +259,45 @@ def test_assembly_in_drivers_runs_on_one_blas_thread(two_blas_threads, monkeypat
     assert two_blas_threads() == 2
 
 
+def _record_kernel_threads(monkeypatch):
+    """numpy's BLAS thread count inside every call of fem's shape-function
+    tables, which the field kernels eval_at_quad and eval_grad_at_quad (and
+    the assemblers) call once each; and the number of kernel calls."""
+    from epsstokes import fem
+    seen = _record_blas_threads(monkeypatch, fem, ("shape_values", "shape_gradients"))
+    kernels = _record_blas_threads(monkeypatch, fem, ("eval_at_quad",
+                                                      "eval_grad_at_quad"))
+    return seen, kernels
+
+
 @needs_openblas
 def test_sweep_error_rows_run_on_one_blas_thread(two_blas_threads, monkeypatch):
-    from epsstokes import harness, verification as ver
-    seen = _record_blas_threads(monkeypatch, ver, ("error_h1",))
+    from epsstokes import harness
+    seen, kernels = _record_kernel_threads(monkeypatch)
     table, _ = harness.run_sweep_eps(harness.RunConfig(case="ms1-mismatch", n=4,
                                                        eps_list=(1.0,)))
-    assert len(table.rows) == 1 and len(seen) == 3 and set(seen) == {1}
+    assert len(table.rows) == 1 and len(kernels) >= 10
+    assert set(seen) == {1}
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+def test_norms_called_directly_run_on_one_blas_thread(two_blas_threads, monkeypatch,
+                                                      tmp_path):
+    # a norm or an export called outside any driver or sweep, as a script
+    # measuring a solution calls them
+    from epsstokes import harness, verification as ver
+    case = get_case("ms1")
+    mesh = build_structured_mesh(4)
+    res = solve_pp(ProblemInput(mesh=mesh, body_force=case.body_force,
+                                u_bc=case.u_bc(), p_bc=case.p_bc()))
+    seen, kernels = _record_kernel_threads(monkeypatch)
+    assert two_blas_threads() == 2
+    ver.error_h1(res.u, case.u_exact, case.grad_u_exact)
+    ver.quotient_norm_l2(res.p, case.p_exact)
+    ver.div_l2(res.u)
+    harness.export_vtk(res, tmp_path / "pp.vtk")
+    assert len(kernels) == 5 and len(seen) == 5 and set(seen) == {1}
     assert two_blas_threads() == 2
 
 

@@ -174,13 +174,11 @@ def test_trace_mismatch_values():
 
 def test_gauss_formula_residual_interpolated_polynomials():
     mesh = build_structured_mesh(4)
-    vspace = Space(mesh, degree=2, components=2)
+    vspace = Space(mesh, degree=2)
     wspace = Space(mesh, degree=1)
     ux = vspace.node_coords[:, 0] ** 2
     uy = -vspace.node_coords[:, 0] * vspace.node_coords[:, 1]
-    coeff = np.empty(vspace.ndofs)
-    coeff[0::2], coeff[1::2] = ux, uy
-    u = Field(vspace, coeff)
+    u = Field(vspace, np.column_stack([ux, uy]))
     w = Field(wspace, wspace.node_coords[:, 1] - 0.25)
     assert abs(gauss_formula_residual(u, w)) <= 1e-12
 

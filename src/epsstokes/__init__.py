@@ -1,9 +1,9 @@
 """Finite-element lab for the Stokes, pressure-Poisson and coupled
 epsilon-parameter flow problems on triangulated 2D domains."""
 
-from .drivers import (Discretization, IncompatibleDataError, ProblemInput,
-                      SolveResult, check_compatibility, solve_es, solve_pp,
-                      solve_problem, solve_stokes)
+from .drivers import (Discretization, EpsSweep, IncompatibleDataError,
+                      ProblemInput, SolveResult, check_compatibility, solve_es,
+                      solve_es_sweep, solve_pp, solve_problem, solve_stokes)
 from .fem import Field, QuadratureRule, Space, triangle_rule_d5
 from .harness import (DEFAULT_EPS_GRID, ConfigError, RunConfig, export_vtk,
                       run_acceptance, run_sweep_eps, run_sweep_h)
@@ -14,7 +14,7 @@ from .verification import (ErrorRow, ErrorTable, ManufacturedCase,
                            fit_log_slope, get_case, registry)
 
 __all__ = [
-    "ConfigError", "DEFAULT_EPS_GRID", "Discretization",
+    "ConfigError", "DEFAULT_EPS_GRID", "Discretization", "EpsSweep",
     "ErrorRow", "ErrorTable", "Field", "IncompatibleDataError",
     "ManufacturedCase", "Mesh", "MeshError", "MeshFormatError",
     "MeshTopologyError", "ProblemInput", "QuadratureRule", "RunConfig",
@@ -22,7 +22,7 @@ __all__ = [
     "build_structured_mesh", "check_compatibility", "export_vtk",
     "fit_log_slope", "get_case", "load_mesh", "mesh_size", "registry",
     "run_acceptance", "run_sweep_eps", "run_sweep_h", "solve", "solve_es",
-    "solve_pp", "solve_problem", "solve_stokes", "triangle_rule_d5",
+    "solve_es_sweep", "solve_pp", "solve_problem", "solve_stokes", "triangle_rule_d5",
     "validate_mesh",
 ]
 

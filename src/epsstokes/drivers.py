@@ -14,6 +14,8 @@ assembled systems its dofs are those rows raveled (fem.vector_dofs).
 * ``solve_es``      -- the coupled one-parameter system whose pressure block
   is scaled by epsilon, with Dirichlet data on both fields.
 
+``solve_es_sweep`` solves ES over a list of epsilons: by its 1/eps series
+where that converges, and by ``solve_es`` below the measured crossover.
 ``solve_problem`` dispatches on the problem name.  Drivers are pure
 functions of their input; sweeps share one Discretization, so a sweep
 assembles, eliminates and factors each block once.  At construction it
@@ -23,7 +25,7 @@ couplings B and G (S and ES only), the load vectors of each body force,
 each problem's system with its Dirichlet dofs eliminated, and the factors
 below.  The interleaved velocity block kron(K, I2) exists only while S or
 ES assemble their system; PP never forms it.  ES keeps its system at
-eps = 1 and scales a copy's Kp entries per epsilon.
+eps = 1 and scales the Kp entries of a copy of its values per epsilon.
 
 Each system is solved by GMRES (sparse.solve) against a preconditioner
 built from factors that the Discretization makes on first use:
@@ -42,6 +44,13 @@ eps*Kp + Mp for ES, a P1 matrix factored per epsilon, and its eps -> 0
 limit -Mp for Stokes, whose gauge row stays an identity row (Elman, Silvester & Wathen, Finite Elements and
 Fast Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).
 
+For large epsilon, ES is PP plus a series in 1/eps: every term is one Kp
+solve and one two-column A solve with PP's factors, and the terms serve a
+whole list of epsilons (solve_es_sweep).  The series converges for eps
+above the ratio of successive terms, about 0.02 on the unit square; an
+epsilon it cannot reach within SERIES_TERMS terms, or whose sum misses the
+tolerance in the true ES residual, is solved by GMRES as above.
+
 Building a Discretization and each driver call run numpy's BLAS on one
 thread (sparse.one_blas_thread), which covers the per-cell matmuls of
 assembly and of the load vectors as well as the solves.
@@ -49,9 +58,10 @@ assembly and of the load vectors as well as the solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse as sps
@@ -59,12 +69,15 @@ from scipy import sparse as sps
 from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
-from .sparse import (DEFAULT_TOL, Factor, Preconditioner, SolverReport,
-                     one_blas_thread, solve)
+from .sparse import (DEFAULT_TOL, ORDERING, RESIDUAL_FLOOR, Factor, Preconditioner,
+                     SolverReport, dump_solved, one_blas_thread, rel_residual,
+                     solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
 PROBLEMS = ("S", "PP", "ES")
+SERIES_TERMS = 16      # most terms of the 1/eps series one sweep computes
+_SERIES_AIM = 1e-4     # a series solution aims this far below tol
 
 
 class IncompatibleDataError(ValueError):
@@ -201,13 +214,22 @@ class Discretization:
         return _eliminated(self.stiff_u, self.vspace.boundary_nodes)
 
     def coupled_system(self, eps: float) -> Eliminated:
-        """[[K, G], [D, eps*Kp]] with both boundaries fixed: a copy of the
-        eps = 1 system with its stored Kp entries scaled by eps."""
-        unit, in_matrix, in_lift = self._coupled_unit
-        matrix, lift = unit.matrix.copy(), unit.lift.copy()
-        matrix.data[in_matrix] *= eps
+        """[[K, G], [D, eps*Kp]] with both boundaries fixed: the eps = 1
+        system with its stored Kp entries scaled by eps, in a copy of its
+        values that shares its index arrays."""
+        unit, in_matrix, _ = self._coupled_unit
+        data = unit.matrix.data.copy()
+        data[in_matrix] *= eps
+        matrix = sps.csr_matrix((data, unit.matrix.indices, unit.matrix.indptr),
+                                shape=unit.matrix.shape)
+        return Eliminated(matrix, self.coupled_lift(eps), unit.fixed)
+
+    def coupled_lift(self, eps: float) -> sps.csr_matrix:
+        """The lift of coupled_system(eps), without copying its matrix."""
+        unit, _, in_lift = self._coupled_unit
+        lift = unit.lift.copy()
         lift.data[in_lift] *= eps
-        return Eliminated(matrix, lift, unit.fixed)
+        return lift
 
     @cached_property
     def _coupled_unit(self):
@@ -295,12 +317,20 @@ def _block_lower(disc: Discretization, a, name: str,
     return Preconditioner(f"block_lower(A, {name})", apply, (vel, schur))
 
 
-def _solve_fixed(system: Eliminated, rhs: np.ndarray, values: np.ndarray,
+def _lifted(lift: sps.csr_matrix, fixed: np.ndarray, load: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """The right-hand side of an eliminated system: load minus the lift of
+    the fixed values, and the values themselves in the fixed rows."""
+    rhs = load - lift @ values
+    rhs[fixed] = values
+    return rhs
+
+
+def _solve_fixed(system: Eliminated, load: np.ndarray, values: np.ndarray,
                  tol: float, precond) -> tuple[np.ndarray, SolverReport]:
     """Solve an eliminated system, lifting and restoring the fixed values."""
-    rhs = rhs - system.lift @ values
-    rhs[system.fixed] = values
-    x, report = solve(system.matrix, rhs, tol, precond)
+    x, report = solve(system.matrix,
+                      _lifted(system.lift, system.fixed, load, values), tol, precond)
     x[system.fixed] = values
     return x, report
 
@@ -381,27 +411,224 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     """
     disc = disc or Discretization(inp.mesh)
     eps = inp.epsilon
-    if eps is None or not (eps > 0.0):
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    _check_epsilons([eps])
+    values = _coupled_values(disc, inp)
+    system = disc.coupled_system(eps)
+    x, report = _solve_fixed(
+        system, _coupled_load(disc, inp, eps), values, tol,
+        lambda: _block_lower(disc, system.matrix, "eps*Kp + Mp", Factor(fem.eliminate(
+            eps * disc.stiff_p + disc.mass_p, disc.pspace.boundary_nodes))))
+    return _coupled_result(disc, x, eps, report)
+
+
+def _check_epsilons(eps_list):
+    for eps in eps_list:
+        if eps is None or not (eps > 0.0):
+            raise ValueError(f"epsilon must be positive, got {eps}")
+
+
+def _coupled_values(disc: Discretization, inp: ProblemInput) -> np.ndarray:
+    """The fixed values of the ES system: both traces, in the order of its
+    fixed dofs; checks the data first."""
     _require_compatible(inp)
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
-    nu, npp = disc.nu, disc.np_
-    system = disc.coupled_system(eps)
-
-    rhs = np.empty(nu + npp)
-    rhs[:nu] = disc.velocity_load(inp.body_force).ravel()
-    rhs[nu:] = eps * disc.pressure_load(inp.body_force)
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     _, p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
-    x, report = _solve_fixed(
-        system, rhs, np.concatenate([u_vals.ravel(), p_vals]), tol,
-        lambda: _block_lower(disc, system.matrix, "eps*Kp + Mp", Factor(fem.eliminate(
-            eps * disc.stiff_p + disc.mass_p, disc.pspace.boundary_nodes))))
+    return np.concatenate([u_vals.ravel(), p_vals])
 
+
+def _coupled_load(disc: Discretization, inp: ProblemInput, eps: float) -> np.ndarray:
+    """The ES load at eps: the velocity load, then eps times the pressure one."""
+    nu = disc.nu
+    load = np.empty(nu + disc.np_)
+    load[:nu] = disc.velocity_load(inp.body_force).ravel()
+    load[nu:] = eps * disc.pressure_load(inp.body_force)
+    return load
+
+
+def _coupled_result(disc: Discretization, x: np.ndarray, eps: float,
+                    report: SolverReport) -> SolveResult:
+    nu = disc.nu
     return SolveResult(u=Field(disc.vspace, x[:nu].reshape(-1, 2)),
                        p=Field(disc.pspace, x[nu:]),
                        problem="ES", epsilon=eps, report=report)
+
+
+def _coupled_residual(disc: Discretization, inp: ProblemInput, eps: float,
+                      x: np.ndarray, values: np.ndarray, tol: float) -> float:
+    """The relative residual of x in the ES system at eps, with the right-hand
+    side solve_es would solve; the system is dumped if x meets tol."""
+    system = disc.coupled_system(eps)
+    res = rel_residual(system.matrix, x, _lifted(
+        system.lift, system.fixed, _coupled_load(disc, inp, eps), values))
+    if res <= tol:
+        dump_solved(system.matrix)
+    return res
+
+
+def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
+                   tol: float = DEFAULT_TOL, pp: SolveResult = None) -> EpsSweep:
+    """Solve ES at each eps of eps_list, by its 1/eps series where it converges.
+
+    Dividing the free pressure rows of ES(eps) by eps gives
+    (M + N/eps) x = b0 + b1/eps.  M = [[A, G], [0, Kp]] is PP's block
+    triangular operator, N holds only the divergence block D, and b1 lifts
+    the velocity trace through D.  So x is the sum over k of x_k / eps^k:
+    x_0, which solves M x_0 = b0, is the PP solution, and M x_k = [0; r_k]
+    for k >= 1, where r_k is the divergence of the velocity of x_(k-1),
+    negated, on the free pressure rows (for k = 1 the velocity trace in x_0
+    brings in b1).  Each term is one Kp solve and one two-column A solve
+    with PP's factors, and the terms serve every eps.  x_0 is pp, solve_pp's
+    result for inp on disc, solved here if not given; so an ES solution
+    minus PP's is its terms k >= 1 up to one rounding.
+
+    The terms x_0 ... x_K leave exactly the residual r_(K+1) / eps^K in the
+    pressure rows of ES(eps), so each eps takes terms until that is
+    _SERIES_AIM * tol of its ||b||, as GMRES aims in sparse.solve.  An eps
+    whose bound, shrinking at the measured term ratio, cannot get there
+    within SERIES_TERMS terms, or whose sum then misses tol in the true
+    residual ||b - ES(eps) x|| / ||b|| (sparse.rel_residual, with the system
+    and right-hand side solve_es would solve), is solved by solve_es.
+    inp.epsilon is not read.  See EpsSweep for the results.
+    """
+    disc = disc or Discretization(inp.mesh)
+    eps_list = list(eps_list)
+    _check_epsilons(eps_list)
+    return EpsSweep(inp, eps_list, disc, tol, pp)
+
+
+class EpsSweep:
+    """The ES solutions of solve_es_sweep and the series terms behind them.
+
+    Iterating yields one SolveResult per eps, in list order.  An eps that
+    the first term x1 already shows out of the series' reach is solved by
+    solve_es when the iteration reaches it, before any running sum exists;
+    the first other eps computes the remaining terms and checks every eps
+    they reach.  The report of a series solution has method "series[Kp, A]",
+    the number of terms as its iterations, the residual bound after each term
+    as its history and the true residual; the first one's wall_time and
+    factor_time include the shared terms.  Inside dump_matrices each series
+    solution dumps the ES system it was checked against.
+
+    term_ratio is ||r_(k+1)|| / ||r_k|| at the last term computed: the eps
+    below which the series diverges.
+    """
+
+    @one_blas_thread()
+    def __init__(self, inp: ProblemInput, eps_list: list, disc: Discretization,
+                 tol: float, pp: SolveResult = None):
+        start = time.perf_counter()
+        self.inp, self.eps_list, self.disc, self.tol = inp, eps_list, disc, tol
+        self.values = _coupled_values(disc, inp)
+        pp = pp or solve_pp(inp, disc, tol)
+        self.fixed = fixed = disc._coupled_unit[0].fixed
+        nu = disc.nu
+        self.fixed_u, self.fixed_p = fixed[fixed < nu], fixed[fixed >= nu] - nu
+        self.bnorms = {eps: max(float(np.linalg.norm(_lifted(
+            disc.coupled_lift(eps), fixed, _coupled_load(disc, inp, eps),
+            self.values))), RESIDUAL_FLOOR) for eps in eps_list}
+        self.x0 = np.concatenate([pp.u.coefficients.ravel(), pp.p.coefficients])
+        self.r = self._divergence(self.x0)
+        self.r_norms = [float(np.linalg.norm(self.r))]
+        self.x1 = self._next_term()
+        self.beyond = {eps for eps in self.bnorms
+                       if self._verdict(eps, 0) is None
+                       and self._verdict(eps, 1) is False}
+        self.solved = None
+        self.start, self.elapsed = start, time.perf_counter() - start
+
+    @property
+    def term_ratio(self) -> float:
+        return self.r_norms[-1] / self.r_norms[-2]
+
+    def __iter__(self) -> Iterator[SolveResult]:
+        for eps in self.eps_list:
+            if self.solved is None and eps not in self.beyond:
+                self.solved = self._solve_series()
+            yield ((self.solved or {}).get(eps)
+                   or solve_es(replace(self.inp, epsilon=eps), self.disc, self.tol))
+
+    def _divergence(self, x: np.ndarray) -> np.ndarray:
+        """The free pressure rows of -B x."""
+        r = -(self.disc.div @ x[:self.disc.nu])
+        r[self.fixed_p] = 0.0
+        return r
+
+    def _next_term(self) -> np.ndarray:
+        """The term x_k with M x_k = [0; r_k]; r becomes r_(k+1)."""
+        disc = self.disc
+        p = disc.pressure_factor.solve(self.r)
+        p[self.fixed_p] = 0.0
+        g = disc.grad @ p
+        g[self.fixed_u] = 0.0
+        u = _solve_velocity(disc.velocity_factor, -g)
+        u[self.fixed_u] = 0.0
+        x = np.concatenate([u, p])
+        self.r = self._divergence(x)
+        self.r_norms.append(float(np.linalg.norm(self.r)))
+        return x
+
+    def _bound(self, eps: float, k: int) -> float:
+        """The relative ES(eps) residual of the terms x_0 ... x_k."""
+        return eps ** -k * self.r_norms[k] / self.bnorms[eps]
+
+    def _verdict(self, eps: float, k: int):
+        """True if the terms x_0 ... x_k solve eps, False if no SERIES_TERMS
+        terms will at the ratio of the last two, None if more may."""
+        aim, bound = _SERIES_AIM * self.tol, self._bound(eps, k)
+        if bound <= aim:
+            return True
+        left = SERIES_TERMS - 1 - k
+        if left == 0 or (k and bound * (self.r_norms[k] / self.r_norms[k - 1]
+                                        / eps) ** left > aim):
+            return False
+        return None
+
+    @one_blas_thread()
+    def _solve_series(self) -> dict:
+        """{eps: SolveResult} for every eps the series solves."""
+        start = time.perf_counter()
+        disc = self.disc
+        open_ = [eps for eps in self.bnorms if eps not in self.beyond]
+        sums = {eps: np.zeros(len(self.x0)) for eps in open_}
+        terms = {}
+        for k in range(SERIES_TERMS):
+            if not open_:
+                break
+            x = self.x0 if k == 0 else self.x1 if k == 1 else self._next_term()
+            for eps in list(open_):
+                sums[eps] += eps ** -k * x
+                verdict = self._verdict(eps, k)
+                if verdict is not None:
+                    open_.remove(eps)
+                    if verdict:
+                        terms[eps] = k + 1
+        self.x0 = self.x1 = None
+
+        kp, a = disc.pressure_factor, disc.velocity_factor
+        lu_nnz, matrix_nnz = kp.nnz + a.nnz, kp.matrix_nnz + a.matrix_nnz
+        shared = self.elapsed + time.perf_counter() - start
+        factor_time = sum(f.factor_time for f in (kp, a) if f.finished >= self.start)
+        solved = {}
+        for eps in self.eps_list:
+            if eps not in terms or eps in solved:
+                continue
+            check = time.perf_counter()
+            x = sums[eps]
+            x[self.fixed] = self.values
+            res = _coupled_residual(disc, self.inp, eps, x, self.values, self.tol)
+            if not res <= self.tol:
+                continue
+            first = not solved
+            solved[eps] = _coupled_result(disc, x, eps, SolverReport(
+                method="series[Kp, A]", rel_residual=res, iterations=terms[eps],
+                wall_time=time.perf_counter() - check + (shared if first else 0.0),
+                ordering=ORDERING, lu_nnz=lu_nnz, fill=lu_nnz / matrix_nnz,
+                factor_time=factor_time if first else 0.0,
+                residual_history=tuple(self._bound(eps, k)
+                                       for k in range(terms[eps]))))
+        return solved
 
 
 def solve_problem(name: str, inp: ProblemInput, disc: Discretization = None,

@@ -44,7 +44,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 DEFAULT_TOL = 1e-10
 RESIDUAL_FLOOR = 1e-300
 _MAX_RESTARTS = 10
-_ORDERING = "MMD_AT_PLUS_A"
+ORDERING = "MMD_AT_PLUS_A"
 # GMRES aims this far below the tolerance, so the solution is as close to a
 # direct solve as round-off allows; only tol itself is enforced.
 _AIM = 1e-4
@@ -153,7 +153,9 @@ class SolverReport:
 
     iterations counts GMRES iterations, 0 when the first step x = M b
     already meets the tolerance (a direct solve); residual_history holds,
-    per iteration, the norm of the preconditioned residual over ||b||.  lu_nnz
+    per iteration, the norm of the preconditioned residual over ||b||.  (A
+    solution of the 1/eps series in drivers reports its terms and, per term,
+    its residual bound instead.)  lu_nnz
     counts the entries SuperLU stores for L and U in every factor the
     preconditioner applies, diagonals included, read without copying the
     factors; fill is lu_nnz over the nnz of the matrices factored; factor_time
@@ -199,7 +201,7 @@ class Factor:
         scaled.sum_duplicates()          # as the sparse product would
         scaled.eliminate_zeros()
         try:
-            self.lu = splu(scaled, permc_spec=_ORDERING,
+            self.lu = splu(scaled, permc_spec=ORDERING,
                            diag_pivot_thresh=1e-3,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
@@ -240,12 +242,26 @@ class Preconditioner(NamedTuple):
 def _direct(a: sps.csr_matrix) -> Preconditioner:
     """The factor of a itself."""
     f = Factor(a)
-    return Preconditioner(f"sparse_lu({_ORDERING.lower()})+row_equilibration",
+    return Preconditioner(f"sparse_lu({ORDERING.lower()})+row_equilibration",
                           f.solve, (f,))
 
 
-def _rel_residual(a, x, b, bnorm):
+def rel_residual(a, x, b, bnorm=None) -> float:
+    """||b - A x|| / ||b||, the residual solve holds to tol; ||b|| is floored
+    at RESIDUAL_FLOOR, and bnorm, if given, is that floored norm."""
+    if bnorm is None:
+        bnorm = max(float(np.linalg.norm(b)), RESIDUAL_FLOOR)
     return float(np.linalg.norm(b - a @ x) / bnorm)
+
+
+def dump_solved(a: sps.csr_matrix) -> None:
+    """Write a as the next solved system of the active dump_matrices block,
+    if there is one.  solve calls it; so does a solver that checks its own
+    solution against a."""
+    sink = _DUMP_SINK.get()
+    if sink is not None:
+        prefix, counter = sink
+        dump_matrix_market(a, f"{prefix}{next(counter):03d}.mtx")
 
 
 @one_blas_thread()
@@ -269,11 +285,7 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: matrix {a.shape}, rhs {b.shape}")
 
-    sink = _DUMP_SINK.get()
-    if sink is not None:
-        prefix, counter = sink
-        dump_matrix_market(a, f"{prefix}{next(counter):03d}.mtx")
-
+    dump_solved(a)
     _release_free_heap()
     start = time.perf_counter()
     pre = _direct(a) if precond is None else precond()
@@ -284,7 +296,7 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution "
                           "(singular matrix)")
-    res = _rel_residual(a, x, b, bnorm)
+    res = rel_residual(a, x, b, bnorm)
     history = []
     m = LinearOperator(a.shape, matvec=pre.apply, dtype=float)
     restarts = 0
@@ -292,14 +304,14 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         x, _ = gmres(a, b, x0=x, rtol=_AIM * tol, atol=0.0, restart=_RESTART,
                      maxiter=1, M=m, callback=history.append,
                      callback_type="pr_norm")
-        res = _rel_residual(a, x, b, bnorm)
+        res = rel_residual(a, x, b, bnorm)
         restarts += 1
     elapsed = time.perf_counter() - start
     lu_nnz = sum(f.nnz for f in pre.factors)
     matrix_nnz = sum(f.matrix_nnz for f in pre.factors)
     report = SolverReport(
         method=f"gmres[{pre.name}]", rel_residual=res,
-        iterations=len(history), wall_time=elapsed, ordering=_ORDERING,
+        iterations=len(history), wall_time=elapsed, ordering=ORDERING,
         lu_nnz=lu_nnz, fill=lu_nnz / matrix_nnz if matrix_nnz else 0.0,
         factor_time=factor_time, residual_history=tuple(history))
     if not res <= tol:

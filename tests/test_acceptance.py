@@ -42,6 +42,18 @@ def test_criterion_1_rate_toward_pressure_poisson(acceptance_report):
     assert c.passed
 
 
+def test_criterion_1_reports_series_crossover(acceptance_report):
+    # the 1/eps series solves the mismatched-trace ES problem above its
+    # measured term ratio, eps = 0.1 ... 1e6, with fewer terms as eps grows
+    c = acceptance_report.criteria[0]
+    assert 0.005 < c.details["series_term_ratio"] < 0.05
+    terms = c.details["series_terms_per_eps"]
+    assert list(terms) == [10.0 ** k for k in range(-1, 7)]
+    counts = list(terms.values())
+    assert counts == sorted(counts, reverse=True) and counts[-1] >= 2
+    assert acceptance_report.criteria[8].details["solve_count"] == 40
+
+
 def test_criterion_2_convergence_toward_stokes(acceptance_report):
     c = _emit(acceptance_report, 2)
     # Mismatched trace, eps = 1 ... 1e-4: the ES velocity and pressure gaps

@@ -9,7 +9,8 @@ from scipy import sparse as sps
 from epsstokes import drivers, sparse
 from epsstokes.drivers import (Discretization, IncompatibleDataError,
                                ProblemInput, check_compatibility, solve_es,
-                               solve_pp, solve_problem, solve_stokes)
+                               solve_es_sweep, solve_pp, solve_problem,
+                               solve_stokes)
 from epsstokes.harness import RunConfig, run_sweep_eps
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.fem import Field
@@ -464,8 +465,13 @@ def test_sweep_factors_velocity_block_once(monkeypatch):
     n_velocity = 17 * 17                  # scalar P2 nodes at n = 8
     assert len(table.rows) == 13 and len(reports) == 15
     assert sizes.count(n_velocity) == 1
-    # besides A: Mp for Stokes, Kp for PP and one eps*Kp + Mp per epsilon
-    assert sizes.count(9 * 9) == 15 and len(sizes) == 16
+    # besides A: Mp for Stokes, Kp for PP and one eps*Kp + Mp per epsilon that
+    # GMRES solves, 1e-6 ... 1e-2; the 1/eps series solves 0.1 ... 1e6 on the
+    # factors A and Kp
+    methods = [r.method for r in reports[2:]]
+    assert all(m.startswith("gmres") for m in methods[:5])
+    assert methods[5:] == ["series[Kp, A]"] * 8
+    assert sizes.count(9 * 9) == 7 and len(sizes) == 8
     assert reports[0].factor_time > 0.0   # Stokes builds A inside its solve
 
 
@@ -586,3 +592,103 @@ def test_dead_mesh_is_freed():
     del mesh, disc, u, w
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# the 1/eps series of solve_es_sweep
+
+SERIES = "series[Kp, A]"
+LARGE_EPS = tuple(10.0 ** k for k in range(-1, 7))
+
+
+def _relative(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+def test_series_matches_gmres_for_large_eps():
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(16)
+    disc = Discretization(mesh)
+    results = list(solve_es_sweep(_inp(mesh, case), LARGE_EPS, disc))
+    assert [r.epsilon for r in results] == list(LARGE_EPS)
+    for res in results:
+        assert res.report.method == SERIES and res.problem == "ES"
+        assert res.report.iterations == len(res.report.residual_history) >= 2
+        assert res.report.rel_residual <= 1e-14
+        ref = solve_es(_inp(mesh, case, eps=res.epsilon), disc)
+        for got, want in ((res.u, ref.u), (res.p, ref.p)):
+            assert _relative(got.coefficients, want.coefficients) <= 1e-12, res.epsilon
+    terms = [r.report.iterations for r in results]
+    assert terms == sorted(terms, reverse=True)    # fewer terms as eps grows
+
+
+def test_series_first_term_is_pp():
+    # at eps = 1e15 the PP solution alone meets the series' aim
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    (res,) = solve_es_sweep(_inp(mesh, case), [1e15], disc)
+    pp = solve_pp(_inp(mesh, case), disc)
+    assert res.report.method == SERIES and res.report.iterations == 1
+    for got, want in ((res.u, pp.u), (res.p, pp.p)):
+        assert _relative(got.coefficients, want.coefficients) <= 1e-14
+
+
+def test_series_falls_back_to_gmres_below_its_radius(monkeypatch):
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    calls = []
+    real = drivers.solve_es
+
+    def counted(inp, disc, tol):
+        calls.append(inp.epsilon)
+        return real(inp, disc, tol)
+
+    monkeypatch.setattr(drivers, "solve_es", counted)
+    sweep = solve_es_sweep(_inp(mesh, case, eps=5.0), [1e-3, 10.0], disc)
+    assert 0.005 < sweep.term_ratio < 0.05
+    small, large = sweep
+    assert calls == [1e-3]                        # inp.epsilon is not read
+    assert small.report.method.startswith("gmres[") and small.epsilon == 1e-3
+    assert small.report.rel_residual <= 1e-10
+    assert large.report.method == SERIES and large.epsilon == 10.0
+
+
+def test_series_term_budget_sends_slow_eps_to_gmres(monkeypatch):
+    # eps = 0.1 needs about a dozen terms; with a budget of three it goes to
+    # GMRES, while eps = 1e6 still takes two
+    monkeypatch.setattr(drivers, "SERIES_TERMS", 3)
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    slow, fast = solve_es_sweep(_inp(mesh, case), [0.1, 1e6], disc)
+    assert slow.report.method.startswith("gmres[")
+    assert fast.report.method == SERIES and fast.report.iterations == 2
+
+
+def test_series_residual_is_the_es_residual():
+    # the reported residual is ||b - ES(eps) x|| / ||b|| of the returned
+    # fields, with the ES system and right-hand side eliminated independently
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    for res in solve_es_sweep(_inp(mesh, case), (0.1, 3.0, 1e4), disc):
+        assert res.report.method == SERIES
+        mat, rhs = apply_dirichlet(*reference_system(
+            "ES", _inp(mesh, case, eps=res.epsilon), disc))
+        x = np.concatenate([res.u.coefficients.ravel(), res.p.coefficients])
+        want = np.linalg.norm(rhs - mat @ x) / np.linalg.norm(rhs)
+        assert res.report.rel_residual == want
+        bounds = res.report.residual_history
+        assert bounds[-1] <= 1e-4 * sparse.DEFAULT_TOL < bounds[-2]
+
+
+def test_series_gap_to_pp_converges_monotonically():
+    # eps * |u_ES - u_PP|_H1 tends to its limit from below; a GMRES solve
+    # carries round-off of about 4e-6 relative at eps = 1e6, which dips it
+    table, reports = run_sweep_eps(RunConfig(case="ms1-mismatch", n=40,
+                                             eps_list=(1e3, 1e4, 1e5, 1e6)))
+    assert [r.method for r in reports[2:]] == [SERIES] * 4
+    scaled = [row.eps * row.err_u_H1_vs_PP for row in table.rows]
+    assert all(b > a for a, b in zip(scaled, scaled[1:])), scaled

@@ -396,6 +396,34 @@ def test_vector_field_kernels_match_components():
         assemble_load(vspace, lambda x, y: np.zeros(np.shape(x) + (3,)))
 
 
+def test_loads_match_row_scatter_bit_for_bit(monkeypatch):
+    # every load scatters its per-cell entries one component at a time; the
+    # sums are those of np.add.at on the (n,) or (n, 2) array, bit for bit
+    mesh = helpers.affine_jittered_mesh(6, 3)
+    vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
+    rng = np.random.default_rng(11)
+    p = Field(pspace, rng.standard_normal(pspace.ndofs))
+
+    def force(x, y):
+        return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)
+
+    def loads():
+        return [assemble_load(vspace, force), assemble_grad_load(pspace, force),
+                assemble_field_grad_load(vspace, p),
+                assemble_load(pspace, lambda x, y: force(x, y)[..., 0])]
+
+    def row_scatter(space, local):
+        out = np.zeros((space.ndofs,) + local.shape[2:])
+        np.add.at(out, space.cells.ravel(), local.reshape((-1,) + local.shape[2:]))
+        return out
+
+    got = loads()
+    monkeypatch.setattr(fem, "_add_cells", row_scatter)
+    for new, ref in zip(got, loads()):
+        assert new.shape == ref.shape and np.array_equal(new, ref)
+    assert [a.ndim for a in got] == [2, 1, 2, 1]
+
+
 def _assert_matches(new, oracle):
     """Entries agree to 1e-14 of the oracle's largest; a stored entry
     missing from the other pattern counts with its full value."""

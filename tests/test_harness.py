@@ -106,10 +106,11 @@ def test_sweep_h_needs_n_list():
 
 
 def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
+    # the 1/eps series diverges at these eps, so GMRES solves both
     out = tmp_path / "partial.csv"
-    cfg = RunConfig(case="ms1", n=4, eps_list=(1.0, 2.0), out=str(out))
-    import epsstokes.harness as hz
-    real = hz.solve_es
+    cfg = RunConfig(case="ms1", n=4, eps_list=(1e-3, 1e-2), out=str(out))
+    import epsstokes.drivers as dr
+    real = dr.solve_es
     calls = {"k": 0}
 
     def explode_on_second(inp, disc, tol):
@@ -118,12 +119,13 @@ def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
             raise SolverError("synthetic failure")
         return real(inp, disc, tol)
 
-    monkeypatch.setattr(hz, "solve_es", explode_on_second)
+    monkeypatch.setattr(dr, "solve_es", explode_on_second)
     with pytest.raises(SolverError):
         run_sweep_eps(cfg)
     text = out.read_text()
     assert text.startswith("eps_stokes_table v1\n")
     assert len(text.splitlines()) == 3   # schema, header, the one finished row
+    assert calls["k"] == 2 and text.splitlines()[2].split(",")[2] == f"{1e-3:.12e}"
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +356,19 @@ def test_cli_dump_matrix(tmp_path):
     assert code == 0
     assert (tmp_path / "mat_000.mtx").exists()
     assert (tmp_path / "mat_001.mtx").exists()
+
+
+def test_cli_sweep_dumps_one_system_per_solve(tmp_path):
+    # S, the three PP solves and one ES system per eps, in eps order: the
+    # 1/eps series dumps the ES system it checked its sum against
+    from scipy.io import mmread
+    prefix = str(tmp_path / "m_")
+    assert main(["sweep-eps", "--case", "ms1-mismatch", "--n", "4",
+                 "--eps", "1e-3,1e6", "--dump-matrix", prefix]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"m_{k:03d}.mtx" for k in range(6)]
+    disc = Discretization(build_structured_mesh(4))
+    for name, eps in (("m_004.mtx", 1e-3), ("m_005.mtx", 1e6)):
+        want = disc.coupled_system(eps).matrix.toarray()
+        got = mmread(str(tmp_path / name)).toarray()
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), eps

@@ -39,10 +39,12 @@ PP makes three scalar solves, each preconditioned by the factor of its own
 matrix: Kp, then A once per velocity component, each component meeting the
 tolerance against its own right-hand side.  Stokes and ES use the block
 lower-triangular preconditioner [[A, 0], [L, S]], where L is the lower-left
-block of the solved matrix and S stands for the Schur complement:
-eps*Kp + Mp for ES, a P1 matrix factored per epsilon, and its eps -> 0
-limit -Mp for Stokes, whose gauge row stays an identity row (Elman, Silvester & Wathen, Finite Elements and
-Fast Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).
+block of the solved matrix, applied as the divergence coupling B (negated
+for Stokes) with the fixed rows and columns masked, and S stands for the
+Schur complement: eps*Kp + Mp for ES, a P1 matrix factored per epsilon,
+and its eps -> 0 limit -Mp for Stokes, whose gauge row stays an identity
+row (Elman, Silvester & Wathen, Finite Elements and Fast Iterative Solvers,
+2014; Mardal & Winther, NLAA 2011).
 
 For large epsilon, ES is PP plus a series in 1/eps: every term is one Kp
 solve and one two-column A solve with PP's factors, and the terms serve a
@@ -172,8 +174,8 @@ class Discretization:
 
     @cached_property
     def grad(self) -> sps.csr_matrix:
-        return fem.assemble_grad_coupling(self.vspace, self.pspace, form="transpose",
-                                          quad=self.quad, div=self.div)
+        return fem.assemble_grad_coupling(self.vspace, self.pspace, self.quad,
+                                          div=self.div)
 
     @cached_property
     def mass_p(self) -> sps.csr_matrix:
@@ -303,16 +305,23 @@ def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
     return factor.solve(r.reshape(-1, 2)).ravel()
 
 
-def _block_lower(disc: Discretization, a, name: str,
-                 schur: Factor) -> Preconditioner:
-    """[[A, 0], [L, S]] with L the lower-left block of a and S factored."""
+def _block_lower(disc: Discretization, system: Eliminated, sign: float,
+                 name: str, schur: Factor) -> Preconditioner:
+    """[[A, 0], [L, S]] with S factored and L the lower-left block of system:
+    sign * D with the fixed rows and columns of system zeroed, applied as
+    disc.div with those entries masked rather than sliced out of system."""
     nu = disc.nu
     vel = disc.velocity_factor
-    lower = a[nu:, :nu]
+    fixed_u = system.fixed[system.fixed < nu]
+    fixed_p = system.fixed[system.fixed >= nu] - nu
 
     def apply(r):
         z = _solve_velocity(vel, r[:nu])
-        return np.concatenate([z, schur.solve(r[nu:] - lower @ z)])
+        free = z.copy()
+        free[fixed_u] = 0.0
+        lz = disc.div @ free
+        lz[fixed_p] = 0.0
+        return np.concatenate([z, schur.solve(r[nu:] - sign * lz)])
 
     return Preconditioner(f"block_lower(A, {name})", apply, (vel, schur))
 
@@ -354,7 +363,7 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     x, report = _solve_fixed(
         system, rhs, np.append(u_vals, 0.0), tol,    # pressure gauge: p dof = 0
-        lambda: _block_lower(disc, system.matrix, "-Mp", disc.mass_factor))
+        lambda: _block_lower(disc, system, -1.0, "-Mp", disc.mass_factor))
 
     p = x[nu:]
     p -= (disc.mean_p @ p) / disc.mean_p.sum()
@@ -416,7 +425,7 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     system = disc.coupled_system(eps)
     x, report = _solve_fixed(
         system, _coupled_load(disc, inp, eps), values, tol,
-        lambda: _block_lower(disc, system.matrix, "eps*Kp + Mp", Factor(fem.eliminate(
+        lambda: _block_lower(disc, system, 1.0, "eps*Kp + Mp", Factor(fem.eliminate(
             eps * disc.stiff_p + disc.mass_p, disc.pspace.boundary_nodes))))
     return _coupled_result(disc, x, eps, report)
 

@@ -319,26 +319,16 @@ def assemble_div_coupling(vspace: Space, pspace: Space,
                     (pspace.ndofs, 2 * vspace.ndofs))
 
 
-def assemble_grad_coupling(vspace: Space, pspace: Space, form: str = "transpose",
+def assemble_grad_coupling(vspace: Space, pspace: Space,
                            quad: QuadratureRule | None = None,
                            div: sps.csr_matrix | None = None) -> sps.csr_matrix:
     """Matrix G with G[udof, q] = integral of grad(psi_q) . phi_udof.
 
-    form="transpose" (default) builds -B^T from the divergence coupling and
-    adds the boundary term of the integration-by-parts identity, so the
-    discrete identity p^T G^T u = -p^T B u holds exactly on interior dofs.
-    div, if given, is that B already assembled on these spaces.
-    form="direct" integrates grad(psi_q).phi_udof by quadrature.
+    Built as -B^T from the divergence coupling plus the boundary term of the
+    integration-by-parts identity, so the discrete identity
+    p^T G^T u = -p^T B u holds exactly on interior dofs.  div, if given, is
+    that B already assembled on these spaces.
     """
-    if form == "direct":
-        local = _value_gradient_local(vspace, pspace, quad or triangle_rule_d5())
-        m, _, nlu, nlp = local.shape
-        local = local.transpose(0, 2, 1, 3).reshape(m, 2 * nlu, nlp)   # row 2a+c
-        return _scatter((vector_dofs(vspace.cells), pspace.cells), local,
-                        (2 * vspace.ndofs, pspace.ndofs))
-    if form != "transpose":
-        raise ValueError(f"unknown form {form!r}")
-
     b = assemble_div_coupling(vspace, pspace, quad) if div is None else div
     out = (_boundary_pressure_flux(vspace, pspace) - b.T).tocsr()
     out.eliminate_zeros()

@@ -157,6 +157,17 @@ def grad_coupling_einsum(vspace, pspace, form, quad):
                         (2 * vspace.ndofs, pspace.ndofs))
 
 
+def grad_coupling_direct(vspace, pspace, quad):
+    """G[udof, q] = integral of grad(psi_q) . phi_udof by quadrature of the
+    reference tensor: the direct form of fem.assemble_grad_coupling, which
+    builds G from the divergence coupling instead."""
+    local = fem._value_gradient_local(vspace, pspace, quad)
+    m, _, nlu, nlp = local.shape
+    local = local.transpose(0, 2, 1, 3).reshape(m, 2 * nlu, nlp)   # row 2a+c
+    return fem._scatter((fem.vector_dofs(vspace.cells), pspace.cells), local,
+                        (2 * vspace.ndofs, pspace.ndofs))
+
+
 def grad_load_einsum(pspace, F, quad):
     xs, ys = quad_points_einsum(pspace.mesh, quad)
     w = fem.quad_weights_physical(pspace.mesh, quad)

@@ -6,7 +6,7 @@ import pytest
 
 from scipy import sparse as sps
 
-from epsstokes import drivers, sparse
+from epsstokes import drivers, fem, sparse
 from epsstokes.drivers import (Discretization, IncompatibleDataError,
                                ProblemInput, check_compatibility, solve_es,
                                solve_es_sweep, solve_pp, solve_problem,
@@ -17,7 +17,7 @@ from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     seminorm_h1, get_case)
-from helpers import (apply_dirichlet, linear_x_minus_half,
+from helpers import (apply_dirichlet, grad_coupling_direct, linear_x_minus_half,
                      loaded_parallelogram_mesh, monolithic_reference,
                      reference_system, stokes_lagrange_reference, unit_x,
                      zero_scalar, zero_vec)
@@ -216,13 +216,11 @@ def test_boundary_values_exact():
 def test_es_solutions_identical_for_both_gradient_couplings():
     # transpose-form and direct-quadrature pressure-gradient blocks give the
     # same discrete solution
-    from epsstokes import fem
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc_t = Discretization(mesh)
     disc_d = Discretization(mesh)
-    disc_d.grad = fem.assemble_grad_coupling(disc_d.vspace, disc_d.pspace,
-                                             form="direct", quad=disc_d.quad)
+    disc_d.grad = grad_coupling_direct(disc_d.vspace, disc_d.pspace, disc_d.quad)
     for eps in (1e-2, 1.0, 1e2):
         rt = solve_es(_inp(mesh, case, eps=eps), disc_t)
         rd = solve_es(_inp(mesh, case, eps=eps), disc_d)
@@ -278,6 +276,43 @@ def test_factor_fill_at_n32():
         assert report.iterations <= most, eps
     # the velocity factor is one scalar P2 matrix shared by both components
     assert disc.velocity_factor.lu.shape[0] == disc.nu // 2
+
+
+def test_stokes_factor_size_at_n32():
+    # the factors of A and -Mp under the structure-based ordering; the
+    # minimum-degree ordering of the FE labels stored 238,542
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(32)
+    report = solve_stokes(_inp(mesh, case), Discretization(mesh)).report
+    assert report.lu_nnz <= 180_000
+
+
+def test_velocity_factor_size_at_n96():
+    # on the structured n = 96 mesh the minimum-degree ordering of the FE
+    # labels, round-off entries included, stored 5,448,838 entries for A
+    disc = Discretization(build_structured_mesh(96))
+    assert disc.velocity_factor.nnz <= 2.5e6
+
+
+@pytest.mark.parametrize("problem", ["S", "ES"])
+def test_block_lower_matches_sliced_block(problem):
+    # the masked divergence applies the lower-left block of the solved
+    # matrix exactly as the block sliced out of it would
+    disc = Discretization(build_structured_mesh(8))
+    nu = disc.nu
+    if problem == "S":
+        system, sign, schur = disc.stokes_system, -1.0, disc.mass_factor
+    else:
+        eps = 1e-3
+        system, sign = disc.coupled_system(eps), 1.0
+        schur = sparse.Factor(fem.eliminate(eps * disc.stiff_p + disc.mass_p,
+                                            disc.pspace.boundary_nodes))
+    pre = drivers._block_lower(disc, system, sign, problem, schur)
+    lower = system.matrix[nu:, :nu]
+    r = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
+    z = disc.velocity_factor.solve(r[:nu].reshape(-1, 2)).ravel()
+    sliced = np.concatenate([z, schur.solve(r[nu:] - lower @ z)])
+    assert np.abs(pre.apply(r) - sliced).max() <= 1e-15 * np.abs(sliced).max()
 
 
 @pytest.mark.parametrize("problem", ["S", "PP", "ES"])
@@ -502,8 +537,7 @@ def test_discretization_assembles_div_coupling_once(monkeypatch):
     assert len(calls) == 1                # B, on first use by S
     solve_es(_inp(mesh, case, eps=1.0), disc)
     assert len(calls) == 1                # G reuses B for its transpose form
-    reference = fem.assemble_grad_coupling(disc.vspace, disc.pspace,
-                                           form="transpose", quad=disc.quad)
+    reference = fem.assemble_grad_coupling(disc.vspace, disc.pspace, disc.quad)
     assert len(calls) == 2                # without div, G assembles its own B
     assert abs(disc.grad - reference).max() == 0.0
 

@@ -264,8 +264,8 @@ def test_grad_coupling_forms_agree_on_interior_dofs():
     mesh = build_structured_mesh(4)
     vspace = Space(mesh, degree=2)
     pspace = Space(mesh, degree=1)
-    g_t = assemble_grad_coupling(vspace, pspace, form="transpose").toarray()
-    g_d = assemble_grad_coupling(vspace, pspace, form="direct").toarray()
+    g_t = assemble_grad_coupling(vspace, pspace).toarray()
+    g_d = helpers.grad_coupling_direct(vspace, pspace, triangle_rule_d5()).toarray()
     interior = np.setdiff1d(np.arange(2 * vspace.ndofs),
                             vector_dofs(vspace.boundary_nodes))
     assert np.abs(g_t[interior] - g_d[interior]).max() <= 1e-12
@@ -439,9 +439,10 @@ def _assert_kernels_match_einsum_oracle(mesh, seed=0):
                         helpers.stiffness_einsum(space, quad))
     _assert_matches(assemble_div_coupling(vspace, pspace, quad),
                     helpers.div_coupling_einsum(vspace, pspace, quad))
-    for form in ("transpose", "direct"):
-        _assert_matches(assemble_grad_coupling(vspace, pspace, form, quad),
-                        helpers.grad_coupling_einsum(vspace, pspace, form, quad))
+    _assert_matches(assemble_grad_coupling(vspace, pspace, quad),
+                    helpers.grad_coupling_einsum(vspace, pspace, "transpose", quad))
+    _assert_matches(helpers.grad_coupling_direct(vspace, pspace, quad),
+                    helpers.grad_coupling_einsum(vspace, pspace, "direct", quad))
 
     def force(x, y):
         return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse as sps
 from scipy.io import mmread
 
@@ -171,6 +172,45 @@ def test_factor_solves_several_right_hand_sides():
     both = sp.Factor(a).solve(rhs)
     assert both.shape == (20, 2)
     assert np.abs(a @ both - rhs).max() <= 1e-12
+
+
+def _labelled_system(n, seed, symmetric_pattern):
+    """A diagonally dominant sparse matrix under a random symmetric
+    relabelling, with a few off-diagonal entries below 1e-14 of their row's
+    largest entry: round-off that Factor drops before ordering."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < 0.15
+    if symmetric_pattern:
+        mask |= mask.T
+    dense = np.where(mask, rng.standard_normal((n, n)), 0.0)
+    np.fill_diagonal(dense, 0.0)
+    diagonal = np.abs(dense).sum(axis=1) + rng.uniform(1.0, 2.0, n)
+    np.fill_diagonal(dense, rng.choice([-1.0, 1.0], n) * diagonal)
+    tiny = rng.integers(0, n, (n, 2))
+    tiny = tiny[tiny[:, 0] != tiny[:, 1]]
+    dense[tiny[:, 0], tiny[:, 1]] = 1e-16 * diagonal[tiny[:, 0]]
+    label = rng.permutation(n)
+    dense = dense[label][:, label]
+    return sps.csr_matrix(dense), dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       symmetric_pattern=st.booleans())
+def test_factor_solve_on_random_labelling_matches_dense(n, seed, symmetric_pattern):
+    a, dense = _labelled_system(n, seed, symmetric_pattern)
+    rng = np.random.default_rng(seed + 1)
+    factor = sp.Factor(a)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        x = factor.solve(rhs)
+        ref = np.linalg.solve(dense, rhs)
+        assert x.shape == rhs.shape
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    b = rng.standard_normal(n)
+    x, report = solve(a, b)
+    assert report.rel_residual <= 1e-10
+    assert np.linalg.norm(b - dense @ x) <= 1e-10 * np.linalg.norm(b)
+    assert report.ordering == sp.ORDERING
 
 
 _BLAS = numpy_blas_threads()

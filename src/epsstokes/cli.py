@@ -88,23 +88,23 @@ def _make_config(args) -> RunConfig:
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
 
-    n_raw = settings.get("n", DEFAULT_N)
-    if isinstance(n_raw, str):
-        n_values = _parse_ints(n_raw)
-    elif isinstance(n_raw, (list, tuple)):
-        n_values = tuple(int(v) for v in n_raw)
-    else:
-        n_values = (int(n_raw),)
-    if not n_values:
-        raise ConfigError("empty n list")
-
-    eps_raw = settings.get("eps", DEFAULT_EPS_GRID)
-    if isinstance(eps_raw, str):
-        eps_values = _parse_floats(eps_raw)
-    else:
-        eps_values = tuple(float(v) for v in eps_raw)
-
     try:
+        n_raw = settings.get("n", DEFAULT_N)
+        if isinstance(n_raw, str):
+            n_values = _parse_ints(n_raw)
+        elif isinstance(n_raw, (list, tuple)):
+            n_values = tuple(int(v) for v in n_raw)
+        else:
+            n_values = (int(n_raw),)
+        if not n_values:
+            raise ConfigError("empty n list")
+
+        eps_raw = settings.get("eps", DEFAULT_EPS_GRID)
+        if isinstance(eps_raw, str):
+            eps_values = _parse_floats(eps_raw)
+        else:
+            eps_values = tuple(float(v) for v in eps_raw)
+
         return RunConfig(
             case=settings.get("case", "ms1"),
             problem=settings.get("problem", "ES"),

@@ -46,12 +46,13 @@ and its eps -> 0 limit -Mp for Stokes, whose gauge row stays an identity
 row (Elman, Silvester & Wathen, Finite Elements and Fast Iterative Solvers,
 2014; Mardal & Winther, NLAA 2011).
 
-For large epsilon, ES is PP plus a series in 1/eps: every term is one Kp
-solve and one two-column A solve with PP's factors, and the terms serve a
-whole list of epsilons (solve_es_sweep).  The series converges for eps
-above the ratio of successive terms, about 0.02 on the unit square; an
-epsilon it cannot reach within SERIES_TERMS terms, or whose sum misses the
-tolerance in the true ES residual, is solved by GMRES as above.
+For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
+computes its terms once, up front, each one Kp solve and one two-column A
+solve with PP's factors, into one running sum per epsilon.  The series
+converges for eps above the ratio of successive terms, about 0.02 on the
+unit square.  Iterating the sweep checks each sum in the true ES residual;
+an epsilon the series cannot reach within SERIES_TERMS terms, or whose sum
+misses the tolerance, is solved by GMRES as above when its turn comes.
 
 Building a Discretization and each driver call run numpy's BLAS on one
 thread (sparse.one_blas_thread), which covers the per-cell matmuls of
@@ -154,10 +155,9 @@ class Discretization:
         self.mesh = mesh
         self.vspace = Space(mesh, degree=2)
         self.pspace = Space(mesh, degree=1)
-        self.quad = fem.triangle_rule_d5()
-        self.stiff_u = fem.assemble_stiffness(self.vspace, self.quad)
-        self.stiff_p = fem.assemble_stiffness(self.pspace, self.quad)
-        self.mean_p = fem.assemble_mass_against_one(self.pspace, self.quad)
+        self.stiff_u = fem.assemble_stiffness(self.vspace)
+        self.stiff_p = fem.assemble_stiffness(self.pspace)
+        self.mean_p = fem.assemble_mass_against_one(self.pspace)
         self._loads = {}
 
     @property
@@ -170,16 +170,15 @@ class Discretization:
 
     @cached_property
     def div(self) -> sps.csr_matrix:
-        return fem.assemble_div_coupling(self.vspace, self.pspace, self.quad)
+        return fem.assemble_div_coupling(self.vspace, self.pspace)
 
     @cached_property
     def grad(self) -> sps.csr_matrix:
-        return fem.assemble_grad_coupling(self.vspace, self.pspace, self.quad,
-                                          div=self.div)
+        return fem.assemble_grad_coupling(self.vspace, self.pspace, div=self.div)
 
     @cached_property
     def mass_p(self) -> sps.csr_matrix:
-        return fem.assemble_mass(self.pspace, self.quad)
+        return fem.assemble_mass(self.pspace)
 
     @cached_property
     def velocity_factor(self) -> Factor:
@@ -260,7 +259,7 @@ class Discretization:
         key = (assemble, body_force)
         vec = self._loads.get(key)
         if vec is None:
-            vec = assemble(space, body_force, self.quad)
+            vec = assemble(space, body_force)
             vec.setflags(write=False)
             self._loads[key] = vec
         return vec
@@ -393,7 +392,7 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     p = Field(disc.pspace, p_coeff)
 
     f = (disc.velocity_load(inp.body_force)
-         - fem.assemble_field_grad_load(disc.vspace, p, disc.quad))
+         - fem.assemble_field_grad_load(disc.vspace, p))
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     u_coeff = np.empty_like(f)
     reports = []
@@ -432,8 +431,8 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
 
 def _check_epsilons(eps_list):
     for eps in eps_list:
-        if eps is None or not (eps > 0.0):
-            raise ValueError(f"epsilon must be positive, got {eps}")
+        if eps is None or not 0.0 < eps < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {eps}")
 
 
 def _coupled_values(disc: Discretization, inp: ProblemInput) -> np.ndarray:
@@ -462,18 +461,6 @@ def _coupled_result(disc: Discretization, x: np.ndarray, eps: float,
     return SolveResult(u=Field(disc.vspace, x[:nu].reshape(-1, 2)),
                        p=Field(disc.pspace, x[nu:]),
                        problem="ES", epsilon=eps, report=report)
-
-
-def _coupled_residual(disc: Discretization, inp: ProblemInput, eps: float,
-                      x: np.ndarray, values: np.ndarray, tol: float) -> float:
-    """The relative residual of x in the ES system at eps, with the right-hand
-    side solve_es would solve; the system is dumped if x meets tol."""
-    system = disc.coupled_system(eps)
-    res = rel_residual(system.matrix, x, _lifted(
-        system.lift, system.fixed, _coupled_load(disc, inp, eps), values))
-    if res <= tol:
-        dump_solved(system.matrix)
-    return res
 
 
 def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
@@ -510,13 +497,18 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
 class EpsSweep:
     """The ES solutions of solve_es_sweep and the series terms behind them.
 
-    Iterating yields one SolveResult per eps, in list order.  An eps that
-    the first term x1 already shows out of the series' reach is solved by
-    solve_es when the iteration reaches it, before any running sum exists;
-    the first other eps computes the remaining terms and checks every eps
-    they reach.  The report of a series solution has method "series[Kp, A]",
-    the number of terms as its iterations, the residual bound after each term
-    as its history and the true residual; the first one's wall_time and
+    Construction computes the terms, x_0 and x_1 always and then one more
+    while any eps still needs it, and adds each into one running sum per
+    eps.  An eps leaves the series once its residual bound meets the aim,
+    or once the ratio of the last two terms shows that SERIES_TERMS terms
+    will not; in the second case its sum is dropped.
+
+    Iterating yields one SolveResult per eps, in list order: the sum of an
+    eps the series solved, once it meets tol in the true residual, and
+    otherwise solve_es's solution, solved when the iteration reaches it.
+    The report of a series solution has method "series[Kp, A]", the number
+    of terms as its iterations, the residual bound after each term as its
+    history and the true residual; the first one's wall_time and
     factor_time include the shared terms.  Inside dump_matrices each series
     solution dumps the ES system it was checked against.
 
@@ -531,113 +523,84 @@ class EpsSweep:
         self.inp, self.eps_list, self.disc, self.tol = inp, eps_list, disc, tol
         self.values = _coupled_values(disc, inp)
         pp = pp or solve_pp(inp, disc, tol)
-        self.fixed = fixed = disc._coupled_unit[0].fixed
-        nu = disc.nu
-        self.fixed_u, self.fixed_p = fixed[fixed < nu], fixed[fixed >= nu] - nu
-        self.bnorms = {eps: max(float(np.linalg.norm(_lifted(
+        nu, fixed = disc.nu, disc._coupled_unit[0].fixed
+        fixed_u, fixed_p = fixed[fixed < nu], fixed[fixed >= nu] - nu
+        bnorms = {eps: max(float(np.linalg.norm(_lifted(
             disc.coupled_lift(eps), fixed, _coupled_load(disc, inp, eps),
             self.values))), RESIDUAL_FLOOR) for eps in eps_list}
-        self.x0 = np.concatenate([pp.u.coefficients.ravel(), pp.p.coefficients])
-        self.r = self._divergence(self.x0)
-        self.r_norms = [float(np.linalg.norm(self.r))]
-        self.x1 = self._next_term()
-        self.beyond = {eps for eps in self.bnorms
-                       if self._verdict(eps, 0) is None
-                       and self._verdict(eps, 1) is False}
-        self.solved = None
-        self.start, self.elapsed = start, time.perf_counter() - start
+
+        def divergence(x):
+            """The free pressure rows of -B x."""
+            r = -(disc.div @ x[:nu])
+            r[fixed_p] = 0.0
+            return r
+
+        x = np.concatenate([pp.u.coefficients.ravel(), pp.p.coefficients])
+        r = divergence(x)
+        self.r_norms = [float(np.linalg.norm(r))]
+        open_ = {eps: (np.zeros(len(x)), []) for eps in bnorms}
+        self.series = {}        # eps: (sum of its terms, bound after each)
+        aim = _SERIES_AIM * tol
+        for k in range(SERIES_TERMS):
+            if k > 1 and not open_:
+                break
+            if k:               # x_k with M x_k = [0; r_k]; r becomes r_(k+1)
+                p = disc.pressure_factor.solve(r)
+                p[fixed_p] = 0.0
+                g = disc.grad @ p
+                g[fixed_u] = 0.0
+                u = _solve_velocity(disc.velocity_factor, -g)
+                u[fixed_u] = 0.0
+                x = np.concatenate([u, p])
+                r = divergence(x)
+                self.r_norms.append(float(np.linalg.norm(r)))
+            left = SERIES_TERMS - 1 - k
+            for eps, (total, bounds) in list(open_.items()):
+                total += eps ** -k * x
+                bound = eps ** -k * self.r_norms[k] / bnorms[eps]
+                bounds.append(bound)
+                if bound <= aim:
+                    self.series[eps] = open_.pop(eps)
+                elif left == 0 or (k and bound * (self.term_ratio / eps) ** left > aim):
+                    del open_[eps]
+        self.factors = disc.pressure_factor, disc.velocity_factor
+        self.factor_time = sum(f.factor_time for f in self.factors if f.finished >= start)
+        self.elapsed = time.perf_counter() - start
 
     @property
     def term_ratio(self) -> float:
         return self.r_norms[-1] / self.r_norms[-2]
 
     def __iter__(self) -> Iterator[SolveResult]:
+        first = True
         for eps in self.eps_list:
-            if self.solved is None and eps not in self.beyond:
-                self.solved = self._solve_series()
-            yield ((self.solved or {}).get(eps)
-                   or solve_es(replace(self.inp, epsilon=eps), self.disc, self.tol))
-
-    def _divergence(self, x: np.ndarray) -> np.ndarray:
-        """The free pressure rows of -B x."""
-        r = -(self.disc.div @ x[:self.disc.nu])
-        r[self.fixed_p] = 0.0
-        return r
-
-    def _next_term(self) -> np.ndarray:
-        """The term x_k with M x_k = [0; r_k]; r becomes r_(k+1)."""
-        disc = self.disc
-        p = disc.pressure_factor.solve(self.r)
-        p[self.fixed_p] = 0.0
-        g = disc.grad @ p
-        g[self.fixed_u] = 0.0
-        u = _solve_velocity(disc.velocity_factor, -g)
-        u[self.fixed_u] = 0.0
-        x = np.concatenate([u, p])
-        self.r = self._divergence(x)
-        self.r_norms.append(float(np.linalg.norm(self.r)))
-        return x
-
-    def _bound(self, eps: float, k: int) -> float:
-        """The relative ES(eps) residual of the terms x_0 ... x_k."""
-        return eps ** -k * self.r_norms[k] / self.bnorms[eps]
-
-    def _verdict(self, eps: float, k: int):
-        """True if the terms x_0 ... x_k solve eps, False if no SERIES_TERMS
-        terms will at the ratio of the last two, None if more may."""
-        aim, bound = _SERIES_AIM * self.tol, self._bound(eps, k)
-        if bound <= aim:
-            return True
-        left = SERIES_TERMS - 1 - k
-        if left == 0 or (k and bound * (self.r_norms[k] / self.r_norms[k - 1]
-                                        / eps) ** left > aim):
-            return False
-        return None
+            res = self._checked(eps, first)
+            first = first and res is None
+            yield res or solve_es(replace(self.inp, epsilon=eps), self.disc, self.tol)
 
     @one_blas_thread()
-    def _solve_series(self) -> dict:
-        """{eps: SolveResult} for every eps the series solves."""
-        start = time.perf_counter()
-        disc = self.disc
-        open_ = [eps for eps in self.bnorms if eps not in self.beyond]
-        sums = {eps: np.zeros(len(self.x0)) for eps in open_}
-        terms = {}
-        for k in range(SERIES_TERMS):
-            if not open_:
-                break
-            x = self.x0 if k == 0 else self.x1 if k == 1 else self._next_term()
-            for eps in list(open_):
-                sums[eps] += eps ** -k * x
-                verdict = self._verdict(eps, k)
-                if verdict is not None:
-                    open_.remove(eps)
-                    if verdict:
-                        terms[eps] = k + 1
-        self.x0 = self.x1 = None
-
-        kp, a = disc.pressure_factor, disc.velocity_factor
-        lu_nnz, matrix_nnz = kp.nnz + a.nnz, kp.matrix_nnz + a.matrix_nnz
-        shared = self.elapsed + time.perf_counter() - start
-        factor_time = sum(f.factor_time for f in (kp, a) if f.finished >= self.start)
-        solved = {}
-        for eps in self.eps_list:
-            if eps not in terms or eps in solved:
-                continue
-            check = time.perf_counter()
-            x = sums[eps]
-            x[self.fixed] = self.values
-            res = _coupled_residual(disc, self.inp, eps, x, self.values, self.tol)
-            if not res <= self.tol:
-                continue
-            first = not solved
-            solved[eps] = _coupled_result(disc, x, eps, SolverReport(
-                method="series[Kp, A]", rel_residual=res, iterations=terms[eps],
-                wall_time=time.perf_counter() - check + (shared if first else 0.0),
-                ordering=ORDERING, lu_nnz=lu_nnz, fill=lu_nnz / matrix_nnz,
-                factor_time=factor_time if first else 0.0,
-                residual_history=tuple(self._bound(eps, k)
-                                       for k in range(terms[eps]))))
-        return solved
+    def _checked(self, eps: float, first: bool):
+        """The series SolveResult of eps if the series solved eps and its sum
+        meets tol in the ES residual, whose system it dumps; else None."""
+        if eps not in self.series:
+            return None
+        check = time.perf_counter()
+        disc, (x, bounds) = self.disc, self.series[eps]
+        system = disc.coupled_system(eps)
+        x[system.fixed] = self.values
+        res = rel_residual(system.matrix, x, _lifted(
+            system.lift, system.fixed, _coupled_load(disc, self.inp, eps), self.values))
+        if not res <= self.tol:
+            return None
+        dump_solved(system.matrix)
+        lu_nnz = sum(f.nnz for f in self.factors)
+        fill = lu_nnz / sum(f.matrix_nnz for f in self.factors)
+        return _coupled_result(disc, x, eps, SolverReport(
+            method="series[Kp, A]", rel_residual=res, iterations=len(bounds),
+            wall_time=time.perf_counter() - check + (self.elapsed if first else 0.0),
+            ordering=ORDERING, lu_nnz=lu_nnz, fill=fill,
+            factor_time=self.factor_time if first else 0.0,
+            residual_history=tuple(bounds)))
 
 
 def solve_problem(name: str, inp: ProblemInput, disc: Discretization = None,

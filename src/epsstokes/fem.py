@@ -244,13 +244,13 @@ def _scatter(dofs: np.ndarray, local: np.ndarray, shape) -> sps.csr_matrix:
     return mat
 
 
-def assemble_stiffness(space: Space, quad: QuadratureRule | None = None) -> sps.csr_matrix:
+def assemble_stiffness(space: Space) -> sps.csr_matrix:
     """Gradient-gradient form: entries integral of grad(phi_i) . grad(phi_j).
 
     Symmetric positive semidefinite; constants span the kernel before
     boundary conditions are applied.
     """
-    quad = quad or triangle_rule_d5()
+    quad = triangle_rule_d5()
     _, inv, det = space.mesh.geometry
     dref = shape_gradients(space.degree, quad.ref_points())      # (Q, nloc, 2)
     # ref[a, b, i, j] = sum_q w_q d_a(phi_i) d_b(phi_j)
@@ -269,12 +269,12 @@ def vector_block(scalar: sps.csr_matrix) -> sps.csr_matrix:
     return sps.kron(scalar, sps.identity(2), format="csr")
 
 
-def assemble_mass(space: Space, quad: QuadratureRule | None = None) -> sps.csr_matrix:
+def assemble_mass(space: Space) -> sps.csr_matrix:
     """Mass matrix: entries integral of phi_i * phi_j.
 
     Symmetric positive definite.
     """
-    quad = quad or triangle_rule_d5()
+    quad = triangle_rule_d5()
     _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
     local = det[:, None, None] * ((quad.weights * vals.T) @ vals)
@@ -282,19 +282,19 @@ def assemble_mass(space: Space, quad: QuadratureRule | None = None) -> sps.csr_m
     return (0.5 * (out + out.T)).tocsr()
 
 
-def assemble_mass_against_one(space: Space, quad: QuadratureRule | None = None) -> np.ndarray:
+def assemble_mass_against_one(space: Space) -> np.ndarray:
     """Vector of integrals of each basis function."""
-    quad = quad or triangle_rule_d5()
+    quad = triangle_rule_d5()
     _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
     return _add_cells(space, np.outer(det, quad.weights @ vals))
 
 
-def _value_gradient_local(val_space: Space, grad_space: Space,
-                          quad: QuadratureRule) -> np.ndarray:
+def _value_gradient_local(val_space: Space, grad_space: Space) -> np.ndarray:
     """(M, 2, nv, ng) integrals of phi_j * d(chi_a)/dx_c over each triangle,
     indexed [m, c, j, a], for the values phi of val_space and the
     gradients chi of grad_space."""
+    quad = triangle_rule_d5()
     _, inv, det = val_space.mesh.geometry
     pts = quad.ref_points()
     vals = shape_values(val_space.degree, pts)                  # (Q, nv)
@@ -306,13 +306,12 @@ def _value_gradient_local(val_space: Space, grad_space: Space,
     return (geo @ ref.reshape(2, nv * ng)).reshape(-1, 2, nv, ng)
 
 
-def assemble_div_coupling(vspace: Space, pspace: Space,
-                          quad: QuadratureRule | None = None) -> sps.csr_matrix:
+def assemble_div_coupling(vspace: Space, pspace: Space) -> sps.csr_matrix:
     """Matrix B with B[q, udof] = integral of div(phi_udof) * psi_q, for the
     vector dofs of vspace (vector_dofs)."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces must share a mesh")
-    local = _value_gradient_local(pspace, vspace, quad or triangle_rule_d5())
+    local = _value_gradient_local(pspace, vspace)
     m, _, nlp, nlu = local.shape
     local = local.transpose(0, 2, 3, 1).reshape(m, nlp, 2 * nlu)   # col 2a+c
     return _scatter((pspace.cells, vector_dofs(vspace.cells)), local,
@@ -320,7 +319,6 @@ def assemble_div_coupling(vspace: Space, pspace: Space,
 
 
 def assemble_grad_coupling(vspace: Space, pspace: Space,
-                           quad: QuadratureRule | None = None,
                            div: sps.csr_matrix | None = None) -> sps.csr_matrix:
     """Matrix G with G[udof, q] = integral of grad(psi_q) . phi_udof.
 
@@ -329,7 +327,7 @@ def assemble_grad_coupling(vspace: Space, pspace: Space,
     p^T G^T u = -p^T B u holds exactly on interior dofs.  div, if given, is
     that B already assembled on these spaces.
     """
-    b = assemble_div_coupling(vspace, pspace, quad) if div is None else div
+    b = assemble_div_coupling(vspace, pspace) if div is None else div
     out = (_boundary_pressure_flux(vspace, pspace) - b.T).tocsr()
     out.eliminate_zeros()
     return out
@@ -357,14 +355,13 @@ def _boundary_pressure_flux(vspace: Space, pspace: Space) -> sps.csr_matrix:
     return mat
 
 
-def assemble_load(space: Space, f, quad: QuadratureRule | None = None) -> np.ndarray:
+def assemble_load(space: Space, f) -> np.ndarray:
     """Load vector with entries integral of f . phi_i by quadrature.
 
     f maps coordinate arrays (x, y) to scalar values, giving (ndofs,), or to
     vectors with a trailing axis of length 2, giving one (x, y) row per node.
     """
-    quad = quad or triangle_rule_d5()
-    _require_load_quad(space, quad)
+    quad = triangle_rule_d5()
     xs, ys = quad_points_physical(space.mesh, quad)
     w = quad_weights_physical(space.mesh, quad)
     vals = shape_values(space.degree, quad.ref_points())
@@ -391,14 +388,13 @@ def _add_cells(space: Space, local: np.ndarray) -> np.ndarray:
     return out.reshape((space.ndofs,) + local.shape[2:])
 
 
-def assemble_grad_load(pspace: Space, F, quad: QuadratureRule | None = None) -> np.ndarray:
+def assemble_grad_load(pspace: Space, F) -> np.ndarray:
     """Load vector with entries integral of F . grad(psi_q).
 
     The weighted F values meet each cell's inverse Jacobian first, then the
     reference shape gradients: the adjoint of eval_grad_at_quad.
     """
-    quad = quad or triangle_rule_d5()
-    _require_load_quad(pspace, quad)
+    quad = triangle_rule_d5()
     xs, ys = quad_points_physical(pspace.mesh, quad)
     w = quad_weights_physical(pspace.mesh, quad)
     fv = np.asarray(F(xs, ys), dtype=float)
@@ -411,22 +407,15 @@ def assemble_grad_load(pspace: Space, F, quad: QuadratureRule | None = None) -> 
     return _add_cells(pspace, ref.reshape(len(ref), -1) @ table)
 
 
-def assemble_field_grad_load(vspace: Space, p_field: Field,
-                             quad: QuadratureRule | None = None) -> np.ndarray:
+def assemble_field_grad_load(vspace: Space, p_field: Field) -> np.ndarray:
     """Entries integral of grad(p_h) . phi_i, one (x, y) row per node of
     vspace, with grad(p_h) taken directly from the coefficients at
     quadrature points (no re-projection)."""
-    quad = quad or triangle_rule_d5()
+    quad = triangle_rule_d5()
     w = quad_weights_physical(vspace.mesh, quad)
     gp = eval_grad_at_quad(p_field, quad)                      # (M,Q,2)
     vals = shape_values(vspace.degree, quad.ref_points())
     return _add_cells(vspace, vals.T @ (w[..., None] * gp))    # (M, nloc, 2)
-
-
-def _require_load_quad(space: Space, quad: QuadratureRule):
-    if quad.degree < space.degree + 2:
-        raise ValueError(
-            f"quadrature degree {quad.degree} too low for degree-{space.degree} loads")
 
 
 def interpolate_boundary(space: Space, g):

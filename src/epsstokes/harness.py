@@ -18,7 +18,7 @@ from . import fem, verification as ver
 from .drivers import (PROBLEMS, Discretization, ProblemInput, SolveResult,
                       solve_es_sweep, solve_pp, solve_problem, solve_stokes)
 from .mesh import Mesh, build_structured_mesh
-from .sparse import DEFAULT_TOL
+from .sparse import DEFAULT_TOL, TOL_FLOOR
 from .verification import ErrorRow, ErrorTable, ManufacturedCase
 
 DEFAULT_N = 32
@@ -57,11 +57,13 @@ class RunConfig:
         if any(m < 2 for m in self.n_list):
             raise ConfigError(f"all n values must be >= 2, got {self.n_list}")
         eps = [float(e) for e in self.eps_list]
-        if any(e <= 0.0 for e in eps):
-            raise ConfigError(f"epsilon values must be positive, got {eps}")
+        if not all(0.0 < e < np.inf for e in eps):
+            raise ConfigError(f"epsilon values must be positive and finite, got {eps}")
         self.eps_list = tuple(sorted(set(eps)))
-        if self.delta is not None and self.delta < 0.0:
-            raise ConfigError(f"delta must be >= 0, got {self.delta}")
+        if self.delta is not None and not 0.0 <= self.delta < np.inf:
+            raise ConfigError(f"delta must be >= 0 and finite, got {self.delta}")
+        if not TOL_FLOOR <= self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and >= {TOL_FLOOR:g}, got {self.tol}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
 

@@ -56,6 +56,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 DEFAULT_TOL = 1e-10
+TOL_FLOOR = 1e-14      # the smallest tolerance solve accepts
 RESIDUAL_FLOOR = 1e-300
 _MAX_RESTARTS = 10
 ORDERING = "rcm+mmd_at_plus_a"     # the ordering a factor runs, as reported
@@ -330,8 +331,8 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
-    if tol < 1e-14:
-        raise ValueError(f"tolerance {tol} below supported floor 1e-14")
+    if not tol >= TOL_FLOOR:
+        raise ValueError(f"tolerance must be >= the floor {TOL_FLOOR:g}, got {tol}")
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: matrix {a.shape}, rhs {b.shape}")

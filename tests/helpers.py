@@ -157,11 +157,11 @@ def grad_coupling_einsum(vspace, pspace, form, quad):
                         (2 * vspace.ndofs, pspace.ndofs))
 
 
-def grad_coupling_direct(vspace, pspace, quad):
+def grad_coupling_direct(vspace, pspace):
     """G[udof, q] = integral of grad(psi_q) . phi_udof by quadrature of the
     reference tensor: the direct form of fem.assemble_grad_coupling, which
     builds G from the divergence coupling instead."""
-    local = fem._value_gradient_local(vspace, pspace, quad)
+    local = fem._value_gradient_local(vspace, pspace)
     m, _, nlu, nlp = local.shape
     local = local.transpose(0, 2, 1, 3).reshape(m, 2 * nlu, nlp)   # row 2a+c
     return fem._scatter((fem.vector_dofs(vspace.cells), pspace.cells), local,
@@ -227,13 +227,13 @@ def apply_dirichlet(a, b, bdofs, bvals):
 def vector_stiffness(disc):
     """kron(K, I2) on disc's interleaved velocity dofs, assembled afresh:
     a Discretization keeps only the scalar K."""
-    return sps.kron(fem.assemble_stiffness(disc.vspace, disc.quad),
-                    sps.identity(2), format="csr")
+    return sps.kron(fem.assemble_stiffness(disc.vspace), sps.identity(2),
+                    format="csr")
 
 
 def velocity_load(disc, body_force):
     """The velocity load vector in the interleaved layout of the systems."""
-    return fem.assemble_load(disc.vspace, body_force, disc.quad).ravel()
+    return fem.assemble_load(disc.vspace, body_force).ravel()
 
 
 def velocity_boundary(disc, u_bc):
@@ -279,10 +279,10 @@ def reference_system(stage, inp, disc, p=None):
         return (system, np.concatenate([f, np.zeros(disc.np_)]),
                 np.append(u_bdofs, nu), np.append(u_bvals, 0.0))
     if stage == "PP-u":
-        f = f - fem.assemble_field_grad_load(disc.vspace, Field(disc.pspace, p),
-                                             disc.quad).ravel()
+        f = f - fem.assemble_field_grad_load(disc.vspace,
+                                             Field(disc.pspace, p)).ravel()
         return vector_stiffness(disc), f, u_bdofs, u_bvals
-    g = fem.assemble_grad_load(disc.pspace, inp.body_force, disc.quad)
+    g = fem.assemble_grad_load(disc.pspace, inp.body_force)
     p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     if stage == "PP-p":
         return disc.stiff_p, g, p_bdofs, p_bvals

@@ -11,7 +11,7 @@ from epsstokes.drivers import (Discretization, IncompatibleDataError,
                                ProblemInput, check_compatibility, solve_es,
                                solve_es_sweep, solve_pp, solve_problem,
                                solve_stokes)
-from epsstokes.harness import RunConfig, run_sweep_eps
+from epsstokes.harness import DEFAULT_EPS_GRID, RunConfig, run_sweep_eps
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
@@ -102,6 +102,8 @@ def test_es_rejects_bad_epsilon():
     inp.epsilon = None
     with pytest.raises(ValueError, match="epsilon"):
         solve_es(inp)
+    with pytest.raises(ValueError, match="epsilon"):
+        solve_es_sweep(inp, [1.0, np.inf])
 
 
 def test_stokes_pressure_mean_is_zero():
@@ -220,7 +222,7 @@ def test_es_solutions_identical_for_both_gradient_couplings():
     mesh = build_structured_mesh(8)
     disc_t = Discretization(mesh)
     disc_d = Discretization(mesh)
-    disc_d.grad = grad_coupling_direct(disc_d.vspace, disc_d.pspace, disc_d.quad)
+    disc_d.grad = grad_coupling_direct(disc_d.vspace, disc_d.pspace)
     for eps in (1e-2, 1.0, 1e2):
         rt = solve_es(_inp(mesh, case, eps=eps), disc_t)
         rd = solve_es(_inp(mesh, case, eps=eps), disc_d)
@@ -537,7 +539,7 @@ def test_discretization_assembles_div_coupling_once(monkeypatch):
     assert len(calls) == 1                # B, on first use by S
     solve_es(_inp(mesh, case, eps=1.0), disc)
     assert len(calls) == 1                # G reuses B for its transpose form
-    reference = fem.assemble_grad_coupling(disc.vspace, disc.pspace, disc.quad)
+    reference = fem.assemble_grad_coupling(disc.vspace, disc.pspace)
     assert len(calls) == 2                # without div, G assembles its own B
     assert abs(disc.grad - reference).max() == 0.0
 
@@ -726,3 +728,29 @@ def test_series_gap_to_pp_converges_monotonically():
     assert [r.method for r in reports[2:]] == [SERIES] * 4
     scaled = [row.eps * row.err_u_H1_vs_PP for row in table.rows]
     assert all(b > a for a, b in zip(scaled, scaled[1:])), scaled
+
+
+@pytest.mark.parametrize("n, eps_list, kp_solves, iterations", [
+    (40, DEFAULT_EPS_GRID, 12, [22, 22, 20, 16, 11, 13, 6, 5, 4, 3, 3, 2, 2]),
+    (16, DEFAULT_EPS_GRID, 13, [18, 18, 17, 15, 11, 14, 7, 5, 4, 3, 3, 2, 2]),
+    (16, (0.05,), 4, [8]),
+])
+def test_series_term_count_and_iterations(n, eps_list, kp_solves, iterations):
+    # the series makes one Kp solve per term after x_0, up to the term at
+    # which its last eps left it; each eps reports its series terms or its
+    # GMRES iterations
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(n)
+    disc = Discretization(mesh)
+    pp = solve_pp(_inp(mesh, case), disc)
+    factor, calls = disc.pressure_factor, []
+    real = factor.solve
+
+    def counted(r):
+        calls.append(len(r))
+        return real(r)
+
+    factor.solve = counted
+    results = list(solve_es_sweep(_inp(mesh, case), eps_list, disc, pp=pp))
+    assert len(calls) == kp_solves
+    assert [r.report.iterations for r in results] == iterations

@@ -202,14 +202,6 @@ def test_grad_load_symbolic_oracle_on_reference_triangle():
     assert np.abs(vec - np.array([-1 / 3, 1 / 6, 1 / 6])).max() <= 1e-14
 
 
-def test_load_quadrature_degree_precondition():
-    space = Space(build_structured_mesh(2), degree=2)
-    weak_rule = fem.QuadratureRule(points=np.array([[1 / 3, 1 / 3, 1 / 3]]),
-                                   weights=np.array([0.5]), degree=1)
-    with pytest.raises(ValueError, match="too low"):
-        assemble_load(space, lambda x, y: x, weak_rule)
-
-
 def test_interpolate_boundary_scalar():
     mesh = build_structured_mesh(2)
     space = Space(mesh, degree=1)
@@ -265,7 +257,7 @@ def test_grad_coupling_forms_agree_on_interior_dofs():
     vspace = Space(mesh, degree=2)
     pspace = Space(mesh, degree=1)
     g_t = assemble_grad_coupling(vspace, pspace).toarray()
-    g_d = helpers.grad_coupling_direct(vspace, pspace, triangle_rule_d5()).toarray()
+    g_d = helpers.grad_coupling_direct(vspace, pspace).toarray()
     interior = np.setdiff1d(np.arange(2 * vspace.ndofs),
                             vector_dofs(vspace.boundary_nodes))
     assert np.abs(g_t[interior] - g_d[interior]).max() <= 1e-12
@@ -435,22 +427,22 @@ def _assert_kernels_match_einsum_oracle(mesh, seed=0):
     quad = triangle_rule_d5()
     vspace, pspace = Space(mesh, 2), Space(mesh, 1)
     for space in (pspace, vspace):
-        _assert_matches(assemble_stiffness(space, quad),
+        _assert_matches(assemble_stiffness(space),
                         helpers.stiffness_einsum(space, quad))
-    _assert_matches(assemble_div_coupling(vspace, pspace, quad),
+    _assert_matches(assemble_div_coupling(vspace, pspace),
                     helpers.div_coupling_einsum(vspace, pspace, quad))
-    _assert_matches(assemble_grad_coupling(vspace, pspace, quad),
+    _assert_matches(assemble_grad_coupling(vspace, pspace),
                     helpers.grad_coupling_einsum(vspace, pspace, "transpose", quad))
-    _assert_matches(helpers.grad_coupling_direct(vspace, pspace, quad),
+    _assert_matches(helpers.grad_coupling_direct(vspace, pspace),
                     helpers.grad_coupling_einsum(vspace, pspace, "direct", quad))
 
     def force(x, y):
         return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)
 
-    _assert_matches(assemble_grad_load(pspace, force, quad),
+    _assert_matches(assemble_grad_load(pspace, force),
                     helpers.grad_load_einsum(pspace, force, quad))
     p = Field(pspace, np.random.default_rng(seed).standard_normal(pspace.ndofs))
-    _assert_matches(assemble_field_grad_load(vspace, p, quad),
+    _assert_matches(assemble_field_grad_load(vspace, p),
                     helpers.field_grad_load_einsum(vspace, p, quad))
     for new, oracle in zip(fem.quad_points_physical(mesh, quad),
                            helpers.quad_points_einsum(mesh, quad)):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +374,22 @@ def test_cli_sweep_dumps_one_system_per_solve(tmp_path):
         want = disc.coupled_system(eps).matrix.toarray()
         got = mmread(str(tmp_path / name)).toarray()
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), eps
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--delta", "nan"), ("--delta", "inf"),
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"),
+    ("--tol", "1e-20"), ("--eps", "abc"), ("--n", "4.5"),
+])
+def test_cli_bad_number_exits_2(flag, value, capsys):
+    assert main(["sweep-eps", "--case", "ms1-mismatch", "--n", "4",
+                 flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "gmres[" in out and "series[Kp, A]" in out

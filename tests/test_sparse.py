@@ -78,6 +78,8 @@ def test_solve_rejects_singular_factorization():
 def test_solve_rejects_too_tight_tolerance():
     with pytest.raises(ValueError, match="floor"):
         solve(sps.identity(2, format="csr"), np.ones(2), tol=1e-15)
+    with pytest.raises(ValueError, match="floor"):
+        solve(sps.identity(2, format="csr"), np.ones(2), tol=np.nan)
 
 
 def test_conditioning_robustness_gate():

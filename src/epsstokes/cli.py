@@ -14,11 +14,9 @@ import sys
 
 from . import sparse
 from .drivers import Discretization, IncompatibleDataError, solve_problem
-from .harness import (DEFAULT_EPS_GRID, DEFAULT_N, ConfigError, RunConfig,
-                      export_vtk, problem_input, run_acceptance, run_sweep_eps,
-                      run_sweep_h)
+from .harness import (ConfigError, RunConfig, export_vtk, problem_input,
+                      run_acceptance, run_sweep_eps, run_sweep_h)
 from .mesh import MeshError, build_structured_mesh
-from .sparse import DEFAULT_TOL, SolverError
 from . import verification as ver
 
 EXIT_OK = 0
@@ -26,17 +24,32 @@ EXIT_CRITERION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-# The keys of a --config file; each is also a flag.
-CONFIG_KEYS = ("case", "problem", "n", "eps", "delta", "tol", "out", "format",
-               "dump_matrix")
-
-
-def _parse_floats(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_ints(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+COMMANDS = (
+    ("solve", "run one problem and print a summary"),
+    ("sweep-eps", "epsilon sweep against fixed references"),
+    ("sweep-h", "mesh-refinement sweep with fitted rates"),
+    ("verify", "run the acceptance suite"),
+    ("export-vtk", "solve and write a VTK file"),
+)
+# Every subcommand's flags as (key, help); the flag is --key, dashes for _.
+FLAGS = (
+    ("config", "JSON file presetting any other flag"),
+    ("case", f"manufactured case name (default {RunConfig.case})"),
+    ("problem", f"S, PP, ES or all (default {RunConfig.problem})"),
+    ("n", "mesh subdivisions; list for sweep-h, e.g. 8,16,32"),
+    ("eps", "comma-separated epsilon list"),
+    ("delta", "trace-mismatch amplitude override"),
+    ("tol", "solver relative-residual tolerance"),
+    ("out", "output path (table, report or VTK file)"),
+    ("format", f"table format, csv or json (default {RunConfig.fmt})"),
+    ("dump_matrix", "prefix for MatrixMarket dumps of each solved system"),
+)
+CONFIG_KEYS = tuple(key for key, _ in FLAGS if key != "config")  # a file's keys
+# The type of each number flag, whose text is a number or, for n and eps, a
+# comma-separated list of numbers; every other flag is a str.
+_TYPES = {"n": int, "eps": float, "delta": float, "tol": float}
+_LISTS = ("n", "eps")
+_FIELDS = {"eps": "eps_list", "format": "fmt"}     # RunConfig's names for them
 
 
 def _build_parser():
@@ -45,31 +58,38 @@ def _build_parser():
         description="Stokes / pressure-Poisson / coupled-parameter flow lab "
                     "on triangulated domains.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON file presetting any flag")
-        p.add_argument("--case", help="manufactured case name (default ms1)")
-        p.add_argument("--problem", help="S, PP, ES or all (default ES)")
-        p.add_argument("--n", help="mesh subdivisions; list for sweep-h, e.g. 8,16,32")
-        p.add_argument("--eps", help="comma-separated epsilon list")
-        p.add_argument("--delta", type=float, help="trace-mismatch amplitude override")
-        p.add_argument("--tol", type=float, help="solver relative-residual tolerance")
-        p.add_argument("--out", help="output path (table, report or VTK file)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="table format (default csv)")
-        p.add_argument("--dump-matrix",
-                       help="prefix for MatrixMarket dumps of each solved system")
-
-    add_common(sub.add_parser("solve", help="run one problem and print a summary"))
-    add_common(sub.add_parser("sweep-eps", help="epsilon sweep against fixed references"))
-    add_common(sub.add_parser("sweep-h", help="mesh-refinement sweep with fitted rates"))
-    add_common(sub.add_parser("verify", help="run the acceptance suite"))
-    add_common(sub.add_parser("export-vtk", help="solve and write a VTK file"))
+    for command, command_help in COMMANDS:
+        p = sub.add_parser(command, help=command_help)
+        for key, flag_help in FLAGS:
+            p.add_argument("--" + key.replace("_", "-"), help=flag_help)
     return parser
 
 
+def _flag_text(key, value) -> str:
+    """A config-file value as the text of its flag: a string, or for a
+    number flag also a number or a list of numbers, joined by commas."""
+    if key in _TYPES and type(value) in (int, float, list):
+        value = ",".join(map(str, value)) if type(value) is list else str(value)
+    if not isinstance(value, str):
+        kind = "a number, a list of numbers or a string" if key in _TYPES else "a string"
+        raise ConfigError(f"config key {key} takes {kind}, not {json.dumps(value)}")
+    return value
+
+
+def _parse(key, text):
+    """The value of flag key's text, from the command line or _flag_text."""
+    kind = _TYPES.get(key, str)
+    try:
+        if key in _LISTS:
+            return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad --{key.replace('_', '-')} value {text!r}: {exc}") from None
+
+
 def _make_config(args) -> RunConfig:
-    settings = {}
+    """The keys set by the config file or flags, on RunConfig's defaults."""
+    texts = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -82,53 +102,25 @@ def _make_config(args) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in "
                               f"{args.config}; allowed: {', '.join(CONFIG_KEYS)}")
-        settings.update(file_conf)
+        texts = {key: _flag_text(key, value) for key, value in file_conf.items()}
 
     for key in CONFIG_KEYS:               # explicit flags override the file
         if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
+            texts[key] = getattr(args, key)
 
-    try:
-        n_raw = settings.get("n", DEFAULT_N)
-        if isinstance(n_raw, str):
-            n_values = _parse_ints(n_raw)
-        elif isinstance(n_raw, (list, tuple)):
-            n_values = tuple(int(v) for v in n_raw)
-        else:
-            n_values = (int(n_raw),)
-        if not n_values:
-            raise ConfigError("empty n list")
-
-        eps_raw = settings.get("eps", DEFAULT_EPS_GRID)
-        if isinstance(eps_raw, str):
-            eps_values = _parse_floats(eps_raw)
-        else:
-            eps_values = tuple(float(v) for v in eps_raw)
-
-        return RunConfig(
-            case=settings.get("case", "ms1"),
-            problem=settings.get("problem", "ES"),
-            n=n_values[0],
-            n_list=n_values,
-            eps_list=eps_values,
-            delta=settings.get("delta"),
-            tol=float(settings.get("tol", DEFAULT_TOL)),
-            out=settings.get("out"),
-            fmt=settings.get("format", "csv"),
-            dump_matrix=settings.get("dump_matrix"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc))
+    settings = {_FIELDS.get(key, key): _parse(key, text) for key, text in texts.items()}
+    if "n" in settings:                   # the first n is the single-mesh n
+        if not settings["n"]:
+            raise ConfigError("--n needs at least one value")
+        settings.update(n=settings["n"][0], n_list=settings["n"])
+    return RunConfig(**settings)
 
 
 def _solve_one(config: RunConfig):
     case = config.manufactured_case()
     mesh = build_structured_mesh(config.n)
     disc = Discretization(mesh)
-    eps = config.eps_list[0] if config.eps_list else 1.0
-    inp = problem_input(case, mesh, epsilon=eps)
+    inp = problem_input(case, mesh, epsilon=config.eps_list[0])
     return case, {prob: solve_problem(prob, inp, disc, config.tol)
                   for prob in config.problems}
 
@@ -160,7 +152,7 @@ def main(argv=None) -> int:
     except (ConfigError, IncompatibleDataError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as exc:
+    except sparse.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
@@ -194,16 +186,14 @@ def _dispatch(command: str, config: RunConfig) -> int:
                 fh.write("\n")
         return EXIT_OK if report.all_passed else EXIT_CRITERION
 
-    if command == "export-vtk":
-        if not config.out:
-            raise ConfigError("export-vtk needs --out for the VTK path")
-        if config.problem == "all":
-            raise ConfigError("export-vtk writes a single problem, not 'all'")
-        _, results = _solve_one(config)
-        export_vtk(next(iter(results.values())), config.out)
-        return EXIT_OK
-
-    raise ConfigError(f"unknown command {command!r}")
+    # export-vtk, the last of the parser's commands
+    if not config.out:
+        raise ConfigError("export-vtk needs --out for the VTK path")
+    if config.problem == "all":
+        raise ConfigError("export-vtk writes a single problem, not 'all'")
+    _, results = _solve_one(config)
+    export_vtk(next(iter(results.values())), config.out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

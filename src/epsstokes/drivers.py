@@ -72,15 +72,14 @@ from scipy import sparse as sps
 from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
-from .sparse import (DEFAULT_TOL, ORDERING, RESIDUAL_FLOOR, Factor, Preconditioner,
-                     SolverReport, dump_solved, one_blas_thread, rel_residual,
-                     solve)
+from .sparse import (AIM, DEFAULT_TOL, ORDERING, RESIDUAL_FLOOR, Factor,
+                     Preconditioner, SolverReport, dump_solved, one_blas_thread,
+                     rel_residual, solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
 PROBLEMS = ("S", "PP", "ES")
 SERIES_TERMS = 16      # most terms of the 1/eps series one sweep computes
-_SERIES_AIM = 1e-4     # a series solution aims this far below tol
 
 
 class IncompatibleDataError(ValueError):
@@ -481,7 +480,7 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
 
     The terms x_0 ... x_K leave exactly the residual r_(K+1) / eps^K in the
     pressure rows of ES(eps), so each eps takes terms until that is
-    _SERIES_AIM * tol of its ||b||, as GMRES aims in sparse.solve.  An eps
+    AIM * tol of its ||b||, as GMRES aims in sparse.solve.  An eps
     whose bound, shrinking at the measured term ratio, cannot get there
     within SERIES_TERMS terms, or whose sum then misses tol in the true
     residual ||b - ES(eps) x|| / ||b|| (sparse.rel_residual, with the system
@@ -540,7 +539,7 @@ class EpsSweep:
         self.r_norms = [float(np.linalg.norm(r))]
         open_ = {eps: (np.zeros(len(x)), []) for eps in bnorms}
         self.series = {}        # eps: (sum of its terms, bound after each)
-        aim = _SERIES_AIM * tol
+        aim = AIM * tol
         for k in range(SERIES_TERMS):
             if k > 1 and not open_:
                 break

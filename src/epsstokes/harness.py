@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Configuration shared by the CLI subcommands.
 
-    n_list drives the h sweep; n the single-mesh commands.  Epsilons are
-    deduplicated and sorted ascending at construction.
+    n_list drives the h sweep; n the single-mesh commands.  Every n is an
+    integer.  Epsilons, at least one, are deduplicated and sorted ascending
+    at construction.
     """
 
     case: str = "ms1"
@@ -51,14 +53,15 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS + ("all",):
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
-        self.n_list = tuple(int(m) for m in self.n_list)
-        if any(m < 2 for m in self.n_list):
-            raise ConfigError(f"all n values must be >= 2, got {self.n_list}")
+        if not all(isinstance(m, numbers.Integral) and m >= 2
+                   for m in (self.n,) + tuple(self.n_list)):
+            raise ConfigError(f"n values must be integers >= 2, got n={self.n!r}, "
+                              f"n_list={self.n_list!r}")
+        self.n_list = tuple(map(int, self.n_list))
         eps = [float(e) for e in self.eps_list]
-        if not all(0.0 < e < np.inf for e in eps):
-            raise ConfigError(f"epsilon values must be positive and finite, got {eps}")
+        if not eps or not all(0.0 < e < np.inf for e in eps):
+            raise ConfigError("need one or more epsilon values, each positive "
+                              f"and finite, got {eps}")
         self.eps_list = tuple(sorted(set(eps)))
         if self.delta is not None and not 0.0 <= self.delta < np.inf:
             raise ConfigError(f"delta must be >= 0 and finite, got {self.delta}")
@@ -155,10 +158,8 @@ def run_sweep_eps(config: RunConfig):
                                   disc, config.tol, pp_ref):
             reports.append(res.report)
             rows.append(_error_row(res, s_ref, pp_ref, case, config.n, mismatch))
-    except Exception:
+    finally:
         write_table(table, config)
-        raise
-    write_table(table, config)
     return table, reports
 
 
@@ -167,12 +168,12 @@ def run_sweep_h(config: RunConfig):
 
     Rows for the Stokes problem carry errors against the manufactured
     solution (the discretization floor); the other problems are measured
-    against the discrete references on the same mesh.
+    against the discrete references on the same mesh.  ES is solved at the
+    smallest epsilon.  The table is flushed as run_sweep_eps flushes it.
     """
     if not config.n_list:
         raise ConfigError("h sweep needs a nonempty n list")
     case = config.manufactured_case()
-    eps0 = config.eps_list[0] if config.eps_list else 1.0
     rows, reports = [], []
     table = ErrorTable(rows=rows)
     try:
@@ -181,27 +182,24 @@ def run_sweep_h(config: RunConfig):
                                                               reports)
             for prob in config.problems:
                 if prob == "ES":
-                    [res] = solve_es_sweep(problem_input(case, mesh), [eps0],
+                    [res] = solve_es_sweep(problem_input(case, mesh), config.eps_list[:1],
                                            disc, config.tol, pp_ref)
                     reports.append(res.report)
                 else:
                     res = s_ref if prob == "S" else pp_ref
                 rows.append(_error_row(res, s_ref, pp_ref, case, n, mismatch))
-    except Exception:
+        if len(config.n_list) >= 2:
+            table.rates = {}
+            floor = 10.0 * config.tol
+            for prob in config.problems:
+                sel = [r for r in rows if r.problem == prob]
+                for col in ("err_u_H1_vs_S", "err_p_L2R_vs_S"):
+                    pairs = [(1.0 / r.n, getattr(r, col)) for r in sel]
+                    pairs = ver.saturation_filter(pairs, floor)
+                    if len(pairs) >= 2:
+                        table.rates[f"{prob}:{col}"] = ver.fit_log_slope(pairs)
+    finally:
         write_table(table, config)
-        raise
-
-    if len(config.n_list) >= 2:
-        table.rates = {}
-        floor = 10.0 * config.tol
-        for prob in config.problems:
-            sel = [r for r in rows if r.problem == prob]
-            for col in ("err_u_H1_vs_S", "err_p_L2R_vs_S"):
-                pairs = [(1.0 / r.n, getattr(r, col)) for r in sel]
-                pairs = ver.saturation_filter(pairs, floor)
-                if len(pairs) >= 2:
-                    table.rates[f"{prob}:{col}"] = ver.fit_log_slope(pairs)
-    write_table(table, config)
     return table, reports
 
 

@@ -62,9 +62,9 @@ _MAX_RESTARTS = 10
 ORDERING = "rcm+mmd_at_plus_a"     # the ordering a factor runs, as reported
 PERMC_SPEC = "MMD_AT_PLUS_A"        # SuperLU's part of it
 DROP_TOL = 1e-14    # scaled entries below this are round-off and not factored
-# GMRES aims this far below the tolerance, so the solution is as close to a
-# direct solve as round-off allows; only tol itself is enforced.
-_AIM = 1e-4
+# GMRES and the 1/eps series of drivers aim this far below the tolerance, as
+# close to a direct solve as round-off allows; only tol itself is enforced.
+AIM = 1e-4
 _RESTART = 80        # Krylov vectors per GMRES cycle; Stokes needs about 35
 
 # (prefix, counter) of the active dump_matrices block, or None.
@@ -353,7 +353,7 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     m = LinearOperator(a.shape, matvec=pre.apply, dtype=float)
     restarts = 0
     while res > tol and restarts < _MAX_RESTARTS:
-        x, _ = gmres(a, b, x0=x, rtol=_AIM * tol, atol=0.0, restart=_RESTART,
+        x, _ = gmres(a, b, x0=x, rtol=AIM * tol, atol=0.0, restart=_RESTART,
                      maxiter=1, M=m, callback=history.append,
                      callback_type="pr_norm")
         res = rel_residual(a, x, b, bnorm)

@@ -272,10 +272,7 @@ class ErrorRow:
 
 
 CSV_SCHEMA = "eps_stokes_table v1"
-CSV_COLUMNS = ("problem", "n", "eps",
-               "err_u_H1_vs_S", "err_u_L2_vs_S", "err_p_L2R_vs_S",
-               "err_u_H1_vs_PP", "err_p_H1_vs_PP",
-               "div_u_L2", "trace_mismatch_L2G")
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ErrorRow))
 
 
 @dataclass

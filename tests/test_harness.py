@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -385,6 +386,64 @@ def test_cli_bad_number_exits_2(flag, value, capsys):
     assert main(["sweep-eps", "--case", "ms1-mismatch", "--n", "4",
                  flag, value]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("conf, flags", [
+    ({"out": 5}, []), ({"out": 2}, []), ({"n": 4.5}, []), ({"n": [4, 6.9]}, []),
+    ({"n": True}, []), ({"eps": None}, []),
+    (None, ["--tol", "abc"]), (None, ["--delta", "abc"]),
+    (None, ["--format", "xml"]), (None, ["--eps", ""]),
+])
+def test_cli_bad_setting_exits_2(conf, flags, tmp_path, monkeypatch, capsys):
+    # a bad value from a config file or a flag is a config error before any
+    # solve: exit 2 with an error line, no SystemExit, no file descriptor used
+    monkeypatch.chdir(tmp_path)
+    if conf is not None:
+        (tmp_path / "conf.json").write_text(json.dumps(conf))
+        flags = ["--config", "conf.json"] + flags
+    assert main(["solve", "--case", "ms1-mismatch"] + flags) == 2
+    for fd in (1, 2):
+        os.fstat(fd)                  # raises if the run closed the descriptor
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    written = [p.name for p in tmp_path.iterdir() if p.name != "conf.json"]
+    assert written == []
+
+
+@pytest.mark.parametrize("conf, flags", [
+    ({"n": [8, 16], "eps": [1, 10], "delta": 0.5, "tol": 1e-9, "format": "json"},
+     ["--n", "8,16", "--eps", "1,10", "--delta", "0.5", "--tol", "1e-9",
+      "--format", "json"]),
+    ({"eps": 5}, ["--eps", "5"]),
+    ({"delta": "0.5"}, ["--delta", "0.5"]),
+])
+def test_cli_config_file_equals_flags(conf, flags, tmp_path, monkeypatch):
+    import epsstokes.cli as cli
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda command, config: seen.append(config) or 0)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    assert main(["sweep-h", "--config", str(path)]) == 0
+    assert main(["sweep-h"] + flags) == 0
+    assert seen[0] == seen[1]
+    if "n" in conf:
+        assert (seen[0].n, seen[0].n_list, seen[0].eps_list) == (8, (8, 16), (1.0, 10.0))
+        assert (seen[0].delta, seen[0].tol, seen[0].fmt) == (0.5, 1e-9, "json")
+
+
+def test_readme_config_keys_match_the_parser():
+    import epsstokes.cli as cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (listed,) = re.findall(r"Its keys are the flag names \((.*?)\)", readme, flags=re.S)
+    assert tuple(re.findall(r"`(\w+)`", listed)) == cli.CONFIG_KEYS
+    # every subcommand takes exactly --config and one flag per config key
+    flags = [arg for key in cli.CONFIG_KEYS
+             for arg in (f"--{key.replace('_', '-')}", f"v-{key}")]
+    parser = cli._build_parser()
+    for command, _ in cli.COMMANDS:
+        args = parser.parse_args([command, "--config", "c"] + flags)
+        assert vars(args) == {"command": command, "config": "c",
+                              **{key: f"v-{key}" for key in cli.CONFIG_KEYS}}
 
 
 def test_readme_library_example_runs(capsys):

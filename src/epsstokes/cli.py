@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import sparse
@@ -147,9 +148,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _make_config(args)
+        if not os.path.isdir(os.path.dirname(config.out or "") or "."):
+            raise ConfigError(f"--out {config.out}: its directory does not exist")
         with sparse.dump_matrices(config.dump_matrix or None):
             return _dispatch(args.command, config)
-    except (ConfigError, IncompatibleDataError, MeshError) as exc:
+    except (ConfigError, IncompatibleDataError, MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except sparse.SolverError as exc:

@@ -292,7 +292,8 @@ def _merge_reports(first: SolverReport, second: SolverReport,
                         wall_time=first.wall_time + second.wall_time,
                         ordering=first.ordering,
                         lu_nnz=first.lu_nnz + (0 if shared else second.lu_nnz),
-                        fill=max(first.fill, second.fill),
+                        matrix_nnz=(first.matrix_nnz
+                                    + (0 if shared else second.matrix_nnz)),
                         factor_time=first.factor_time + second.factor_time,
                         residual_history=(first.residual_history
                                           + second.residual_history))
@@ -512,7 +513,8 @@ class EpsSweep:
     solution dumps the ES system it was checked against.
 
     term_ratio is ||r_(k+1)|| / ||r_k|| at the last term computed: the eps
-    below which the series diverges.
+    below which the series diverges.  It is 0 when r_k is 0, as every later
+    term is then 0 too.
     """
 
     @one_blas_thread()
@@ -568,7 +570,7 @@ class EpsSweep:
 
     @property
     def term_ratio(self) -> float:
-        return self.r_norms[-1] / self.r_norms[-2]
+        return self.r_norms[-1] / self.r_norms[-2] if self.r_norms[-2] else 0.0
 
     def __iter__(self) -> Iterator[SolveResult]:
         first = True
@@ -592,12 +594,11 @@ class EpsSweep:
         if not res <= self.tol:
             return None
         dump_solved(system.matrix)
-        lu_nnz = sum(f.nnz for f in self.factors)
-        fill = lu_nnz / sum(f.matrix_nnz for f in self.factors)
         return _coupled_result(disc, x, eps, SolverReport(
             method="series[Kp, A]", rel_residual=res, iterations=len(bounds),
             wall_time=time.perf_counter() - check + (self.elapsed if first else 0.0),
-            ordering=ORDERING, lu_nnz=lu_nnz, fill=fill,
+            ordering=ORDERING, lu_nnz=sum(f.nnz for f in self.factors),
+            matrix_nnz=sum(f.matrix_nnz for f in self.factors),
             factor_time=self.factor_time if first else 0.0,
             residual_history=tuple(bounds)))
 

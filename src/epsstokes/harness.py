@@ -69,6 +69,8 @@ class RunConfig:
             raise ConfigError(f"tol must be finite and >= {TOL_FLOOR:g}, got {self.tol}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.out == "":
+            raise ConfigError("out must be a path, not empty")
 
     @property
     def problems(self) -> tuple:
@@ -496,10 +498,7 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
     ref_mesh = Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        boundary_edges=np.array([[0, 1, 1], [1, 2, 2], [2, 0, 3]]),
-        edge_normals=np.array([[0.0, -1.0],
-                               [np.sqrt(0.5), np.sqrt(0.5)],
-                               [-1.0, 0.0]]))
+        boundary_edges=np.array([[0, 1, 1], [1, 2, 2], [2, 0, 3]]))
     local = fem.assemble_stiffness(fem.Space(ref_mesh, degree=1)).toarray()
     stiff_dev = float(np.abs(local - P1_REFERENCE_STIFFNESS).max())
     details8["p1_stiffness_deviation"] = stiff_dev

@@ -1,9 +1,10 @@
 """Conforming triangulations of polygons: construction, file import, validation.
 
-A mesh stores straight-edged triangles with counterclockwise orientation,
-boundary edges with integer markers, and unit outward normals per boundary
-edge.  Meshes are immutable after construction and safe to share between
-threads.
+A mesh is three arrays: its vertices, its straight-edged triangles with
+counterclockwise orientation, and its boundary edges with integer markers,
+each running with the domain on its left.  Everything else, the outward
+normals included, is derived from them.  Meshes are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -96,11 +97,12 @@ class Mesh:
 
     vertices       : (K, 2) float array of coordinates
     triangles      : (M, 3) int array of vertex indices, counterclockwise
-    boundary_edges : (B, 3) int array of rows (i, j, marker)
-    edge_normals   : (B, 2) float array, unit outward normal per boundary edge
+    boundary_edges : (B, 3) int array of rows (i, j, marker), each edge
+                     running from i to j with the domain on its left
 
     Derived data is computed on first use and stored on the mesh itself, so
-    it lives and dies with the mesh: ``edges`` (the EdgeTable of the
+    it lives and dies with the mesh: ``edge_normals`` (the unit outward
+    normal of each boundary edge), ``edges`` (the EdgeTable of the
     triangles), ``boundary_edge_ids`` (the edge id of each boundary edge)
     and ``geometry`` (the affine map of each triangle: its Jacobian, the
     inverse Jacobian and the determinant).
@@ -109,11 +111,10 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    edge_normals: np.ndarray
 
     def __post_init__(self):
-        for name in ("vertices", "triangles", "boundary_edges", "edge_normals"):
-            getattr(self, name).setflags(write=False)
+        for arr in (self.vertices, self.triangles, self.boundary_edges):
+            arr.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
@@ -132,6 +133,20 @@ class Mesh:
 
     def area(self) -> float:
         return float(self.triangle_areas().sum())
+
+    @cached_property
+    def edge_normals(self) -> np.ndarray:
+        """(B, 2) unit outward normal of each boundary edge: its direction
+        turned by -90 degrees, as the domain lies on its left."""
+        d = (self.vertices[self.boundary_edges[:, 1]]
+             - self.vertices[self.boundary_edges[:, 0]])
+        length = np.hypot(d[:, 0], d[:, 1])
+        if np.any(length <= 0.0):
+            k = int(np.argmin(length))
+            raise MeshTopologyError(f"boundary edge {k} has zero length")
+        normals = np.column_stack((d[:, 1], -d[:, 0])) / length[:, None]
+        normals.setflags(write=False)
+        return normals
 
     @cached_property
     def edges(self) -> EdgeTable:
@@ -167,17 +182,6 @@ class Mesh:
         return np.hypot(d[:, 0], d[:, 1])
 
 
-def _outward_normals(vertices, edges):
-    # Edges are oriented with the domain on the left, so rotating the edge
-    # direction by -90 degrees points outward.
-    d = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    length = np.hypot(d[:, 0], d[:, 1])
-    if np.any(length <= 0.0):
-        k = int(np.argmin(length))
-        raise MeshTopologyError(f"boundary edge {k} has zero length")
-    return np.column_stack((d[:, 1], -d[:, 0])) / length[:, None]
-
-
 def build_structured_mesh(n: int) -> Mesh:
     """Uniform n-by-n triangulation of the unit square.
 
@@ -192,32 +196,16 @@ def build_structured_mesh(n: int) -> Mesh:
     xg, yg = np.meshgrid(side, side)        # row-major: index j*(n+1)+i
     vertices = np.column_stack((xg.ravel(), yg.ravel()))
 
-    def vid(i, j):
-        return j * (n + 1) + i
+    vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)     # vid[j, i]
+    v00, v10, v01, v11 = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]
+    # per cell: below the SW-NE diagonal, then above it
+    triangles = np.stack((v00, v10, v11, v00, v11, v01), axis=-1).reshape(-1, 3)
+    # counterclockwise from (0, 0): bottom, right, top, left
+    loop = np.concatenate((vid[0, :-1], vid[:-1, -1], vid[-1, :0:-1], vid[:0:-1, 0]))
+    boundary_edges = np.column_stack(
+        (loop, np.roll(loop, -1), np.repeat([BOTTOM, RIGHT, TOP, LEFT], n)))
 
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles[k] = (v00, v10, v11)      # below the SW-NE diagonal
-            triangles[k + 1] = (v00, v11, v01)  # above it
-            k += 2
-
-    edges = []
-    for i in range(n):                           # bottom, left to right
-        edges.append((vid(i, 0), vid(i + 1, 0), BOTTOM))
-    for j in range(n):                           # right, upward
-        edges.append((vid(n, j), vid(n, j + 1), RIGHT))
-    for i in range(n, 0, -1):                    # top, right to left
-        edges.append((vid(i, n), vid(i - 1, n), TOP))
-    for j in range(n, 0, -1):                    # left, downward
-        edges.append((vid(0, j), vid(0, j - 1), LEFT))
-    boundary_edges = np.asarray(edges, dtype=np.int64)
-
-    mesh = Mesh(vertices, triangles, boundary_edges,
-                _outward_normals(vertices, boundary_edges))
+    mesh = Mesh(vertices, triangles, boundary_edges)
     validate_mesh(mesh)
     return mesh
 
@@ -228,8 +216,7 @@ def load_mesh(path) -> Mesh:
     Format: header line ``mesh2d v1``; ``vertices K`` followed by K lines
     ``x y``; ``triangles M`` followed by M lines ``i j k``; ``boundary B``
     followed by B lines ``i j marker``.  Indices are 0-based.  Boundary
-    edges are reoriented to run with the domain on their left before
-    normals are computed.
+    edges are reoriented to run with the domain on their left.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -305,17 +292,13 @@ def load_mesh(path) -> Mesh:
         i, j, _ = boundary[k]
         raise MeshTopologyError(
             f"boundary edge {k} ({i},{j}) is not an edge of any triangle")
-    # Counterclockwise, local edge k of a triangle runs from its vertex k
-    # to its vertex (k + 1) % 3.
     single = table.counts[ids] == 1
-    owner = triangles[table.owner[ids[single]]]
-    local = table.owner_local[ids[single]]
-    rows = np.arange(len(owner))
     oriented = boundary.copy()
-    oriented[single, :2] = np.column_stack(
-        (owner[rows, local], owner[rows, (local + 1) % 3]))
+    oriented[single, :2] = _traversed(triangles, table, ids[single])
 
-    mesh = Mesh(vertices, triangles, oriented, _outward_normals(vertices, oriented))
+    mesh = Mesh(vertices, triangles, oriented)
+    ids.setflags(write=False)
+    vars(mesh).update(edges=table, boundary_edge_ids=ids)   # as cached values
     validate_mesh(mesh)
     return mesh
 
@@ -357,6 +340,12 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshTopologyError(
             f"edge {_pair(table.vertices[e])} lies on the boundary but is not "
             "declared as a boundary edge")
+    backwards = np.any(mesh.boundary_edges[:, :2]
+                       != _traversed(mesh.triangles, table, ids), axis=1)
+    if np.any(backwards):
+        k = int(np.argmax(backwards))
+        raise MeshTopologyError(f"boundary edge {k} {_pair(mesh.boundary_edges[k])} "
+                                "runs with the domain on its right")
 
     # Boundary edges must form closed loops: as a directed graph every
     # touched vertex has in-degree 1 and out-degree 1.
@@ -369,11 +358,6 @@ def validate_mesh(mesh: Mesh) -> None:
             f"boundary is not a closed loop at vertex {v} "
             f"(out {out_deg[v]}, in {in_deg[v]})")
 
-    norms = np.hypot(mesh.edge_normals[:, 0], mesh.edge_normals[:, 1])
-    if np.any(np.abs(norms - 1.0) > _GEOM_TOL):
-        bad = int(np.argmax(np.abs(norms - 1.0)))
-        raise MeshTopologyError(f"normal of boundary edge {bad} is not unit length")
-
     # Shoelace area of the boundary loops must match the triangle total.
     vi = mesh.vertices[mesh.boundary_edges[:, 0]]
     vj = mesh.vertices[mesh.boundary_edges[:, 1]]
@@ -382,6 +366,14 @@ def validate_mesh(mesh: Mesh) -> None:
     if abs(loop_area - total) > _GEOM_TOL * max(1.0, abs(total)):
         raise MeshTopologyError(
             f"triangle areas sum to {total!r} but the boundary encloses {loop_area!r}")
+
+
+def _traversed(triangles, table: EdgeTable, ids) -> np.ndarray:
+    """(len(ids), 2) ends of edges ids in the direction their owner
+    triangles traverse them, which keeps the triangle on the left:
+    counterclockwise, local edge k runs from vertex k to vertex (k + 1) % 3."""
+    local = table.owner_local[ids, None] + np.array([0, 1])
+    return triangles[table.owner[ids, None], local % 3]
 
 
 def mesh_size(mesh: Mesh) -> float:

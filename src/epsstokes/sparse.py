@@ -172,13 +172,14 @@ class SolverReport:
     already meets the tolerance (a direct solve); residual_history holds,
     per iteration, the norm of the preconditioned residual over ||b||.  (A
     solution of the 1/eps series in drivers reports its terms and, per term,
-    its residual bound instead.)  lu_nnz
-    counts the entries SuperLU stores for L and U in every factor the
-    preconditioner applies, diagonals included, read without copying the
-    factors; fill is lu_nnz over the nnz of the matrices factored; factor_time
-    is the part of wall_time spent in factorizations made during this call
-    (a factor kept from an earlier call costs nothing here).  The factor
-    fields default to empty for results that did not come from a solve.
+    its residual bound instead.)  lu_nnz counts the entries SuperLU stores
+    for L and U in every distinct factor the solve applied, diagonals
+    included, read without copying the factors, and matrix_nnz the stored
+    entries of the matrices they factored; fill is their ratio, 0 without
+    factors; factor_time is the part of wall_time spent in factorizations
+    made during this call (a factor kept from an earlier call costs nothing
+    here).  The factor fields default to empty for results that did not
+    come from a solve.
     """
 
     method: str
@@ -187,9 +188,13 @@ class SolverReport:
     wall_time: float
     ordering: str = ""
     lu_nnz: int = 0
-    fill: float = 0.0
+    matrix_nnz: int = 0
     factor_time: float = 0.0
     residual_history: tuple = ()
+
+    @property
+    def fill(self) -> float:
+        return self.lu_nnz / self.matrix_nnz if self.matrix_nnz else 0.0
 
 
 class Factor:
@@ -359,12 +364,11 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         res = rel_residual(a, x, b, bnorm)
         restarts += 1
     elapsed = time.perf_counter() - start
-    lu_nnz = sum(f.nnz for f in pre.factors)
-    matrix_nnz = sum(f.matrix_nnz for f in pre.factors)
     report = SolverReport(
         method=f"gmres[{pre.name}]", rel_residual=res,
         iterations=len(history), wall_time=elapsed, ordering=ORDERING,
-        lu_nnz=lu_nnz, fill=lu_nnz / matrix_nnz if matrix_nnz else 0.0,
+        lu_nnz=sum(f.nnz for f in pre.factors),
+        matrix_nnz=sum(f.matrix_nnz for f in pre.factors),
         factor_time=factor_time, residual_history=tuple(history))
     if not res <= tol:
         raise SolverError(

@@ -29,12 +29,10 @@ def linear_x_minus_half(x, y):
 
 def ref_triangle_mesh() -> Mesh:
     """Single reference triangle (0,0), (1,0), (0,1)."""
-    s = np.sqrt(0.5)
     return Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, 1, 1], [1, 2, 2], [2, 0, 4]]),
-        edge_normals=np.array([[0.0, -1.0], [s, s], [-1.0, 0.0]]),
     )
 
 
@@ -47,9 +45,39 @@ def affine_jittered_mesh(n, seed, linear=((1.0, 0.0), (0.0, 1.0)),
     interior = ~np.isin(np.arange(m.num_vertices), m.boundary_edges[:, :2])
     vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
     vertices = vertices @ np.asarray(linear).T + np.asarray(offset)
-    d = vertices[m.boundary_edges[:, 1]] - vertices[m.boundary_edges[:, 0]]
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
-    return Mesh(vertices, m.triangles, m.boundary_edges, normals)
+    return Mesh(vertices, m.triangles, m.boundary_edges)
+
+
+def structured_mesh_loop(n):
+    """(vertices, triangles, boundary_edges) of build_structured_mesh(n), by
+    the per-cell and per-edge loops its array construction replaced."""
+    side = np.linspace(0.0, 1.0, n + 1)
+    xg, yg = np.meshgrid(side, side)
+    vertices = np.column_stack((xg.ravel(), yg.ravel()))
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    k = 0
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            triangles[k] = (v00, v10, v11)      # below the SW-NE diagonal
+            triangles[k + 1] = (v00, v11, v01)  # above it
+            k += 2
+
+    edges = []
+    for i in range(n):                           # bottom, left to right
+        edges.append((vid(i, 0), vid(i + 1, 0), 1))
+    for j in range(n):                           # right, upward
+        edges.append((vid(n, j), vid(n, j + 1), 2))
+    for i in range(n, 0, -1):                    # top, right to left
+        edges.append((vid(i, n), vid(i - 1, n), 3))
+    for j in range(n, 0, -1):                    # left, downward
+        edges.append((vid(0, j), vid(0, j - 1), 4))
+    return vertices, triangles, np.asarray(edges, dtype=np.int64)
 
 
 def zero_field(space) -> Field:

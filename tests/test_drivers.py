@@ -280,6 +280,35 @@ def test_factor_fill_at_n32():
     assert disc.velocity_factor.lu.shape[0] == disc.nu // 2
 
 
+def test_fill_is_lu_nnz_over_the_factored_matrices(monkeypatch):
+    # every report counts each distinct factor it applied once, so PP and
+    # the 1/eps series, which apply the same Kp and A, report one fill
+    made = []
+
+    class Recorded(sparse.Factor):
+        def __init__(self, a):
+            super().__init__(a)
+            made.append(self)
+
+    monkeypatch.setattr(drivers, "Factor", Recorded)
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    vel, kp = disc.velocity_factor, disc.pressure_factor
+    es = solve_es(_inp(mesh, case, eps=1.0), disc).report
+    runs = [(solve_stokes(_inp(mesh, case), disc).report, (vel, disc.mass_factor)),
+            (solve_pp(_inp(mesh, case), disc).report, (kp, vel)),
+            (es, (vel, made[2])),
+            (next(iter(solve_es_sweep(_inp(mesh, case), [1e6], disc))).report,
+             (kp, vel))]
+    assert es.method.startswith("gmres[") and runs[3][0].method == "series[Kp, A]"
+    for report, factors in runs:
+        assert report.lu_nnz == sum(f.nnz for f in factors)
+        assert report.matrix_nnz == sum(f.matrix_nnz for f in factors)
+        assert report.fill == report.lu_nnz / report.matrix_nnz
+    assert runs[1][0].fill == runs[3][0].fill
+
+
 def test_stokes_factor_size_at_n32():
     # the factors of A and -Mp under the structure-based ordering; the
     # minimum-degree ordering of the FE labels stored 238,542
@@ -689,6 +718,18 @@ def test_series_falls_back_to_gmres_below_its_radius(monkeypatch):
     assert small.report.method.startswith("gmres[") and small.epsilon == 1e-3
     assert small.report.rel_residual <= 1e-10
     assert large.report.method == SERIES and large.epsilon == 10.0
+
+
+def test_series_solves_zero_data_with_term_ratio_0():
+    # every term of zero data is zero, so the ratio of the last two is 0
+    mesh = build_structured_mesh(4)
+    inp = ProblemInput(mesh=mesh, body_force=zero_vec, u_bc=zero_vec,
+                       p_bc=zero_scalar)
+    sweep = solve_es_sweep(inp, [1.0, 1e-3])
+    assert sweep.r_norms == [0.0, 0.0] and sweep.term_ratio == 0.0
+    for res in sweep:
+        assert res.report.method == SERIES
+        assert not res.u.coefficients.any() and not res.p.coefficients.any()
 
 
 def test_series_term_budget_sends_slow_eps_to_gmres(monkeypatch):

@@ -83,7 +83,7 @@ def test_p2_local_stiffness_matches_symbolic_oracle():
     # still vanish to round-off
     ref = ref_triangle_mesh()
     mapped = Mesh(ref.vertices @ np.array([[2.0, 0.0], [0.7, 0.5]]),
-                  ref.triangles, ref.boundary_edges, ref.edge_normals)
+                  ref.triangles, ref.boundary_edges)
     a = assemble_stiffness(Space(mapped, degree=2)).toarray()
     for i, j in VERTEX_OPPOSITE_MIDPOINT:
         assert P2_STIFFNESS[i, j] == 0.0

@@ -137,7 +137,7 @@ def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
 
 def _parse_vtk(path):
     """Minimal independent reader for the legacy ASCII format."""
-    lines = [ln for ln in open(path).read().splitlines() if ln.strip()]
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     assert lines[0].startswith("# vtk DataFile")
     assert lines[2] == "ASCII"
     assert lines[3] == "DATASET UNSTRUCTURED_GRID"
@@ -375,6 +375,29 @@ def test_cli_sweep_dumps_one_system_per_solve(tmp_path):
         want = disc.coupled_system(eps).matrix.toarray()
         got = mmread(str(tmp_path / name)).toarray()
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), eps
+
+
+@pytest.mark.parametrize("out", ["nodir/x.out", ""])
+@pytest.mark.parametrize("command", ["solve", "sweep-eps", "sweep-h", "verify",
+                                     "export-vtk"])
+def test_cli_unwritable_out_exits_2_before_any_solve(command, out, tmp_path,
+                                                     monkeypatch, capsys):
+    def refuse(self, mesh):
+        raise AssertionError("a Discretization was built")
+
+    monkeypatch.setattr(Discretization, "__init__", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--case", "ms1", "--problem", "PP", "--n", "2",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_write_failure_exits_2(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    assert main(["solve", "--case", "ms1", "--problem", "PP", "--n", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsstokes import mesh as mesh_module
 from epsstokes.fem import Space, vector_dofs
 from epsstokes.mesh import (Mesh, MeshFormatError, MeshTopologyError,
                             build_structured_mesh, load_mesh, mesh_size,
                             validate_mesh)
-from helpers import (boundary_owner_loop, edge_numbering_loop,
-                     p2_boundary_nodes_loop, ref_triangle_mesh)
+from helpers import (affine_jittered_mesh, boundary_owner_loop,
+                     edge_numbering_loop, loaded_parallelogram_mesh,
+                     p2_boundary_nodes_loop, ref_triangle_mesh,
+                     structured_mesh_loop)
 
 
 def test_structured_counts_small():
@@ -60,6 +64,96 @@ def test_boundary_normals_close_up():
         total = (m.boundary_edge_lengths()[:, None] * m.edge_normals).sum(axis=0)
         assert np.abs(total).max() <= 1e-12
         assert np.abs(np.hypot(*m.edge_normals.T) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_structured_mesh_matches_loop_reference(n):
+    m = build_structured_mesh(n)
+    for got, want in zip((m.vertices, m.triangles, m.boundary_edges),
+                         structured_mesh_loop(n)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_mesh_is_its_three_arrays():
+    assert [f.name for f in dataclasses.fields(Mesh)] == [
+        "vertices", "triangles", "boundary_edges"]
+    m = build_structured_mesh(2)
+    with pytest.raises(ValueError):
+        m.edge_normals[0, 0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.edge_normals = None
+
+
+def test_load_mesh_builds_one_edge_table(tmp_path, monkeypatch):
+    # load_mesh orients the boundary with the edge table that the mesh, its
+    # validation and its P2 space then share
+    loaded_parallelogram_mesh(tmp_path)          # writes shear.mesh
+    calls = []
+    real = mesh_module.edge_table
+
+    def counted(triangles):
+        calls.append(len(triangles))
+        return real(triangles)
+
+    monkeypatch.setattr(mesh_module, "edge_table", counted)
+    mesh = load_mesh(tmp_path / "shear.mesh")
+    Space(mesh, 2)
+    validate_mesh(mesh)
+    assert calls == [mesh.num_triangles]
+
+
+def _assert_normals_point_out(mesh):
+    normals = mesh.edge_normals
+    assert np.abs(np.hypot(*normals.T) - 1.0).max() <= 1e-12
+    total = (mesh.boundary_edge_lengths()[:, None] * normals).sum(axis=0)
+    assert np.abs(total).max() <= 1e-12
+    ends = mesh.vertices[mesh.boundary_edges[:, :2]]
+    owner = mesh.triangles[mesh.edges.owner[mesh.boundary_edge_ids]]
+    away = ends.mean(axis=1) - mesh.vertices[owner].mean(axis=1)
+    assert np.all(np.einsum("bc,bc->b", normals, away) > 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       angle=st.floats(0.0, 2 * np.pi), scale=st.tuples(st.floats(0.2, 5.0),
+                                                       st.floats(0.2, 5.0)),
+       shear=st.floats(-2.0, 2.0))
+def test_derived_normals_point_out(n, seed, angle, scale, shear):
+    c, s = np.cos(angle), np.sin(angle)
+    linear = np.array([[c, -s], [s, c]]) @ np.array([[scale[0], shear], [0.0, scale[1]]])
+    jittered = affine_jittered_mesh(n, seed, linear, offset=(3.0, -1.0))
+    validate_mesh(jittered)
+    _assert_normals_point_out(jittered)
+    _assert_normals_point_out(_scrambled_structured_mesh(n, seed))
+
+
+def _annulus_and_island(reverse):
+    """The n = 3 unit-square mesh without its centre cell, and beside it a
+    square island of that cell's size; reverse runs the hole's loop and the
+    island's the wrong way, which leaves the shoelace area unchanged."""
+    m = build_structured_mesh(3)
+    island = build_structured_mesh(1)
+    vertices = np.vstack([m.vertices, island.vertices / 3 + [2.0, 0.0]])
+    triangles = np.vstack([np.delete(m.triangles, [8, 9], axis=0),
+                           island.triangles + m.num_vertices])
+    hole = np.array([[5, 9, 5], [9, 10, 5], [10, 6, 5], [6, 5, 5]])
+    shore = island.boundary_edges + [m.num_vertices, m.num_vertices, 5]
+    if reverse:
+        hole, shore = hole[:, [1, 0, 2]], shore[:, [1, 0, 2]]
+    return Mesh(vertices, triangles, np.vstack([m.boundary_edges, hole, shore]))
+
+
+def test_reversed_boundary_rows_fail_validation():
+    m = build_structured_mesh(3)
+    one = m.boundary_edges.copy()
+    one[4, :2] = one[4, 1::-1]
+    validate_mesh(_annulus_and_island(reverse=False))
+    for mesh, k in ((Mesh(m.vertices, m.triangles, m.boundary_edges[:, [1, 0, 2]]), 0),
+                    (Mesh(m.vertices, m.triangles, one), 4),
+                    (_annulus_and_island(reverse=True), 12)):
+        with pytest.raises(MeshTopologyError,
+                           match=rf"boundary edge {k} .* domain on its right"):
+            validate_mesh(mesh)
 
 
 def test_structured_markers():
@@ -208,13 +302,13 @@ def test_load_mesh_reorients_boundary_edges(tmp_path):
 
 def _without_last_boundary_edge(n):
     m = build_structured_mesh(n)
-    return Mesh(m.vertices, m.triangles, m.boundary_edges[:-1], m.edge_normals[:-1])
+    return Mesh(m.vertices, m.triangles, m.boundary_edges[:-1])
 
 
 def _with_repeated_triangle():
     m = build_structured_mesh(1)
     return Mesh(m.vertices, np.vstack([m.triangles, m.triangles[:1]]),
-                m.boundary_edges, m.edge_normals)
+                m.boundary_edges)
 
 
 @pytest.mark.parametrize("mesh, message", [
@@ -238,9 +332,7 @@ def _corner_chain(labels):
     triangles = labels[np.array([[2 * k, 2 * k + 1, 2 * k + 2] for k in range(count)])]
     edges = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     boundary = np.column_stack([edges, np.ones(len(edges), dtype=np.int64)])
-    d = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
-    return Mesh(vertices, triangles, boundary, normals)
+    return Mesh(vertices, triangles, boundary)
 
 
 @pytest.mark.parametrize("labels, vertex", [
@@ -271,7 +363,7 @@ def _scrambled_structured_mesh(n, seed):
     triangles = perm[np.take_along_axis(m.triangles, cols, axis=1)]
     boundary = m.boundary_edges.copy()
     boundary[:, :2] = perm[boundary[:, :2]]
-    mesh = Mesh(relabelled, triangles, boundary, m.edge_normals)
+    mesh = Mesh(relabelled, triangles, boundary)
     validate_mesh(mesh)
     return mesh
 

@@ -148,8 +148,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _make_config(args)
-        if not os.path.isdir(os.path.dirname(config.out or "") or "."):
-            raise ConfigError(f"--out {config.out}: its directory does not exist")
+        for flag, path in (("--out", config.out), ("--dump-matrix", config.dump_matrix)):
+            if not os.path.isdir(os.path.dirname(path or "") or "."):
+                raise ConfigError(f"{flag} {path}: its directory does not exist")
         with sparse.dump_matrices(config.dump_matrix or None):
             return _dispatch(args.command, config)
     except (ConfigError, IncompatibleDataError, MeshError, OSError) as exc:

@@ -216,20 +216,15 @@ class Discretization:
     def coupled_system(self, eps: float) -> Eliminated:
         """[[K, G], [D, eps*Kp]] with both boundaries fixed: the eps = 1
         system with its stored Kp entries scaled by eps, in a copy of its
-        values that shares its index arrays."""
-        unit, in_matrix, _ = self._coupled_unit
+        values that shares its index arrays, and a scaled copy of its lift."""
+        unit, in_matrix, in_lift = self._coupled_unit
         data = unit.matrix.data.copy()
         data[in_matrix] *= eps
         matrix = sps.csr_matrix((data, unit.matrix.indices, unit.matrix.indptr),
                                 shape=unit.matrix.shape)
-        return Eliminated(matrix, self.coupled_lift(eps), unit.fixed)
-
-    def coupled_lift(self, eps: float) -> sps.csr_matrix:
-        """The lift of coupled_system(eps), without copying its matrix."""
-        unit, _, in_lift = self._coupled_unit
         lift = unit.lift.copy()
         lift.data[in_lift] *= eps
-        return lift
+        return Eliminated(matrix, lift, unit.fixed)
 
     @cached_property
     def _coupled_unit(self):
@@ -527,7 +522,7 @@ class EpsSweep:
         nu, fixed = disc.nu, disc._coupled_unit[0].fixed
         fixed_u, fixed_p = fixed[fixed < nu], fixed[fixed >= nu] - nu
         bnorms = {eps: max(float(np.linalg.norm(_lifted(
-            disc.coupled_lift(eps), fixed, _coupled_load(disc, inp, eps),
+            disc.coupled_system(eps).lift, fixed, _coupled_load(disc, inp, eps),
             self.values))), RESIDUAL_FLOOR) for eps in eps_list}
 
         def divergence(x):

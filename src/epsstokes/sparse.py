@@ -203,11 +203,14 @@ class Factor:
     The equilibrated matrix is relabelled by perm, the reverse Cuthill-McKee
     order of its stored pattern, and loses its entries below DROP_TOL (of
     their row's largest, which equilibration makes 1) before SuperLU orders
-    it by minimum degree.  solve(r) applies the inverse of the matrix given
-    to an (n,) or (n, k) array.  nnz is SuperLU's count of stored L and U
-    entries and matrix_nnz the stored entries of the matrix given, so their
-    ratio is the fill; factor_time is the wall time of the factorization and
-    finished the perf_counter reading at its end.
+    it by minimum degree.  Each step is a plain scipy operation that makes
+    its own copy; SuperLU's work arrays, not these copies, set the peak
+    memory of a factorization.  A CSR matrix given with duplicate entries has
+    them summed in place (by scipy's abs).  solve(r) applies the inverse of
+    the matrix given to an (n,) or (n, k) array.  nnz is SuperLU's count of
+    stored L and U entries and matrix_nnz the stored entries of the matrix
+    given, so their ratio is the fill; factor_time is the wall time of the
+    factorization and finished the perf_counter reading at its end.
     """
 
     def __init__(self, a: sps.csr_matrix):
@@ -215,20 +218,16 @@ class Factor:
         # Row equilibration keeps pivot growth bounded when one block of the
         # system carries an extreme parameter scaling.
         a = a.tocsr()
-        row_max = _row_abs_max(a)
+        row_max = abs(a).max(axis=1).toarray().ravel()
         if np.any(row_max == 0.0):
             k = int(np.argmin(row_max))
             raise SolverError(f"matrix is structurally singular: row {k} is zero")
         row_scale = 1.0 / row_max
-        # diag(row_scale) @ a in CSC, built as one copy: the copy is all that
-        # is held besides a while SuperLU works
-        scaled = a.tocsc()
-        scaled.data *= row_scale[scaled.indices]
-        scaled.sum_duplicates()          # as the sparse product would
+        scaled = (sps.diags(row_scale) @ a).tocsc()
         self.perm = _structure_order(scaled)
         scaled.data[np.abs(scaled.data) < DROP_TOL] = 0.0    # round-off of zeros
         scaled.eliminate_zeros()
-        scaled = _permuted(scaled, self.perm)
+        scaled = scaled[self.perm][:, self.perm]
         self.scale_p = row_scale[self.perm]
         try:
             self.lu = splu(scaled, permc_spec=PERMC_SPEC,
@@ -258,34 +257,6 @@ def _structure_order(a: sps.csc_matrix) -> np.ndarray:
     """
     pattern = sps.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
     return reverse_cuthill_mckee(pattern, symmetric_mode=False)
-
-
-def _permuted(a: sps.csc_matrix, perm: np.ndarray) -> sps.csc_matrix:
-    """a[perm][:, perm] gathered in one pass: column j is column perm[j] of
-    a, with its row indices relabelled (left unsorted; splu sorts them)."""
-    n = a.shape[0]
-    inverse = np.empty(n, dtype=a.indices.dtype)
-    inverse[perm] = np.arange(n, dtype=a.indices.dtype)
-    counts = np.diff(a.indptr)[perm]
-    indptr = np.zeros(n + 1, dtype=a.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    take = np.repeat(a.indptr[perm] - indptr[:-1], counts)
-    take += np.arange(indptr[-1], dtype=take.dtype)
-    return sps.csc_matrix((a.data[take], inverse[a.indices[take]], indptr),
-                          shape=a.shape)
-
-
-def _row_abs_max(a: sps.csr_matrix) -> np.ndarray:
-    """Largest absolute stored entry of each row, 0 for an empty row; no
-    copy of the matrix is made."""
-    out = np.zeros(a.shape[0])
-    starts = a.indptr[:-1]
-    full = np.flatnonzero(np.diff(a.indptr))
-    if full.size:
-        data = a.data[:a.indptr[-1]]
-        out[full] = np.maximum(np.maximum.reduceat(data, starts[full]),
-                               -np.minimum.reduceat(data, starts[full]))
-    return out
 
 
 class Preconditioner(NamedTuple):

@@ -720,6 +720,27 @@ def test_series_falls_back_to_gmres_below_its_radius(monkeypatch):
     assert large.report.method == SERIES and large.epsilon == 10.0
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_series_term_ratio_is_the_spectral_radius(n):
+    # ES(eps) on its free pressure rows divided by eps is M + N/eps, N the
+    # divergence block; the terms shrink by the spectral radius of M^-1 N
+    from scipy.linalg import eigvals
+    mesh = build_structured_mesh(n)
+    disc = Discretization(mesh)
+    unit = disc._coupled_unit[0]
+    free_p = np.zeros(unit.matrix.shape[0], dtype=bool)
+    free_p[disc.nu:] = True
+    free_p[unit.fixed] = False
+    dense = unit.matrix.toarray()
+    split = np.zeros_like(dense)
+    split[np.ix_(free_p, np.arange(disc.nu))] = dense[free_p, :disc.nu]
+    lam = np.abs(eigvals(split, dense - split))
+    radius = lam[np.isfinite(lam)].max()
+    sweep = solve_es_sweep(_inp(mesh, get_case("ms1-mismatch")),
+                           DEFAULT_EPS_GRID, disc)
+    assert sweep.term_ratio == pytest.approx(radius, rel=1e-4)
+
+
 def test_series_solves_zero_data_with_term_ratio_0():
     # every term of zero data is zero, so the ratio of the last two is 0
     mesh = build_structured_mesh(4)

@@ -393,6 +393,21 @@ def test_cli_unwritable_out_exits_2_before_any_solve(command, out, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_dump_matrix_missing_directory_exits_2_before_any_solve(
+        tmp_path, monkeypatch, capsys):
+    # scipy's mmwrite raises nothing for a missing directory, so without the
+    # check up front such a run wrote no file and exited 0
+    def refuse(self, mesh):
+        raise AssertionError("a Discretization was built")
+
+    monkeypatch.setattr(Discretization, "__init__", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--n", "4", "--eps", "1",
+                 "--dump-matrix", "nodir/m_"]) == 2
+    assert capsys.readouterr().err.startswith("error: --dump-matrix nodir/m_")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_write_failure_exits_2(tmp_path, capsys):
     # the directory exists, but the path names a directory, not a file
     assert main(["solve", "--case", "ms1", "--problem", "PP", "--n", "2",
@@ -475,3 +490,17 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert "gmres[" in out and "series[Kp, A]" in out
+
+
+def test_perfbench_span_targets_exist():
+    # the benchmark records a target it cannot find as absent, so a rename in
+    # the package would turn that per-layer metric into a constant 0
+    import importlib
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = {f"{module}.{attr}" for module, attr in spans.TARGETS
+               if not hasattr(importlib.import_module(f"epsstokes.{module}"), attr)}
+    assert missing <= {"fem.apply_dirichlet"}      # gone since elimination moved

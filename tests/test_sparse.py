@@ -176,6 +176,29 @@ def test_factor_solves_several_right_hand_sides():
     assert np.abs(a @ both - rhs).max() <= 1e-12
 
 
+def test_factor_of_non_canonical_matrix_matches_canonical_form():
+    # each diagonal stored as two halves, and every row's entries reversed
+    canonical, _ = _labelled_system(30, 5, True)
+    n = canonical.shape[0]
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        row = canonical.getrow(i)
+        for j, v in reversed(list(zip(row.indices, row.data))):
+            halves = 2 if j == i else 1
+            rows += [i] * halves
+            cols += [j] * halves
+            vals += [v / halves] * halves
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    messy = sps.csr_matrix((np.array(vals), np.array(cols), indptr), shape=(n, n))
+    assert not messy.has_sorted_indices and messy.nnz == canonical.nnz + n
+    want, got = sp.Factor(canonical), sp.Factor(messy)
+    assert np.array_equal(got.perm, want.perm)
+    assert got.nnz == want.nnz
+    rhs = np.random.default_rng(6).standard_normal((n, 2))
+    ref = want.solve(rhs)
+    assert np.abs(got.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def _labelled_system(n, seed, symmetric_pattern):
     """A diagonally dominant sparse matrix under a random symmetric
     relabelling, with a few off-diagonal entries below 1e-14 of their row's

@@ -142,11 +142,11 @@ class Discretization:
 
     The P2 stiffness K of one velocity component, the P1 stiffness Kp and
     the pressure mean are assembled at construction.  The couplings B and G,
-    load vectors (memoized per body-force callable), each problem's
-    eliminated system and the factors A, Kp and Mp are built on first use and
-    live as long as the Discretization.  The interleaved velocity block
-    kron(K, I2) is formed only while S or ES builds its system, and is not
-    kept.
+    the mass matrices Mp and M2, load vectors (memoized per body-force
+    callable), each problem's eliminated system and the factors A, Kp and Mp
+    are built on first use and live as long as the Discretization.  The
+    interleaved velocity block kron(K, I2) is formed only while S or ES
+    builds its system, and is not kept.
     """
 
     @one_blas_thread()
@@ -178,6 +178,12 @@ class Discretization:
     @cached_property
     def mass_p(self) -> sps.csr_matrix:
         return fem.assemble_mass(self.pspace)
+
+    @cached_property
+    def mass_u(self) -> sps.csr_matrix:
+        """M2, the P2 mass matrix of one velocity component: built for the
+        first velocity gap norm (verification.gap), not by any solve."""
+        return fem.assemble_mass(self.vspace)
 
     @cached_property
     def velocity_factor(self) -> Factor:
@@ -216,15 +222,21 @@ class Discretization:
     def coupled_system(self, eps: float) -> Eliminated:
         """[[K, G], [D, eps*Kp]] with both boundaries fixed: the eps = 1
         system with its stored Kp entries scaled by eps, in a copy of its
-        values that shares its index arrays, and a scaled copy of its lift."""
-        unit, in_matrix, in_lift = self._coupled_unit
+        values that shares its index arrays, and coupled_lift(eps)."""
+        unit, in_matrix, _ = self._coupled_unit
         data = unit.matrix.data.copy()
         data[in_matrix] *= eps
         matrix = sps.csr_matrix((data, unit.matrix.indices, unit.matrix.indptr),
                                 shape=unit.matrix.shape)
+        return Eliminated(matrix, self.coupled_lift(eps), unit.fixed)
+
+    def coupled_lift(self, eps: float) -> sps.csr_matrix:
+        """The lift of the ES system at eps: a copy of the eps = 1 lift with
+        its Kp entries scaled by eps."""
+        unit, _, in_lift = self._coupled_unit
         lift = unit.lift.copy()
         lift.data[in_lift] *= eps
-        return Eliminated(matrix, lift, unit.fixed)
+        return lift
 
     @cached_property
     def _coupled_unit(self):
@@ -521,9 +533,13 @@ class EpsSweep:
         pp = pp or solve_pp(inp, disc, tol)
         nu, fixed = disc.nu, disc._coupled_unit[0].fixed
         fixed_u, fixed_p = fixed[fixed < nu], fixed[fixed >= nu] - nu
-        bnorms = {eps: max(float(np.linalg.norm(_lifted(
-            disc.coupled_system(eps).lift, fixed, _coupled_load(disc, inp, eps),
-            self.values))), RESIDUAL_FLOOR) for eps in eps_list}
+        # The ES right-hand side is b0 + eps * b1: load and lift are affine in
+        # eps, and its fixed rows hold the values at every eps, so b1's are 0.
+        b0, b_unit = (_lifted(disc.coupled_lift(e), fixed, _coupled_load(disc, inp, e),
+                              self.values) for e in (0.0, 1.0))
+        b1 = b_unit - b0
+        bnorms = {eps: max(float(np.linalg.norm(b0 + eps * b1)), RESIDUAL_FLOOR)
+                  for eps in eps_list}
 
         def divergence(x):
             """The free pressure rows of -B x."""

@@ -101,29 +101,33 @@ def write_table(table: ErrorTable, config: RunConfig) -> None:
         fh.write(text)
 
 
-def _error_row(result: SolveResult, s_ref: SolveResult, pp_ref: SolveResult,
-               case: ManufacturedCase, n: int, mismatch: float) -> ErrorRow:
-    """Measure one solve against the Stokes and pressure-Poisson references.
+def _error_row(disc: Discretization, result: SolveResult, s_ref: SolveResult,
+               pp_ref: SolveResult, case: ManufacturedCase, n: int,
+               mismatch: float) -> ErrorRow:
+    """Measure one solve on disc against the Stokes and pressure-Poisson
+    references.
 
-    The Stokes solve itself is measured against the closed-form solution,
-    which gives the discretization floor.  mismatch is the case's trace
-    mismatch on the mesh, which does not depend on the solve.
+    A gap between two solutions is measured by its Gram forms on disc
+    (verification.gap).  The Stokes solve itself is measured against the
+    closed-form solution by quadrature, which gives the discretization
+    floor.  mismatch is the case's trace mismatch on the mesh, which does
+    not depend on the solve.
     """
     if result.problem == "S":
-        du_s, u_s, grad_u_s = result.u, case.u_exact, case.grad_u_exact
-        dp_s, p_s = result.p, case.p_exact
+        err_u_h1 = ver.error_h1(result.u, case.u_exact, case.grad_u_exact)
+        err_u_l2 = ver.error_l2(result.u, case.u_exact)
+        err_p = ver.quotient_norm_l2(result.p, case.p_exact)
     else:
-        du_s, u_s, grad_u_s = ver.diff_field(result.u, s_ref.u), None, None
-        dp_s, p_s = ver.diff_field(result.p, s_ref.p), None
-    du_pp = ver.diff_field(result.u, pp_ref.u)
-    dp_pp = ver.diff_field(result.p, pp_ref.p)
+        gap_u = ver.gap(disc, result.u, s_ref.u)
+        err_u_h1, err_u_l2 = gap_u.h1, gap_u.l2
+        err_p = ver.gap_quotient_l2(disc, result.p, s_ref.p)
     return ErrorRow(
         problem=result.problem, n=n, eps=result.epsilon,
-        err_u_H1_vs_S=ver.error_h1(du_s, u_s, grad_u_s),
-        err_u_L2_vs_S=ver.error_l2(du_s, u_s),
-        err_p_L2R_vs_S=ver.quotient_norm_l2(dp_s, p_s),
-        err_u_H1_vs_PP=ver.error_h1(du_pp, None, None),
-        err_p_H1_vs_PP=ver.error_h1(dp_pp, None, None),
+        err_u_H1_vs_S=err_u_h1,
+        err_u_L2_vs_S=err_u_l2,
+        err_p_L2R_vs_S=err_p,
+        err_u_H1_vs_PP=ver.gap(disc, result.u, pp_ref.u).h1,
+        err_p_H1_vs_PP=ver.gap(disc, result.p, pp_ref.p).h1,
         div_u_L2=ver.div_l2(result.u),
         trace_mismatch_L2G=mismatch,
     )
@@ -159,7 +163,8 @@ def run_sweep_eps(config: RunConfig):
         for res in solve_es_sweep(problem_input(case, mesh), config.eps_list,
                                   disc, config.tol, pp_ref):
             reports.append(res.report)
-            rows.append(_error_row(res, s_ref, pp_ref, case, config.n, mismatch))
+            rows.append(_error_row(disc, res, s_ref, pp_ref, case, config.n,
+                                   mismatch))
     finally:
         write_table(table, config)
     return table, reports
@@ -189,7 +194,7 @@ def run_sweep_h(config: RunConfig):
                     reports.append(res.report)
                 else:
                     res = s_ref if prob == "S" else pp_ref
-                rows.append(_error_row(res, s_ref, pp_ref, case, n, mismatch))
+                rows.append(_error_row(disc, res, s_ref, pp_ref, case, n, mismatch))
         if len(config.n_list) >= 2:
             table.rates = {}
             floor = 10.0 * config.tol
@@ -340,10 +345,8 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
     # 1: decay toward the pressure-Poisson solution at rate 1/eps.
     window = range(0, 5)
     guard = 10.0 * RESIDUAL_GATE
-    pairs_u = [(10.0 ** k, ver.error_h1(ver.diff_field(es_mis[k].u, pp_mis.u), None, None))
-               for k in window]
-    pairs_p = [(10.0 ** k, ver.error_h1(ver.diff_field(es_mis[k].p, pp_mis.p), None, None))
-               for k in window]
+    pairs_u = [(10.0 ** k, ver.gap(disc, es_mis[k].u, pp_mis.u).h1) for k in window]
+    pairs_p = [(10.0 ** k, ver.gap(disc, es_mis[k].p, pp_mis.p).h1) for k in window]
     slope_u = ver.fit_log_slope(ver.saturation_filter(pairs_u, guard))
     slope_p = ver.fit_log_slope(ver.saturation_filter(pairs_p, guard))
     # The 1/eps series solves ES for eps above its term ratio.
@@ -363,16 +366,13 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
     # not bounded.  The problem is linear, so the layer-free part of the same
     # solution is the compatible-trace solve, which must reach the floor.
     shrinking = range(0, -5, -1)
-    errs_u = [ver.error_h1(ver.diff_field(es_mis[k].u, s_ref.u), None, None)
-              for k in shrinking]
-    errs_p = [ver.quotient_norm_l2(ver.diff_field(es_mis[k].p, s_ref.p), None)
-              for k in shrinking]
+    errs_u = [ver.gap(disc, es_mis[k].u, s_ref.u).h1 for k in shrinking]
+    errs_p = [ver.gap_quotient_l2(disc, es_mis[k].p, s_ref.p) for k in shrinking]
 
     def monotone(errs):
         return all(b <= 1.05 * a for a, b in zip(errs, errs[1:]))
 
-    p_l2r_compat = ver.quotient_norm_l2(
-        ver.diff_field(es_compat[-4].p, s_ref.p), None)
+    p_l2r_compat = ver.gap_quotient_l2(disc, es_compat[-4].p, s_ref.p)
     criteria.append(CriterionResult(
         2, "approach to the Stokes solution as eps -> 0 (mismatched-trace "
            "velocity and pressure monotone, compatible-trace pressure near "
@@ -385,9 +385,8 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
          "stokes_pressure_floor": floor_p_l2r}))
 
     # 3: with a compatible pressure trace all three problems coincide.
-    worst_es = max(ver.error_h1(ver.diff_field(es_compat[k].u, s_ref.u), None, None)
-                   for k in exps)
-    pp_gap = ver.error_h1(ver.diff_field(pp_compat.u, s_ref.u), None, None)
+    worst_es = max(ver.gap(disc, es_compat[k].u, s_ref.u).h1 for k in exps)
+    pp_gap = ver.gap(disc, pp_compat.u, s_ref.u).h1
     criteria.append(CriterionResult(
         3, "compatible trace: ES and PP velocities match Stokes to the floor",
         worst_es <= 2.0 * floor_u_h1 and pp_gap <= 2.0 * floor_u_h1,
@@ -401,7 +400,7 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
         case_d = ver.get_case("ms1-mismatch", delta=d)
         pp_d = pp_mis if d == 1.0 else track(
             solve_pp(problem_input(case_d, mesh), disc, tol))
-        gaps[d] = ver.error_h1(ver.diff_field(s_ref.u, pp_d.u), None, None)
+        gaps[d] = ver.gap(disc, s_ref.u, pp_d.u).h1
     ratios = [gaps[d] / d for d in deltas]
     spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
     criteria.append(CriterionResult(
@@ -414,8 +413,8 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
     proj = {}
     ok5 = True
     for k in exps:
-        lhs = ver.seminorm_h1(ver.diff_field(es_mis[k].p, pp_mis.p))
-        rhs = ver.seminorm_h1(ver.diff_field(es_mis[k].p, s_ref.p))
+        lhs = ver.gap(disc, es_mis[k].p, pp_mis.p).seminorm
+        rhs = ver.gap(disc, es_mis[k].p, s_ref.p).seminorm
         proj[10.0 ** k] = (lhs, rhs)
         ok5 = ok5 and lhs <= rhs * 1.05 + 10.0 * tol
     criteria.append(CriterionResult(
@@ -424,7 +423,7 @@ def run_acceptance(config: RunConfig = None) -> AcceptanceReport:
 
     # 6: with a mismatched trace the pressure gradient stays away from the
     # Stokes gradient for small eps.
-    compat_ref = ver.seminorm_h1(ver.diff_field(es_compat[0].p, s_ref.p))
+    compat_ref = ver.gap(disc, es_compat[0].p, s_ref.p).seminorm
     mis_min = min(proj[10.0 ** k][1] for k in exps if k <= 0)
     criteria.append(CriterionResult(
         6, "mismatched-trace pressure gradient does not approach the Stokes one",

@@ -2,20 +2,27 @@
 
 The registry carries a divergence-free polynomial velocity with zero
 boundary trace and a cubic pressure of zero mean, plus a variant whose
-pressure boundary data is perturbed by a cosine trace mismatch.  All error
-integrals use the same degree-5 quadrature as assembly.
+pressure boundary data is perturbed by a cosine trace mismatch.
+
+A norm of the gap between two discrete fields on one Discretization is a
+Gram quadratic form on the gap's coefficients (gap, gap_quotient_l2): e.M e
+for the mass matrix M of the fields' space and e.K e for its stiffness K.
+Every norm against a closed form, and div_l2, is an integral by the same
+degree-5 quadrature as assembly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fem
 from .fem import Field
 from .mesh import Mesh
+from .sparse import one_blas_thread
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +200,67 @@ def diff_field(a: Field, b: Field) -> Field:
                                         or a.space.degree != b.space.degree)):
         raise ValueError("fields live on different spaces")
     return Field(a.space, a.coefficients - b.coefficients)
+
+
+class Gap(NamedTuple):
+    """The squared L2 norm and the squared H1 seminorm of a gap a - b,
+    summed over the components of a velocity."""
+
+    l2_sq: float
+    semi_sq: float
+
+    @property
+    def l2(self) -> float:
+        return float(np.sqrt(self.l2_sq))
+
+    @property
+    def seminorm(self) -> float:
+        return float(np.sqrt(self.semi_sq))
+
+    @property
+    def h1(self) -> float:
+        return float(np.sqrt(self.l2_sq + self.semi_sq))
+
+
+def _gap_matrices(disc, a: Field, b: Field):
+    """(coefficients of a - b, mass, stiffness) for two fields on the same
+    space of disc: M2 and K on the P2 space, Mp and Kp on the P1 space."""
+    e = diff_field(a, b)
+    if e.space.mesh is not disc.mesh or e.space.degree not in (1, 2):
+        raise ValueError("fields do not live on the discretization's spaces")
+    if e.space.degree == 2:
+        return e.coefficients, disc.mass_u, disc.stiff_u
+    return e.coefficients, disc.mass_p, disc.stiff_p
+
+
+def _quadratic_form(mat, e: np.ndarray) -> float:
+    """e . mat e, summed over the columns of an (n, 2) e."""
+    return float(np.vdot(e, mat @ e))
+
+
+@one_blas_thread()
+def gap(disc, a: Field, b: Field) -> Gap:
+    """The Gap of two fields on the spaces of the Discretization disc, as
+    e.M e and e.K e for e = a - b.  The first velocity gap of disc builds
+    its M2."""
+    e, mass, stiff = _gap_matrices(disc, a, b)
+    return Gap(_quadratic_form(mass, e), _quadratic_form(stiff, e))
+
+
+@one_blas_thread()
+def gap_quotient_l2(disc, a: Field, b: Field) -> float:
+    """quotient_norm_l2 of the pressure gap a - b on disc's P1 space.
+
+    The P1 basis sums to 1, so shifting the coefficients by the mean,
+    (m.e) / |Omega| with m = disc.mean_p and |Omega| = m.sum(), removes the
+    mean of the field; e.Mp e then has none of the cancellation of
+    e.Mp e - (m.e)^2 / |Omega| when the gap is nearly constant.
+    """
+    if a.space.degree != 1 or a.coefficients.ndim != 1:
+        raise ValueError("quotient norm applies to pressure fields")
+    e, mass, _ = _gap_matrices(disc, a, b)
+    e = e - (disc.mean_p @ e) / disc.mean_p.sum()
+    return float(np.sqrt(_quadratic_form(mass, e)))
 
 
 def trace_mismatch(p_b, p_exact, mesh: Mesh) -> float:

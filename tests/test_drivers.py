@@ -556,6 +556,40 @@ def _count_calls(monkeypatch, module, names):
     return calls
 
 
+def test_velocity_mass_is_built_for_the_first_row_only(monkeypatch):
+    # M2 is no part of any solve: the sweep's first error row builds it
+    from epsstokes import harness
+    degrees, at_row = [], []
+    real_mass, real_row = fem.assemble_mass, harness._error_row
+
+    def counting_mass(space):
+        degrees.append(space.degree)
+        return real_mass(space)
+
+    def counting_row(*args):
+        at_row.append(degrees.count(2))
+        return real_row(*args)
+
+    monkeypatch.setattr(fem, "assemble_mass", counting_mass)
+    monkeypatch.setattr(harness, "_error_row", counting_row)
+    table, _ = run_sweep_eps(RunConfig(case="ms1-mismatch", n=8))
+    assert len(table.rows) == 13
+    assert at_row == [0] + [1] * 12 and degrees.count(2) == 1
+
+
+def test_sweep_builds_no_es_system_for_its_rhs_norms(monkeypatch):
+    # every eps's ||b|| comes from two right-hand sides built once; an ES
+    # system is built only to check a series sum or for a GMRES solve
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    pp = solve_pp(_inp(mesh, case), disc)
+    calls = _count_calls(monkeypatch, Discretization, ("coupled_system",))
+    sweep = solve_es_sweep(_inp(mesh, case), DEFAULT_EPS_GRID, disc, pp=pp)
+    assert calls == []
+    assert len(list(sweep)) == 13 and len(calls) == 13
+
+
 def test_discretization_assembles_div_coupling_once(monkeypatch):
     from epsstokes import fem
     calls = _count_calls(monkeypatch, fem, ["assemble_div_coupling"])

@@ -199,6 +199,21 @@ def test_factor_of_non_canonical_matrix_matches_canonical_form():
     assert np.abs(got.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("columns", [None, 2])
+def test_factor_solve_is_the_fancy_index_expression(columns):
+    # bit for bit what out[perm] = lu.solve(d * r[perm]) gives
+    a, _ = _labelled_system(40, 8, False)
+    factor = sp.Factor(a)
+    shape = (40,) if columns is None else (40, columns)
+    r = np.random.default_rng(9).standard_normal(shape)
+    d = factor.scale_p if columns is None else factor.scale_p[:, None]
+    want = np.empty_like(r)
+    want[factor.perm] = factor.lu.solve(d * r[factor.perm])
+    got = factor.solve(r)
+    assert got.shape == shape and np.array_equal(got, want)
+    assert np.array_equal(factor.perm[factor.iperm], np.arange(40))
+
+
 def _labelled_system(n, seed, symmetric_pattern):
     """A diagonally dominant sparse matrix under a random symmetric
     relabelling, with a few off-diagonal entries below 1e-14 of their row's
@@ -337,12 +352,16 @@ def _record_kernel_threads(monkeypatch):
 
 @needs_openblas
 def test_sweep_error_rows_run_on_one_blas_thread(two_blas_threads, monkeypatch):
-    from epsstokes import harness
+    # an ES row's gaps are seven Gram forms (velocity L2 and seminorm against
+    # S and PP, the pressure quotient norm against S, pressure L2 and
+    # seminorm against PP); div_l2 still reaches the quadrature kernels
+    from epsstokes import harness, verification as ver
     seen, kernels = _record_kernel_threads(monkeypatch)
+    forms = _record_blas_threads(monkeypatch, ver, ("_quadratic_form",))
     table, _ = harness.run_sweep_eps(harness.RunConfig(case="ms1-mismatch", n=4,
                                                        eps_list=(1.0,)))
-    assert len(table.rows) == 1 and len(kernels) >= 10
-    assert set(seen) == {1}
+    assert len(table.rows) == 1 and len(forms) == 7 and len(kernels) >= 1
+    assert set(seen) == {1} and set(forms) == {1}
     assert two_blas_threads() == 2
 
 

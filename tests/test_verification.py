@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from epsstokes.drivers import Discretization
 from epsstokes.fem import Field, Space
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.verification import (CSV_COLUMNS, CSV_SCHEMA, ErrorRow,
-                                    ErrorTable, error_h1, error_l2,
-                                    fit_log_slope, gauss_formula_residual,
-                                    get_case, quotient_norm_l2, registry,
-                                    saturation_filter, trace_mismatch)
+                                    ErrorTable, diff_field, error_h1, error_l2,
+                                    fit_log_slope, gap, gap_quotient_l2,
+                                    gauss_formula_residual, get_case,
+                                    quotient_norm_l2, registry,
+                                    saturation_filter, seminorm_h1,
+                                    trace_mismatch)
+from helpers import affine_jittered_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +161,71 @@ def test_error_ops_absolutely_homogeneous():
         assert abs(error_l2(a, None) - abs(alpha) * base_l2) <= 1e-12 * base_l2
         assert abs(quotient_norm_l2(a, None) - abs(alpha) * base_q) <= 1e-12 * base_q
         assert abs(error_h1(a, None, None) - abs(alpha) * base_h1) <= 1e-12 * base_h1
+
+
+# ---------------------------------------------------------------------------
+# gap norms as Gram forms
+
+
+def _assert_gaps_match_quadrature(mesh, seed):
+    """Every Gram form of random P2 (n, 2) and P1 gaps on mesh against its
+    quadrature norm, to 1e-12 relative."""
+    disc = Discretization(mesh)
+    rng = np.random.default_rng(seed)
+    pairs = [(Field(disc.vspace, rng.standard_normal((disc.vspace.ndofs, 2))),
+              Field(disc.vspace, rng.standard_normal((disc.vspace.ndofs, 2)))),
+             (Field(disc.pspace, rng.standard_normal(disc.pspace.ndofs)),
+              Field(disc.pspace, rng.standard_normal(disc.pspace.ndofs)))]
+    for a, b in pairs:
+        e, g = diff_field(a, b), gap(disc, a, b)
+        for got, want in ((g.l2, error_l2(e, None)), (g.seminorm, seminorm_h1(e)),
+                          (g.h1, error_h1(e, None, None))):
+            assert abs(got - want) <= 1e-12 * want
+    a, b = pairs[1]
+    want = quotient_norm_l2(diff_field(a, b), None)
+    assert abs(gap_quotient_l2(disc, a, b) - want) <= 1e-12 * want
+
+
+def test_gap_forms_match_quadrature_structured():
+    _assert_gaps_match_quadrature(build_structured_mesh(8), 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       linear=st.tuples(st.floats(0.5, 2.0), st.floats(-0.5, 0.5),
+                        st.floats(-0.5, 0.5), st.floats(0.5, 2.0)))
+def test_gap_forms_match_quadrature_jittered(n, seed, linear):
+    a11, a12, a21, a22 = linear
+    mesh = affine_jittered_mesh(n, seed, linear=((a11, a12), (a21, a22)),
+                                offset=(0.3, -1.7))
+    _assert_gaps_match_quadrature(mesh, seed)
+
+
+def test_gap_quotient_norm_of_a_nearly_constant_gap():
+    # a gap of 1e3 plus a small perturbation: the mean shift leaves the
+    # perturbation's own quotient norm, free of cancellation against 1e3
+    disc = Discretization(build_structured_mesh(8))
+    rng = np.random.default_rng(3)
+    small = 1e-6 * rng.standard_normal(disc.pspace.ndofs)
+    b = Field(disc.pspace, rng.standard_normal(disc.pspace.ndofs))
+    a = Field(disc.pspace, b.coefficients + 1e3 + small)
+    want = quotient_norm_l2(Field(disc.pspace, small), None)
+    assert abs(gap_quotient_l2(disc, a, b) - want) <= 1e-8 * want
+    assert abs(quotient_norm_l2(diff_field(a, b), None) - want) <= 1e-8 * want
+
+
+def test_gap_forms_reject_fields_off_the_discretization():
+    disc = Discretization(build_structured_mesh(3))
+    other = Discretization(build_structured_mesh(3))
+    p, u = Field(disc.pspace, np.ones(disc.np_)), Field(disc.vspace, np.ones((disc.nu // 2, 2)))
+    p_other = Field(other.pspace, np.ones(other.np_))
+    with pytest.raises(ValueError, match="different spaces"):
+        gap(disc, p, p_other)
+    with pytest.raises(ValueError, match="discretization's spaces"):
+        gap(disc, p_other, p_other)
+    with pytest.raises(ValueError, match="pressure fields"):
+        gap_quotient_l2(disc, u, u)
+    assert gap(disc, u, u) == (0.0, 0.0)
 
 
 def test_trace_mismatch_values():

@@ -72,9 +72,9 @@ from scipy import sparse as sps
 from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
-from .sparse import (AIM, DEFAULT_TOL, ORDERING, RESIDUAL_FLOOR, Factor,
-                     Preconditioner, SolverReport, dump_solved, one_blas_thread,
-                     rel_residual, solve)
+from .sparse import (AIM, DEFAULT_TOL, RESIDUAL_FLOOR, Factor, Preconditioner,
+                     SolverReport, dump_solved, one_blas_thread, rel_residual,
+                     solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
@@ -287,25 +287,6 @@ def _require_compatible(inp):
     return flux
 
 
-def _merge_reports(first: SolverReport, second: SolverReport,
-                   shared: bool = False) -> SolverReport:
-    """One report for two solves run in sequence.  shared: both applied the
-    same preconditioner, whose name and factors then count once."""
-    worse = max(first.rel_residual, second.rel_residual)
-    return SolverReport(method=(first.method if shared
-                                else f"{first.method}; {second.method}"),
-                        rel_residual=worse,
-                        iterations=first.iterations + second.iterations,
-                        wall_time=first.wall_time + second.wall_time,
-                        ordering=first.ordering,
-                        lu_nnz=first.lu_nnz + (0 if shared else second.lu_nnz),
-                        matrix_nnz=(first.matrix_nnz
-                                    + (0 if shared else second.matrix_nnz)),
-                        factor_time=first.factor_time + second.factor_time,
-                        residual_history=(first.residual_history
-                                          + second.residual_history))
-
-
 def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
     """A^-1 r for interleaved velocity dofs, one column per component."""
     return factor.solve(r.reshape(-1, 2)).ravel()
@@ -384,25 +365,28 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     """Two-stage decoupled solve: scalar pressure Poisson, then velocity.
 
     The velocity right-hand side uses the discrete pressure gradient
-    evaluated at quadrature points.
+    evaluated at quadrature points.  The one report covers the three
+    solves: the worst residual, their histories in order, their wall times
+    summed, and the factors Kp and A.
     """
+    start = time.perf_counter()
     disc = disc or Discretization(inp.mesh)
     _require_compatible(inp)
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
 
     _, p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
-    p_coeff, rep1 = _solve_fixed(
+    p_coeff, report = _solve_fixed(
         disc.pressure_system, disc.pressure_load(inp.body_force), p_vals, tol,
         lambda: Preconditioner("Kp", disc.pressure_factor.solve,
                                (disc.pressure_factor,)))
+    reports = [report]
     p = Field(disc.pspace, p_coeff)
 
     f = (disc.velocity_load(inp.body_force)
          - fem.assemble_field_grad_load(disc.vspace, p))
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     u_coeff = np.empty_like(f)
-    reports = []
     for c in (0, 1):          # one scalar solve per velocity component
         u_coeff[:, c], report = _solve_fixed(
             disc.velocity_system, f[:, c], u_vals[:, c], tol,
@@ -411,8 +395,12 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
         reports.append(report)
 
     return SolveResult(u=Field(disc.vspace, u_coeff), p=p, problem="PP",
-                       epsilon=None, report=_merge_reports(
-                           rep1, _merge_reports(*reports, shared=True)))
+                       epsilon=None, report=SolverReport.from_factors(
+                           "gmres[Kp]; gmres[A]",
+                           max(r.rel_residual for r in reports),
+                           [h for r in reports for h in r.residual_history],
+                           sum(r.wall_time for r in reports),
+                           (disc.pressure_factor, disc.velocity_factor), start))
 
 
 @one_blas_thread()
@@ -575,9 +563,7 @@ class EpsSweep:
                     self.series[eps] = open_.pop(eps)
                 elif left == 0 or (k and bound * (self.term_ratio / eps) ** left > aim):
                     del open_[eps]
-        self.factors = disc.pressure_factor, disc.velocity_factor
-        self.factor_time = sum(f.factor_time for f in self.factors if f.finished >= start)
-        self.elapsed = time.perf_counter() - start
+        self.start, self.elapsed = start, time.perf_counter() - start
 
     @property
     def term_ratio(self) -> float:
@@ -605,13 +591,11 @@ class EpsSweep:
         if not res <= self.tol:
             return None
         dump_solved(system.matrix)
-        return _coupled_result(disc, x, eps, SolverReport(
-            method="series[Kp, A]", rel_residual=res, iterations=len(bounds),
-            wall_time=time.perf_counter() - check + (self.elapsed if first else 0.0),
-            ordering=ORDERING, lu_nnz=sum(f.nnz for f in self.factors),
-            matrix_nnz=sum(f.matrix_nnz for f in self.factors),
-            factor_time=self.factor_time if first else 0.0,
-            residual_history=tuple(bounds)))
+        return _coupled_result(disc, x, eps, SolverReport.from_factors(
+            "series[Kp, A]", res, bounds,
+            time.perf_counter() - check + (self.elapsed if first else 0.0),
+            (disc.pressure_factor, disc.velocity_factor),
+            self.start if first else check))
 
 
 def solve_problem(name: str, inp: ProblemInput, disc: Discretization = None,

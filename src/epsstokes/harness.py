@@ -113,9 +113,10 @@ def _error_row(disc: Discretization, result: SolveResult, s_ref: SolveResult,
     floor.  mismatch is the case's trace mismatch on the mesh, which does
     not depend on the solve.
     """
-    if result.problem == "S":
-        err_u_h1 = ver.error_h1(result.u, case.u_exact, case.grad_u_exact)
+    if result.problem == "S":         # verification.error_h1, sharing its L2 part
         err_u_l2 = ver.error_l2(result.u, case.u_exact)
+        err_u_h1 = float(np.hypot(err_u_l2, ver.seminorm_h1(result.u,
+                                                            case.grad_u_exact)))
         err_p = ver.quotient_norm_l2(result.p, case.p_exact)
     else:
         gap_u = ver.gap(disc, result.u, s_ref.u)
@@ -133,18 +134,6 @@ def _error_row(disc: Discretization, result: SolveResult, s_ref: SolveResult,
     )
 
 
-def _sweep_mesh(case: ManufacturedCase, n: int, tol: float, reports: list):
-    """(mesh, disc, s_ref, pp_ref, mismatch) of one sweep mesh: mesh n, its
-    Discretization, the Stokes and pressure-Poisson reference solves, whose
-    reports go to reports, and the case's trace mismatch on the mesh."""
-    mesh = build_structured_mesh(n)
-    disc = Discretization(mesh)
-    s_ref = solve_stokes(problem_input(case, mesh), disc, tol)
-    pp_ref = solve_pp(problem_input(case, mesh), disc, tol)
-    reports.extend([s_ref.report, pp_ref.report])
-    return mesh, disc, s_ref, pp_ref, ver.trace_mismatch(case.p_bc(), case.p_exact, mesh)
-
-
 def run_sweep_eps(config: RunConfig):
     """Solve the references once, then the coupled problem per epsilon
     (drivers.solve_es_sweep: its 1/eps series where that converges).
@@ -154,20 +143,7 @@ def run_sweep_eps(config: RunConfig):
     """
     if not config.eps_list:
         raise ConfigError("epsilon sweep needs a nonempty epsilon list")
-    case = config.manufactured_case()
-    rows, reports = [], []
-    table = ErrorTable(rows=rows)
-    try:
-        mesh, disc, s_ref, pp_ref, mismatch = _sweep_mesh(case, config.n,
-                                                          config.tol, reports)
-        for res in solve_es_sweep(problem_input(case, mesh), config.eps_list,
-                                  disc, config.tol, pp_ref):
-            reports.append(res.report)
-            rows.append(_error_row(disc, res, s_ref, pp_ref, case, config.n,
-                                   mismatch))
-    finally:
-        write_table(table, config)
-    return table, reports
+    return _sweep(config, (config.n,), ("ES",), config.eps_list)
 
 
 def run_sweep_h(config: RunConfig):
@@ -180,25 +156,40 @@ def run_sweep_h(config: RunConfig):
     """
     if not config.n_list:
         raise ConfigError("h sweep needs a nonempty n list")
+    return _sweep(config, config.n_list, config.problems, config.eps_list[:1])
+
+
+def _sweep(config: RunConfig, ns, problems, eps_list):
+    """(table, reports) of both sweeps: per mesh n of ns, the Stokes and
+    pressure-Poisson references, whose reports come first, then one row per
+    problem, ES giving one row per eps of eps_list.  With two meshes or more
+    the table gets the fitted h-rates.  The table is written, however far it
+    got, before an error propagates."""
     case = config.manufactured_case()
     rows, reports = [], []
     table = ErrorTable(rows=rows)
     try:
-        for n in config.n_list:
-            mesh, disc, s_ref, pp_ref, mismatch = _sweep_mesh(case, n, config.tol,
-                                                              reports)
-            for prob in config.problems:
+        for n in ns:
+            mesh = build_structured_mesh(n)
+            disc = Discretization(mesh)
+            s_ref = solve_stokes(problem_input(case, mesh), disc, config.tol)
+            pp_ref = solve_pp(problem_input(case, mesh), disc, config.tol)
+            reports.extend([s_ref.report, pp_ref.report])
+            mismatch = ver.trace_mismatch(case.p_bc(), case.p_exact, mesh)
+            for prob in problems:
                 if prob == "ES":
-                    [res] = solve_es_sweep(problem_input(case, mesh), config.eps_list[:1],
-                                           disc, config.tol, pp_ref)
-                    reports.append(res.report)
+                    results = solve_es_sweep(problem_input(case, mesh), eps_list,
+                                             disc, config.tol, pp_ref)
                 else:
-                    res = s_ref if prob == "S" else pp_ref
-                rows.append(_error_row(disc, res, s_ref, pp_ref, case, n, mismatch))
-        if len(config.n_list) >= 2:
+                    results = [s_ref if prob == "S" else pp_ref]
+                for res in results:     # lazily: a failure keeps the rows before it
+                    if prob == "ES":
+                        reports.append(res.report)
+                    rows.append(_error_row(disc, res, s_ref, pp_ref, case, n, mismatch))
+        if len(ns) >= 2:
             table.rates = {}
             floor = 10.0 * config.tol
-            for prob in config.problems:
+            for prob in problems:
                 sel = [r for r in rows if r.problem == prob]
                 for col in ("err_u_H1_vs_S", "err_p_L2R_vs_S"):
                     pairs = [(1.0 / r.n, getattr(r, col)) for r in sel]

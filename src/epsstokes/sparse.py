@@ -178,8 +178,8 @@ class SolverReport:
     entries of the matrices they factored; fill is their ratio, 0 without
     factors; factor_time is the part of wall_time spent in factorizations
     made during this call (a factor kept from an earlier call costs nothing
-    here).  The factor fields default to empty for results that did not
-    come from a solve.
+    here).  from_factors builds every report a solve gives; the factor
+    fields default to empty for results that did not come from a solve.
     """
 
     method: str
@@ -191,6 +191,21 @@ class SolverReport:
     matrix_nnz: int = 0
     factor_time: float = 0.0
     residual_history: tuple = ()
+
+    @classmethod
+    def from_factors(cls, method: str, rel_residual: float, history,
+                     wall_time: float, factors, since: float) -> SolverReport:
+        """The report of a solution that applied the distinct factors given,
+        one iteration per entry of history: their nnz summed, and the factor
+        time of those finished at or after since, a perf_counter reading
+        taken when the solution began."""
+        return cls(method=method, rel_residual=rel_residual,
+                   iterations=len(history), wall_time=wall_time,
+                   ordering=ORDERING, lu_nnz=sum(f.nnz for f in factors),
+                   matrix_nnz=sum(f.matrix_nnz for f in factors),
+                   factor_time=sum((f.factor_time for f in factors
+                                    if f.finished >= since), 0.0),
+                   residual_history=tuple(history))
 
     @property
     def fill(self) -> float:
@@ -320,7 +335,6 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     _release_free_heap()
     start = time.perf_counter()
     pre = _direct(a) if precond is None else precond()
-    factor_time = sum(f.factor_time for f in pre.factors if f.finished >= start)
 
     bnorm = max(float(np.linalg.norm(b)), RESIDUAL_FLOOR)
     x = pre.apply(b)
@@ -337,13 +351,9 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
                      callback_type="pr_norm")
         res = rel_residual(a, x, b, bnorm)
         restarts += 1
-    elapsed = time.perf_counter() - start
-    report = SolverReport(
-        method=f"gmres[{pre.name}]", rel_residual=res,
-        iterations=len(history), wall_time=elapsed, ordering=ORDERING,
-        lu_nnz=sum(f.nnz for f in pre.factors),
-        matrix_nnz=sum(f.matrix_nnz for f in pre.factors),
-        factor_time=factor_time, residual_history=tuple(history))
+    report = SolverReport.from_factors(f"gmres[{pre.name}]", res, history,
+                                       time.perf_counter() - start,
+                                       pre.factors, start)
     if not res <= tol:
         raise SolverError(
             f"solver did not reach tol={tol:g}; achieved residual {res:.3e}",

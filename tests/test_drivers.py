@@ -309,6 +309,22 @@ def test_fill_is_lu_nnz_over_the_factored_matrices(monkeypatch):
     assert runs[1][0].fill == runs[3][0].fill
 
 
+def test_pp_after_stokes_counts_the_factor_time_of_kp_only():
+    # Stokes has already made A on this Discretization, so PP applies A but
+    # spends no time factoring it
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    solve_stokes(_inp(mesh, case), disc)
+    vel = disc.velocity_factor
+    report = solve_pp(_inp(mesh, case), disc).report
+    kp = disc.pressure_factor
+    assert disc.velocity_factor is vel
+    assert report.lu_nnz == kp.nnz + vel.nnz
+    assert report.matrix_nnz == kp.matrix_nnz + vel.matrix_nnz
+    assert report.factor_time == kp.factor_time > 0.0
+
+
 def test_stokes_factor_size_at_n32():
     # the factors of A and -Mp under the structure-based ordering; the
     # minimum-degree ordering of the FE labels stored 238,542

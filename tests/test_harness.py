@@ -108,6 +108,25 @@ def test_sweep_h_needs_n_list():
         run_sweep_h(cfg)
 
 
+def test_sweep_stokes_row_integrates_the_velocity_l2_error_once(monkeypatch):
+    # the row's H1 error reuses its L2 error rather than integrating it again
+    import epsstokes.verification as ver
+    calls = []
+    real = ver.error_l2
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ver, "error_l2", counted)
+    table, _ = run_sweep_h(RunConfig(case="ms1", problem="S", n_list=(4,)))
+    [row] = table.rows
+    assert len(calls) == 1
+    [(field, _)] = calls
+    case = get_case("ms1")
+    assert row.err_u_H1_vs_S == error_h1(field, case.u_exact, case.grad_u_exact)
+
+
 def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
     # the 1/eps series diverges at these eps, so GMRES solves both
     out = tmp_path / "partial.csv"

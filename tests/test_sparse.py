@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,26 @@ def test_gmres_with_kept_inexact_factor():
     assert report.residual_history[-1] < 1e-3 * report.residual_history[0]
     assert report.factor_time == 0.0
     assert report.lu_nnz == near.nnz and report.fill == near.nnz / near.matrix_nnz
+
+
+def test_report_from_factors_counts_time_of_new_factors_only():
+    # nnz counts every factor given; factor time only those finished at or
+    # after since
+    kept = sp.Factor(_laplace_1d(30))
+    since = time.perf_counter()
+    made = sp.Factor(_laplace_1d(50))
+    assert kept.finished < since <= made.finished
+    report = sp.SolverReport.from_factors("gmres[both]", 1e-12, [0.5, 1e-3, 1e-9],
+                                          2.5, (kept, made), since)
+    assert report.method == "gmres[both]" and report.rel_residual == 1e-12
+    assert report.wall_time == 2.5
+    assert report.lu_nnz == kept.nnz + made.nnz
+    assert report.matrix_nnz == kept.matrix_nnz + made.matrix_nnz
+    assert report.fill == report.lu_nnz / report.matrix_nnz
+    assert report.ordering == sp.ORDERING
+    assert report.iterations == len(report.residual_history) == 3
+    assert report.residual_history == (0.5, 1e-3, 1e-9)
+    assert report.factor_time == made.factor_time > 0.0
 
 
 def test_factor_less_preconditioner_reports_zero_fill():

@@ -28,21 +28,21 @@ ES assemble their system; PP never forms it.  ES keeps its system at
 eps = 1 and scales the Kp entries of a copy of its values per epsilon.
 
 Each system is solved by GMRES (sparse.solve) against a preconditioner
-built from factors that the Discretization makes on first use:
+built from factors.  The Discretization makes two on first use and keeps
+them:
 
 * A  -- K with every boundary node eliminated: one scalar P2 factor that
   serves the x and the y velocity;
-* Kp -- the P1 pressure Laplacian with every boundary node eliminated;
-* Mp -- the P1 mass matrix, negated, with the Stokes gauge dof eliminated.
+* Kp -- the P1 pressure Laplacian with every boundary node eliminated.
 
 PP makes three scalar solves, each preconditioned by the factor of its own
 matrix: Kp, then A once per velocity component, each component meeting the
 tolerance against its own right-hand side.  Stokes and ES use the block
-lower-triangular preconditioner [[A, 0], [L, S]], where L is the lower-left
-block of the solved matrix, applied as the divergence coupling B (negated
-for Stokes) with the fixed rows and columns masked, and S stands for the
-Schur complement: eps*Kp + Mp for ES, a P1 matrix factored per epsilon,
-and its eps -> 0 limit -Mp for Stokes, whose gauge row stays an identity
+lower-triangular preconditioner [[A, 0], [L, S]], both lower blocks read
+off the solved matrix: L is its lower-left block, and S, factored per
+solve, stands for the Schur complement.  S is the pressure block plus Mp
+for ES, eps*Kp + Mp, and minus Mp for Stokes, its eps -> 0 limit -Mp, with
+the fixed pressure dofs eliminated; Stokes's gauge row stays an identity
 row (Elman, Silvester & Wathen, Finite Elements and Fast Iterative Solvers,
 2014; Mardal & Winther, NLAA 2011).
 
@@ -143,7 +143,7 @@ class Discretization:
     The P2 stiffness K of one velocity component, the P1 stiffness Kp and
     the pressure mean are assembled at construction.  The couplings B and G,
     the mass matrices Mp and M2, load vectors (memoized per body-force
-    callable), each problem's eliminated system and the factors A, Kp and Mp
+    callable), each problem's eliminated system and the factors A and Kp
     are built on first use and live as long as the Discretization.  The
     interleaved velocity block kron(K, I2) is formed only while S or ES
     builds its system, and is not kept.
@@ -193,11 +193,6 @@ class Discretization:
     @cached_property
     def pressure_factor(self) -> Factor:
         return Factor(self.pressure_system.matrix)
-
-    @cached_property
-    def mass_factor(self) -> Factor:
-        """-Mp with the gauge dof eliminated: the Stokes Schur block."""
-        return Factor(fem.eliminate(-self.mass_p, [GAUGE_DOF]))
 
     @cached_property
     def stokes_system(self) -> Eliminated:
@@ -293,22 +288,19 @@ def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
 
 
 def _block_lower(disc: Discretization, system: Eliminated, sign: float,
-                 name: str, schur: Factor) -> Preconditioner:
-    """[[A, 0], [L, S]] with S factored and L the lower-left block of system:
-    sign * D with the fixed rows and columns of system zeroed, applied as
-    disc.div with those entries masked rather than sliced out of system."""
+                 name: str) -> Preconditioner:
+    """[[A, 0], [L, S]] read off the solved matrix: L is its lower-left block
+    and S its pressure block plus sign * Mp, with the fixed pressure dofs
+    eliminated: -Mp for Stokes (sign -1), eps*Kp + Mp for ES (sign +1)."""
     nu = disc.nu
     vel = disc.velocity_factor
-    fixed_u = system.fixed[system.fixed < nu]
-    fixed_p = system.fixed[system.fixed >= nu] - nu
+    lower = system.matrix[nu:, :nu]
+    schur = Factor(fem.eliminate(system.matrix[nu:, nu:] + sign * disc.mass_p,
+                                 system.fixed[system.fixed >= nu] - nu))
 
     def apply(r):
         z = _solve_velocity(vel, r[:nu])
-        free = z.copy()
-        free[fixed_u] = 0.0
-        lz = disc.div @ free
-        lz[fixed_p] = 0.0
-        return np.concatenate([z, schur.solve(r[nu:] - sign * lz)])
+        return np.concatenate([z, schur.solve(r[nu:] - lower @ z)])
 
     return Preconditioner(f"block_lower(A, {name})", apply, (vel, schur))
 
@@ -350,7 +342,7 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     x, report = _solve_fixed(
         system, rhs, np.append(u_vals, 0.0), tol,    # pressure gauge: p dof = 0
-        lambda: _block_lower(disc, system, -1.0, "-Mp", disc.mass_factor))
+        lambda: _block_lower(disc, system, -1.0, "-Mp"))
 
     p = x[nu:]
     p -= (disc.mean_p @ p) / disc.mean_p.sum()
@@ -419,8 +411,7 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     system = disc.coupled_system(eps)
     x, report = _solve_fixed(
         system, _coupled_load(disc, inp, eps), values, tol,
-        lambda: _block_lower(disc, system, 1.0, "eps*Kp + Mp", Factor(fem.eliminate(
-            eps * disc.stiff_p + disc.mass_p, disc.pspace.boundary_nodes))))
+        lambda: _block_lower(disc, system, 1.0, "eps*Kp + Mp"))
     return _coupled_result(disc, x, eps, report)
 
 
@@ -496,7 +487,9 @@ class EpsSweep:
     while any eps still needs it, and adds each into one running sum per
     eps.  An eps leaves the series once its residual bound meets the aim,
     or once the ratio of the last two terms shows that SERIES_TERMS terms
-    will not; in the second case its sum is dropped.
+    will not; in the second case its sum is dropped.  An eps at or below
+    that ratio, where the series diverges, leaves before its next term is
+    added, so a tiny eps forms no power of 1/eps.
 
     Iterating yields one SolveResult per eps, in list order: the sum of an
     eps the series solved, once it meets tol in the true residual, and
@@ -556,6 +549,9 @@ class EpsSweep:
                 self.r_norms.append(float(np.linalg.norm(r)))
             left = SERIES_TERMS - 1 - k
             for eps, (total, bounds) in list(open_.items()):
+                if k and self.term_ratio >= eps:     # diverges; 1/eps^k may overflow
+                    del open_[eps]
+                    continue
                 total += eps ** -k * x
                 bound = eps ** -k * self.r_norms[k] / bnorms[eps]
                 bounds.append(bound)

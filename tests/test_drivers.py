@@ -23,7 +23,7 @@ from helpers import (apply_dirichlet, grad_coupling_direct, linear_x_minus_half,
                      zero_scalar, zero_vec)
 
 DRIVERS = {"S": solve_stokes, "PP": solve_pp, "ES": solve_es}
-FACTORS = ("velocity_factor", "pressure_factor", "mass_factor")
+FACTORS = ("velocity_factor", "pressure_factor")
 SYSTEMS = ("stokes_system", "pressure_system", "velocity_system",
            "_coupled_unit")
 
@@ -296,7 +296,7 @@ def test_fill_is_lu_nnz_over_the_factored_matrices(monkeypatch):
     disc = Discretization(mesh)
     vel, kp = disc.velocity_factor, disc.pressure_factor
     es = solve_es(_inp(mesh, case, eps=1.0), disc).report
-    runs = [(solve_stokes(_inp(mesh, case), disc).report, (vel, disc.mass_factor)),
+    runs = [(solve_stokes(_inp(mesh, case), disc).report, (vel, made[3])),
             (solve_pp(_inp(mesh, case), disc).report, (kp, vel)),
             (es, (vel, made[2])),
             (next(iter(solve_es_sweep(_inp(mesh, case), [1e6], disc))).report,
@@ -341,25 +341,38 @@ def test_velocity_factor_size_at_n96():
     assert disc.velocity_factor.nnz <= 2.5e6
 
 
-@pytest.mark.parametrize("problem", ["S", "ES"])
-def test_block_lower_matches_sliced_block(problem):
-    # the masked divergence applies the lower-left block of the solved
-    # matrix exactly as the block sliced out of it would
+@pytest.mark.parametrize("problem, eps", [("S", None), ("ES", 1e-3), ("ES", 0.0)],
+                         ids=["S", "ES", "ES-eps0"])
+def test_block_lower_reads_its_blocks_off_the_solved_matrix(problem, eps, monkeypatch):
+    # S is the solved pressure block plus sign * Mp with the fixed pressure
+    # dofs eliminated: -Mp for Stokes, eps*Kp + Mp for ES and Mp at eps = 0;
+    # L is the solved lower-left block
+    factored = []
+
+    class Recorded(sparse.Factor):
+        def __init__(self, a):
+            factored.append(a)
+            super().__init__(a)
+
     disc = Discretization(build_structured_mesh(8))
-    nu = disc.nu
+    nu, vel, mp = disc.nu, disc.velocity_factor, disc.mass_p
+    pbnd = disc.pspace.boundary_nodes
+    monkeypatch.setattr(drivers, "Factor", Recorded)
     if problem == "S":
-        system, sign, schur = disc.stokes_system, -1.0, disc.mass_factor
+        system, sign = disc.stokes_system, -1.0
+        want = fem.eliminate(-mp, [drivers.GAUGE_DOF])
     else:
-        eps = 1e-3
         system, sign = disc.coupled_system(eps), 1.0
-        schur = sparse.Factor(fem.eliminate(eps * disc.stiff_p + disc.mass_p,
-                                            disc.pspace.boundary_nodes))
-    pre = drivers._block_lower(disc, system, sign, problem, schur)
-    lower = system.matrix[nu:, :nu]
+        want = fem.eliminate(eps * disc.stiff_p + mp if eps else mp, pbnd)
+    pre = drivers._block_lower(disc, system, sign, problem)
+    (schur_matrix,) = factored
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(schur_matrix, name), getattr(want, name)), name
+    schur = pre.factors[1]
     r = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
-    z = disc.velocity_factor.solve(r[:nu].reshape(-1, 2)).ravel()
-    sliced = np.concatenate([z, schur.solve(r[nu:] - lower @ z)])
-    assert np.abs(pre.apply(r) - sliced).max() <= 1e-15 * np.abs(sliced).max()
+    z = vel.solve(r[:nu].reshape(-1, 2)).ravel()
+    sliced = np.concatenate([z, schur.solve(r[nu:] - system.matrix[nu:, :nu] @ z)])
+    assert np.array_equal(pre.apply(r), sliced)
 
 
 @pytest.mark.parametrize("problem", ["S", "PP", "ES"])
@@ -768,6 +781,19 @@ def test_series_falls_back_to_gmres_below_its_radius(monkeypatch):
     assert small.report.method.startswith("gmres[") and small.epsilon == 1e-3
     assert small.report.rel_residual <= 1e-10
     assert large.report.method == SERIES and large.epsilon == 10.0
+
+
+def test_series_leaves_tiny_eps_to_gmres_without_overflow():
+    # the series diverges below its term ratio; 1/eps^k would overflow at
+    # these eps, so they leave it before a term is added and GMRES solves them
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(4)
+    results = list(solve_es_sweep(_inp(mesh, case), [1e-310, 1e-30, 1.0]))
+    assert [r.epsilon for r in results] == [1e-310, 1e-30, 1.0]
+    for res in results[:2]:
+        assert res.report.method.startswith("gmres[")
+        assert res.report.rel_residual <= sparse.DEFAULT_TOL
+    assert results[2].report.method == SERIES
 
 
 @pytest.mark.parametrize("n", [4, 8])

@@ -281,6 +281,14 @@ def test_cli_sweep_eps_writes_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_cli_sweep_eps_at_tiny_eps_exits_0(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep-eps", "--case", "ms1-mismatch", "--n", "4",
+                 "--eps", "1e-30", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_cli_sweep_h_json(tmp_path):
     out = tmp_path / "hsweep.json"
     code = main(["sweep-h", "--case", "ms1", "--problem", "S", "--n", "4,8",

@@ -1,12 +1,17 @@
 """Linear solution of the assembled sparse systems.
 
-Every system takes one path: GMRES on the assembled matrix against a
-preconditioner built from sparse LU factors, restarted until the true
-relative residual ||b - A x|| / ||b|| meets the requested tolerance.  A
-factor is SuperLU of the row-equilibrated matrix in symmetric mode: a
-minimum-degree ordering of the pattern of A + A^T (multiple minimum degree;
-Liu, ACM TOMS 1985), applied to rows and columns alike, with diagonal
-pivots preferred.
+Every system takes one path, solve: the first step x = M b with a
+preconditioner M, then, if that misses the requested tolerance, restarted
+GMRES on the assembled matrix, and always the true relative residual
+||b - A x|| / ||b|| checked against the tolerance.  GMRES is this module's
+own (gmres): preconditioned on the right, so its residual estimates are
+estimates of the true residual, with the Arnoldi vectors orthogonalized by
+classical Gram-Schmidt run twice (CGS2; Giraud, Langou & Rozloznik, 2005),
+two matrix-vector products with the basis per pass where modified
+Gram-Schmidt loops over its vectors in Python.  A factor is SuperLU of the
+row-equilibrated matrix in symmetric mode: a minimum-degree ordering of the
+pattern of A + A^T (multiple minimum degree; Liu, ACM TOMS 1985), applied
+to rows and columns alike, with diagonal pivots preferred.
 
 That ordering breaks ties by input label, so on the FE numbering its fill
 depended on luck: A's factor held 5.45M entries at n = 96 but 5.29M at
@@ -17,19 +22,25 @@ where an integral is exactly 0, before minimum degree runs.  Either step
 alone filled more than the FE labels did at n = 64 (1.10x and 1.06x);
 together they cut A's factor to 0.67-0.80x on jittered meshes and to 0.34x
 at n = 96.  RCM sees the pattern before the drop: on the dropped one,
-jittered fill was 0.84-0.89x.  A factor stays a preconditioner: GMRES
+jittered fill was 0.84-0.89x.  A factor stays a preconditioner: solve
 checks the true matrix, so the drop costs no accuracy.
 
-Without a preconditioner, solve factors the matrix itself: the first
-preconditioned step is then the direct solve, and GMRES only refines it.
-The drivers pass block preconditioners built from the factors that one
-Discretization keeps for its mesh, so a sweep factors the shared blocks
-once (see drivers).
+Without a preconditioner, solve factors the matrix itself: the first step
+is then the direct solve.  The drivers pass preconditioners built from the
+factors that one Discretization keeps for its mesh, so a sweep factors the
+shared blocks once; for Stokes and ES the preconditioner runs gmres itself,
+on the pressure Schur complement, and its first step already meets the
+tolerance (see drivers).
 
-A solve runs numpy's BLAS on one thread.  GMRES vectors at n = 40 are past
-OpenBLAS's threading cut-off for dot products, and the woken second thread
-busy-waits: it doubled the CPU time and saved no wall time.  SuperLU calls
-scipy's own OpenBLAS, which is left as it is.
+A solve runs numpy's BLAS on one thread.  Full-length Krylov vectors at
+n = 40 are past OpenBLAS's threading cut-off for dot products, and the
+woken second thread busy-waits: it doubled the CPU time and saved no wall
+time.  SuperLU calls scipy's own OpenBLAS, which is left as it is.
+
+Residual norms fail closed.  norm takes the plain 2-norm and rescales by the
+largest entry only where that overflows, so a finite norm keeps its bits; a
+right-hand side or matrix with a non-finite entry is refused, and a residual
+whose norm is not finite fails the gate.
 
 A solve, and each factorization, first hands the C heap's free pages back to
 the operating system (glibc's malloc_trim).  SuperLU's work arrays and the
@@ -47,23 +58,26 @@ import functools
 import itertools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse as sps
+from scipy.linalg import solve_triangular
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 DEFAULT_TOL = 1e-10
 TOL_FLOOR = 1e-14      # the smallest tolerance solve accepts
 RESIDUAL_FLOOR = 1e-300
-_MAX_RESTARTS = 10
+_MAX_RESTARTS = 10   # GMRES cycles one gmres call runs at most
 ORDERING = "rcm+mmd_at_plus_a"     # the ordering a factor runs, as reported
 PERMC_SPEC = "MMD_AT_PLUS_A"        # SuperLU's part of it
 DROP_TOL = 1e-14    # scaled entries below this are round-off and not factored
 # GMRES and the 1/eps series of drivers aim this far below the tolerance, as
 # close to a direct solve as round-off allows; only tol itself is enforced.
+# Verify's criterion 8 bounds its gradient-forcing deviation by 1e-9: aims of
+# 1e-1, 1e-2 and 1e-4 times tol left 1.7e-9, 2.2e-10 and 4.3e-13.
 AIM = 1e-4
 _RESTART = 80        # Krylov vectors per GMRES cycle; Stokes needs about 35
 
@@ -168,16 +182,23 @@ class SolverError(RuntimeError):
 class SolverReport:
     """Outcome of one linear solve.
 
-    iterations counts GMRES iterations, 0 when the first step x = M b
-    already meets the tolerance (a direct solve); residual_history holds,
-    per iteration, the norm of the preconditioned residual over ||b||.  (A
-    solution of the 1/eps series in drivers reports its terms and, per term,
-    its residual bound instead.)  lu_nnz counts the entries SuperLU stores
-    for L and U in every distinct factor the solve applied, diagonals
-    included, read without copying the factors, and matrix_nnz the stored
-    entries of the matrices they factored; fill is their ratio, 0 without
-    factors; factor_time is the part of wall_time spent in factorizations
-    made during this call (a factor kept from an earlier call costs nothing
+    iterations counts GMRES steps and residual_history holds, per step, the
+    GMRES estimate of the true residual norm over ||b||.  For Stokes and ES
+    those are the steps of the pressure-space GMRES inside the first step
+    x = M b (see drivers), whose residual is the residual of the whole
+    system; for a preconditioner that is a factor of the matrix itself there
+    are none, and iterations is 0.  ritz holds the smallest and largest real
+    part of the Ritz values of the last GMRES cycle, the eigenvalues of its
+    Hessenberg matrix, () without GMRES steps: for Stokes the largest tends
+    to 1, and the smallest is the mode of the pinned gauge dof, which
+    shrinks like h^2.  (A solution of the
+    1/eps series in drivers reports its terms and, per term, its residual
+    bound instead.)  lu_nnz counts the entries SuperLU stores for L and U in
+    every distinct factor the solve applied, diagonals included, read
+    without copying the factors, and matrix_nnz the stored entries of the
+    matrices they factored; fill is their ratio, 0 without factors;
+    factor_time is the part of wall_time spent in factorizations made
+    during this call (a factor kept from an earlier call costs nothing
     here).  from_factors builds every report a solve gives; the factor
     fields default to empty for results that did not come from a solve.
     """
@@ -191,10 +212,12 @@ class SolverReport:
     matrix_nnz: int = 0
     factor_time: float = 0.0
     residual_history: tuple = ()
+    ritz: tuple = ()
 
     @classmethod
     def from_factors(cls, method: str, rel_residual: float, history,
-                     wall_time: float, factors, since: float) -> SolverReport:
+                     wall_time: float, factors, since: float,
+                     ritz: tuple = ()) -> SolverReport:
         """The report of a solution that applied the distinct factors given,
         one iteration per entry of history: their nnz summed, and the factor
         time of those finished at or after since, a perf_counter reading
@@ -205,7 +228,7 @@ class SolverReport:
                    matrix_nnz=sum(f.matrix_nnz for f in factors),
                    factor_time=sum((f.factor_time for f in factors
                                     if f.finished >= since), 0.0),
-                   residual_history=tuple(history))
+                   residual_history=tuple(history), ritz=ritz)
 
     @property
     def fill(self) -> float:
@@ -277,12 +300,33 @@ def _structure_order(a: sps.csc_matrix) -> np.ndarray:
     return reverse_cuthill_mckee(pattern, symmetric_mode=False)
 
 
+@dataclass
+class KrylovLog:
+    """The GMRES steps run for one solve: the residual estimate after each
+    step, as a norm, and the Hessenberg matrix of the last cycle, unrotated."""
+
+    estimates: list = field(default_factory=list)
+    hessenberg: np.ndarray = None
+
+    def ritz(self) -> tuple:
+        """The smallest and largest real part of the last cycle's Ritz
+        values; () before any step, or if the cycle was not finite."""
+        h = self.hessenberg
+        if h is None or not np.all(np.isfinite(h)):
+            return ()
+        re = np.linalg.eigvals(h).real
+        return float(re.min()), float(re.max())
+
+
 class Preconditioner(NamedTuple):
-    """apply(r) approximates A^-1 r using the given factors."""
+    """apply(r) approximates A^-1 r using the given factors; an apply that
+    runs gmres itself, a Krylov solve in its own right, records its steps
+    in log."""
 
     name: str
     apply: Callable
     factors: tuple
+    log: KrylovLog = None
 
 
 def _direct(a: sps.csr_matrix) -> Preconditioner:
@@ -292,12 +336,99 @@ def _direct(a: sps.csr_matrix) -> Preconditioner:
                           f.solve, (f,))
 
 
+def norm(v: np.ndarray) -> float:
+    """||v||: the plain 2-norm, or where that overflows, the largest |entry|
+    times the norm of v scaled by it.  Not finite if an entry is not."""
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(v))
+    if np.isfinite(plain):
+        return plain
+    scale = float(np.abs(v).max())
+    if not np.isfinite(scale):
+        return plain
+    return scale * float(np.linalg.norm(v / scale))
+
+
 def rel_residual(a, x, b, bnorm=None) -> float:
     """||b - A x|| / ||b||, the residual solve holds to tol; ||b|| is floored
-    at RESIDUAL_FLOOR, and bnorm, if given, is that floored norm."""
+    at RESIDUAL_FLOOR, and bnorm, if given, is that floored norm.  inf if
+    either norm is not finite, so that no gate passes it."""
     if bnorm is None:
-        bnorm = max(float(np.linalg.norm(b)), RESIDUAL_FLOOR)
-    return float(np.linalg.norm(b - a @ x) / bnorm)
+        bnorm = max(norm(b), RESIDUAL_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rnorm = norm(b - a @ x)
+    if not (np.isfinite(rnorm) and np.isfinite(bnorm)):
+        return np.inf
+    return rnorm / bnorm
+
+
+def gmres(op: Callable, precond: Callable, b: np.ndarray, aim: float,
+          log: KrylovLog, x: np.ndarray = None) -> np.ndarray:
+    """x with op(x) = b by restarted GMRES, preconditioned on the right.
+
+    From x (0 if None), each cycle builds an Arnoldi basis of at most
+    _RESTART vectors for op(precond(.)), orthogonalized by CGS2, and stops
+    once its residual estimate, which right preconditioning makes an
+    estimate of ||b - op(x)||, is at most aim, or when the basis spans an
+    invariant subspace.  A cycle that ends above aim is restarted from the
+    explicit residual, for at most _MAX_RESTARTS cycles.  Each step's
+    estimate and each cycle's Hessenberg matrix go to log.
+    """
+    if x is None:
+        x, r = np.zeros_like(b), b
+    else:
+        x, r = x.copy(), b - op(x)
+    for _ in range(_MAX_RESTARTS):
+        dx, estimate = _gmres_cycle(op, precond, r, aim, log)
+        x += dx
+        if estimate <= aim:
+            break
+        r = b - op(x)
+    return x
+
+
+def _gmres_cycle(op, precond, r, aim, log):
+    """(dx, residual estimate) of one GMRES cycle for op(precond(y)) = r."""
+    beta = norm(r)
+    if not beta > aim:
+        return np.zeros_like(r), beta
+    basis = np.empty((_RESTART + 1, len(r)))
+    hess = np.zeros((_RESTART + 1, _RESTART))
+    tri = np.zeros((_RESTART, _RESTART))      # hess rotated to upper triangular
+    cs, sn = [], []
+    g = [beta]                                # beta e_1, rotated like hess
+    basis[0] = r / beta
+    k = 0
+    while k < _RESTART and abs(g[k]) > aim:
+        w = op(precond(basis[k]))
+        before = norm(w)
+        for _ in range(2):                    # classical Gram-Schmidt, twice
+            h = basis[:k + 1] @ w
+            w -= h @ basis[:k + 1]
+            hess[:k + 1, k] += h
+        hess[k + 1, k] = norm(w)
+        col = hess[:k + 2, k].tolist()
+        for i in range(k):
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  cs[i] * col[i + 1] - sn[i] * col[i])
+        d = float(np.hypot(col[k], col[k + 1]))
+        c, s = (col[k] / d, col[k + 1] / d) if d else (1.0, 0.0)
+        cs.append(c)
+        sn.append(s)
+        col[k] = d
+        tri[:k + 1, k] = col[:k + 1]
+        g.append(-s * g[k])
+        g[k] *= c
+        log.estimates.append(abs(g[k + 1]))
+        k += 1
+        # w was in the basis's span up to the rounding CGS2 leaves, about
+        # 1e-16 of it: the span is invariant and x exact
+        if not hess[k, k - 1] > 1e-14 * before:
+            break
+        basis[k] = w / hess[k, k - 1]
+    log.hessenberg = hess[:k, :k].copy()
+    y = solve_triangular(tri[:k, :k], g[:k], check_finite=False)
+    return precond(y @ basis[:k]), abs(g[k])
 
 
 def dump_solved(a: sps.csr_matrix) -> None:
@@ -317,11 +448,15 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
 
     precond builds the preconditioner; it is called once inside this solve,
     so factors it creates count in the report's factor_time.  By default
-    the matrix is factored itself.  The first step is x = M b; GMRES
-    restarts from there until ||b - A x|| <= tol ||b||.  Raises SolverError
-    if a factorization fails or the residual contract cannot be met.  The
-    factorization, the preconditioner and GMRES run with numpy's BLAS on one
-    thread; the previous count is restored on return or raise.
+    the matrix is factored itself.  The first step is x = M b; if its true
+    residual misses tol, gmres continues from there, aiming at AIM * tol
+    ||b||, unless M ran gmres itself (it has a log): GMRES around a Krylov
+    solve that missed tol would only repeat it.  Raises SolverError if the
+    matrix or b has a non-finite entry, if
+    a factorization fails, or if ||b - A x|| <= tol ||b|| does not hold at
+    the end.  The factorization, the preconditioner and GMRES run with
+    numpy's BLAS on one thread; the previous count is restored on return or
+    raise.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
@@ -330,30 +465,29 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: matrix {a.shape}, rhs {b.shape}")
+    bnorm = max(norm(b), RESIDUAL_FLOOR)
+    if not np.isfinite(bnorm):
+        raise SolverError("right-hand side is not finite")
+    if not np.all(np.isfinite(a.data)):
+        raise SolverError("matrix is not finite")
 
     dump_solved(a)
     _release_free_heap()
     start = time.perf_counter()
     pre = _direct(a) if precond is None else precond()
+    log = KrylovLog() if pre.log is None else pre.log
 
-    bnorm = max(float(np.linalg.norm(b)), RESIDUAL_FLOOR)
     x = pre.apply(b)
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution "
                           "(singular matrix)")
     res = rel_residual(a, x, b, bnorm)
-    history = []
-    m = LinearOperator(a.shape, matvec=pre.apply, dtype=float)
-    restarts = 0
-    while res > tol and restarts < _MAX_RESTARTS:
-        x, _ = gmres(a, b, x0=x, rtol=AIM * tol, atol=0.0, restart=_RESTART,
-                     maxiter=1, M=m, callback=history.append,
-                     callback_type="pr_norm")
+    if res > tol and pre.log is None:
+        x = gmres(a.dot, pre.apply, b, AIM * tol * bnorm, log, x)
         res = rel_residual(a, x, b, bnorm)
-        restarts += 1
-    report = SolverReport.from_factors(f"gmres[{pre.name}]", res, history,
-                                       time.perf_counter() - start,
-                                       pre.factors, start)
+    report = SolverReport.from_factors(
+        f"gmres[{pre.name}]", res, [e / bnorm for e in log.estimates],
+        time.perf_counter() - start, pre.factors, start, log.ritz())
     if not res <= tol:
         raise SolverError(
             f"solver did not reach tol={tol:g}; achieved residual {res:.3e}",

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scipy import sparse as sps
 
@@ -343,10 +344,12 @@ def test_velocity_factor_size_at_n96():
 
 @pytest.mark.parametrize("problem, eps", [("S", None), ("ES", 1e-3), ("ES", 0.0)],
                          ids=["S", "ES", "ES-eps0"])
-def test_block_lower_reads_its_blocks_off_the_solved_matrix(problem, eps, monkeypatch):
-    # S is the solved pressure block plus sign * Mp with the fixed pressure
-    # dofs eliminated: -Mp for Stokes, eps*Kp + Mp for ES and Mp at eps = 0;
-    # L is the solved lower-left block
+def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, monkeypatch):
+    # the Schur factor is the solved pressure block plus sign * Mp with the
+    # fixed pressure dofs eliminated: -Mp for Stokes, eps*Kp + Mp for ES and
+    # Mp at eps = 0; the velocity is A^-1 (r_u - G p) with G the solved
+    # upper-right block, and the pressure meets the aim in the residual of
+    # the solved matrix, whose lower blocks are D and C
     factored = []
 
     class Recorded(sparse.Factor):
@@ -364,20 +367,26 @@ def test_block_lower_reads_its_blocks_off_the_solved_matrix(problem, eps, monkey
     else:
         system, sign = disc.coupled_system(eps), 1.0
         want = fem.eliminate(eps * disc.stiff_p + mp if eps else mp, pbnd)
-    pre = drivers._block_lower(disc, system, sign, problem)
+    tol = sparse.DEFAULT_TOL
+    pre = drivers._schur_reduction(disc, system, sign, problem, tol)
     (schur_matrix,) = factored
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(schur_matrix, name), getattr(want, name)), name
-    schur = pre.factors[1]
+    assert pre.factors == (vel, pre.factors[1]) and pre.factors[1] is not vel
     r = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
-    z = vel.solve(r[:nu].reshape(-1, 2)).ravel()
-    sliced = np.concatenate([z, schur.solve(r[nu:] - system.matrix[nu:, :nu] @ z)])
-    assert np.array_equal(pre.apply(r), sliced)
+    x = pre.apply(r)
+    p = x[nu:]
+    u = vel.solve((r[:nu] - system.matrix[:nu, nu:] @ p).reshape(-1, 2)).ravel()
+    assert np.array_equal(x[:nu], u)
+    aim = sparse.AIM * tol * np.linalg.norm(r)
+    assert 1 <= len(pre.log.estimates) and pre.log.estimates[-1] <= aim
+    assert np.linalg.norm(r - system.matrix @ x) <= 10 * aim
 
 
 @pytest.mark.parametrize("problem", ["S", "PP", "ES"])
 def test_drivers_match_monolithic_reference(problem, tmp_path):
-    # GMRES on the shared factors reproduces spsolve on each assembled system
+    # the solves on the shared factors reproduce spsolve on each assembled
+    # system, from the Stokes limit of ES to its PP limit
     case = get_case("ms1-mismatch")
     square = build_structured_mesh(8)
     sheared = loaded_parallelogram_mesh(tmp_path)
@@ -386,7 +395,7 @@ def test_drivers_match_monolithic_reference(problem, tmp_path):
                            u_bc=zero_vec, p_bc=case.p_bc())]
     for base in inputs:
         disc = Discretization(base.mesh)
-        for eps in ((1e-6, 1.0, 1e6) if problem == "ES" else (None,)):
+        for eps in ((1e-30, 1e-6, 0.37, 1.0, 1e6) if problem == "ES" else (None,)):
             inp = ProblemInput(mesh=base.mesh, body_force=base.body_force,
                                u_bc=base.u_bc, p_bc=base.p_bc, epsilon=eps)
             res = DRIVERS[problem](inp, disc)
@@ -394,6 +403,46 @@ def test_drivers_match_monolithic_reference(problem, tmp_path):
             for got, ref in ((res.u.coefficients, u_ref), (res.p.coefficients, p_ref)):
                 assert np.linalg.norm(ref) > 0.0
                 assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), eps
+
+
+def test_reports_carry_the_ritz_values_of_the_pressure_space_gmres():
+    # S and ES are preconditioned Schur complements with real spectra in
+    # (0, 1]; for ES at large eps their Ritz values close in on 1.  PP and the
+    # series take no GMRES step and report none
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    reports = [solve_stokes(_inp(mesh, case), disc).report]
+    reports += [solve_es(_inp(mesh, case, eps=eps), disc).report for eps in (1e-6, 1e6)]
+    for report in reports:
+        low, high = report.ritz
+        assert 0.0 < low <= high <= 1.0 + 1e-10, report.method
+    assert reports[2].ritz[0] > 0.99
+    assert solve_pp(_inp(mesh, case), disc).report.ritz == ()
+    (series,) = solve_es_sweep(_inp(mesh, case), [1e6], disc)
+    assert series.report.method == SERIES and series.report.ritz == ()
+
+
+@settings(max_examples=30, deadline=None)
+@given(exponent=st.floats(-320.0, 308.0))
+def test_es_at_any_eps_meets_tol_or_fails_closed(exponent):
+    # down to subnormal eps and up to where eps * Kp overflows, solve_es and
+    # the sweep either meet tol with a finite residual or raise; never a
+    # residual over an overflowed ||b|| and never a floating-point warning
+    eps = 10.0 ** exponent
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(4)
+    disc = Discretization(mesh)
+    inp = _inp(mesh, case, eps=eps)
+    for run in (lambda: solve_es(inp, disc),
+                lambda: next(iter(solve_es_sweep(inp, [eps], disc)))):
+        try:
+            res = run()
+        except (sparse.SolverError, ValueError):
+            continue
+        assert 0.0 <= res.report.rel_residual <= sparse.DEFAULT_TOL, eps
+        assert np.all(np.isfinite(res.u.coefficients)), eps
+        assert np.all(np.isfinite(res.p.coefficients)), eps
 
 
 def _record_solves(monkeypatch):
@@ -869,8 +918,8 @@ def test_series_gap_to_pp_converges_monotonically():
 
 
 @pytest.mark.parametrize("n, eps_list, kp_solves, iterations", [
-    (40, DEFAULT_EPS_GRID, 12, [22, 22, 20, 16, 11, 13, 6, 5, 4, 3, 3, 2, 2]),
-    (16, DEFAULT_EPS_GRID, 13, [18, 18, 17, 15, 11, 14, 7, 5, 4, 3, 3, 2, 2]),
+    (40, DEFAULT_EPS_GRID, 12, [19, 19, 18, 15, 10, 13, 6, 5, 4, 3, 3, 2, 2]),
+    (16, DEFAULT_EPS_GRID, 13, [16, 16, 16, 14, 10, 14, 7, 5, 4, 3, 3, 2, 2]),
     (16, (0.05,), 4, [8]),
 ])
 def test_series_term_count_and_iterations(n, eps_list, kp_solves, iterations):

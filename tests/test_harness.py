@@ -289,6 +289,30 @@ def test_cli_sweep_eps_at_tiny_eps_exits_0(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("eps", ["1e156", "1e200"])
+def test_cli_solve_es_at_huge_eps_checks_a_finite_residual(eps, tmp_path):
+    # ||b|| of ES overflowed the plain 2-norm here: 1e156 passed the gate
+    # with a residual of 0 after no step, and 1e200 failed it on a NaN
+    out = tmp_path / "es.json"
+    code = main(["solve", "--case", "ms1-mismatch", "--problem", "ES", "--n", "4",
+                 "--eps", eps, "--out", str(out)])
+    assert code == 0
+    es = json.loads(out.read_text())["ES"]
+    assert 0.0 < es["rel_residual"] <= 1e-10
+    assert es["iterations"] >= 1
+
+
+def test_cli_solve_prints_the_ritz_values_of_s_and_es(tmp_path):
+    out = tmp_path / "all.json"
+    assert main(["solve", "--case", "ms1", "--problem", "all", "--n", "4",
+                 "--eps", "1e-3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for problem in ("S", "ES"):
+        low, high = payload[problem]["ritz"]
+        assert 0.0 < low <= high <= 1.0 + 1e-10
+    assert "ritz" not in payload["PP"]       # PP takes no GMRES step
+
+
 def test_cli_sweep_h_json(tmp_path):
     out = tmp_path / "hsweep.json"
     code = main(["sweep-h", "--case", "ms1", "--problem", "S", "--n", "4,8",

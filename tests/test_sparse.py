@@ -161,6 +161,72 @@ def test_gmres_with_kept_inexact_factor():
     assert report.lu_nnz == near.nnz and report.fill == near.nnz / near.matrix_nnz
 
 
+def test_gmres_matches_dense_solve_across_restarts(monkeypatch):
+    # a nonsymmetric system, preconditioned on the right by its diagonal;
+    # with four vectors per cycle GMRES restarts from the explicit residual
+    monkeypatch.setattr(sp, "_RESTART", 4)
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((30, 30)) + np.diag(rng.uniform(15.0, 25.0, 30))
+    assert np.abs(dense - dense.T).max() > 1.0
+    b = rng.standard_normal(30)
+    aim = 1e-13 * np.linalg.norm(b)
+    log = sp.KrylovLog()
+    x = sp.gmres(lambda v: dense @ v, lambda r: r / np.diag(dense), b, aim, log)
+    ref = np.linalg.solve(dense, b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert len(log.estimates) > 4 and log.estimates[-1] <= aim < log.estimates[-2]
+    assert log.hessenberg.shape[0] <= 4
+    assert np.linalg.norm(b - dense @ x) <= 10 * aim
+
+
+def test_gmres_of_zero_right_hand_side_takes_no_step():
+    log = sp.KrylovLog()
+    x = sp.gmres(lambda v: 2.0 * v, lambda r: r, np.zeros(5), 1e-14, log)
+    assert np.array_equal(x, np.zeros(5))
+    assert log.estimates == [] and log.ritz() == ()
+
+
+def test_gmres_on_identity_is_exact_in_one_step():
+    # the first Arnoldi vector spans an invariant subspace: happy breakdown
+    b = np.random.default_rng(12).standard_normal(7)
+    log = sp.KrylovLog()
+    x = sp.gmres(lambda v: v.copy(), lambda r: r, b, 0.0, log)
+    assert np.abs(x - b).max() <= 4e-16 * np.abs(b).max()
+    assert len(log.estimates) == 1 and log.estimates[0] <= 1e-15 * np.linalg.norm(b)
+    assert log.ritz() == (1.0, 1.0)
+
+
+def test_gmres_ritz_values_of_a_full_cycle_are_the_eigenvalues():
+    # five steps span the whole space of diag(1..5), so the Ritz values of
+    # the last (only) cycle are its eigenvalues
+    diag = np.arange(1.0, 6.0)
+    log = sp.KrylovLog()
+    sp.gmres(lambda v: diag * v, lambda r: r, np.ones(5), 1e-14, log)
+    assert len(log.estimates) == 5
+    assert np.allclose(log.ritz(), (1.0, 5.0), rtol=1e-12)
+
+
+def test_norm_keeps_finite_bits_and_survives_overflow():
+    v = np.random.default_rng(13).standard_normal(50)
+    assert sp.norm(v) == float(np.linalg.norm(v))
+    assert sp.norm(1e200 * v) == pytest.approx(1e200 * np.linalg.norm(v), rel=1e-14)
+    assert sp.norm(np.full(4, 1e308)) == np.inf           # 2e308 is not a double
+    assert sp.norm(np.array([1.0, np.inf])) == np.inf
+    assert np.isnan(sp.norm(np.array([1.0, np.nan])))
+
+
+def test_residual_fails_closed_when_a_norm_is_not_finite():
+    a = sps.identity(2, format="csr")
+    b = np.array([1e200, -1e200])           # its squares overflow
+    assert sp.rel_residual(a, 0.5 * b, b) == pytest.approx(0.5, rel=1e-15)
+    assert sp.rel_residual(a, np.zeros(2), np.array([1.0, np.inf])) == np.inf
+    assert sp.rel_residual(a, np.array([np.nan, 0.0]), np.ones(2)) == np.inf
+    for b, mat in ((np.array([1.0, np.inf]), a),
+                   (np.ones(2), sps.diags([1.0, np.inf], format="csr"))):
+        with pytest.raises(SolverError, match="not finite"):
+            solve(mat, b)
+
+
 def test_report_from_factors_counts_time_of_new_factors_only():
     # nnz counts every factor given; factor time only those finished at or
     # after since

@@ -372,7 +372,7 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     (schur_matrix,) = factored
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(schur_matrix, name), getattr(want, name)), name
-    assert pre.factors == (vel, pre.factors[1]) and pre.factors[1] is not vel
+    assert len(pre.factors) == 2 and pre.factors[0] is vel
     r = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
     x = pre.apply(r)
     p = x[nu:]

@@ -28,16 +28,23 @@ ES assemble their system; PP never forms it.  ES keeps its system at
 eps = 1 and scales the Kp entries of a copy of its values per epsilon.
 
 Each system goes through sparse.solve with a preconditioner built from
-factors.  The Discretization makes two on first use and keeps them:
+factors.  The Discretization makes each of two on first use and keeps it:
 
 * A  -- K with every boundary node eliminated: one scalar P2 factor that
-  serves the x and the y velocity;
+  serves the x and the y velocity, made by S, ES and the 1/eps series;
 * Kp -- the P1 pressure Laplacian with every boundary node eliminated.
 
-PP makes three scalar solves, each preconditioned by the factor of its own
-matrix, so each is direct: Kp, then A once per velocity component, each
-component meeting the tolerance against its own right-hand side.  Stokes
-and ES are solved in the pressure space.  Their solved matrix is
+PP makes three scalar solves, Kp, then A once per velocity component, each
+component meeting the tolerance against its own right-hand side.  The Kp
+solve is direct.  A velocity solve is direct too if the Discretization
+already holds A's factor.  Otherwise PP factors nothing more: GMRES solves
+A with a two-level cycle, damped Jacobi on A around the exact coarse solve
+P Kp^-1 P^T, where P embeds the P1 space in the P2 one (fem.prolongation).
+It took 16 to 20 steps per component at every h tried (Eijkhout &
+Vassilevski, SIAM Review 1991), and on a jittered n = 128 mesh PP held
+0.96M factor entries where Kp and A held 6.39M.
+
+Stokes and ES are solved in the pressure space.  Their solved matrix is
 [[A, G], [D, C]], and since A is an exact factor, eliminating the velocity
 leaves the Schur complement S = C - D A^-1 G on the pressure alone
 (Benzi, Golub & Liesen, Acta Numerica 2005, section 5).  sparse.gmres
@@ -53,11 +60,12 @@ system has 14.8k.
 
 For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
-solve with PP's factors, into one running sum per epsilon.  The series
-converges for eps above the ratio of successive terms, about 0.02 on the
-unit square.  Iterating the sweep checks each sum in the true ES residual;
-an epsilon the series cannot reach within SERIES_TERMS terms, or whose sum
-misses the tolerance, is solved by solve_es as above when its turn comes.
+solve with the factors of Kp and A, into one running sum per epsilon.  The
+series converges for eps above the ratio of successive terms, about 0.02
+on the unit square.  Iterating the sweep checks each sum in the true ES
+residual; an epsilon the series cannot reach within SERIES_TERMS terms,
+or whose sum misses the tolerance, is solved by solve_es as above when
+its turn comes.
 
 Building a Discretization and each driver call run numpy's BLAS on one
 thread (sparse.one_blas_thread), which covers the per-cell matmuls of
@@ -85,6 +93,11 @@ COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
 PROBLEMS = ("S", "PP", "ES")
 SERIES_TERMS = 16      # most terms of the 1/eps series one sweep computes
+# Weight of the damped-Jacobi steps of PP's two-level velocity cycle.  A PP
+# alone took 32 GMRES steps on structured meshes n = 8 to 128 and 36 to 40
+# on jittered ones; 0.65 and 0.75 took up to 2 more, 0.8 up to 8 more, and
+# undamped Jacobi missed the tolerance at n = 32.
+JACOBI_WEIGHT = 0.7
 
 
 class IncompatibleDataError(ValueError):
@@ -149,9 +162,11 @@ class Discretization:
     the pressure mean are assembled at construction.  The couplings B and G,
     the mass matrices Mp and M2, load vectors (memoized per body-force
     callable), each problem's eliminated system and the factors A and Kp
-    are built on first use and live as long as the Discretization.  The
-    interleaved velocity block kron(K, I2) is formed only while S or ES
-    builds its system, and is not kept.
+    are built on first use and live as long as the Discretization.  PP
+    alone builds no factor of A: it is in vars() once S, ES or the 1/eps
+    series has used it, and solve_pp uses it then.  The interleaved velocity
+    block kron(K, I2) is formed only while S or ES builds its system, and
+    is not kept.
     """
 
     @one_blas_thread()
@@ -192,7 +207,10 @@ class Discretization:
 
     @cached_property
     def velocity_factor(self) -> Factor:
-        """A, the factor of K with the boundary nodes fixed, for x and y alike."""
+        """A, the factor of K with the boundary nodes fixed, for x and y alike.
+
+        S, ES and the 1/eps series build it.  PP applies it if it is built
+        and otherwise leaves it unbuilt: solve_pp checks vars() for it."""
         return Factor(self.velocity_system.matrix)
 
     @cached_property
@@ -325,6 +343,32 @@ def _schur_reduction(disc: Discretization, system: Eliminated, sign: float,
     return Preconditioner(f"schur(A, {name})", apply, (vel, schur), log)
 
 
+def _two_level(disc: Discretization) -> Preconditioner:
+    """A two-level P2 -> P1 cycle for A, coarse-solved by the factor of Kp.
+
+    apply(r) takes one damped-Jacobi step on A from 0, corrects by
+    P Kp^-1 P^T of the residual, and takes a second Jacobi step.  P maps
+    the free P1 vertices to the P2 nodes (fem.prolongation), zero at the
+    fixed ones, so P^T A P is the eliminated Kp on the free dofs: the coarse
+    solve is an exact Galerkin solve, and the steps GMRES needs do not grow
+    as h shrinks (Eijkhout & Vassilevski, SIAM Review 1991).
+    """
+    a, kp = disc.velocity_system.matrix, disc.pressure_factor
+    free = np.ones(disc.np_)
+    free[disc.pressure_system.fixed] = 0.0
+    p = fem.prolongation(disc.vspace, disc.pspace) @ sps.diags(free)
+    pt = p.T.tocsr()
+    smooth = JACOBI_WEIGHT / a.diagonal()
+
+    def apply(r):
+        x = smooth * r
+        x += p @ kp.solve(pt @ (r - a @ x))
+        x += smooth * (r - a @ x)
+        return x
+
+    return Preconditioner("two_level(A, Kp)", apply, (kp,))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _lifted(lift: sps.csr_matrix, fixed: np.ndarray, load: np.ndarray,
             values: np.ndarray) -> np.ndarray:
@@ -379,9 +423,12 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     """Two-stage decoupled solve: scalar pressure Poisson, then velocity.
 
     The velocity right-hand side uses the discrete pressure gradient
-    evaluated at quadrature points.  The one report covers the three
-    solves: the worst residual, their histories in order, their wall times
-    summed, and the factors Kp and A.
+    evaluated at quadrature points.  Each velocity component is solved with
+    A's factor if disc holds it already (S, ES or the 1/eps series ran on
+    disc), and otherwise by GMRES with _two_level, which factors nothing
+    beyond Kp.  The one report covers the three solves: the worst
+    residual, their histories in order, their wall times summed, and the
+    distinct factors they applied.
     """
     start = time.perf_counter()
     disc = disc or Discretization(inp.mesh)
@@ -400,21 +447,25 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     f = (disc.velocity_load(inp.body_force)
          - fem.assemble_field_grad_load(disc.vspace, p))
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    if "velocity_factor" in vars(disc):     # reading it would factor A
+        vel = disc.velocity_factor
+        velocity = Preconditioner("A", vel.solve, (vel,))
+    else:
+        velocity = _two_level(disc)
     u_coeff = np.empty_like(f)
     for c in (0, 1):          # one scalar solve per velocity component
         u_coeff[:, c], report = _solve_fixed(
-            disc.velocity_system, f[:, c], u_vals[:, c], tol,
-            lambda: Preconditioner("A", disc.velocity_factor.solve,
-                                   (disc.velocity_factor,)))
+            disc.velocity_system, f[:, c], u_vals[:, c], tol, lambda: velocity)
         reports.append(report)
 
     return SolveResult(u=Field(disc.vspace, u_coeff), p=p, problem="PP",
                        epsilon=None, report=SolverReport.from_factors(
-                           "gmres[Kp]; gmres[A]",
+                           f"gmres[Kp]; {report.method}",
                            max(r.rel_residual for r in reports),
                            [h for r in reports for h in r.residual_history],
                            sum(r.wall_time for r in reports),
-                           (disc.pressure_factor, disc.velocity_factor), start))
+                           dict.fromkeys((disc.pressure_factor,) + velocity.factors),
+                           start))
 
 
 @one_blas_thread()
@@ -484,9 +535,10 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
     for k >= 1, where r_k is the divergence of the velocity of x_(k-1),
     negated, on the free pressure rows (for k = 1 the velocity trace in x_0
     brings in b1).  Each term is one Kp solve and one two-column A solve
-    with PP's factors, and the terms serve every eps.  x_0 is pp, solve_pp's
-    result for inp on disc, solved here if not given; so an ES solution
-    minus PP's is its terms k >= 1 up to one rounding.
+    with the factors of Kp and A, and the terms serve every eps.  x_0 is
+    pp, solve_pp's result for inp on disc; if not given, it is solved here
+    once A is factored, so with A's factor.  An ES solution minus PP's is
+    then its terms k >= 1 up to one rounding.
 
     The terms x_0 ... x_K leave exactly the residual r_(K+1) / eps^K in the
     pressure rows of ES(eps), so each eps takes terms until that is
@@ -534,6 +586,7 @@ class EpsSweep:
         start = time.perf_counter()
         self.inp, self.eps_list, self.disc, self.tol = inp, eps_list, disc, tol
         self.values = _coupled_values(disc, inp)
+        vel = disc.velocity_factor      # the terms apply A, so PP applies it too
         pp = pp or solve_pp(inp, disc, tol)
         nu, fixed = disc.nu, disc._coupled_unit[0].fixed
         fixed_u, fixed_p = fixed[fixed < nu], fixed[fixed >= nu] - nu
@@ -566,7 +619,7 @@ class EpsSweep:
                 p[fixed_p] = 0.0
                 g = disc.grad @ p
                 g[fixed_u] = 0.0
-                u = _solve_velocity(disc.velocity_factor, -g)
+                u = _solve_velocity(vel, -g)
                 u[fixed_u] = 0.0
                 x = np.concatenate([u, p])
                 r = divergence(x)

@@ -149,6 +149,21 @@ class Space:
         return 3 if self.degree == 1 else 6
 
 
+def prolongation(vspace: Space, pspace: Space) -> sps.csr_matrix:
+    """The (vspace.ndofs, pspace.ndofs) matrix taking the node values of a
+    P1 function to its node values in the P2 space on the same mesh: each
+    vertex keeps its value and each edge midpoint takes the mean of its
+    endpoints'.  Exact, as P1 is a subspace of P2."""
+    if vspace.mesh is not pspace.mesh or (vspace.degree, pspace.degree) != (2, 1):
+        raise ValueError("prolongation maps P1 into P2 on the same mesh")
+    nv = pspace.ndofs
+    mids = nv + np.arange(vspace.ndofs - nv)
+    rows = np.concatenate([np.arange(nv), mids, mids])
+    cols = np.concatenate([np.arange(nv), *vspace.mesh.edges.vertices.T])
+    vals = np.concatenate([np.ones(nv), np.full(2 * len(mids), 0.5)])
+    return sps.csr_matrix((vals, (rows, cols)), shape=(vspace.ndofs, nv))
+
+
 def vector_dofs(nodes) -> np.ndarray:
     """Interleaved dofs of vector coefficients at nodes: node k carries 2k (x)
     and 2k+1 (y).  An (..., a) array of nodes gives (..., 2a), column 2i+c

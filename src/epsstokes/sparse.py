@@ -28,9 +28,11 @@ checks the true matrix, so the drop costs no accuracy.
 Without a preconditioner, solve factors the matrix itself: the first step
 is then the direct solve.  The drivers pass preconditioners built from the
 factors that one Discretization keeps for its mesh, so a sweep factors the
-shared blocks once; for Stokes and ES the preconditioner runs gmres itself,
+shared blocks once.  For Stokes and ES the preconditioner runs gmres itself,
 on the pressure Schur complement, and its first step already meets the
-tolerance (see drivers).
+tolerance.  A PP velocity solve on a Discretization without A's factor is
+the one that continues in solve's own gmres: its preconditioner is a
+two-level cycle on the factor of Kp, not a factor of A (see drivers).
 
 A solve runs numpy's BLAS on one thread.  Full-length Krylov vectors at
 n = 40 are past OpenBLAS's threading cut-off for dot products, and the

@@ -465,3 +465,32 @@ def test_reference_tensor_kernels_match_einsum_oracle(n, seed, linear, offset):
 
 def test_reference_tensor_kernels_match_einsum_oracle_on_loaded_mesh(tmp_path):
     _assert_kernels_match_einsum_oracle(loaded_parallelogram_mesh(tmp_path))
+
+
+@pytest.mark.parametrize("mesh", [build_structured_mesh(8),
+                                  helpers.affine_jittered_mesh(8, 5)],
+                         ids=["structured", "jittered"])
+def test_prolongation_is_an_exact_galerkin_coarse_space(mesh):
+    p2, p1 = Space(mesh, degree=2), Space(mesh, degree=1)
+    prol = fem.prolongation(p2, p1)
+    # P1 is a subspace of P2: linear functions keep their values
+    (x, y), (xv, yv) = p2.node_coords.T, p1.node_coords.T
+    assert np.allclose(prol @ (2 * xv - 3 * yv + 1), 2 * x - 3 * y + 1,
+                       rtol=0.0, atol=1e-14)
+    # with the fixed vertices' columns zeroed, P^T A P is the eliminated Kp
+    # on the free vertices
+    free = np.setdiff1d(np.arange(p1.ndofs), p1.boundary_nodes)
+    a = fem.eliminate(fem.assemble_stiffness(p2), p2.boundary_nodes)
+    kp = fem.eliminate(fem.assemble_stiffness(p1), p1.boundary_nodes)
+    coarse = (prol[:, free].T @ a @ prol[:, free]).toarray()
+    want = kp[free][:, free].toarray()
+    assert np.linalg.norm(coarse - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_prolongation_rejects_other_spaces():
+    mesh = build_structured_mesh(2)
+    with pytest.raises(ValueError, match="P1 into P2"):
+        fem.prolongation(Space(mesh, degree=1), Space(mesh, degree=2))
+    with pytest.raises(ValueError, match="P1 into P2"):
+        fem.prolongation(Space(mesh, degree=2),
+                         Space(build_structured_mesh(2), degree=1))

@@ -412,6 +412,30 @@ def test_cli_dump_matrix(tmp_path):
     assert (tmp_path / "mat_001.mtx").exists()
 
 
+def test_cli_solve_pp_alone_factors_kp_only(tmp_path):
+    # without S on its mesh, PP solves the velocity by GMRES with the
+    # two-level cycle on the factor of Kp, and still dumps Kp, A and A
+    from scipy.io import mmread
+    out = tmp_path / "pp.json"
+    assert main(["solve", "--case", "ms1", "--problem", "PP", "--n", "8",
+                 "--out", str(out)]) == 0
+    pp = json.loads(out.read_text())["PP"]
+    disc = Discretization(build_structured_mesh(8))
+    assert pp["rel_residual"] <= 1e-10 and pp["iterations"] >= 1
+    assert pp["lu_nnz"] == disc.pressure_factor.nnz
+    assert "ritz" not in pp
+    prefix = str(tmp_path / "m_")
+    assert main(["solve", "--case", "ms1", "--problem", "PP", "--n", "8",
+                 "--dump-matrix", prefix]) == 0
+    assert sorted(p.name for p in tmp_path.glob("m_*")) == [
+        f"m_{k:03d}.mtx" for k in range(3)]
+    for k, system in enumerate((disc.pressure_system, disc.velocity_system,
+                                disc.velocity_system)):
+        want = system.matrix.toarray()
+        got = mmread(str(tmp_path / f"m_{k:03d}.mtx")).toarray()
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), k
+
+
 def test_cli_sweep_dumps_one_system_per_solve(tmp_path):
     # S, the three PP solves and one ES system per eps, in eps order: the
     # 1/eps series dumps the ES system it checked its sum against

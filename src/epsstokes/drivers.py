@@ -21,11 +21,11 @@ functions of their input; sweeps share one Discretization, so a sweep
 assembles, eliminates and factors each block once.  At construction it
 builds the P2 and P1 spaces and assembles their stiffness matrices: K, the
 Laplacian of one velocity component, and Kp.  On first use it builds the
-couplings B and G (S and ES only), the load vectors of each body force,
-each problem's system with its Dirichlet dofs eliminated, and the factors
-below.  The interleaved velocity block kron(K, I2) exists only while S or
-ES assemble their system; PP never forms it.  ES keeps its system at
-eps = 1 and scales the Kp entries of a copy of its values per epsilon.
+coupling B (S and ES only), the load vectors of each body force, each
+problem's system with its Dirichlet dofs eliminated, and the factors below.
+kron(K, I2) and the coupling G exist only while S or ES assemble their
+system; PP never forms them.  ES keeps its system at eps = 1 and scales the
+Kp entries of a copy of its values per epsilon.
 
 Each system goes through sparse.solve with a preconditioner built from
 factors.  The Discretization makes each of two on first use and keeps it:
@@ -44,19 +44,19 @@ It took 16 to 20 steps per component at every h tried (Eijkhout &
 Vassilevski, SIAM Review 1991), and on a jittered n = 128 mesh PP held
 0.96M factor entries where Kp and A held 6.39M.
 
-Stokes and ES are solved in the pressure space.  Their solved matrix is
-[[A, G], [D, C]], and since A is an exact factor, eliminating the velocity
-leaves the Schur complement S = C - D A^-1 G on the pressure alone
-(Benzi, Golub & Liesen, Acta Numerica 2005, section 5).  sparse.gmres
-solves it, preconditioned by the factor of C plus Mp for ES, eps*Kp + Mp,
-and minus Mp for Stokes, its eps -> 0 limit -Mp, with the fixed pressure
-dofs eliminated; Stokes's gauge row stays an identity row (Elman,
-Silvester & Wathen, Finite Elements and Fast Iterative Solvers, 2014;
-Mardal & Winther, NLAA 2011).  One velocity solve then recovers u.  G, D,
-C and the factored block are all read off the solved matrix.  A Krylov
-step is one two-column A solve, one factor solve and three sparse products
-on vectors of pressure length: at n = 40, 1.7k entries where the whole
-system has 14.8k.
+Stokes is ES at eps = 0: both are [[A, G], [D, C]], C = eps*Kp, with the
+velocity boundary and the pressure boundary or, for Stokes, the gauge dof
+fixed.  Since A is an exact factor, eliminating the velocity leaves the
+Schur complement S = C - D A^-1 G on the pressure alone (Benzi, Golub &
+Liesen, Acta Numerica 2005, section 5).  sparse.gmres solves it,
+preconditioned by the factor of C + Mp with the fixed pressure dofs
+eliminated: eps*Kp + Mp for ES and Mp for Stokes, whose gauge row stays an
+identity row (Elman, Silvester & Wathen, Finite Elements and Fast
+Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).  One velocity solve
+then recovers u.  G, D, C and the factored block are all read off the
+solved matrix.  A Krylov step is one two-column A solve, one factor solve
+and three sparse products on vectors of pressure length: at n = 40, 1.7k
+entries where the whole system has 14.8k.
 
 For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
@@ -159,14 +159,14 @@ class Discretization:
     """Taylor-Hood spaces and the epsilon-independent operator blocks.
 
     The P2 stiffness K of one velocity component, the P1 stiffness Kp and
-    the pressure mean are assembled at construction.  The couplings B and G,
-    the mass matrices Mp and M2, load vectors (memoized per body-force
+    the pressure mean are assembled at construction.  The coupling B, the
+    mass matrices Mp and M2, load vectors (memoized per body-force
     callable), each problem's eliminated system and the factors A and Kp
     are built on first use and live as long as the Discretization.  PP
     alone builds no factor of A: it is in vars() once S, ES or the 1/eps
     series has used it, and solve_pp uses it then.  The interleaved velocity
-    block kron(K, I2) is formed only while S or ES builds its system, and
-    is not kept.
+    block kron(K, I2) and the coupling G are formed only while S or ES
+    builds its system, and are not kept.
     """
 
     @one_blas_thread()
@@ -192,10 +192,6 @@ class Discretization:
         return fem.assemble_div_coupling(self.vspace, self.pspace)
 
     @cached_property
-    def grad(self) -> sps.csr_matrix:
-        return fem.assemble_grad_coupling(self.vspace, self.pspace, div=self.div)
-
-    @cached_property
     def mass_p(self) -> sps.csr_matrix:
         return fem.assemble_mass(self.pspace)
 
@@ -219,12 +215,19 @@ class Discretization:
 
     @cached_property
     def stokes_system(self) -> Eliminated:
-        """[[K, -D^T], [-D, 0]] with the velocity boundary and the gauge dof fixed."""
+        """ES at eps = 0: [[K, G], [D, 0]] with the velocity boundary and the
+        gauge dof fixed."""
+        return self._saddle_system(None, np.array([GAUGE_DOF]))
+
+    def _saddle_system(self, block, fixed_p: np.ndarray) -> Eliminated:
+        """[[K, G], [B, block]] (None: a zero block) with the velocity
+        boundary and the pressure dofs fixed_p fixed; G is not kept."""
         return _eliminated(
-            sps.bmat([[fem.vector_block(self.stiff_u), -self.div.T],
-                      [-self.div, None]], format="csr"),
-            np.append(fem.vector_dofs(self.vspace.boundary_nodes),
-                      self.nu + GAUGE_DOF))
+            sps.bmat([[fem.vector_block(self.stiff_u),
+                       fem.assemble_grad_coupling(self.vspace, self.pspace, div=self.div)],
+                      [self.div, block]], format="csr"),
+            np.concatenate([fem.vector_dofs(self.vspace.boundary_nodes),
+                            fixed_p + self.nu]))
 
     @cached_property
     def pressure_system(self) -> Eliminated:
@@ -263,11 +266,7 @@ class Discretization:
     def _coupled_unit(self):
         """The ES system at eps = 1 and the positions of its stored Kp entries."""
         nu = self.nu
-        unit = _eliminated(
-            sps.bmat([[fem.vector_block(self.stiff_u), self.grad],
-                      [self.div, self.stiff_p]], format="csr"),
-            np.concatenate([fem.vector_dofs(self.vspace.boundary_nodes),
-                            self.pspace.boundary_nodes + nu]))
+        unit = self._saddle_system(self.stiff_p, self.pspace.boundary_nodes)
         free = np.ones(unit.matrix.shape[0], dtype=bool)
         free[unit.fixed] = False          # a fixed row keeps only its unit diagonal
         mat, lift = unit.matrix.tocoo(), unit.lift.tocoo()    # entries in CSR order
@@ -313,21 +312,21 @@ def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
     return factor.solve(r.reshape(-1, 2)).ravel()
 
 
-def _schur_reduction(disc: Discretization, system: Eliminated, sign: float,
+def _schur_reduction(disc: Discretization, system: Eliminated,
                      name: str, tol: float) -> Preconditioner:
     """Solve by reduction to the pressure Schur complement, read off the
     solved matrix [[A, G], [D, C]].
 
     apply(r) takes z = A^-1 r_u, then solves S p = r_p - D z for
-    S = C - D A^-1 G by gmres, preconditioned by the factor of C plus
-    sign * Mp with the fixed pressure dofs eliminated (-Mp for Stokes, sign
-    -1; eps*Kp + Mp for ES, sign +1), aiming at AIM * tol ||r||, and returns
-    [A^-1 (r_u - G p), p].  Its residual is that of the pressure solve, so
-    x = M b meets tol and solve runs no full-length GMRES.
+    S = C - D A^-1 G by gmres, preconditioned by the factor of C + Mp with
+    the fixed pressure dofs eliminated (Mp for Stokes, eps*Kp + Mp for ES),
+    aiming at AIM * tol ||r||, and returns [A^-1 (r_u - G p), p].  Its
+    residual is that of the pressure solve, so x = M b meets tol and solve
+    runs no full-length GMRES.
     """
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
     grad, div, block = m[:nu, nu:], m[nu:, :nu], m[nu:, nu:]
-    schur = Factor(fem.eliminate(block + sign * disc.mass_p,
+    schur = Factor(fem.eliminate(block + disc.mass_p,
                                  system.fixed[system.fixed >= nu] - nu))
     log = KrylovLog()
 
@@ -408,7 +407,7 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     x, report = _solve_fixed(
         system, rhs, np.append(u_vals, 0.0), tol,    # pressure gauge: p dof = 0
-        lambda: _schur_reduction(disc, system, -1.0, "-Mp", tol))
+        lambda: _schur_reduction(disc, system, "Mp", tol))
 
     p = x[nu:]
     p -= (disc.mean_p @ p) / disc.mean_p.sum()
@@ -473,9 +472,9 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
              tol: float = DEFAULT_TOL) -> SolveResult:
     """Coupled solve of the epsilon-scaled system.
 
-    The pressure-gradient block is the transpose-form coupling, so the
-    discrete integration-by-parts identity holds on interior dofs and the
-    energy argument behind the asymptotic estimates carries over verbatim.
+    G is built from B, so the discrete integration-by-parts identity holds
+    on interior dofs and the energy argument behind the asymptotic estimates
+    carries over verbatim.
     """
     disc = disc or Discretization(inp.mesh)
     eps = inp.epsilon
@@ -484,7 +483,7 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     system = disc.coupled_system(eps)
     x, report = _solve_fixed(
         system, _coupled_load(disc, inp, eps), values, tol,
-        lambda: _schur_reduction(disc, system, 1.0, "eps*Kp + Mp", tol))
+        lambda: _schur_reduction(disc, system, "eps*Kp + Mp", tol))
     return _coupled_result(disc, x, eps, report)
 
 
@@ -588,25 +587,25 @@ class EpsSweep:
         self.values = _coupled_values(disc, inp)
         vel = disc.velocity_factor      # the terms apply A, so PP applies it too
         pp = pp or solve_pp(inp, disc, tol)
-        nu, fixed = disc.nu, disc._coupled_unit[0].fixed
-        fixed_u, fixed_p = fixed[fixed < nu], fixed[fixed >= nu] - nu
+        nu, unit = disc.nu, disc._coupled_unit[0]
+        grad, div = unit.matrix[:nu, nu:], unit.matrix[nu:, :nu]
         # The ES right-hand side is b0 + eps * b1: load and lift are affine in
         # eps, and its fixed rows hold the values at every eps, so b1's are 0.
-        b0, b_unit = (_lifted(disc.coupled_lift(e), fixed, _coupled_load(disc, inp, e),
+        b0, b_unit = (_lifted(disc.coupled_lift(e), unit.fixed, _coupled_load(disc, inp, e),
                               self.values) for e in (0.0, 1.0))
         b1 = b_unit - b0
         with np.errstate(over="ignore"):        # an overflowing b fails its check
             bnorms = {eps: max(norm(b0 + eps * b1), RESIDUAL_FLOOR)
                       for eps in eps_list}
 
-        def divergence(x):
-            """The free pressure rows of -B x."""
-            r = -(disc.div @ x[:nu])
-            r[fixed_p] = 0.0
-            return r
-
-        x = np.concatenate([pp.u.coefficients.ravel(), pp.p.coefficients])
-        r = divergence(x)
+        # r_0, x_0's residual in the pressure rows of ES(0), is -B u_0 on the
+        # free rows (b0 lifts the trace) and 0 on the fixed ones; ES(1) gives
+        # those rows for x_0 with its free pressure, which only Kp sees, zeroed.
+        x = np.zeros(len(b0))
+        x[unit.fixed] = self.values
+        x[:nu] = pp.u.coefficients.ravel()
+        r = (b0 - unit.matrix @ x)[nu:]
+        x[nu:] = pp.p.coefficients
         self.r_norms = [float(np.linalg.norm(r))]
         open_ = {eps: (np.zeros(len(x)), []) for eps in bnorms}
         self.series = {}        # eps: (sum of its terms, bound after each)
@@ -616,13 +615,9 @@ class EpsSweep:
                 break
             if k:               # x_k with M x_k = [0; r_k]; r becomes r_(k+1)
                 p = disc.pressure_factor.solve(r)
-                p[fixed_p] = 0.0
-                g = disc.grad @ p
-                g[fixed_u] = 0.0
-                u = _solve_velocity(vel, -g)
-                u[fixed_u] = 0.0
+                u = _solve_velocity(vel, -(grad @ p))
                 x = np.concatenate([u, p])
-                r = divergence(x)
+                r = -(div @ u)
                 self.r_norms.append(float(np.linalg.norm(r)))
             left = SERIES_TERMS - 1 - k
             for eps, (total, bounds) in list(open_.items()):

@@ -295,14 +295,16 @@ def reference_system(stage, inp, disc, p=None):
     apply_dirichlet it is the reference for the eliminated systems that
     drivers.Discretization keeps.  stage is S, ES, PP-p (the pressure
     Poisson stage) or PP-u (the velocity stage, driven by the pressure
-    coefficients p).
+    coefficients p).  S is [[K, G], [D, 0]], ES's saddle form at eps = 0,
+    and both assemble G with fem.assemble_grad_coupling.
     """
     nu = disc.nu
     f = velocity_load(disc, inp.body_force)
     u_bdofs, u_bvals = velocity_boundary(disc, inp.u_bc)
     if stage == "S":
-        system = sps.bmat([[vector_stiffness(disc), -disc.div.T],
-                           [-disc.div, None]], format="csr")
+        grad = fem.assemble_grad_coupling(disc.vspace, disc.pspace)
+        system = sps.bmat([[vector_stiffness(disc), grad],
+                           [disc.div, None]], format="csr")
         system.sum_duplicates()
         return (system, np.concatenate([f, np.zeros(disc.np_)]),
                 np.append(u_bdofs, nu), np.append(u_bvals, 0.0))
@@ -315,7 +317,8 @@ def reference_system(stage, inp, disc, p=None):
     if stage == "PP-p":
         return disc.stiff_p, g, p_bdofs, p_bvals
     eps = inp.epsilon
-    system = sps.bmat([[vector_stiffness(disc), disc.grad],
+    grad = fem.assemble_grad_coupling(disc.vspace, disc.pspace)
+    system = sps.bmat([[vector_stiffness(disc), grad],
                        [disc.div, eps * disc.stiff_p]], format="csr")
     system.sum_duplicates()
     return (system, np.concatenate([f, eps * g]),

@@ -18,8 +18,8 @@ from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     seminorm_h1, get_case)
-from helpers import (apply_dirichlet, grad_coupling_direct, linear_x_minus_half,
-                     loaded_parallelogram_mesh, monolithic_reference,
+from helpers import (affine_jittered_mesh, apply_dirichlet, grad_coupling_direct,
+                     linear_x_minus_half, loaded_parallelogram_mesh, monolithic_reference,
                      reference_system, stokes_lagrange_reference, unit_x,
                      zero_scalar, zero_vec)
 
@@ -216,19 +216,28 @@ def test_boundary_values_exact():
     assert np.array_equal(s.u.coefficients[u_dofs], u_vals)
 
 
-def test_es_solutions_identical_for_both_gradient_couplings():
+def test_es_solutions_identical_for_both_gradient_couplings(monkeypatch):
     # transpose-form and direct-quadrature pressure-gradient blocks give the
-    # same discrete solution
+    # same discrete solution, for ES and for Stokes, its eps = 0 member
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc_t = Discretization(mesh)
+    runs = [(solve_stokes, _inp(mesh, case))]
+    runs += [(solve_es, _inp(mesh, case, eps=eps)) for eps in (1e-2, 1.0, 1e2)]
+    transpose = [run(inp, disc_t) for run, inp in runs]
+    direct = []
+
+    def assemble_direct(vspace, pspace, div=None):
+        direct.append(vspace)
+        return grad_coupling_direct(vspace, pspace)
+
+    monkeypatch.setattr(fem, "assemble_grad_coupling", assemble_direct)
     disc_d = Discretization(mesh)
-    disc_d.grad = grad_coupling_direct(disc_d.vspace, disc_d.pspace)
-    for eps in (1e-2, 1.0, 1e2):
-        rt = solve_es(_inp(mesh, case, eps=eps), disc_t)
-        rd = solve_es(_inp(mesh, case, eps=eps), disc_d)
+    for (run, inp), rt in zip(runs, transpose):
+        rd = run(inp, disc_d)
         assert np.abs(rt.u.coefficients - rd.u.coefficients).max() <= 1e-11
         assert np.abs(rt.p.coefficients - rd.p.coefficients).max() <= 1e-11
+    assert len(direct) == 2               # one G per saddle system, S and ES
 
 
 def test_gradient_forcing_on_loaded_parallelogram_mesh(tmp_path):
@@ -345,11 +354,11 @@ def test_velocity_factor_size_at_n96():
 @pytest.mark.parametrize("problem, eps", [("S", None), ("ES", 1e-3), ("ES", 0.0)],
                          ids=["S", "ES", "ES-eps0"])
 def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, monkeypatch):
-    # the Schur factor is the solved pressure block plus sign * Mp with the
-    # fixed pressure dofs eliminated: -Mp for Stokes, eps*Kp + Mp for ES and
-    # Mp at eps = 0; the velocity is A^-1 (r_u - G p) with G the solved
-    # upper-right block, and the pressure meets the aim in the residual of
-    # the solved matrix, whose lower blocks are D and C
+    # the Schur factor is the solved pressure block C plus Mp with the fixed
+    # pressure dofs eliminated: Mp with the gauge dof eliminated for Stokes,
+    # eps*Kp + Mp for ES and Mp at eps = 0; the velocity is A^-1 (r_u - G p)
+    # with G the solved upper-right block, and the pressure meets the aim in
+    # the residual of the solved matrix, whose lower blocks are D and C
     factored = []
 
     class Recorded(sparse.Factor):
@@ -362,13 +371,13 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     pbnd = disc.pspace.boundary_nodes
     monkeypatch.setattr(drivers, "Factor", Recorded)
     if problem == "S":
-        system, sign = disc.stokes_system, -1.0
-        want = fem.eliminate(-mp, [drivers.GAUGE_DOF])
+        system = disc.stokes_system
+        want = fem.eliminate(mp, [drivers.GAUGE_DOF])
     else:
-        system, sign = disc.coupled_system(eps), 1.0
+        system = disc.coupled_system(eps)
         want = fem.eliminate(eps * disc.stiff_p + mp if eps else mp, pbnd)
     tol = sparse.DEFAULT_TOL
-    pre = drivers._schur_reduction(disc, system, sign, problem, tol)
+    pre = drivers._schur_reduction(disc, system, problem, tol)
     (schur_matrix,) = factored
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(schur_matrix, name), getattr(want, name)), name
@@ -381,6 +390,26 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     aim = sparse.AIM * tol * np.linalg.norm(r)
     assert 1 <= len(pre.log.estimates) and pre.log.estimates[-1] <= aim
     assert np.linalg.norm(r - system.matrix @ x) <= 10 * aim
+
+
+@pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
+                         ids=["structured", "jittered"])
+def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
+    # Stokes is ES's saddle form at eps = 0, [[K, G], [D, 0]]: the form
+    # [[K, -B^T], [-B, 0]], eliminated, with its free pressure rows negated,
+    # since G and -B^T differ only in the velocity-boundary rows both fix
+    disc = Discretization(mesh)
+    system = disc.stokes_system
+    transpose_form = fem.eliminate(
+        sps.bmat([[fem.vector_block(disc.stiff_u), -disc.div.T], [-disc.div, None]],
+                 format="csr"), system.fixed)
+    sign = np.ones(transpose_form.shape[0])
+    sign[disc.nu:] = -1.0
+    sign[disc.nu + drivers.GAUGE_DOF] = 1.0            # the gauge's unit row
+    want = (sps.diags(sign) @ transpose_form).tocsr()
+    want.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.matrix, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("problem", ["S", "PP", "ES"])
@@ -721,9 +750,9 @@ def test_discretization_assembles_div_coupling_once(monkeypatch):
     assert len(calls) == 1                # B, on first use by S
     solve_es(_inp(mesh, case, eps=1.0), disc)
     assert len(calls) == 1                # G reuses B for its transpose form
-    reference = fem.assemble_grad_coupling(disc.vspace, disc.pspace)
+    assert "grad" not in dir(disc)        # and is not kept
+    fem.assemble_grad_coupling(disc.vspace, disc.pspace)
     assert len(calls) == 2                # without div, G assembles its own B
-    assert abs(disc.grad - reference).max() == 0.0
 
 
 def test_pp_builds_no_vector_block(monkeypatch):
@@ -742,7 +771,9 @@ def test_pp_builds_no_vector_block(monkeypatch):
     for eps in (1e-3, 1e3):
         solve_es(_inp(mesh, case, eps=eps), disc)
     assert len(kron) == 2
-    assert couplings == ["assemble_div_coupling", "assemble_grad_coupling"]
+    # B once per mesh, G once per saddle system built
+    assert couplings == ["assemble_div_coupling", "assemble_grad_coupling",
+                         "assemble_grad_coupling"]
 
 
 def test_loads_assembled_once_per_body_force(monkeypatch):

@@ -87,6 +87,30 @@ def test_sweep_eps_csv_deterministic(tmp_path):
     assert t1.to_csv_text().encode() == t2.to_csv_text().encode()
 
 
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_eps_ms1_mismatch_n8.csv"
+
+
+def _split_csv(text):
+    """(label lines and per-row label fields, per-row numbers) of a table."""
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    return (lines[:2] + [row[:3] for row in rows],
+            np.array([[float(v) for v in row[3:]] for row in rows]))
+
+
+def test_sweep_eps_matches_golden_table():
+    # a frozen table of `python -m epsstokes sweep-eps --case ms1-mismatch
+    # --n 8 --out <file>` guards against silent numeric drift: labels exactly,
+    # numbers to round-off; the eps = 1e6 gaps to PP carry about 1e-16 of
+    # absolute round-off, which atol covers
+    table, _ = run_sweep_eps(RunConfig(case="ms1-mismatch", n=8))
+    labels, values = _split_csv(table.to_csv_text())
+    want_labels, want_values = _split_csv(GOLDEN_SWEEP.read_text())
+    assert labels == want_labels
+    assert values.shape == want_values.shape
+    assert np.allclose(values, want_values, rtol=1e-9, atol=1e-15)
+
+
 def test_sweep_h_rates_and_footer():
     cfg = RunConfig(case="ms1", problem="S", n_list=(8, 16, 32), eps_list=(1.0,))
     table, _ = run_sweep_h(cfg)

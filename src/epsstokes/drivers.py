@@ -24,8 +24,9 @@ Laplacian of one velocity component, and Kp.  On first use it builds the
 coupling B (S and ES only), the load vectors of each body force, each
 problem's system with its Dirichlet dofs eliminated, and the factors below.
 kron(K, I2) and the coupling G exist only while S or ES assemble their
-system; PP never forms them.  ES keeps its system at eps = 1 and scales the
-Kp entries of a copy of its values per epsilon.
+system; PP never forms them.  ES keeps ES(0) and its Kp part, and builds
+ES(eps) as their sum ES(0) + eps * Kp part, in new arrays.  A driver given a
+Discretization refuses one built on another mesh than its input's.
 
 Each system goes through sparse.solve with a preconditioner built from
 factors.  The Discretization makes each of two on first use and keeps it:
@@ -141,8 +142,9 @@ class Eliminated(NamedTuple):
     """A linear system with its fixed dofs eliminated.
 
     matrix is the system with the rows and columns of the sorted dofs
-    `fixed` zeroed and 1 on their diagonal; lift holds the system's columns
-    at those dofs, which carry the fixed values to the right-hand side.
+    `fixed` zeroed and 1 on their diagonal (ES's Kp part, which is added to
+    such a system, has 0 there); lift holds the system's columns at those
+    dofs, which carry the fixed values to the right-hand side.
     """
 
     matrix: sps.csr_matrix
@@ -166,7 +168,10 @@ class Discretization:
     alone builds no factor of A: it is in vars() once S, ES or the 1/eps
     series has used it, and solve_pp uses it then.  The interleaved velocity
     block kron(K, I2) and the coupling G are formed only while S or ES
-    builds its system, and are not kept.
+    builds its system, and are not kept.  ES keeps two eliminated parts,
+    ES(0) and its Kp part, which store disjoint entries: coupled_system(eps)
+    is ES(0) + eps * Kp part, each sum exact and in new arrays, so nothing
+    done to a returned system reaches the cache.
     """
 
     @one_blas_thread()
@@ -242,36 +247,23 @@ class Discretization:
 
     @np.errstate(over="ignore")
     def coupled_system(self, eps: float) -> Eliminated:
-        """[[K, G], [D, eps*Kp]] with both boundaries fixed: the eps = 1
-        system with its stored Kp entries scaled by eps, in a copy of its
-        values that shares its index arrays, and coupled_lift(eps).  An eps
-        whose scaling overflows leaves inf entries, which solve refuses."""
-        unit, in_matrix, _ = self._coupled_unit
-        data = unit.matrix.data.copy()
-        data[in_matrix] *= eps
-        matrix = sps.csr_matrix((data, unit.matrix.indices, unit.matrix.indptr),
-                                shape=unit.matrix.shape)
-        return Eliminated(matrix, self.coupled_lift(eps), unit.fixed)
-
-    @np.errstate(over="ignore")
-    def coupled_lift(self, eps: float) -> sps.csr_matrix:
-        """The lift of the ES system at eps: a copy of the eps = 1 lift with
-        its Kp entries scaled by eps."""
-        unit, _, in_lift = self._coupled_unit
-        lift = unit.lift.copy()
-        lift.data[in_lift] *= eps
-        return lift
+        """[[K, G], [D, eps*Kp]] with both boundaries fixed: ES(0) plus eps
+        times its Kp part, in new arrays.  The two parts store disjoint
+        entries, so each sum is exact.  An eps whose scaling overflows
+        leaves inf entries, which solve refuses."""
+        base, kp = self._coupled_parts
+        return Eliminated(base.matrix + eps * kp.matrix, base.lift + eps * kp.lift,
+                          base.fixed.copy())
 
     @cached_property
-    def _coupled_unit(self):
-        """The ES system at eps = 1 and the positions of its stored Kp entries."""
-        nu = self.nu
-        unit = self._saddle_system(self.stiff_p, self.pspace.boundary_nodes)
-        free = np.ones(unit.matrix.shape[0], dtype=bool)
-        free[unit.fixed] = False          # a fixed row keeps only its unit diagonal
-        mat, lift = unit.matrix.tocoo(), unit.lift.tocoo()    # entries in CSR order
-        return (unit, np.flatnonzero(free[mat.row] & (mat.row >= nu) & (mat.col >= nu)),
-                np.flatnonzero((lift.row >= nu) & (unit.fixed[lift.col] >= nu)))
+    def _coupled_parts(self) -> tuple[Eliminated, Eliminated]:
+        """ES(0), and ES's Kp part: block_diag(0, Kp) with ES's fixed rows and
+        columns zeroed (no unit diagonal), its columns there as the lift."""
+        base = self._saddle_system(None, self.pspace.boundary_nodes)
+        kp = sps.block_diag([sps.csr_matrix((self.nu, self.nu)), self.stiff_p], format="csr")
+        part = _eliminated(kp, base.fixed)
+        unit = fem.eliminate(sps.csr_matrix(kp.shape), base.fixed)   # 1 on the fixed diagonal
+        return base, part._replace(matrix=part.matrix - unit)
 
     def velocity_load(self, body_force) -> np.ndarray:
         """Read-only (x, y) load rows of body_force against the P2 basis."""
@@ -305,6 +297,16 @@ def _require_compatible(inp):
     if abs(flux) > COMPATIBILITY_TOL:
         raise IncompatibleDataError(flux)
     return flux
+
+
+def _discretization(inp: ProblemInput, disc: Discretization) -> Discretization:
+    """disc, or a new Discretization of inp.mesh if disc is None; a disc
+    built on another mesh object is refused."""
+    if disc is None:
+        return Discretization(inp.mesh)
+    if disc.mesh is not inp.mesh:
+        raise ValueError("disc was built on another mesh than inp.mesh")
+    return disc
 
 
 def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
@@ -397,7 +399,7 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
     dofs, then the pressure is shifted to zero discrete mean: the solution
     of a mean-value Lagrange multiplier, without its dense row and column.
     """
-    disc = disc or Discretization(inp.mesh)
+    disc = _discretization(inp, disc)
     _require_compatible(inp)
     nu = disc.nu
     system = disc.stokes_system
@@ -430,7 +432,7 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     distinct factors they applied.
     """
     start = time.perf_counter()
-    disc = disc or Discretization(inp.mesh)
+    disc = _discretization(inp, disc)
     _require_compatible(inp)
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
@@ -476,7 +478,7 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     on interior dofs and the energy argument behind the asymptotic estimates
     carries over verbatim.
     """
-    disc = disc or Discretization(inp.mesh)
+    disc = _discretization(inp, disc)
     eps = inp.epsilon
     _check_epsilons([eps])
     values = _coupled_values(disc, inp)
@@ -548,7 +550,7 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
     and right-hand side solve_es would solve), is solved by solve_es.
     inp.epsilon is not read.  See EpsSweep for the results.
     """
-    disc = disc or Discretization(inp.mesh)
+    disc = _discretization(inp, disc)
     eps_list = list(eps_list)
     _check_epsilons(eps_list)
     return EpsSweep(inp, eps_list, disc, tol, pp)
@@ -587,25 +589,21 @@ class EpsSweep:
         self.values = _coupled_values(disc, inp)
         vel = disc.velocity_factor      # the terms apply A, so PP applies it too
         pp = pp or solve_pp(inp, disc, tol)
-        nu, unit = disc.nu, disc._coupled_unit[0]
-        grad, div = unit.matrix[:nu, nu:], unit.matrix[nu:, :nu]
+        nu, (base, kp) = disc.nu, disc._coupled_parts
+        grad, div = base.matrix[:nu, nu:], base.matrix[nu:, :nu]
         # The ES right-hand side is b0 + eps * b1: load and lift are affine in
         # eps, and its fixed rows hold the values at every eps, so b1's are 0.
-        b0, b_unit = (_lifted(disc.coupled_lift(e), unit.fixed, _coupled_load(disc, inp, e),
-                              self.values) for e in (0.0, 1.0))
+        b0, b_unit = (_lifted(base.lift + e * kp.lift, base.fixed,
+                              _coupled_load(disc, inp, e), self.values) for e in (0.0, 1.0))
         b1 = b_unit - b0
         with np.errstate(over="ignore"):        # an overflowing b fails its check
             bnorms = {eps: max(norm(b0 + eps * b1), RESIDUAL_FLOOR)
                       for eps in eps_list}
 
-        # r_0, x_0's residual in the pressure rows of ES(0), is -B u_0 on the
-        # free rows (b0 lifts the trace) and 0 on the fixed ones; ES(1) gives
-        # those rows for x_0 with its free pressure, which only Kp sees, zeroed.
-        x = np.zeros(len(b0))
-        x[unit.fixed] = self.values
-        x[:nu] = pp.u.coefficients.ravel()
-        r = (b0 - unit.matrix @ x)[nu:]
-        x[nu:] = pp.p.coefficients
+        # r_0 is x_0's residual in the pressure rows of ES(0): -B u_0 on the
+        # free rows (b0 lifts the trace) and 0 on the fixed ones.
+        x = np.concatenate([pp.u.coefficients.ravel(), pp.p.coefficients])
+        r = (b0 - base.matrix @ x)[nu:]
         self.r_norms = [float(np.linalg.norm(r))]
         open_ = {eps: (np.zeros(len(x)), []) for eps in bnorms}
         self.series = {}        # eps: (sum of its terms, bound after each)

@@ -26,7 +26,7 @@ from helpers import (affine_jittered_mesh, apply_dirichlet, grad_coupling_direct
 DRIVERS = {"S": solve_stokes, "PP": solve_pp, "ES": solve_es}
 FACTORS = ("velocity_factor", "pressure_factor")
 SYSTEMS = ("stokes_system", "pressure_system", "velocity_system",
-           "_coupled_unit")
+           "_coupled_parts")
 
 
 def _inp(mesh, case, eps=None):
@@ -105,6 +105,20 @@ def test_es_rejects_bad_epsilon():
         solve_es(inp)
     with pytest.raises(ValueError, match="epsilon"):
         solve_es_sweep(inp, [1.0, np.inf])
+
+
+@pytest.mark.parametrize("run", [solve_stokes, solve_pp, solve_es,
+                                 lambda inp, disc: solve_es_sweep(inp, [1.0], disc)],
+                         ids=["S", "PP", "ES", "sweep"])
+def test_drivers_refuse_a_discretization_of_another_mesh(run):
+    # the fields would live on disc's mesh while the flux check ran on
+    # inp.mesh; an equal mesh built twice is another mesh too
+    mesh = build_structured_mesh(4)
+    inp = _inp(mesh, get_case("ms1-mismatch"), eps=1.0)
+    for other in (build_structured_mesh(8), build_structured_mesh(4)):
+        with pytest.raises(ValueError, match="another mesh"):
+            run(inp, Discretization(other))
+    run(inp, Discretization(mesh))
 
 
 def test_stokes_pressure_mean_is_zero():
@@ -412,6 +426,60 @@ def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
         assert np.array_equal(getattr(system.matrix, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
+                         ids=["structured", "jittered"])
+def test_coupled_system_is_es0_plus_eps_times_its_kp_part(mesh):
+    # ES(0) and the Kp part store disjoint entries and no explicit zero, and
+    # the Kp part has nothing in a fixed row or column, so each sum is exact
+    disc = Discretization(mesh)
+    base, kp = disc._coupled_parts
+    nu = disc.nu
+    assert np.array_equal(kp.fixed, base.fixed)
+    for part in (base.matrix, base.lift, kp.matrix, kp.lift):
+        assert part.has_canonical_format and part.data.all()
+    rows, cols = kp.matrix.nonzero()
+    assert rows.min() >= nu and cols.min() >= nu
+    assert not np.isin(rows, base.fixed).any() and not np.isin(cols, base.fixed).any()
+    assert kp.lift.nonzero()[0].min() >= nu
+    for a, b in ((base.matrix, kp.matrix), (base.lift, kp.lift)):
+        assert (abs(a).multiply(abs(b))).nnz == 0
+    block = base.matrix[nu:, nu:].tocoo()        # ES(0): only the fixed unit rows
+    assert np.array_equal(block.row, block.col) and (block.data == 1.0).all()
+    assert np.isin(block.row + nu, base.fixed).all()
+    zero = disc.coupled_system(0.0)
+    for a, b in ((zero.matrix, base.matrix), (zero.lift, base.lift)):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_returned_coupled_system_leaves_the_cache_unchanged():
+    # a returned system owns its arrays: editing one in place, as scipy's
+    # own eliminate_zeros does, reaches neither the cache nor a later system
+    disc = Discretization(build_structured_mesh(8))
+    want = disc.coupled_system(1.0)
+    zero = disc.coupled_system(0.0)
+    zero.matrix.eliminate_zeros()
+    zero.matrix.data[:] = 0.0
+    zero.lift.data[:] = 0.0
+    zero.fixed[:] = 0
+    got = disc.coupled_system(1.0)
+    for a, b in ((got.matrix, want.matrix), (got.lift, want.lift)):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(got.fixed, want.fixed)
+    assert disc.coupled_system(0.0).matrix.data.all()     # no explicit zero
+    cached = [a for part in disc._coupled_parts for a in _arrays(part)]
+    for eps in (0.0, 1.0):
+        for a in _arrays(disc.coupled_system(eps)):
+            assert not any(np.shares_memory(a, c) for c in cached)
+
+
+def _arrays(system):
+    """Every array of an Eliminated."""
+    return [getattr(m, name) for m in system[:2]
+            for name in ("indptr", "indices", "data")] + [system.fixed]
+
+
 @pytest.mark.parametrize("problem", ["S", "PP", "ES"])
 def test_drivers_match_monolithic_reference(problem, tmp_path):
     # the solves on the shared factors reproduce spsolve on each assembled
@@ -503,7 +571,7 @@ def _reference_solves(problem, inp, disc, p):
                          + [("ES", eps) for eps in (1e-6, 0.37, 1.0, 1e6)])
 def test_solved_systems_match_reference_elimination(problem, eps, tmp_path,
                                                     monkeypatch):
-    # the systems eliminated once per mesh (ES: scaled from eps = 1) are the
+    # the systems eliminated once per mesh (ES: ES(0) + eps * Kp part) are the
     # whole assembled systems eliminated per call, entry for entry; PP hands
     # over Kp, then the scalar velocity system once per component
     seen = _record_solves(monkeypatch)
@@ -924,11 +992,11 @@ def test_series_term_ratio_is_the_spectral_radius(n):
     from scipy.linalg import eigvals
     mesh = build_structured_mesh(n)
     disc = Discretization(mesh)
-    unit = disc._coupled_unit[0]
-    free_p = np.zeros(unit.matrix.shape[0], dtype=bool)
+    base, kp = disc._coupled_parts
+    free_p = np.zeros(base.matrix.shape[0], dtype=bool)
     free_p[disc.nu:] = True
-    free_p[unit.fixed] = False
-    dense = unit.matrix.toarray()
+    free_p[base.fixed] = False
+    dense = (base.matrix + kp.matrix).toarray()             # ES(1)
     split = np.zeros_like(dense)
     split[np.ix_(free_p, np.arange(disc.nu))] = dense[free_p, :disc.nu]
     lam = np.abs(eigvals(split, dense - split))

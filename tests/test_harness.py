@@ -591,6 +591,22 @@ def test_readme_library_example_runs(capsys):
     assert "gmres[" in out and "series[Kp, A]" in out
 
 
+def test_ci_floors_job_pins_the_declared_floors():
+    # the floors job must install exactly the oldest numpy, scipy and Python
+    # that pyproject.toml allows; both files are read as text, since the
+    # floors job's Python 3.10 has neither a YAML nor a TOML parser
+    root = Path(__file__).resolve().parents[1]
+    toml = (root / "pyproject.toml").read_text()
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    (deps,) = re.findall(r"^dependencies = \[(.*?)\]", toml, flags=re.S | re.M)
+    floors = dict(re.findall(r'"(\w+)>=([\d.]+)"', deps))
+    (python,) = re.findall(r'^requires-python = ">=([\d.]+)"', toml, flags=re.M)
+    assert floors == {"numpy": "1.24", "scipy": "1.12"} and python == "3.10"
+    (job,) = re.findall(r"^( *)- name: floors\n((?:\1  .*\n)+)", workflow, flags=re.M)
+    assert re.findall(r'^ *python: "([\d.]+)"$', job[1], flags=re.M) == [python]
+    assert dict(re.findall(r'"(\w+)==([\d.]+)\.\*"', job[1])) == floors
+
+
 def test_perfbench_span_targets_exist():
     # the benchmark records a target it cannot find as absent, so a rename in
     # the package would turn that per-layer metric into a constant 0

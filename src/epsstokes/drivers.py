@@ -35,6 +35,11 @@ factors.  The Discretization makes each of two on first use and keeps it:
   serves the x and the y velocity, made by S, ES and the 1/eps series;
 * Kp -- the P1 pressure Laplacian with every boundary node eliminated.
 
+These and the Schur factors below are relabelled by the reverse
+Cuthill-McKee order of their space's cell graph (fem.cell_order), which
+sees every pair of nodes that a cell couples, also where assembly stored
+no entry because it is exactly 0.
+
 PP makes three scalar solves, Kp, then A once per velocity component, each
 component meeting the tolerance against its own right-hand side.  The Kp
 solve is direct.  A velocity solve is direct too if the Discretization
@@ -87,8 +92,8 @@ from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
 from .sparse import (AIM, DEFAULT_TOL, RESIDUAL_FLOOR, Factor, KrylovLog,
-                     Preconditioner, SolverReport, dump_solved, gmres, norm,
-                     one_blas_thread, rel_residual, solve)
+                     Preconditioner, SolverReport, dump_solved, dumping, gmres, norm,
+                     one_blas_thread, product_residual, release_free_heap, solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
@@ -161,7 +166,8 @@ class Discretization:
     """Taylor-Hood spaces and the epsilon-independent operator blocks.
 
     The P2 stiffness K of one velocity component, the P1 stiffness Kp and
-    the pressure mean are assembled at construction.  The coupling B, the
+    the pressure mean are assembled at construction, which then hands the
+    C heap's free pages back (sparse.release_free_heap).  The coupling B, the
     mass matrices Mp and M2, load vectors (memoized per body-force
     callable), each problem's eliminated system and the factors A and Kp
     are built on first use and live as long as the Discretization.  PP
@@ -183,6 +189,7 @@ class Discretization:
         self.stiff_p = fem.assemble_stiffness(self.pspace)
         self.mean_p = fem.assemble_mass_against_one(self.pspace)
         self._loads = {}
+        release_free_heap()     # the assembly temporaries
 
     @property
     def nu(self):
@@ -212,11 +219,11 @@ class Discretization:
 
         S, ES and the 1/eps series build it.  PP applies it if it is built
         and otherwise leaves it unbuilt: solve_pp checks vars() for it."""
-        return Factor(self.velocity_system.matrix)
+        return Factor(self.velocity_system.matrix, fem.cell_order(self.vspace))
 
     @cached_property
     def pressure_factor(self) -> Factor:
-        return Factor(self.pressure_system.matrix)
+        return Factor(self.pressure_system.matrix, fem.cell_order(self.pspace))
 
     @cached_property
     def stokes_system(self) -> Eliminated:
@@ -329,7 +336,8 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
     grad, div, block = m[:nu, nu:], m[nu:, :nu], m[nu:, nu:]
     schur = Factor(fem.eliminate(block + disc.mass_p,
-                                 system.fixed[system.fixed >= nu] - nu))
+                                 system.fixed[system.fixed >= nu] - nu),
+                   fem.cell_order(disc.pspace))
     log = KrylovLog()
 
     def schur_op(q):
@@ -546,8 +554,8 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
     AIM * tol of its ||b||, as GMRES aims in sparse.solve.  An eps
     whose bound, shrinking at the measured term ratio, cannot get there
     within SERIES_TERMS terms, or whose sum then misses tol in the true
-    residual ||b - ES(eps) x|| / ||b|| (sparse.rel_residual, with the system
-    and right-hand side solve_es would solve), is solved by solve_es.
+    residual ||b - ES(eps) x|| / ||b|| (with the system and right-hand side
+    solve_es would solve, bit for bit), is solved by solve_es.
     inp.epsilon is not read.  See EpsSweep for the results.
     """
     disc = _discretization(inp, disc)
@@ -645,18 +653,29 @@ class EpsSweep:
     @one_blas_thread()
     def _checked(self, eps: float, first: bool):
         """The series SolveResult of eps if the series solved eps and its sum
-        meets tol in the ES residual, whose system it dumps; else None."""
+        meets tol in the ES residual; else None.
+
+        The residual is that of solve_es's system and right-hand side, bit
+        for bit, but no ES system is built, except one to dump inside
+        dump_matrices: ES(eps) has the velocity rows of ES(0), and only its
+        pressure rows are summed, as coupled_system sums them.
+        """
         if eps not in self.series:
             return None
         check = time.perf_counter()
         disc, (x, bounds) = self.disc, self.series[eps]
-        system = disc.coupled_system(eps)
-        x[system.fixed] = self.values
-        res = rel_residual(system.matrix, x, _lifted(
-            system.lift, system.fixed, _coupled_load(disc, self.inp, eps), self.values))
+        nu, (base, kp) = disc.nu, disc._coupled_parts
+        x[base.fixed] = self.values
+        ax = base.matrix @ x
+        with np.errstate(over="ignore"):        # an overflowing eps fails the check
+            ax[nu:] = (base.matrix[nu:] + eps * kp.matrix[nu:]) @ x
+            b = _lifted(base.lift + eps * kp.lift, base.fixed,
+                        _coupled_load(disc, self.inp, eps), self.values)
+        res = product_residual(ax, b)
         if not res <= self.tol:
             return None
-        dump_solved(system.matrix)
+        if dumping():
+            dump_solved(disc.coupled_system(eps).matrix)
         return _coupled_result(disc, x, eps, SolverReport.from_factors(
             "series[Kp, A]", res, bounds,
             time.perf_counter() - check + (self.elapsed if first else 0.0),

@@ -17,7 +17,13 @@ Matrices are assembled from reference tensors (Kirby, Knepley, Logg & Scott,
 affine triangle every local matrix is a small per-cell geometric factor,
 built from the Jacobian, contracted with a tensor that is integrated once on
 the reference triangle; each form is then one (M, 4) or (M, 2, 2) matmul
-over the mesh instead of a sum over quadrature points per cell.
+over the mesh instead of a sum over quadrature points per cell.  The
+reference tensors are integrals of polynomials and are stored exactly
+(_exact), so an integral that is 0, such as that of a P2 vertex against the
+midpoint of the opposite edge, adds exact zeros.  _scatter sums the local
+blocks and stores only the entries above DROP times the larger of their
+row's and their column's largest: the entries it leaves out are the
+round-off of cancellations between cells, as on structured meshes.
 """
 
 from __future__ import annotations
@@ -26,11 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as sps
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import Mesh
 from .sparse import one_blas_thread
 
 _SQRT15 = np.sqrt(15.0)
+# An assembled entry at or below DROP times the largest entry of its row or
+# of its column is the round-off of an exact zero, and is not stored.
+DROP = 1e-13
+# Over the reference triangle x^a y^b integrates to a! b! / (a + b + 2)!, so
+# a polynomial with integer coefficients and degree at most 4 integrates to
+# a multiple of 1/360.  Every reference tensor here is such an integral.
+_TENSOR_GRID = 360.0
 
 
 @dataclass(frozen=True)
@@ -245,18 +259,74 @@ def eval_div_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
 # global assembly
 
 
-def _scatter(dofs: np.ndarray, local: np.ndarray, shape) -> sps.csr_matrix:
-    """Accumulate (M, a, b) local blocks into a global CSR matrix; dofs is
-    one (M, a) index array for both sides, or a (rows, cols) pair."""
+def _exact(tensor: np.ndarray) -> np.ndarray:
+    """A reference tensor computed by quadrature, rounded to its exact
+    value: the multiple of 1/_TENSOR_GRID nearest each entry."""
+    return np.round(tensor * _TENSOR_GRID) / _TENSOR_GRID
+
+
+def stiffness_tensor(degree: int) -> np.ndarray:
+    """(2, 2, nloc, nloc) exact reference tensor R[a, b, i, j], the
+    integral of d_a(phi_i) d_b(phi_j) over the reference triangle."""
+    quad = triangle_rule_d5()
+    dref = shape_gradients(degree, quad.ref_points())          # (Q, nloc, 2)
+    return _exact(np.einsum("q,qia,qjb->abij", quad.weights, dref, dref))
+
+
+def value_gradient_tensor(val_degree: int, grad_degree: int) -> np.ndarray:
+    """(2, nv, ng) exact reference tensor T[k, j, a], the integral of
+    phi_j d_k(chi_a) over the reference triangle, for the values phi of the
+    degree val_degree basis and the gradients chi of the grad_degree one."""
+    quad = triangle_rule_d5()
+    pts = quad.ref_points()
+    vals = shape_values(val_degree, pts)                      # (Q, nv)
+    dref = shape_gradients(grad_degree, pts)                  # (Q, ng, 2)
+    return _exact(np.einsum("q,qj,qak->kja", quad.weights, vals, dref))
+
+
+def _cell_pairs(dofs):
+    """The int32 (rows, cols) of every (cell, a, b) entry, raveled, for one
+    (M, a) index array on both sides or a (rows, cols) pair."""
     rows_dofs, cols_dofs = dofs if isinstance(dofs, tuple) else (dofs, dofs)
-    m, a = rows_dofs.shape
-    b = cols_dofs.shape[1]
-    rows = np.repeat(rows_dofs, b, axis=1).ravel()
-    cols = np.tile(cols_dofs, (1, a)).ravel()
-    mat = sps.coo_matrix((local.reshape(m * a * b), (rows, cols)), shape=shape).tocsr()
-    mat.sum_duplicates()
+    shape = rows_dofs.shape + cols_dofs.shape[1:]
+    rows = np.broadcast_to(rows_dofs.astype(np.int32)[:, :, None], shape)
+    cols = np.broadcast_to(cols_dofs.astype(np.int32)[:, None, :], shape)
+    return rows.ravel(), cols.ravel()
+
+
+def cell_order(space: Space) -> np.ndarray:
+    """Reverse Cuthill-McKee labels of the space's cell graph, which joins
+    every two nodes that share a cell (Cuthill & McKee, 1969): the order in
+    which sparse.Factor factors a matrix assembled on the space.  The graph
+    is freed on return."""
+    rows, cols = _cell_pairs(space.cells)
+    graph = sps.coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                           shape=(space.ndofs, space.ndofs)).tocsr()
+    del rows, cols
+    return reverse_cuthill_mckee(graph, symmetric_mode=True)
+
+
+def _scatter(dofs, local: np.ndarray, shape) -> sps.csr_matrix:
+    """Sum (M, a, b) local blocks into a global CSR matrix; dofs is one
+    (M, a) index array for both sides, or a (rows, cols) pair.
+
+    An entry is stored only above DROP times the larger of its row's and its
+    column's largest magnitude.  The rule is the same for a matrix and its
+    transpose, so a symmetric sum stays exactly symmetric.  The index arrays
+    are int32, and every array is as long as the entries stored.
+    """
+    mat = sps.coo_matrix((local.ravel(), _cell_pairs(dofs)),
+                         shape=shape).tocsr()                   # sums duplicates
+    mag = np.abs(mat.data)
+    lengths = np.diff(mat.indptr)
+    row_max, col_max = np.zeros(shape[0]), np.zeros(shape[1])
+    row_max[lengths > 0] = np.maximum.reduceat(mag, mat.indptr[:-1][lengths > 0])
+    np.maximum.at(col_max, mat.indices, mag)
+    limit = np.repeat(DROP * row_max, lengths)          # per entry, its row's
+    np.maximum(limit, DROP * col_max[mat.indices], out=limit)
+    mat.data[mag <= limit] = 0.0
     mat.eliminate_zeros()
-    return mat
+    return mat.copy()     # prune may leave views of the duplicate-length arrays
 
 
 def assemble_stiffness(space: Space) -> sps.csr_matrix:
@@ -265,17 +335,18 @@ def assemble_stiffness(space: Space) -> sps.csr_matrix:
     Symmetric positive semidefinite; constants span the kernel before
     boundary conditions are applied.
     """
-    quad = triangle_rule_d5()
     _, inv, det = space.mesh.geometry
-    dref = shape_gradients(space.degree, quad.ref_points())      # (Q, nloc, 2)
-    # ref[a, b, i, j] = sum_q w_q d_a(phi_i) d_b(phi_j)
-    ref = np.einsum("q,qia,qjb->abij", quad.weights, dref, dref)
     geo = det[:, None, None] * (inv @ inv.transpose(0, 2, 1))    # |J| J^-1 J^-T
     nloc = space.nloc
-    local = (geo.reshape(-1, 4) @ ref.reshape(4, nloc * nloc)).reshape(-1, nloc, nloc)
-    out = _scatter(space.cells, local, (space.ndofs, space.ndofs))
-    # exact symmetry independent of accumulation order
-    return (0.5 * (out + out.T)).tocsr()
+    ref = stiffness_tensor(space.degree).reshape(4, nloc * nloc)
+    local = (geo.reshape(-1, 4) @ ref).reshape(-1, nloc, nloc)
+    # The matmul may add a cell's (i, j) and (j, i) terms in different
+    # orders, so each cell's block is made exactly symmetric.  Two nodes
+    # share at most two cells, and two terms sum the same in either order,
+    # so the assembled matrix is exactly symmetric too.
+    local += local.transpose(0, 2, 1)
+    local *= 0.5
+    return _scatter(space.cells, local, (space.ndofs, space.ndofs))
 
 
 def vector_block(scalar: sps.csr_matrix) -> sps.csr_matrix:
@@ -292,9 +363,9 @@ def assemble_mass(space: Space) -> sps.csr_matrix:
     quad = triangle_rule_d5()
     _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
-    local = det[:, None, None] * ((quad.weights * vals.T) @ vals)
-    out = _scatter(space.cells, local, (space.ndofs, space.ndofs))
-    return (0.5 * (out + out.T)).tocsr()
+    # the exact tensor is symmetric, and so is each cell's multiple of it
+    local = det[:, None, None] * _exact((quad.weights * vals.T) @ vals)
+    return _scatter(space.cells, local, (space.ndofs, space.ndofs))
 
 
 def assemble_mass_against_one(space: Space) -> np.ndarray:
@@ -309,15 +380,10 @@ def _value_gradient_local(val_space: Space, grad_space: Space) -> np.ndarray:
     """(M, 2, nv, ng) integrals of phi_j * d(chi_a)/dx_c over each triangle,
     indexed [m, c, j, a], for the values phi of val_space and the
     gradients chi of grad_space."""
-    quad = triangle_rule_d5()
     _, inv, det = val_space.mesh.geometry
-    pts = quad.ref_points()
-    vals = shape_values(val_space.degree, pts)                  # (Q, nv)
-    dref = shape_gradients(grad_space.degree, pts)             # (Q, ng, 2)
-    # ref[k, j, a] = sum_q w_q phi_j d_k(chi_a)
-    ref = np.einsum("q,qj,qak->kja", quad.weights, vals, dref)
+    ref = value_gradient_tensor(val_space.degree, grad_space.degree)
     geo = det[:, None, None] * inv.transpose(0, 2, 1)           # |J| J^-T
-    nv, ng = vals.shape[1], dref.shape[1]
+    _, nv, ng = ref.shape
     return (geo @ ref.reshape(2, nv * ng)).reshape(-1, 2, nv, ng)
 
 

@@ -16,14 +16,15 @@ to rows and columns alike, with diagonal pivots preferred.
 That ordering breaks ties by input label, so on the FE numbering its fill
 depended on luck: A's factor held 5.45M entries at n = 96 but 5.29M at
 n = 128.  A factor therefore first relabels the matrix by reverse
-Cuthill-McKee on the stored pattern of A + A^T (Cuthill & McKee, 1969), and
-drops the scaled entries below DROP_TOL, the round-off that assembly leaves
-where an integral is exactly 0, before minimum degree runs.  Either step
-alone filled more than the FE labels did at n = 64 (1.10x and 1.06x);
-together they cut A's factor to 0.67-0.80x on jittered meshes and to 0.34x
-at n = 96.  RCM sees the pattern before the drop: on the dropped one,
-jittered fill was 0.84-0.89x.  A factor stays a preconditioner: solve
-checks the true matrix, so the drop costs no accuracy.
+Cuthill-McKee (Cuthill & McKee, 1969) before minimum degree runs.  The
+drivers pass the RCM order of the cell graph of the matrix's space, which
+joins every two nodes that share a cell (fem.cell_order); a bare matrix is
+ordered by RCM on the stored pattern of A + A^T.  Assembly stores no
+round-off of exact zeros (fem._scatter), so A's stored pattern lacks pairs
+that its cells couple, and RCM on it filled A's factor 23% more on a
+jittered n = 96 mesh and 25% more at n = 128 than the cell graph does.
+With the cell graph, A's factor holds 1.75M entries at n = 96, against
+5.45M under the FE labels.
 
 Without a preconditioner, solve factors the matrix itself: the first step
 is then the direct solve.  The drivers pass preconditioners built from the
@@ -45,11 +46,12 @@ right-hand side or matrix with a non-finite entry is refused, and a residual
 whose norm is not finite fails the gate.
 
 A solve, and each factorization, first hands the C heap's free pages back to
-the operating system (glibc's malloc_trim).  SuperLU's work arrays and the
-assembly temporaries are freed into that heap, which otherwise shrinks only
-from its top, so how much of them stayed resident depended on allocation
-order: the peak memory of the acceptance battery varied by 15 MiB from one
-process to the next.
+the operating system (glibc's malloc_trim), and so does a Discretization
+once it has assembled its blocks.  SuperLU's work arrays and the assembly
+temporaries are freed into that heap, which otherwise shrinks only from its
+top, so how much of them stayed resident depended on allocation order: the
+peak memory of the acceptance battery varied by 15 MiB from one process to
+the next.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ RESIDUAL_FLOOR = 1e-300
 _MAX_RESTARTS = 10   # GMRES cycles one gmres call runs at most
 ORDERING = "rcm+mmd_at_plus_a"     # the ordering a factor runs, as reported
 PERMC_SPEC = "MMD_AT_PLUS_A"        # SuperLU's part of it
-DROP_TOL = 1e-14    # scaled entries below this are round-off and not factored
 # GMRES and the 1/eps series of drivers aim this far below the tolerance, as
 # close to a direct solve as round-off allows; only tol itself is enforced.
 # Verify's criterion 8 bounds its gradient-forcing deviation by 1e-9: aims of
@@ -165,7 +166,7 @@ def _malloc_trim():
     return trim
 
 
-def _release_free_heap():
+def release_free_heap():
     """Return the free pages of the C heap to the operating system."""
     trim = _malloc_trim()
     if trim is not None:
@@ -240,21 +241,20 @@ class SolverReport:
 class Factor:
     """SuperLU factor of a square sparse matrix after row equilibration.
 
-    The equilibrated matrix is relabelled by perm, the reverse Cuthill-McKee
-    order of its stored pattern, and loses its entries below DROP_TOL (of
-    their row's largest, which equilibration makes 1) before SuperLU orders
-    it by minimum degree.  Each step is a plain scipy operation that makes
-    its own copy; SuperLU's work arrays, not these copies, set the peak
-    memory of a factorization.  A CSR matrix given with duplicate entries has
-    them summed in place (by scipy's abs).  solve(r) applies the inverse of
-    the matrix given to an (n,) or (n, k) array, gathering by perm and back
-    by its inverse iperm.  nnz is SuperLU's count of stored L and U entries
-    and matrix_nnz the stored entries of the matrix given, so their ratio is
-    the fill; factor_time is the wall time of the factorization and finished
-    the perf_counter reading at its end.
+    The equilibrated matrix is relabelled by perm, the order given or else
+    the reverse Cuthill-McKee order of its stored pattern, before SuperLU
+    orders it by minimum degree.  Each step is a plain scipy operation that
+    makes its own copy; SuperLU's work arrays, not these copies, set the
+    peak memory of a factorization.  A CSR matrix given with duplicate
+    entries has them summed in place (by scipy's abs).  solve(r) applies the
+    inverse of the matrix given to an (n,) or (n, k) array, gathering by
+    perm and back by its inverse iperm.  nnz is SuperLU's count of stored L
+    and U entries and matrix_nnz the stored entries of the matrix given, so
+    their ratio is the fill; factor_time is the wall time of the
+    factorization and finished the perf_counter reading at its end.
     """
 
-    def __init__(self, a: sps.csr_matrix):
+    def __init__(self, a: sps.csr_matrix, perm: np.ndarray = None):
         start = time.perf_counter()
         # Row equilibration keeps pivot growth bounded when one block of the
         # system carries an extreme parameter scaling.
@@ -265,10 +265,8 @@ class Factor:
             raise SolverError(f"matrix is structurally singular: row {k} is zero")
         row_scale = 1.0 / row_max
         scaled = (sps.diags(row_scale) @ a).tocsc()
-        self.perm = _structure_order(scaled)
+        self.perm = _structure_order(scaled) if perm is None else perm
         self.iperm = np.argsort(self.perm)
-        scaled.data[np.abs(scaled.data) < DROP_TOL] = 0.0    # round-off of zeros
-        scaled.eliminate_zeros()
         scaled = scaled[self.perm][:, self.perm]
         self.scale_p = row_scale[self.perm]
         try:
@@ -278,7 +276,7 @@ class Factor:
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
         del scaled
-        _release_free_heap()        # SuperLU's work arrays are free now
+        release_free_heap()        # SuperLU's work arrays are free now
         self.nnz = self.lu.nnz
         self.matrix_nnz = a.nnz
         self.finished = time.perf_counter()
@@ -355,10 +353,15 @@ def rel_residual(a, x, b, bnorm=None) -> float:
     """||b - A x|| / ||b||, the residual solve holds to tol; ||b|| is floored
     at RESIDUAL_FLOOR, and bnorm, if given, is that floored norm.  inf if
     either norm is not finite, so that no gate passes it."""
+    return product_residual(a @ x, b, bnorm)
+
+
+def product_residual(ax, b, bnorm=None) -> float:
+    """rel_residual for a product ax = A x formed by the caller."""
     if bnorm is None:
         bnorm = max(norm(b), RESIDUAL_FLOOR)
     with np.errstate(over="ignore", invalid="ignore"):
-        rnorm = norm(b - a @ x)
+        rnorm = norm(b - ax)
     if not (np.isfinite(rnorm) and np.isfinite(bnorm)):
         return np.inf
     return rnorm / bnorm
@@ -433,6 +436,11 @@ def _gmres_cycle(op, precond, r, aim, log):
     return precond(y @ basis[:k]), abs(g[k])
 
 
+def dumping() -> bool:
+    """Whether a dump_matrices block with a prefix is active."""
+    return _DUMP_SINK.get() is not None
+
+
 def dump_solved(a: sps.csr_matrix) -> None:
     """Write a as the next solved system of the active dump_matrices block,
     if there is one.  solve calls it; so does a solver that checks its own
@@ -474,7 +482,7 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         raise SolverError("matrix is not finite")
 
     dump_solved(a)
-    _release_free_heap()
+    release_free_heap()
     start = time.perf_counter()
     pre = _direct(a) if precond is None else precond()
     log = KrylovLog() if pre.log is None else pre.log

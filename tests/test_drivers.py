@@ -310,8 +310,8 @@ def test_fill_is_lu_nnz_over_the_factored_matrices(monkeypatch):
     made = []
 
     class Recorded(sparse.Factor):
-        def __init__(self, a):
-            super().__init__(a)
+        def __init__(self, a, perm=None):
+            super().__init__(a, perm)
             made.append(self)
 
     monkeypatch.setattr(drivers, "Factor", Recorded)
@@ -360,9 +360,19 @@ def test_stokes_factor_size_at_n32():
 
 def test_velocity_factor_size_at_n96():
     # on the structured n = 96 mesh the minimum-degree ordering of the FE
-    # labels, round-off entries included, stored 5,448,838 entries for A
+    # labels stored 5,448,838 entries for A, and the cell-graph order
+    # 1,751,182
     disc = Discretization(build_structured_mesh(96))
     assert disc.velocity_factor.nnz <= 2.5e6
+
+
+def test_velocity_factor_on_a_jittered_mesh_is_ordered_by_its_cells():
+    # A's stored pattern lacks the pairs whose entries are exactly 0: RCM on
+    # it stored 656,600 entries here, and 575,060 when assembly still
+    # stored round-off there; RCM on the cell graph stores 517,828
+    disc = Discretization(affine_jittered_mesh(48, 1))
+    assert np.array_equal(disc.velocity_factor.perm, fem.cell_order(disc.vspace))
+    assert disc.velocity_factor.nnz <= 575_060
 
 
 @pytest.mark.parametrize("problem, eps", [("S", None), ("ES", 1e-3), ("ES", 0.0)],
@@ -376,9 +386,9 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     factored = []
 
     class Recorded(sparse.Factor):
-        def __init__(self, a):
+        def __init__(self, a, perm=None):
             factored.append(a)
-            super().__init__(a)
+            super().__init__(a, perm)
 
     disc = Discretization(build_structured_mesh(8))
     nu, vel, mp = disc.nu, disc.velocity_factor, disc.mass_p
@@ -715,6 +725,15 @@ def test_discretization_builds_no_factor(monkeypatch):
     assert set(FACTORS) & set(vars(disc)) == {"pressure_factor"}
 
 
+def test_discretization_releases_free_heap_after_assembly(monkeypatch):
+    # the assembly temporaries are freed into the C heap, which otherwise
+    # keeps their pages resident
+    pads = []
+    monkeypatch.setattr(sparse, "_malloc_trim", lambda: pads.append)
+    Discretization(build_structured_mesh(4))
+    assert pads == [0]
+
+
 def test_discretization_builds_one_space_per_field(monkeypatch):
     # the P2 velocity space serves both components and K; P1 the pressure
     from epsstokes import fem
@@ -794,8 +813,9 @@ def test_velocity_mass_is_built_for_the_first_row_only(monkeypatch):
 
 
 def test_sweep_builds_no_es_system_for_its_rhs_norms(monkeypatch):
-    # every eps's ||b|| comes from two right-hand sides built once; an ES
-    # system is built only to check a series sum or for a GMRES solve
+    # every eps's ||b|| comes from two right-hand sides built once, and a
+    # series sum is checked on ES(0) and its Kp part: an ES system is built
+    # only for a GMRES solve, at the 5 eps below the series' reach
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
@@ -803,7 +823,7 @@ def test_sweep_builds_no_es_system_for_its_rhs_norms(monkeypatch):
     calls = _count_calls(monkeypatch, Discretization, ("coupled_system",))
     sweep = solve_es_sweep(_inp(mesh, case), DEFAULT_EPS_GRID, disc, pp=pp)
     assert calls == []
-    assert len(list(sweep)) == 13 and len(calls) == 13
+    assert len(list(sweep)) == 13 and len(calls) == 5
 
 
 def test_discretization_assembles_div_coupling_once(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,119 @@ def test_stiffness_symmetry_exact():
         assert abs(a - a.T).max() == 0.0
         a = vector_block(a)
         assert abs(a - a.T).max() == 0.0
+
+
+def test_stiffness_and_mass_symmetric_exactly_on_jittered_mesh():
+    mesh = helpers.affine_jittered_mesh(8, 3)
+    for degree in (1, 2):
+        space = Space(mesh, degree=degree)
+        for a in (assemble_stiffness(space), fem.assemble_mass(space)):
+            assert abs(a - a.T).max() == 0.0
+
+
+# Polynomials in (x, y) on the reference triangle as {(a, b): coefficient}
+# of x^a y^b, integrated exactly in fractions.
+
+def _poly_add(*polys):
+    out = {}
+    for p in polys:
+        for k, c in p.items():
+            out[k] = out.get(k, 0) + c
+    return out
+
+
+def _poly_mul(p, q):
+    out = {}
+    for (a, b), c in p.items():
+        for (d, e), f in q.items():
+            out[a + d, b + e] = out.get((a + d, b + e), 0) + c * f
+    return out
+
+
+def _poly_diff(p, axis):
+    out = {}
+    for (a, b), c in p.items():
+        power = (a, b)[axis]
+        if power:
+            out[(a - 1, b) if axis == 0 else (a, b - 1)] = c * power
+    return out
+
+
+def _poly_integral(p):
+    return sum((Fraction(c * math.factorial(a) * math.factorial(b),
+                         math.factorial(a + b + 2)) for (a, b), c in p.items()),
+               Fraction(0))
+
+
+def _symbolic_basis(degree):
+    lam = [{(0, 0): 1, (1, 0): -1, (0, 1): -1}, {(1, 0): 1}, {(0, 1): 1}]
+    if degree == 1:
+        return lam
+    vertices = [_poly_mul(l, _poly_add({k: 2 * c for k, c in l.items()}, {(0, 0): -1}))
+                for l in lam]
+    edges = [_poly_mul({(0, 0): 4}, _poly_mul(lam[i], lam[j]))
+             for i, j in ((0, 1), (1, 2), (0, 2))]
+    return vertices + edges
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_stiffness_tensor_is_exact(degree):
+    phi = _symbolic_basis(degree)
+    want = [[[[float(_poly_integral(_poly_mul(_poly_diff(pi, a), _poly_diff(pj, b))))
+               for pj in phi] for pi in phi] for b in (0, 1)] for a in (0, 1)]
+    assert np.array_equal(fem.stiffness_tensor(degree), np.array(want))
+
+
+@pytest.mark.parametrize("val_degree, grad_degree", [(1, 2), (2, 1)])
+def test_value_gradient_tensor_is_exact(val_degree, grad_degree):
+    phi, chi = _symbolic_basis(val_degree), _symbolic_basis(grad_degree)
+    want = [[[float(_poly_integral(_poly_mul(pj, _poly_diff(ca, k)))) for ca in chi]
+             for pj in phi] for k in (0, 1)]
+    assert np.array_equal(fem.value_gradient_tensor(val_degree, grad_degree),
+                          np.array(want))
+
+
+def _storage_meshes():
+    return [build_structured_mesh(8)] + [helpers.affine_jittered_mesh(8, seed)
+                                         for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("mesh", _storage_meshes(),
+                         ids=["structured", "jittered-0", "jittered-1"])
+def test_assembly_stores_no_entry_at_or_below_the_drop_rule(mesh):
+    # an entry at or below DROP of its row's or its column's largest is
+    # round-off of an exact zero, and is not stored
+    vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
+    for a in (assemble_stiffness(pspace), assemble_stiffness(vspace),
+              fem.assemble_mass(pspace), fem.assemble_mass(vspace),
+              assemble_div_coupling(vspace, pspace)):
+        coo = a.tocoo()
+        row_max = abs(a).max(axis=1).toarray().ravel()
+        col_max = abs(a).max(axis=0).toarray().ravel()
+        limit = fem.DROP * np.maximum(row_max[coo.row], col_max[coo.col])
+        assert np.all(np.abs(coo.data) > limit)
+
+
+@pytest.mark.parametrize("mesh", _storage_meshes(),
+                         ids=["structured", "jittered-0", "jittered-1"])
+def test_p2_stiffness_stores_no_vertex_opposite_midpoint_pair(mesh):
+    space = Space(mesh, degree=2)
+    pattern = assemble_stiffness(space)
+    pattern.data[:] = 1.0
+    for i, j in VERTEX_OPPOSITE_MIDPOINT:
+        assert pattern[space.cells[:, i], space.cells[:, j]].sum() == 0.0
+
+
+def test_cell_order_is_rcm_of_the_cell_graph():
+    # every two nodes of a cell are joined, whatever their entry in a matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    for degree in (1, 2):
+        space = Space(helpers.affine_jittered_mesh(4, 2), degree=degree)
+        graph = np.zeros((space.ndofs, space.ndofs))
+        for cell in space.cells:
+            graph[np.ix_(cell, cell)] = 1.0
+        want = reverse_cuthill_mckee(sps.csr_matrix(graph), symmetric_mode=True)
+        assert np.array_equal(fem.cell_order(space), want)
 
 
 def _dense_p1_stiffness_oracle(mesh):

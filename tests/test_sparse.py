@@ -304,8 +304,8 @@ def test_factor_solve_is_the_fancy_index_expression(columns):
 
 def _labelled_system(n, seed, symmetric_pattern):
     """A diagonally dominant sparse matrix under a random symmetric
-    relabelling, with a few off-diagonal entries below 1e-14 of their row's
-    largest entry: round-off that Factor drops before ordering."""
+    relabelling, with a few off-diagonal entries of 1e-16 of their row's
+    largest entry, which Factor orders and factors like any other."""
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < 0.15
     if symmetric_pattern:

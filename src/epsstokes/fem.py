@@ -296,9 +296,10 @@ def _cell_pairs(dofs):
 
 def cell_order(space: Space) -> np.ndarray:
     """Reverse Cuthill-McKee labels of the space's cell graph, which joins
-    every two nodes that share a cell (Cuthill & McKee, 1969): the order in
-    which sparse.Factor factors a matrix assembled on the space.  The graph
-    is freed on return."""
+    every two nodes that share a cell (Cuthill & McKee, 1969): the order the
+    drivers give sparse.Factor for a matrix assembled on the space, whose
+    stored pattern lacks the pairs with exactly 0 entries.  The graph is
+    freed on return."""
     rows, cols = _cell_pairs(space.cells)
     graph = sps.coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
                            shape=(space.ndofs, space.ndofs)).tocsr()

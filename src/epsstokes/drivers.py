@@ -38,7 +38,8 @@ factors.  The Discretization makes each of two on first use and keeps it:
 These and the Schur factors below are relabelled by the reverse
 Cuthill-McKee order of their space's cell graph (fem.cell_order), which
 sees every pair of nodes that a cell couples, also where assembly stored
-no entry because it is exactly 0.
+no entry because it is exactly 0.  The Discretization computes each
+space's order once and keeps the labels, not the graph.
 
 PP makes three scalar solves, Kp, then A once per velocity component, each
 component meeting the tolerance against its own right-hand side.  The Kp
@@ -169,8 +170,9 @@ class Discretization:
     the pressure mean are assembled at construction, which then hands the
     C heap's free pages back (sparse.release_free_heap).  The coupling B, the
     mass matrices Mp and M2, load vectors (memoized per body-force
-    callable), each problem's eliminated system and the factors A and Kp
-    are built on first use and live as long as the Discretization.  PP
+    callable), each problem's eliminated system, the cell orders of the two
+    spaces and the factors A and Kp are built on first use and live as
+    long as the Discretization.  PP
     alone builds no factor of A: it is in vars() once S, ES or the 1/eps
     series has used it, and solve_pp uses it then.  The interleaved velocity
     block kron(K, I2) and the coupling G are formed only while S or ES
@@ -214,16 +216,27 @@ class Discretization:
         return fem.assemble_mass(self.vspace)
 
     @cached_property
+    def velocity_order(self) -> np.ndarray:
+        """fem.cell_order of the P2 space: the labels of A's factor."""
+        return fem.cell_order(self.vspace)
+
+    @cached_property
+    def pressure_order(self) -> np.ndarray:
+        """fem.cell_order of the P1 space: the labels of the factors of Kp
+        and of every Schur preconditioner."""
+        return fem.cell_order(self.pspace)
+
+    @cached_property
     def velocity_factor(self) -> Factor:
         """A, the factor of K with the boundary nodes fixed, for x and y alike.
 
         S, ES and the 1/eps series build it.  PP applies it if it is built
         and otherwise leaves it unbuilt: solve_pp checks vars() for it."""
-        return Factor(self.velocity_system.matrix, fem.cell_order(self.vspace))
+        return Factor(self.velocity_system.matrix, self.velocity_order)
 
     @cached_property
     def pressure_factor(self) -> Factor:
-        return Factor(self.pressure_system.matrix, fem.cell_order(self.pspace))
+        return Factor(self.pressure_system.matrix, self.pressure_order)
 
     @cached_property
     def stokes_system(self) -> Eliminated:
@@ -337,7 +350,7 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     grad, div, block = m[:nu, nu:], m[nu:, :nu], m[nu:, nu:]
     schur = Factor(fem.eliminate(block + disc.mass_p,
                                  system.fixed[system.fixed >= nu] - nu),
-                   fem.cell_order(disc.pspace))
+                   disc.pressure_order)
     log = KrylovLog()
 
     def schur_op(q):

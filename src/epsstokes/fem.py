@@ -12,16 +12,23 @@ assembled systems, which vector_dofs alone forms.  The field kernels
 eval_at_quad and eval_grad_at_quad, which every error norm goes through, run
 numpy's BLAS on one thread, like the solves (sparse.one_blas_thread).
 
+Every per-cell kernel works through the mesh a block of at most BLOCK
+consecutive cells at a time (cell_blocks): assembly, loads, quadrature
+points and field evaluation take a slice of cells, and the callers sum
+block by block.  A kernel's temporaries are then those of one block, so
+they do not grow with the mesh and stay in cache.
+
 Matrices are assembled from reference tensors (Kirby, Knepley, Logg & Scott,
 "Optimizing the evaluation of finite element matrices", SISC 2005).  On an
 affine triangle every local matrix is a small per-cell geometric factor,
 built from the Jacobian, contracted with a tensor that is integrated once on
-the reference triangle; each form is then one (M, 4) or (M, 2, 2) matmul
-over the mesh instead of a sum over quadrature points per cell.  The
+the reference triangle; each form is then one (B, 4) or (B, 2, 2) matmul per
+block of B cells instead of a sum over quadrature points per cell.  The
 reference tensors are integrals of polynomials and are stored exactly
 (_exact), so an integral that is 0, such as that of a P2 vertex against the
-midpoint of the opposite edge, adds exact zeros.  _scatter sums the local
-blocks and stores only the entries above DROP times the larger of their
+midpoint of the opposite edge, adds exact zeros.  _scatter sums each block's
+local matrices into a sparse matrix, adds the blocks' matrices in a balanced
+tree, and stores only the entries above DROP times the larger of their
 row's and their column's largest: the entries it leaves out are the
 round-off of cancellations between cells, as on structured meshes.
 """
@@ -29,6 +36,7 @@ round-off of cancellations between cells, as on structured meshes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy import sparse as sps
@@ -45,6 +53,12 @@ DROP = 1e-13
 # a polynomial with integer coefficients and degree at most 4 integrates to
 # a multiple of 1/360.  Every reference tensor here is such an integral.
 _TENSOR_GRID = 360.0
+# Cells per block of every per-cell kernel.  On a jittered n = 128 mesh
+# (32,768 cells, 2 vCPUs) blocks of 8192 cells kept every assembly at or
+# below its time in one block, where blocks of 4096 made the P1 matrices
+# slower; either bounds mesh-pp's peak RSS alike.  Meshes up to n = 64
+# (8192 cells) take one block.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -203,55 +217,68 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# quadrature-point geometry and field evaluation
+# cell blocks, quadrature-point geometry and field evaluation
+#
+# The kernels below take cells, a slice of the mesh's cells (all by
+# default), and return one row per cell of the slice: (B, Q) for B cells.
 
 
-def quad_points_physical(mesh: Mesh, quad: QuadratureRule):
-    """Physical coordinates of the rule's points on every triangle: (M, Q) x/y."""
-    jac, _, _ = mesh.geometry
-    x0 = mesh.vertices[mesh.triangles[:, 0]]
-    pts = quad.ref_points() @ jac.transpose(0, 2, 1) + x0[:, None, :]
+def cell_blocks(num_cells: int) -> Iterator[slice]:
+    """Consecutive slices of at most BLOCK cells that cover num_cells."""
+    size = BLOCK
+    return (slice(start, min(start + size, num_cells))
+            for start in range(0, num_cells, size))
+
+
+def quad_points_physical(mesh: Mesh, quad: QuadratureRule, cells=slice(None)):
+    """Physical coordinates of the rule's points on the cells: (B, Q) x/y,
+    each point its barycentric combination of the triangle's vertices."""
+    pts = quad.points @ mesh.vertices[mesh.triangles[cells]]      # (B, Q, 2)
     return pts[..., 0], pts[..., 1]
 
 
-def quad_weights_physical(mesh: Mesh, quad: QuadratureRule) -> np.ndarray:
-    """Quadrature weights scaled by the Jacobian determinant: (M, Q)."""
+def quad_weights_physical(mesh: Mesh, quad: QuadratureRule,
+                          cells=slice(None)) -> np.ndarray:
+    """Quadrature weights scaled by the Jacobian determinant: (B, Q)."""
     _, _, det = mesh.geometry
-    return quad.weights[None, :] * det[:, None]
+    return quad.weights[None, :] * det[cells, None]
 
 
 @one_blas_thread()
-def eval_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
-    """Field values at quadrature points: (M, Q) scalar or (M, Q, 2) vector."""
+def eval_at_quad(field: Field, quad: QuadratureRule, cells=slice(None)) -> np.ndarray:
+    """Field values at quadrature points: (B, Q) scalar or (B, Q, 2) vector."""
     sp = field.space
     vals = shape_values(sp.degree, quad.ref_points())          # (Q, nloc)
-    local = field.coefficients[sp.cells]             # (M, nloc) or (M, nloc, 2)
+    local = field.coefficients[sp.cells[cells]]      # (B, nloc) or (B, nloc, 2)
     return local @ vals.T if local.ndim == 2 else vals @ local
 
 
 @one_blas_thread()
-def eval_grad_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
+def eval_grad_at_quad(field: Field, quad: QuadratureRule,
+                      cells=slice(None)) -> np.ndarray:
     """Gradients at quadrature points.
 
-    Scalar fields give (M, Q, 2); vector fields give (M, Q, 2, 2) with entry
+    Scalar fields give (B, Q, 2); vector fields give (B, Q, 2, 2) with entry
     [..., i, d] = d(u_i)/d(x_d).  The cell coefficients meet the reference
     shape gradients first, then each cell's inverse Jacobian maps the result.
     """
     sp = field.space
     _, inv, _ = sp.mesh.geometry
+    inv = inv[cells]
     dref = shape_gradients(sp.degree, quad.ref_points())       # (Q, nloc, 2)
-    m, q = sp.cells.shape[0], dref.shape[0]
+    m, q = inv.shape[0], dref.shape[0]
     table = dref.transpose(1, 0, 2).reshape(sp.nloc, 2 * q)
-    local = field.coefficients[sp.cells]             # (M, nloc) or (M, nloc, 2)
+    local = field.coefficients[sp.cells[cells]]      # (B, nloc) or (B, nloc, 2)
     if local.ndim == 2:
         return (local @ table).reshape(m, q, 2) @ inv
     ref = (local.transpose(0, 2, 1) @ table).reshape(m, 2 * q, 2)
     return (ref @ inv).reshape(m, 2, q, 2).transpose(0, 2, 1, 3)
 
 
-def eval_div_at_quad(field: Field, quad: QuadratureRule) -> np.ndarray:
-    """Divergence of a vector field at quadrature points: (M, Q)."""
-    g = eval_grad_at_quad(field, quad)
+def eval_div_at_quad(field: Field, quad: QuadratureRule,
+                     cells=slice(None)) -> np.ndarray:
+    """Divergence of a vector field at quadrature points: (B, Q)."""
+    g = eval_grad_at_quad(field, quad, cells)
     return g[..., 0, 0] + g[..., 1, 1]
 
 
@@ -284,14 +311,44 @@ def value_gradient_tensor(val_degree: int, grad_degree: int) -> np.ndarray:
     return _exact(np.einsum("q,qj,qak->kja", quad.weights, vals, dref))
 
 
-def _cell_pairs(dofs):
-    """The int32 (rows, cols) of every (cell, a, b) entry, raveled, for one
-    (M, a) index array on both sides or a (rows, cols) pair."""
-    rows_dofs, cols_dofs = dofs if isinstance(dofs, tuple) else (dofs, dofs)
+def _cell_pairs(rows_dofs: np.ndarray, cols_dofs: np.ndarray):
+    """The int32 (rows, cols) of every (cell, a, b) entry, raveled, for the
+    (B, a) row and (B, b) column dofs of a block of cells."""
     shape = rows_dofs.shape + cols_dofs.shape[1:]
     rows = np.broadcast_to(rows_dofs.astype(np.int32)[:, :, None], shape)
     cols = np.broadcast_to(cols_dofs.astype(np.int32)[:, None, :], shape)
     return rows.ravel(), cols.ravel()
+
+
+def _tree_sum(mats):
+    """The sum of the matrices, added in a balanced binary tree as they
+    arrive: the k-th matrix joins as many partial sums as k has trailing
+    zero bits, so at most log2 of their number are held at once."""
+    partial = []
+    for k, mat in enumerate(mats, start=1):
+        while k % 2 == 0:
+            mat = partial.pop() + mat
+            k //= 2
+        partial.append(mat)
+    total = partial.pop()
+    while partial:
+        total = partial.pop() + total
+    return total
+
+
+def _block_sum(dofs, local, shape) -> sps.csr_matrix:
+    """Sum local blocks into a CSR matrix, one block of cells at a time.
+
+    dofs is one (M, a) index array for both sides, or a (rows, cols) pair;
+    local(cells) gives the (B, a, b) local matrices of a slice of cells.
+    Each block becomes a CSR matrix, whose conversion from COO sums its
+    duplicate entries, and the blocks' matrices are added by _tree_sum.
+    """
+    rows_dofs, cols_dofs = dofs if isinstance(dofs, tuple) else (dofs, dofs)
+    return _tree_sum(sps.coo_matrix((local(cells).ravel(),
+                                     _cell_pairs(rows_dofs[cells], cols_dofs[cells])),
+                                    shape=shape).tocsr()
+                     for cells in cell_blocks(len(rows_dofs)))
 
 
 def cell_order(space: Space) -> np.ndarray:
@@ -299,35 +356,43 @@ def cell_order(space: Space) -> np.ndarray:
     every two nodes that share a cell (Cuthill & McKee, 1969): the order the
     drivers give sparse.Factor for a matrix assembled on the space, whose
     stored pattern lacks the pairs with exactly 0 entries.  The graph is
-    freed on return."""
-    rows, cols = _cell_pairs(space.cells)
-    graph = sps.coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                           shape=(space.ndofs, space.ndofs)).tocsr()
-    del rows, cols
+    summed by blocks as assembly is, with boolean entries, which cannot
+    cancel, and freed on return."""
+    nloc = space.nloc
+    graph = _block_sum(space.cells,
+                       lambda cells: np.ones((cells.stop - cells.start, nloc, nloc), bool),
+                       (space.ndofs, space.ndofs))
     return reverse_cuthill_mckee(graph, symmetric_mode=True)
 
 
-def _scatter(dofs, local: np.ndarray, shape) -> sps.csr_matrix:
-    """Sum (M, a, b) local blocks into a global CSR matrix; dofs is one
-    (M, a) index array for both sides, or a (rows, cols) pair.
+def _scatter(dofs, local, shape) -> sps.csr_matrix:
+    """Sum local blocks into a global CSR matrix by _block_sum: dofs is one
+    (M, a) index array for both sides, or a (rows, cols) pair, and
+    local(cells) gives the (B, a, b) local matrices of a slice of cells.
 
     An entry is stored only above DROP times the larger of its row's and its
     column's largest magnitude.  The rule is the same for a matrix and its
     transpose, so a symmetric sum stays exactly symmetric.  The index arrays
     are int32, and every array is as long as the entries stored.
     """
-    mat = sps.coo_matrix((local.ravel(), _cell_pairs(dofs)),
-                         shape=shape).tocsr()                   # sums duplicates
+    mat = _block_sum(dofs, local, shape)
     mag = np.abs(mat.data)
-    lengths = np.diff(mat.indptr)
-    row_max, col_max = np.zeros(shape[0]), np.zeros(shape[1])
-    row_max[lengths > 0] = np.maximum.reduceat(mag, mat.indptr[:-1][lengths > 0])
-    np.maximum.at(col_max, mat.indices, mag)
-    limit = np.repeat(DROP * row_max, lengths)          # per entry, its row's
-    np.maximum(limit, DROP * col_max[mat.indices], out=limit)
-    mat.data[mag <= limit] = 0.0
+    # An exact 0 is never stored, and only a nonzero entry at or below DROP
+    # times the largest of all can fall under the rule, so the rule is
+    # checked on those candidates alone: 10,140 of K's entries on the
+    # structured n = 40 mesh, none at n = 64 or on the jittered meshes.
+    small = np.flatnonzero((mag <= DROP * mag.max(initial=0.0)) & (mag > 0.0))
+    if len(small):
+        lengths = np.diff(mat.indptr)
+        row_max, col_max = np.zeros(shape[0]), np.zeros(shape[1])
+        row_max[lengths > 0] = np.maximum.reduceat(mag, mat.indptr[:-1][lengths > 0])
+        np.maximum.at(col_max, mat.indices, mag)
+        rows = np.searchsorted(mat.indptr, small, side="right") - 1
+        limit = DROP * np.maximum(row_max[rows], col_max[mat.indices[small]])
+        mat.data[small[mag[small] <= limit]] = 0.0
+    del mag
     mat.eliminate_zeros()
-    return mat.copy()     # prune may leave views of the duplicate-length arrays
+    return mat.copy()     # the sums may leave views of longer arrays
 
 
 def assemble_stiffness(space: Space) -> sps.csr_matrix:
@@ -337,16 +402,20 @@ def assemble_stiffness(space: Space) -> sps.csr_matrix:
     boundary conditions are applied.
     """
     _, inv, det = space.mesh.geometry
-    geo = det[:, None, None] * (inv @ inv.transpose(0, 2, 1))    # |J| J^-1 J^-T
     nloc = space.nloc
     ref = stiffness_tensor(space.degree).reshape(4, nloc * nloc)
-    local = (geo.reshape(-1, 4) @ ref).reshape(-1, nloc, nloc)
-    # The matmul may add a cell's (i, j) and (j, i) terms in different
-    # orders, so each cell's block is made exactly symmetric.  Two nodes
-    # share at most two cells, and two terms sum the same in either order,
-    # so the assembled matrix is exactly symmetric too.
-    local += local.transpose(0, 2, 1)
-    local *= 0.5
+
+    def local(cells):
+        geo = det[cells, None, None] * (inv[cells] @ inv[cells].transpose(0, 2, 1))
+        out = (geo.reshape(-1, 4) @ ref).reshape(-1, nloc, nloc)   # |J| J^-1 J^-T
+        # The matmul may add a cell's (i, j) and (j, i) terms in different
+        # orders, so each cell's block is made exactly symmetric.  Two nodes
+        # share at most two cells, and two terms sum the same in either
+        # order, so the assembled matrix is exactly symmetric too.
+        out += out.transpose(0, 2, 1)
+        out *= 0.5
+        return out
+
     return _scatter(space.cells, local, (space.ndofs, space.ndofs))
 
 
@@ -365,27 +434,33 @@ def assemble_mass(space: Space) -> sps.csr_matrix:
     _, _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
     # the exact tensor is symmetric, and so is each cell's multiple of it
-    local = det[:, None, None] * _exact((quad.weights * vals.T) @ vals)
-    return _scatter(space.cells, local, (space.ndofs, space.ndofs))
+    ref = _exact((quad.weights * vals.T) @ vals)
+    return _scatter(space.cells, lambda cells: det[cells, None, None] * ref,
+                    (space.ndofs, space.ndofs))
 
 
 def assemble_mass_against_one(space: Space) -> np.ndarray:
     """Vector of integrals of each basis function."""
     quad = triangle_rule_d5()
     _, _, det = space.mesh.geometry
-    vals = shape_values(space.degree, quad.ref_points())
-    return _add_cells(space, np.outer(det, quad.weights @ vals))
+    ref = quad.weights @ shape_values(space.degree, quad.ref_points())
+    return _add_cells(space, lambda cells: np.outer(det[cells], ref))
 
 
-def _value_gradient_local(val_space: Space, grad_space: Space) -> np.ndarray:
-    """(M, 2, nv, ng) integrals of phi_j * d(chi_a)/dx_c over each triangle,
-    indexed [m, c, j, a], for the values phi of val_space and the
-    gradients chi of grad_space."""
+def _value_gradient_local(val_space: Space, grad_space: Space):
+    """local(cells): the (B, 2, nv, ng) integrals of phi_j * d(chi_a)/dx_c
+    over each triangle of a slice of cells, indexed [m, c, j, a], for the
+    values phi of val_space and the gradients chi of grad_space."""
     _, inv, det = val_space.mesh.geometry
     ref = value_gradient_tensor(val_space.degree, grad_space.degree)
-    geo = det[:, None, None] * inv.transpose(0, 2, 1)           # |J| J^-T
     _, nv, ng = ref.shape
-    return (geo @ ref.reshape(2, nv * ng)).reshape(-1, 2, nv, ng)
+    ref = ref.reshape(2, nv * ng)
+
+    def local(cells):
+        geo = det[cells, None, None] * inv[cells].transpose(0, 2, 1)   # |J| J^-T
+        return (geo @ ref).reshape(-1, 2, nv, ng)
+
+    return local
 
 
 def assemble_div_coupling(vspace: Space, pspace: Space) -> sps.csr_matrix:
@@ -393,9 +468,13 @@ def assemble_div_coupling(vspace: Space, pspace: Space) -> sps.csr_matrix:
     vector dofs of vspace (vector_dofs)."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces must share a mesh")
-    local = _value_gradient_local(pspace, vspace)
-    m, _, nlp, nlu = local.shape
-    local = local.transpose(0, 2, 3, 1).reshape(m, nlp, 2 * nlu)   # col 2a+c
+    value_gradient = _value_gradient_local(pspace, vspace)
+
+    def local(cells):
+        out = value_gradient(cells)
+        m, _, nlp, nlu = out.shape
+        return out.transpose(0, 2, 3, 1).reshape(m, nlp, 2 * nlu)   # col 2a+c
+
     return _scatter((pspace.cells, vector_dofs(vspace.cells)), local,
                     (pspace.ndofs, 2 * vspace.ndofs))
 
@@ -442,51 +521,69 @@ def assemble_load(space: Space, f) -> np.ndarray:
 
     f maps coordinate arrays (x, y) to scalar values, giving (ndofs,), or to
     vectors with a trailing axis of length 2, giving one (x, y) row per node.
+    f is called once per block of cells.
     """
     quad = triangle_rule_d5()
-    xs, ys = quad_points_physical(space.mesh, quad)
-    w = quad_weights_physical(space.mesh, quad)
     vals = shape_values(space.degree, quad.ref_points())
-    fv = np.asarray(f(xs, ys), dtype=float)
-    if fv.ndim == xs.ndim:
-        return _add_cells(space, (w * fv) @ vals)
-    if fv.shape != xs.shape + (2,):
-        raise ValueError("vector load callable must return shape (..., 2)")
-    return _add_cells(space, vals.T @ (w[..., None] * fv))     # (M, nloc, 2)
+
+    def local(cells):
+        xs, ys = quad_points_physical(space.mesh, quad, cells)
+        w = quad_weights_physical(space.mesh, quad, cells)
+        fv = np.asarray(f(xs, ys), dtype=float)
+        if fv.ndim == xs.ndim:
+            return (w * fv) @ vals
+        if fv.shape != xs.shape + (2,):
+            raise ValueError("vector load callable must return shape (..., 2)")
+        return vals.T @ (w[..., None] * fv)                     # (B, nloc, 2)
+
+    return _add_cells(space, local)
 
 
-def _add_cells(space: Space, local: np.ndarray) -> np.ndarray:
-    """Sum (M, nloc) or (M, nloc, 2) per-cell entries into one per node.
+def _add_cells(space: Space, local) -> np.ndarray:
+    """Sum per-cell entries into one per node, a block of cells at a time:
+    local(cells) gives the (B, nloc) or (B, nloc, 2) entries of a slice of
+    cells.
 
     Each component is scattered on its own, as 1-D np.add.at runs several
     times faster than on (n, 2) rows; each sum adds in the same order, so
     the result is the same bit for bit.
     """
-    nodes = space.cells.ravel()
-    flat = local.reshape(len(nodes), -1)         # one column per component
-    out = np.zeros((space.ndofs, flat.shape[1]))
-    for c in range(flat.shape[1]):
-        np.add.at(out[:, c], nodes, flat[:, c])
-    return out.reshape((space.ndofs,) + local.shape[2:])
+    out = None
+    for cells in cell_blocks(len(space.cells)):
+        part = local(cells)
+        if out is None:
+            out = np.zeros((space.ndofs,) + part.shape[2:])
+        nodes = space.cells[cells].ravel()
+        flat = part.reshape(len(nodes), -1)      # one column per component
+        columns = out.reshape(space.ndofs, -1)
+        for c in range(flat.shape[1]):
+            np.add.at(columns[:, c], nodes, flat[:, c])
+    return out
 
 
 def assemble_grad_load(pspace: Space, F) -> np.ndarray:
     """Load vector with entries integral of F . grad(psi_q).
 
     The weighted F values meet each cell's inverse Jacobian first, then the
-    reference shape gradients: the adjoint of eval_grad_at_quad.
+    reference shape gradients: the adjoint of eval_grad_at_quad.  F is
+    called once per block of cells.
     """
     quad = triangle_rule_d5()
-    xs, ys = quad_points_physical(pspace.mesh, quad)
-    w = quad_weights_physical(pspace.mesh, quad)
-    fv = np.asarray(F(xs, ys), dtype=float)
-    if fv.shape != xs.shape + (2,):
-        raise ValueError("gradient load expects a vector-valued callable")
-    _, inv, _ = pspace.mesh.geometry
-    ref = (w[..., None] * fv) @ inv.transpose(0, 2, 1)          # (M, Q, 2)
+    mesh = pspace.mesh
+    _, inv, _ = mesh.geometry
     dref = shape_gradients(pspace.degree, quad.ref_points())   # (Q, nloc, 2)
     table = dref.transpose(0, 2, 1).reshape(-1, pspace.nloc)    # row 2q+k
-    return _add_cells(pspace, ref.reshape(len(ref), -1) @ table)
+
+    def local(cells):
+        xs, ys = quad_points_physical(mesh, quad, cells)
+        w = quad_weights_physical(mesh, quad, cells)
+        fv = np.asarray(F(xs, ys), dtype=float)
+        if fv.shape != xs.shape + (2,):
+            raise ValueError("gradient load expects a vector-valued callable")
+        ref = (w[..., None] * fv) @ inv[cells].transpose(0, 2, 1)   # (B, Q, 2)
+        return ref.reshape(len(ref), -1) @ table
+
+    return _add_cells(pspace, local)
 
 
 def assemble_field_grad_load(vspace: Space, p_field: Field) -> np.ndarray:
@@ -494,10 +591,14 @@ def assemble_field_grad_load(vspace: Space, p_field: Field) -> np.ndarray:
     vspace, with grad(p_h) taken directly from the coefficients at
     quadrature points (no re-projection)."""
     quad = triangle_rule_d5()
-    w = quad_weights_physical(vspace.mesh, quad)
-    gp = eval_grad_at_quad(p_field, quad)                      # (M,Q,2)
     vals = shape_values(vspace.degree, quad.ref_points())
-    return _add_cells(vspace, vals.T @ (w[..., None] * gp))    # (M, nloc, 2)
+
+    def local(cells):
+        w = quad_weights_physical(vspace.mesh, quad, cells)
+        gp = eval_grad_at_quad(p_field, quad, cells)            # (B, Q, 2)
+        return vals.T @ (w[..., None] * gp)                     # (B, nloc, 2)
+
+    return _add_cells(vspace, local)
 
 
 def interpolate_boundary(space: Space, g):

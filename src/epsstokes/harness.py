@@ -110,22 +110,20 @@ def _error_row(disc: Discretization, result: SolveResult, s_ref: SolveResult,
     A gap between two solutions is measured by its Gram forms on disc
     (verification.gap).  The Stokes solve itself is measured against the
     closed-form solution by quadrature, which gives the discretization
-    floor.  mismatch is the case's trace mismatch on the mesh, which does
-    not depend on the solve.
+    floor, by one pass of verification.error_gap for both velocity norms.
+    mismatch is the case's trace mismatch on the mesh, which does not
+    depend on the solve.
     """
-    if result.problem == "S":         # verification.error_h1, sharing its L2 part
-        err_u_l2 = ver.error_l2(result.u, case.u_exact)
-        err_u_h1 = float(np.hypot(err_u_l2, ver.seminorm_h1(result.u,
-                                                            case.grad_u_exact)))
+    if result.problem == "S":
+        gap_u = ver.error_gap(result.u, case.u_exact, case.grad_u_exact)
         err_p = ver.quotient_norm_l2(result.p, case.p_exact)
     else:
         gap_u = ver.gap(disc, result.u, s_ref.u)
-        err_u_h1, err_u_l2 = gap_u.h1, gap_u.l2
         err_p = ver.gap_quotient_l2(disc, result.p, s_ref.p)
     return ErrorRow(
         problem=result.problem, n=n, eps=result.epsilon,
-        err_u_H1_vs_S=err_u_h1,
-        err_u_L2_vs_S=err_u_l2,
+        err_u_H1_vs_S=gap_u.h1,
+        err_u_L2_vs_S=gap_u.l2,
         err_p_L2R_vs_S=err_p,
         err_u_H1_vs_PP=ver.gap(disc, result.u, pp_ref.u).h1,
         err_p_H1_vs_PP=ver.gap(disc, result.p, pp_ref.p).h1,
@@ -209,7 +207,8 @@ def export_vtk(result: SolveResult, path) -> None:
     """Write the solution as a legacy-ASCII VTK unstructured grid.
 
     Point data: velocity vectors, pressure, and pointwise div(u) averaged
-    over the triangles incident to each vertex.
+    over the triangles incident to each vertex, evaluated a block of cells
+    at a time.
     """
     mesh = result.u.space.mesh
     nv = mesh.num_vertices
@@ -220,10 +219,12 @@ def export_vtk(result: SolveResult, path) -> None:
     corner_rule = fem.QuadratureRule(
         points=np.array([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
         weights=np.full(3, 1.0 / 6.0), degree=1)
-    div_corner = fem.eval_div_at_quad(result.u, corner_rule)     # (M, 3)
-    corners = mesh.triangles.ravel()
-    div_sum = np.bincount(corners, weights=div_corner.ravel(), minlength=nv)
-    div_cnt = np.bincount(corners, minlength=nv)
+    div_sum = np.zeros(nv)
+    for cells in fem.cell_blocks(nt):
+        div_corner = fem.eval_div_at_quad(result.u, corner_rule, cells)   # (B, 3)
+        div_sum += np.bincount(mesh.triangles[cells].ravel(),
+                               weights=div_corner.ravel(), minlength=nv)
+    div_cnt = np.bincount(mesh.triangles.ravel(), minlength=nv)
     div_avg = div_sum / np.maximum(div_cnt, 1)
 
     def rows(fmt, values):

@@ -244,8 +244,12 @@ class Factor:
     The equilibrated matrix is relabelled by perm, the order given or else
     the reverse Cuthill-McKee order of its stored pattern, before SuperLU
     orders it by minimum degree.  Each step is a plain scipy operation that
-    makes its own copy; SuperLU's work arrays, not these copies, set the
-    peak memory of a factorization.  A CSR matrix given with duplicate
+    makes its own copy.  SuperLU factors one column at a time (panel_size
+    1): its default panels of several columns gave the same column order,
+    fill and solutions to 3e-15, but on a jittered n = 128 mesh they took
+    401-418 ms for A against 319-373 ms and raised the peak RSS of
+    factoring A by 12-21 MiB more, and of Kp by 5.5 MiB more.
+    A CSR matrix given with duplicate
     entries has them summed in place (by scipy's abs).  solve(r) applies the
     inverse of the matrix given to an (n,) or (n, k) array, gathering by
     perm and back by its inverse iperm.  nnz is SuperLU's count of stored L
@@ -271,7 +275,7 @@ class Factor:
         self.scale_p = row_scale[self.perm]
         try:
             self.lu = splu(scaled, permc_spec=PERMC_SPEC,
-                           diag_pivot_thresh=1e-3,
+                           diag_pivot_thresh=1e-3, panel_size=1,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc

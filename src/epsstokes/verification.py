@@ -8,7 +8,9 @@ A norm of the gap between two discrete fields on one Discretization is a
 Gram quadratic form on the gap's coefficients (gap, gap_quotient_l2): e.M e
 for the mass matrix M of the fields' space and e.K e for its stiffness K.
 Every norm against a closed form, and div_l2, is an integral by the same
-degree-5 quadrature as assembly.
+degree-5 quadrature as assembly, summed a block of cells at a time
+(fem.cell_blocks), so its temporaries are those of one block.  error_gap
+measures the L2 and the gradient error in one pass, at one set of points.
 """
 
 from __future__ import annotations
@@ -131,66 +133,110 @@ def get_case(name: str, delta: float = None) -> ManufacturedCase:
 # norms
 
 
-def _as_exact(field: Field, exact):
-    """Exact values at quadrature points, broadcast to the field's layout
-    (a trailing axis of 2 for a vector field); 0.0 when exact is None."""
-    if exact is None:
-        return 0.0
+def _blocks(mesh: Mesh):
+    """(cells, w) for each block of the mesh's cells: its slice and its
+    (B, Q) physical weights of the degree-5 rule."""
     quad = fem.triangle_rule_d5()
-    xs, ys = fem.quad_points_physical(field.space.mesh, quad)
-    vals = np.asarray(exact(xs, ys), dtype=float)
-    return np.broadcast_to(vals, xs.shape + field.coefficients.shape[1:])
+    for cells in fem.cell_blocks(mesh.num_triangles):
+        yield cells, fem.quad_weights_physical(mesh, quad, cells)
+
+
+def _points(mesh: Mesh, cells, *functions):
+    """The block's quadrature points (xs, ys), or None when every one of
+    functions is None."""
+    if all(f is None for f in functions):
+        return None
+    return fem.quad_points_physical(mesh, fem.triangle_rule_d5(), cells)
+
+
+def _value_error(field: Field, cells, exact, pts) -> np.ndarray:
+    """field - exact at the quadrature points of a block of cells, with
+    exact evaluated at pts, the block's points, and broadcast to the
+    field's layout; field alone when exact is None."""
+    vals = fem.eval_at_quad(field, fem.triangle_rule_d5(), cells)
+    if exact is None:
+        return vals
+    return vals - np.broadcast_to(np.asarray(exact(*pts), dtype=float), vals.shape)
+
+
+def _grad_error(field: Field, cells, grad_exact, pts) -> np.ndarray:
+    """grad(field) - grad_exact at the quadrature points of a block of
+    cells, as _value_error."""
+    g = fem.eval_grad_at_quad(field, fem.triangle_rule_d5(), cells)
+    if grad_exact is None:
+        return g
+    return g - np.asarray(grad_exact(*pts), dtype=float)
+
+
+def _weighted_sq(w: np.ndarray, v: np.ndarray) -> float:
+    """The sum of w |v|^2 over a block's cells and points, for (B, Q) w and
+    (B, Q), (B, Q, 2) or (B, Q, 2, 2) v.  einsum reads v in place, whose
+    gradient layout is a transposed view, as a reshape would copy it."""
+    axes = "mq" + "ab"[:v.ndim - 2]
+    return float(np.einsum(f"mq,{axes},{axes}->", w, v, v))
 
 
 def error_l2(field: Field, exact) -> float:
     """L2 norm of (field - exact); pass exact=None for the norm of field."""
-    quad = fem.triangle_rule_d5()
-    w = fem.quad_weights_physical(field.space.mesh, quad)
-    diff = fem.eval_at_quad(field, quad) - _as_exact(field, exact)
-    if diff.ndim == 3:
-        return float(np.sqrt(np.einsum("mq,mqc,mqc->", w, diff, diff)))
-    return float(np.sqrt(np.einsum("mq,mq,mq->", w, diff, diff)))
+    mesh = field.space.mesh
+    total = 0.0
+    for cells, w in _blocks(mesh):
+        pts = _points(mesh, cells, exact)
+        total += _weighted_sq(w, _value_error(field, cells, exact, pts))
+    return float(np.sqrt(total))
 
 
 def seminorm_h1(field: Field, grad_exact=None) -> float:
     """L2 norm of grad(field - exact)."""
-    quad = fem.triangle_rule_d5()
-    sp = field.space
-    w = fem.quad_weights_physical(sp.mesh, quad)
-    g = fem.eval_grad_at_quad(field, quad)
-    if grad_exact is not None:
-        xs, ys = fem.quad_points_physical(sp.mesh, quad)
-        g = g - np.asarray(grad_exact(xs, ys), dtype=float)
-    sq = (g * g).reshape(g.shape[0], g.shape[1], -1).sum(axis=2)
-    return float(np.sqrt(np.einsum("mq,mq->", w, sq)))
+    mesh = field.space.mesh
+    total = 0.0
+    for cells, w in _blocks(mesh):
+        pts = _points(mesh, cells, grad_exact)
+        total += _weighted_sq(w, _grad_error(field, cells, grad_exact, pts))
+    return float(np.sqrt(total))
+
+
+def error_gap(field: Field, exact, grad_exact) -> Gap:
+    """The Gap of field against a closed form: the squared L2 norms of
+    field - exact and of its gradient's error, in one pass over the blocks
+    of cells that evaluates exact and grad_exact at one set of points."""
+    mesh = field.space.mesh
+    l2_sq = semi_sq = 0.0
+    for cells, w in _blocks(mesh):
+        pts = _points(mesh, cells, exact, grad_exact)
+        l2_sq += _weighted_sq(w, _value_error(field, cells, exact, pts))
+        semi_sq += _weighted_sq(w, _grad_error(field, cells, grad_exact, pts))
+    return Gap(l2_sq, semi_sq)
 
 
 def error_h1(field: Field, exact, grad_exact) -> float:
     """Full H1 norm of (field - exact): sqrt(L2^2 + seminorm^2)."""
-    l2 = error_l2(field, exact)
-    semi = seminorm_h1(field, grad_exact)
-    return float(np.hypot(l2, semi))
+    return error_gap(field, exact, grad_exact).h1
 
 
 def quotient_norm_l2(field: Field, exact) -> float:
-    """L2 norm of (field - exact) after removing the mean of the difference."""
+    """L2 norm of (field - exact) after removing the mean of the difference.
+
+    The difference is kept at every quadrature point, (M, Q), so that the
+    mean is subtracted before squaring, without cancellation."""
     if field.coefficients.ndim != 1:
         raise ValueError("quotient norm applies to scalar fields")
-    quad = fem.triangle_rule_d5()
-    w = fem.quad_weights_physical(field.space.mesh, quad)
-    diff = fem.eval_at_quad(field, quad) - _as_exact(field, exact)
-    volume = float(w.sum())
-    mean = float(np.einsum("mq,mq->", w, diff)) / volume
-    diff = diff - mean
-    return float(np.sqrt(np.einsum("mq,mq,mq->", w, diff, diff)))
+    mesh = field.space.mesh
+    w = fem.quad_weights_physical(mesh, fem.triangle_rule_d5())
+    diff = np.empty_like(w)
+    for cells in fem.cell_blocks(mesh.num_triangles):
+        diff[cells] = _value_error(field, cells, exact, _points(mesh, cells, exact))
+    diff -= float(np.einsum("mq,mq->", w, diff)) / float(w.sum())
+    return float(np.sqrt(_weighted_sq(w, diff)))
 
 
 def div_l2(field: Field) -> float:
     """L2 norm of the divergence of a vector field."""
     quad = fem.triangle_rule_d5()
-    w = fem.quad_weights_physical(field.space.mesh, quad)
-    d = fem.eval_div_at_quad(field, quad)
-    return float(np.sqrt(np.einsum("mq,mq,mq->", w, d, d)))
+    total = 0.0
+    for cells, w in _blocks(field.space.mesh):
+        total += _weighted_sq(w, fem.eval_div_at_quad(field, quad, cells))
+    return float(np.sqrt(total))
 
 
 def diff_field(a: Field, b: Field) -> Field:
@@ -282,13 +328,14 @@ def gauss_formula_residual(u: Field, w: Field) -> float:
     volume terms by the degree-5 rule, boundary by edge Gauss quadrature.
     """
     quad = fem.triangle_rule_d5()
-    wq = fem.quad_weights_physical(u.space.mesh, quad)
-    uv = fem.eval_at_quad(u, quad)
-    gw = fem.eval_grad_at_quad(w, quad)
-    wv = fem.eval_at_quad(w, quad)
-    du = fem.eval_div_at_quad(u, quad)
-    vol = float(np.einsum("mq,mqc,mqc->", wq, uv, gw)
-                + np.einsum("mq,mq,mq->", wq, du, wv))
+    vol = 0.0
+    for cells, wq in _blocks(u.space.mesh):
+        uv = fem.eval_at_quad(u, quad, cells)
+        gw = fem.eval_grad_at_quad(w, quad, cells)
+        wv = fem.eval_at_quad(w, quad, cells)
+        du = fem.eval_div_at_quad(u, quad, cells)
+        vol += float(np.einsum("mq,mqc,mqc->", wq, uv, gw)
+                     + np.einsum("mq,mq,mq->", wq, du, wv))
     xs, ys, bw, normals = fem.boundary_quadrature(u.space.mesh)
     ub = fem.eval_on_boundary(u, xs, ys)
     wb = fem.eval_on_boundary(w, xs, ys)

@@ -155,7 +155,7 @@ def stiffness_einsum(space, quad):
     _, _, det = space.mesh.geometry
     grads = physical_gradients_einsum(space, quad)
     local = np.einsum("q,m,mqid,mqjd->mij", quad.weights, det, grads, grads)
-    out = fem._scatter(space.cells, local, (space.ndofs, space.ndofs))
+    out = fem._scatter(space.cells, lambda cells: local[cells], (space.ndofs, space.ndofs))
     return (0.5 * (out + out.T)).tocsr()
 
 
@@ -165,8 +165,9 @@ def div_coupling_einsum(vspace, pspace, quad):
     pv = fem.shape_values(pspace.degree, quad.ref_points())
     local = np.einsum("q,m,qj,mqac->mjac", quad.weights, det, pv, gu)
     m, nlp, nlu, _ = local.shape
+    local = local.reshape(m, nlp, 2 * nlu)
     return fem._scatter((pspace.cells, fem.vector_dofs(vspace.cells)),
-                        local.reshape(m, nlp, 2 * nlu), (pspace.ndofs, 2 * vspace.ndofs))
+                        lambda cells: local[cells], (pspace.ndofs, 2 * vspace.ndofs))
 
 
 def grad_coupling_einsum(vspace, pspace, form, quad):
@@ -181,19 +182,19 @@ def grad_coupling_einsum(vspace, pspace, form, quad):
     local = np.einsum("q,m,mqjc,qa->majc", quad.weights, det, gp, uv)
     m, nlu, nlp, _ = local.shape
     local = local.transpose(0, 1, 3, 2).reshape(m, 2 * nlu, nlp)
-    return fem._scatter((fem.vector_dofs(vspace.cells), pspace.cells), local,
-                        (2 * vspace.ndofs, pspace.ndofs))
+    return fem._scatter((fem.vector_dofs(vspace.cells), pspace.cells),
+                        lambda cells: local[cells], (2 * vspace.ndofs, pspace.ndofs))
 
 
 def grad_coupling_direct(vspace, pspace):
     """G[udof, q] = integral of grad(psi_q) . phi_udof by quadrature of the
     reference tensor: the direct form of fem.assemble_grad_coupling, which
     builds G from the divergence coupling instead."""
-    local = fem._value_gradient_local(vspace, pspace)
+    local = fem._value_gradient_local(vspace, pspace)(slice(None))
     m, _, nlu, nlp = local.shape
     local = local.transpose(0, 2, 1, 3).reshape(m, 2 * nlu, nlp)   # row 2a+c
-    return fem._scatter((fem.vector_dofs(vspace.cells), pspace.cells), local,
-                        (2 * vspace.ndofs, pspace.ndofs))
+    return fem._scatter((fem.vector_dofs(vspace.cells), pspace.cells),
+                        lambda cells: local[cells], (2 * vspace.ndofs, pspace.ndofs))
 
 
 def grad_load_einsum(pspace, F, quad):

@@ -791,6 +791,27 @@ def _count_calls(monkeypatch, module, names):
     return calls
 
 
+def test_cell_orders_are_computed_once_per_discretization(monkeypatch):
+    # the Schur factor of every S and GMRES-ES solve reuses the P1 labels
+    # that Kp's factor was ordered by, and A keeps the P2 labels
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(6)
+    disc = Discretization(mesh)
+    degrees = []
+    real = fem.cell_order
+    monkeypatch.setattr(fem, "cell_order",
+                        lambda space: degrees.append(space.degree) or real(space))
+    solve_pp(_inp(mesh, case), disc)
+    solve_stokes(_inp(mesh, case), disc)
+    for eps in (1e-4, 1e-2, 1.0):
+        solve_es(_inp(mesh, case, eps), disc)
+    sweep = solve_es_sweep(_inp(mesh, case), DEFAULT_EPS_GRID, disc)
+    assert len(list(sweep)) == 13
+    assert sorted(degrees) == [1, 2]
+    assert np.array_equal(disc.pressure_order, real(disc.pspace))
+    assert np.array_equal(disc.velocity_factor.perm, disc.velocity_order)
+
+
 def test_velocity_mass_is_built_for_the_first_row_only(monkeypatch):
     # M2 is no part of any solve: the sweep's first error row builds it
     from epsstokes import harness

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -113,12 +114,21 @@ def test_stiffness_symmetry_exact():
         assert abs(a - a.T).max() == 0.0
 
 
-def test_stiffness_and_mass_symmetric_exactly_on_jittered_mesh():
+def _block_sizes(monkeypatch):
+    """fem.BLOCK as it is, then 5 cells, so that a small mesh takes many
+    blocks; each is set while the loop body runs."""
+    for size in (fem.BLOCK, 5):
+        monkeypatch.setattr(fem, "BLOCK", size)
+        yield size
+
+
+def test_stiffness_and_mass_symmetric_exactly_on_jittered_mesh(monkeypatch):
     mesh = helpers.affine_jittered_mesh(8, 3)
-    for degree in (1, 2):
-        space = Space(mesh, degree=degree)
-        for a in (assemble_stiffness(space), fem.assemble_mass(space)):
-            assert abs(a - a.T).max() == 0.0
+    for _ in _block_sizes(monkeypatch):
+        for degree in (1, 2):
+            space = Space(mesh, degree=degree)
+            for a in (assemble_stiffness(space), fem.assemble_mass(space)):
+                assert abs(a - a.T).max() == 0.0
 
 
 # Polynomials in (x, y) on the reference triangle as {(a, b): coefficient}
@@ -190,18 +200,19 @@ def _storage_meshes():
 
 @pytest.mark.parametrize("mesh", _storage_meshes(),
                          ids=["structured", "jittered-0", "jittered-1"])
-def test_assembly_stores_no_entry_at_or_below_the_drop_rule(mesh):
+def test_assembly_stores_no_entry_at_or_below_the_drop_rule(mesh, monkeypatch):
     # an entry at or below DROP of its row's or its column's largest is
     # round-off of an exact zero, and is not stored
     vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
-    for a in (assemble_stiffness(pspace), assemble_stiffness(vspace),
-              fem.assemble_mass(pspace), fem.assemble_mass(vspace),
-              assemble_div_coupling(vspace, pspace)):
-        coo = a.tocoo()
-        row_max = abs(a).max(axis=1).toarray().ravel()
-        col_max = abs(a).max(axis=0).toarray().ravel()
-        limit = fem.DROP * np.maximum(row_max[coo.row], col_max[coo.col])
-        assert np.all(np.abs(coo.data) > limit)
+    for _ in _block_sizes(monkeypatch):
+        for a in (assemble_stiffness(pspace), assemble_stiffness(vspace),
+                  fem.assemble_mass(pspace), fem.assemble_mass(vspace),
+                  assemble_div_coupling(vspace, pspace)):
+            coo = a.tocoo()
+            row_max = abs(a).max(axis=1).toarray().ravel()
+            col_max = abs(a).max(axis=0).toarray().ravel()
+            limit = fem.DROP * np.maximum(row_max[coo.row], col_max[coo.col])
+            assert np.all(np.abs(coo.data) > limit)
 
 
 @pytest.mark.parametrize("mesh", _storage_meshes(),
@@ -214,7 +225,7 @@ def test_p2_stiffness_stores_no_vertex_opposite_midpoint_pair(mesh):
         assert pattern[space.cells[:, i], space.cells[:, j]].sum() == 0.0
 
 
-def test_cell_order_is_rcm_of_the_cell_graph():
+def test_cell_order_is_rcm_of_the_cell_graph(monkeypatch):
     # every two nodes of a cell are joined, whatever their entry in a matrix
     from scipy.sparse.csgraph import reverse_cuthill_mckee
     for degree in (1, 2):
@@ -223,7 +234,71 @@ def test_cell_order_is_rcm_of_the_cell_graph():
         for cell in space.cells:
             graph[np.ix_(cell, cell)] = 1.0
         want = reverse_cuthill_mckee(sps.csr_matrix(graph), symmetric_mode=True)
-        assert np.array_equal(fem.cell_order(space), want)
+        for _ in _block_sizes(monkeypatch):
+            assert np.array_equal(fem.cell_order(space), want)
+
+
+def _one_block_and_blocks(monkeypatch, build):
+    """build() with every cell in one block, then with blocks of 3 cells."""
+    monkeypatch.setattr(fem, "BLOCK", 10**9)
+    whole = build()
+    monkeypatch.setattr(fem, "BLOCK", 3)
+    return whole, build()
+
+
+def test_blocked_assembly_and_loads_match_one_block(monkeypatch):
+    # summing blocks of cells in a tree stores the pattern of one block and
+    # its values to round-off in each row
+    mesh = helpers.affine_jittered_mesh(6, 4)
+    vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
+    p = Field(pspace, np.random.default_rng(3).standard_normal(pspace.ndofs))
+
+    def force(x, y):
+        return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)
+
+    def build():
+        return ([assemble_stiffness(vspace), assemble_stiffness(pspace),
+                 fem.assemble_mass(vspace), fem.assemble_mass(pspace),
+                 assemble_div_coupling(vspace, pspace)],
+                [assemble_load(vspace, force), assemble_grad_load(pspace, force),
+                 assemble_field_grad_load(vspace, p)])
+
+    (mats, loads), (blocked_mats, blocked_loads) = _one_block_and_blocks(monkeypatch, build)
+    for whole, blocked in zip(mats, blocked_mats):
+        assert np.array_equal(whole.indptr, blocked.indptr)
+        assert np.array_equal(whole.indices, blocked.indices)
+        row_max = np.repeat(abs(whole).max(axis=1).toarray().ravel(), np.diff(whole.indptr))
+        assert np.all(np.abs(whole.data - blocked.data) <= 1e-14 * row_max)
+    for k in (0, 2):
+        assert abs(blocked_mats[k] - blocked_mats[k].T).max() == 0.0
+    for whole, blocked in zip(loads, blocked_loads):
+        assert np.abs(whole - blocked).max() <= 1e-14 * np.abs(whole).max()
+
+
+def _traced_peak(build):
+    """(result, the peak of memory traced while build() ran, above the start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_scatter_peak_is_a_few_times_the_matrix(monkeypatch):
+    # with 8 blocks the transient of a scatter is bounded by the partial sums
+    # of the tree, not by the (M, a, b) local matrices of the whole mesh,
+    # which took 6.4 times K's bytes and 9.0 times B's in one block
+    mesh = helpers.affine_jittered_mesh(32, 1)
+    vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
+    mesh.geometry
+    monkeypatch.setattr(fem, "BLOCK", mesh.num_triangles // 8)
+    for build, bound in ((lambda: assemble_stiffness(vspace), 4.0),
+                         (lambda: assemble_div_coupling(vspace, pspace), 5.0)):
+        mat, peak = _traced_peak(build)
+        nbytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        assert peak <= bound * nbytes, peak / nbytes
 
 
 def _dense_p1_stiffness_oracle(mesh):
@@ -503,8 +578,9 @@ def test_vector_field_kernels_match_components():
 
 
 def test_loads_match_row_scatter_bit_for_bit(monkeypatch):
-    # every load scatters its per-cell entries one component at a time; the
-    # sums are those of np.add.at on the (n,) or (n, 2) array, bit for bit
+    # every load scatters its per-cell entries one component at a time and
+    # one block of cells at a time; the sums are those of np.add.at on the
+    # (n,) or (n, 2) array over all cells at once, bit for bit
     mesh = helpers.affine_jittered_mesh(6, 3)
     vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
     rng = np.random.default_rng(11)
@@ -519,10 +595,12 @@ def test_loads_match_row_scatter_bit_for_bit(monkeypatch):
                 assemble_load(pspace, lambda x, y: force(x, y)[..., 0])]
 
     def row_scatter(space, local):
+        local = local(slice(None))
         out = np.zeros((space.ndofs,) + local.shape[2:])
         np.add.at(out, space.cells.ravel(), local.reshape((-1,) + local.shape[2:]))
         return out
 
+    monkeypatch.setattr(fem, "BLOCK", 5)
     got = loads()
     monkeypatch.setattr(fem, "_add_cells", row_scatter)
     for new, ref in zip(got, loads()):

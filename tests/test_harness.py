@@ -133,21 +133,22 @@ def test_sweep_h_needs_n_list():
 
 
 def test_sweep_stokes_row_integrates_the_velocity_l2_error_once(monkeypatch):
-    # the row's H1 error reuses its L2 error rather than integrating it again
+    # the row's H1 and L2 errors come from one pass of error_gap, which
+    # integrates the L2 error once, and not from error_l2 and seminorm_h1
     import epsstokes.verification as ver
-    calls = []
-    real = ver.error_l2
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ver, "error_l2", counted)
+    real_l2 = ver.error_l2
+    calls = {name: [] for name in ("error_gap", "error_l2", "seminorm_h1")}
+    for name, seen in calls.items():
+        def counted(*args, real=getattr(ver, name), seen=seen, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(ver, name, counted)
     table, _ = run_sweep_h(RunConfig(case="ms1", problem="S", n_list=(4,)))
     [row] = table.rows
-    assert len(calls) == 1
-    [(field, _)] = calls
+    assert [len(seen) for seen in calls.values()] == [1, 0, 0]
+    [(field, _, _)] = calls["error_gap"]
     case = get_case("ms1")
+    assert row.err_u_L2_vs_S == real_l2(field, case.u_exact)
     assert row.err_u_H1_vs_S == error_h1(field, case.u_exact, case.grad_u_exact)
 
 

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsstokes import fem
 from epsstokes.drivers import Discretization
 from epsstokes.fem import Field, Space
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.verification import (CSV_COLUMNS, CSV_SCHEMA, ErrorRow,
-                                    ErrorTable, diff_field, error_h1, error_l2,
-                                    fit_log_slope, gap, gap_quotient_l2,
-                                    gauss_formula_residual, get_case,
-                                    quotient_norm_l2, registry,
+                                    ErrorTable, diff_field, div_l2, error_gap,
+                                    error_h1, error_l2, fit_log_slope, gap,
+                                    gap_quotient_l2, gauss_formula_residual,
+                                    get_case, quotient_norm_l2, registry,
                                     saturation_filter, seminorm_h1,
                                     trace_mismatch)
 from helpers import affine_jittered_mesh
@@ -251,6 +254,57 @@ def test_gauss_formula_residual_interpolated_polynomials():
     u = Field(vspace, np.column_stack([ux, uy]))
     w = Field(wspace, wspace.node_coords[:, 1] - 0.25)
     assert abs(gauss_formula_residual(u, w)) <= 1e-12
+
+
+def test_norms_by_blocks_match_one_block(monkeypatch):
+    # each norm sums its blocks of cells; blocks of 3 cells agree with one
+    # block to round-off
+    mesh = affine_jittered_mesh(6, 5)
+    rng = np.random.default_rng(8)
+    vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
+    u = Field(vspace, rng.standard_normal((vspace.ndofs, 2)))
+    p = Field(pspace, rng.standard_normal(pspace.ndofs))
+    case = get_case("ms1")
+
+    def norms():
+        return np.array([
+            error_l2(u, case.u_exact), error_l2(p, None), seminorm_h1(u, case.grad_u_exact),
+            seminorm_h1(p), error_h1(u, case.u_exact, case.grad_u_exact),
+            *error_gap(p, case.p_exact, case.grad_p_exact),
+            quotient_norm_l2(p, case.p_exact), div_l2(u)])
+
+    def residual():
+        # the volume terms are bounded by this scale, by Cauchy-Schwarz
+        scale = error_l2(u, None) * seminorm_h1(p) + div_l2(u) * error_l2(p, None)
+        return gauss_formula_residual(u, p), scale
+
+    monkeypatch.setattr(fem, "BLOCK", 10**9)
+    whole, (res, scale) = norms(), residual()
+    monkeypatch.setattr(fem, "BLOCK", 3)
+    assert np.all(np.abs(norms() - whole) <= 1e-13 * whole)
+    assert abs(residual()[0] - res) <= 1e-13 * scale
+
+
+def test_error_h1_peak_does_not_grow_with_the_mesh():
+    # one pass over blocks of fem.BLOCK cells: its temporaries are those of
+    # one block, so n = 128, in at least 4 blocks, peaks as n = 64 does; in
+    # one block the peak took 26 MB at n = 128 and 7 MB at n = 64
+    case = get_case("ms1")
+    peaks = []
+    for n in (64, 128):
+        mesh = affine_jittered_mesh(n, 1)
+        space = Space(mesh, degree=2)
+        mesh.geometry
+        u = Field(space, np.ones((space.ndofs, 2)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            error_h1(u, case.u_exact, case.grad_u_exact)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert mesh.num_triangles >= 4 * fem.BLOCK
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

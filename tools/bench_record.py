@@ -17,12 +17,23 @@ factor entries (`lu_nnz`) of A and Kp, on the structured meshes n = 32, 64
 and 128 and on the jittered mesh-pp meshes n = 96 and 128 of the seed.
 Nothing outside the two checkouts is written; perfbench works under each
 checkout's `.bench_work/`.
+
+The record ends with a summary of each workload's end-to-end metrics, as
+BENCHMARK.json names them, which is also printed: each side's median and
+quartiles, the pairs the change won (ties count for neither), and the
+reading of the rules for a small sandbox (perfbench/README.md): a gain when
+the change won at least nine tenths of the pairs and the medians differ by
+more than the base's interquartile range; unresolved when the base's
+interquartile range is wider than the metric's bound, unless every change
+run reads better than every base run; otherwise within the bound, or worse
+than the bound when the change's median is worse than the base's by more.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +85,61 @@ def sizes(checkout: Path, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
+def quartiles(values) -> dict:
+    """The median and the quartiles of values (linear interpolation)."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def reading(base: list, change: list, better: str, bound: float) -> dict:
+    """The summary of one metric over the pairs: base[k] and change[k] are
+    the two sides of pair k, better is "lower" or "higher", and bound the
+    relative amount by which the change's median may be worse."""
+    sign = 1.0 if better == "lower" else -1.0     # sign * (change - base) < 0: better
+    b, c = quartiles(base), quartiles(change)
+    won = sum(sign * (y - x) < 0 for x, y in zip(base, change))
+    iqr = b["q3"] - b["q1"]
+    worse_by = sign * (c["median"] - b["median"])
+    limit = bound * abs(b["median"])
+    if won >= 0.9 * len(base) and -worse_by > iqr:
+        verdict = "gain"
+    elif iqr > limit and not all(sign * (y - x) < 0 for x in base for y in change):
+        verdict = "unresolved"
+    elif worse_by <= limit:
+        verdict = "within the bound"
+    else:
+        verdict = "worse than the bound"
+    return {"base": b, "change": c, "pairs": len(base), "change_won": won,
+            "reading": verdict}
+
+
+def summarize(runs: list, end_to_end: list) -> dict:
+    """{workload: {metric: reading(...)}} over the pairs of runs, for the
+    end-to-end metrics of BENCHMARK.json (name, better, bound)."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+        pairs = [p for _, p in sorted(pairs.items()) if len(p) == 2]
+        summary[workload] = {
+            m["name"]: reading([float(p["base"][m["name"]].split()[0]) for p in pairs],
+                               [float(p["change"][m["name"]].split()[0]) for p in pairs],
+                               m["better"], m["bound"])
+            for m in end_to_end}
+    return summary
+
+
+def print_summary(summary: dict) -> None:
+    for workload, metrics in summary.items():
+        for name, r in metrics.items():
+            b, c = r["base"], r["change"]
+            print(f"{workload:9s} {name:12s} base {b['median']:.4g} [{b['q1']:.4g}, "
+                  f"{b['q3']:.4g}]  change {c['median']:.4g} [{c['q1']:.4g}, "
+                  f"{c['q3']:.4g}]  won {r['change_won']}/{r['pairs']}  {r['reading']}")
+
+
 def parse_pairs(text: str) -> dict:
     pairs = {}
     for item in text.split(","):
@@ -100,13 +166,16 @@ def main(argv=None) -> int:
                 run = perfbench(sides[side], workload, args.seed)
                 runs.append({"workload": workload, "pair": pair, "side": side, **run})
                 print(workload, pair, side, run["result"]["metrics"], flush=True)
+    end_to_end = json.loads((CHANGE / "BENCHMARK.json").read_text())["end_to_end"]
     record = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0",
         "seed": args.seed,
         "sizes": {side: sizes(path, args.seed) for side, path in sides.items()},
         "runs": runs,
+        "summary": summarize(runs, end_to_end),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    print_summary(record["summary"])
     return 0
 
 

@@ -44,12 +44,16 @@ space's order once and keeps the labels, not the graph.
 PP makes three scalar solves, Kp, then A once per velocity component, each
 component meeting the tolerance against its own right-hand side.  The Kp
 solve is direct.  A velocity solve is direct too if the Discretization
-already holds A's factor.  Otherwise PP factors nothing more: GMRES solves
-A with a two-level cycle, damped Jacobi on A around the exact coarse solve
+already holds A's factor.  Otherwise PP factors nothing more: the
+conjugate gradient method (sparse.cg) solves A, preconditioned by a
+two-level cycle, damped Jacobi on A around the exact coarse solve
 P Kp^-1 P^T, where P embeds the P1 space in the P2 one (fem.prolongation).
-It took 16 to 20 steps per component at every h tried (Eijkhout &
-Vassilevski, SIAM Review 1991), and on a jittered n = 128 mesh PP held
-0.96M factor entries where Kp and A held 6.39M.
+A and the cycle are symmetric positive definite, so CG needs five vectors
+and no orthogonalization.  It took 17 steps per component on structured
+meshes n = 8 to 128, 20 on perfbench's jittered ones n = 32 to 128 and 19
+to 22 on other jittered ones n = 8 to 64 (Eijkhout & Vassilevski, SIAM
+Review 1991), and on a jittered n = 128 mesh PP held 0.96M factor entries
+where Kp and A held 6.39M.
 
 Stokes is ES at eps = 0: both are [[A, G], [D, C]], C = eps*Kp, with the
 velocity boundary and the pressure boundary or, for Stokes, the gauge dof
@@ -83,8 +87,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterator, NamedTuple
+from functools import cached_property, partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse as sps
@@ -93,17 +97,22 @@ from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
 from .sparse import (AIM, DEFAULT_TOL, RESIDUAL_FLOOR, Factor, KrylovLog,
-                     Preconditioner, SolverReport, dump_solved, dumping, gmres, norm,
-                     one_blas_thread, product_residual, release_free_heap, solve)
+                     Preconditioner, SolverReport, cg, dump_solved, dumping, gmres,
+                     norm, one_blas_thread, product_residual, release_free_heap, solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
 PROBLEMS = ("S", "PP", "ES")
 SERIES_TERMS = 16      # most terms of the 1/eps series one sweep computes
-# Weight of the damped-Jacobi steps of PP's two-level velocity cycle.  A PP
-# alone took 32 GMRES steps on structured meshes n = 8 to 128 and 36 to 40
-# on jittered ones; 0.65 and 0.75 took up to 2 more, 0.8 up to 8 more, and
-# undamped Jacobi missed the tolerance at n = 32.
+# Weight of the damped-Jacobi steps of PP's two-level velocity cycle.  The
+# cycle is symmetric positive definite while the weight times the largest
+# eigenvalue of D^-1 A is below 2: 1.53 on structured meshes, 1.59-1.63 on
+# jittered ones, 1.82-1.90 on sheared ones (shear 0.9 to 4) and 1.66-1.68 at
+# aspect ratios 0.1 and 0.02.  A PP alone took 17 CG steps per component on
+# structured meshes n = 8 to 128 and 19 to 22 on jittered ones.  Measured with
+# GMRES, where the weight was chosen: 0.65 and 0.75 took up to 2 steps more
+# per PP, 0.8 up to 8 more, and undamped Jacobi missed the tolerance at
+# n = 32.
 JACOBI_WEIGHT = 0.7
 
 
@@ -343,8 +352,8 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     S = C - D A^-1 G by gmres, preconditioned by the factor of C + Mp with
     the fixed pressure dofs eliminated (Mp for Stokes, eps*Kp + Mp for ES),
     aiming at AIM * tol ||r||, and returns [A^-1 (r_u - G p), p].  Its
-    residual is that of the pressure solve, so x = M b meets tol and solve
-    runs no full-length GMRES.
+    residual is that of the pressure solve, so x = M b meets tol, and GMRES
+    runs on pressure-length vectors only.
     """
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
     grad, div, block = m[:nu, nu:], m[nu:, :nu], m[nu:, nu:]
@@ -362,18 +371,26 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
         p = gmres(schur_op, schur.solve, r[nu:] - div @ z, AIM * tol * norm(r), log)
         return np.concatenate([_solve_velocity(vel, r_u - grad @ p), p])
 
-    return Preconditioner(f"schur(A, {name})", apply, (vel, schur), log)
+    return Preconditioner(f"gmres[schur(A, {name})]", apply, (vel, schur), log)
 
 
-def _two_level(disc: Discretization) -> Preconditioner:
-    """A two-level P2 -> P1 cycle for A, coarse-solved by the factor of Kp.
+def _two_level(disc: Discretization, tol: float) -> Callable[[], Preconditioner]:
+    """The builder of a preconditioner for A that solves by CG, with a
+    two-level P2 -> P1 cycle coarse-solved by the factor of Kp.
 
-    apply(r) takes one damped-Jacobi step on A from 0, corrects by
+    The cycle takes one damped-Jacobi step on A from 0, corrects by
     P Kp^-1 P^T of the residual, and takes a second Jacobi step.  P maps
     the free P1 vertices to the P2 nodes (fem.prolongation), zero at the
     fixed ones, so P^T A P is the eliminated Kp on the free dofs: the coarse
-    solve is an exact Galerkin solve, and the steps GMRES needs do not grow
-    as h shrinks (Eijkhout & Vassilevski, SIAM Review 1991).
+    solve is an exact Galerkin solve, and the steps CG needs barely grow as
+    h shrinks (Eijkhout & Vassilevski, SIAM Review 1991).  Its error
+    operator is (I - S A) Pi (I - S A), with S the Jacobi step and Pi the
+    A-orthogonal projection off the coarse space, so the cycle is
+    symmetric, and positive definite while S A's spectral radius is below 2
+    (see JACOBI_WEIGHT): the Ritz values of the cycle times A lie in (0, 1].
+    P, P^T and the Jacobi weights are built once; each preconditioner the
+    builder returns keeps the KrylovLog of its solve, and apply(r) runs cg
+    on A from 0, aiming at AIM * tol ||r||.
     """
     a, kp = disc.velocity_system.matrix, disc.pressure_factor
     free = np.ones(disc.np_)
@@ -382,13 +399,19 @@ def _two_level(disc: Discretization) -> Preconditioner:
     pt = p.T.tocsr()
     smooth = JACOBI_WEIGHT / a.diagonal()
 
-    def apply(r):
+    def cycle(r):
         x = smooth * r
         x += p @ kp.solve(pt @ (r - a @ x))
         x += smooth * (r - a @ x)
         return x
 
-    return Preconditioner("two_level(A, Kp)", apply, (kp,))
+    def precond():
+        log = KrylovLog()
+        return Preconditioner(
+            "cg[two_level(A, Kp)]",
+            lambda r: cg(a.dot, cycle, r, AIM * tol * norm(r), log), (kp,), log)
+
+    return precond
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -447,10 +470,11 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     The velocity right-hand side uses the discrete pressure gradient
     evaluated at quadrature points.  Each velocity component is solved with
     A's factor if disc holds it already (S, ES or the 1/eps series ran on
-    disc), and otherwise by GMRES with _two_level, which factors nothing
+    disc), and otherwise by CG with _two_level, which factors nothing
     beyond Kp.  The one report covers the three solves: the worst
-    residual, their histories in order, their wall times summed, and the
-    distinct factors they applied.
+    residual, their histories in order, their wall times summed, the
+    distinct factors they applied, and the extreme Ritz values of the two
+    velocity solves, () when A's factor solved them.
     """
     start = time.perf_counter()
     disc = _discretization(inp, disc)
@@ -459,7 +483,7 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
         raise ValueError("pressure boundary data is required")
 
     _, p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
-    p_coeff, report = _solve_fixed(
+    p_coeff, report = _solve_fixed(         # the solve factors Kp on first use
         disc.pressure_system, disc.pressure_load(inp.body_force), p_vals, tol,
         lambda: Preconditioner("Kp", disc.pressure_factor.solve,
                                (disc.pressure_factor,)))
@@ -471,23 +495,25 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     if "velocity_factor" in vars(disc):     # reading it would factor A
         vel = disc.velocity_factor
-        velocity = Preconditioner("A", vel.solve, (vel,))
+        factors = (disc.pressure_factor, vel)
+        velocity = partial(Preconditioner, "A", vel.solve, (vel,))
     else:
-        velocity = _two_level(disc)
+        factors = (disc.pressure_factor,)
+        velocity = _two_level(disc, tol)
     u_coeff = np.empty_like(f)
     for c in (0, 1):          # one scalar solve per velocity component
         u_coeff[:, c], report = _solve_fixed(
-            disc.velocity_system, f[:, c], u_vals[:, c], tol, lambda: velocity)
+            disc.velocity_system, f[:, c], u_vals[:, c], tol, velocity)
         reports.append(report)
 
+    ritz = [v for r in reports[1:] for v in r.ritz]
     return SolveResult(u=Field(disc.vspace, u_coeff), p=p, problem="PP",
                        epsilon=None, report=SolverReport.from_factors(
-                           f"gmres[Kp]; {report.method}",
+                           f"Kp; {report.method}",
                            max(r.rel_residual for r in reports),
                            [h for r in reports for h in r.residual_history],
-                           sum(r.wall_time for r in reports),
-                           dict.fromkeys((disc.pressure_factor,) + velocity.factors),
-                           start))
+                           sum(r.wall_time for r in reports), factors, start,
+                           (min(ritz), max(ritz)) if ritz else ()))
 
 
 @one_blas_thread()
@@ -564,7 +590,7 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
 
     The terms x_0 ... x_K leave exactly the residual r_(K+1) / eps^K in the
     pressure rows of ES(eps), so each eps takes terms until that is
-    AIM * tol of its ||b||, as GMRES aims in sparse.solve.  An eps
+    AIM * tol of its ||b||, as the Krylov solves aim.  An eps
     whose bound, shrinking at the measured term ratio, cannot get there
     within SERIES_TERMS terms, or whose sum then misses tol in the true
     residual ||b - ES(eps) x|| / ||b|| (with the system and right-hand side

@@ -1,14 +1,18 @@
 """Linear solution of the assembled sparse systems.
 
-Every system takes one path, solve: the first step x = M b with a
-preconditioner M, then, if that misses the requested tolerance, restarted
-GMRES on the assembled matrix, and always the true relative residual
-||b - A x|| / ||b|| checked against the tolerance.  GMRES is this module's
-own (gmres): preconditioned on the right, so its residual estimates are
+Every system takes one path, solve: x = M b with a preconditioner M, and
+the true relative residual ||b - A x|| / ||b|| checked against the
+tolerance.  A preconditioner is a factor of the matrix itself, or it runs a
+Krylov solve of its own, aiming below the tolerance, and keeps that solve's
+steps in a KrylovLog.  The Krylov methods are this module's own.  gmres is
+restarted GMRES, preconditioned on the right, so its residual estimates are
 estimates of the true residual, with the Arnoldi vectors orthogonalized by
 classical Gram-Schmidt run twice (CGS2; Giraud, Langou & Rozloznik, 2005),
 two matrix-vector products with the basis per pass where modified
-Gram-Schmidt loops over its vectors in Python.  A factor is SuperLU of the
+Gram-Schmidt loops over its vectors in Python.  cg is the preconditioned
+conjugate gradient method (Hestenes & Stiefel, 1952) for a symmetric
+positive definite operator and preconditioner: five vectors and no
+orthogonalization.  A factor is SuperLU of the
 row-equilibrated matrix in symmetric mode: a minimum-degree ordering of the
 pattern of A + A^T (multiple minimum degree; Liu, ACM TOMS 1985), applied
 to rows and columns alike, with diagonal pivots preferred.
@@ -26,14 +30,14 @@ jittered n = 96 mesh and 25% more at n = 128 than the cell graph does.
 With the cell graph, A's factor holds 1.75M entries at n = 96, against
 5.45M under the FE labels.
 
-Without a preconditioner, solve factors the matrix itself: the first step
-is then the direct solve.  The drivers pass preconditioners built from the
-factors that one Discretization keeps for its mesh, so a sweep factors the
-shared blocks once.  For Stokes and ES the preconditioner runs gmres itself,
-on the pressure Schur complement, and its first step already meets the
-tolerance.  A PP velocity solve on a Discretization without A's factor is
-the one that continues in solve's own gmres: its preconditioner is a
-two-level cycle on the factor of Kp, not a factor of A (see drivers).
+Without a preconditioner, solve factors the matrix itself.  The drivers pass
+preconditioners built from the factors that one Discretization keeps for
+its mesh, so a sweep factors the shared blocks once.  For Stokes and ES the
+preconditioner runs gmres on the pressure Schur complement; for a PP
+velocity component on a Discretization without A's factor it runs cg,
+preconditioned by a two-level cycle on the factor of Kp (see drivers).  A
+preconditioner that misses the tolerance fails the solve: no Krylov solve
+runs around another one, or around an inexact factor.
 
 A solve runs numpy's BLAS on one thread.  Full-length Krylov vectors at
 n = 40 are past OpenBLAS's threading cut-off for dot products, and the
@@ -77,12 +81,14 @@ RESIDUAL_FLOOR = 1e-300
 _MAX_RESTARTS = 10   # GMRES cycles one gmres call runs at most
 ORDERING = "rcm+mmd_at_plus_a"     # the ordering a factor runs, as reported
 PERMC_SPEC = "MMD_AT_PLUS_A"        # SuperLU's part of it
-# GMRES and the 1/eps series of drivers aim this far below the tolerance, as
-# close to a direct solve as round-off allows; only tol itself is enforced.
+# The Krylov solves and the 1/eps series of drivers aim this far below the
+# tolerance, as close to a direct solve as round-off allows; only tol itself
+# is enforced.
 # Verify's criterion 8 bounds its gradient-forcing deviation by 1e-9: aims of
 # 1e-1, 1e-2 and 1e-4 times tol left 1.7e-9, 2.2e-10 and 4.3e-13.
 AIM = 1e-4
 _RESTART = 80        # Krylov vectors per GMRES cycle; Stokes needs about 35
+_MAX_STEPS = _RESTART * _MAX_RESTARTS      # steps one cg call takes at most
 
 # (prefix, counter) of the active dump_matrices block, or None.
 _DUMP_SINK = contextvars.ContextVar("epsstokes_dump_sink", default=None)
@@ -185,21 +191,25 @@ class SolverError(RuntimeError):
 class SolverReport:
     """Outcome of one linear solve.
 
-    iterations counts GMRES steps and residual_history holds, per step, the
-    GMRES estimate of the true residual norm over ||b||.  For Stokes and ES
-    those are the steps of the pressure-space GMRES inside the first step
-    x = M b (see drivers), whose residual is the residual of the whole
-    system; for a preconditioner that is a factor of the matrix itself there
-    are none, and iterations is 0.  ritz holds the smallest and largest real
-    part of the Ritz values of the last GMRES cycle, the eigenvalues of its
-    Hessenberg matrix, () without GMRES steps: for Stokes the largest tends
-    to 1, and the smallest is the mode of the pinned gauge dof, which
-    shrinks like h^2.  (A solution of the
-    1/eps series in drivers reports its terms and, per term, its residual
-    bound instead.)  lu_nnz counts the entries SuperLU stores for L and U in
-    every distinct factor the solve applied, diagonals included, read
-    without copying the factors, and matrix_nnz the stored entries of the
-    matrices they factored; fill is their ratio, 0 without factors;
+    method names the preconditioner M of x = M b, and the Krylov method it
+    runs, if any.  iterations counts the steps of that Krylov solve and
+    residual_history holds, per step, its estimate of the true residual norm
+    over ||b||.  For Stokes and ES those are the steps of the pressure-space
+    GMRES inside M (see drivers), whose residual is the residual of the
+    whole system, and for a PP velocity component without A's factor the
+    steps of its CG; for a preconditioner that is a factor of the matrix
+    itself there are none, and iterations is 0.  ritz holds the smallest and
+    largest real part of the Ritz values of the Krylov solve, () without
+    steps: for GMRES the eigenvalues of the last cycle's Hessenberg matrix,
+    for CG those of its Lanczos tridiagonal matrix.  For Stokes the largest
+    tends to 1, and the smallest is the mode of the pinned gauge dof, which
+    shrinks like h^2; for PP's two-level cycle they lie in (0, 1].  (A
+    solution of the 1/eps series in drivers reports its terms and, per term,
+    its residual bound instead.)  lu_nnz counts the entries SuperLU stores
+    for L and U in every distinct factor the solve applied, diagonals
+    included, read without copying the factors, and matrix_nnz the stored
+    entries of the matrices they factored; fill is their ratio, 0 without
+    factors;
     factor_time is the part of wall_time spent in factorizations made
     during this call (a factor kept from an earlier call costs nothing
     here).  from_factors builds every report a solve gives; the factor
@@ -306,15 +316,17 @@ def _structure_order(a: sps.csc_matrix) -> np.ndarray:
 
 @dataclass
 class KrylovLog:
-    """The GMRES steps run for one solve: the residual estimate after each
-    step, as a norm, and the Hessenberg matrix of the last cycle, unrotated."""
+    """The Krylov steps run for one solve: the residual estimate after each
+    step, as a norm, and the matrix whose eigenvalues are the Ritz values,
+    in hessenberg: the Hessenberg matrix of GMRES's last cycle, unrotated,
+    or CG's Lanczos tridiagonal matrix."""
 
     estimates: list = field(default_factory=list)
     hessenberg: np.ndarray = None
 
     def ritz(self) -> tuple:
-        """The smallest and largest real part of the last cycle's Ritz
-        values; () before any step, or if the cycle was not finite."""
+        """The smallest and largest real part of the Ritz values; () before
+        any step, or if the matrix is not finite."""
         h = self.hessenberg
         if h is None or not np.all(np.isfinite(h)):
             return ()
@@ -324,8 +336,8 @@ class KrylovLog:
 
 class Preconditioner(NamedTuple):
     """apply(r) approximates A^-1 r using the given factors; an apply that
-    runs gmres itself, a Krylov solve in its own right, records its steps
-    in log."""
+    runs gmres or cg itself, a Krylov solve in its own right, records its
+    steps in log.  name is the method a solve reports."""
 
     name: str
     apply: Callable
@@ -372,10 +384,10 @@ def product_residual(ax, b, bnorm=None) -> float:
 
 
 def gmres(op: Callable, precond: Callable, b: np.ndarray, aim: float,
-          log: KrylovLog, x: np.ndarray = None) -> np.ndarray:
+          log: KrylovLog) -> np.ndarray:
     """x with op(x) = b by restarted GMRES, preconditioned on the right.
 
-    From x (0 if None), each cycle builds an Arnoldi basis of at most
+    From x = 0, each cycle builds an Arnoldi basis of at most
     _RESTART vectors for op(precond(.)), orthogonalized by CGS2, and stops
     once its residual estimate, which right preconditioning makes an
     estimate of ||b - op(x)||, is at most aim, or when the basis spans an
@@ -383,10 +395,7 @@ def gmres(op: Callable, precond: Callable, b: np.ndarray, aim: float,
     explicit residual, for at most _MAX_RESTARTS cycles.  Each step's
     estimate and each cycle's Hessenberg matrix go to log.
     """
-    if x is None:
-        x, r = np.zeros_like(b), b
-    else:
-        x, r = x.copy(), b - op(x)
+    x, r = np.zeros_like(b), b
     for _ in range(_MAX_RESTARTS):
         dx, estimate = _gmres_cycle(op, precond, r, aim, log)
         x += dx
@@ -440,6 +449,56 @@ def _gmres_cycle(op, precond, r, aim, log):
     return precond(y @ basis[:k]), abs(g[k])
 
 
+def cg(op: Callable, precond: Callable, b: np.ndarray, aim: float,
+       log: KrylovLog) -> np.ndarray:
+    """x with op(x) = b by the preconditioned conjugate gradient method.
+
+    op and precond must be symmetric positive definite.  From x = 0, each
+    step updates the residual r = b - op(x) by recurrence, and the solve
+    stops once ||r|| is at most aim, after at most _MAX_STEPS steps.  Each
+    step's ||r|| goes to log, and at the end the Lanczos tridiagonal matrix
+    of the steps, whose eigenvalues are the Ritz values of precond(op(.))
+    (Saad, Iterative Methods for Sparse Linear Systems, 2003, 6.7.3).  A
+    step that finds r^T precond(r) or p^T op(p) not positive, which no SPD
+    pair gives, raises SolverError.
+    """
+    x, r = np.zeros_like(b), b.copy()
+    if not norm(r) > aim:
+        return x
+    diag, off = [], []        # the tridiagonal matrix, by its diagonals
+    shift = 0.0               # beta / alpha of the step before: part of diag
+    p = rz = alpha = None
+    for _ in range(_MAX_STEPS):
+        z = precond(r)
+        rz, last_rz = float(r @ z), rz
+        if not rz > 0.0:
+            raise SolverError(f"preconditioner is not positive definite: "
+                              f"r^T M r = {rz:.3e}")
+        if p is None:
+            p = z.copy()      # precond may return r itself
+        else:
+            beta = rz / last_rz
+            p *= beta
+            p += z
+            shift = beta / alpha
+            off.append(np.sqrt(beta) / alpha)
+        q = op(p)
+        pq = float(p @ q)
+        if not pq > 0.0:
+            raise SolverError(f"operator is not positive definite: "
+                              f"p^T A p = {pq:.3e}")
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        estimate = norm(r)
+        log.estimates.append(estimate)
+        diag.append(1.0 / alpha + shift)
+        if estimate <= aim:
+            break
+    log.hessenberg = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return x
+
+
 def dumping() -> bool:
     """Whether a dump_matrices block with a prefix is active."""
     return _DUMP_SINK.get() is not None
@@ -460,17 +519,15 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
           precond: Callable[[], Preconditioner] = None):
     """Solve A x = b to a relative residual of at most tol.
 
-    precond builds the preconditioner; it is called once inside this solve,
-    so factors it creates count in the report's factor_time.  By default
-    the matrix is factored itself.  The first step is x = M b; if its true
-    residual misses tol, gmres continues from there, aiming at AIM * tol
-    ||b||, unless M ran gmres itself (it has a log): GMRES around a Krylov
-    solve that missed tol would only repeat it.  Raises SolverError if the
-    matrix or b has a non-finite entry, if
-    a factorization fails, or if ||b - A x|| <= tol ||b|| does not hold at
-    the end.  The factorization, the preconditioner and GMRES run with
-    numpy's BLAS on one thread; the previous count is restored on return or
-    raise.
+    precond builds the preconditioner M; it is called once inside this
+    solve, so factors it creates count in the report's factor_time.  By
+    default the matrix is factored itself.  x = M b, and the report takes
+    its method from M's name and its steps and Ritz values from M's log, if
+    M runs a Krylov solve.  Raises SolverError if the matrix or b has a
+    non-finite entry, if a factorization or M's Krylov solve fails, or if
+    ||b - A x|| <= tol ||b|| does not hold.  The factorization and M run
+    with numpy's BLAS on one thread; the previous count is restored on
+    return or raise.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
@@ -496,17 +553,13 @@ def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         raise SolverError("factorization produced non-finite solution "
                           "(singular matrix)")
     res = rel_residual(a, x, b, bnorm)
-    if res > tol and pre.log is None:
-        x = gmres(a.dot, pre.apply, b, AIM * tol * bnorm, log, x)
-        res = rel_residual(a, x, b, bnorm)
-    report = SolverReport.from_factors(
-        f"gmres[{pre.name}]", res, [e / bnorm for e in log.estimates],
-        time.perf_counter() - start, pre.factors, start, log.ritz())
     if not res <= tol:
         raise SolverError(
             f"solver did not reach tol={tol:g}; achieved residual {res:.3e}",
             residual=res)
-    return x, report
+    return x, SolverReport.from_factors(
+        pre.name, res, [e / bnorm for e in log.estimates],
+        time.perf_counter() - start, pre.factors, start, log.ritz())
 
 
 def dump_matrix_market(a: sps.csr_matrix, path) -> None:

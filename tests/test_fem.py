@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse as sps
 
 import helpers
@@ -609,10 +609,21 @@ def test_loads_match_row_scatter_bit_for_bit(monkeypatch):
 
 
 def _assert_matches(new, oracle):
-    """Entries agree to 1e-14 of the oracle's largest; a stored entry
-    missing from the other pattern counts with its full value."""
-    diff = abs(new - oracle).max()
-    assert diff <= 1e-14 * abs(oracle).max(), diff
+    """Entries agree to 1e-14 of the oracle's largest, and a stored entry
+    missing from the other pattern counts with its full value; except where
+    the two differ by the entry's fem.DROP limit, DROP times the larger of
+    its row's and its column's largest magnitude, to within 1%.  There one
+    sum kept a value at the limit that the other dropped (in G, the value of
+    B that G = flux - B^T carries), so kept and dropped count alike."""
+    if sps.issparse(oracle):
+        new, oracle = new.toarray(), oracle.toarray()
+        mag = np.maximum(np.abs(new), np.abs(oracle))
+        limit = fem.DROP * np.maximum(mag.max(axis=1, keepdims=True),
+                                      mag.max(axis=0, keepdims=True))
+        straddling = np.abs(np.abs(new - oracle) - limit) <= 0.01 * limit
+        new, oracle = np.where(straddling, 0.0, new), np.where(straddling, 0.0, oracle)
+    diff = np.abs(new - oracle).max()
+    assert diff <= 1e-14 * np.abs(oracle).max(), diff
 
 
 def _assert_kernels_match_einsum_oracle(mesh, seed=0):
@@ -650,6 +661,9 @@ _LINEAR_MAPS = st.one_of(
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
        linear=_LINEAR_MAPS, offset=st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+# B's entry (8, 17) is 1.1117e-14 here, 0.05% above its DROP limit: kept by
+# assembly, dropped by the oracle
+@example(n=3, seed=0, linear=[[1.0, 1e-13], [0.0, 1.0]], offset=(0.0, 0.0))
 def test_reference_tensor_kernels_match_einsum_oracle(n, seed, linear, offset):
     mesh = helpers.affine_jittered_mesh(n, seed, linear, offset)
     _assert_kernels_match_einsum_oracle(mesh, seed)

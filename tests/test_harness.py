@@ -438,8 +438,9 @@ def test_cli_dump_matrix(tmp_path):
 
 
 def test_cli_solve_pp_alone_factors_kp_only(tmp_path):
-    # without S on its mesh, PP solves the velocity by GMRES with the
-    # two-level cycle on the factor of Kp, and still dumps Kp, A and A
+    # without S on its mesh, PP solves the velocity by CG with the
+    # two-level cycle on the factor of Kp, reports the Ritz values of its
+    # SPD spectrum, and still dumps Kp, A and A
     from scipy.io import mmread
     out = tmp_path / "pp.json"
     assert main(["solve", "--case", "ms1", "--problem", "PP", "--n", "8",
@@ -448,7 +449,8 @@ def test_cli_solve_pp_alone_factors_kp_only(tmp_path):
     disc = Discretization(build_structured_mesh(8))
     assert pp["rel_residual"] <= 1e-10 and pp["iterations"] >= 1
     assert pp["lu_nnz"] == disc.pressure_factor.nnz
-    assert "ritz" not in pp
+    low, high = pp["ritz"]
+    assert 0.0 < low <= high <= 1.0
     prefix = str(tmp_path / "m_")
     assert main(["solve", "--case", "ms1", "--problem", "PP", "--n", "8",
                  "--dump-matrix", prefix]) == 0

@@ -128,7 +128,7 @@ def test_dump_sink_ends_with_its_block(tmp_path):
 def test_report_fields():
     x, report = solve(sps.identity(3, format="csr"), np.zeros(3))
     assert np.array_equal(x, np.zeros(3))
-    assert report.method.startswith("gmres[sparse_lu")
+    assert report.method.startswith("sparse_lu(")
     assert report.ordering.lower() in report.method
     assert report.wall_time >= 0.0
     assert report.iterations == 0      # the factor of a meets tol by itself
@@ -143,22 +143,57 @@ def _laplace_1d(n, diag=2.0):
                      [-1, 0, 1], format="csr")
 
 
+def _krylov(a, krylov, inner, factors=(), tol=sp.DEFAULT_TOL):
+    """A preconditioner for a that runs krylov (sp.gmres or sp.cg) itself,
+    preconditioned by inner, aiming at AIM * tol ||r||, with a log."""
+    def precond():
+        log = sp.KrylovLog()
+        return sp.Preconditioner(
+            f"{krylov.__name__}[near]",
+            lambda r: krylov(a.dot, inner, r, sp.AIM * tol * sp.norm(r), log),
+            factors, log)
+    return precond
+
+
 def test_gmres_with_kept_inexact_factor():
     # preconditioned by the factor of a nearby matrix, built before the call:
-    # GMRES iterates, records one residual per iteration, and the factor
-    # costs this solve no factor time
+    # the preconditioner's GMRES iterates, the report takes one residual per
+    # step from its log, and the factor costs this solve no factor time
+    _assert_krylov_around_kept_factor(sp.gmres)
+
+
+def test_cg_with_kept_inexact_factor():
+    # the same with CG: the Laplacian and its nearby factor are SPD
+    _assert_krylov_around_kept_factor(sp.cg)
+
+
+def _assert_krylov_around_kept_factor(krylov):
     a = _laplace_1d(60)
     b = np.random.default_rng(3).standard_normal(60)
     near = sp.Factor(_laplace_1d(60, diag=2.2))
-    x, report = solve(a, b, precond=lambda: sp.Preconditioner(
-        "near", near.solve, (near,)))
+    x, report = solve(a, b, precond=_krylov(a, krylov, near.solve, (near,)))
     assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
     assert report.rel_residual <= 1e-10
-    assert report.method == "gmres[near]"
+    assert report.method == f"{krylov.__name__}[near]"
     assert 2 <= report.iterations == len(report.residual_history) <= 40
     assert report.residual_history[-1] < 1e-3 * report.residual_history[0]
     assert report.factor_time == 0.0
     assert report.lu_nnz == near.nnz and report.fill == near.nnz / near.matrix_nnz
+    low, high = report.ritz
+    assert 0.0 < low <= high <= 1.0 + 1e-12      # near's A is larger than a's
+
+
+def test_kept_inexact_factor_without_krylov_log_fails():
+    # x = M b is all a solve does: a factor of another matrix misses tol,
+    # and no Krylov solve runs around it
+    a = _laplace_1d(60)
+    b = np.random.default_rng(3).standard_normal(60)
+    near = sp.Factor(_laplace_1d(60, diag=2.2))
+    with pytest.raises(SolverError, match="did not reach") as failure:
+        solve(a, b, precond=lambda: sp.Preconditioner("near", near.solve, (near,)))
+    want = np.linalg.norm(b - a @ near.solve(b)) / np.linalg.norm(b)
+    assert failure.value.residual == pytest.approx(want, rel=1e-12)
+    assert failure.value.residual > 1e-2
 
 
 def test_gmres_matches_dense_solve_across_restarts(monkeypatch):
@@ -204,6 +239,70 @@ def test_gmres_ritz_values_of_a_full_cycle_are_the_eigenvalues():
     sp.gmres(lambda v: diag * v, lambda r: r, np.ones(5), 1e-14, log)
     assert len(log.estimates) == 5
     assert np.allclose(log.ritz(), (1.0, 5.0), rtol=1e-12)
+
+
+def test_cg_with_jacobi_reaches_its_aim_one_estimate_per_step():
+    # a 1D Laplacian with a varying diagonal, preconditioned by its diagonal
+    n = 200
+    rng = np.random.default_rng(21)
+    a = _laplace_1d(n, 2.0) + sps.diags(rng.uniform(0.0, 1.0, n))
+    b = rng.standard_normal(n)
+    aim = 1e-12 * np.linalg.norm(b)
+    log = sp.KrylovLog()
+    x = sp.cg(a.dot, lambda r: r / a.diagonal(), b, aim, log)
+    assert 2 <= len(log.estimates) < n
+    assert log.estimates[-1] <= aim < min(log.estimates[:-1])
+    assert log.hessenberg.shape == (len(log.estimates),) * 2
+    # the estimates are the recurrence's residuals, which track the true one
+    assert np.linalg.norm(b - a @ x) <= 10 * aim
+    ref = sps.linalg.spsolve(a.tocsc(), b)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_cg_of_zero_right_hand_side_takes_no_step():
+    log = sp.KrylovLog()
+    x = sp.cg(lambda v: 2.0 * v, lambda r: r, np.zeros(5), 1e-14, log)
+    assert np.array_equal(x, np.zeros(5))
+    assert log.estimates == [] and log.ritz() == ()
+
+
+_INDEFINITE = np.array([1.0, 1.0, 1.0, -4.0])
+
+
+@pytest.mark.parametrize("op, precond, which", [
+    (lambda v: _INDEFINITE * v, lambda r: r, "operator"),
+    (lambda v: 2.0 * v, lambda r: -r, "preconditioner"),
+    (lambda v: 2.0 * v, lambda r: np.full_like(r, np.nan), "preconditioner"),
+], ids=["indefinite operator", "negative preconditioner", "nan preconditioner"])
+def test_cg_refuses_a_pair_that_is_not_positive_definite(op, precond, which):
+    # diag(1, 1, 1, -4) on a vector of ones gives p^T A p < 0 at the first
+    # step, and a preconditioner that negates gives r^T z < 0, one that
+    # returns NaN an r^T z that is not positive: no x is returned
+    with pytest.raises(SolverError, match=f"{which} is not positive definite"):
+        sp.cg(op, precond, np.ones(4), 1e-14, sp.KrylovLog())
+
+
+def test_cg_ritz_values_lie_within_the_extreme_eigenvalues():
+    # the Lanczos matrix of CG with a Jacobi preconditioner on an SPD matrix:
+    # its Ritz values lie between the extreme eigenvalues of D^-1 A, and
+    # close in on them as the solve converges
+    n = 30
+    rng = np.random.default_rng(22)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    dense = (q * np.geomspace(1.0, 100.0, n)) @ q.T
+    d = np.diag(dense)
+    eig = np.linalg.eigvalsh(dense / np.sqrt(np.outer(d, d)))
+    b = rng.standard_normal(n)
+    ritz = []
+    for aim in (1e-1, 1e-13):
+        log = sp.KrylovLog()
+        sp.cg(lambda v: dense @ v, lambda r: r / d, b, aim * np.linalg.norm(b), log)
+        low, high = log.ritz()
+        assert eig[0] * (1 - 1e-10) <= low <= high <= eig[-1] * (1 + 1e-10)
+        ritz.append((len(log.estimates), low, high))
+    (few, *_), (many, low, high) = ritz
+    assert few < many
+    assert np.allclose((low, high), (eig[0], eig[-1]), rtol=1e-8)
 
 
 def test_norm_keeps_finite_bits_and_survives_overflow():
@@ -370,9 +469,12 @@ def _counting(factor=None):
 
 @needs_openblas
 def test_solve_runs_on_one_blas_thread(two_blas_threads):
+    # every apply of the inner preconditioner of a Krylov solve that the
+    # preconditioner runs
     a = _laplace_1d(60)
-    seen, precond = _counting(sp.Factor(_laplace_1d(60, diag=2.2)))
-    solve(a, np.ones(60), precond=precond)
+    seen, counting = _counting(sp.Factor(_laplace_1d(60, diag=2.2)))
+    inner = counting()
+    solve(a, np.ones(60), precond=_krylov(a, sp.gmres, inner.apply, inner.factors))
     assert len(seen) >= 2 and set(seen) == {1}
     assert two_blas_threads() == 2
 
@@ -477,11 +579,9 @@ def test_solve_without_blas_thread_control(monkeypatch):
     a = _laplace_1d(60)
     b = np.random.default_rng(5).standard_normal(60)
     near = sp.Factor(_laplace_1d(60, diag=2.2))
-
-    def precond():
-        return sp.Preconditioner("near", near.solve, (near,))
-
+    precond = _krylov(a, sp.gmres, near.solve, (near,))
     x, report = solve(a, b, precond=precond)
+    assert report.iterations >= 2
     monkeypatch.setattr(sp, "_blas_thread_functions", lambda: None)
     x_none, report_none = solve(a, b, precond=precond)
     assert np.array_equal(x_none, x)

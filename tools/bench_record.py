@@ -14,7 +14,9 @@ and the change first in odd ones.  A run keeps perfbench's `env` and
 every output check passed.  Then each checkout reports, in a fresh process,
 the stored entries of K, B and the eliminated Stokes system, and the
 factor entries (`lu_nnz`) of A and Kp, on the structured meshes n = 32, 64
-and 128 and on the jittered mesh-pp meshes n = 96 and 128 of the seed.
+and 128 and on the jittered mesh-pp meshes n = 96 and 128 of the seed; on
+the jittered meshes also the Krylov steps of each velocity solve of PP
+alone (mesh-pp's case, no factor of A) and its report's Ritz values.
 Nothing outside the two checkouts is written; perfbench works under each
 checkout's `.bench_work/`.
 
@@ -47,7 +49,8 @@ import json, sys
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 import run as bench
-from epsstokes import Discretization, build_structured_mesh, load_mesh
+from epsstokes import (Discretization, ProblemInput, build_structured_mesh,
+                       drivers, get_case, load_mesh)
 
 def sizes(mesh):
     disc = Discretization(mesh)
@@ -56,12 +59,27 @@ def sizes(mesh):
             "A_lu_nnz": disc.velocity_factor.nnz,
             "Kp_lu_nnz": disc.pressure_factor.nnz}
 
+def pp_alone(mesh):
+    reports, real = [], drivers.solve
+    def recording(*args, **kwargs):
+        x, report = real(*args, **kwargs)
+        reports.append(report)
+        return x, report
+    case = get_case("ms1")
+    drivers.solve = recording
+    res = drivers.solve_pp(ProblemInput(mesh=mesh, body_force=case.body_force,
+                                        u_bc=case.u_bc(), p_bc=case.p_bc()))
+    drivers.solve = real
+    return {"PP_velocity_steps": [r.iterations for r in reports[1:]],
+            "PP_ritz": list(res.report.ritz)}
+
 work = Path(".bench_work/sizes")
 work.mkdir(parents=True, exist_ok=True)
 table = {f"structured n={n}": sizes(build_structured_mesh(n)) for n in (32, 64, 128)}
 for item in bench.make_inputs("mesh-pp", int(sys.argv[1]), work)["meshes"]:
     if item["n"] in (96, 128):
-        table[f"jittered n={item['n']}"] = sizes(load_mesh(item["path"]))
+        mesh = load_mesh(item["path"])
+        table[f"jittered n={item['n']}"] = {**sizes(mesh), **pp_alone(mesh)}
 print(json.dumps(table))
 """
 

@@ -143,15 +143,15 @@ def _laplace_1d(n, diag=2.0):
                      [-1, 0, 1], format="csr")
 
 
-def _krylov(a, krylov, inner, factors=(), tol=sp.DEFAULT_TOL):
+def _krylov(a, krylov, inner, factors):
     """A preconditioner for a that runs krylov (sp.gmres or sp.cg) itself,
-    preconditioned by inner, aiming at AIM * tol ||r||, with a log."""
+    preconditioned by inner, aiming at AIM * DEFAULT_TOL ||r||, with a log."""
     def precond():
         log = sp.KrylovLog()
+        aim = sp.AIM * sp.DEFAULT_TOL
         return sp.Preconditioner(
             f"{krylov.__name__}[near]",
-            lambda r: krylov(a.dot, inner, r, sp.AIM * tol * sp.norm(r), log),
-            factors, log)
+            lambda r: krylov(a.dot, inner, r, aim * sp.norm(r), log), factors, log)
     return precond
 
 

@@ -23,10 +23,14 @@ builds the P2 and P1 spaces and assembles their stiffness matrices: K, the
 Laplacian of one velocity component, and Kp.  On first use it builds the
 coupling B (S and ES only), the load vectors of each body force, each
 problem's system with its Dirichlet dofs eliminated, and the factors below.
-kron(K, I2) and the coupling G exist only while S or ES assemble their
-system; PP never forms them.  ES keeps ES(0) and its Kp part, and builds
-ES(eps) as their sum ES(0) + eps * Kp part, in new arrays.  A driver given a
-Discretization refuses one built on another mesh than its input's.
+S and ES are held as their blocks (sparse.SaddleSystem): the scalar K
+eliminated, which both share and apply to each velocity component, the
+eliminated G and D, and the P1 pressure block C.  No monolithic saddle
+matrix and no kron(K, I2) is built, except to write one out inside
+sparse.dump_matrices; PP forms neither G nor D.  ES keeps ES(0) and its Kp
+part, and builds ES(eps) by summing only its pressure block,
+C(eps) = ES(0)'s + eps * Kp part, and its lift, in new arrays.  A driver
+given a Discretization refuses one built on another mesh than its input's.
 
 Each system goes through sparse.solve with a preconditioner built from
 factors.  The Discretization makes each of two on first use and keeps it:
@@ -64,10 +68,11 @@ preconditioned by the factor of C + Mp with the fixed pressure dofs
 eliminated: eps*Kp + Mp for ES and Mp for Stokes, whose gauge row stays an
 identity row (Elman, Silvester & Wathen, Finite Elements and Fast
 Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).  One velocity solve
-then recovers u.  G, D, C and the factored block are all read off the
-solved matrix.  A Krylov step is one two-column A solve, one factor solve
-and three sparse products on vectors of pressure length: at n = 40, 1.7k
-entries where the whole system has 14.8k.
+then recovers u.  G, D and C are the solved system's own blocks.  A Krylov
+step is one two-column A solve, one factor solve and three sparse products
+on vectors of pressure length: at n = 40, 1.7k entries where the whole
+system has 14.8k.  sparse.solve checks x against the system block by
+block.
 
 For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
@@ -97,8 +102,9 @@ from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
 from .sparse import (AIM, DEFAULT_TOL, RESIDUAL_FLOOR, Factor, KrylovLog,
-                     Preconditioner, SolverReport, cg, dump_solved, dumping, gmres,
-                     norm, one_blas_thread, product_residual, release_free_heap, solve)
+                     Preconditioner, SaddleSystem, SolverReport, cg, dump_solved,
+                     gmres, interleaved, norm, one_blas_thread, placed,
+                     product_residual, release_free_heap, solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
@@ -157,12 +163,14 @@ class Eliminated(NamedTuple):
     """A linear system with its fixed dofs eliminated.
 
     matrix is the system with the rows and columns of the sorted dofs
-    `fixed` zeroed and 1 on their diagonal (ES's Kp part, which is added to
-    such a system, has 0 there); lift holds the system's columns at those
-    dofs, which carry the fixed values to the right-hand side.
+    `fixed` zeroed and 1 on their diagonal: a CSR matrix, or for S and ES a
+    SaddleSystem whose blocks are so eliminated (ES's Kp part, which is
+    added to ES(0)'s pressure block, has 0 there); lift holds the system's
+    columns at those dofs, which carry the fixed values to the right-hand
+    side.
     """
 
-    matrix: sps.csr_matrix
+    matrix: sps.csr_matrix | SaddleSystem
     lift: sps.csr_matrix
     fixed: np.ndarray
 
@@ -170,6 +178,25 @@ class Eliminated(NamedTuple):
 def _eliminated(system: sps.csr_matrix, fixed: np.ndarray) -> Eliminated:
     system.sum_duplicates()               # canonical: sorted, no duplicates
     return Eliminated(fem.eliminate(system, fixed), system[:, fixed], fixed)
+
+
+def _frozen(matrix: sps.csr_matrix) -> sps.csr_matrix:
+    """matrix, its arrays made read-only: a cached block that systems share."""
+    for arr in (matrix.indptr, matrix.indices, matrix.data):
+        arr.setflags(write=False)
+    return matrix
+
+
+@np.errstate(over="ignore")
+def _at_eps(parts: tuple[Eliminated, Eliminated], eps: float) -> Eliminated:
+    """ES(eps) from ES(0) and its Kp part: ES(0)'s blocks with the pressure
+    block ES(0)'s + eps * Kp part, and the lift likewise.  The parts store
+    disjoint entries, so each sum is exact, and it is in new arrays; A, G
+    and D are ES(0)'s own, read-only.  An eps whose scaling overflows leaves
+    inf entries, which solve refuses."""
+    base, kp = parts
+    return Eliminated(base.matrix._replace(pressure=base.matrix.pressure + eps * kp.matrix),
+                      base.lift + eps * kp.lift, base.fixed.copy())
 
 
 class Discretization:
@@ -183,12 +210,16 @@ class Discretization:
     spaces and the factors A and Kp are built on first use and live as
     long as the Discretization.  PP
     alone builds no factor of A: it is in vars() once S, ES or the 1/eps
-    series has used it, and solve_pp uses it then.  The interleaved velocity
-    block kron(K, I2) and the coupling G are formed only while S or ES
-    builds its system, and are not kept.  ES keeps two eliminated parts,
-    ES(0) and its Kp part, which store disjoint entries: coupled_system(eps)
-    is ES(0) + eps * Kp part, each sum exact and in new arrays, so nothing
-    done to a returned system reaches the cache.
+    series has used it, and solve_pp uses it then.
+
+    S and ES are SaddleSystems: their velocity block is velocity_system's
+    matrix, the scalar K eliminated, which both share; G is assembled while
+    each builds its system and only its eliminated block is kept.  ES keeps
+    two parts, ES(0) and its Kp part, which store disjoint entries:
+    coupled_system(eps) sums only the P1 pressure block and the lift,
+    ES(0)'s + eps * Kp part's, each sum exact and in new arrays.  The blocks
+    it shares with ES(0) are read-only, so nothing done to a returned
+    system reaches the cache.
     """
 
     @one_blas_thread()
@@ -251,17 +282,27 @@ class Discretization:
     def stokes_system(self) -> Eliminated:
         """ES at eps = 0: [[K, G], [D, 0]] with the velocity boundary and the
         gauge dof fixed."""
-        return self._saddle_system(None, np.array([GAUGE_DOF]))
+        return self._saddle_system(np.array([GAUGE_DOF]))
 
-    def _saddle_system(self, block, fixed_p: np.ndarray) -> Eliminated:
-        """[[K, G], [B, block]] (None: a zero block) with the velocity
-        boundary and the pressure dofs fixed_p fixed; G is not kept."""
-        return _eliminated(
-            sps.bmat([[fem.vector_block(self.stiff_u),
-                       fem.assemble_grad_coupling(self.vspace, self.pspace, div=self.div)],
-                      [self.div, block]], format="csr"),
-            np.concatenate([fem.vector_dofs(self.vspace.boundary_nodes),
-                            fixed_p + self.nu]))
+    def _saddle_system(self, fixed_p: np.ndarray) -> Eliminated:
+        """[[K, G], [D, 0]] with the velocity boundary and the pressure dofs
+        fixed_p fixed, as its blocks: velocity_system's matrix, G and D
+        masked by fem.masked, and 1 at fixed_p in the pressure block.  The
+        lift is the blocks' columns at the fixed dofs: velocity_system's
+        lift per component, then G's and D's.  Only the masked G is kept."""
+        vel, nu, n_p = self.velocity_system, self.nu, self.np_
+        fixed_u = fem.vector_dofs(vel.fixed)
+        n_fu = len(fixed_u)
+        grad = fem.assemble_grad_coupling(self.vspace, self.pspace, div=self.div)
+        blocks = (vel.matrix, fem.masked(grad, fixed_u, fixed_p),
+                  fem.masked(self.div, fixed_p, fixed_u),
+                  fem.eliminate(sps.csr_matrix((n_p, n_p)), fixed_p))
+        lift = placed(interleaved(vel.lift)
+                      + [(grad[:, fixed_p], np.arange(nu), n_fu + np.arange(len(fixed_p))),
+                         (self.div[:, fixed_u], nu + np.arange(n_p), np.arange(n_fu))],
+                      (nu + n_p, n_fu + len(fixed_p)))
+        return Eliminated(SaddleSystem(*map(_frozen, blocks)), lift,
+                          np.concatenate([fixed_u, fixed_p + nu]))
 
     @cached_property
     def pressure_system(self) -> Eliminated:
@@ -274,25 +315,24 @@ class Discretization:
         solved once per velocity component."""
         return _eliminated(self.stiff_u, self.vspace.boundary_nodes)
 
-    @np.errstate(over="ignore")
     def coupled_system(self, eps: float) -> Eliminated:
-        """[[K, G], [D, eps*Kp]] with both boundaries fixed: ES(0) plus eps
-        times its Kp part, in new arrays.  The two parts store disjoint
-        entries, so each sum is exact.  An eps whose scaling overflows
-        leaves inf entries, which solve refuses."""
-        base, kp = self._coupled_parts
-        return Eliminated(base.matrix + eps * kp.matrix, base.lift + eps * kp.lift,
-                          base.fixed.copy())
+        """[[K, G], [D, eps*Kp]] with both boundaries fixed: ES(0)'s blocks
+        with the pressure block and the lift summed (_at_eps)."""
+        return _at_eps(self._coupled_parts, eps)
 
     @cached_property
     def _coupled_parts(self) -> tuple[Eliminated, Eliminated]:
-        """ES(0), and ES's Kp part: block_diag(0, Kp) with ES's fixed rows and
-        columns zeroed (no unit diagonal), its columns there as the lift."""
-        base = self._saddle_system(None, self.pspace.boundary_nodes)
-        kp = sps.block_diag([sps.csr_matrix((self.nu, self.nu)), self.stiff_p], format="csr")
-        part = _eliminated(kp, base.fixed)
-        unit = fem.eliminate(sps.csr_matrix(kp.shape), base.fixed)   # 1 on the fixed diagonal
-        return base, part._replace(matrix=part.matrix - unit)
+        """ES(0), and ES's Kp part: Kp with the pressure boundary's rows and
+        columns removed (no unit diagonal), the part of ES's pressure block,
+        and as its lift Kp's columns there, in the pressure rows of a lift
+        shaped like ES(0)'s."""
+        pbnd = self.pspace.boundary_nodes
+        base = self._saddle_system(pbnd)
+        n_fu = len(base.fixed) - len(pbnd)
+        lift = placed([(self.stiff_p[:, pbnd], self.nu + np.arange(self.np_),
+                        n_fu + np.arange(len(pbnd)))], base.lift.shape)
+        return base, Eliminated(_frozen(fem.masked(self.stiff_p, pbnd, pbnd)), lift,
+                                base.fixed)
 
     def velocity_load(self, body_force) -> np.ndarray:
         """Read-only (x, y) load rows of body_force against the P2 basis."""
@@ -345,8 +385,8 @@ def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
 
 def _schur_reduction(disc: Discretization, system: Eliminated,
                      name: str, tol: float) -> Preconditioner:
-    """Solve by reduction to the pressure Schur complement, read off the
-    solved matrix [[A, G], [D, C]].
+    """Solve by reduction to the pressure Schur complement, with the blocks
+    of the solved SaddleSystem [[A, G], [D, C]].
 
     apply(r) takes z = A^-1 r_u, then solves S p = r_p - D z for
     S = C - D A^-1 G by gmres, preconditioned by the factor of C + Mp with
@@ -356,7 +396,7 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     runs on pressure-length vectors only.
     """
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
-    grad, div, block = m[:nu, nu:], m[nu:, :nu], m[nu:, nu:]
+    grad, div, block = m.grad, m.div, m.pressure
     schur = Factor(fem.eliminate(block + disc.mass_p,
                                  system.fixed[system.fixed >= nu] - nu),
                    disc.pressure_order)
@@ -637,7 +677,7 @@ class EpsSweep:
         vel = disc.velocity_factor      # the terms apply A, so PP applies it too
         pp = pp or solve_pp(inp, disc, tol)
         nu, (base, kp) = disc.nu, disc._coupled_parts
-        grad, div = base.matrix[:nu, nu:], base.matrix[nu:, :nu]
+        grad, div = base.matrix.grad, base.matrix.div
         # The ES right-hand side is b0 + eps * b1: load and lift are affine in
         # eps, and its fixed rows hold the values at every eps, so b1's are 0.
         b0, b_unit = (_lifted(base.lift + e * kp.lift, base.fixed,
@@ -695,26 +735,23 @@ class EpsSweep:
         meets tol in the ES residual; else None.
 
         The residual is that of solve_es's system and right-hand side, bit
-        for bit, but no ES system is built, except one to dump inside
-        dump_matrices: ES(eps) has the velocity rows of ES(0), and only its
-        pressure rows are summed, as coupled_system sums them.
+        for bit: ES(eps) is summed as coupled_system sums it, which costs
+        its P1 pressure block and its lift, and is dumped inside
+        dump_matrices.
         """
         if eps not in self.series:
             return None
         check = time.perf_counter()
         disc, (x, bounds) = self.disc, self.series[eps]
-        nu, (base, kp) = disc.nu, disc._coupled_parts
-        x[base.fixed] = self.values
-        ax = base.matrix @ x
-        with np.errstate(over="ignore"):        # an overflowing eps fails the check
-            ax[nu:] = (base.matrix[nu:] + eps * kp.matrix[nu:]) @ x
-            b = _lifted(base.lift + eps * kp.lift, base.fixed,
-                        _coupled_load(disc, self.inp, eps), self.values)
-        res = product_residual(ax, b)
+        system = _at_eps(disc._coupled_parts, eps)
+        x[system.fixed] = self.values
+        # an overflowing eps leaves b or the product not finite: it fails the check
+        b = _lifted(system.lift, system.fixed, _coupled_load(disc, self.inp, eps),
+                    self.values)
+        res = product_residual(system.matrix @ x, b)
         if not res <= self.tol:
             return None
-        if dumping():
-            dump_solved(disc.coupled_system(eps).matrix)
+        dump_solved(system.matrix)
         return _coupled_result(disc, x, eps, SolverReport.from_factors(
             "series[Kp, A]", res, bounds,
             time.perf_counter() - check + (self.elapsed if first else 0.0),

@@ -419,12 +419,6 @@ def assemble_stiffness(space: Space) -> sps.csr_matrix:
     return _scatter(space.cells, local, (space.ndofs, space.ndofs))
 
 
-def vector_block(scalar: sps.csr_matrix) -> sps.csr_matrix:
-    """A scalar operator applied to each component of vector dofs laid out
-    as vector_dofs numbers them: kron(scalar, I2)."""
-    return sps.kron(scalar, sps.identity(2), format="csr")
-
-
 def assemble_mass(space: Space) -> sps.csr_matrix:
     """Mass matrix: entries integral of phi_i * phi_j.
 
@@ -615,15 +609,48 @@ def interpolate_boundary(space: Space, g):
     return nodes.copy(), np.broadcast_to(gv, shape).copy()
 
 
-def eliminate(a: sps.csr_matrix, bdofs) -> sps.csr_matrix:
+def masked(a: sps.spmatrix, rows, cols, unit=()) -> sps.csr_matrix:
+    """a without its stored entries in the rows `rows` or the columns
+    `cols`, and without stored zeros, plus 1 on the diagonal at the dofs
+    `unit`, which must be among both: canonical CSR, each kept value as it
+    is.  The one rule by which the drivers fix dofs, square or not.
+
+    The kept entries are copied in their order, and each unit row, empty
+    after the masking, takes its one entry: no sort, and no transient
+    larger than a few arrays of a's length.
+    """
+    a = a.tocsr()
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    keep_row, keep_col = np.ones(a.shape[0], bool), np.ones(a.shape[1], bool)
+    keep_row[rows] = False
+    keep_col[cols] = False
+    keep = keep_col[a.indices]
+    keep &= np.repeat(keep_row, np.diff(a.indptr))
+    keep &= a.data != 0.0
+    kept = np.zeros(len(keep) + 1, dtype=a.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    counts = kept[a.indptr[1:]] - kept[a.indptr[:-1]]
+    del kept
+    unit = np.asarray(unit, dtype=a.indices.dtype)
+    counts[unit] += 1
+    indptr = np.zeros(len(a.indptr), dtype=a.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    free = np.ones(indptr[-1], bool)
+    free[indptr[unit]] = False
+    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
+    data = np.empty(indptr[-1])
+    indices[free] = a.indices[keep]
+    data[free] = a.data[keep]
+    indices[indptr[unit]] = unit
+    data[indptr[unit]] = 1.0
+    return sps.csr_matrix((data, indices, indptr), shape=a.shape)
+
+
+def eliminate(a: sps.spmatrix, bdofs) -> sps.csr_matrix:
     """a with the rows and columns of bdofs zeroed and 1 on their diagonal."""
-    keep = np.ones(a.shape[0])
-    keep[bdofs] = 0.0
-    sel = sps.diags(keep)
-    mat = (sel @ a @ sel + sps.diags(1.0 - keep)).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return mat
+    return masked(a, bdofs, bdofs, unit=bdofs)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,11 @@ def load_mesh(path) -> Mesh:
     ``x y``; ``triangles M`` followed by M lines ``i j k``; ``boundary B``
     followed by B lines ``i j marker``.  Indices are 0-based.  Boundary
     edges are reoriented to run with the domain on their left.
+
+    Each section is read by np.loadtxt.  A section it refuses, or reads in
+    another shape, is parsed line by line (str.split, then np.array), which
+    reads every line loadtxt reads to the same values, also reads what only
+    float() and int() accept (such as 1_000), and names the first bad line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -253,6 +258,13 @@ def load_mesh(path) -> Mesh:
             raise MeshFormatError(f"line {lineno(pos - 1)}: bad count {parts[1]!r}")
         first = pos
         body = take(count)
+        if count:           # loadtxt warns on no lines
+            try:
+                rows = np.loadtxt(body, dtype=dtype, ndmin=2, comments=None)
+                if rows.shape == (count, width):
+                    return rows
+            except (ValueError, OverflowError):
+                pass        # the line parse below reads it or names the bad line
         fields = list(map(str.split, body))
         if set(map(len, fields)) <= {width}:
             try:

@@ -30,6 +30,15 @@ jittered n = 96 mesh and 25% more at n = 128 than the cell graph does.
 With the cell graph, A's factor holds 1.75M entries at n = 96, against
 5.45M under the FE labels.
 
+A system is a CSR matrix, or a SaddleSystem: the saddle-point matrix
+[[kron(A, I2), G], [D, C]] of Stokes and ES, held as its four blocks, the
+scalar A applied to each velocity component.  solve takes it as an
+operator: it checks each block for non-finite entries, and its residual
+product runs block by block.  The one CSR matrix is assembled only to be
+written inside dump_matrices, by placed, which puts each block's entries at
+their rows and columns; no monolithic matrix and no kron(A, I2) is built
+otherwise.
+
 Without a preconditioner, solve factors the matrix itself.  The drivers pass
 preconditioners built from the factors that one Discretization keeps for
 its mesh, so a sweep factors the shared blocks once.  For Stokes and ES the
@@ -334,6 +343,85 @@ class KrylovLog:
         return float(re.min()), float(re.max())
 
 
+def interleaved(block: sps.csr_matrix) -> list:
+    """The parts of placed that put kron(block, I2): component c of row
+    node i and column node j at (2i + c, 2j + c), the layout of
+    fem.vector_dofs."""
+    r, c = 2 * np.arange(block.shape[0]), 2 * np.arange(block.shape[1])
+    return [(block, r, c), (block, r + 1, c + 1)]
+
+
+def placed(parts, shape) -> sps.csr_matrix:
+    """The canonical CSR matrix of the given shape whose entries are those
+    stored in the blocks of parts, a list of (block, rows, cols): entry
+    (i, j) of block goes to (rows[i], cols[j]).  The places must not
+    overlap; each value is copied as it is."""
+    coos = [(block.tocoo(), rows, cols) for block, rows, cols in parts]
+    return sps.csr_matrix(
+        (np.concatenate([m.data for m, _, _ in coos]),
+         (np.concatenate([rows[m.row] for m, rows, _ in coos]),
+          np.concatenate([cols[m.col] for m, _, cols in coos]))), shape=shape)
+
+
+class SaddleSystem(NamedTuple):
+    """The saddle-point matrix [[kron(A, I2), G], [D, C]], held as its blocks.
+
+    velocity is the scalar A, applied to the x and the y dofs alike
+    (fem.vector_dofs); grad is G, div is D and pressure the P1 block C.
+    system @ x multiplies block by block, each block's rows summed in its
+    own stored order and the two blocks of a row then added.  assembled()
+    is the one CSR matrix, canonical, built only to write it out (see
+    dump_solved).  nnz counts the blocks' stored entries, A once, and
+    indptr, indices and data lay the blocks' CSR arrays end to end, so a
+    caller that sizes or fingerprints a solved matrix by those arrays reads
+    what the system stores.
+    """
+
+    velocity: sps.csr_matrix
+    grad: sps.csr_matrix
+    div: sps.csr_matrix
+    pressure: sps.csr_matrix
+
+    @property
+    def shape(self) -> tuple:
+        n = self.grad.shape[0] + self.pressure.shape[0]
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return sum(m.nnz for m in self)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return np.concatenate([m.indptr for m in self])
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.concatenate([m.indices for m in self])
+
+    @property
+    def data(self) -> np.ndarray:
+        return np.concatenate([m.data for m in self])
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        nu = self.grad.shape[0]
+        u, p = x[:nu], x[nu:]
+        out = np.empty(len(x))
+        out[:nu] = (self.velocity @ u.reshape(-1, 2)).ravel()
+        out[:nu] += self.grad @ p
+        out[nu:] = self.div @ u
+        out[nu:] += self.pressure @ p
+        return out
+
+    def assembled(self) -> sps.csr_matrix:
+        nu = self.grad.shape[0]
+        u, p = np.arange(nu), nu + np.arange(self.pressure.shape[0])
+        return placed(interleaved(self.velocity)
+                      + [(self.grad, u, p), (self.div, p, u), (self.pressure, p, p)],
+                      self.shape)
+
+
 class Preconditioner(NamedTuple):
     """apply(r) approximates A^-1 r using the given factors; an apply that
     runs gmres or cg itself, a Krylov solve in its own right, records its
@@ -499,47 +587,48 @@ def cg(op: Callable, precond: Callable, b: np.ndarray, aim: float,
     return x
 
 
-def dumping() -> bool:
-    """Whether a dump_matrices block with a prefix is active."""
-    return _DUMP_SINK.get() is not None
-
-
-def dump_solved(a: sps.csr_matrix) -> None:
-    """Write a as the next solved system of the active dump_matrices block,
-    if there is one.  solve calls it; so does a solver that checks its own
-    solution against a."""
+def dump_solved(a) -> None:
+    """Write a, a CSR matrix or a SaddleSystem assembled, as the next solved
+    system of the active dump_matrices block, if there is one.  solve calls
+    it; so does a solver that checks its own solution against a."""
     sink = _DUMP_SINK.get()
     if sink is not None:
         prefix, counter = sink
+        if isinstance(a, SaddleSystem):
+            a = a.assembled()
         dump_matrix_market(a, f"{prefix}{next(counter):03d}.mtx")
 
 
 @one_blas_thread()
-def solve(a: sps.csr_matrix, b: np.ndarray, tol: float = DEFAULT_TOL,
+def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL,
           precond: Callable[[], Preconditioner] = None):
     """Solve A x = b to a relative residual of at most tol.
 
-    precond builds the preconditioner M; it is called once inside this
-    solve, so factors it creates count in the report's factor_time.  By
-    default the matrix is factored itself.  x = M b, and the report takes
-    its method from M's name and its steps and Ritz values from M's log, if
-    M runs a Krylov solve.  Raises SolverError if the matrix or b has a
-    non-finite entry, if a factorization or M's Krylov solve fails, or if
-    ||b - A x|| <= tol ||b|| does not hold.  The factorization and M run
-    with numpy's BLAS on one thread; the previous count is restored on
-    return or raise.
+    a is a CSR matrix or a SaddleSystem, which is applied block by block
+    and needs precond.  precond builds the preconditioner M; it is called
+    once inside this solve, so factors it creates count in the report's
+    factor_time.  By default the matrix is factored itself.  x = M b, and
+    the report takes its method from M's name and its steps and Ritz values
+    from M's log, if M runs a Krylov solve.  Raises SolverError if a block
+    of the matrix or b has a non-finite entry, if a factorization or M's
+    Krylov solve fails, or if ||b - A x|| <= tol ||b|| does not hold.  The
+    factorization and M run with numpy's BLAS on one thread; the previous
+    count is restored on return or raise.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
     if not tol >= TOL_FLOOR:
         raise ValueError(f"tolerance must be >= the floor {TOL_FLOOR:g}, got {tol}")
+    blocks = tuple(a) if isinstance(a, SaddleSystem) else (a,)
+    if precond is None and isinstance(a, SaddleSystem):
+        raise ValueError("a SaddleSystem is solved with a preconditioner")
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: matrix {a.shape}, rhs {b.shape}")
     bnorm = max(norm(b), RESIDUAL_FLOOR)
     if not np.isfinite(bnorm):
         raise SolverError("right-hand side is not finite")
-    if not np.all(np.isfinite(a.data)):
+    if not all(np.all(np.isfinite(m.data)) for m in blocks):
         raise SolverError("matrix is not finite")
 
     dump_solved(a)

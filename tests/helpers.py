@@ -250,14 +250,42 @@ def apply_dirichlet(a, b, bdofs, bvals):
     lift[bdofs] = bvals
     rhs -= a @ lift
     rhs[bdofs] = bvals
-    return fem.eliminate(a, bdofs), rhs
+    return eliminate_by_products(a, bdofs), rhs
+
+
+def eliminate_by_products(a, bdofs):
+    """a with the rows and columns of bdofs zeroed and 1 on their diagonal,
+    by the two diagonal products sel @ a @ sel that fem.eliminate's masking
+    rule replaced: the reference for it."""
+    return masked_by_products(a, bdofs, bdofs, unit=bdofs)
+
+
+def masked_by_products(a, rows, cols, unit=()):
+    """fem.masked by sparse products with 0/1 diagonals: a's entries in
+    rows or cols zeroed, stored zeros dropped, and 1 added on the diagonal
+    at unit."""
+    keep_row, keep_col = np.ones(a.shape[0]), np.ones(a.shape[1])
+    keep_row[rows] = 0.0
+    keep_col[cols] = 0.0
+    ones = np.zeros(min(a.shape))
+    ones[np.asarray(unit, dtype=np.int64)] = 1.0
+    mat = (sps.diags(keep_row) @ a @ sps.diags(keep_col)
+           + sps.diags(ones, shape=a.shape)).tocsr()
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
+
+
+def vector_block(scalar):
+    """kron(scalar, I2): a scalar operator on each component of the
+    interleaved vector dofs (fem.vector_dofs)."""
+    return sps.kron(scalar, sps.identity(2), format="csr")
 
 
 def vector_stiffness(disc):
     """kron(K, I2) on disc's interleaved velocity dofs, assembled afresh:
     a Discretization keeps only the scalar K."""
-    return sps.kron(fem.assemble_stiffness(disc.vspace), sps.identity(2),
-                    format="csr")
+    return vector_block(fem.assemble_stiffness(disc.vspace))
 
 
 def velocity_load(disc, body_force):

@@ -18,10 +18,11 @@ from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     seminorm_h1, get_case)
-from helpers import (affine_jittered_mesh, apply_dirichlet, grad_coupling_direct,
-                     linear_x_minus_half, loaded_parallelogram_mesh, monolithic_reference,
+from helpers import (affine_jittered_mesh, apply_dirichlet, eliminate_by_products,
+                     grad_coupling_direct, linear_x_minus_half,
+                     loaded_parallelogram_mesh, monolithic_reference,
                      reference_system, stokes_lagrange_reference, unit_x,
-                     zero_scalar, zero_vec)
+                     vector_block, zero_scalar, zero_vec)
 
 DRIVERS = {"S": solve_stokes, "PP": solve_pp, "ES": solve_es}
 FACTORS = ("velocity_factor", "pressure_factor")
@@ -381,8 +382,8 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     # the Schur factor is the solved pressure block C plus Mp with the fixed
     # pressure dofs eliminated: Mp with the gauge dof eliminated for Stokes,
     # eps*Kp + Mp for ES and Mp at eps = 0; the velocity is A^-1 (r_u - G p)
-    # with G the solved upper-right block, and the pressure meets the aim in
-    # the residual of the solved matrix, whose lower blocks are D and C
+    # with G the solved system's own block, and the pressure meets the aim
+    # in the residual of the solved system, whose lower blocks are D and C
     factored = []
 
     class Recorded(sparse.Factor):
@@ -396,10 +397,10 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     monkeypatch.setattr(drivers, "Factor", Recorded)
     if problem == "S":
         system = disc.stokes_system
-        want = fem.eliminate(mp, [drivers.GAUGE_DOF])
+        want = eliminate_by_products(mp, [drivers.GAUGE_DOF])
     else:
         system = disc.coupled_system(eps)
-        want = fem.eliminate(eps * disc.stiff_p + mp if eps else mp, pbnd)
+        want = eliminate_by_products(eps * disc.stiff_p + mp if eps else mp, pbnd)
     tol = sparse.DEFAULT_TOL
     pre = drivers._schur_reduction(disc, system, problem, tol)
     (schur_matrix,) = factored
@@ -409,11 +410,12 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     r = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
     x = pre.apply(r)
     p = x[nu:]
-    u = vel.solve((r[:nu] - system.matrix[:nu, nu:] @ p).reshape(-1, 2)).ravel()
+    u = vel.solve((r[:nu] - system.matrix.grad @ p).reshape(-1, 2)).ravel()
     assert np.array_equal(x[:nu], u)
     aim = sparse.AIM * tol * np.linalg.norm(r)
     assert 1 <= len(pre.log.estimates) and pre.log.estimates[-1] <= aim
     assert np.linalg.norm(r - system.matrix @ x) <= 10 * aim
+    assert np.linalg.norm(r - system.matrix.assembled() @ x) <= 10 * aim
 
 
 @pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
@@ -421,72 +423,107 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
 def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
     # Stokes is ES's saddle form at eps = 0, [[K, G], [D, 0]]: the form
     # [[K, -B^T], [-B, 0]], eliminated, with its free pressure rows negated,
-    # since G and -B^T differ only in the velocity-boundary rows both fix
+    # since G and -B^T differ only in the velocity-boundary rows both fix.
+    # Its blocks are the scalar K eliminated, shared with PP's velocity
+    # system, the eliminated G and D, and the gauge's unit pressure block
     disc = Discretization(mesh)
     system = disc.stokes_system
-    transpose_form = fem.eliminate(
-        sps.bmat([[fem.vector_block(disc.stiff_u), -disc.div.T], [-disc.div, None]],
+    transpose_form = eliminate_by_products(
+        sps.bmat([[vector_block(disc.stiff_u), -disc.div.T], [-disc.div, None]],
                  format="csr"), system.fixed)
     sign = np.ones(transpose_form.shape[0])
     sign[disc.nu:] = -1.0
     sign[disc.nu + drivers.GAUGE_DOF] = 1.0            # the gauge's unit row
     want = (sps.diags(sign) @ transpose_form).tocsr()
     want.sort_indices()
+    got = system.matrix.assembled()
+    assert got.has_canonical_format
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(system.matrix, name), getattr(want, name)), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert system.matrix.velocity is disc.velocity_system.matrix
+    pressure = system.matrix.pressure.tocoo()
+    assert pressure.row.tolist() == pressure.col.tolist() == [drivers.GAUGE_DOF]
+    assert pressure.data.tolist() == [1.0]
+    assert system.matrix.nnz == got.nnz - disc.velocity_system.matrix.nnz
 
 
 @pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
                          ids=["structured", "jittered"])
 def test_coupled_system_is_es0_plus_eps_times_its_kp_part(mesh):
-    # ES(0) and the Kp part store disjoint entries and no explicit zero, and
-    # the Kp part has nothing in a fixed row or column, so each sum is exact
+    # ES(0)'s pressure block and the Kp part store disjoint entries and no
+    # explicit zero, and the Kp part has nothing in a fixed row or column, so
+    # each sum is exact; ES(eps) is ES(0)'s blocks with only the pressure
+    # block and the lift summed, and assembled it is the whole sum
     disc = Discretization(mesh)
     base, kp = disc._coupled_parts
     nu = disc.nu
+    fixed_p = base.fixed[base.fixed >= nu] - nu
     assert np.array_equal(kp.fixed, base.fixed)
-    for part in (base.matrix, base.lift, kp.matrix, kp.lift):
+    for part in (*base.matrix, base.lift, kp.matrix, kp.lift):
         assert part.has_canonical_format and part.data.all()
+    assert kp.matrix.shape == (disc.np_, disc.np_)
     rows, cols = kp.matrix.nonzero()
-    assert rows.min() >= nu and cols.min() >= nu
-    assert not np.isin(rows, base.fixed).any() and not np.isin(cols, base.fixed).any()
+    assert not np.isin(rows, fixed_p).any() and not np.isin(cols, fixed_p).any()
     assert kp.lift.nonzero()[0].min() >= nu
-    for a, b in ((base.matrix, kp.matrix), (base.lift, kp.lift)):
+    for a, b in ((base.matrix.pressure, kp.matrix), (base.lift, kp.lift)):
         assert (abs(a).multiply(abs(b))).nnz == 0
-    block = base.matrix[nu:, nu:].tocoo()        # ES(0): only the fixed unit rows
+    block = base.matrix.pressure.tocoo()          # ES(0): only the fixed unit rows
     assert np.array_equal(block.row, block.col) and (block.data == 1.0).all()
-    assert np.isin(block.row + nu, base.fixed).all()
+    assert np.array_equal(block.row, fixed_p)
+    whole_kp = sps.block_diag([sps.csr_matrix((nu, nu)), kp.matrix], format="csr")
+    for eps in (0.0, 1e-6, 0.37, 1e6):
+        system = disc.coupled_system(eps)
+        for got, want in zip(system.matrix, base.matrix._replace(
+                pressure=base.matrix.pressure + eps * kp.matrix)):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        want = base.matrix.assembled() + eps * whole_kp
+        got = system.matrix.assembled()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (eps, name)
     zero = disc.coupled_system(0.0)
-    for a, b in ((zero.matrix, base.matrix), (zero.lift, base.lift)):
+    for a, b in ((zero.matrix.pressure, base.matrix.pressure), (zero.lift, base.lift)):
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_returned_coupled_system_leaves_the_cache_unchanged():
-    # a returned system owns its arrays: editing one in place, as scipy's
-    # own eliminate_zeros does, reaches neither the cache nor a later system
+    # a returned system owns its pressure block, lift and fixed dofs: editing
+    # one in place, as scipy's own eliminate_zeros does, reaches neither the
+    # cache nor a later system.  Its A, G and D are ES(0)'s own blocks, kept
+    # read-only, so no edit reaches the cache through them either
     disc = Discretization(build_structured_mesh(8))
     want = disc.coupled_system(1.0)
     zero = disc.coupled_system(0.0)
-    zero.matrix.eliminate_zeros()
-    zero.matrix.data[:] = 0.0
+    zero.matrix.pressure.eliminate_zeros()
+    zero.matrix.pressure.data[:] = 0.0
     zero.lift.data[:] = 0.0
     zero.fixed[:] = 0
+    for block in zero.matrix[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            block.data[:] = 0.0
+        with pytest.raises(ValueError):
+            block.eliminate_zeros()
     got = disc.coupled_system(1.0)
-    for a, b in ((got.matrix, want.matrix), (got.lift, want.lift)):
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(got.fixed, want.fixed)
-    assert disc.coupled_system(0.0).matrix.data.all()     # no explicit zero
+    for a, b in zip(_arrays(got), _arrays(want)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.matrix.assembled().toarray(),
+                          want.matrix.assembled().toarray())
+    assert disc.coupled_system(0.0).matrix.pressure.data.all()     # no explicit zero
+    base = disc._coupled_parts[0].matrix
+    assert all(a is b for a, b in zip(got.matrix[:3], base[:3]))
     cached = [a for part in disc._coupled_parts for a in _arrays(part)]
     for eps in (0.0, 1.0):
-        for a in _arrays(disc.coupled_system(eps)):
+        system = disc.coupled_system(eps)
+        for a in _arrays(system._replace(matrix=system.matrix.pressure)):
             assert not any(np.shares_memory(a, c) for c in cached)
 
 
 def _arrays(system):
-    """Every array of an Eliminated."""
-    return [getattr(m, name) for m in system[:2]
+    """Every array of an Eliminated: of each block of a SaddleSystem."""
+    matrices = (*system.matrix, system.lift) if isinstance(
+        system.matrix, sparse.SaddleSystem) else system[:2]
+    return [getattr(m, name) for m in matrices
             for name in ("indptr", "indices", "data")] + [system.fixed]
 
 
@@ -602,6 +639,8 @@ def test_solved_systems_match_reference_elimination(problem, eps, tmp_path,
         refs = _reference_solves(problem, inp, disc, res.p.coefficients)
         assert len(seen) == len(refs) == (3 if problem == "PP" else 1)
         for (mat, rhs), (ref, ref_rhs) in zip(seen, refs):
+            if problem != "PP":           # S and ES are solved as their blocks
+                mat = mat.assembled()
             assert mat.shape == ref.shape
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(mat, name), getattr(ref, name)), name
@@ -795,16 +834,10 @@ def test_discretization_builds_one_space_per_field(monkeypatch):
 
 def test_sweep_factors_velocity_block_once(monkeypatch):
     sizes = _count_factorizations(monkeypatch)
-    assembled = []
-    real_bmat = sps.bmat
-
-    def counting_bmat(*args, **kwargs):
-        assembled.append(args)
-        return real_bmat(*args, **kwargs)
-
-    monkeypatch.setattr(sps, "bmat", counting_bmat)
+    # S and ES stay blocks: no monolithic matrix and no kron(K, I2)
+    assembled = _count_calls(monkeypatch, sps, ["bmat", "kron", "block_diag"])
     table, reports = run_sweep_eps(RunConfig(case="ms1-mismatch", n=8))
-    assert len(assembled) <= 2            # one Stokes, one ES system
+    assert assembled == []
     n_velocity = 17 * 17                  # scalar P2 nodes at n = 8
     assert len(table.rows) == 13 and len(reports) == 15
     assert sizes.count(n_velocity) == 1
@@ -917,14 +950,33 @@ def test_pp_builds_no_vector_block(monkeypatch):
     solve_pp(_inp(mesh, case), disc)
     assert kron == [] and couplings == []
     assert disc.velocity_factor.lu.shape[0] == disc.nu // 2
-    # S and ES each form kron(K, I2) once, to build their system
+    # S and ES apply the scalar K to each component: no kron(K, I2) either
     solve_stokes(_inp(mesh, case), disc)
     for eps in (1e-3, 1e3):
         solve_es(_inp(mesh, case, eps=eps), disc)
-    assert len(kron) == 2
+    assert kron == []
     # B once per mesh, G once per saddle system built
     assert couplings == ["assemble_div_coupling", "assemble_grad_coupling",
                          "assemble_grad_coupling"]
+
+
+def test_package_builds_no_monolithic_matrix():
+    # S and ES stay blocks in every code path, verify's battery included: no
+    # module of the package calls scipy.sparse's bmat, kron, block_diag or
+    # stacks, and a dump assembles by sparse.placed
+    import ast
+    from pathlib import Path
+    import epsstokes
+    banned = {"bmat", "kron", "block_diag", "hstack", "vstack"}
+    found = []
+    for path in Path(epsstokes.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append((path.name, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.ImportFrom) and "sparse" in (node.module or ""):
+                found += [(path.name, node.lineno, a.name) for a in node.names
+                          if a.name in banned]
+    assert [f for f in found if not f[2].startswith("np.")] == []
 
 
 def test_loads_assembled_once_per_body_force(monkeypatch):
@@ -1075,11 +1127,11 @@ def test_series_term_ratio_is_the_spectral_radius(n):
     from scipy.linalg import eigvals
     mesh = build_structured_mesh(n)
     disc = Discretization(mesh)
-    base, kp = disc._coupled_parts
-    free_p = np.zeros(base.matrix.shape[0], dtype=bool)
+    system = disc.coupled_system(1.0)
+    free_p = np.zeros(system.matrix.shape[0], dtype=bool)
     free_p[disc.nu:] = True
-    free_p[base.fixed] = False
-    dense = (base.matrix + kp.matrix).toarray()             # ES(1)
+    free_p[system.fixed] = False
+    dense = system.matrix.assembled().toarray()             # ES(1)
     split = np.zeros_like(dense)
     split[np.ix_(free_p, np.arange(disc.nu))] = dense[free_p, :disc.nu]
     lam = np.abs(eigvals(split, dense - split))
@@ -1113,19 +1165,29 @@ def test_series_term_budget_sends_slow_eps_to_gmres(monkeypatch):
     assert fast.report.method == SERIES and fast.report.iterations == 2
 
 
-def test_series_residual_is_the_es_residual():
+def test_series_residual_is_the_es_residual(monkeypatch):
     # the reported residual is ||b - ES(eps) x|| / ||b|| of the returned
-    # fields, with the ES system and right-hand side eliminated independently
+    # fields, bit for bit that of the block system and right-hand side that
+    # solve_es hands to sparse.solve.  Against the ES system and right-hand
+    # side eliminated independently, as one CSR matrix, it agrees to
+    # round-off only, as that product sums each row's blocks in one pass:
+    # 7.0539e-15 where the blocks give 7.0545e-15 at eps = 0.1, and at most
+    # 3.4e-17 apart at these eps
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
+    seen = _record_solves(monkeypatch)
     for res in solve_es_sweep(_inp(mesh, case), (0.1, 3.0, 1e4), disc):
         assert res.report.method == SERIES
-        mat, rhs = apply_dirichlet(*reference_system(
-            "ES", _inp(mesh, case, eps=res.epsilon), disc))
         x = np.concatenate([res.u.coefficients.ravel(), res.p.coefficients])
-        want = np.linalg.norm(rhs - mat @ x) / np.linalg.norm(rhs)
-        assert res.report.rel_residual == want
+        seen.clear()
+        solve_es(_inp(mesh, case, eps=res.epsilon), disc)
+        ((system, rhs),) = seen
+        assert res.report.rel_residual == sparse.rel_residual(system, x, rhs)
+        mat, ref_rhs = apply_dirichlet(*reference_system(
+            "ES", _inp(mesh, case, eps=res.epsilon), disc))
+        want = np.linalg.norm(ref_rhs - mat @ x) / np.linalg.norm(ref_rhs)
+        assert abs(res.report.rel_residual - want) <= 1e-16
         bounds = res.report.residual_history
         assert bounds[-1] <= 1e-4 * sparse.DEFAULT_TOL < bounds[-2]
 

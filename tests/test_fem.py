@@ -13,10 +13,11 @@ from epsstokes.fem import (Field, Space, assemble_div_coupling,
                            assemble_field_grad_load, assemble_grad_coupling,
                            assemble_grad_load, assemble_load,
                            assemble_stiffness, interpolate_boundary,
-                           triangle_rule_d5, vector_block, vector_dofs)
+                           triangle_rule_d5, vector_dofs)
 from epsstokes.mesh import Mesh, build_structured_mesh
 from epsstokes.verification import gauss_formula_residual
-from helpers import apply_dirichlet, loaded_parallelogram_mesh, ref_triangle_mesh
+from helpers import (apply_dirichlet, loaded_parallelogram_mesh, masked_by_products,
+                     ref_triangle_mesh, vector_block)
 
 # local P1 stiffness on the reference triangle, by symbolic integration
 P1_STIFFNESS = np.array([[1.0, -0.5, -0.5],
@@ -439,6 +440,39 @@ def test_apply_dirichlet_three_point_laplace():
     assert x[0] == 0.0 and x[2] == 1.0
     # symmetric elimination keeps the matrix symmetric
     assert np.abs(a2.toarray() - a2.toarray().T).max() == 0.0
+
+
+def _same_csr(got, want):
+    assert got.shape == want.shape and got.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("mesh", [build_structured_mesh(6), helpers.affine_jittered_mesh(5, 2)],
+                         ids=["structured", "jittered"])
+def test_masking_rule_matches_the_sparse_product_form(mesh):
+    # fem.masked keeps each value as it is and drops what the products with
+    # 0/1 diagonals zero, square or rectangular; eliminate adds the unit
+    # diagonal, as sel @ a @ sel + diags(1 - keep) did
+    p2, p1 = Space(mesh, degree=2), Space(mesh, degree=1)
+    k, div = assemble_stiffness(p2), assemble_div_coupling(p2, p1)
+    grad = assemble_grad_coupling(p2, p1, div=div)
+    fixed_u = vector_dofs(p2.boundary_nodes)
+    for fixed_p in ([0], p1.boundary_nodes):
+        _same_csr(fem.masked(grad, fixed_u, fixed_p),
+                  masked_by_products(grad, fixed_u, fixed_p))
+        _same_csr(fem.masked(div, fixed_p, fixed_u),
+                  masked_by_products(div, fixed_p, fixed_u))
+    _same_csr(fem.eliminate(k, p2.boundary_nodes),
+              masked_by_products(k, p2.boundary_nodes, p2.boundary_nodes,
+                                 unit=p2.boundary_nodes))
+    # stored zeros go, as eliminate_zeros dropped them
+    zeros = assemble_stiffness(p1)
+    zeros.data[::3] = 0.0
+    got = fem.eliminate(zeros, p1.boundary_nodes)
+    assert got.data.all()
+    _same_csr(got, masked_by_products(zeros, p1.boundary_nodes, p1.boundary_nodes,
+                                      unit=p1.boundary_nodes))
 
 
 def test_grad_coupling_forms_agree_on_interior_dofs():

@@ -13,8 +13,9 @@ from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError
 from epsstokes.verification import error_h1, get_case
-from helpers import (affine_jittered_mesh, export_vtk_loop,
-                     loaded_parallelogram_mesh, zero_field, zero_scalar, zero_vec)
+from helpers import (affine_jittered_mesh, apply_dirichlet, export_vtk_loop,
+                     loaded_parallelogram_mesh, reference_system, zero_field,
+                     zero_scalar, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +475,34 @@ def test_cli_sweep_dumps_one_system_per_solve(tmp_path):
         f"m_{k:03d}.mtx" for k in range(6)]
     disc = Discretization(build_structured_mesh(4))
     for name, eps in (("m_004.mtx", 1e-3), ("m_005.mtx", 1e6)):
-        want = disc.coupled_system(eps).matrix.toarray()
+        want = disc.coupled_system(eps).matrix.assembled().toarray()
         got = mmread(str(tmp_path / name)).toarray()
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), eps
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_dumped_saddle_systems_are_the_reference_elimination(n, tmp_path):
+    # the monolithic S and ES matrices exist only in dumps: each one written
+    # is the whole system, assembled with sps.bmat and eliminated by the
+    # sparse products, entry for entry, for the GMRES and the series eps
+    from scipy.io import mmread
+    prefix = str(tmp_path / "m_")
+    eps_list = (1e-3, 1.0, 1e6)
+    assert main(["sweep-eps", "--case", "ms1-mismatch", "--n", str(n), "--eps",
+                 ",".join(map(str, eps_list)), "--dump-matrix", prefix]) == 0
+    mesh = build_structured_mesh(n)
+    disc = Discretization(mesh)
+    case = get_case("ms1-mismatch")
+    stages = [("S", None)] + [("ES", eps) for eps in eps_list]
+    for k, (stage, eps) in zip((0, 4, 5, 6), stages):     # PP's three come second
+        inp = ProblemInput(mesh=mesh, body_force=case.body_force, u_bc=case.u_bc(),
+                           p_bc=case.p_bc(), epsilon=eps)
+        want, _ = apply_dirichlet(*reference_system(stage, inp, disc))
+        got = mmread(str(tmp_path / f"m_{k:03d}.mtx")).tocsr()
+        got.sort_indices()
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
 
 
 @pytest.mark.parametrize("out", ["nodir/x.out", ""])

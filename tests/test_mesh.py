@@ -278,6 +278,57 @@ def test_load_mesh_format_errors_name_the_line(tmp_path, text, line):
         load_mesh(path)
 
 
+def _parse_by_lines(lines, dtype):
+    """Each line split on whitespace and converted by np.array: the per-line
+    parse that load_mesh falls back to when np.loadtxt refuses a section."""
+    return np.array([tok for line in lines for tok in line.split()], dtype=dtype)
+
+
+# Characters that a section line of a mesh file may hold: digits, signs,
+# exponents, the words loadtxt and float() know, and separators of several
+# kinds (splitlines already split at line breaks, and lines are stripped).
+_TOKEN_PARTS = ["0", "1", "7", "9", "00", "12345678901234567890", ".", "-", "+",
+                "e", "E", "_", "nan", "NaN", "inf", "Infinity", "x", "#", ",", "j",
+                "\u0663", "\uff11", " ", "\t", "\xa0", "\u2003", "\u3000", "  "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.sampled_from(_TOKEN_PARTS), min_size=1, max_size=12),
+       dtype=st.sampled_from([float, np.int64]),
+       values=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=3))
+def test_loadtxt_accepts_only_what_the_line_parse_reads_alike(parts, dtype, values):
+    # load_mesh reads a section with np.loadtxt and falls back to the line
+    # parse where loadtxt refuses it; every line loadtxt does accept must
+    # read the same values there, bit for bit, and split into as many fields
+    lines = ["".join(parts).strip() or "0", " ".join(map(repr, values))]
+    for line in lines:
+        try:
+            got = np.loadtxt([line], dtype=dtype, ndmin=2, comments=None)
+        except (ValueError, OverflowError):
+            continue
+        want = _parse_by_lines([line], dtype)
+        assert got.shape == (1, len(line.split()))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.ravel(), want, equal_nan=True), line
+        assert np.array_equal(np.signbit(got.ravel()), np.signbit(want)), line
+
+
+def test_load_mesh_reads_sections_loadtxt_refuses_as_before(tmp_path):
+    # tokens that only float() and int() read still load, and a section
+    # loadtxt cannot read gives the same per-line error as before
+    path = tmp_path / "under.mesh"
+    path.write_text(_structured_n1_text())
+    want = load_mesh(path)
+    path.write_text(_structured_n1_text().replace("0.0 0.0", "0_0.0\u20030.0")
+                    .replace("0 1 3", "0 1 0_3"))
+    got = load_mesh(path)
+    for a, b in ((got.vertices, want.vertices), (got.triangles, want.triangles)):
+        assert np.array_equal(a, b)
+    path.write_text(_structured_n1_text().replace("0 3 2", "0 3 2.0"))
+    with pytest.raises(MeshFormatError, match="line 9: bad value in '0 3 2.0'"):
+        load_mesh(path)
+
+
 def test_load_mesh_bad_header(tmp_path):
     path = tmp_path / "hdr.mesh"
     path.write_text("mesh3d v7\n")

@@ -13,7 +13,7 @@ from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError, solve
 from epsstokes.verification import get_case
 from helpers import (apply_dirichlet, numpy_blas_threads, velocity_boundary,
-                     velocity_load, vector_stiffness)
+                     velocity_load, vector_block, vector_stiffness)
 
 
 def _random_pair(rng, shape=(5, 5), density=0.4):
@@ -55,6 +55,52 @@ def test_solve_matches_dense_lu_on_stokes_system():
     x_dense = np.linalg.solve(mat.toarray(), rhs)
     assert np.abs(x - x_dense).max() <= 1e-10
     assert report.rel_residual <= 1e-10
+
+
+def _saddle(seed=0, nv=5, n_p=3):
+    """A random SaddleSystem and its monolithic matrix, built by sps.bmat."""
+    rng = np.random.default_rng(seed)
+    blocks = [sps.random(r, c, density=0.5, format="csr", random_state=rng)
+              for r, c in ((nv, nv), (2 * nv, n_p), (n_p, 2 * nv), (n_p, n_p))]
+    blocks[0] = (blocks[0] + sps.identity(nv, format="csr") * nv).tocsr()
+    blocks[3] = (blocks[3] + sps.identity(n_p, format="csr")).tocsr()
+    whole = sps.bmat([[vector_block(blocks[0]), blocks[1]],
+                      [blocks[2], blocks[3]]], format="csr")
+    return sp.SaddleSystem(*blocks), whole
+
+
+def test_saddle_system_is_its_assembled_matrix():
+    # assembled() is the monolithic matrix, canonical, entry for entry; the
+    # blockwise product agrees with it to round-off, and nnz counts A once
+    system, whole = _saddle()
+    got = system.assembled()
+    whole.sort_indices()
+    assert got.has_canonical_format and got.shape == system.shape == whole.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(whole, name)), name
+    x = np.random.default_rng(1).standard_normal(whole.shape[0])
+    assert np.abs(system @ x - whole @ x).max() <= 1e-14 * np.abs(whole @ x).max()
+    assert system.nnz == len(system.data) == whole.nnz - system.velocity.nnz
+    assert len(system.indices) == system.nnz
+    assert len(system.indptr) == sum(m.shape[0] + 1 for m in system)
+
+
+def test_solve_takes_a_saddle_system_as_an_operator(tmp_path):
+    # the residual is checked block by block, a non-finite block is refused,
+    # the system needs a preconditioner, and a dump writes assembled()
+    system, whole = _saddle()
+    b = np.arange(1.0, whole.shape[0] + 1)
+    direct = sp.Factor(whole)
+    pre = lambda: sp.Preconditioner("whole", direct.solve, (direct,))
+    with sp.dump_matrices(str(tmp_path / "m_")):
+        x, report = solve(system, b, precond=pre)
+    assert report.rel_residual == sp.rel_residual(system, x, b) <= 1e-12
+    assert np.abs(mmread(str(tmp_path / "m_000.mtx")) - whole).max() == 0.0
+    with pytest.raises(ValueError, match="preconditioner"):
+        solve(system, b)
+    broken = system._replace(div=system.div * np.inf)
+    with pytest.raises(SolverError, match="not finite"):
+        solve(broken, b, precond=pre)
 
 
 def test_ops_against_dense_oracle():

@@ -12,11 +12,15 @@ once in each checkout, one process at a time: the base first in even pairs
 and the change first in odd ones.  A run keeps perfbench's `env` and
 `result` lines and its last line (`summary`), whose `correct` says whether
 every output check passed.  Then each checkout reports, in a fresh process,
-the stored entries of K, B and the eliminated Stokes system, and the
-factor entries (`lu_nnz`) of A and Kp, on the structured meshes n = 32, 64
-and 128 and on the jittered mesh-pp meshes n = 96 and 128 of the seed; on
-the jittered meshes also the Krylov steps of each velocity solve of PP
-alone (mesh-pp's case, no factor of A) and its report's Ritz values.
+the stored entries of K, B and the eliminated Stokes system (`nnz` of the
+matrix S solves: of its blocks where it is a SaddleSystem), and the factor
+entries (`lu_nnz`) of A, of Kp and of the two kinds of Schur
+preconditioner, Mp with the gauge dof eliminated (S) and eps*Kp + Mp at
+eps = 1e-6 with the pressure boundary eliminated (ES), on the structured
+meshes n = 32, 64 and 128 and on the jittered mesh-pp meshes n = 96 and 128
+of the seed; on the jittered meshes also the Krylov steps of each velocity
+solve of PP alone (mesh-pp's case, no factor of A) and its report's Ritz
+values.
 Nothing outside the two checkouts is written; perfbench works under each
 checkout's `.bench_work/`.
 
@@ -50,14 +54,20 @@ from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 import run as bench
 from epsstokes import (Discretization, ProblemInput, build_structured_mesh,
-                       drivers, get_case, load_mesh)
+                       drivers, fem, get_case, load_mesh)
+from epsstokes.sparse import Factor
 
 def sizes(mesh):
     disc = Discretization(mesh)
+    mp, order = disc.mass_p, disc.pressure_order
+    schur = {"Mp_gauge_lu_nnz": fem.eliminate(mp, [drivers.GAUGE_DOF]),
+             "epsKp_Mp_lu_nnz": fem.eliminate(1e-6 * disc.stiff_p + mp,
+                                              disc.pspace.boundary_nodes)}
     return {"K": disc.stiff_u.nnz, "B": disc.div.nnz,
             "S": disc.stokes_system.matrix.nnz,
             "A_lu_nnz": disc.velocity_factor.nnz,
-            "Kp_lu_nnz": disc.pressure_factor.nnz}
+            "Kp_lu_nnz": disc.pressure_factor.nnz,
+            **{key: Factor(a, order).nnz for key, a in schur.items()}}
 
 def pp_alone(mesh):
     reports, real = [], drivers.solve

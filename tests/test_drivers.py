@@ -971,12 +971,13 @@ def test_package_builds_no_monolithic_matrix():
     found = []
     for path in Path(epsstokes.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in banned:
+            if (isinstance(node, ast.Attribute) and node.attr in banned
+                    and ast.unparse(node.value) != "np"):      # np.hstack is fine
                 found.append((path.name, node.lineno, ast.unparse(node)))
             elif isinstance(node, ast.ImportFrom) and "sparse" in (node.module or ""):
                 found += [(path.name, node.lineno, a.name) for a in node.names
                           if a.name in banned]
-    assert [f for f in found if not f[2].startswith("np.")] == []
+    assert found == []
 
 
 def test_loads_assembled_once_per_body_force(monkeypatch):

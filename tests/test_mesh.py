@@ -269,6 +269,8 @@ def test_load_mesh_parse_error_carries_line_number(tmp_path):
     ("mesh2d v1\nvertices 1\n0 0\ntriangles 1\n0 0 99999999999999999999\n",
      "line 5: bad value"),
     ("\nmesh2d v1\n\nvertices 2\n0 0\n\n1 2 3\n", "line 7: expected 2 fields"),
+    # every line one field too many: a shape np.loadtxt reads without error
+    ("mesh2d v1\nvertices 2\n0 0 0\n1 1 1\n", "line 3: expected 2 fields"),
 ])
 def test_load_mesh_format_errors_name_the_line(tmp_path, text, line):
     # blank lines count toward the line number

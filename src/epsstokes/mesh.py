@@ -258,13 +258,9 @@ def load_mesh(path) -> Mesh:
             raise MeshFormatError(f"line {lineno(pos - 1)}: bad count {parts[1]!r}")
         first = pos
         body = take(count)
-        if count:           # loadtxt warns on no lines
-            try:
-                rows = np.loadtxt(body, dtype=dtype, ndmin=2, comments=None)
-                if rows.shape == (count, width):
-                    return rows
-            except (ValueError, OverflowError):
-                pass        # the line parse below reads it or names the bad line
+        rows = _loadtxt_rows(body, dtype, width)
+        if rows is not None:
+            return rows
         fields = list(map(str.split, body))
         if set(map(len, fields)) <= {width}:
             try:
@@ -313,6 +309,34 @@ def load_mesh(path) -> Mesh:
     vars(mesh).update(edges=table, boundary_edge_ids=ids)   # as cached values
     validate_mesh(mesh)
     return mesh
+
+
+# Characters of a number that int() refuses and numpy's float parser reads:
+# a point, an exponent, inf and nan.
+_FLOAT_MARKS = ".eEiInN"
+
+
+def _loadtxt_rows(body: list, dtype, width: int):
+    """The (len(body), width) rows of a section's lines by np.loadtxt, or
+    None where loadtxt refuses them or reads another shape; load_mesh then
+    parses the lines one by one.
+
+    No lines give None, as loadtxt warns on them.  So does an integer
+    section holding a character of a float: older numpy versions read 2.0
+    as the integer 2, with a DeprecationWarning, where int() refuses it
+    (numpy 2.4 refuses it too).
+    """
+    if not body:
+        return None
+    if np.issubdtype(dtype, np.integer):
+        text = "\n".join(body)
+        if any(mark in text for mark in _FLOAT_MARKS):
+            return None
+    try:
+        rows = np.loadtxt(body, dtype=dtype, ndmin=2, comments=None)
+    except (ValueError, OverflowError):
+        return None
+    return rows if rows.shape == (len(body), width) else None
 
 
 def validate_mesh(mesh: Mesh) -> None:

@@ -304,12 +304,12 @@ def test_loadtxt_accepts_only_what_the_line_parse_reads_alike(parts, dtype, valu
     # read the same values there, bit for bit, and split into as many fields
     lines = ["".join(parts).strip() or "0", " ".join(map(repr, values))]
     for line in lines:
-        try:
-            got = np.loadtxt([line], dtype=dtype, ndmin=2, comments=None)
-        except (ValueError, OverflowError):
+        width = len(line.split())
+        got = mesh_module._loadtxt_rows([line], dtype, width)
+        if got is None:
             continue
         want = _parse_by_lines([line], dtype)
-        assert got.shape == (1, len(line.split()))
+        assert got.shape == (1, width)
         assert got.dtype == want.dtype
         assert np.array_equal(got.ravel(), want, equal_nan=True), line
         assert np.array_equal(np.signbit(got.ravel()), np.signbit(want)), line

@@ -62,8 +62,11 @@ where Kp and A held 6.39M.
 Stokes is ES at eps = 0: both are [[A, G], [D, C]], C = eps*Kp, with the
 velocity boundary and the pressure boundary or, for Stokes, the gauge dof
 fixed.  Since A is an exact factor, eliminating the velocity leaves the
-Schur complement S = C - D A^-1 G on the pressure alone (Benzi, Golub &
-Liesen, Acta Numerica 2005, section 5).  sparse.gmres solves it,
+Schur complement S = C - D A^-1 G on the pressure alone.  On the eliminated
+blocks D = -G^T exactly and A and C are symmetric positive definite, the
+fixed pressure dofs as unit rows, so S = C + G^T A^-1 G is too, at every
+eps.  sparse.cg solves it (Uzawa-type CG: Verfuerth, IMA J. Numer. Anal. 4,
+1984; Benzi, Golub & Liesen, Acta Numerica 2005, section 5),
 preconditioned by the factor of C + Mp with the fixed pressure dofs
 eliminated: eps*Kp + Mp for ES and Mp for Stokes, whose gauge row stays an
 identity row (Elman, Silvester & Wathen, Finite Elements and Fast
@@ -103,7 +106,7 @@ from .fem import Field, Space
 from .mesh import Mesh
 from .sparse import (AIM, DEFAULT_TOL, RESIDUAL_FLOOR, Factor, KrylovLog,
                      Preconditioner, SaddleSystem, SolverReport, cg, dump_solved,
-                     gmres, interleaved, norm, one_blas_thread, placed,
+                     interleaved, norm, one_blas_thread, placed,
                      product_residual, release_free_heap, solve)
 
 COMPATIBILITY_TOL = 1e-8
@@ -115,10 +118,10 @@ SERIES_TERMS = 16      # most terms of the 1/eps series one sweep computes
 # eigenvalue of D^-1 A is below 2: 1.53 on structured meshes, 1.59-1.63 on
 # jittered ones, 1.82-1.90 on sheared ones (shear 0.9 to 4) and 1.66-1.68 at
 # aspect ratios 0.1 and 0.02.  A PP alone took 17 CG steps per component on
-# structured meshes n = 8 to 128 and 19 to 22 on jittered ones.  Measured with
-# GMRES, where the weight was chosen: 0.65 and 0.75 took up to 2 steps more
-# per PP, 0.8 up to 8 more, and undamped Jacobi missed the tolerance at
-# n = 32.
+# structured meshes n = 8 to 128 and 19 to 22 on jittered ones.  When the
+# weight was chosen, with restarted GMRES in place of CG, 0.65 and 0.75 took
+# up to 2 steps more per PP, 0.8 up to 8 more, and undamped Jacobi missed
+# the tolerance at n = 32.
 JACOBI_WEIGHT = 0.7
 
 
@@ -388,12 +391,12 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     """Solve by reduction to the pressure Schur complement, with the blocks
     of the solved SaddleSystem [[A, G], [D, C]].
 
-    apply(r) takes z = A^-1 r_u, then solves S p = r_p - D z for
-    S = C - D A^-1 G by gmres, preconditioned by the factor of C + Mp with
-    the fixed pressure dofs eliminated (Mp for Stokes, eps*Kp + Mp for ES),
-    aiming at AIM * tol ||r||, and returns [A^-1 (r_u - G p), p].  Its
-    residual is that of the pressure solve, so x = M b meets tol, and GMRES
-    runs on pressure-length vectors only.
+    apply(r) takes z = A^-1 r_u, then solves S p = r_p - D z for the
+    symmetric positive definite S = C - D A^-1 G by cg, preconditioned by
+    the factor of C + Mp with the fixed pressure dofs eliminated (Mp for
+    Stokes, eps*Kp + Mp for ES), aiming at AIM * tol ||r||, and returns
+    [A^-1 (r_u - G p), p].  Its residual is that of the pressure solve, so
+    x = M b meets tol, and CG runs on pressure-length vectors only.
     """
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
     grad, div, block = m.grad, m.div, m.pressure
@@ -408,10 +411,10 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     def apply(r):
         r_u = r[:nu]
         z = _solve_velocity(vel, r_u)
-        p = gmres(schur_op, schur.solve, r[nu:] - div @ z, AIM * tol * norm(r), log)
+        p = cg(schur_op, schur.solve, r[nu:] - div @ z, AIM * tol * norm(r), log)
         return np.concatenate([_solve_velocity(vel, r_u - grad @ p), p])
 
-    return Preconditioner(f"gmres[schur(A, {name})]", apply, (vel, schur), log)
+    return Preconditioner(f"cg[schur(A, {name})]", apply, (vel, schur), log)
 
 
 def _two_level(disc: Discretization, tol: float) -> Callable[[], Preconditioner]:

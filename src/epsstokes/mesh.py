@@ -162,10 +162,18 @@ class Mesh:
     @cached_property
     def geometry(self):
         """Affine map of each triangle from the reference triangle:
-        (jac, inv, det) of shapes (M,2,2), (M,2,2), (M,)."""
+        (jac, inv, det) of shapes (M,2,2), (M,2,2), (M,).  Raises
+        MeshTopologyError for a cell whose det is not positive and finite,
+        which no quadrature or inverse map can use."""
         p = self.vertices[self.triangles]
         jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        bad = ~(np.isfinite(det) & (det > 0.0))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise MeshTopologyError(
+                f"triangle {k} has affine map determinant {det[k]:.3e} "
+                "(collapsed, clockwise or not finite)")
         inv = np.empty_like(jac)
         inv[:, 0, 0] = jac[:, 1, 1]
         inv[:, 0, 1] = -jac[:, 0, 1]

@@ -4,15 +4,10 @@ Every system takes one path, solve: x = M b with a preconditioner M, and
 the true relative residual ||b - A x|| / ||b|| checked against the
 tolerance.  A preconditioner is a factor of the matrix itself, or it runs a
 Krylov solve of its own, aiming below the tolerance, and keeps that solve's
-steps in a KrylovLog.  The Krylov methods are this module's own.  gmres is
-restarted GMRES, preconditioned on the right, so its residual estimates are
-estimates of the true residual, with the Arnoldi vectors orthogonalized by
-classical Gram-Schmidt run twice (CGS2; Giraud, Langou & Rozloznik, 2005),
-two matrix-vector products with the basis per pass where modified
-Gram-Schmidt loops over its vectors in Python.  cg is the preconditioned
-conjugate gradient method (Hestenes & Stiefel, 1952) for a symmetric
-positive definite operator and preconditioner: five vectors and no
-orthogonalization.  A factor is SuperLU of the
+steps in a KrylovLog.  The one Krylov method is this module's own: cg,
+the preconditioned conjugate gradient method (Hestenes & Stiefel, 1952)
+for a symmetric positive definite operator and preconditioner, which keeps
+five vectors and no orthogonalization.  A factor is SuperLU of the
 row-equilibrated matrix in symmetric mode: a minimum-degree ordering of the
 pattern of A + A^T (multiple minimum degree; Liu, ACM TOMS 1985), applied
 to rows and columns alike, with diagonal pivots preferred.
@@ -42,9 +37,10 @@ otherwise.
 Without a preconditioner, solve factors the matrix itself.  The drivers pass
 preconditioners built from the factors that one Discretization keeps for
 its mesh, so a sweep factors the shared blocks once.  For Stokes and ES the
-preconditioner runs gmres on the pressure Schur complement; for a PP
-velocity component on a Discretization without A's factor it runs cg,
-preconditioned by a two-level cycle on the factor of Kp (see drivers).  A
+preconditioner runs cg on the pressure Schur complement, which is
+symmetric positive definite since D = -G^T; for a PP velocity component on
+a Discretization without A's factor it runs cg on A, preconditioned by a
+two-level cycle on the factor of Kp (see drivers).  A
 preconditioner that misses the tolerance fails the solve: no Krylov solve
 runs around another one, or around an inexact factor.
 
@@ -80,14 +76,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse as sps
-from scipy.linalg import solve_triangular
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 DEFAULT_TOL = 1e-10
 TOL_FLOOR = 1e-14      # the smallest tolerance solve accepts
 RESIDUAL_FLOOR = 1e-300
-_MAX_RESTARTS = 10   # GMRES cycles one gmres call runs at most
 ORDERING = "rcm+mmd_at_plus_a"     # the ordering a factor runs, as reported
 PERMC_SPEC = "MMD_AT_PLUS_A"        # SuperLU's part of it
 # The Krylov solves and the 1/eps series of drivers aim this far below the
@@ -96,8 +90,7 @@ PERMC_SPEC = "MMD_AT_PLUS_A"        # SuperLU's part of it
 # Verify's criterion 8 bounds its gradient-forcing deviation by 1e-9: aims of
 # 1e-1, 1e-2 and 1e-4 times tol left 1.7e-9, 2.2e-10 and 4.3e-13.
 AIM = 1e-4
-_RESTART = 80        # Krylov vectors per GMRES cycle; Stokes needs about 35
-_MAX_STEPS = _RESTART * _MAX_RESTARTS      # steps one cg call takes at most
+_MAX_STEPS = 800     # steps one cg call takes at most; Stokes needs about 35
 
 # (prefix, counter) of the active dump_matrices block, or None.
 _DUMP_SINK = contextvars.ContextVar("epsstokes_dump_sink", default=None)
@@ -204,13 +197,12 @@ class SolverReport:
     runs, if any.  iterations counts the steps of that Krylov solve and
     residual_history holds, per step, its estimate of the true residual norm
     over ||b||.  For Stokes and ES those are the steps of the pressure-space
-    GMRES inside M (see drivers), whose residual is the residual of the
-    whole system, and for a PP velocity component without A's factor the
-    steps of its CG; for a preconditioner that is a factor of the matrix
-    itself there are none, and iterations is 0.  ritz holds the smallest and
-    largest real part of the Ritz values of the Krylov solve, () without
-    steps: for GMRES the eigenvalues of the last cycle's Hessenberg matrix,
-    for CG those of its Lanczos tridiagonal matrix.  For Stokes the largest
+    CG inside M (see drivers), whose residual is the residual of the whole
+    system, and for a PP velocity component without A's factor the steps of
+    its CG on A; for a preconditioner that is a factor of the matrix itself
+    there are none, and iterations is 0.  ritz holds the smallest and
+    largest Ritz value of the Krylov solve, the eigenvalues of CG's Lanczos
+    tridiagonal matrix, () without steps.  For Stokes the largest
     tends to 1, and the smallest is the mode of the pinned gauge dof, which
     shrinks like h^2; for PP's two-level cycle they lie in (0, 1].  (A
     solution of the 1/eps series in drivers reports its terms and, per term,
@@ -325,22 +317,21 @@ def _structure_order(a: sps.csc_matrix) -> np.ndarray:
 
 @dataclass
 class KrylovLog:
-    """The Krylov steps run for one solve: the residual estimate after each
-    step, as a norm, and the matrix whose eigenvalues are the Ritz values,
-    in hessenberg: the Hessenberg matrix of GMRES's last cycle, unrotated,
-    or CG's Lanczos tridiagonal matrix."""
+    """The CG steps run for one solve: the residual norm after each step,
+    and lanczos, the symmetric Lanczos tridiagonal matrix of the steps,
+    whose eigenvalues are the Ritz values."""
 
     estimates: list = field(default_factory=list)
-    hessenberg: np.ndarray = None
+    lanczos: np.ndarray = None
 
     def ritz(self) -> tuple:
-        """The smallest and largest real part of the Ritz values; () before
-        any step, or if the matrix is not finite."""
-        h = self.hessenberg
-        if h is None or not np.all(np.isfinite(h)):
+        """The smallest and largest Ritz value; () before any step, or if
+        the matrix is not finite."""
+        t = self.lanczos
+        if t is None or not np.all(np.isfinite(t)):
             return ()
-        re = np.linalg.eigvals(h).real
-        return float(re.min()), float(re.max())
+        values = np.linalg.eigvalsh(t)
+        return float(values[0]), float(values[-1])
 
 
 def interleaved(block: sps.csr_matrix) -> list:
@@ -424,8 +415,8 @@ class SaddleSystem(NamedTuple):
 
 class Preconditioner(NamedTuple):
     """apply(r) approximates A^-1 r using the given factors; an apply that
-    runs gmres or cg itself, a Krylov solve in its own right, records its
-    steps in log.  name is the method a solve reports."""
+    runs cg itself, a Krylov solve in its own right, records its steps in
+    log.  name is the method a solve reports."""
 
     name: str
     apply: Callable
@@ -469,72 +460,6 @@ def product_residual(ax, b, bnorm=None) -> float:
     if not (np.isfinite(rnorm) and np.isfinite(bnorm)):
         return np.inf
     return rnorm / bnorm
-
-
-def gmres(op: Callable, precond: Callable, b: np.ndarray, aim: float,
-          log: KrylovLog) -> np.ndarray:
-    """x with op(x) = b by restarted GMRES, preconditioned on the right.
-
-    From x = 0, each cycle builds an Arnoldi basis of at most
-    _RESTART vectors for op(precond(.)), orthogonalized by CGS2, and stops
-    once its residual estimate, which right preconditioning makes an
-    estimate of ||b - op(x)||, is at most aim, or when the basis spans an
-    invariant subspace.  A cycle that ends above aim is restarted from the
-    explicit residual, for at most _MAX_RESTARTS cycles.  Each step's
-    estimate and each cycle's Hessenberg matrix go to log.
-    """
-    x, r = np.zeros_like(b), b
-    for _ in range(_MAX_RESTARTS):
-        dx, estimate = _gmres_cycle(op, precond, r, aim, log)
-        x += dx
-        if estimate <= aim:
-            break
-        r = b - op(x)
-    return x
-
-
-def _gmres_cycle(op, precond, r, aim, log):
-    """(dx, residual estimate) of one GMRES cycle for op(precond(y)) = r."""
-    beta = norm(r)
-    if not beta > aim:
-        return np.zeros_like(r), beta
-    basis = np.empty((_RESTART + 1, len(r)))
-    hess = np.zeros((_RESTART + 1, _RESTART))
-    tri = np.zeros((_RESTART, _RESTART))      # hess rotated to upper triangular
-    cs, sn = [], []
-    g = [beta]                                # beta e_1, rotated like hess
-    basis[0] = r / beta
-    k = 0
-    while k < _RESTART and abs(g[k]) > aim:
-        w = op(precond(basis[k]))
-        before = norm(w)
-        for _ in range(2):                    # classical Gram-Schmidt, twice
-            h = basis[:k + 1] @ w
-            w -= h @ basis[:k + 1]
-            hess[:k + 1, k] += h
-        hess[k + 1, k] = norm(w)
-        col = hess[:k + 2, k].tolist()
-        for i in range(k):
-            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                  cs[i] * col[i + 1] - sn[i] * col[i])
-        d = float(np.hypot(col[k], col[k + 1]))
-        c, s = (col[k] / d, col[k + 1] / d) if d else (1.0, 0.0)
-        cs.append(c)
-        sn.append(s)
-        col[k] = d
-        tri[:k + 1, k] = col[:k + 1]
-        g.append(-s * g[k])
-        g[k] *= c
-        log.estimates.append(abs(g[k + 1]))
-        k += 1
-        # w was in the basis's span up to the rounding CGS2 leaves, about
-        # 1e-16 of it: the span is invariant and x exact
-        if not hess[k, k - 1] > 1e-14 * before:
-            break
-        basis[k] = w / hess[k, k - 1]
-    log.hessenberg = hess[:k, :k].copy()
-    y = solve_triangular(tri[:k, :k], g[:k], check_finite=False)
-    return precond(y @ basis[:k]), abs(g[k])
 
 
 def cg(op: Callable, precond: Callable, b: np.ndarray, aim: float,
@@ -583,7 +508,7 @@ def cg(op: Callable, precond: Callable, b: np.ndarray, aim: float,
         diag.append(1.0 / alpha + shift)
         if estimate <= aim:
             break
-    log.hessenberg = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    log.lanczos = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return x
 
 

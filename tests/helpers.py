@@ -357,7 +357,7 @@ def reference_system(stage, inp, disc, p=None):
 def monolithic_reference(problem, inp, disc):
     """(u, p) coefficients of a driver's assembled system, solved by spsolve.
 
-    The reference for the preconditioned GMRES path in drivers: the same
+    The reference for the preconditioned Schur CG path in drivers: the same
     systems, Dirichlet elimination and Stokes gauge (first pressure dof
     pinned, then shifted to zero mean), each factored whole.  u has one
     (x, y) row per node, like the drivers' velocity.

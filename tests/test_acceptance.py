@@ -120,8 +120,8 @@ def test_criterion_8_structural_identities(acceptance_report):
 
 
 def test_criterion_8_gradient_forcing_has_headroom(acceptance_report):
-    # GMRES aims at sparse.AIM * tol, which keeps this deviation 10x inside
-    # its 1e-9 bound; an aim of 1e-2 * tol left 2.2e-10
+    # the Schur CG aims at sparse.AIM * tol, which keeps this deviation 10x
+    # inside its 1e-9 bound; an aim of 1e-2 * tol left 2.2e-10
     c = acceptance_report.criteria[7]
     assert c.details["gradient_forcing_deviation"] <= 1e-10
 

@@ -289,7 +289,7 @@ def test_stokes_pinned_gauge_matches_lagrange_multiplier(tmp_path):
 def test_factor_fill_at_n32():
     # the symmetric ordering keeps every factor near 5x its matrix (a
     # column-only ordering gives about 9x), and the block preconditioners keep
-    # GMRES short over the whole epsilon range
+    # the Schur CG short over the whole epsilon range
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(32)
     disc = Discretization(mesh)
@@ -326,7 +326,7 @@ def test_fill_is_lu_nnz_over_the_factored_matrices(monkeypatch):
             (es, (vel, made[2])),
             (next(iter(solve_es_sweep(_inp(mesh, case), [1e6], disc))).report,
              (kp, vel))]
-    assert es.method.startswith("gmres[") and runs[3][0].method == "series[Kp, A]"
+    assert es.method.startswith("cg[") and runs[3][0].method == "series[Kp, A]"
     for report, factors in runs:
         assert report.lu_nnz == sum(f.nnz for f in factors)
         assert report.matrix_nnz == sum(f.matrix_nnz for f in factors)
@@ -549,6 +549,36 @@ def test_drivers_match_monolithic_reference(problem, tmp_path):
                 assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), eps
 
 
+def test_schur_complements_of_s_and_es_are_symmetric(monkeypatch):
+    # CG on C - D A^-1 G is sound only for a symmetric operator: on the
+    # eliminated blocks D = -G^T exactly and C is symmetric, so the Schur
+    # operator the reduction hands to cg is symmetric up to A's round-off
+    ops = []
+    real = drivers.cg
+
+    def recording(op, *args):
+        ops.append(op)
+        return real(op, *args)
+
+    monkeypatch.setattr(drivers, "cg", recording)
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    solve_stokes(_inp(mesh, case), disc)
+    solve_es(_inp(mesh, case, eps=1e-3), disc)
+    systems = (disc.stokes_system, disc.coupled_system(1e-3))
+    assert len(ops) == len(systems)
+    rng = np.random.default_rng(8)
+    for system, op in zip(systems, ops):
+        m = system.matrix
+        assert abs(m.div + m.grad.T).max() == 0.0
+        assert abs(m.pressure - m.pressure.T).max() == 0.0
+        q1, q2 = rng.standard_normal((2, disc.np_))
+        s1, s2 = op(q1), op(q2)
+        scale = np.linalg.norm(q1) * np.linalg.norm(s2)
+        assert abs(q1 @ s2 - q2 @ s1) <= 1e-12 * scale
+
+
 def test_reports_carry_the_ritz_values_of_the_pressure_space_gmres():
     # S and ES are preconditioned Schur complements with real spectra in
     # (0, 1]; for ES at large eps their Ritz values close in on 1.  PP after
@@ -685,7 +715,7 @@ def test_pp_report_is_worst_of_its_three_solves(monkeypatch):
 
 def test_pp_after_stokes_applies_the_factor_of_a():
     # S has factored A, so each PP velocity solve is that factor's direct
-    # solve, bit for bit, with no GMRES step
+    # solve, bit for bit, with no CG step
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
@@ -842,10 +872,10 @@ def test_sweep_factors_velocity_block_once(monkeypatch):
     assert len(table.rows) == 13 and len(reports) == 15
     assert sizes.count(n_velocity) == 1
     # besides A: Mp for Stokes, Kp for PP and one eps*Kp + Mp per epsilon that
-    # GMRES solves, 1e-6 ... 1e-2; the 1/eps series solves 0.1 ... 1e6 on the
-    # factors A and Kp
+    # the Schur CG solves, 1e-6 ... 1e-2; the 1/eps series solves 0.1 ... 1e6
+    # on the factors A and Kp
     methods = [r.method for r in reports[2:]]
-    assert all(m.startswith("gmres") for m in methods[:5])
+    assert all(m.startswith("cg[") for m in methods[:5])
     assert methods[5:] == ["series[Kp, A]"] * 8
     assert sizes.count(9 * 9) == 7 and len(sizes) == 8
     assert reports[0].factor_time > 0.0   # Stokes builds A inside its solve
@@ -867,7 +897,7 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_cell_orders_are_computed_once_per_discretization(monkeypatch):
-    # the Schur factor of every S and GMRES-ES solve reuses the P1 labels
+    # the Schur factor of every S and Schur-CG ES solve reuses the P1 labels
     # that Kp's factor was ordered by, and A keeps the P2 labels
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(6)
@@ -911,7 +941,7 @@ def test_velocity_mass_is_built_for_the_first_row_only(monkeypatch):
 def test_sweep_builds_no_es_system_for_its_rhs_norms(monkeypatch):
     # every eps's ||b|| comes from two right-hand sides built once, and a
     # series sum is checked on ES(0) and its Kp part: an ES system is built
-    # only for a GMRES solve, at the 5 eps below the series' reach
+    # only for a Schur CG solve, at the 5 eps below the series' reach
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
@@ -1087,7 +1117,7 @@ def test_series_first_term_is_pp():
         assert _relative(got.coefficients, want.coefficients) <= 1e-14
 
 
-def test_series_falls_back_to_gmres_below_its_radius(monkeypatch):
+def test_series_falls_back_to_schur_cg_below_its_radius(monkeypatch):
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
@@ -1103,20 +1133,21 @@ def test_series_falls_back_to_gmres_below_its_radius(monkeypatch):
     assert 0.005 < sweep.term_ratio < 0.05
     small, large = sweep
     assert calls == [1e-3]                        # inp.epsilon is not read
-    assert small.report.method.startswith("gmres[") and small.epsilon == 1e-3
+    assert small.report.method.startswith("cg[") and small.epsilon == 1e-3
     assert small.report.rel_residual <= 1e-10
     assert large.report.method == SERIES and large.epsilon == 10.0
 
 
-def test_series_leaves_tiny_eps_to_gmres_without_overflow():
+def test_series_leaves_tiny_eps_to_schur_cg_without_overflow():
     # the series diverges below its term ratio; 1/eps^k would overflow at
-    # these eps, so they leave it before a term is added and GMRES solves them
+    # these eps, so they leave it before a term is added and the Schur CG
+    # solves them
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(4)
     results = list(solve_es_sweep(_inp(mesh, case), [1e-310, 1e-30, 1.0]))
     assert [r.epsilon for r in results] == [1e-310, 1e-30, 1.0]
     for res in results[:2]:
-        assert res.report.method.startswith("gmres[")
+        assert res.report.method.startswith("cg[")
         assert res.report.rel_residual <= sparse.DEFAULT_TOL
     assert results[2].report.method == SERIES
 
@@ -1154,15 +1185,15 @@ def test_series_solves_zero_data_with_term_ratio_0():
         assert not res.u.coefficients.any() and not res.p.coefficients.any()
 
 
-def test_series_term_budget_sends_slow_eps_to_gmres(monkeypatch):
+def test_series_term_budget_sends_slow_eps_to_schur_cg(monkeypatch):
     # eps = 0.1 needs about a dozen terms; with a budget of three it goes to
-    # GMRES, while eps = 1e6 still takes two
+    # the Schur CG, while eps = 1e6 still takes two
     monkeypatch.setattr(drivers, "SERIES_TERMS", 3)
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
     slow, fast = solve_es_sweep(_inp(mesh, case), [0.1, 1e6], disc)
-    assert slow.report.method.startswith("gmres[")
+    assert slow.report.method.startswith("cg[")
     assert fast.report.method == SERIES and fast.report.iterations == 2
 
 
@@ -1194,8 +1225,8 @@ def test_series_residual_is_the_es_residual(monkeypatch):
 
 
 def test_series_gap_to_pp_converges_monotonically():
-    # eps * |u_ES - u_PP|_H1 tends to its limit from below; a GMRES solve
-    # carries round-off of about 4e-6 relative at eps = 1e6, which dips it
+    # eps * |u_ES - u_PP|_H1 tends to its limit from below; a Schur CG solve
+    # carries round-off of about 4e-7 relative at eps = 1e6, which dips it
     table, reports = run_sweep_eps(RunConfig(case="ms1-mismatch", n=40,
                                              eps_list=(1e3, 1e4, 1e5, 1e6)))
     assert [r.method for r in reports[2:]] == [SERIES] * 4
@@ -1211,7 +1242,7 @@ def test_series_gap_to_pp_converges_monotonically():
 def test_series_term_count_and_iterations(n, eps_list, kp_solves, iterations):
     # the series makes one Kp solve per term after x_0, up to the term at
     # which its last eps left it; each eps reports its series terms or its
-    # GMRES iterations
+    # Schur CG iterations
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(n)
     disc = Discretization(mesh)

@@ -154,7 +154,7 @@ def test_sweep_stokes_row_integrates_the_velocity_l2_error_once(monkeypatch):
 
 
 def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
-    # the 1/eps series diverges at these eps, so GMRES solves both
+    # the 1/eps series diverges at these eps, so the Schur CG solves both
     out = tmp_path / "partial.csv"
     cfg = RunConfig(case="ms1", n=4, eps_list=(1e-3, 1e-2), out=str(out))
     import epsstokes.drivers as dr
@@ -336,7 +336,7 @@ def test_cli_solve_prints_the_ritz_values_of_s_and_es(tmp_path):
     for problem in ("S", "ES"):
         low, high = payload[problem]["ritz"]
         assert 0.0 < low <= high <= 1.0 + 1e-10
-    assert "ritz" not in payload["PP"]       # PP takes no GMRES step
+    assert "ritz" not in payload["PP"]       # PP takes no CG step
 
 
 def test_cli_sweep_h_json(tmp_path):
@@ -415,7 +415,7 @@ def test_cli_solve_all_problems(tmp_path):
         assert entry["lu_nnz"] > 0
         assert entry["fill"] >= 1.0
         assert entry["iterations"] >= 0
-    assert payload["S"]["iterations"] >= 1      # block-preconditioned GMRES
+    assert payload["S"]["iterations"] >= 1      # CG on the Schur complement
 
 
 def test_cli_solver_failure_exits_3(monkeypatch, capsys):
@@ -484,7 +484,7 @@ def test_cli_sweep_dumps_one_system_per_solve(tmp_path):
 def test_dumped_saddle_systems_are_the_reference_elimination(n, tmp_path):
     # the monolithic S and ES matrices exist only in dumps: each one written
     # is the whole system, assembled with sps.bmat and eliminated by the
-    # sparse products, entry for entry, for the GMRES and the series eps
+    # sparse products, entry for entry, for the Schur CG and the series eps
     from scipy.io import mmread
     prefix = str(tmp_path / "m_")
     eps_list = (1e-3, 1.0, 1e6)
@@ -617,7 +617,7 @@ def test_readme_library_example_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
-    assert "gmres[" in out and "series[Kp, A]" in out
+    assert "cg[" in out and "series[Kp, A]" in out
 
 
 def test_ci_floors_job_pins_the_declared_floors():

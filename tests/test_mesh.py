@@ -218,6 +218,18 @@ def test_load_mesh_clockwise_triangle(tmp_path):
         load_mesh(path)
 
 
+def test_collapsed_affine_map_raises_before_dividing_by_det():
+    # x -> [[0.5, 0.5], [0.5, 0.5]] x maps the square onto a line, so every
+    # cell's det is 0: the geometry, and so a Discretization, refuse the mesh
+    # instead of dividing by det (a RuntimeWarning, an error in the tests)
+    from epsstokes.drivers import Discretization
+    mesh = affine_jittered_mesh(2, 0, linear=((0.5, 0.5), (0.5, 0.5)))
+    with pytest.raises(MeshTopologyError, match="triangle 0 has affine map"):
+        mesh.geometry
+    with pytest.raises(MeshTopologyError, match="determinant"):
+        Discretization(mesh)
+
+
 def _three_triangle_strip(boundary_lines):
     # three CCW triangles on a 3x2 vertex strip; edge (1,3) is interior
     return "\n".join([

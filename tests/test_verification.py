@@ -195,9 +195,10 @@ def test_gap_forms_match_quadrature_structured():
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
-       linear=st.tuples(st.floats(0.5, 2.0), st.floats(-0.5, 0.5),
-                        st.floats(-0.5, 0.5), st.floats(0.5, 2.0)))
+       linear=st.tuples(st.floats(0.5, 2.0), st.floats(-0.4, 0.4),
+                        st.floats(-0.4, 0.4), st.floats(0.5, 2.0)))
 def test_gap_forms_match_quadrature_jittered(n, seed, linear):
+    # det = a11 a22 - a12 a21 >= 0.25 - 0.16: the map never collapses a cell
     a11, a12, a21, a22 = linear
     mesh = affine_jittered_mesh(n, seed, linear=((a11, a12), (a21, a22)),
                                 offset=(0.3, -1.7))

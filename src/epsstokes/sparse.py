@@ -47,7 +47,16 @@ runs around another one, or around an inexact factor.
 A solve runs numpy's BLAS on one thread.  Full-length Krylov vectors at
 n = 40 are past OpenBLAS's threading cut-off for dot products, and the
 woken second thread busy-waits: it doubled the CPU time and saved no wall
-time.  SuperLU calls scipy's own OpenBLAS, which is left as it is.
+time.  SuperLU calls scipy's own OpenBLAS, a separate library.  Its worker
+threads start when scipy is loaded and busy-wait before they sleep: 9
+ticks of CPU in the 0.5 s after scipy is imported into an idle process,
+60-80 ms of which fell inside perfbench's timed eps sweep.  Importing this
+module therefore stops them once, by that library's blas_thread_shutdown_;
+where SuperLU links no such symbol nothing is done.  OpenBLAS re-creates
+the pool when a call needs it, which SuperLU's calls here never do.
+scipy's thread count is never set: setting it to 1 leaves a spinning
+worker spinning, and after a stop it re-creates the pool, which spins
+again.
 
 Residual norms fail closed.  norm takes the plain 2-norm and rescales by the
 largest entry only where that overflows, so a finite norm keeps its bits; a
@@ -161,6 +170,31 @@ def one_blas_thread():
         yield
     finally:
         set_(previous)
+
+
+def _scipy_blas_shutdown():
+    """OpenBLAS's blas_thread_shutdown_ in the build SuperLU links, or None.
+
+    dlsym on scipy's SuperLU extension searches only the libraries it links,
+    so this finds scipy's own OpenBLAS and never numpy's.
+    """
+    try:
+        from scipy.sparse.linalg._dsolve import _superlu
+        shutdown = ctypes.CDLL(_superlu.__file__).blas_thread_shutdown_
+    except (ImportError, OSError, AttributeError):
+        return None
+    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    return shutdown
+
+
+def _stop_scipy_blas_pool():
+    """Stop scipy's OpenBLAS worker threads where its build can (see above)."""
+    shutdown = _scipy_blas_shutdown()
+    if shutdown is not None:
+        shutdown()
+
+
+_stop_scipy_blas_pool()
 
 
 @functools.cache

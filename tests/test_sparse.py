@@ -1,4 +1,10 @@
+import ctypes
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,6 +585,80 @@ def test_solve_without_blas_thread_control(monkeypatch):
     x_none, report_none = solve(a, b, precond=precond)
     assert np.array_equal(x_none, x)
     assert report_none.iterations == report.iterations
+
+
+# Run in a fresh interpreter: the thread counts of the process after numpy,
+# after scipy's SuperLU, after epsstokes and after an S/PP/ES sweep, and
+# scipy's dgemm against numpy's product once its pool is wanted again.
+_FRESH_THREADS = r"""
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+import numpy as np
+n0 = threads()
+import scipy.sparse.linalg
+n1 = threads()
+import epsstokes
+from epsstokes import harness, sparse
+n_import = threads()
+harness.run_sweep_eps(harness.RunConfig(case="ms1-mismatch", n=4,
+                                        eps_list=(1e-6, 1.0, 1e6)))
+n_sweep = threads()
+from scipy.linalg.blas import dgemm
+a = np.random.default_rng(0).standard_normal((600, 600))
+product = a @ a
+gemm_error = np.linalg.norm(dgemm(1.0, a, a) - product) / np.linalg.norm(product)
+print(json.dumps(dict(n0=n0, n1=n1, n_import=n_import, n_sweep=n_sweep,
+                      gemm_error=float(gemm_error),
+                      symbol=sparse._scipy_blas_shutdown() is not None)))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+def test_import_stops_scipy_blas_pool():
+    # scipy's OpenBLAS starts its worker threads when scipy is loaded, and
+    # they busy-wait before they sleep; importing epsstokes stops them, and
+    # nothing the package runs afterwards brings them back
+    src = str(Path(sp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FRESH_THREADS, src],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout.splitlines()[-1])
+    if counts["n1"] == counts["n0"]:
+        pytest.skip("scipy's BLAS started no thread pool")
+    if not counts["symbol"]:
+        pytest.skip("scipy's BLAS exports no blas_thread_shutdown_")
+    assert counts["n_import"] == counts["n0"]
+    assert counts["n_sweep"] <= counts["n0"]
+    assert counts["gemm_error"] <= 1e-12
+
+
+def test_solve_without_scipy_blas_shutdown(monkeypatch):
+    # MKL, Accelerate or an OpenBLAS without the symbol: the lookup finds
+    # nothing, the stop calls nothing, and solves are unchanged
+    from scipy.sparse.linalg._dsolve import _superlu
+    a = _laplace_1d(60)
+    b = np.random.default_rng(7).standard_normal(60)
+    x, _ = solve(a, b)
+    opened = []
+    with monkeypatch.context() as m:
+        m.setattr(ctypes, "CDLL", lambda path: opened.append(path) or object())
+        assert sp._scipy_blas_shutdown() is None
+    assert opened == [_superlu.__file__]
+    lookups = []
+
+    def lookup():
+        lookups.append(1)
+        return None
+
+    monkeypatch.setattr(sp, "_scipy_blas_shutdown", lookup)
+    sp._stop_scipy_blas_pool()       # calling the None it got would raise
+    assert lookups == [1]
+    x_none, _ = solve(a, b)
+    assert np.array_equal(x_none, x)
 
 
 def test_solve_releases_free_heap_before_and_after_factoring(monkeypatch):

@@ -259,11 +259,6 @@ class Discretization:
         return fem.assemble_mass(self.vspace)
 
     @cached_property
-    def velocity_order(self) -> np.ndarray:
-        """fem.cell_order of the P2 space: the labels of A's factor."""
-        return fem.cell_order(self.vspace)
-
-    @cached_property
     def pressure_order(self) -> np.ndarray:
         """fem.cell_order of the P1 space: the labels of the factors of Kp
         and of every Schur preconditioner."""
@@ -274,8 +269,9 @@ class Discretization:
         """A, the factor of K with the boundary nodes fixed, for x and y alike.
 
         S, ES and the 1/eps series build it.  PP applies it if it is built
-        and otherwise leaves it unbuilt: solve_pp checks vars() for it."""
-        return Factor(self.velocity_system.matrix, self.velocity_order)
+        and otherwise leaves it unbuilt: solve_pp checks vars() for it.  Its
+        perm is fem.cell_order of the P2 space."""
+        return Factor(self.velocity_system.matrix, fem.cell_order(self.vspace))
 
     @cached_property
     def pressure_factor(self) -> Factor:

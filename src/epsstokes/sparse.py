@@ -7,10 +7,14 @@ Krylov solve of its own, aiming below the tolerance, and keeps that solve's
 steps in a KrylovLog.  The one Krylov method is this module's own: cg,
 the preconditioned conjugate gradient method (Hestenes & Stiefel, 1952)
 for a symmetric positive definite operator and preconditioner, which keeps
-five vectors and no orthogonalization.  A factor is SuperLU of the
-row-equilibrated matrix in symmetric mode: a minimum-degree ordering of the
-pattern of A + A^T (multiple minimum degree; Liu, ACM TOMS 1985), applied
-to rows and columns alike, with diagonal pivots preferred.
+five vectors and no orthogonalization.  A factor is SuperLU of the matrix
+as given, in symmetric mode: a minimum-degree ordering of the pattern of
+A + A^T (multiple minimum degree; Liu, ACM TOMS 1985), applied to rows and
+columns alike, with diagonal pivots preferred.  Every matrix the drivers
+factor, A, Kp and the Schur preconditioner C + Mp, is symmetric positive
+definite, and such a matrix factored on its diagonal has no pivot growth
+for a scaling to bound (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 10), so none is applied.
 
 That ordering breaks ties by input label, so on the FE numbering its fill
 depended on luck: A's factor held 5.45M entries at n = 96 but 5.29M at
@@ -284,47 +288,43 @@ class SolverReport:
 
 
 class Factor:
-    """SuperLU factor of a square sparse matrix after row equilibration.
+    """SuperLU factor of a square sparse matrix, taken as given.
 
-    The equilibrated matrix is relabelled by perm, the order given or else
-    the reverse Cuthill-McKee order of its stored pattern, before SuperLU
-    orders it by minimum degree.  Each step is a plain scipy operation that
-    makes its own copy.  SuperLU factors one column at a time (panel_size
-    1): its default panels of several columns gave the same column order,
-    fill and solutions to 3e-15, but on a jittered n = 128 mesh they took
-    401-418 ms for A against 319-373 ms and raised the peak RSS of
-    factoring A by 12-21 MiB more, and of Kp by 5.5 MiB more.
-    A CSR matrix given with duplicate
-    entries has them summed in place (by scipy's abs).  solve(r) applies the
-    inverse of the matrix given to an (n,) or (n, k) array, gathering by
-    perm and back by its inverse iperm.  nnz is SuperLU's count of stored L
-    and U entries and matrix_nnz the stored entries of the matrix given, so
-    their ratio is the fill; factor_time is the wall time of the
-    factorization and finished the perf_counter reading at its end.
+    The matrix is relabelled by perm, the order given or else the reverse
+    Cuthill-McKee order of its stored pattern, before SuperLU orders it by
+    minimum degree.  A zero row is refused.  Each step is a plain scipy
+    operation that makes its own copy.  SuperLU factors one column at a
+    time (panel_size 1): its default panels of several columns gave the
+    same column order, fill and solutions to 3e-15, but on a jittered
+    n = 128 mesh they took 401-418 ms for A against 319-373 ms and raised
+    the peak RSS of factoring A by 12-21 MiB more, and of Kp by 5.5 MiB
+    more.  A CSR matrix given with duplicate entries has them summed in
+    place (by scipy's abs).  solve(r) applies the inverse of the matrix
+    given to an (n,) or (n, k) array, gathering by perm and back by its
+    inverse iperm.  nnz is SuperLU's count of stored L and U entries and
+    matrix_nnz the stored entries of the matrix given, so their ratio is
+    the fill; factor_time is the wall time of the factorization and
+    finished the perf_counter reading at its end.
     """
 
     def __init__(self, a: sps.csr_matrix, perm: np.ndarray = None):
         start = time.perf_counter()
-        # Row equilibration keeps pivot growth bounded when one block of the
-        # system carries an extreme parameter scaling.
         a = a.tocsr()
         row_max = abs(a).max(axis=1).toarray().ravel()
         if np.any(row_max == 0.0):
             k = int(np.argmin(row_max))
             raise SolverError(f"matrix is structurally singular: row {k} is zero")
-        row_scale = 1.0 / row_max
-        scaled = (sps.diags(row_scale) @ a).tocsc()
-        self.perm = _structure_order(scaled) if perm is None else perm
+        csc = a.tocsc()
+        self.perm = _structure_order(csc) if perm is None else perm
         self.iperm = np.argsort(self.perm)
-        scaled = scaled[self.perm][:, self.perm]
-        self.scale_p = row_scale[self.perm]
+        csc = csc[self.perm][:, self.perm]
         try:
-            self.lu = splu(scaled, permc_spec=PERMC_SPEC,
+            self.lu = splu(csc, permc_spec=PERMC_SPEC,
                            diag_pivot_thresh=1e-3, panel_size=1,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
-        del scaled
+        del csc
         release_free_heap()        # SuperLU's work arrays are free now
         self.nnz = self.lu.nnz
         self.matrix_nnz = a.nnz
@@ -332,10 +332,8 @@ class Factor:
         self.factor_time = self.finished - start
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        # np.take gathers faster than fancy indexing, and scaling in place
-        # makes no temporary
+        # np.take gathers faster than fancy indexing
         rp = np.take(np.asarray(r, dtype=float), self.perm, axis=0)
-        rp *= self.scale_p if rp.ndim == 1 else self.scale_p[:, None]
         return np.take(self.lu.solve(rp), self.iperm, axis=0)
 
 
@@ -461,8 +459,7 @@ class Preconditioner(NamedTuple):
 def _direct(a: sps.csr_matrix) -> Preconditioner:
     """The factor of a itself."""
     f = Factor(a)
-    return Preconditioner(f"sparse_lu({ORDERING})+row_equilibration",
-                          f.solve, (f,))
+    return Preconditioner(f"sparse_lu({ORDERING})", f.solve, (f,))
 
 
 def norm(v: np.ndarray) -> float:

@@ -178,22 +178,12 @@ def _weighted_sq(w: np.ndarray, v: np.ndarray) -> float:
 
 def error_l2(field: Field, exact) -> float:
     """L2 norm of (field - exact); pass exact=None for the norm of field."""
-    mesh = field.space.mesh
-    total = 0.0
-    for cells, w in _blocks(mesh):
-        pts = _points(mesh, cells, exact)
-        total += _weighted_sq(w, _value_error(field, cells, exact, pts))
-    return float(np.sqrt(total))
+    return error_gap(field, exact, None).l2
 
 
 def seminorm_h1(field: Field, grad_exact=None) -> float:
     """L2 norm of grad(field - exact)."""
-    mesh = field.space.mesh
-    total = 0.0
-    for cells, w in _blocks(mesh):
-        pts = _points(mesh, cells, grad_exact)
-        total += _weighted_sq(w, _grad_error(field, cells, grad_exact, pts))
-    return float(np.sqrt(total))
+    return error_gap(field, None, grad_exact).seminorm
 
 
 def error_gap(field: Field, exact, grad_exact) -> Gap:

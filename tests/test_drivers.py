@@ -552,20 +552,37 @@ def test_drivers_match_monolithic_reference(problem, tmp_path):
 def test_schur_complements_of_s_and_es_are_symmetric(monkeypatch):
     # CG on C - D A^-1 G is sound only for a symmetric operator: on the
     # eliminated blocks D = -G^T exactly and C is symmetric, so the Schur
-    # operator the reduction hands to cg is symmetric up to A's round-off
-    ops = []
+    # operator the reduction hands to cg is symmetric up to A's round-off.
+    # Every matrix factored is exactly symmetric with a positive diagonal,
+    # which is why Factor takes it as given, with no scaling
+    ops, factored = [], []
     real = drivers.cg
 
     def recording(op, *args):
         ops.append(op)
         return real(op, *args)
 
+    class Recorded(sparse.Factor):
+        def __init__(self, a, perm=None):
+            factored.append(a)
+            super().__init__(a, perm)
+
     monkeypatch.setattr(drivers, "cg", recording)
+    monkeypatch.setattr(drivers, "Factor", Recorded)
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
     solve_stokes(_inp(mesh, case), disc)
     solve_es(_inp(mesh, case, eps=1e-3), disc)
+    solve_pp(_inp(mesh, case), disc)
+    # A, Mp with the gauge eliminated, 1e-3 Kp + Mp with the boundary
+    # eliminated, and Kp
+    assert len(factored) == 4
+    assert factored[0] is disc.velocity_system.matrix
+    assert factored[3] is disc.pressure_system.matrix
+    for m in factored:
+        assert abs(m - m.T).max() == 0.0
+        assert np.all(m.diagonal() > 0.0)
     systems = (disc.stokes_system, disc.coupled_system(1e-3))
     assert len(ops) == len(systems)
     rng = np.random.default_rng(8)
@@ -914,7 +931,7 @@ def test_cell_orders_are_computed_once_per_discretization(monkeypatch):
     assert len(list(sweep)) == 13
     assert sorted(degrees) == [1, 2]
     assert np.array_equal(disc.pressure_order, real(disc.pspace))
-    assert np.array_equal(disc.velocity_factor.perm, disc.velocity_order)
+    assert np.array_equal(disc.velocity_factor.perm, real(disc.vspace))
 
 
 def test_velocity_mass_is_built_for_the_first_row_only(monkeypatch):

@@ -25,12 +25,13 @@ coupling B (S and ES only), the load vectors of each body force, each
 problem's system with its Dirichlet dofs eliminated, and the factors below.
 S and ES are held as their blocks (sparse.SaddleSystem): the scalar K
 eliminated, which both share and apply to each velocity component, the
-eliminated G and D, and the P1 pressure block C.  No monolithic saddle
-matrix and no kron(K, I2) is built, except to write one out inside
-sparse.dump_matrices; PP forms neither G nor D.  ES keeps ES(0) and its Kp
-part, and builds ES(eps) by summing only its pressure block,
-C(eps) = ES(0)'s + eps * Kp part, and its lift, in new arrays.  A driver
-given a Discretization refuses one built on another mesh than its input's.
+eliminated D, and the P1 pressure block C.  The gradient coupling is -D^T,
+applied as D^T and never stored.  No monolithic saddle matrix and no
+kron(K, I2) is built, except to write one out inside sparse.dump_matrices;
+PP forms no D.  ES keeps ES(0) and its Kp part, and builds ES(eps) by
+summing only its pressure block, C(eps) = ES(0)'s + eps * Kp part, and its
+lift, in new arrays.  A driver given a Discretization refuses one built
+on another mesh than its input's.
 
 Each system goes through sparse.solve with a preconditioner built from
 factors.  The Discretization makes each of two on first use and keeps it:
@@ -59,19 +60,22 @@ to 22 on other jittered ones n = 8 to 64 (Eijkhout & Vassilevski, SIAM
 Review 1991), and on a jittered n = 128 mesh PP held 0.96M factor entries
 where Kp and A held 6.39M.
 
-Stokes is ES at eps = 0: both are [[A, G], [D, C]], C = eps*Kp, with the
-velocity boundary and the pressure boundary or, for Stokes, the gauge dof
-fixed.  Since A is an exact factor, eliminating the velocity leaves the
-Schur complement S = C - D A^-1 G on the pressure alone.  On the eliminated
-blocks D = -G^T exactly and A and C are symmetric positive definite, the
-fixed pressure dofs as unit rows, so S = C + G^T A^-1 G is too, at every
+Stokes is ES at eps = 0: both are [[A, -D^T], [D, C]], C = eps*Kp, with
+the velocity boundary and the pressure boundary or, for Stokes, the gauge
+dof fixed.  The gradient coupling G, the integral of grad(psi) . phi, is
+-B^T plus a boundary flux that lives only in the velocity boundary rows,
+which both systems fix (the discrete integration-by-parts identity), so
+the eliminated G is -D^T exactly and is applied as such.  Since A is an
+exact factor, eliminating the velocity leaves the Schur complement
+S = C + D A^-1 D^T on the pressure alone.  A and C are symmetric positive
+definite, the fixed pressure dofs as unit rows, so S is too, at every
 eps.  sparse.cg solves it (Uzawa-type CG: Verfuerth, IMA J. Numer. Anal. 4,
 1984; Benzi, Golub & Liesen, Acta Numerica 2005, section 5),
 preconditioned by the factor of C + Mp with the fixed pressure dofs
 eliminated: eps*Kp + Mp for ES and Mp for Stokes, whose gauge row stays an
 identity row (Elman, Silvester & Wathen, Finite Elements and Fast
 Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).  One velocity solve
-then recovers u.  G, D and C are the solved system's own blocks.  A Krylov
+then recovers u.  D and C are the solved system's own blocks.  A Krylov
 step is one two-column A solve, one factor solve and three sparse products
 on vectors of pressure length: at n = 40, 1.7k entries where the whole
 system has 14.8k.  sparse.solve checks x against the system block by
@@ -194,8 +198,8 @@ def _frozen(matrix: sps.csr_matrix) -> sps.csr_matrix:
 def _at_eps(parts: tuple[Eliminated, Eliminated], eps: float) -> Eliminated:
     """ES(eps) from ES(0) and its Kp part: ES(0)'s blocks with the pressure
     block ES(0)'s + eps * Kp part, and the lift likewise.  The parts store
-    disjoint entries, so each sum is exact, and it is in new arrays; A, G
-    and D are ES(0)'s own, read-only.  An eps whose scaling overflows leaves
+    disjoint entries, so each sum is exact, and it is in new arrays; A and D
+    are ES(0)'s own, read-only.  An eps whose scaling overflows leaves
     inf entries, which solve refuses."""
     base, kp = parts
     return Eliminated(base.matrix._replace(pressure=base.matrix.pressure + eps * kp.matrix),
@@ -216,8 +220,8 @@ class Discretization:
     series has used it, and solve_pp uses it then.
 
     S and ES are SaddleSystems: their velocity block is velocity_system's
-    matrix, the scalar K eliminated, which both share; G is assembled while
-    each builds its system and only its eliminated block is kept.  ES keeps
+    matrix, the scalar K eliminated, which both share, and each keeps its
+    eliminated D, whose negated transpose is its gradient block.  ES keeps
     two parts, ES(0) and its Kp part, which store disjoint entries:
     coupled_system(eps) sums only the P1 pressure block and the lift,
     ES(0)'s + eps * Kp part's, each sum exact and in new arrays.  The blocks
@@ -279,25 +283,25 @@ class Discretization:
 
     @cached_property
     def stokes_system(self) -> Eliminated:
-        """ES at eps = 0: [[K, G], [D, 0]] with the velocity boundary and the
-        gauge dof fixed."""
+        """ES at eps = 0: [[K, -D^T], [D, 0]] with the velocity boundary and
+        the gauge dof fixed."""
         return self._saddle_system(np.array([GAUGE_DOF]))
 
     def _saddle_system(self, fixed_p: np.ndarray) -> Eliminated:
-        """[[K, G], [D, 0]] with the velocity boundary and the pressure dofs
-        fixed_p fixed, as its blocks: velocity_system's matrix, G and D
-        masked by fem.masked, and 1 at fixed_p in the pressure block.  The
-        lift is the blocks' columns at the fixed dofs: velocity_system's
-        lift per component, then G's and D's.  Only the masked G is kept."""
+        """[[K, -D^T], [D, 0]] with the velocity boundary and the pressure
+        dofs fixed_p fixed, as its blocks: velocity_system's matrix, B masked
+        by fem.masked as D, and 1 at fixed_p in the pressure block.  The lift
+        is the system's columns at the fixed dofs: velocity_system's lift per
+        component, then -B^T's and B's.  -B^T differs from G only in the
+        velocity boundary rows, which _lifted overwrites."""
         vel, nu, n_p = self.velocity_system, self.nu, self.np_
         fixed_u = fem.vector_dofs(vel.fixed)
         n_fu = len(fixed_u)
-        grad = fem.assemble_grad_coupling(self.vspace, self.pspace, div=self.div)
-        blocks = (vel.matrix, fem.masked(grad, fixed_u, fixed_p),
-                  fem.masked(self.div, fixed_p, fixed_u),
+        blocks = (vel.matrix, fem.masked(self.div, fixed_p, fixed_u),
                   fem.eliminate(sps.csr_matrix((n_p, n_p)), fixed_p))
         lift = placed(interleaved(vel.lift)
-                      + [(grad[:, fixed_p], np.arange(nu), n_fu + np.arange(len(fixed_p))),
+                      + [(-self.div[fixed_p].T, np.arange(nu),
+                          n_fu + np.arange(len(fixed_p))),
                          (self.div[:, fixed_u], nu + np.arange(n_p), np.arange(n_fu))],
                       (nu + n_p, n_fu + len(fixed_p)))
         return Eliminated(SaddleSystem(*map(_frozen, blocks)), lift,
@@ -315,7 +319,7 @@ class Discretization:
         return _eliminated(self.stiff_u, self.vspace.boundary_nodes)
 
     def coupled_system(self, eps: float) -> Eliminated:
-        """[[K, G], [D, eps*Kp]] with both boundaries fixed: ES(0)'s blocks
+        """[[K, -D^T], [D, eps*Kp]] with both boundaries fixed: ES(0)'s blocks
         with the pressure block and the lift summed (_at_eps)."""
         return _at_eps(self._coupled_parts, eps)
 
@@ -385,30 +389,31 @@ def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
 def _schur_reduction(disc: Discretization, system: Eliminated,
                      name: str, tol: float) -> Preconditioner:
     """Solve by reduction to the pressure Schur complement, with the blocks
-    of the solved SaddleSystem [[A, G], [D, C]].
+    of the solved SaddleSystem [[A, -D^T], [D, C]].
 
     apply(r) takes z = A^-1 r_u, then solves S p = r_p - D z for the
-    symmetric positive definite S = C - D A^-1 G by cg, preconditioned by
+    symmetric positive definite S = C + D A^-1 D^T by cg, preconditioned by
     the factor of C + Mp with the fixed pressure dofs eliminated (Mp for
     Stokes, eps*Kp + Mp for ES), aiming at AIM * tol ||r||, and returns
-    [A^-1 (r_u - G p), p].  Its residual is that of the pressure solve, so
+    [A^-1 (r_u + D^T p), p].  Its residual is that of the pressure solve, so
     x = M b meets tol, and CG runs on pressure-length vectors only.
     """
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
-    grad, div, block = m.grad, m.div, m.pressure
+    div, block = m.div, m.pressure
+    gt = div.T          # -G, a view: the products below are G's, bit for bit
     schur = Factor(fem.eliminate(block + disc.mass_p,
                                  system.fixed[system.fixed >= nu] - nu),
                    disc.pressure_order)
     log = KrylovLog()
 
     def schur_op(q):
-        return block @ q - div @ _solve_velocity(vel, grad @ q)
+        return block @ q - div @ _solve_velocity(vel, -(gt @ q))
 
     def apply(r):
         r_u = r[:nu]
         z = _solve_velocity(vel, r_u)
         p = cg(schur_op, schur.solve, r[nu:] - div @ z, AIM * tol * norm(r), log)
-        return np.concatenate([_solve_velocity(vel, r_u - grad @ p), p])
+        return np.concatenate([_solve_velocity(vel, r_u + gt @ p), p])
 
     return Preconditioner(f"cg[schur(A, {name})]", apply, (vel, schur), log)
 
@@ -560,9 +565,9 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
              tol: float = DEFAULT_TOL) -> SolveResult:
     """Coupled solve of the epsilon-scaled system.
 
-    G is built from B, so the discrete integration-by-parts identity holds
-    on interior dofs and the energy argument behind the asymptotic estimates
-    carries over verbatim.
+    The gradient block is -D^T, so the discrete integration-by-parts
+    identity holds on the free dofs by construction and the energy argument
+    behind the asymptotic estimates carries over verbatim.
     """
     disc = _discretization(inp, disc)
     eps = inp.epsilon
@@ -615,7 +620,7 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
     """Solve ES at each eps of eps_list, by its 1/eps series where it converges.
 
     Dividing the free pressure rows of ES(eps) by eps gives
-    (M + N/eps) x = b0 + b1/eps.  M = [[A, G], [0, Kp]] is PP's block
+    (M + N/eps) x = b0 + b1/eps.  M = [[A, -D^T], [0, Kp]] is PP's block
     triangular operator, N holds only the divergence block D, and b1 lifts
     the velocity trace through D.  So x is the sum over k of x_k / eps^k:
     x_0, which solves M x_0 = b0, is the PP solution, and M x_k = [0; r_k]
@@ -676,7 +681,8 @@ class EpsSweep:
         vel = disc.velocity_factor      # the terms apply A, so PP applies it too
         pp = pp or solve_pp(inp, disc, tol)
         nu, (base, kp) = disc.nu, disc._coupled_parts
-        grad, div = base.matrix.grad, base.matrix.div
+        div = base.matrix.div
+        gt = div.T      # -G, a view
         # The ES right-hand side is b0 + eps * b1: load and lift are affine in
         # eps, and its fixed rows hold the values at every eps, so b1's are 0.
         b0, b_unit = (_lifted(base.lift + e * kp.lift, base.fixed,
@@ -699,7 +705,7 @@ class EpsSweep:
                 break
             if k:               # x_k with M x_k = [0; r_k]; r becomes r_(k+1)
                 p = disc.pressure_factor.solve(r)
-                u = _solve_velocity(vel, -(grad @ p))
+                u = _solve_velocity(vel, gt @ p)
                 x = np.concatenate([u, p])
                 r = -(div @ u)
                 self.r_norms.append(float(np.linalg.norm(r)))

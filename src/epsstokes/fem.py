@@ -1,7 +1,8 @@
 """Continuous P1/P2 finite elements on triangles: spaces, quadrature, assembly.
 
 Provides the bilinear and linear forms used by the three flow problems:
-stiffness, velocity-pressure divergence and gradient coupling, body-force and
+stiffness, velocity-pressure divergence coupling (its negated transpose is
+the gradient coupling on the dofs the saddle systems solve), body-force and
 gradient-type load vectors, nodal boundary interpolation and symmetric
 elimination of fixed dofs.  All volume integration uses a degree-5 triangle
 rule; boundary integration uses 3-point Gauss per edge (degree 5).
@@ -471,43 +472,6 @@ def assemble_div_coupling(vspace: Space, pspace: Space) -> sps.csr_matrix:
 
     return _scatter((pspace.cells, vector_dofs(vspace.cells)), local,
                     (pspace.ndofs, 2 * vspace.ndofs))
-
-
-def assemble_grad_coupling(vspace: Space, pspace: Space,
-                           div: sps.csr_matrix | None = None) -> sps.csr_matrix:
-    """Matrix G with G[udof, q] = integral of grad(psi_q) . phi_udof.
-
-    Built as -B^T from the divergence coupling plus the boundary term of the
-    integration-by-parts identity, so the discrete identity
-    p^T G^T u = -p^T B u holds exactly on interior dofs.  div, if given, is
-    that B already assembled on these spaces.
-    """
-    b = assemble_div_coupling(vspace, pspace) if div is None else div
-    out = (_boundary_pressure_flux(vspace, pspace) - b.T).tocsr()
-    out.eliminate_zeros()
-    return out
-
-
-def _boundary_pressure_flux(vspace: Space, pspace: Space) -> sps.csr_matrix:
-    """Boundary matrix C[udof, q] = integral over Gamma of psi_q (phi_udof . nu)."""
-    mesh = vspace.mesh
-    # 1D traces along each edge, parametrised by t in [0,1] from i to j.
-    t = _EDGE_T
-    traces = {1: np.stack([1 - t, t], axis=1),
-              2: np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1)}
-    edge_block = np.einsum("q,qa,qb->ab", _EDGE_W, traces[vspace.degree],
-                           traces[pspace.degree])
-    block = mesh.boundary_edge_lengths()[:, None, None] * edge_block   # (B, a, b)
-    # Triplets in the order (edge, velocity node a, component c, pressure node b).
-    vals = mesh.edge_normals[:, None, :, None] * block[:, :, None, :]
-    rows = vector_dofs(vspace.boundary_edge_nodes[:, :, None])[..., None]
-    cols = pspace.boundary_edge_nodes[:, None, None, :]
-    rows, cols = np.broadcast_arrays(rows, cols)
-    mat = sps.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(2 * vspace.ndofs, pspace.ndofs)).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return mat
 
 
 def assemble_load(space: Space, f) -> np.ndarray:

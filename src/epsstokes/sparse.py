@@ -30,8 +30,8 @@ With the cell graph, A's factor holds 1.75M entries at n = 96, against
 5.45M under the FE labels.
 
 A system is a CSR matrix, or a SaddleSystem: the saddle-point matrix
-[[kron(A, I2), G], [D, C]] of Stokes and ES, held as its four blocks, the
-scalar A applied to each velocity component.  solve takes it as an
+[[kron(A, I2), -D^T], [D, C]] of Stokes and ES, held as its three blocks,
+the scalar A applied to each velocity component.  solve takes it as an
 operator: it checks each block for non-finite entries, and its residual
 product runs block by block.  The one CSR matrix is assembled only to be
 written inside dump_matrices, by placed, which puts each block's entries at
@@ -42,9 +42,9 @@ Without a preconditioner, solve factors the matrix itself.  The drivers pass
 preconditioners built from the factors that one Discretization keeps for
 its mesh, so a sweep factors the shared blocks once.  For Stokes and ES the
 preconditioner runs cg on the pressure Schur complement, which is
-symmetric positive definite since D = -G^T; for a PP velocity component on
-a Discretization without A's factor it runs cg on A, preconditioned by a
-two-level cycle on the factor of Kp (see drivers).  A
+symmetric positive definite since the gradient block is -D^T; for a PP
+velocity component on a Discretization without A's factor it runs cg on A,
+preconditioned by a two-level cycle on the factor of Kp (see drivers).  A
 preconditioner that misses the tolerance fails the solve: no Krylov solve
 runs around another one, or around an inexact factor.
 
@@ -387,27 +387,28 @@ def placed(parts, shape) -> sps.csr_matrix:
 
 
 class SaddleSystem(NamedTuple):
-    """The saddle-point matrix [[kron(A, I2), G], [D, C]], held as its blocks.
+    """The saddle-point matrix [[kron(A, I2), -D^T], [D, C]], held as its
+    three blocks.
 
     velocity is the scalar A, applied to the x and the y dofs alike
-    (fem.vector_dofs); grad is G, div is D and pressure the P1 block C.
+    (fem.vector_dofs); div is D and pressure the P1 block C.  The gradient
+    block is -D^T, applied as D^T and subtracted; it is not stored.
     system @ x multiplies block by block, each block's rows summed in its
-    own stored order and the two blocks of a row then added.  assembled()
-    is the one CSR matrix, canonical, built only to write it out (see
-    dump_solved).  nnz counts the blocks' stored entries, A once, and
-    indptr, indices and data lay the blocks' CSR arrays end to end, so a
-    caller that sizes or fingerprints a solved matrix by those arrays reads
-    what the system stores.
+    own stored order (D^T's in D's column order) and the two blocks of a row
+    then added.  assembled() is the one CSR matrix, canonical, built only to
+    write it out (see dump_solved).  nnz counts the blocks' stored entries,
+    A once, and indptr, indices and data lay the blocks' CSR arrays end to
+    end, so a caller that sizes or fingerprints a solved matrix by those
+    arrays reads what the system stores.
     """
 
     velocity: sps.csr_matrix
-    grad: sps.csr_matrix
     div: sps.csr_matrix
     pressure: sps.csr_matrix
 
     @property
     def shape(self) -> tuple:
-        n = self.grad.shape[0] + self.pressure.shape[0]
+        n = self.div.shape[1] + self.pressure.shape[0]
         return n, n
 
     @property
@@ -428,20 +429,20 @@ class SaddleSystem(NamedTuple):
 
     @np.errstate(over="ignore", invalid="ignore")
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        nu = self.grad.shape[0]
+        nu = self.div.shape[1]
         u, p = x[:nu], x[nu:]
         out = np.empty(len(x))
         out[:nu] = (self.velocity @ u.reshape(-1, 2)).ravel()
-        out[:nu] += self.grad @ p
+        out[:nu] -= self.div.T @ p
         out[nu:] = self.div @ u
         out[nu:] += self.pressure @ p
         return out
 
     def assembled(self) -> sps.csr_matrix:
-        nu = self.grad.shape[0]
+        nu = self.div.shape[1]
         u, p = np.arange(nu), nu + np.arange(self.pressure.shape[0])
         return placed(interleaved(self.velocity)
-                      + [(self.grad, u, p), (self.div, p, u), (self.pressure, p, p)],
+                      + [(-self.div.T, u, p), (self.div, p, u), (self.pressure, p, p)],
                       self.shape)
 
 

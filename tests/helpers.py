@@ -170,12 +170,7 @@ def div_coupling_einsum(vspace, pspace, quad):
                         lambda cells: local[cells], (pspace.ndofs, 2 * vspace.ndofs))
 
 
-def grad_coupling_einsum(vspace, pspace, form, quad):
-    if form == "transpose":
-        out = (fem._boundary_pressure_flux(vspace, pspace)
-               - div_coupling_einsum(vspace, pspace, quad).T).tocsr()
-        out.eliminate_zeros()
-        return out
+def grad_coupling_einsum(vspace, pspace, quad):
     _, _, det = vspace.mesh.geometry
     gp = physical_gradients_einsum(pspace, quad)
     uv = fem.shape_values(vspace.degree, quad.ref_points())
@@ -188,8 +183,8 @@ def grad_coupling_einsum(vspace, pspace, form, quad):
 
 def grad_coupling_direct(vspace, pspace):
     """G[udof, q] = integral of grad(psi_q) . phi_udof by quadrature of the
-    reference tensor: the direct form of fem.assemble_grad_coupling, which
-    builds G from the divergence coupling instead."""
+    reference tensor.  Off the velocity boundary rows it is -B^T, which the
+    drivers apply in its place."""
     local = fem._value_gradient_local(vspace, pspace)(slice(None))
     m, _, nlu, nlp = local.shape
     local = local.transpose(0, 2, 1, 3).reshape(m, 2 * nlu, nlp)   # row 2a+c
@@ -317,21 +312,25 @@ def stokes_lagrange_reference(inp, disc):
     return x[:nu].reshape(-1, 2), x[nu:nu + npp]
 
 
-def reference_system(stage, inp, disc, p=None):
+def reference_system(stage, inp, disc, p=None, grad=None):
     """(system, rhs, fixed dofs, values) of one system a driver solves.
 
     The whole system assembled with sps.bmat, before any elimination: with
     apply_dirichlet it is the reference for the eliminated systems that
     drivers.Discretization keeps.  stage is S, ES, PP-p (the pressure
     Poisson stage) or PP-u (the velocity stage, driven by the pressure
-    coefficients p).  S is [[K, G], [D, 0]], ES's saddle form at eps = 0,
-    and both assemble G with fem.assemble_grad_coupling.
+    coefficients p).  S is [[K, G], [D, 0]], ES's saddle form at eps = 0.
+    grad is their G: by default grad_coupling_direct, independent of the
+    -D^T that the drivers apply.  A test that compares eliminated entries
+    bit for bit passes -disc.div.T, which differs from it by round-off off
+    the velocity boundary rows.
     """
     nu = disc.nu
+    if grad is None and stage in ("S", "ES"):
+        grad = grad_coupling_direct(disc.vspace, disc.pspace)
     f = velocity_load(disc, inp.body_force)
     u_bdofs, u_bvals = velocity_boundary(disc, inp.u_bc)
     if stage == "S":
-        grad = fem.assemble_grad_coupling(disc.vspace, disc.pspace)
         system = sps.bmat([[vector_stiffness(disc), grad],
                            [disc.div, None]], format="csr")
         system.sum_duplicates()
@@ -346,7 +345,6 @@ def reference_system(stage, inp, disc, p=None):
     if stage == "PP-p":
         return disc.stiff_p, g, p_bdofs, p_bvals
     eps = inp.epsilon
-    grad = fem.assemble_grad_coupling(disc.vspace, disc.pspace)
     system = sps.bmat([[vector_stiffness(disc), grad],
                        [disc.div, eps * disc.stiff_p]], format="csr")
     system.sum_duplicates()

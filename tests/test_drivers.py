@@ -19,8 +19,7 @@ from epsstokes.verification import (diff_field, div_l2, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     seminorm_h1, get_case)
 from helpers import (affine_jittered_mesh, apply_dirichlet, eliminate_by_products,
-                     grad_coupling_direct, linear_x_minus_half,
-                     loaded_parallelogram_mesh, monolithic_reference,
+                     linear_x_minus_half, loaded_parallelogram_mesh, monolithic_reference,
                      reference_system, stokes_lagrange_reference, unit_x,
                      vector_block, zero_scalar, zero_vec)
 
@@ -231,28 +230,21 @@ def test_boundary_values_exact():
     assert np.array_equal(s.u.coefficients[u_dofs], u_vals)
 
 
-def test_es_solutions_identical_for_both_gradient_couplings(monkeypatch):
-    # transpose-form and direct-quadrature pressure-gradient blocks give the
+def test_es_solutions_identical_for_both_gradient_couplings():
+    # the drivers apply -D^T as the gradient block; the monolithic reference
+    # assembles G by direct quadrature of grad(psi) . phi, which differs only
+    # in the fixed velocity boundary rows and by round-off: the two give the
     # same discrete solution, for ES and for Stokes, its eps = 0 member
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
-    disc_t = Discretization(mesh)
-    runs = [(solve_stokes, _inp(mesh, case))]
-    runs += [(solve_es, _inp(mesh, case, eps=eps)) for eps in (1e-2, 1.0, 1e2)]
-    transpose = [run(inp, disc_t) for run, inp in runs]
-    direct = []
-
-    def assemble_direct(vspace, pspace, div=None):
-        direct.append(vspace)
-        return grad_coupling_direct(vspace, pspace)
-
-    monkeypatch.setattr(fem, "assemble_grad_coupling", assemble_direct)
-    disc_d = Discretization(mesh)
-    for (run, inp), rt in zip(runs, transpose):
-        rd = run(inp, disc_d)
-        assert np.abs(rt.u.coefficients - rd.u.coefficients).max() <= 1e-11
-        assert np.abs(rt.p.coefficients - rd.p.coefficients).max() <= 1e-11
-    assert len(direct) == 2               # one G per saddle system, S and ES
+    disc = Discretization(mesh)
+    runs = [(solve_stokes, "S", _inp(mesh, case))]
+    runs += [(solve_es, "ES", _inp(mesh, case, eps=eps)) for eps in (1e-2, 1.0, 1e2)]
+    for run, problem, inp in runs:
+        res = run(inp, disc)
+        u_ref, p_ref = monolithic_reference(problem, inp, disc)
+        assert np.abs(res.u.coefficients - u_ref).max() <= 1e-11
+        assert np.abs(res.p.coefficients - p_ref).max() <= 1e-11
 
 
 def test_gradient_forcing_on_loaded_parallelogram_mesh(tmp_path):
@@ -381,8 +373,8 @@ def test_velocity_factor_on_a_jittered_mesh_is_ordered_by_its_cells():
 def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, monkeypatch):
     # the Schur factor is the solved pressure block C plus Mp with the fixed
     # pressure dofs eliminated: Mp with the gauge dof eliminated for Stokes,
-    # eps*Kp + Mp for ES and Mp at eps = 0; the velocity is A^-1 (r_u - G p)
-    # with G the solved system's own block, and the pressure meets the aim
+    # eps*Kp + Mp for ES and Mp at eps = 0; the velocity is A^-1 (r_u + D^T p)
+    # with D the solved system's own block, and the pressure meets the aim
     # in the residual of the solved system, whose lower blocks are D and C
     factored = []
 
@@ -410,7 +402,7 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     r = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
     x = pre.apply(r)
     p = x[nu:]
-    u = vel.solve((r[:nu] - system.matrix.grad @ p).reshape(-1, 2)).ravel()
+    u = vel.solve((r[:nu] + system.matrix.div.T @ p).reshape(-1, 2)).ravel()
     assert np.array_equal(x[:nu], u)
     aim = sparse.AIM * tol * np.linalg.norm(r)
     assert 1 <= len(pre.log.estimates) and pre.log.estimates[-1] <= aim
@@ -421,11 +413,10 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
 @pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
                          ids=["structured", "jittered"])
 def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
-    # Stokes is ES's saddle form at eps = 0, [[K, G], [D, 0]]: the form
-    # [[K, -B^T], [-B, 0]], eliminated, with its free pressure rows negated,
-    # since G and -B^T differ only in the velocity-boundary rows both fix.
-    # Its blocks are the scalar K eliminated, shared with PP's velocity
-    # system, the eliminated G and D, and the gauge's unit pressure block
+    # Stokes is ES's saddle form at eps = 0, [[K, -D^T], [D, 0]]: the form
+    # [[K, -B^T], [-B, 0]], eliminated, with its free pressure rows negated.
+    # It stores three blocks: the scalar K eliminated, shared with PP's
+    # velocity system, the eliminated D, and the gauge's unit pressure block
     disc = Discretization(mesh)
     system = disc.stokes_system
     transpose_form = eliminate_by_products(
@@ -444,7 +435,8 @@ def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
     pressure = system.matrix.pressure.tocoo()
     assert pressure.row.tolist() == pressure.col.tolist() == [drivers.GAUGE_DOF]
     assert pressure.data.tolist() == [1.0]
-    assert system.matrix.nnz == got.nnz - disc.velocity_system.matrix.nnz
+    assert system.matrix.nnz == (got.nnz - disc.velocity_system.matrix.nnz
+                                 - system.matrix.div.nnz)
 
 
 @pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
@@ -490,7 +482,7 @@ def test_coupled_system_is_es0_plus_eps_times_its_kp_part(mesh):
 def test_returned_coupled_system_leaves_the_cache_unchanged():
     # a returned system owns its pressure block, lift and fixed dofs: editing
     # one in place, as scipy's own eliminate_zeros does, reaches neither the
-    # cache nor a later system.  Its A, G and D are ES(0)'s own blocks, kept
+    # cache nor a later system.  Its A and D are ES(0)'s own blocks, kept
     # read-only, so no edit reaches the cache through them either
     disc = Discretization(build_structured_mesh(8))
     want = disc.coupled_system(1.0)
@@ -499,7 +491,7 @@ def test_returned_coupled_system_leaves_the_cache_unchanged():
     zero.matrix.pressure.data[:] = 0.0
     zero.lift.data[:] = 0.0
     zero.fixed[:] = 0
-    for block in zero.matrix[:3]:
+    for block in zero.matrix[:2]:
         with pytest.raises(ValueError, match="read-only"):
             block.data[:] = 0.0
         with pytest.raises(ValueError):
@@ -511,7 +503,7 @@ def test_returned_coupled_system_leaves_the_cache_unchanged():
                           want.matrix.assembled().toarray())
     assert disc.coupled_system(0.0).matrix.pressure.data.all()     # no explicit zero
     base = disc._coupled_parts[0].matrix
-    assert all(a is b for a, b in zip(got.matrix[:3], base[:3]))
+    assert all(a is b for a, b in zip(got.matrix[:2], base[:2]))
     cached = [a for part in disc._coupled_parts for a in _arrays(part)]
     for eps in (0.0, 1.0):
         system = disc.coupled_system(eps)
@@ -550,8 +542,8 @@ def test_drivers_match_monolithic_reference(problem, tmp_path):
 
 
 def test_schur_complements_of_s_and_es_are_symmetric(monkeypatch):
-    # CG on C - D A^-1 G is sound only for a symmetric operator: on the
-    # eliminated blocks D = -G^T exactly and C is symmetric, so the Schur
+    # CG on C + D A^-1 D^T is sound only for a symmetric operator: the
+    # gradient block is -D^T by construction and C is symmetric, so the Schur
     # operator the reduction hands to cg is symmetric up to A's round-off.
     # Every matrix factored is exactly symmetric with a positive diagonal,
     # which is why Factor takes it as given, with no scaling
@@ -588,7 +580,6 @@ def test_schur_complements_of_s_and_es_are_symmetric(monkeypatch):
     rng = np.random.default_rng(8)
     for system, op in zip(systems, ops):
         m = system.matrix
-        assert abs(m.div + m.grad.T).max() == 0.0
         assert abs(m.pressure - m.pressure.T).max() == 0.0
         q1, q2 = rng.standard_normal((2, disc.np_))
         s1, s2 = op(q1), op(q2)
@@ -653,10 +644,12 @@ def _record_solves(monkeypatch):
 def _reference_solves(problem, inp, disc, p):
     """(eliminated matrix, rhs) of each system a driver hands to sparse.solve.
 
-    PP's velocity stage is the eliminated vector system restricted to one
-    interleaved component at a time."""
+    S and ES take the drivers' gradient block -B^T, so that the comparison
+    is entry for entry.  PP's velocity stage is the eliminated vector system
+    restricted to one interleaved component at a time."""
     if problem != "PP":
-        return [apply_dirichlet(*reference_system(problem, inp, disc))]
+        return [apply_dirichlet(*reference_system(problem, inp, disc,
+                                                  grad=-disc.div.T))]
     vec, vec_rhs = apply_dirichlet(*reference_system("PP-u", inp, disc, p))
     return ([apply_dirichlet(*reference_system("PP-p", inp, disc))]
             + [(vec[c::2, c::2].tocsr(), vec_rhs[c::2]) for c in (0, 1)])
@@ -980,17 +973,14 @@ def test_discretization_assembles_div_coupling_once(monkeypatch):
     solve_stokes(_inp(mesh, case), disc)
     assert len(calls) == 1                # B, on first use by S
     solve_es(_inp(mesh, case, eps=1.0), disc)
-    assert len(calls) == 1                # G reuses B for its transpose form
-    assert "grad" not in dir(disc)        # and is not kept
-    fem.assemble_grad_coupling(disc.vspace, disc.pspace)
-    assert len(calls) == 2                # without div, G assembles its own B
+    assert len(calls) == 1                # ES reuses B; -B^T is its gradient
+    assert "grad" not in dir(disc)        # and no G is built or kept
 
 
 def test_pp_builds_no_vector_block(monkeypatch):
     from epsstokes import fem
     kron = _count_calls(monkeypatch, sps, ["kron"])
-    couplings = _count_calls(monkeypatch, fem, ["assemble_div_coupling",
-                                                "assemble_grad_coupling"])
+    couplings = _count_calls(monkeypatch, fem, ["assemble_div_coupling"])
     mesh = build_structured_mesh(8)
     case = get_case("ms1-mismatch")
     disc = Discretization(mesh)
@@ -1002,9 +992,8 @@ def test_pp_builds_no_vector_block(monkeypatch):
     for eps in (1e-3, 1e3):
         solve_es(_inp(mesh, case, eps=eps), disc)
     assert kron == []
-    # B once per mesh, G once per saddle system built
-    assert couplings == ["assemble_div_coupling", "assemble_grad_coupling",
-                         "assemble_grad_coupling"]
+    # B once per mesh, and no G: the saddle systems apply -B^T
+    assert couplings == ["assemble_div_coupling"]
 
 
 def test_package_builds_no_monolithic_matrix():
@@ -1234,7 +1223,7 @@ def test_series_residual_is_the_es_residual(monkeypatch):
         ((system, rhs),) = seen
         assert res.report.rel_residual == sparse.rel_residual(system, x, rhs)
         mat, ref_rhs = apply_dirichlet(*reference_system(
-            "ES", _inp(mesh, case, eps=res.epsilon), disc))
+            "ES", _inp(mesh, case, eps=res.epsilon), disc, grad=-disc.div.T))
         want = np.linalg.norm(ref_rhs - mat @ x) / np.linalg.norm(ref_rhs)
         assert abs(res.report.rel_residual - want) <= 1e-16
         bounds = res.report.residual_history

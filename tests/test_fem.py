@@ -10,8 +10,7 @@ from scipy import sparse as sps
 import helpers
 from epsstokes import fem
 from epsstokes.fem import (Field, Space, assemble_div_coupling,
-                           assemble_field_grad_load, assemble_grad_coupling,
-                           assemble_grad_load, assemble_load,
+                           assemble_field_grad_load, assemble_grad_load, assemble_load,
                            assemble_stiffness, interpolate_boundary,
                            triangle_rule_d5, vector_dofs)
 from epsstokes.mesh import Mesh, build_structured_mesh
@@ -456,7 +455,7 @@ def test_masking_rule_matches_the_sparse_product_form(mesh):
     # diagonal, as sel @ a @ sel + diags(1 - keep) did
     p2, p1 = Space(mesh, degree=2), Space(mesh, degree=1)
     k, div = assemble_stiffness(p2), assemble_div_coupling(p2, p1)
-    grad = assemble_grad_coupling(p2, p1, div=div)
+    grad = -div.T       # the gradient block of the saddle systems
     fixed_u = vector_dofs(p2.boundary_nodes)
     for fixed_p in ([0], p1.boundary_nodes):
         _same_csr(fem.masked(grad, fixed_u, fixed_p),
@@ -475,33 +474,25 @@ def test_masking_rule_matches_the_sparse_product_form(mesh):
                                       unit=p1.boundary_nodes))
 
 
-def test_grad_coupling_forms_agree_on_interior_dofs():
-    mesh = build_structured_mesh(4)
-    vspace = Space(mesh, degree=2)
-    pspace = Space(mesh, degree=1)
-    g_t = assemble_grad_coupling(vspace, pspace).toarray()
-    g_d = helpers.grad_coupling_direct(vspace, pspace).toarray()
-    interior = np.setdiff1d(np.arange(2 * vspace.ndofs),
-                            vector_dofs(vspace.boundary_nodes))
-    assert np.abs(g_t[interior] - g_d[interior]).max() <= 1e-12
-    # the boundary correction makes the two forms agree everywhere
-    assert np.abs(g_t - g_d).max() <= 1e-12
-
-
-def test_grad_coupling_transpose_identity_against_div():
-    # p^T G^T u = -p^T B u for interior-supported u and p
-    mesh = build_structured_mesh(4)
-    vspace = Space(mesh, degree=2)
-    pspace = Space(mesh, degree=1)
-    g = assemble_grad_coupling(vspace, pspace).toarray()
-    b = assemble_div_coupling(vspace, pspace).toarray()
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal((vspace.ndofs, 2))
-    p = rng.standard_normal(pspace.ndofs)
-    u[vspace.boundary_nodes] = 0.0
-    p[pspace.boundary_nodes] = 0.0
-    u = u.ravel()
-    assert abs(u @ (g @ p) + p @ (b @ u)) <= 1e-12
+@pytest.mark.parametrize("n, mesh", [(16, build_structured_mesh(16)),
+                                     (12, helpers.affine_jittered_mesh(12, 0))],
+                         ids=["structured", "jittered"])
+def test_grad_coupling_is_minus_div_transpose_off_the_velocity_boundary(n, mesh):
+    # the discrete integration by parts behind the saddle systems' -D^T: G,
+    # the direct quadrature of grad(psi_q) . phi_udof, is -B^T on every
+    # velocity row off the boundary (exactly 0 apart on the structured mesh,
+    # 1.4e-17 on the jittered one).  They differ on the boundary rows, which
+    # every saddle system fixes, by the boundary flux of psi_q phi_udof . nu;
+    # its largest entry is a P2 midpoint against a P1 end over one boundary
+    # edge of length 1/n, 1/(3n)
+    vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
+    diff = (helpers.grad_coupling_direct(vspace, pspace)
+            + assemble_div_coupling(vspace, pspace).T).tocsr()
+    boundary = vector_dofs(vspace.boundary_nodes)
+    interior = np.ones(diff.shape[0], bool)
+    interior[boundary] = False
+    assert abs(diff[interior]).max() <= 1e-12
+    assert abs(abs(diff[boundary]).max() - 1 / (3 * n)) <= 1e-15
 
 
 def test_discrete_gauss_formula_random_fields():
@@ -647,8 +638,8 @@ def _assert_matches(new, oracle):
     missing from the other pattern counts with its full value; except where
     the two differ by the entry's fem.DROP limit, DROP times the larger of
     its row's and its column's largest magnitude, to within 1%.  There one
-    sum kept a value at the limit that the other dropped (in G, the value of
-    B that G = flux - B^T carries), so kept and dropped count alike."""
+    sum kept a value at the limit that the other dropped, so kept and
+    dropped count alike."""
     if sps.issparse(oracle):
         new, oracle = new.toarray(), oracle.toarray()
         mag = np.maximum(np.abs(new), np.abs(oracle))
@@ -668,10 +659,8 @@ def _assert_kernels_match_einsum_oracle(mesh, seed=0):
                         helpers.stiffness_einsum(space, quad))
     _assert_matches(assemble_div_coupling(vspace, pspace),
                     helpers.div_coupling_einsum(vspace, pspace, quad))
-    _assert_matches(assemble_grad_coupling(vspace, pspace),
-                    helpers.grad_coupling_einsum(vspace, pspace, "transpose", quad))
     _assert_matches(helpers.grad_coupling_direct(vspace, pspace),
-                    helpers.grad_coupling_einsum(vspace, pspace, "direct", quad))
+                    helpers.grad_coupling_einsum(vspace, pspace, quad))
 
     def force(x, y):
         return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)

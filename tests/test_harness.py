@@ -483,8 +483,9 @@ def test_cli_sweep_dumps_one_system_per_solve(tmp_path):
 @pytest.mark.parametrize("n", [4, 8])
 def test_dumped_saddle_systems_are_the_reference_elimination(n, tmp_path):
     # the monolithic S and ES matrices exist only in dumps: each one written
-    # is the whole system, assembled with sps.bmat and eliminated by the
-    # sparse products, entry for entry, for the Schur CG and the series eps
+    # is the whole system, assembled with sps.bmat with -B^T as G and
+    # eliminated by the sparse products, entry for entry, for the Schur CG and
+    # the series eps
     from scipy.io import mmread
     prefix = str(tmp_path / "m_")
     eps_list = (1e-3, 1.0, 1e6)
@@ -497,7 +498,8 @@ def test_dumped_saddle_systems_are_the_reference_elimination(n, tmp_path):
     for k, (stage, eps) in zip((0, 4, 5, 6), stages):     # PP's three come second
         inp = ProblemInput(mesh=mesh, body_force=case.body_force, u_bc=case.u_bc(),
                            p_bc=case.p_bc(), epsilon=eps)
-        want, _ = apply_dirichlet(*reference_system(stage, inp, disc))
+        want, _ = apply_dirichlet(*reference_system(stage, inp, disc,
+                                                    grad=-disc.div.T))
         got = mmread(str(tmp_path / f"m_{k:03d}.mtx")).tocsr()
         got.sort_indices()
         assert got.shape == want.shape
@@ -647,4 +649,5 @@ def test_perfbench_span_targets_exist():
     spec.loader.exec_module(spans)
     missing = {f"{module}.{attr}" for module, attr in spans.TARGETS
                if not hasattr(importlib.import_module(f"epsstokes.{module}"), attr)}
-    assert missing <= {"fem.apply_dirichlet"}      # gone since elimination moved
+    # gone on purpose: elimination moved, and the saddle systems apply -B^T
+    assert missing <= {"fem.apply_dirichlet", "fem.assemble_grad_coupling"}

@@ -64,20 +64,22 @@ def test_solve_matches_dense_lu_on_stokes_system():
 
 
 def _saddle(seed=0, nv=5, n_p=3):
-    """A random SaddleSystem and its monolithic matrix, built by sps.bmat."""
+    """A random SaddleSystem and its monolithic matrix, built by sps.bmat
+    with -D^T as the gradient block."""
     rng = np.random.default_rng(seed)
     blocks = [sps.random(r, c, density=0.5, format="csr", random_state=rng)
-              for r, c in ((nv, nv), (2 * nv, n_p), (n_p, 2 * nv), (n_p, n_p))]
+              for r, c in ((nv, nv), (n_p, 2 * nv), (n_p, n_p))]
     blocks[0] = (blocks[0] + sps.identity(nv, format="csr") * nv).tocsr()
-    blocks[3] = (blocks[3] + sps.identity(n_p, format="csr")).tocsr()
-    whole = sps.bmat([[vector_block(blocks[0]), blocks[1]],
-                      [blocks[2], blocks[3]]], format="csr")
+    blocks[2] = (blocks[2] + sps.identity(n_p, format="csr")).tocsr()
+    whole = sps.bmat([[vector_block(blocks[0]), -blocks[1].T],
+                      [blocks[1], blocks[2]]], format="csr")
     return sp.SaddleSystem(*blocks), whole
 
 
 def test_saddle_system_is_its_assembled_matrix():
     # assembled() is the monolithic matrix, canonical, entry for entry; the
-    # blockwise product agrees with it to round-off, and nnz counts A once
+    # blockwise product agrees with it to round-off, and nnz counts the
+    # three stored blocks: A once, and D but not its negated transpose
     system, whole = _saddle()
     got = system.assembled()
     whole.sort_indices()
@@ -86,7 +88,9 @@ def test_saddle_system_is_its_assembled_matrix():
         assert np.array_equal(getattr(got, name), getattr(whole, name)), name
     x = np.random.default_rng(1).standard_normal(whole.shape[0])
     assert np.abs(system @ x - whole @ x).max() <= 1e-14 * np.abs(whole @ x).max()
-    assert system.nnz == len(system.data) == whole.nnz - system.velocity.nnz
+    assert len(system) == 3
+    assert (system.nnz == len(system.data)
+            == whole.nnz - system.velocity.nnz - system.div.nnz)
     assert len(system.indices) == system.nnz
     assert len(system.indptr) == sum(m.shape[0] + 1 for m in system)
 

@@ -13,7 +13,8 @@ and the change first in odd ones.  A run keeps perfbench's `env` and
 `result` lines and its last line (`summary`), whose `correct` says whether
 every output check passed.  Then each checkout reports, in a fresh process,
 the stored entries of K, B and the eliminated Stokes system (`nnz` of the
-matrix S solves: of its blocks where it is a SaddleSystem), and the factor
+matrix S solves: where it is a SaddleSystem, of the blocks it stores, A, D
+and C; its gradient block -D^T is applied, not stored), and the factor
 entries (`lu_nnz`) of A, of Kp and of the two kinds of Schur
 preconditioner, Mp with the gauge dof eliminated (S) and eps*Kp + Mp at
 eps = 1e-6 with the pressure boundary eliminated (ES), on the structured

@@ -74,12 +74,15 @@ eps.  sparse.cg solves it (Uzawa-type CG: Verfuerth, IMA J. Numer. Anal. 4,
 preconditioned by the factor of C + Mp with the fixed pressure dofs
 eliminated: eps*Kp + Mp for ES and Mp for Stokes, whose gauge row stays an
 identity row (Elman, Silvester & Wathen, Finite Elements and Fast
-Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).  One velocity solve
-then recovers u.  D and C are the solved system's own blocks.  A Krylov
-step is one two-column A solve, one factor solve and three sparse products
-on vectors of pressure length: at n = 40, 1.7k entries where the whole
-system has 14.8k.  sparse.solve checks x against the system block by
-block.
+Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).  CG deflates the
+coarse vector that is 1 on the free pressure dofs and 0 on the fixed ones
+(Nicolaides, SIAM J. Numer. Anal. 24, 1987), which nearly spans S's one
+soft mode: it takes S at n = 40 from 32 steps to 26, and leaves beta_h^2 as
+S's smallest Ritz value.  One velocity solve then recovers u.  D and C
+are the solved system's own blocks.  A Krylov step is one two-column A
+solve, one factor solve and three sparse products on vectors of pressure
+length: at n = 40, 1.7k entries where the whole system has 14.8k.
+sparse.solve checks x against the system block by block.
 
 For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
@@ -397,13 +400,20 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     Stokes, eps*Kp + Mp for ES), aiming at AIM * tol ||r||, and returns
     [A^-1 (r_u + D^T p), p].  Its residual is that of the pressure solve, so
     x = M b meets tol, and CG runs on pressure-length vectors only.
+
+    cg deflates the coarse vector 1 on the free pressure dofs and 0 on the
+    fixed ones, for one more Schur apply per solve.  It nearly spans S's
+    one soft mode: for Stokes a near-constant pressure that only the pinned
+    gauge dof holds, whose eigenvalue shrinks like h^2, and for ES at small
+    eps a pressure nearly constant inside that drops to 0 at the boundary.
     """
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
     div, block = m.div, m.pressure
     gt = div.T          # -G, a view: the products below are G's, bit for bit
-    schur = Factor(fem.eliminate(block + disc.mass_p,
-                                 system.fixed[system.fixed >= nu] - nu),
-                   disc.pressure_order)
+    fixed_p = system.fixed[system.fixed >= nu] - nu
+    schur = Factor(fem.eliminate(block + disc.mass_p, fixed_p), disc.pressure_order)
+    coarse = np.ones(disc.np_)
+    coarse[fixed_p] = 0.0
     log = KrylovLog()
 
     def schur_op(q):
@@ -412,7 +422,8 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     def apply(r):
         r_u = r[:nu]
         z = _solve_velocity(vel, r_u)
-        p = cg(schur_op, schur.solve, r[nu:] - div @ z, AIM * tol * norm(r), log)
+        p = cg(schur_op, schur.solve, r[nu:] - div @ z, AIM * tol * norm(r), log,
+               coarse)
         return np.concatenate([_solve_velocity(vel, r_u + gt @ p), p])
 
     return Preconditioner(f"cg[schur(A, {name})]", apply, (vel, schur), log)

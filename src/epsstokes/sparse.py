@@ -7,7 +7,8 @@ Krylov solve of its own, aiming below the tolerance, and keeps that solve's
 steps in a KrylovLog.  The one Krylov method is this module's own: cg,
 the preconditioned conjugate gradient method (Hestenes & Stiefel, 1952)
 for a symmetric positive definite operator and preconditioner, which keeps
-five vectors and no orthogonalization.  A factor is SuperLU of the matrix
+five vectors and no orthogonalization, and can deflate one coarse vector
+given with the system.  A factor is SuperLU of the matrix
 as given, in symmetric mode: a minimum-degree ordering of the pattern of
 A + A^T (multiple minimum degree; Liu, ACM TOMS 1985), applied to rows and
 columns alike, with diagonal pivots preferred.  Every matrix the drivers
@@ -42,7 +43,8 @@ Without a preconditioner, solve factors the matrix itself.  The drivers pass
 preconditioners built from the factors that one Discretization keeps for
 its mesh, so a sweep factors the shared blocks once.  For Stokes and ES the
 preconditioner runs cg on the pressure Schur complement, which is
-symmetric positive definite since the gradient block is -D^T; for a PP
+symmetric positive definite since the gradient block is -D^T, deflating
+the coarse vector of the free pressure dofs; for a PP
 velocity component on a Discretization without A's factor it runs cg on A,
 preconditioned by a two-level cycle on the factor of Kp (see drivers).  A
 preconditioner that misses the tolerance fails the solve: no Krylov solve
@@ -103,7 +105,7 @@ PERMC_SPEC = "MMD_AT_PLUS_A"        # SuperLU's part of it
 # Verify's criterion 8 bounds its gradient-forcing deviation by 1e-9: aims of
 # 1e-1, 1e-2 and 1e-4 times tol left 1.7e-9, 2.2e-10 and 4.3e-13.
 AIM = 1e-4
-_MAX_STEPS = 800     # steps one cg call takes at most; Stokes needs about 35
+_MAX_STEPS = 800     # steps one cg call takes at most; Stokes needs about 28
 
 # (prefix, counter) of the active dump_matrices block, or None.
 _DUMP_SINK = contextvars.ContextVar("epsstokes_dump_sink", default=None)
@@ -240,9 +242,14 @@ class SolverReport:
     its CG on A; for a preconditioner that is a factor of the matrix itself
     there are none, and iterations is 0.  ritz holds the smallest and
     largest Ritz value of the Krylov solve, the eigenvalues of CG's Lanczos
-    tridiagonal matrix, () without steps.  For Stokes the largest
-    tends to 1, and the smallest is the mode of the pinned gauge dof, which
-    shrinks like h^2; for PP's two-level cycle they lie in (0, 1].  (A
+    tridiagonal matrix, () without steps.  For Stokes and ES they are those
+    of the Schur operator with the coarse vector deflated (cg; Nicolaides,
+    SIAM J. Numer. Anal. 24, 1987; Saad, Yeung, Erhel & Guyomarc'h, SIAM J.
+    Sci. Comput. 21, 2000).  For Stokes the largest tends to 1, and the
+    smallest is beta_h^2, the discrete inf-sup constant squared, about 0.133
+    on the unit square at every h, not the mode of the pinned gauge dof,
+    whose eigenvalue shrinks like h^2 and which the deflation removes; for
+    PP's two-level cycle they lie in (0, 1].  (A
     solution of the 1/eps series in drivers reports its terms and, per term,
     its residual bound instead.)  lu_nnz counts the entries SuperLU stores
     for L and U in every distinct factor the solve applied, diagonals
@@ -495,7 +502,7 @@ def product_residual(ax, b, bnorm=None) -> float:
 
 
 def cg(op: Callable, precond: Callable, b: np.ndarray, aim: float,
-       log: KrylovLog) -> np.ndarray:
+       log: KrylovLog, w: np.ndarray = None) -> np.ndarray:
     """x with op(x) = b by the preconditioned conjugate gradient method.
 
     op and precond must be symmetric positive definite.  From x = 0, each
@@ -506,10 +513,33 @@ def cg(op: Callable, precond: Callable, b: np.ndarray, aim: float,
     (Saad, Iterative Methods for Sparse Linear Systems, 2003, 6.7.3).  A
     step that finds r^T precond(r) or p^T op(p) not positive, which no SPD
     pair gives, raises SolverError.
+
+    w, if given and not all zero, is one coarse vector deflated from the
+    solve (Nicolaides, SIAM J. Numer. Anal. 24, 1987; Saad, Yeung, Erhel &
+    Guyomarc'h, SIAM J. Sci. Comput. 21, 2000).  cg forms op(w) once and
+    E = w^T op(w), and refuses an E that is not positive and finite; it
+    starts from x = w (w^T b) / E, whose residual is orthogonal to w, and
+    makes each search direction op-orthogonal to w, p = z + beta p -
+    w (op(w)^T z) / E.  The stopping rule and the checks stay; the Ritz
+    values are then those of precond(op(.)) on the complement of w, where
+    a mode that w nearly spans no longer sets the smallest.
     """
     x, r = np.zeros_like(b), b.copy()
     if not norm(r) > aim:
         return x
+    coarse = w is not None and bool(np.any(w))
+    if coarse:
+        sw = op(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = float(w @ sw)
+        if not 0.0 < e < np.inf:
+            raise SolverError(f"operator is not positive definite on the "
+                              f"coarse vector: w^T A w = {e:.3e}")
+        c = float(w @ b) / e
+        x += c * w
+        r -= c * sw
+        if not norm(r) > aim:
+            return x
     diag, off = [], []        # the tridiagonal matrix, by its diagonals
     shift = 0.0               # beta / alpha of the step before: part of diag
     p = rz = alpha = None
@@ -527,6 +557,8 @@ def cg(op: Callable, precond: Callable, b: np.ndarray, aim: float,
             p += z
             shift = beta / alpha
             off.append(np.sqrt(beta) / alpha)
+        if coarse:
+            p -= (float(sw @ z) / e) * w
         q = op(p)
         pq = float(p @ q)
         if not pq > 0.0:

@@ -120,6 +120,25 @@ def test_sweep_h_rates_and_footer():
     assert 1.6 <= table.rates["S:err_p_L2R_vs_S"] <= 2.2
 
 
+@pytest.mark.parametrize("tol, rated", [(None, True), ("1e-4", False)])
+def test_sweep_h_fits_rates_only_above_the_saturation_floor(tmp_path, tol, rated):
+    # the sweep fits a rate only through errors at or above 10 * tol: at the
+    # default tol S's errors at n = 8, 16 and 32 (2.6e-3 down to 1.6e-4 in
+    # u H1) all count and fit about 2, while at tol = 1e-4 only n = 8's stay
+    # above the floor of 1e-3, so the file gets no rate line
+    out = tmp_path / "h.csv"
+    argv = ["sweep-h", "--case", "ms1", "--problem", "S", "--n", "8,16,32",
+            "--out", str(out)] + (["--tol", tol] if tol else [])
+    assert main(argv) == 0
+    rates = {line.split(",")[1]: float(line.split(",")[2])
+             for line in out.read_text().splitlines() if line.startswith("# rate,")}
+    if rated:
+        assert set(rates) == {"S:err_u_H1_vs_S", "S:err_p_L2R_vs_S"}
+        assert all(1.9 <= r <= 2.1 for r in rates.values()), rates
+    else:
+        assert rates == {}
+
+
 def test_sweep_h_single_n_omits_rates():
     cfg = RunConfig(case="ms1", problem="S", n_list=(8,), eps_list=(1.0,))
     table, _ = run_sweep_h(cfg)

@@ -308,6 +308,94 @@ def test_cg_ritz_values_lie_within_the_extreme_eigenvalues():
     assert np.allclose((low, high), (eig[0], eig[-1]), rtol=1e-8)
 
 
+def _soft_mode(n=30, soft=1e-2, seed=23):
+    """An SPD matrix with one soft mode, eigenvalue soft along w =
+    (1, ..., 1, 0), its other eigenvalues spread over [1, 100]; and w."""
+    w = np.ones(n)
+    w[-1] = 0.0
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(np.column_stack([w, rng.standard_normal((n, n - 1))]))[0]
+    return (q * np.append(soft, np.geomspace(1.0, 100.0, n - 1))) @ q.T, w
+
+
+def test_cg_deflating_the_soft_mode_lifts_the_smallest_ritz_value():
+    # the coarse vector spans the soft mode: deflated, CG solves the same
+    # system in fewer steps, and its Ritz values lie within the spectrum
+    # left, [1, 100], where plain CG finds the soft eigenvalue
+    dense, w = _soft_mode()
+    b = np.random.default_rng(24).standard_normal(len(w))
+    aim = 1e-12 * np.linalg.norm(b)
+    ref = np.linalg.solve(dense, b)
+    steps = []
+    for coarse in (None, w):
+        log = sp.KrylovLog()
+        x = sp.cg(lambda v: dense @ v, lambda r: r, b, aim, log, coarse)
+        assert log.estimates[-1] <= aim
+        assert np.linalg.norm(b - dense @ x) <= 10 * aim
+        assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
+        steps.append(len(log.estimates))
+        low, high = log.ritz()
+    assert low >= 1.0 - 1e-8 and high <= 100.0 * (1 + 1e-10)
+    assert steps[1] < steps[0]
+    log = sp.KrylovLog()
+    sp.cg(lambda v: dense @ v, lambda r: r, b, aim, log)
+    assert log.ritz()[0] == pytest.approx(1e-2, rel=1e-6)
+
+
+def test_cg_with_a_coarse_vector_returns_zero_for_a_zero_right_hand_side():
+    # no step and no product: not even op(w)
+    calls = []
+
+    def op(v):
+        calls.append(v)
+        return 2.0 * v
+
+    log = sp.KrylovLog()
+    x = sp.cg(op, lambda r: r, np.zeros(5), 1e-14, log, np.ones(5))
+    assert np.array_equal(x, np.zeros(5)) and not np.signbit(x).any()
+    assert calls == [] and log.estimates == [] and log.ritz() == ()
+
+
+def test_cg_with_an_all_zero_coarse_vector_runs_plain_cg():
+    # no free dof to deflate: the same products, steps and bits as no w
+    dense, w = _soft_mode()
+    b = np.random.default_rng(25).standard_normal(len(w))
+    runs = []
+    for coarse in (None, np.zeros_like(w)):
+        calls, log = [], sp.KrylovLog()
+
+        def op(v):
+            calls.append(v.copy())
+            return dense @ v
+
+        x = sp.cg(op, lambda r: r, b, 1e-10 * np.linalg.norm(b), log, coarse)
+        runs.append((x, calls, log))
+    (x0, calls0, log0), (x1, calls1, log1) = runs
+    assert np.array_equal(x0, x1) and log0.estimates == log1.estimates
+    assert np.array_equal(log0.lanczos, log1.lanczos)
+    assert len(calls0) == len(calls1)
+    assert all(np.array_equal(a, c) for a, c in zip(calls0, calls1))
+
+
+@pytest.mark.parametrize("op", [
+    lambda v: -v,
+    lambda v: 0.0 * v,
+    lambda v: np.full_like(v, np.nan),
+    lambda v: np.full_like(v, np.inf),
+    lambda v: np.full_like(v, 1e308),
+], ids=["negative", "zero", "nan", "inf", "overflowing"])
+def test_cg_refuses_a_coarse_vector_without_positive_finite_energy(op):
+    # E = w^T op(w) negative, zero, nan, inf (0 * inf in the product) or
+    # overflowing: SolverError before any step, and no floating-point
+    # warning on the way (errstate raise turns one into an exception)
+    w = np.ones(4)
+    w[-1] = 0.0
+    log = sp.KrylovLog()
+    with np.errstate(all="raise"), pytest.raises(SolverError, match="coarse vector"):
+        sp.cg(op, lambda r: r, np.ones(4), 1e-14, log, w)
+    assert log.estimates == []
+
+
 def test_norm_keeps_finite_bits_and_survives_overflow():
     v = np.random.default_rng(13).standard_normal(50)
     assert sp.norm(v) == float(np.linalg.norm(v))

@@ -19,9 +19,10 @@ entries (`lu_nnz`) of A, of Kp and of the two kinds of Schur
 preconditioner, Mp with the gauge dof eliminated (S) and eps*Kp + Mp at
 eps = 1e-6 with the pressure boundary eliminated (ES), on the structured
 meshes n = 32, 64 and 128 and on the jittered mesh-pp meshes n = 96 and 128
-of the seed; on the jittered meshes also the Krylov steps of each velocity
-solve of PP alone (mesh-pp's case, no factor of A) and its report's Ritz
-values.
+of the seed; on the structured meshes also the pressure Schur CG steps of S
+and of ES at eps = 1e-6 and 1e-2, and S's Ritz values (case ms1-mismatch);
+on the jittered meshes also the Krylov steps of each velocity solve of PP
+alone (mesh-pp's case, no factor of A) and its report's Ritz values.
 Nothing outside the two checkouts is written; perfbench works under each
 checkout's `.bench_work/`.
 
@@ -70,6 +71,16 @@ def sizes(mesh):
             "Kp_lu_nnz": disc.pressure_factor.nnz,
             **{key: Factor(a, order).nnz for key, a in schur.items()}}
 
+def schur_steps(mesh):
+    disc, case = Discretization(mesh), get_case("ms1-mismatch")
+    inp = lambda eps=None: ProblemInput(mesh=mesh, body_force=case.body_force,
+                                        u_bc=case.u_bc(), p_bc=case.p_bc(),
+                                        epsilon=eps)
+    s = drivers.solve_stokes(inp(), disc).report
+    return {"S_steps": s.iterations, "S_ritz": list(s.ritz),
+            **{f"ES_steps_eps={eps:g}": drivers.solve_es(inp(eps), disc).report.iterations
+               for eps in (1e-6, 1e-2)}}
+
 def pp_alone(mesh):
     reports, real = [], drivers.solve
     def recording(*args, **kwargs):
@@ -86,7 +97,10 @@ def pp_alone(mesh):
 
 work = Path(".bench_work/sizes")
 work.mkdir(parents=True, exist_ok=True)
-table = {f"structured n={n}": sizes(build_structured_mesh(n)) for n in (32, 64, 128)}
+table = {}
+for n in (32, 64, 128):
+    mesh = build_structured_mesh(n)
+    table[f"structured n={n}"] = {**sizes(mesh), **schur_steps(mesh)}
 for item in bench.make_inputs("mesh-pp", int(sys.argv[1]), work)["meshes"]:
     if item["n"] in (96, 128):
         mesh = load_mesh(item["path"])

@@ -77,8 +77,8 @@ identity row (Elman, Silvester & Wathen, Finite Elements and Fast
 Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).  CG deflates the
 coarse vector that is 1 on the free pressure dofs and 0 on the fixed ones
 (Nicolaides, SIAM J. Numer. Anal. 24, 1987), which nearly spans S's one
-soft mode: it takes S at n = 40 from 32 steps to 26, and leaves beta_h^2 as
-S's smallest Ritz value.  One velocity solve then recovers u.  D and C
+soft mode, whose eigenvalue for Stokes shrinks like h^2: it takes S at
+n = 40 from 32 steps to 26, and leaves beta_h^2 as S's smallest Ritz value.  One velocity solve then recovers u.  D and C
 are the solved system's own blocks.  A Krylov step is one two-column A
 solve, one factor solve and three sparse products on vectors of pressure
 length: at n = 40, 1.7k entries where the whole system has 14.8k.
@@ -402,10 +402,9 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     x = M b meets tol, and CG runs on pressure-length vectors only.
 
     cg deflates the coarse vector 1 on the free pressure dofs and 0 on the
-    fixed ones, for one more Schur apply per solve.  It nearly spans S's
-    one soft mode: for Stokes a near-constant pressure that only the pinned
-    gauge dof holds, whose eigenvalue shrinks like h^2, and for ES at small
-    eps a pressure nearly constant inside that drops to 0 at the boundary.
+    fixed ones, which nearly spans S's one soft mode: for Stokes a
+    near-constant pressure that only the pinned gauge dof holds, and for ES
+    at small eps one nearly constant inside that drops to 0 at the boundary.
     """
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
     div, block = m.div, m.pressure

@@ -7,11 +7,11 @@ Krylov solve of its own, aiming below the tolerance, and keeps that solve's
 steps in a KrylovLog.  The one Krylov method is this module's own: cg,
 the preconditioned conjugate gradient method (Hestenes & Stiefel, 1952)
 for a symmetric positive definite operator and preconditioner, which keeps
-five vectors and no orthogonalization, and can deflate one coarse vector
-given with the system.  A factor is SuperLU of the matrix
-as given, in symmetric mode: a minimum-degree ordering of the pattern of
-A + A^T (multiple minimum degree; Liu, ACM TOMS 1985), applied to rows and
-columns alike, with diagonal pivots preferred.  Every matrix the drivers
+five vectors and no orthogonalization, and can deflate one coarse vector.
+A factor is SuperLU of the matrix as given, in symmetric mode: a
+minimum-degree ordering of the pattern of A + A^T (multiple minimum degree;
+Liu, ACM TOMS 1985), applied to rows and columns alike, with diagonal
+pivots preferred.  Every matrix the drivers
 factor, A, Kp and the Schur preconditioner C + Mp, is symmetric positive
 definite, and such a matrix factored on its diagonal has no pivot growth
 for a scaling to bound (Higham, Accuracy and Stability of Numerical
@@ -44,9 +44,9 @@ preconditioners built from the factors that one Discretization keeps for
 its mesh, so a sweep factors the shared blocks once.  For Stokes and ES the
 preconditioner runs cg on the pressure Schur complement, which is
 symmetric positive definite since the gradient block is -D^T, deflating
-the coarse vector of the free pressure dofs; for a PP
-velocity component on a Discretization without A's factor it runs cg on A,
-preconditioned by a two-level cycle on the factor of Kp (see drivers).  A
+the coarse vector of the free pressure dofs; for a PP velocity component
+on a Discretization without A's factor it runs cg on A, preconditioned by
+a two-level cycle on the factor of Kp (see drivers).  A
 preconditioner that misses the tolerance fails the solve: no Krylov solve
 runs around another one, or around an inexact factor.
 

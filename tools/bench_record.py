@@ -57,6 +57,7 @@ sys.path[:0] = ["src", "perfbench"]
 import run as bench
 from epsstokes import (Discretization, ProblemInput, build_structured_mesh,
                        drivers, fem, get_case, load_mesh)
+from epsstokes.harness import problem_input
 from epsstokes.sparse import Factor
 
 def sizes(mesh):
@@ -73,13 +74,11 @@ def sizes(mesh):
 
 def schur_steps(mesh):
     disc, case = Discretization(mesh), get_case("ms1-mismatch")
-    inp = lambda eps=None: ProblemInput(mesh=mesh, body_force=case.body_force,
-                                        u_bc=case.u_bc(), p_bc=case.p_bc(),
-                                        epsilon=eps)
-    s = drivers.solve_stokes(inp(), disc).report
-    return {"S_steps": s.iterations, "S_ritz": list(s.ritz),
-            **{f"ES_steps_eps={eps:g}": drivers.solve_es(inp(eps), disc).report.iterations
-               for eps in (1e-6, 1e-2)}}
+    s = drivers.solve_stokes(problem_input(case, mesh), disc).report
+    es = {f"ES_steps_eps={eps:g}":
+          drivers.solve_es(problem_input(case, mesh, eps), disc).report.iterations
+          for eps in (1e-6, 1e-2)}
+    return {"S_steps": s.iterations, "S_ritz": list(s.ritz), **es}
 
 def pp_alone(mesh):
     reports, real = [], drivers.solve

@@ -138,6 +138,9 @@ def _summary(case, results) -> dict:
             "lu_nnz": res.report.lu_nnz,
             "iterations": res.report.iterations,
             **({"ritz": list(res.report.ritz)} if res.report.ritz else {}),
+            # S's deflated Schur CG: its smallest Ritz value reads beta_h^2
+            **({"inf_sup_sq": res.report.ritz[0]}
+               if prob == "S" and res.report.ritz else {}),
             "err_u_H1_vs_exact": ver.error_h1(res.u, case.u_exact, case.grad_u_exact),
             "err_p_L2R_vs_exact": ver.quotient_norm_l2(res.p, case.p_exact),
             "div_u_L2": ver.div_l2(res.u),

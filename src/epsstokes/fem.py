@@ -233,9 +233,10 @@ def cell_blocks(num_cells: int) -> Iterator[slice]:
 
 def quad_points_physical(mesh: Mesh, quad: QuadratureRule, cells=slice(None)):
     """Physical coordinates of the rule's points on the cells: (B, Q) x/y,
-    each point its barycentric combination of the triangle's vertices."""
-    pts = quad.points @ mesh.vertices[mesh.triangles[cells]]      # (B, Q, 2)
-    return pts[..., 0], pts[..., 1]
+    each point its barycentric combination of the triangle's vertices, and
+    each array C-contiguous: one plain product per coordinate."""
+    corners = mesh.vertices[mesh.triangles[cells]]                # (B, 3, 2)
+    return corners[..., 0] @ quad.points.T, corners[..., 1] @ quad.points.T
 
 
 def quad_weights_physical(mesh: Mesh, quad: QuadratureRule,

@@ -33,7 +33,8 @@ from .sparse import one_blas_thread
 
 def _bump(t):
     # t^2 (1-t)^2 and derivatives; double zeros at 0 and 1.
-    return t * t * (1.0 - t) * (1.0 - t)
+    s = 1.0 - t
+    return t * t * s * s
 
 
 def _bump1(t):
@@ -41,7 +42,8 @@ def _bump1(t):
 
 
 def _bump2(t):
-    return 2.0 - 12.0 * t + 12.0 * t * t
+    c = 12.0 * t
+    return 2.0 - c + c * t
 
 
 def _bump3(t):
@@ -55,7 +57,9 @@ class ManufacturedCase:
     The velocity is divergence-free with zero boundary values; the pressure
     has zero mean.  body_force equals -laplace(u) + grad(p) in closed form.
     The pressure boundary data is p_exact plus delta times the
-    trace_perturbation.
+    trace_perturbation.  Each callable takes x and y of any shapes that
+    broadcast and returns floats of the broadcast shape, followed by (2,)
+    for a vector and (2, 2) for a velocity gradient.
     """
 
     name: str
@@ -78,14 +82,21 @@ class ManufacturedCase:
 
 
 def _ms1_u(x, y):
-    return np.stack([_bump(x) * _bump1(y), -_bump1(x) * _bump(y)], axis=-1)
+    u = np.empty(np.broadcast(x, y).shape + (2,))
+    u[..., 0] = _bump(x) * _bump1(y)
+    u[..., 1] = -_bump1(x) * _bump(y)
+    return u
 
 
 def _ms1_grad_u(x, y):
     # [i, d] = d(u_i)/d(x_d)
-    row1 = np.stack([_bump1(x) * _bump1(y), _bump(x) * _bump2(y)], axis=-1)
-    row2 = np.stack([-_bump2(x) * _bump(y), -_bump1(x) * _bump1(y)], axis=-1)
-    return np.stack([row1, row2], axis=-2)
+    b1x, b1y = _bump1(x), _bump1(y)
+    g = np.empty(np.broadcast(x, y).shape + (2, 2))
+    g[..., 0, 0] = b1x * b1y
+    g[..., 0, 1] = _bump(x) * _bump2(y)
+    g[..., 1, 0] = -_bump2(x) * _bump(y)
+    g[..., 1, 1] = -b1x * b1y
+    return g
 
 
 def _ms1_p(x, y):
@@ -93,13 +104,17 @@ def _ms1_p(x, y):
 
 
 def _ms1_grad_p(x, y):
-    return np.stack([3.0 * x * x, 3.0 * y * y], axis=-1)
+    g = np.empty(np.broadcast(x, y).shape + (2,))
+    g[..., 0] = 3.0 * x * x
+    g[..., 1] = 3.0 * y * y
+    return g
 
 
 def _ms1_force(x, y):
-    f1 = -_bump2(x) * _bump1(y) - _bump(x) * _bump3(y) + 3.0 * x * x
-    f2 = _bump3(x) * _bump(y) + _bump1(x) * _bump2(y) + 3.0 * y * y
-    return np.stack([f1, f2], axis=-1)
+    f = np.empty(np.broadcast(x, y).shape + (2,))
+    f[..., 0] = -_bump2(x) * _bump1(y) - _bump(x) * _bump3(y) + 3.0 * x * x
+    f[..., 1] = _bump3(x) * _bump(y) + _bump1(x) * _bump2(y) + 3.0 * y * y
+    return f
 
 
 def _cos_mismatch(x, y):

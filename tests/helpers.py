@@ -151,6 +151,63 @@ def quad_points_einsum(mesh, quad):
     return pts[..., 0], pts[..., 1]
 
 
+# The ms1 closed forms as each component's own expression, stacked by
+# np.stack: the oracle of verification's one-pass forms, which must equal
+# them bit for bit.
+
+
+def _bump_stack(t):
+    return t * t * (1.0 - t) * (1.0 - t)
+
+
+def _bump1_stack(t):
+    return 2.0 * t - 6.0 * t * t + 4.0 * t ** 3
+
+
+def _bump2_stack(t):
+    return 2.0 - 12.0 * t + 12.0 * t * t
+
+
+def _bump3_stack(t):
+    return 24.0 * t - 12.0
+
+
+def ms1_u_stack(x, y):
+    return np.stack([_bump_stack(x) * _bump1_stack(y),
+                     -_bump1_stack(x) * _bump_stack(y)], axis=-1)
+
+
+def ms1_grad_u_stack(x, y):
+    row1 = np.stack([_bump1_stack(x) * _bump1_stack(y),
+                     _bump_stack(x) * _bump2_stack(y)], axis=-1)
+    row2 = np.stack([-_bump2_stack(x) * _bump_stack(y),
+                     -_bump1_stack(x) * _bump1_stack(y)], axis=-1)
+    return np.stack([row1, row2], axis=-2)
+
+
+def ms1_p_stack(x, y):
+    return x ** 3 + y ** 3 - 0.5
+
+
+def ms1_grad_p_stack(x, y):
+    return np.stack([3.0 * x * x, 3.0 * y * y], axis=-1)
+
+
+def ms1_force_stack(x, y):
+    f1 = (-_bump2_stack(x) * _bump1_stack(y) - _bump_stack(x) * _bump3_stack(y)
+          + 3.0 * x * x)
+    f2 = (_bump3_stack(x) * _bump_stack(y) + _bump1_stack(x) * _bump2_stack(y)
+          + 3.0 * y * y)
+    return np.stack([f1, f2], axis=-1)
+
+
+def ms1_p_bc_stack(delta):
+    if delta == 0.0:
+        return ms1_p_stack
+    return lambda x, y: (ms1_p_stack(x, y)
+                         + delta * (np.cos(np.pi * x) * np.cos(np.pi * y)))
+
+
 def stiffness_einsum(space, quad):
     _, _, det = space.mesh.geometry
     grads = physical_gradients_einsum(space, quad)

@@ -24,6 +24,13 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                 assert r["result"]["workload"] == r["workload"]
                 assert r["result"]["failed"] == 0 and "git_commit" in r["env"]
             assert set(record["sizes"][side]) >= {"structured n=64", "jittered n=128"}
+            # newer records also keep one traced run per workload and side
+            for workload, trace in record.get("traces", {}).get(side, {}).items():
+                assert workload in WORKLOADS and trace["correct"] is True
+                for name in ("verification.norms.self_s", "fem.loads.s"):
+                    value, unit = trace["metrics"][name].split()
+                    assert unit == "s" and float(value) > 0.0, (path.name, side, name)
+        assert set(record.get("traces", {})) in (set(), {"base", "change"}), path.name
 
 
 def _bench_record():

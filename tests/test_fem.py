@@ -215,6 +215,28 @@ def test_assembly_stores_no_entry_at_or_below_the_drop_rule(mesh, monkeypatch):
             assert np.all(np.abs(coo.data) > limit)
 
 
+def test_drop_rule_keeps_a_genuine_small_entry_of_a_stretched_cell(monkeypatch):
+    # a right triangle with legs 1 and a = 1e-5, turned by 30 degrees: its P1
+    # stiffness has K01 = -a/2 in a row whose largest is K00 = a/2 + 1/(2a),
+    # a genuine entry 1e-10 of its row's and its column's largest, and
+    # K12 = 0 exactly, whose round-off residue is 1e-21 of K22 = 1/(2a).
+    # The rule keeps the first and drops the second; a DROP of 1e-9 would
+    # drop both, as no entry of the other tested meshes shows.
+    a, turn = 1e-5, np.deg2rad(30.0)
+    c, s = np.cos(turn), np.sin(turn)
+    mesh = Mesh(np.array([[0.0, 0.0], [c, s], [-a * s, a * c]]),
+                np.array([[0, 1, 2]]), np.array([[0, 1, 1], [1, 2, 2], [2, 0, 4]]))
+    space = Space(mesh, degree=1)
+    monkeypatch.setattr(fem, "DROP", 0.0)
+    raw = assemble_stiffness(space).toarray()
+    monkeypatch.undo()
+    k = assemble_stiffness(space).toarray()
+    assert 0.0 < abs(raw[1, 2]) <= 1e-15 * raw[2, 2] and k[1, 2] == k[2, 1] == 0.0
+    assert 1e-13 < abs(k[0, 1]) / k[0, 0] < 1e-9
+    assert k[0, 1] == k[1, 0] == raw[0, 1]
+    assert abs(k[0, 1] + a / 2) <= 1e-9 * a
+
+
 @pytest.mark.parametrize("mesh", _storage_meshes(),
                          ids=["structured", "jittered-0", "jittered-1"])
 def test_p2_stiffness_stores_no_vertex_opposite_midpoint_pair(mesh):
@@ -673,6 +695,18 @@ def _assert_kernels_match_einsum_oracle(mesh, seed=0):
     for new, oracle in zip(fem.quad_points_physical(mesh, quad),
                            helpers.quad_points_einsum(mesh, quad)):
         _assert_matches(new, oracle)
+
+
+@pytest.mark.parametrize("cells", [slice(None), slice(3, 11)])
+def test_quad_points_physical_are_c_contiguous(cells):
+    # every kernel and closed form reads each coordinate as one (B, Q)
+    # C-contiguous array, not a strided view of a (B, Q, 2) array
+    mesh = helpers.affine_jittered_mesh(4, 1)
+    quad = triangle_rule_d5()
+    xs, ys = fem.quad_points_physical(mesh, quad, cells)
+    count = len(range(mesh.num_triangles)[cells])
+    for a in (xs, ys):
+        assert a.shape == (count, len(quad.weights)) and a.flags.c_contiguous
 
 
 _SCALE = st.floats(0.05, 20.0)

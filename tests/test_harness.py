@@ -356,6 +356,19 @@ def test_cli_solve_prints_the_ritz_values_of_s_and_es(tmp_path):
         low, high = payload[problem]["ritz"]
         assert 0.0 < low <= high <= 1.0 + 1e-10
     assert "ritz" not in payload["PP"]       # PP takes no CG step
+    assert [p for p in payload if "inf_sup_sq" in payload[p]] == ["S"]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_cli_solve_reports_the_inf_sup_constant_squared_of_s(tmp_path, n):
+    # the deflated Schur CG's smallest Ritz value is beta_h^2: 0.1353 at
+    # n = 8 and 0.1341 at n = 16 on the unit square
+    out = tmp_path / "s.json"
+    assert main(["solve", "--case", "ms1", "--problem", "S", "--n", str(n),
+                 "--out", str(out)]) == 0
+    s = json.loads(out.read_text())["S"]
+    assert s["inf_sup_sq"] == s["ritz"][0]
+    assert 0.12 <= s["inf_sup_sq"] <= 0.14
 
 
 def test_cli_sweep_h_json(tmp_path):

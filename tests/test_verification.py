@@ -15,6 +15,7 @@ from epsstokes.verification import (CSV_COLUMNS, CSV_SCHEMA, ErrorRow,
                                     get_case, quotient_norm_l2, registry,
                                     saturation_filter, seminorm_h1,
                                     trace_mismatch)
+import helpers
 from helpers import affine_jittered_mesh
 
 
@@ -29,6 +30,40 @@ def test_registry_names_and_deltas():
     assert get_case("ms1-mismatch", delta=0.5).delta == 0.5
     with pytest.raises(KeyError):
         get_case("nope")
+
+
+def _closed_form_inputs():
+    """(x, y) pairs of each kind a closed form is called with: Python
+    scalars, 1-D arrays, a jittered mesh's (B, Q) quadrature points and
+    (n, 1) x (1, m) arrays that broadcast."""
+    rng = np.random.default_rng(4)
+    mesh = affine_jittered_mesh(6, 2)
+    return [(0.3, 0.7), (0.0, 1.0), (rng.random(50), rng.random(50)),
+            fem.quad_points_physical(mesh, fem.triangle_rule_d5()),
+            fem.quad_points_physical(mesh, fem.triangle_rule_d5(), slice(5, 9)),
+            (np.linspace(-0.5, 1.5, 5)[:, None], np.linspace(0.0, 1.0, 7)[None, :])]
+
+
+@pytest.mark.parametrize("name", ["ms1", "ms1-mismatch"])
+def test_case_closed_forms_equal_the_stacked_forms_bit_for_bit(name):
+    # each closed form evaluates every bump factor once and writes its
+    # components into one array; the values are those of each component's
+    # own expression stacked by np.stack, bit for bit.  np.stack needs
+    # components of one shape, so the oracle reads x and y broadcast.
+    case = get_case(name)
+    pairs = [(case.u_exact, helpers.ms1_u_stack),
+             (case.grad_u_exact, helpers.ms1_grad_u_stack),
+             (case.p_exact, helpers.ms1_p_stack),
+             (case.grad_p_exact, helpers.ms1_grad_p_stack),
+             (case.body_force, helpers.ms1_force_stack),
+             (case.p_bc(), helpers.ms1_p_bc_stack(case.delta))]
+    for x, y in _closed_form_inputs():
+        for f, oracle in pairs:
+            got = np.asarray(f(x, y))
+            want = np.asarray(oracle(*np.broadcast_arrays(x, y)))
+            assert got.shape == want.shape, (f, np.shape(x))
+            assert got.dtype == want.dtype and got.dtype.kind == "f"
+            assert got.tobytes() == want.tobytes(), (f, np.shape(x))
 
 
 def test_case_velocity_is_divergence_free():

@@ -23,8 +23,12 @@ of the seed; on the structured meshes also the pressure Schur CG steps of S
 and of ES at eps = 1e-6 and 1e-2, and S's Ritz values (case ms1-mismatch);
 on the jittered meshes also the Krylov steps of each velocity solve of PP
 alone (mesh-pp's case, no factor of A) and its report's Ritz values.
-Nothing outside the two checkouts is written; perfbench works under each
-checkout's `.bench_work/`.
+After the pairs each checkout makes one run of each workload with
+`--trace 1`, whose per-layer metrics (perfbench/spans.py: the time in
+assembly, loads, solves, norms and I/O) and per-function table are kept
+under `traces`; one traced run is not a gain or a loss, it shows where a
+change moved the time.  Nothing outside the two checkouts is written;
+perfbench works under each checkout's `.bench_work/`.
 
 The record ends with a summary of each workload's end-to-end metrics, as
 BENCHMARK.json names them, which is also printed: each side's median and
@@ -108,17 +112,29 @@ print(json.dumps(table))
 """
 
 
-def perfbench(checkout: Path, workload: str, seed: int) -> dict:
+def perfbench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One perfbench run in checkout: its env, result and summary lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", "30", "--trace", "0"],
+         "--seed", str(seed), "--seconds", "30", "--trace", str(trace)],
         cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     tagged = {line.split(" ", 1)[0]: json.loads(line.split(" ", 1)[1])
               for line in lines if line.startswith(("env ", "result "))}
     return {"env": tagged["env"], "result": tagged["result"],
             "summary": json.loads(lines[-1])}
+
+
+def traces(checkout: Path, workloads, seed: int) -> dict:
+    """{workload: its per-layer metrics and function table} of one traced
+    run of each workload in checkout."""
+    out = {}
+    for workload in workloads:
+        run = perfbench(checkout, workload, seed, trace=1)
+        out[workload] = {"correct": run["summary"]["correct"],
+                         "metrics": run["result"]["metrics"],
+                         "functions": run["result"]["functions"]}
+    return out
 
 
 def sizes(checkout: Path, seed: int) -> dict:
@@ -200,8 +216,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", default="sweep-eps=5,verify=5,mesh-pp=3")
     args = parser.parse_args(argv)
     sides = {"base": args.base.resolve(), "change": CHANGE}
-    runs = []
-    for workload, count in parse_pairs(args.pairs).items():
+    runs, pairs = [], parse_pairs(args.pairs)
+    for workload, count in pairs.items():
         for pair in range(count):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
@@ -213,6 +229,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0",
         "seed": args.seed,
         "sizes": {side: sizes(path, args.seed) for side, path in sides.items()},
+        "traces": {side: traces(path, pairs, args.seed) for side, path in sides.items()},
         "runs": runs,
         "summary": summarize(runs, end_to_end),
     }

@@ -218,8 +218,9 @@ def test_assembly_stores_no_entry_at_or_below_the_drop_rule(mesh, monkeypatch):
 def test_drop_rule_keeps_a_genuine_small_entry_of_a_stretched_cell(monkeypatch):
     # a right triangle with legs 1 and a = 1e-5, turned by 30 degrees: its P1
     # stiffness has K01 = -a/2 in a row whose largest is K00 = a/2 + 1/(2a),
-    # a genuine entry 1e-10 of its row's and its column's largest, and
-    # K12 = 0 exactly, whose round-off residue is 1e-21 of K22 = 1/(2a).
+    # a genuine entry 1e-10 of the larger of its row's and its column's
+    # largest, and K12 = 0 exactly, whose round-off residue is 1e-21 of
+    # K22 = 1/(2a).
     # The rule keeps the first and drops the second; a DROP of 1e-9 would
     # drop both, as no entry of the other tested meshes shows.
     a, turn = 1e-5, np.deg2rad(30.0)

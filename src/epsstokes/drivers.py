@@ -212,14 +212,16 @@ def _at_eps(parts: tuple[Eliminated, Eliminated], eps: float) -> Eliminated:
 class Discretization:
     """Taylor-Hood spaces and the epsilon-independent operator blocks.
 
-    The P2 stiffness K of one velocity component, the P1 stiffness Kp and
-    the pressure mean are assembled at construction, which then hands the
-    C heap's free pages back (sparse.release_free_heap).  The coupling B, the
-    mass matrices Mp and M2, load vectors (memoized per body-force
-    callable), each problem's eliminated system, the cell orders of the two
-    spaces and the factors A and Kp are built on first use and live as
-    long as the Discretization.  PP
-    alone builds no factor of A: it is in vars() once S, ES or the 1/eps
+    Construction assembles the P2 stiffness K of one velocity component and
+    the P1 stiffness Kp but keeps only PP's two stages, velocity_system and
+    pressure_system: each matrix with its boundary fixed, and its columns
+    there as lift, which together hold all of K or Kp.  It also assembles
+    the pressure mean, then hands the C heap's free pages back
+    (sparse.release_free_heap).  The coupling B, the mass
+    matrices Mp and M2, load vectors (memoized per body-force callable), S's
+    and ES's systems, the cell orders of the two spaces and the factors A
+    and Kp are built on first use and live as long as the Discretization.
+    PP alone builds no factor of A: it is in vars() once S, ES or the 1/eps
     series has used it, and solve_pp uses it then.
 
     S and ES are SaddleSystems: their velocity block is velocity_system's
@@ -237,8 +239,11 @@ class Discretization:
         self.mesh = mesh
         self.vspace = Space(mesh, degree=2)
         self.pspace = Space(mesh, degree=1)
-        self.stiff_u = fem.assemble_stiffness(self.vspace)
-        self.stiff_p = fem.assemble_stiffness(self.pspace)
+        # K, then Kp: each raw matrix is dropped once its system is built
+        self.velocity_system = _eliminated(fem.assemble_stiffness(self.vspace),
+                                           self.vspace.boundary_nodes)
+        self.pressure_system = _eliminated(fem.assemble_stiffness(self.pspace),
+                                           self.pspace.boundary_nodes)
         self.mean_p = fem.assemble_mass_against_one(self.pspace)
         self._loads = {}
         release_free_heap()     # the assembly temporaries
@@ -310,17 +315,6 @@ class Discretization:
         return Eliminated(SaddleSystem(*map(_frozen, blocks)), lift,
                           np.concatenate([fixed_u, fixed_p + nu]))
 
-    @cached_property
-    def pressure_system(self) -> Eliminated:
-        """Kp with the pressure boundary fixed: the first PP stage."""
-        return _eliminated(self.stiff_p, self.pspace.boundary_nodes)
-
-    @cached_property
-    def velocity_system(self) -> Eliminated:
-        """Scalar K with the velocity boundary nodes fixed: PP's second stage,
-        solved once per velocity component."""
-        return _eliminated(self.stiff_u, self.vspace.boundary_nodes)
-
     def coupled_system(self, eps: float) -> Eliminated:
         """[[K, -D^T], [D, eps*Kp]] with both boundaries fixed: ES(0)'s blocks
         with the pressure block and the lift summed (_at_eps)."""
@@ -328,16 +322,16 @@ class Discretization:
 
     @cached_property
     def _coupled_parts(self) -> tuple[Eliminated, Eliminated]:
-        """ES(0), and ES's Kp part: Kp with the pressure boundary's rows and
-        columns removed (no unit diagonal), the part of ES's pressure block,
-        and as its lift Kp's columns there, in the pressure rows of a lift
-        shaped like ES(0)'s."""
-        pbnd = self.pspace.boundary_nodes
+        """ES(0), and ES's Kp part: pressure_system's matrix without the
+        pressure boundary's unit diagonal, the part of ES's pressure block,
+        and as its lift pressure_system's, Kp's columns there, in the
+        pressure rows of a lift shaped like ES(0)'s."""
+        pbnd, kp = self.pspace.boundary_nodes, self.pressure_system
         base = self._saddle_system(pbnd)
         n_fu = len(base.fixed) - len(pbnd)
-        lift = placed([(self.stiff_p[:, pbnd], self.nu + np.arange(self.np_),
+        lift = placed([(kp.lift, self.nu + np.arange(self.np_),
                         n_fu + np.arange(len(pbnd)))], base.lift.shape)
-        return base, Eliminated(_frozen(fem.masked(self.stiff_p, pbnd, pbnd)), lift,
+        return base, Eliminated(_frozen(fem.masked(kp.matrix, pbnd, pbnd)), lift,
                                 base.fixed)
 
     def velocity_load(self, body_force) -> np.ndarray:

@@ -274,14 +274,15 @@ class Gap(NamedTuple):
 
 
 def _gap_matrices(disc, a: Field, b: Field):
-    """(coefficients of a - b, mass, stiffness) for two fields on the same
-    space of disc: M2 and K on the P2 space, Mp and Kp on the P1 space."""
+    """(coefficients of a - b, mass, stiffness's eliminated system) for two
+    fields on the same space of disc: M2 and K on the P2 space, Mp and Kp
+    on the P1 space."""
     e = diff_field(a, b)
     if e.space.mesh is not disc.mesh or e.space.degree not in (1, 2):
         raise ValueError("fields do not live on the discretization's spaces")
     if e.space.degree == 2:
-        return e.coefficients, disc.mass_u, disc.stiff_u
-    return e.coefficients, disc.mass_p, disc.stiff_p
+        return e.coefficients, disc.mass_u, disc.velocity_system
+    return e.coefficients, disc.mass_p, disc.pressure_system
 
 
 def _quadratic_form(mat, e: np.ndarray) -> float:
@@ -289,13 +290,23 @@ def _quadratic_form(mat, e: np.ndarray) -> float:
     return float(np.vdot(e, mat @ e))
 
 
+def _stiffness_form(system, e: np.ndarray) -> float:
+    """e . K e from K's eliminated system (A, L = K[:, B], B): e.A e
+    - |e_B|^2 + 2 e.(L e_B) - e_B.(L e_B)_B.  Each correction is an exact
+    0 when e_B = 0, and e.A e is then e.K e bit for bit."""
+    e_b = e[system.fixed]
+    le = system.lift @ e_b
+    return (_quadratic_form(system.matrix, e) - float(np.vdot(e_b, e_b))
+            + 2.0 * float(np.vdot(e, le)) - float(np.vdot(e_b, le[system.fixed])))
+
+
 @one_blas_thread()
 def gap(disc, a: Field, b: Field) -> Gap:
     """The Gap of two fields on the spaces of the Discretization disc, as
-    e.M e and e.K e for e = a - b.  The first velocity gap of disc builds
-    its M2."""
+    e.M e and e.K e for e = a - b, the latter from disc's eliminated K or
+    Kp.  The first velocity gap of disc builds its M2."""
     e, mass, stiff = _gap_matrices(disc, a, b)
-    return Gap(_quadratic_form(mass, e), _quadratic_form(stiff, e))
+    return Gap(_quadratic_form(mass, e), _stiffness_form(stiff, e))
 
 
 @one_blas_thread()

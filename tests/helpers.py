@@ -400,10 +400,11 @@ def reference_system(stage, inp, disc, p=None, grad=None):
     g = fem.assemble_grad_load(disc.pspace, inp.body_force)
     p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     if stage == "PP-p":
-        return disc.stiff_p, g, p_bdofs, p_bvals
+        return fem.assemble_stiffness(disc.pspace), g, p_bdofs, p_bvals
     eps = inp.epsilon
     system = sps.bmat([[vector_stiffness(disc), grad],
-                       [disc.div, eps * disc.stiff_p]], format="csr")
+                       [disc.div, eps * fem.assemble_stiffness(disc.pspace)]],
+                      format="csr")
     system.sum_duplicates()
     return (system, np.concatenate([f, eps * g]),
             np.concatenate([u_bdofs, p_bdofs + nu]), np.concatenate([u_bvals, p_bvals]))

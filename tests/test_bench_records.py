@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,3 +84,23 @@ def test_bench_record_summary_reads_each_metric(base, change, better, won, verdi
     assert got["base"]["median"] == float(np.median(base))
     assert got["change"]["q1"] == float(np.percentile(change, 25))
     assert got["change"]["q3"] == float(np.percentile(change, 75))
+
+
+def test_bench_record_size_functions_run_on_this_package():
+    # the size table's functions read the package by name, and run in the
+    # base checkout too: a renamed attribute fails here, not in a recording
+    code = _bench_record().SIZE_FUNCTIONS + """
+mesh = build_structured_mesh(8)
+print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(mesh)}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, stdout=subprocess.PIPE,
+                          text=True, check=True)
+    row = json.loads(proc.stdout)
+    assert row["K"] > row["B"] > 0 and row["S"] > row["K"]
+    for key in ("A_lu_nnz", "Kp_lu_nnz", "Mp_gauge_lu_nnz", "epsKp_Mp_lu_nnz", "S_steps",
+                "ES_steps_eps=1e-06", "ES_steps_eps=0.01"):
+        assert isinstance(row[key], int) and row[key] > 0, key
+    assert len(row["PP_velocity_steps"]) == 2 and row["PP_ritz"] and row["S_ritz"]
+    # the held bytes cover the two eliminated scalar systems at least
+    assert row["Discretization_bytes_after_PP"] > 12 * row["Kp_lu_nnz"] + 12 * row["K"]
+    assert row["Discretization_traced_peak_bytes"] > 12 * row["K"]

@@ -25,8 +25,7 @@ from helpers import (affine_jittered_mesh, apply_dirichlet, eliminate_by_product
 
 DRIVERS = {"S": solve_stokes, "PP": solve_pp, "ES": solve_es}
 FACTORS = ("velocity_factor", "pressure_factor")
-SYSTEMS = ("stokes_system", "pressure_system", "velocity_system",
-           "_coupled_parts")
+SADDLE_SYSTEMS = ("stokes_system", "_coupled_parts")
 
 
 def _inp(mesh, case, eps=None):
@@ -375,7 +374,8 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
         want = eliminate_by_products(mp, [drivers.GAUGE_DOF])
     else:
         system = disc.coupled_system(eps)
-        want = eliminate_by_products(eps * disc.stiff_p + mp if eps else mp, pbnd)
+        kp = fem.assemble_stiffness(disc.pspace)
+        want = eliminate_by_products(eps * kp + mp if eps else mp, pbnd)
     tol = sparse.DEFAULT_TOL
     pre = drivers._schur_reduction(disc, system, problem, tol)
     (schur_matrix,) = factored
@@ -403,8 +403,8 @@ def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
     disc = Discretization(mesh)
     system = disc.stokes_system
     transpose_form = eliminate_by_products(
-        sps.bmat([[vector_block(disc.stiff_u), -disc.div.T], [-disc.div, None]],
-                 format="csr"), system.fixed)
+        sps.bmat([[vector_block(fem.assemble_stiffness(disc.vspace)), -disc.div.T],
+                  [-disc.div, None]], format="csr"), system.fixed)
     sign = np.ones(transpose_form.shape[0])
     sign[disc.nu:] = -1.0
     sign[disc.nu + drivers.GAUGE_DOF] = 1.0            # the gauge's unit row
@@ -842,10 +842,21 @@ def test_discretization_builds_no_factor(monkeypatch):
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
     assert sizes == []
-    assert not set(FACTORS + SYSTEMS + ("mass_p",)) & set(vars(disc))
+    # construction builds the two scalar systems PP solves, and nothing else
+    assert not set(FACTORS + SADDLE_SYSTEMS + ("mass_p",)) & set(vars(disc))
+    for system in (disc.velocity_system, disc.pressure_system):
+        assert isinstance(system.matrix, sps.csr_matrix)
     solve_pp(_inp(mesh, get_case("ms1")), disc)
     assert sizes == [disc.np_]            # Kp, also the velocity cycle's coarse solve
     assert set(FACTORS) & set(vars(disc)) == {"pressure_factor"}
+
+
+def test_discretization_keeps_no_raw_stiffness():
+    # K and Kp live on only as their eliminated systems, which the gap
+    # norms and ES's Kp part read
+    disc = Discretization(build_structured_mesh(4))
+    assert not {"stiff_u", "stiff_p"} & set(vars(disc))
+    assert not hasattr(disc, "stiff_u") and not hasattr(disc, "stiff_p")
 
 
 def test_discretization_releases_free_heap_after_assembly(monkeypatch):
@@ -871,7 +882,7 @@ def test_discretization_builds_one_space_per_field(monkeypatch):
     disc = Discretization(build_structured_mesh(4))
     assert built == [2, 1]
     assert disc.nu == 2 * disc.vspace.ndofs
-    assert disc.stiff_u.shape == (disc.vspace.ndofs, disc.vspace.ndofs)
+    assert disc.velocity_system.matrix.shape == (disc.vspace.ndofs, disc.vspace.ndofs)
 
 
 def test_sweep_factors_velocity_block_once(monkeypatch):

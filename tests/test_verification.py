@@ -240,6 +240,27 @@ def test_gap_forms_match_quadrature_jittered(n, seed, linear):
     _assert_gaps_match_quadrature(mesh, seed)
 
 
+@pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
+                         ids=["structured", "jittered"])
+def test_gap_stiffness_form_equals_the_raw_stiffness_form(mesh):
+    # gap reads e.K e from the eliminated system: to round-off when the
+    # fields' fixed values differ, and bit for bit when they share them
+    disc = Discretization(mesh)
+    rng = np.random.default_rng(7)
+    for space, shape in ((disc.vspace, (disc.vspace.ndofs, 2)),
+                         (disc.pspace, (disc.pspace.ndofs,))):
+        k = fem.assemble_stiffness(space)
+        a = Field(space, rng.standard_normal(shape))
+        b = Field(space, rng.standard_normal(shape))
+        e = a.coefficients - b.coefficients
+        want = float(np.vdot(e, k @ e))
+        assert abs(gap(disc, a, b).semi_sq - want) <= 1e-14 * want
+        shared = b.coefficients.copy()
+        shared[space.boundary_nodes] = a.coefficients[space.boundary_nodes]
+        e = a.coefficients - shared
+        assert gap(disc, a, Field(space, shared)).semi_sq == float(np.vdot(e, k @ e))
+
+
 def test_gap_quotient_norm_of_a_nearly_constant_gap():
     # a gap of 1e3 plus a small perturbation: the mean shift leaves the
     # perturbation's own quotient norm, free of cancellation against 1e3

@@ -22,7 +22,12 @@ meshes n = 32, 64 and 128 and on the jittered mesh-pp meshes n = 96 and 128
 of the seed; on the structured meshes also the pressure Schur CG steps of S
 and of ES at eps = 1e-6 and 1e-2, and S's Ritz values (case ms1-mismatch);
 on the jittered meshes also the Krylov steps of each velocity solve of PP
-alone (mesh-pp's case, no factor of A) and its report's Ritz values.
+alone (mesh-pp's case, no factor of A) and its report's Ritz values; on
+the jittered n = 128 mesh also the traced (tracemalloc) peak of building
+a Discretization, and the bytes of the arrays and factors it holds after
+one PP solve (its mesh not counted, a SuperLU factor at 12 bytes an
+entry).  K and Kp are assembled afresh for the table, so the script runs
+in checkouts whose Discretization keeps them and in those that do not.
 After the pairs each checkout makes one run of each workload with
 `--trace 1`, whose per-layer metrics (perfbench/spans.py: the time in
 assembly, loads, solves, norms and I/O) and per-function table are kept
@@ -53,11 +58,15 @@ from pathlib import Path
 CHANGE = Path(__file__).resolve().parents[1]
 WORKLOADS = ("sweep-eps", "verify", "mesh-pp")
 
-# Run in a checkout's root: prints the size table of that checkout's package.
-SIZES = r"""
-import json, sys
+# The functions of the size table, run in a checkout's root.  They read the
+# package only through names that the base checkout has too: K and Kp come
+# from fem.assemble_stiffness, not from what a Discretization keeps.
+SIZE_FUNCTIONS = r"""
+import json, sys, tracemalloc
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
+import numpy as np
+from scipy.sparse.linalg import SuperLU
 import run as bench
 from epsstokes import (Discretization, ProblemInput, build_structured_mesh,
                        drivers, fem, get_case, load_mesh)
@@ -67,10 +76,10 @@ from epsstokes.sparse import Factor
 def sizes(mesh):
     disc = Discretization(mesh)
     mp, order = disc.mass_p, disc.pressure_order
+    kp = fem.assemble_stiffness(disc.pspace)
     schur = {"Mp_gauge_lu_nnz": fem.eliminate(mp, [drivers.GAUGE_DOF]),
-             "epsKp_Mp_lu_nnz": fem.eliminate(1e-6 * disc.stiff_p + mp,
-                                              disc.pspace.boundary_nodes)}
-    return {"K": disc.stiff_u.nnz, "B": disc.div.nnz,
+             "epsKp_Mp_lu_nnz": fem.eliminate(1e-6 * kp + mp, disc.pspace.boundary_nodes)}
+    return {"K": fem.assemble_stiffness(disc.vspace).nnz, "B": disc.div.nnz,
             "S": disc.stokes_system.matrix.nnz,
             "A_lu_nnz": disc.velocity_factor.nnz,
             "Kp_lu_nnz": disc.pressure_factor.nnz,
@@ -98,6 +107,38 @@ def pp_alone(mesh):
     return {"PP_velocity_steps": [r.iterations for r in reports[1:]],
             "PP_ritz": list(res.report.ritz)}
 
+# Bytes of the arrays, and of the SuperLU factors at 12 per entry,
+# reachable from obj and not from an object already in seen.
+def reach(obj, seen):
+    while isinstance(obj, np.ndarray) and isinstance(obj.base, np.ndarray):
+        obj = obj.base
+    if id(obj) in seen or callable(obj) or isinstance(obj, type):
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, SuperLU):
+        return 12 * obj.nnz
+    if isinstance(obj, dict):
+        return sum(reach(x, seen) for x in [*obj, *obj.values()])
+    if isinstance(obj, (tuple, list)):
+        return sum(reach(x, seen) for x in obj)
+    return sum(reach(x, seen) for x in getattr(obj, "__dict__", {}).values())
+
+def held(mesh):
+    tracemalloc.start()
+    disc = Discretization(mesh)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    drivers.solve_pp(problem_input(get_case("ms1"), mesh), disc)
+    seen = set()
+    reach(mesh, seen)                   # the caller's mesh is not the disc's
+    return {"Discretization_traced_peak_bytes": peak,
+            "Discretization_bytes_after_PP": reach(disc, seen)}
+"""
+
+# Run in a checkout's root: prints the size table of that checkout's package.
+SIZES = SIZE_FUNCTIONS + r"""
 work = Path(".bench_work/sizes")
 work.mkdir(parents=True, exist_ok=True)
 table = {}
@@ -107,7 +148,8 @@ for n in (32, 64, 128):
 for item in bench.make_inputs("mesh-pp", int(sys.argv[1]), work)["meshes"]:
     if item["n"] in (96, 128):
         mesh = load_mesh(item["path"])
-        table[f"jittered n={item['n']}"] = {**sizes(mesh), **pp_alone(mesh)}
+        table[f"jittered n={item['n']}"] = {**sizes(mesh), **pp_alone(mesh),
+                                            **(held(mesh) if item["n"] == 128 else {})}
 print(json.dumps(table))
 """
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -33,6 +34,12 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                     value, unit = trace["metrics"][name].split()
                     assert unit == "s" and float(value) > 0.0, (path.name, side, name)
         assert set(record.get("traces", {})) in (set(), {"base", "change"}), path.name
+        # newer records also keep the sha256 of each side's mesh-pp VTK files:
+        # both sides must have written the same bytes
+        if "vtk_sha256" in record:
+            digests = record["vtk_sha256"]
+            assert digests["base"] == digests["change"], path.name
+            assert digests["base"] and all(name.startswith("pp-") for name in digests["base"])
 
 
 def _bench_record():
@@ -84,6 +91,16 @@ def test_bench_record_summary_reads_each_metric(base, change, better, won, verdi
     assert got["base"]["median"] == float(np.median(base))
     assert got["change"]["q1"] == float(np.percentile(change, 25))
     assert got["change"]["q3"] == float(np.percentile(change, 75))
+
+
+def test_bench_record_vtk_digests_read_the_mesh_pp_files(tmp_path):
+    work = tmp_path / ".bench_work" / "mesh-pp"
+    work.mkdir(parents=True)
+    (work / "pp-8.vtk").write_bytes(b"# vtk DataFile Version 3.0\n")
+    (work / "jitter-8.msh").write_bytes(b"not a VTK file")
+    assert _bench_record().vtk_digests(tmp_path) == {
+        "pp-8.vtk": hashlib.sha256(b"# vtk DataFile Version 3.0\n").hexdigest()}
+    assert _bench_record().vtk_digests(tmp_path / "none") == {}
 
 
 def test_bench_record_size_functions_run_on_this_package():

@@ -1,15 +1,17 @@
 import json
 import os
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epsstokes.cli import main
 from epsstokes.drivers import Discretization, ProblemInput, solve_es, solve_stokes
-from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
-                               problem_input, run_sweep_eps, run_sweep_h)
+from epsstokes.harness import (ConfigError, RunConfig, _decimal, _rows, _sci12,
+                               export_vtk, problem_input, run_sweep_eps, run_sweep_h)
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError
 from epsstokes.verification import error_h1, get_case
@@ -281,16 +283,117 @@ def test_export_vtk_round_trip_pressure(tmp_path):
     assert np.abs(data["velocity"][:, :2] - res.u.coefficients[:nv]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("which", ["jittered", "parallelogram"])
+@pytest.mark.parametrize("which", ["jittered", "parallelogram", "extremes"])
 def test_export_vtk_matches_line_writer(tmp_path, which):
-    mesh = (affine_jittered_mesh(6, seed=3) if which == "jittered"
-            else loaded_parallelogram_mesh(tmp_path))
+    mesh = (loaded_parallelogram_mesh(tmp_path) if which == "parallelogram"
+            else affine_jittered_mesh(6, seed=3))
     case = get_case("ms1-mismatch")
     res = solve_es(ProblemInput(mesh=mesh, body_force=case.body_force, u_bc=zero_vec,
                                 p_bc=case.p_bc(), epsilon=1.0))
+    if which == "extremes":
+        # signed zeros, 3-digit exponents both ways and non-finite values:
+        # the writer's sign, exponent and '%.12e' fallback paths
+        u, p = res.u.coefficients, res.p.coefficients
+        u *= 1e-150
+        u[:3], u[3:5] = 0.0, -0.0
+        p[:4] = np.nan, np.inf, -np.inf, -0.0
+        p[4:12] *= 1e150
     export_vtk(res, tmp_path / "new.vtk")
     export_vtk_loop(res, tmp_path / "old.vtk")
     assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
+
+
+def _kernel_text(kernel, values):
+    """The rows kernel writes for values, as a list of str."""
+    return [row[row != 0].tobytes().decode()
+            for row in kernel(np.array(values)).view(np.uint8)]
+
+
+def _assert_sci12_matches_percent_format(values):
+    assert _kernel_text(_sci12, values) == ["%.12e" % v for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_sci12_matches_percent_format(values):
+    _assert_sci12_matches_percent_format(values)
+
+
+@st.composite
+def _tie(draw):
+    """A multiple m 2^-b (b <= 18, so of 2^-24 too) that is an exact tie of
+    the 13-digit rounding: its b fraction digits end in 5 and it has 14
+    significant digits where 2^b 10^(13-b) <= m < 2^b 10^(14-b), m odd."""
+    b = draw(st.integers(1, 18))
+    lo = -(-(2**b * 10**13) // 10**b)
+    hi = (2**b * 10**14 - 1) // 10**b
+    return (2 * draw(st.integers(lo // 2, (hi - 1) // 2)) + 1) * 2.0 ** -b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_tie(), st.integers(-2, 2)), min_size=1, max_size=50),
+       st.lists(st.integers(-2**40, 2**40), max_size=20))
+@example([(1000000000000.5, 0), (3 * 2.0 ** -18, 1), (9999999999999.5, -1)], [1, -3])
+def test_sci12_matches_percent_format_on_dyadic_ties(ties, ks):
+    # the exact ties, a few ulps either side of them (near-ties), and plain
+    # multiples k 2^-24
+    values = [k * 2.0 ** -24 for k in ks]
+    for tie, steps in ties:
+        digits = Decimal(tie).as_tuple().digits
+        assert len(digits) == 14 and digits[-1] == 5
+        for _ in range(abs(steps)):
+            tie = float(np.nextafter(tie, np.inf if steps > 0 else 0.0))
+        values += [tie, -tie]
+    _assert_sci12_matches_percent_format(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(10**12, 10**13 - 1), st.integers(-300, 300)),
+                min_size=1, max_size=50))
+def test_sci12_matches_percent_format_on_decimal_near_ties(items):
+    # the doubles nearest to 14-digit decimals ending in 5 at any exponent:
+    # within an ulp of a tie, where an unguarded rint of y rounds wrongly
+    _assert_sci12_matches_percent_format([float(f"{m}5e{j}") for m, j in items])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-330, 308), st.sampled_from([1.0, 9.9999999999995]),
+                          st.integers(-3, 3)), min_size=1, max_size=50))
+@example([(j, 9.9999999999995, s) for j in (-283, -1, 0, 12, 290, 291) for s in (-1, 0, 1)])
+def test_sci12_matches_percent_format_next_to_exponent_steps(items):
+    # a few ulps either side of 10^j, where log10 may round across an
+    # integer, and of 9.9999999999995 10^j, where the rounding carries
+    values = []
+    for j, mantissa, steps in items:
+        v = float(f"{mantissa}e{j}")
+        for _ in range(abs(steps)):
+            v = float(np.nextafter(v, np.inf if steps > 0 else 0.0))
+        values += [v, -v]
+    _assert_sci12_matches_percent_format(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+                min_size=1, max_size=50))
+@example([0.0, -0.0, 5e-324, -5e-324])
+def test_sci12_matches_percent_format_on_subnormals_and_zeros(values):
+    _assert_sci12_matches_percent_format(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=50))
+@example([0, 9, 10, 9999, 10000, 10001, 99999999, 100000000, 2**31 - 1])
+def test_decimal_matches_percent_format(values):
+    # with 10**11 the rows have 3 words, the others' leading ones blank
+    assert _kernel_text(_decimal, values) == ["%d" % i for i in values]
+    assert _kernel_text(_decimal, values + [10**11])[:-1] == ["%d" % i for i in values]
+
+
+def test_rows_joins_kernel_columns_and_literals():
+    x = np.array([0.5, -1e-150, np.nan])
+    i = np.array([0, 12345, 7])
+    assert _rows(b"3 ", i, b" ", x, b"\n") == b"".join(
+        b"3 %d %.12e\n" % pair for pair in zip(i.tolist(), x.tolist()))
 
 
 # ---------------------------------------------------------------------------

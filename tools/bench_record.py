@@ -32,7 +32,10 @@ After the pairs each checkout makes one run of each workload with
 `--trace 1`, whose per-layer metrics (perfbench/spans.py: the time in
 assembly, loads, solves, norms and I/O) and per-function table are kept
 under `traces`; one traced run is not a gain or a loss, it shows where a
-change moved the time.  Nothing outside the two checkouts is written;
+change moved the time.  Right after the pairs, before the traced runs,
+the record keeps the sha256 of each VTK file that each side's last mesh-pp
+run wrote (`.bench_work/mesh-pp/pp-<n>.vtk`), so it shows whether the two
+sides write the same bytes.  Nothing outside the two checkouts is written;
 perfbench works under each checkout's `.bench_work/`.
 
 The record ends with a summary of each workload's end-to-end metrics, as
@@ -49,6 +52,7 @@ than the bound when the change's median is worse than the base's by more.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -179,6 +183,12 @@ def traces(checkout: Path, workloads, seed: int) -> dict:
     return out
 
 
+def vtk_digests(checkout: Path) -> dict:
+    """{file name: sha256} of the VTK files of checkout's last mesh-pp run."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((checkout / ".bench_work" / "mesh-pp").glob("pp-*.vtk"))}
+
+
 def sizes(checkout: Path, seed: int) -> dict:
     proc = subprocess.run([sys.executable, "-c", SIZES, str(seed)], cwd=checkout,
                           stdout=subprocess.PIPE, text=True, check=True)
@@ -270,6 +280,8 @@ def main(argv=None) -> int:
     record = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0",
         "seed": args.seed,
+        **({"vtk_sha256": {side: vtk_digests(path) for side, path in sides.items()}}
+           if "mesh-pp" in pairs else {}),
         "sizes": {side: sizes(path, args.seed) for side, path in sides.items()},
         "traces": {side: traces(path, pairs, args.seed) for side, path in sides.items()},
         "runs": runs,

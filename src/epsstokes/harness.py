@@ -255,12 +255,24 @@ def _words(strings, width):
     return np.array(strings, f"S{4 * width}").view(np.uint32).reshape(-1, width)
 
 
-# The kernels' tables: "0000".."9999", the same without leading zeros, the
-# head "d." or "-d." of a first digit d, "e+dd" or "e-ddd" of an exponent,
-# and 10**k correctly rounded (float() of "1e{k}" is, 10.0**k need not be)
-_DIGITS = (np.indices((10,) * 4).reshape(4, -1).T + ord("0")).astype(np.uint8, order="C")
-_DIGITS4 = _DIGITS.view(np.uint32)[:, 0]
-_LEADING4 = (_DIGITS * (np.arange(10000)[:, None] >= [1000, 100, 10, 0])).view(np.uint32)[:, 0]
+def _digit_words():
+    """("0000".."9999", the same without leading zeros) as uint32 words,
+    built with no temporary larger than the tables, which would stay in the
+    heap of every process that imports the package."""
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint8)
+    digits = np.empty((100, 100, 4), np.uint8)
+    digits[:, :, :2] = pairs.reshape(100, 1, 2)
+    digits[:, :, 2:] = pairs.reshape(100, 2)
+    digits = digits.reshape(10000, 4)
+    leading = digits.copy()
+    leading[:1000, 0] = leading[:100, 1] = leading[:10, 2] = 0
+    return digits.view(np.uint32)[:, 0], leading.view(np.uint32)[:, 0]
+
+
+# The kernels' tables: the 4-digit groups, the head "d." or "-d." of a first
+# digit d, "e+dd" or "e-ddd" of an exponent, and 10**k correctly rounded
+# (float() of "1e{k}" is, 10.0**k need not be)
+_DIGITS4, _LEADING4 = _digit_words()
 _HEAD = _words([f"{sign}{d}." for sign in ("", "-") for d in range(10)], 1)[:, 0]
 _TABLE_MIN = -300
 _EXP = _words([f"e{e:+03d}" for e in range(_TABLE_MIN, 301)], 2).view(np.uint64)[:, 0]
@@ -322,11 +334,15 @@ def _decimal(values):
 def _rows(*columns):
     """The text of rows whose columns are given in order: a float or integer
     array holds one number a row, a bytes literal is the same on every row.
-    The row's words, without their 0 padding, are its text."""
+    Each row's words, without their 0 padding, are its text."""
     n = next(len(c) for c in columns if not isinstance(c, bytes))
-    blocks = [np.broadcast_to(_words([c], -(-len(c) // 4)), (n, -(-len(c) // 4)))
-              if isinstance(c, bytes) else _sci12(c) if c.dtype.kind == "f"
-              else _decimal(c) for c in columns]
+    blocks = []
+    for c in columns:
+        if isinstance(c, bytes):
+            word = _words([c], -(-len(c) // 4))
+            blocks.append(np.broadcast_to(word, (n, word.shape[1])))
+        else:
+            blocks.append(_sci12(c) if c.dtype.kind == "f" else _decimal(c))
     return np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0")
 
 

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from epsstokes.cli import main
 from epsstokes.drivers import Discretization, ProblemInput, solve_es, solve_stokes
-from epsstokes.harness import (ConfigError, RunConfig, _decimal, _rows, _sci12,
-                               export_vtk, problem_input, run_sweep_eps, run_sweep_h)
+from epsstokes._numtext import decimal, rows, sci12
+from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
+                               problem_input, run_sweep_eps, run_sweep_h)
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError
 from epsstokes.verification import error_h1, get_case
@@ -310,7 +311,7 @@ def _kernel_text(kernel, values):
 
 
 def _assert_sci12_matches_percent_format(values):
-    assert _kernel_text(_sci12, values) == ["%.12e" % v for v in values]
+    assert _kernel_text(sci12, values) == ["%.12e" % v for v in values]
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,14 +386,14 @@ def test_sci12_matches_percent_format_on_subnormals_and_zeros(values):
 @example([0, 9, 10, 9999, 10000, 10001, 99999999, 100000000, 2**31 - 1])
 def test_decimal_matches_percent_format(values):
     # with 10**11 the rows have 3 words, the others' leading ones blank
-    assert _kernel_text(_decimal, values) == ["%d" % i for i in values]
-    assert _kernel_text(_decimal, values + [10**11])[:-1] == ["%d" % i for i in values]
+    assert _kernel_text(decimal, values) == ["%d" % i for i in values]
+    assert _kernel_text(decimal, values + [10**11])[:-1] == ["%d" % i for i in values]
 
 
 def test_rows_joins_kernel_columns_and_literals():
     x = np.array([0.5, -1e-150, np.nan])
     i = np.array([0, 12345, 7])
-    assert _rows(b"3 ", i, b" ", x, b"\n") == b"".join(
+    assert rows(b"3 ", i, b" ", x, b"\n") == b"".join(
         b"3 %d %.12e\n" % pair for pair in zip(i.tolist(), x.tolist()))
 
 

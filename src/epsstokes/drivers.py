@@ -21,8 +21,9 @@ functions of their input; sweeps share one Discretization, so a sweep
 assembles, eliminates and factors each block once.  At construction it
 builds the P2 and P1 spaces and assembles their stiffness matrices: K, the
 Laplacian of one velocity component, and Kp.  On first use it builds the
-coupling B (S and ES only), the load vectors of each body force, each
-problem's system with its Dirichlet dofs eliminated, and the factors below.
+coupling B (S and ES only), the two load vectors of each body force, in
+one pass over the cells, each problem's system with its Dirichlet dofs
+eliminated, and the factors below.
 S and ES are held as their blocks (sparse.SaddleSystem): the scalar K
 eliminated, which both share and apply to each velocity component, the
 eliminated D, and the P1 pressure block C.  The gradient coupling is -D^T,
@@ -218,7 +219,7 @@ class Discretization:
     there as lift, which together hold all of K or Kp.  It also assembles
     the pressure mean, then hands the C heap's free pages back
     (sparse.release_free_heap).  The coupling B, the mass
-    matrices Mp and M2, load vectors (memoized per body-force callable), S's
+    matrices Mp and M2, load vector pairs (memoized per body-force callable), S's
     and ES's systems, the cell orders of the two spaces and the factors A
     and Kp are built on first use and live as long as the Discretization.
     PP alone builds no factor of A: it is in vars() once S, ES or the 1/eps
@@ -336,20 +337,22 @@ class Discretization:
 
     def velocity_load(self, body_force) -> np.ndarray:
         """Read-only (x, y) load rows of body_force against the P2 basis."""
-        return self._load(fem.assemble_load, self.vspace, body_force)
+        return self._body_force_loads(body_force)[0]
 
     def pressure_load(self, body_force) -> np.ndarray:
         """Read-only load vector of body_force against the pressure gradients."""
-        return self._load(fem.assemble_grad_load, self.pspace, body_force)
+        return self._body_force_loads(body_force)[1]
 
-    def _load(self, assemble, space, body_force):
-        key = (assemble, body_force)
-        vec = self._loads.get(key)
-        if vec is None:
-            vec = assemble(space, body_force)
-            vec.setflags(write=False)
-            self._loads[key] = vec
-        return vec
+    def _body_force_loads(self, body_force) -> tuple[np.ndarray, np.ndarray]:
+        """The velocity and the pressure load of body_force, built together
+        by one pass over the cells on first use (fem.assemble_body_force_loads)."""
+        loads = self._loads.get(body_force)
+        if loads is None:
+            loads = fem.assemble_body_force_loads(self.vspace, self.pspace, body_force)
+            for vec in loads:
+                vec.setflags(write=False)
+            self._loads[body_force] = loads
+        return loads
 
 
 def check_compatibility(inp: ProblemInput) -> float:

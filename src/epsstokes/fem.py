@@ -17,13 +17,16 @@ Every per-cell kernel works through the mesh a block of at most BLOCK
 consecutive cells at a time (cell_blocks): assembly, loads, quadrature
 points and field evaluation take a slice of cells, and the callers sum
 block by block.  A kernel's temporaries are then those of one block, so
-they do not grow with the mesh and stay in cache.
+they do not grow with the mesh and stay in cache.  The load vectors go
+through one block loop (_force_loads), which evaluates a callable once per
+block for every load it builds: assemble_body_force_loads builds the P2
+load and the P1 gradient load of one body force in one pass.
 
 Matrices are assembled from reference tensors (Kirby, Knepley, Logg & Scott,
 "Optimizing the evaluation of finite element matrices", SISC 2005).  On an
 affine triangle every local matrix is a small per-cell geometric factor,
 built from the Jacobian, contracted with a tensor that is integrated once on
-the reference triangle; each form is then one (B, 4) or (B, 2, 2) matmul per
+the reference triangle; each form is then one (B, 3) or (B, 2, 2) matmul per
 block of B cells instead of a sum over quadrature points per cell.  The
 reference tensors are integrals of polynomials and are stored exactly
 (_exact), so an integral that is 0, such as that of a P2 vertex against the
@@ -405,18 +408,27 @@ def assemble_stiffness(space: Space) -> sps.csr_matrix:
     """
     _, inv, det = space.mesh.geometry
     nloc = space.nloc
-    ref = stiffness_tensor(space.degree).reshape(4, nloc * nloc)
+    # The metric |J| J^-1 J^-T is symmetric, so it meets the tensor
+    # symmetrized in (a, b): its entries 00, 01 and 11 meet R00, R01 + R10
+    # and R11, at the distinct local pairs i <= j alone.  Each cell's block
+    # is then its pairs mirrored, exactly symmetric; two nodes share at most
+    # two cells, and two terms sum the same in either order, so the
+    # assembled matrix is exactly symmetric too.
+    tensor = stiffness_tensor(space.degree)
+    rows, cols = np.triu_indices(nloc)
+    ref = np.stack([tensor[0, 0], tensor[0, 1] + tensor[1, 0], tensor[1, 1]])[:, rows, cols]
+    pair = np.empty((nloc, nloc), np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(len(rows))
+    mirror = pair.ravel()
 
     def local(cells):
-        geo = det[cells, None, None] * (inv[cells] @ inv[cells].transpose(0, 2, 1))
-        out = (geo.reshape(-1, 4) @ ref).reshape(-1, nloc, nloc)   # |J| J^-1 J^-T
-        # The matmul may add a cell's (i, j) and (j, i) terms in different
-        # orders, so each cell's block is made exactly symmetric.  Two nodes
-        # share at most two cells, and two terms sum the same in either
-        # order, so the assembled matrix is exactly symmetric too.
-        out += out.transpose(0, 2, 1)
-        out *= 0.5
-        return out
+        i00, i01, i10, i11 = (inv[cells, a, b] for a in (0, 1) for b in (0, 1))
+        d = det[cells]
+        geo = np.empty((len(d), 3))
+        geo[:, 0] = d * (i00 * i00 + i01 * i01)
+        geo[:, 1] = d * (i00 * i10 + i01 * i11)
+        geo[:, 2] = d * (i10 * i10 + i11 * i11)
+        return np.take(geo @ ref, mirror, axis=1).reshape(-1, nloc, nloc)
 
     return _scatter(space.cells, local, (space.ndofs, space.ndofs))
 
@@ -440,7 +452,8 @@ def assemble_mass_against_one(space: Space) -> np.ndarray:
     quad = triangle_rule_d5()
     _, _, det = space.mesh.geometry
     ref = quad.weights @ shape_values(space.degree, quad.ref_points())
-    return _add_cells(space, lambda cells: np.outer(det[cells], ref))
+    (out,) = _add_cells([space], lambda cells: [np.outer(det[cells], ref)])
+    return out
 
 
 def _value_gradient_local(val_space: Space, grad_space: Space):
@@ -475,6 +488,78 @@ def assemble_div_coupling(vspace: Space, pspace: Space) -> sps.csr_matrix:
                     (pspace.ndofs, 2 * vspace.ndofs))
 
 
+def _add_cells(spaces, local) -> list[np.ndarray]:
+    """Sum per-cell entries into one per node of each space, a block of
+    cells at a time: local(cells) gives, for a slice of cells, one (B, nloc)
+    or (B, nloc, 2) array of entries per space.  The spaces share a mesh.
+
+    Each component is scattered on its own, as 1-D np.add.at runs several
+    times faster than on (n, 2) rows; each sum adds in the same order, so
+    the result is the same bit for bit.
+    """
+    outs = [None] * len(spaces)
+    for cells in cell_blocks(len(spaces[0].cells)):
+        for k, (space, part) in enumerate(zip(spaces, local(cells))):
+            if outs[k] is None:
+                outs[k] = np.zeros((space.ndofs,) + part.shape[2:])
+            nodes = space.cells[cells].ravel()
+            flat = part.reshape(len(nodes), -1)      # one column per component
+            columns = outs[k].reshape(space.ndofs, -1)
+            for c in range(flat.shape[1]):
+                np.add.at(columns[:, c], nodes, flat[:, c])
+    return outs
+
+
+def _value_entries(space: Space):
+    """entries(wf, cells): the integrals of the weighted values wf at the
+    quadrature points of a slice of cells against the space's basis, (B, nloc)
+    for scalar (B, Q) values and (B, nloc, 2) for vector (B, Q, 2) ones."""
+    vals = shape_values(space.degree, triangle_rule_d5().ref_points())
+    return lambda wf, cells: wf @ vals if wf.ndim == 2 else vals.T @ wf
+
+
+def _gradient_entries(pspace: Space):
+    """entries(wf, cells): the (B, nloc) integrals of the weighted vector
+    values wf against the gradients of pspace's basis.  They meet each
+    cell's inverse Jacobian first, then the reference shape gradients: the
+    adjoint of eval_grad_at_quad."""
+    _, inv, _ = pspace.mesh.geometry
+    dref = shape_gradients(pspace.degree, triangle_rule_d5().ref_points())
+    table = dref.transpose(0, 2, 1).reshape(-1, pspace.nloc)    # row 2q+k
+
+    def entries(wf, cells):
+        if wf.ndim != 3:
+            raise ValueError("gradient load expects a vector-valued callable")
+        ref = wf @ inv[cells].transpose(0, 2, 1)                # (B, Q, 2)
+        return ref.reshape(len(ref), -1) @ table
+
+    return entries
+
+
+def _force_loads(f, terms) -> list[np.ndarray]:
+    """The loads of the callable f against each (space, entries) of terms,
+    whose spaces share a mesh, in one pass over the cell blocks: the
+    quadrature points, their weights w and f's values there are computed
+    once per block, and entries(w * f, cells) gives a space's per-cell
+    entries.  f gives scalar (B, Q) or vector (B, Q, 2) values."""
+    quad = triangle_rule_d5()
+    mesh = terms[0][0].mesh
+
+    def local(cells):
+        xs, ys = quad_points_physical(mesh, quad, cells)
+        w = quad_weights_physical(mesh, quad, cells)
+        fv = np.asarray(f(xs, ys), dtype=float)
+        if fv.ndim == xs.ndim:
+            wf = w * fv
+        elif fv.shape == xs.shape + (2,):
+            wf = w[..., None] * fv
+        else:
+            raise ValueError("vector load callable must return shape (..., 2)")
+        return [entries(wf, cells) for _, entries in terms]
+
+    return _add_cells([space for space, _ in terms], local)
+
+
 def assemble_load(space: Space, f) -> np.ndarray:
     """Load vector with entries integral of f . phi_i by quadrature.
 
@@ -482,67 +567,25 @@ def assemble_load(space: Space, f) -> np.ndarray:
     vectors with a trailing axis of length 2, giving one (x, y) row per node.
     f is called once per block of cells.
     """
-    quad = triangle_rule_d5()
-    vals = shape_values(space.degree, quad.ref_points())
-
-    def local(cells):
-        xs, ys = quad_points_physical(space.mesh, quad, cells)
-        w = quad_weights_physical(space.mesh, quad, cells)
-        fv = np.asarray(f(xs, ys), dtype=float)
-        if fv.ndim == xs.ndim:
-            return (w * fv) @ vals
-        if fv.shape != xs.shape + (2,):
-            raise ValueError("vector load callable must return shape (..., 2)")
-        return vals.T @ (w[..., None] * fv)                     # (B, nloc, 2)
-
-    return _add_cells(space, local)
-
-
-def _add_cells(space: Space, local) -> np.ndarray:
-    """Sum per-cell entries into one per node, a block of cells at a time:
-    local(cells) gives the (B, nloc) or (B, nloc, 2) entries of a slice of
-    cells.
-
-    Each component is scattered on its own, as 1-D np.add.at runs several
-    times faster than on (n, 2) rows; each sum adds in the same order, so
-    the result is the same bit for bit.
-    """
-    out = None
-    for cells in cell_blocks(len(space.cells)):
-        part = local(cells)
-        if out is None:
-            out = np.zeros((space.ndofs,) + part.shape[2:])
-        nodes = space.cells[cells].ravel()
-        flat = part.reshape(len(nodes), -1)      # one column per component
-        columns = out.reshape(space.ndofs, -1)
-        for c in range(flat.shape[1]):
-            np.add.at(columns[:, c], nodes, flat[:, c])
-    return out
+    (load,) = _force_loads(f, [(space, _value_entries(space))])
+    return load
 
 
 def assemble_grad_load(pspace: Space, F) -> np.ndarray:
-    """Load vector with entries integral of F . grad(psi_q).
+    """Load vector with entries integral of F . grad(psi_q), for F mapping
+    (x, y) to vectors (..., 2).  F is called once per block of cells."""
+    (load,) = _force_loads(F, [(pspace, _gradient_entries(pspace))])
+    return load
 
-    The weighted F values meet each cell's inverse Jacobian first, then the
-    reference shape gradients: the adjoint of eval_grad_at_quad.  F is
-    called once per block of cells.
-    """
-    quad = triangle_rule_d5()
-    mesh = pspace.mesh
-    _, inv, _ = mesh.geometry
-    dref = shape_gradients(pspace.degree, quad.ref_points())   # (Q, nloc, 2)
-    table = dref.transpose(0, 2, 1).reshape(-1, pspace.nloc)    # row 2q+k
 
-    def local(cells):
-        xs, ys = quad_points_physical(mesh, quad, cells)
-        w = quad_weights_physical(mesh, quad, cells)
-        fv = np.asarray(F(xs, ys), dtype=float)
-        if fv.shape != xs.shape + (2,):
-            raise ValueError("gradient load expects a vector-valued callable")
-        ref = (w[..., None] * fv) @ inv[cells].transpose(0, 2, 1)   # (B, Q, 2)
-        return ref.reshape(len(ref), -1) @ table
-
-    return _add_cells(pspace, local)
+def assemble_body_force_loads(vspace: Space, pspace: Space, f):
+    """(assemble_load(vspace, f), assemble_grad_load(pspace, f)), bit for
+    bit, in one pass over the cell blocks: f is called once per block, and
+    its weighted values meet the vspace values and the pspace gradients."""
+    if vspace.mesh is not pspace.mesh:
+        raise ValueError("velocity and pressure spaces must share a mesh")
+    return tuple(_force_loads(f, [(vspace, _value_entries(vspace)),
+                                  (pspace, _gradient_entries(pspace))]))
 
 
 def assemble_field_grad_load(vspace: Space, p_field: Field) -> np.ndarray:
@@ -550,14 +593,15 @@ def assemble_field_grad_load(vspace: Space, p_field: Field) -> np.ndarray:
     vspace, with grad(p_h) taken directly from the coefficients at
     quadrature points (no re-projection)."""
     quad = triangle_rule_d5()
-    vals = shape_values(vspace.degree, quad.ref_points())
+    entries = _value_entries(vspace)
 
     def local(cells):
         w = quad_weights_physical(vspace.mesh, quad, cells)
         gp = eval_grad_at_quad(p_field, quad, cells)            # (B, Q, 2)
-        return vals.T @ (w[..., None] * gp)                     # (B, nloc, 2)
+        return [entries(w[..., None] * gp, cells)]              # (B, nloc, 2)
 
-    return _add_cells(vspace, local)
+    (load,) = _add_cells([vspace], local)
+    return load
 
 
 def interpolate_boundary(space: Space, g):

@@ -216,6 +216,24 @@ def stiffness_einsum(space, quad):
     return (0.5 * (out + out.T)).tocsr()
 
 
+def stiffness_matmul_symmetrized(space):
+    """The stiffness by the earlier local kernel: the metric |J| J^-1 J^-T by
+    a batched 2x2 matmul, its four entries against the full (2, 2, nloc,
+    nloc) tensor, then each cell's block made symmetric as (x + x^T) / 2."""
+    _, inv, det = space.mesh.geometry
+    nloc = space.nloc
+    ref = fem.stiffness_tensor(space.degree).reshape(4, nloc * nloc)
+
+    def local(cells):
+        geo = det[cells, None, None] * (inv[cells] @ inv[cells].transpose(0, 2, 1))
+        out = (geo.reshape(-1, 4) @ ref).reshape(-1, nloc, nloc)
+        out += out.transpose(0, 2, 1)
+        out *= 0.5
+        return out
+
+    return fem._scatter(space.cells, local, (space.ndofs, space.ndofs))
+
+
 def div_coupling_einsum(vspace, pspace, quad):
     _, _, det = vspace.mesh.geometry
     gu = physical_gradients_einsum(vspace, quad)

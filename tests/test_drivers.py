@@ -1038,7 +1038,9 @@ def test_loads_assembled_once_per_body_force(monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("assemble_load", "assemble_grad_load"):
+    # one pass builds both loads of a body force, on its first use
+    names = ("assemble_body_force_loads", "assemble_load", "assemble_grad_load")
+    for name in names:
         monkeypatch.setattr(fem, name, counted(name, getattr(fem, name)))
     mesh = build_structured_mesh(4)
     disc = Discretization(mesh)
@@ -1047,11 +1049,12 @@ def test_loads_assembled_once_per_body_force(monkeypatch):
     solve_pp(_inp(mesh, case), disc)
     for eps in (1e-3, 1e3):
         solve_es(_inp(mesh, case, eps=eps), disc)
-    assert sorted(calls) == ["assemble_grad_load", "assemble_load"]
+    assert calls == ["assemble_body_force_loads"]
     assert not disc.velocity_load(case.body_force).flags.writeable
+    assert not disc.pressure_load(case.body_force).flags.writeable
     solve_es(ProblemInput(mesh=mesh, body_force=unit_x, u_bc=zero_vec,
                           p_bc=linear_x_minus_half, epsilon=1.0), disc)
-    assert len(calls) == 4                # a new body force is assembled
+    assert calls == ["assemble_body_force_loads"] * 2    # a new body force
 
 
 def test_discretization_with_factors_is_freed():

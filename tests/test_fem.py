@@ -248,6 +248,40 @@ def test_p2_stiffness_stores_no_vertex_opposite_midpoint_pair(mesh):
         assert pattern[space.cells[:, i], space.cells[:, j]].sum() == 0.0
 
 
+@pytest.mark.parametrize("mesh", _storage_meshes(),
+                         ids=["structured", "jittered-0", "jittered-1"])
+def test_stiffness_matches_the_symmetrized_matmul_kernel(mesh):
+    # the metric's three entries against the (a, b)-symmetrized tensor at
+    # the distinct local pairs move K and Kp from the matmul kernel's only
+    # in their last bits
+    for degree in (1, 2):
+        space = Space(mesh, degree=degree)
+        new = assemble_stiffness(space)
+        old = helpers.stiffness_matmul_symmetrized(space)
+        assert abs(new - old).max() <= 1e-15 * abs(old).max()
+
+
+def test_body_force_loads_match_the_two_loads_bit_for_bit(monkeypatch):
+    mesh = helpers.affine_jittered_mesh(8, 2)
+    vspace, pspace = Space(mesh, degree=2), Space(mesh, degree=1)
+    calls = []
+
+    def force(x, y):
+        calls.append(x.shape)
+        return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)
+
+    for _ in _block_sizes(monkeypatch):
+        calls.clear()
+        velocity, pressure = fem.assemble_body_force_loads(vspace, pspace, force)
+        assert len(calls) == len(list(fem.cell_blocks(mesh.num_triangles)))
+        assert np.array_equal(velocity, assemble_load(vspace, force))
+        assert np.array_equal(pressure, assemble_grad_load(pspace, force))
+    with pytest.raises(ValueError, match="vector-valued"):
+        fem.assemble_body_force_loads(vspace, pspace, lambda x, y: x)
+    with pytest.raises(ValueError, match="share a mesh"):
+        fem.assemble_body_force_loads(vspace, Space(build_structured_mesh(2), 1), force)
+
+
 def test_cell_order_is_rcm_of_the_cell_graph(monkeypatch):
     # every two nodes of a cell are joined, whatever their entry in a matrix
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -642,11 +676,13 @@ def test_loads_match_row_scatter_bit_for_bit(monkeypatch):
                 assemble_field_grad_load(vspace, p),
                 assemble_load(pspace, lambda x, y: force(x, y)[..., 0])]
 
-    def row_scatter(space, local):
-        local = local(slice(None))
-        out = np.zeros((space.ndofs,) + local.shape[2:])
-        np.add.at(out, space.cells.ravel(), local.reshape((-1,) + local.shape[2:]))
-        return out
+    def row_scatter(spaces, local):
+        outs = []
+        for space, part in zip(spaces, local(slice(None))):
+            out = np.zeros((space.ndofs,) + part.shape[2:])
+            np.add.at(out, space.cells.ravel(), part.reshape((-1,) + part.shape[2:]))
+            outs.append(out)
+        return outs
 
     monkeypatch.setattr(fem, "BLOCK", 5)
     got = loads()

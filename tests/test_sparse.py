@@ -605,7 +605,7 @@ def test_assembly_in_drivers_runs_on_one_blas_thread(two_blas_threads, monkeypat
     from epsstokes import fem
     seen = _record_blas_threads(monkeypatch, fem, (
         "assemble_stiffness", "assemble_div_coupling", "assemble_load",
-        "assemble_grad_load", "assemble_field_grad_load"))
+        "assemble_grad_load", "assemble_body_force_loads", "assemble_field_grad_load"))
     mesh = build_structured_mesh(4)
     case = get_case("ms1")
     disc = Discretization(mesh)
@@ -613,7 +613,8 @@ def test_assembly_in_drivers_runs_on_one_blas_thread(two_blas_threads, monkeypat
                        p_bc=case.p_bc(), epsilon=1.0)
     for driver in (solve_pp, solve_stokes, solve_es):
         driver(inp, disc)
-    assert len(seen) == 6 and set(seen) == {1}
+    # K, Kp, B, the body force's two loads in one pass, PP's field load
+    assert len(seen) == 5 and set(seen) == {1}
     assert two_blas_threads() == 2
 
 

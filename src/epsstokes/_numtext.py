@@ -45,9 +45,10 @@ def sci12(values):
     e = floor(log10|v|), moved by one where y = |v| 10^(12-e) falls outside
     [10^12, 10^13).  y is off the exact value by at most 2 * 2^-53 * 10^13
     < 2.3e-3, so N = rint(y) is the exact 13-digit rounding where y is in
-    that range and |y - N| < 0.49; N = 10^13 carries into e.  Every other
-    value (near a tie, zero, non-finite or outside [1e-290, 1e290]) is
-    formatted by '%.12e' itself.
+    that range and |y - N| < 0.49; N = 10^13 carries into e.  A zero has
+    the fixed digits of N = 0 and e = 0, and np.signbit gives every sign,
+    that of -0.0 too.  Every other value (near a tie, non-finite or outside
+    [1e-290, 1e290]) is formatted by '%.12e' itself.
     """
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
@@ -63,11 +64,15 @@ def sci12(values):
     carry = n == 1e13
     n[carry] = 1e12
     e += carry
+    zero = v == 0.0
+    n[zero] = 0.0
+    e[zero] = 0
+    fast |= zero
     hi, lo = np.divmod(n.astype(np.int64), 10 ** 8)
     first, g1 = np.divmod(hi, 10 ** 4)
     g2, g3 = np.divmod(lo, 10 ** 4)
     out = np.empty((len(v), 6), np.uint32)
-    out[:, 0] = _HEAD[first + 10 * (v < 0)]
+    out[:, 0] = _HEAD[first + 10 * np.signbit(v)]
     out[:, 1] = _DIGITS4[g1]
     out[:, 2] = _DIGITS4[g2]
     out[:, 3] = _DIGITS4[g3]

@@ -35,7 +35,10 @@ under `traces`; one traced run is not a gain or a loss, it shows where a
 change moved the time.  Right after the pairs, before the traced runs,
 the record keeps the sha256 of each VTK file that each side's last mesh-pp
 run wrote (`.bench_work/mesh-pp/pp-<n>.vtk`), so it shows whether the two
-sides write the same bytes.  Nothing outside the two checkouts is written;
+sides write the same bytes, and, under `vtk_number_difference`, the largest
+difference between the two sides' numbers in each file's geometry and in
+its point data, each relative to the largest magnitude there, or null
+where the files differ in anything else.  Nothing outside the two checkouts is written;
 perfbench works under each checkout's `.bench_work/`.
 
 The record ends with a summary of each workload's end-to-end metrics, as
@@ -189,6 +192,41 @@ def vtk_digests(checkout: Path) -> dict:
             for path in sorted((checkout / ".bench_work" / "mesh-pp").glob("pp-*.vtk"))}
 
 
+def number_difference(a: str, b: str):
+    """[geometry, data]: the largest difference between the numbers of two
+    VTK texts before their POINT_DATA line (points and cells) and after it
+    (the solution), each relative to the largest magnitude there.  None
+    where the texts differ in anything but their numbers, header lines being
+    those that start with a letter or '#'."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return None
+    diff, scale, part = [0.0, 0.0], [0.0, 0.0], 0
+    for x, y in zip(lines_a, lines_b):
+        if x[:1].isalpha() or x[:1] == "#":
+            if x != y:
+                return None
+            part = max(part, x.startswith("POINT_DATA"))
+            continue
+        xs, ys = x.split(), y.split()
+        if len(xs) != len(ys):
+            return None
+        for u, v in zip(map(float, xs), map(float, ys)):
+            diff[part] = max(diff[part], abs(u - v))
+            scale[part] = max(scale[part], abs(u))
+    return [d / s if s else d for d, s in zip(diff, scale)]
+
+
+def vtk_difference(base: Path, change: Path) -> dict:
+    """{file name: number_difference of the two checkouts' files} for the
+    VTK files of their last mesh-pp runs."""
+    def text(checkout, name):
+        return (checkout / ".bench_work" / "mesh-pp" / name).read_text()
+
+    return {name: number_difference(text(base, name), text(change, name))
+            for name in vtk_digests(base)}
+
+
 def sizes(checkout: Path, seed: int) -> dict:
     proc = subprocess.run([sys.executable, "-c", SIZES, str(seed)], cwd=checkout,
                           stdout=subprocess.PIPE, text=True, check=True)
@@ -280,7 +318,8 @@ def main(argv=None) -> int:
     record = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0",
         "seed": args.seed,
-        **({"vtk_sha256": {side: vtk_digests(path) for side, path in sides.items()}}
+        **({"vtk_sha256": {side: vtk_digests(path) for side, path in sides.items()},
+            "vtk_number_difference": vtk_difference(sides["base"], CHANGE)}
            if "mesh-pp" in pairs else {}),
         "sizes": {side: sizes(path, args.seed) for side, path in sides.items()},
         "traces": {side: traces(path, pairs, args.seed) for side, path in sides.items()},

@@ -1039,8 +1039,7 @@ def test_loads_assembled_once_per_body_force(monkeypatch):
         return wrapper
 
     # one pass builds both loads of a body force, on its first use
-    names = ("assemble_body_force_loads", "assemble_load", "assemble_grad_load")
-    for name in names:
+    for name in ("assemble_body_force_loads", "assemble_load", "assemble_grad_load"):
         monkeypatch.setattr(fem, name, counted(name, getattr(fem, name)))
     mesh = build_structured_mesh(4)
     disc = Discretization(mesh)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from epsstokes.cli import main
 from epsstokes.drivers import Discretization, ProblemInput, solve_es, solve_stokes
-from epsstokes import _numtext
 from epsstokes._numtext import decimal, rows, sci12
 from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
                                problem_input, run_sweep_eps, run_sweep_h)
@@ -386,7 +385,7 @@ def test_sci12_writes_signed_zeros_without_percent_format(monkeypatch):
     # a zero has fixed digits and np.signbit gives its sign, so 0.0 and -0.0
     # among ordinary values leave no row to the '%.12e' fallback, which
     # would build its rows with _words
-    monkeypatch.setattr(_numtext, "_words", None)
+    monkeypatch.setattr("epsstokes._numtext._words", None)
     _assert_sci12_matches_percent_format(
         [0.0, -0.0, 1.5, -0.0, -2.25e-7, 0.0, 3e100, -7.0, 0.1, -0.0])
 

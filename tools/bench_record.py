@@ -38,8 +38,8 @@ run wrote (`.bench_work/mesh-pp/pp-<n>.vtk`), so it shows whether the two
 sides write the same bytes, and, under `vtk_number_difference`, the largest
 difference between the two sides' numbers in each file's geometry and in
 its point data, each relative to the largest magnitude there, or null
-where the files differ in anything else.  Nothing outside the two checkouts is written;
-perfbench works under each checkout's `.bench_work/`.
+where the files differ in anything else.  Nothing outside the two
+checkouts is written; perfbench works under each checkout's `.bench_work/`.
 
 The record ends with a summary of each workload's end-to-end metrics, as
 BENCHMARK.json names them, which is also printed: each side's median and
@@ -206,7 +206,8 @@ def number_difference(a: str, b: str):
         if x[:1].isalpha() or x[:1] == "#":
             if x != y:
                 return None
-            part = max(part, x.startswith("POINT_DATA"))
+            if x.startswith("POINT_DATA"):
+                part = 1
             continue
         xs, ys = x.split(), y.split()
         if len(xs) != len(ys):

@@ -138,7 +138,7 @@ def _summary(case, results) -> dict:
             "lu_nnz": res.report.lu_nnz,
             "iterations": res.report.iterations,
             **({"ritz": list(res.report.ritz)} if res.report.ritz else {}),
-            # S's deflated Schur CG: its smallest Ritz value reads beta_h^2
+            # the smallest Ritz value of S's deflated Schur CG (SolverReport)
             **({"inf_sup_sq": res.report.ritz[0]}
                if prob == "S" and res.report.ritz else {}),
             "err_u_H1_vs_exact": ver.error_h1(res.u, case.u_exact, case.grad_u_exact),

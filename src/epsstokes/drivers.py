@@ -79,11 +79,13 @@ Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).  CG deflates the
 coarse vector that is 1 on the free pressure dofs and 0 on the fixed ones
 (Nicolaides, SIAM J. Numer. Anal. 24, 1987), which nearly spans S's one
 soft mode, whose eigenvalue for Stokes shrinks like h^2: it takes S at
-n = 40 from 32 steps to 26, and leaves beta_h^2 as S's smallest Ritz value.  One velocity solve then recovers u.  D and C
-are the solved system's own blocks.  A Krylov step is one two-column A
-solve, one factor solve and three sparse products on vectors of pressure
-length: at n = 40, 1.7k entries where the whole system has 14.8k.
-sparse.solve checks x against the system block by block.
+n = 40 from 32 steps to 26, and S's smallest Ritz value is then the
+smallest on the data's Krylov space, beta_h^2 only if the data excite
+the lowest mode (sparse.SolverReport).  One velocity solve then recovers
+u.  D and C are the solved system's own blocks.  A Krylov step is one
+two-column A solve, one factor solve and three sparse products on vectors
+of pressure length: at n = 40, 1.7k entries where the whole system has
+14.8k.  sparse.solve checks x against the system block by block.
 
 For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
@@ -480,7 +482,8 @@ def _solve_fixed(system: Eliminated, load: np.ndarray, values: np.ndarray,
                  tol: float, precond) -> tuple[np.ndarray, SolverReport]:
     """Solve an eliminated system, lifting and restoring the fixed values."""
     x, report = solve(system.matrix,
-                      _lifted(system.lift, system.fixed, load, values), tol, precond)
+                      _lifted(system.lift, system.fixed, load, values), tol,
+                      precond=precond)
     x[system.fixed] = values
     return x, report
 
@@ -501,7 +504,7 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
 
     rhs = np.zeros(nu + disc.np_)
     rhs[:nu] = disc.velocity_load(inp.body_force).ravel()
-    _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     x, report = _solve_fixed(
         system, rhs, np.append(u_vals, 0.0), tol,    # pressure gauge: p dof = 0
         lambda: _schur_reduction(disc, system, "Mp", tol))
@@ -533,7 +536,7 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
 
-    _, p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
+    p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     p_coeff, report = _solve_fixed(         # the solve factors Kp on first use
         disc.pressure_system, disc.pressure_load(inp.body_force), p_vals, tol,
         lambda: Preconditioner("Kp", disc.pressure_factor.solve,
@@ -543,7 +546,7 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
 
     f = (disc.velocity_load(inp.body_force)
          - fem.assemble_field_grad_load(disc.vspace, p))
-    _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     if "velocity_factor" in vars(disc):     # reading it would factor A
         vel = disc.velocity_factor
         factors = (disc.pressure_factor, vel)
@@ -599,8 +602,8 @@ def _coupled_values(disc: Discretization, inp: ProblemInput) -> np.ndarray:
     _require_compatible(inp)
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
-    _, u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    _, p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
+    u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
+    p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     return np.concatenate([u_vals.ravel(), p_vals])
 
 

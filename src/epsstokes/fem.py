@@ -571,17 +571,10 @@ def assemble_load(space: Space, f) -> np.ndarray:
     return load
 
 
-def assemble_grad_load(pspace: Space, F) -> np.ndarray:
-    """Load vector with entries integral of F . grad(psi_q), for F mapping
-    (x, y) to vectors (..., 2).  F is called once per block of cells."""
-    (load,) = _force_loads(F, [(pspace, _gradient_entries(pspace))])
-    return load
-
-
 def assemble_body_force_loads(vspace: Space, pspace: Space, f):
-    """(assemble_load(vspace, f), assemble_grad_load(pspace, f)), bit for
-    bit, in one pass over the cell blocks: f is called once per block, and
-    its weighted values meet the vspace values and the pspace gradients."""
+    """The loads of a body force f, mapping (x, y) to vectors (..., 2), of
+    f . phi_i on vspace, one (x, y) row per node, and of f . grad(psi_q) on
+    pspace, in one pass over the cell blocks that calls f once per block."""
     if vspace.mesh is not pspace.mesh:
         raise ValueError("velocity and pressure spaces must share a mesh")
     return tuple(_force_loads(f, [(vspace, _value_entries(vspace)),
@@ -604,18 +597,15 @@ def assemble_field_grad_load(vspace: Space, p_field: Field) -> np.ndarray:
     return load
 
 
-def interpolate_boundary(space: Space, g):
-    """Nodal interpolation of boundary data.
-
-    Returns (nodes, values): the boundary nodes and the interpolated values.
-    Scalar g maps (x, y) arrays to values, one per node; vector g returns
-    (..., 2), one (x, y) row per node.
-    """
+def interpolate_boundary(space: Space, g) -> np.ndarray:
+    """Nodal interpolation of boundary data, in the order of
+    space.boundary_nodes: scalar g maps (x, y) arrays to values, one per
+    node; vector g returns (..., 2), one (x, y) row per node."""
     nodes = space.boundary_nodes
     coords = space.node_coords[nodes]
     gv = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
     shape = (len(nodes), 2) if gv.ndim == 2 else (len(nodes),)
-    return nodes.copy(), np.broadcast_to(gv, shape).copy()
+    return np.broadcast_to(gv, shape).copy()
 
 
 def masked(a: sps.spmatrix, rows, cols, unit=()) -> sps.csr_matrix:

@@ -21,12 +21,12 @@ That ordering breaks ties by input label, so on the FE numbering its fill
 depended on luck: A's factor held 5.45M entries at n = 96 but 5.29M at
 n = 128.  A factor therefore first relabels the matrix by reverse
 Cuthill-McKee (Cuthill & McKee, 1969) before minimum degree runs.  The
-drivers pass the RCM order of the cell graph of the matrix's space, which
-joins every two nodes that share a cell (fem.cell_order); a bare matrix is
-ordered by RCM on the stored pattern of A + A^T.  Assembly stores no
-round-off of exact zeros (fem._scatter), so A's stored pattern lacks pairs
-that its cells couple, and RCM on it filled A's factor 23% more on a
-jittered n = 96 mesh and 25% more at n = 128 than the cell graph does.
+caller passes the order, and the drivers pass the RCM order of the cell
+graph of the matrix's space, which joins every two nodes that share a cell
+(fem.cell_order).  Assembly stores no round-off of exact zeros
+(fem._scatter), so A's stored pattern lacks pairs that its cells couple,
+and RCM on that pattern filled A's factor 23% more on a jittered n = 96
+mesh and 25% more at n = 128 than the cell graph does.
 With the cell graph, A's factor holds 1.75M entries at n = 96, against
 5.45M under the FE labels.
 
@@ -39,16 +39,16 @@ written inside dump_matrices, by placed, which puts each block's entries at
 their rows and columns; no monolithic matrix and no kron(A, I2) is built
 otherwise.
 
-Without a preconditioner, solve factors the matrix itself.  The drivers pass
-preconditioners built from the factors that one Discretization keeps for
-its mesh, so a sweep factors the shared blocks once.  For Stokes and ES the
-preconditioner runs cg on the pressure Schur complement, which is
-symmetric positive definite since the gradient block is -D^T, deflating
-the coarse vector of the free pressure dofs; for a PP velocity component
-on a Discretization without A's factor it runs cg on A, preconditioned by
-a two-level cycle on the factor of Kp (see drivers).  A
-preconditioner that misses the tolerance fails the solve: no Krylov solve
-runs around another one, or around an inexact factor.
+solve always takes a preconditioner.  The drivers pass preconditioners
+built from the factors that one Discretization keeps for its mesh, so a
+sweep factors the shared blocks once.  For Stokes and ES the preconditioner
+runs cg on the pressure Schur complement, which is symmetric positive
+definite since the gradient block is -D^T, deflating the coarse vector of
+the free pressure dofs; for a PP velocity component on a Discretization
+without A's factor it runs cg on A, preconditioned by a two-level cycle on
+the factor of Kp (see drivers).  A preconditioner that misses the
+tolerance fails the solve: no Krylov solve runs around another one, or
+around an inexact factor.
 
 A solve runs numpy's BLAS on one thread.  Full-length Krylov vectors at
 n = 40 are past OpenBLAS's threading cut-off for dot products, and the
@@ -91,7 +91,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse as sps
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 DEFAULT_TOL = 1e-10
@@ -246,10 +245,11 @@ class SolverReport:
     of the Schur operator with the coarse vector deflated (cg; Nicolaides,
     SIAM J. Numer. Anal. 24, 1987; Saad, Yeung, Erhel & Guyomarc'h, SIAM J.
     Sci. Comput. 21, 2000).  For Stokes the largest tends to 1, and the
-    smallest is beta_h^2, the discrete inf-sup constant squared, about 0.133
-    on the unit square at every h, not the mode of the pinned gauge dof,
-    whose eigenvalue shrinks like h^2 and which the deflation removes; for
-    PP's two-level cycle they lie in (0, 1].  (A
+    smallest, no longer the pinned gauge mode the deflation removes, is the
+    smallest on the data's Krylov space: beta_h^2, the discrete inf-sup
+    constant squared, only if the right-hand side excites the lowest mode
+    (at n = 8, ms1 reads 0.135298 where the dense beta_h^2 is 0.134095).
+    For PP's two-level cycle they lie in (0, 1].  (A
     solution of the 1/eps series in drivers reports its terms and, per term,
     its residual bound instead.)  lu_nnz counts the entries SuperLU stores
     for L and U in every distinct factor the solve applied, diagonals
@@ -297,9 +297,8 @@ class SolverReport:
 class Factor:
     """SuperLU factor of a square sparse matrix, taken as given.
 
-    The matrix is relabelled by perm, the order given or else the reverse
-    Cuthill-McKee order of its stored pattern, before SuperLU orders it by
-    minimum degree.  A zero row is refused.  Each step is a plain scipy
+    The matrix is relabelled by perm, the order given, before SuperLU orders
+    it by minimum degree.  A zero row is refused.  Each step is a plain scipy
     operation that makes its own copy.  SuperLU factors one column at a
     time (panel_size 1): its default panels of several columns gave the
     same column order, fill and solutions to 3e-15, but on a jittered
@@ -314,17 +313,16 @@ class Factor:
     finished the perf_counter reading at its end.
     """
 
-    def __init__(self, a: sps.csr_matrix, perm: np.ndarray = None):
+    def __init__(self, a: sps.csr_matrix, perm: np.ndarray):
         start = time.perf_counter()
         a = a.tocsr()
         row_max = abs(a).max(axis=1).toarray().ravel()
         if np.any(row_max == 0.0):
             k = int(np.argmin(row_max))
             raise SolverError(f"matrix is structurally singular: row {k} is zero")
-        csc = a.tocsc()
-        self.perm = _structure_order(csc) if perm is None else perm
-        self.iperm = np.argsort(self.perm)
-        csc = csc[self.perm][:, self.perm]
+        self.perm = perm
+        self.iperm = np.argsort(perm)
+        csc = a.tocsc()[perm][:, perm]
         try:
             self.lu = splu(csc, permc_spec=PERMC_SPEC,
                            diag_pivot_thresh=1e-3, panel_size=1,
@@ -342,16 +340,6 @@ class Factor:
         # np.take gathers faster than fancy indexing
         rp = np.take(np.asarray(r, dtype=float), self.perm, axis=0)
         return np.take(self.lu.solve(rp), self.iperm, axis=0)
-
-
-def _structure_order(a: sps.csc_matrix) -> np.ndarray:
-    """Reverse Cuthill-McKee labels of the stored pattern of a + a^T.
-
-    scipy forms the union by adding the transpose; on unit values no entry
-    can cancel its mirror, so every stored entry counts.
-    """
-    pattern = sps.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-    return reverse_cuthill_mckee(pattern, symmetric_mode=False)
 
 
 @dataclass
@@ -464,12 +452,6 @@ class Preconditioner(NamedTuple):
     log: KrylovLog = None
 
 
-def _direct(a: sps.csr_matrix) -> Preconditioner:
-    """The factor of a itself."""
-    f = Factor(a)
-    return Preconditioner(f"sparse_lu({ORDERING})", f.solve, (f,))
-
-
 def norm(v: np.ndarray) -> float:
     """||v||: the plain 2-norm, or where that overflows, the largest |entry|
     times the norm of v scaled by it.  Not finite if an entry is not."""
@@ -483,15 +465,11 @@ def norm(v: np.ndarray) -> float:
     return scale * float(np.linalg.norm(v / scale))
 
 
-def rel_residual(a, x, b, bnorm=None) -> float:
-    """||b - A x|| / ||b||, the residual solve holds to tol; ||b|| is floored
-    at RESIDUAL_FLOOR, and bnorm, if given, is that floored norm.  inf if
-    either norm is not finite, so that no gate passes it."""
-    return product_residual(a @ x, b, bnorm)
-
-
 def product_residual(ax, b, bnorm=None) -> float:
-    """rel_residual for a product ax = A x formed by the caller."""
+    """||b - A x|| / ||b|| for a product ax = A x formed by the caller, the
+    residual solve holds to tol; ||b|| is floored at RESIDUAL_FLOOR, and
+    bnorm, if given, is that floored norm.  inf if either norm is not
+    finite, so that no gate passes it."""
     if bnorm is None:
         bnorm = max(norm(b), RESIDUAL_FLOOR)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -585,32 +563,30 @@ def dump_solved(a) -> None:
         prefix, counter = sink
         if isinstance(a, SaddleSystem):
             a = a.assembled()
-        dump_matrix_market(a, f"{prefix}{next(counter):03d}.mtx")
+        from scipy.io import mmwrite     # only a dumping process loads it
+        mmwrite(f"{prefix}{next(counter):03d}.mtx", a)
 
 
 @one_blas_thread()
-def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL,
-          precond: Callable[[], Preconditioner] = None):
+def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL, *,
+          precond: Callable[[], Preconditioner]):
     """Solve A x = b to a relative residual of at most tol.
 
-    a is a CSR matrix or a SaddleSystem, which is applied block by block
-    and needs precond.  precond builds the preconditioner M; it is called
-    once inside this solve, so factors it creates count in the report's
-    factor_time.  By default the matrix is factored itself.  x = M b, and
-    the report takes its method from M's name and its steps and Ritz values
-    from M's log, if M runs a Krylov solve.  Raises SolverError if a block
-    of the matrix or b has a non-finite entry, if a factorization or M's
-    Krylov solve fails, or if ||b - A x|| <= tol ||b|| does not hold.  The
-    factorization and M run with numpy's BLAS on one thread; the previous
-    count is restored on return or raise.
+    a is a CSR matrix or a SaddleSystem, which is applied block by block.
+    precond builds the preconditioner M; it is called once inside this
+    solve, so factors it creates count in the report's factor_time.
+    x = M b, and the report takes its method from M's name and its steps
+    and Ritz values from M's log, if M runs a Krylov solve.  Raises
+    SolverError if a block of the matrix or b has a non-finite entry, if a
+    factorization or M's Krylov solve fails, or if ||b - A x|| <= tol ||b||
+    does not hold.  The factorization and M run with numpy's BLAS on one
+    thread; the previous count is restored on return or raise.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
     if not tol >= TOL_FLOOR:
         raise ValueError(f"tolerance must be >= the floor {TOL_FLOOR:g}, got {tol}")
     blocks = tuple(a) if isinstance(a, SaddleSystem) else (a,)
-    if precond is None and isinstance(a, SaddleSystem):
-        raise ValueError("a SaddleSystem is solved with a preconditioner")
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: matrix {a.shape}, rhs {b.shape}")
@@ -623,14 +599,14 @@ def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL,
     dump_solved(a)
     release_free_heap()
     start = time.perf_counter()
-    pre = _direct(a) if precond is None else precond()
+    pre = precond()
     log = KrylovLog() if pre.log is None else pre.log
 
     x = pre.apply(b)
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution "
                           "(singular matrix)")
-    res = rel_residual(a, x, b, bnorm)
+    res = product_residual(a @ x, b, bnorm)
     if not res <= tol:
         raise SolverError(
             f"solver did not reach tol={tol:g}; achieved residual {res:.3e}",
@@ -638,9 +614,3 @@ def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL,
     return x, SolverReport.from_factors(
         pre.name, res, [e / bnorm for e in log.estimates],
         time.perf_counter() - start, pre.factors, start, log.ritz())
-
-
-def dump_matrix_market(a: sps.csr_matrix, path) -> None:
-    """Write the matrix in MatrixMarket coordinate format (debug aid)."""
-    from scipy.io import mmwrite
-    mmwrite(str(path), a)

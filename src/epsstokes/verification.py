@@ -191,16 +191,6 @@ def _weighted_sq(w: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum(f"mq,{axes},{axes}->", w, v, v))
 
 
-def error_l2(field: Field, exact) -> float:
-    """L2 norm of (field - exact); pass exact=None for the norm of field."""
-    return error_gap(field, exact, None).l2
-
-
-def seminorm_h1(field: Field, grad_exact=None) -> float:
-    """L2 norm of grad(field - exact)."""
-    return error_gap(field, None, grad_exact).seminorm
-
-
 def error_gap(field: Field, exact, grad_exact) -> Gap:
     """The Gap of field against a closed form: the squared L2 norms of
     field - exact and of its gradient's error, in one pass over the blocks

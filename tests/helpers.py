@@ -365,8 +365,8 @@ def velocity_load(disc, body_force):
 
 def velocity_boundary(disc, u_bc):
     """(dofs, values) of the velocity boundary data in the interleaved layout."""
-    nodes, vals = fem.interpolate_boundary(disc.vspace, u_bc)
-    return fem.vector_dofs(nodes), vals.ravel()
+    vals = fem.interpolate_boundary(disc.vspace, u_bc)
+    return fem.vector_dofs(disc.vspace.boundary_nodes), vals.ravel()
 
 
 def stokes_lagrange_reference(inp, disc):
@@ -415,8 +415,9 @@ def reference_system(stage, inp, disc, p=None, grad=None):
         f = f - fem.assemble_field_grad_load(disc.vspace,
                                              Field(disc.pspace, p)).ravel()
         return vector_stiffness(disc), f, u_bdofs, u_bvals
-    g = fem.assemble_grad_load(disc.pspace, inp.body_force)
-    p_bdofs, p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
+    g = fem.assemble_body_force_loads(disc.vspace, disc.pspace, inp.body_force)[1]
+    p_bdofs = disc.pspace.boundary_nodes
+    p_bvals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     if stage == "PP-p":
         return fem.assemble_stiffness(disc.pspace), g, p_bdofs, p_bvals
     eps = inp.epsilon

@@ -122,6 +122,12 @@ def test_bench_record_number_difference_reads_geometry_and_point_data():
     assert difference(text.format("1.0"), moved) == [0.25, 0.0]
     assert difference(text.format("1.0"), text.format("1.0").replace("p double", "q double")) is None
     assert difference(text.format("1.0"), text.format("1.0 2.0")) is None
+    # below 1 in magnitude the relative and the absolute difference disagree
+    small = ("# vtk DataFile Version 3.0\nPOINTS 2 double\n0.0 0.5 0.0\n0.25 0.0 0.0\n"
+             "POINT_DATA 2\nSCALARS p double 1\nLOOKUP_TABLE default\n{}\n-0.25\n")
+    assert difference(small.format("0.125"), small.format("0.1875")) == [0.0, 0.25]
+    moved = small.format("0.125").replace("0.25 0.0", "0.375 0.0")
+    assert difference(small.format("0.125"), moved) == [0.25, 0.0]
 
 
 def test_bench_record_size_functions_run_on_this_package():

@@ -15,9 +15,9 @@ from epsstokes.drivers import (Discretization, IncompatibleDataError,
 from epsstokes.harness import DEFAULT_EPS_GRID, RunConfig, run_sweep_eps
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.fem import Field
-from epsstokes.verification import (diff_field, div_l2, error_h1,
+from epsstokes.verification import (diff_field, div_l2, error_gap, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
-                                    seminorm_h1, get_case)
+                                    get_case)
 from helpers import (affine_jittered_mesh, apply_dirichlet, eliminate_by_products,
                      linear_x_minus_half, loaded_parallelogram_mesh, monolithic_reference,
                      reference_system, stokes_lagrange_reference, unit_x,
@@ -208,8 +208,8 @@ def test_projection_inequality_small_mesh():
     pp = solve_pp(_inp(mesh, case), disc)
     for eps in (1e-2, 1.0, 1e2):
         res = solve_es(_inp(mesh, case, eps=eps), disc)
-        lhs = seminorm_h1(diff_field(res.p, pp.p))
-        rhs = seminorm_h1(diff_field(res.p, s.p))
+        lhs = error_gap(diff_field(res.p, pp.p), None, None).seminorm
+        rhs = error_gap(diff_field(res.p, s.p), None, None).seminorm
         assert lhs <= rhs * 1.05 + 1e-9
 
 
@@ -218,8 +218,9 @@ def test_boundary_values_exact():
     mesh = build_structured_mesh(4)
     disc = Discretization(mesh)
     from epsstokes.fem import interpolate_boundary
-    u_dofs, u_vals = interpolate_boundary(disc.vspace, case.u_bc())
-    p_dofs, p_vals = interpolate_boundary(disc.pspace, case.p_bc())
+    u_dofs, p_dofs = disc.vspace.boundary_nodes, disc.pspace.boundary_nodes
+    u_vals = interpolate_boundary(disc.vspace, case.u_bc())
+    p_vals = interpolate_boundary(disc.pspace, case.p_bc())
     res = solve_es(_inp(mesh, case, eps=0.5), disc)
     assert np.array_equal(res.u.coefficients[u_dofs], u_vals)
     assert np.array_equal(res.p.coefficients[p_dofs], p_vals)
@@ -739,7 +740,7 @@ def test_pp_after_stokes_applies_the_factor_of_a():
     system = disc.velocity_system
     f = (disc.velocity_load(case.body_force)
          - fem.assemble_field_grad_load(disc.vspace, res.p))
-    _, u_vals = fem.interpolate_boundary(disc.vspace, case.u_bc())
+    u_vals = fem.interpolate_boundary(disc.vspace, case.u_bc())
     for c in (0, 1):
         want = disc.velocity_factor.solve(
             drivers._lifted(system.lift, system.fixed, f[:, c], u_vals[:, c]))
@@ -1039,7 +1040,7 @@ def test_loads_assembled_once_per_body_force(monkeypatch):
         return wrapper
 
     # one pass builds both loads of a body force, on its first use
-    for name in ("assemble_body_force_loads", "assemble_load", "assemble_grad_load"):
+    for name in ("assemble_body_force_loads", "assemble_load"):
         monkeypatch.setattr(fem, name, counted(name, getattr(fem, name)))
     mesh = build_structured_mesh(4)
     disc = Discretization(mesh)
@@ -1235,7 +1236,7 @@ def test_series_residual_is_the_es_residual(monkeypatch):
         seen.clear()
         solve_es(_inp(mesh, case, eps=res.epsilon), disc)
         ((system, rhs),) = seen
-        assert res.report.rel_residual == sparse.rel_residual(system, x, rhs)
+        assert res.report.rel_residual == sparse.product_residual(system @ x, rhs)
         mat, ref_rhs = apply_dirichlet(*reference_system(
             "ES", _inp(mesh, case, eps=res.epsilon), disc, grad=-disc.div.T))
         want = np.linalg.norm(ref_rhs - mat @ x) / np.linalg.norm(ref_rhs)

@@ -10,7 +10,7 @@ from scipy import sparse as sps
 import helpers
 from epsstokes import fem
 from epsstokes.fem import (Field, Space, assemble_div_coupling,
-                           assemble_field_grad_load, assemble_grad_load, assemble_load,
+                           assemble_field_grad_load, assemble_load,
                            assemble_stiffness, interpolate_boundary,
                            triangle_rule_d5, vector_dofs)
 from epsstokes.mesh import Mesh, build_structured_mesh
@@ -275,7 +275,8 @@ def test_body_force_loads_match_the_two_loads_bit_for_bit(monkeypatch):
         velocity, pressure = fem.assemble_body_force_loads(vspace, pspace, force)
         assert len(calls) == len(list(fem.cell_blocks(mesh.num_triangles)))
         assert np.array_equal(velocity, assemble_load(vspace, force))
-        assert np.array_equal(pressure, assemble_grad_load(pspace, force))
+        _assert_matches(pressure, helpers.grad_load_einsum(pspace, force,
+                                                           triangle_rule_d5()))
     with pytest.raises(ValueError, match="vector-valued"):
         fem.assemble_body_force_loads(vspace, pspace, lambda x, y: x)
     with pytest.raises(ValueError, match="share a mesh"):
@@ -317,7 +318,7 @@ def test_blocked_assembly_and_loads_match_one_block(monkeypatch):
         return ([assemble_stiffness(vspace), assemble_stiffness(pspace),
                  fem.assemble_mass(vspace), fem.assemble_mass(pspace),
                  assemble_div_coupling(vspace, pspace)],
-                [assemble_load(vspace, force), assemble_grad_load(pspace, force),
+                [*fem.assemble_body_force_loads(vspace, pspace, force),
                  assemble_field_grad_load(vspace, p)])
 
     (mats, loads), (blocked_mats, blocked_loads) = _one_block_and_blocks(monkeypatch, build)
@@ -426,17 +427,22 @@ def test_load_linear_on_reference_triangle():
     assert np.abs(vec - np.array([1, 2, 1]) / 24.0).max() <= 1e-14
 
 
+def _grad_load(pspace, F):
+    """The P1 load of F . grad(psi_q), the second load of a body force."""
+    return fem.assemble_body_force_loads(Space(pspace.mesh, 2), pspace, F)[1]
+
+
 def test_grad_load_zero():
     space = Space(build_structured_mesh(3), degree=1)
     from helpers import zero_vec
-    assert np.abs(assemble_grad_load(space, zero_vec)).max() == 0.0
+    assert np.abs(_grad_load(space, zero_vec)).max() == 0.0
 
 
 def test_grad_load_gradient_of_coordinate():
     # F = grad(x): action equals the stiffness row action on the x-coefficients
     mesh = build_structured_mesh(4)
     space = Space(mesh, degree=1)
-    vec = assemble_grad_load(
+    vec = _grad_load(
         space, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(y)], axis=-1))
     stiff_action = assemble_stiffness(space) @ space.node_coords[:, 0]
     assert np.abs(vec - stiff_action).max() <= 1e-12
@@ -444,17 +450,17 @@ def test_grad_load_gradient_of_coordinate():
 
 def test_grad_load_symbolic_oracle_on_reference_triangle():
     space = Space(ref_triangle_mesh(), degree=1)
-    vec = assemble_grad_load(space, lambda x, y: np.stack([y, x], axis=-1))
+    vec = _grad_load(space, lambda x, y: np.stack([y, x], axis=-1))
     assert np.abs(vec - np.array([-1 / 3, 1 / 6, 1 / 6])).max() <= 1e-14
 
 
 def test_interpolate_boundary_scalar():
     mesh = build_structured_mesh(2)
     space = Space(mesh, degree=1)
-    nodes, vals = interpolate_boundary(space, lambda x, y: np.zeros_like(x))
-    assert np.abs(vals).max() == 0.0
-    assert np.array_equal(nodes, space.boundary_nodes)
-    nodes, vals = interpolate_boundary(space, lambda x, y: x)
+    nodes = space.boundary_nodes
+    vals = interpolate_boundary(space, lambda x, y: np.zeros_like(x))
+    assert vals.shape == nodes.shape and np.abs(vals).max() == 0.0
+    vals = interpolate_boundary(space, lambda x, y: x)
     corner = np.where((space.node_coords == [1.0, 1.0]).all(axis=1))[0][0]
     assert vals[np.where(nodes == corner)[0][0]] == 1.0
 
@@ -462,8 +468,8 @@ def test_interpolate_boundary_scalar():
 def test_interpolate_boundary_vector():
     mesh = build_structured_mesh(2)
     vspace = Space(mesh, degree=2)
-    nodes, vals = interpolate_boundary(vspace, lambda x, y: np.stack([x, -y], axis=-1))
-    assert np.array_equal(nodes, vspace.boundary_nodes)
+    nodes = vspace.boundary_nodes
+    vals = interpolate_boundary(vspace, lambda x, y: np.stack([x, -y], axis=-1))
     coords = vspace.node_coords[nodes]
     assert vals.shape == (len(nodes), 2)
     assert np.abs(vals - coords * [1.0, -1.0]).max() == 0.0
@@ -672,7 +678,7 @@ def test_loads_match_row_scatter_bit_for_bit(monkeypatch):
         return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)
 
     def loads():
-        return [assemble_load(vspace, force), assemble_grad_load(pspace, force),
+        return [*fem.assemble_body_force_loads(vspace, pspace, force),
                 assemble_field_grad_load(vspace, p),
                 assemble_load(pspace, lambda x, y: force(x, y)[..., 0])]
 
@@ -724,7 +730,7 @@ def _assert_kernels_match_einsum_oracle(mesh, seed=0):
     def force(x, y):
         return np.stack([np.sin(3 * x) + y, x * y - np.cos(y)], axis=-1)
 
-    _assert_matches(assemble_grad_load(pspace, force),
+    _assert_matches(fem.assemble_body_force_loads(vspace, pspace, force)[1],
                     helpers.grad_load_einsum(pspace, force, quad))
     p = Field(pspace, np.random.default_rng(seed).standard_normal(pspace.ndofs))
     _assert_matches(assemble_field_grad_load(vspace, p),

@@ -157,21 +157,20 @@ def test_sweep_h_needs_n_list():
 
 def test_sweep_stokes_row_integrates_the_velocity_l2_error_once(monkeypatch):
     # the row's H1 and L2 errors come from one pass of error_gap, which
-    # integrates the L2 error once, and not from error_l2 and seminorm_h1
+    # integrates the L2 error once
     import epsstokes.verification as ver
-    real_l2 = ver.error_l2
-    calls = {name: [] for name in ("error_gap", "error_l2", "seminorm_h1")}
-    for name, seen in calls.items():
-        def counted(*args, real=getattr(ver, name), seen=seen, **kwargs):
-            seen.append(args)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(ver, name, counted)
+    real, calls = ver.error_gap, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ver, "error_gap", counted)
     table, _ = run_sweep_h(RunConfig(case="ms1", problem="S", n_list=(4,)))
     [row] = table.rows
-    assert [len(seen) for seen in calls.values()] == [1, 0, 0]
-    [(field, _, _)] = calls["error_gap"]
+    [(field, _, _)] = calls
     case = get_case("ms1")
-    assert row.err_u_L2_vs_S == real_l2(field, case.u_exact)
+    assert row.err_u_L2_vs_S == real(field, case.u_exact, None).l2
     assert row.err_u_H1_vs_S == error_h1(field, case.u_exact, case.grad_u_exact)
 
 
@@ -284,7 +283,8 @@ def test_export_vtk_round_trip_pressure(tmp_path):
     assert np.abs(data["velocity"][:, :2] - res.u.coefficients[:nv]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("which", ["jittered", "parallelogram", "extremes"])
+@pytest.mark.parametrize("which", ["jittered", "parallelogram", "extremes",
+                                   "boundary trace"])
 def test_export_vtk_matches_line_writer(tmp_path, which):
     mesh = (loaded_parallelogram_mesh(tmp_path) if which == "parallelogram"
             else affine_jittered_mesh(6, seed=3))
@@ -299,6 +299,12 @@ def test_export_vtk_matches_line_writer(tmp_path, which):
         u[:3], u[3:5] = 0.0, -0.0
         p[:4] = np.nan, np.inf, -np.inf, -0.0
         p[4:12] *= 1e150
+    if which == "boundary trace":
+        # u = (xy + x, y^2) is not 0 on the boundary, so div u = 1 + 3y is
+        # not 0 at a vertex that one cell holds, where it is averaged alone
+        x, y = res.u.space.node_coords.T
+        res.u.coefficients[:] = np.stack([x * y + x, y * y], axis=-1)
+        assert np.any(np.bincount(mesh.triangles.ravel()) == 1)
     export_vtk(res, tmp_path / "new.vtk")
     export_vtk_loop(res, tmp_path / "old.vtk")
     assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
@@ -794,5 +800,8 @@ def test_perfbench_span_targets_exist():
     spec.loader.exec_module(spans)
     missing = {f"{module}.{attr}" for module, attr in spans.TARGETS
                if not hasattr(importlib.import_module(f"epsstokes.{module}"), attr)}
-    # gone on purpose: elimination moved, and the saddle systems apply -B^T
-    assert missing <= {"fem.apply_dirichlet", "fem.assemble_grad_coupling"}
+    # gone on purpose: elimination moved, the saddle systems apply -B^T, and
+    # three front-ends that no workload calls were deleted
+    assert missing <= {"fem.apply_dirichlet", "fem.assemble_grad_coupling",
+                       "fem.assemble_grad_load", "verification.error_l2",
+                       "verification.seminorm_h1"}

@@ -10,11 +10,10 @@ from epsstokes.fem import Field, Space
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.verification import (CSV_COLUMNS, CSV_SCHEMA, ErrorRow,
                                     ErrorTable, diff_field, div_l2, error_gap,
-                                    error_h1, error_l2, fit_log_slope, gap,
+                                    error_h1, fit_log_slope, gap,
                                     gap_quotient_l2, gauss_formula_residual,
                                     get_case, quotient_norm_l2, registry,
-                                    saturation_filter, seminorm_h1,
-                                    trace_mismatch)
+                                    saturation_filter, trace_mismatch)
 import helpers
 from helpers import affine_jittered_mesh
 
@@ -146,7 +145,7 @@ def test_error_norms_vanish_on_exact_representation():
             poly = lambda x, y: x * x - x * y + 3.0 * y
             grad = lambda x, y: np.stack([2 * x - y, -x + 3.0 * np.ones_like(y)], axis=-1)
         f = Field(space, poly(space.node_coords[:, 0], space.node_coords[:, 1]))
-        assert error_l2(f, poly) <= 1e-11
+        assert error_gap(f, poly, None).l2 <= 1e-11
         assert error_h1(f, poly, grad) <= 1e-11
 
 
@@ -154,7 +153,7 @@ def test_norm_of_constant_field():
     mesh = build_structured_mesh(3)
     space = Space(mesh, degree=1)
     f = Field(space, np.full(space.ndofs, -2.5))
-    assert abs(error_l2(f, None) - 2.5) <= 1e-12
+    assert abs(error_gap(f, None, None).l2 - 2.5) <= 1e-12
 
 
 def test_interpolation_error_ratio_order_two():
@@ -164,7 +163,8 @@ def test_interpolation_error_ratio_order_two():
         space = Space(mesh, degree=1)
         coeff = np.sin(np.pi * space.node_coords[:, 0]) * np.sin(np.pi * space.node_coords[:, 1])
         f = Field(space, coeff)
-        vals[n] = error_l2(f, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+        vals[n] = error_gap(f, exact, None).l2
     assert 3.6 <= vals[8] / vals[16] <= 4.4
 
 
@@ -193,10 +193,10 @@ def test_error_ops_absolutely_homogeneous():
     diff = rng.standard_normal(space.ndofs)
     for alpha in (-3.0, 0.5, 2.0):
         a = Field(space, alpha * diff)
-        base_l2 = error_l2(Field(space, diff), None)
+        base_l2 = error_gap(Field(space, diff), None, None).l2
         base_q = quotient_norm_l2(Field(space, diff), None)
         base_h1 = error_h1(Field(space, diff), None, None)
-        assert abs(error_l2(a, None) - abs(alpha) * base_l2) <= 1e-12 * base_l2
+        assert abs(error_gap(a, None, None).l2 - abs(alpha) * base_l2) <= 1e-12 * base_l2
         assert abs(quotient_norm_l2(a, None) - abs(alpha) * base_q) <= 1e-12 * base_q
         assert abs(error_h1(a, None, None) - abs(alpha) * base_h1) <= 1e-12 * base_h1
 
@@ -216,7 +216,8 @@ def _assert_gaps_match_quadrature(mesh, seed):
               Field(disc.pspace, rng.standard_normal(disc.pspace.ndofs)))]
     for a, b in pairs:
         e, g = diff_field(a, b), gap(disc, a, b)
-        for got, want in ((g.l2, error_l2(e, None)), (g.seminorm, seminorm_h1(e)),
+        whole = error_gap(e, None, None)
+        for got, want in ((g.l2, whole.l2), (g.seminorm, whole.seminorm),
                           (g.h1, error_h1(e, None, None))):
             assert abs(got - want) <= 1e-12 * want
     a, b = pairs[1]
@@ -325,14 +326,16 @@ def test_norms_by_blocks_match_one_block(monkeypatch):
 
     def norms():
         return np.array([
-            error_l2(u, case.u_exact), error_l2(p, None), seminorm_h1(u, case.grad_u_exact),
-            seminorm_h1(p), error_h1(u, case.u_exact, case.grad_u_exact),
+            error_gap(u, case.u_exact, None).l2, error_gap(p, None, None).l2,
+            error_gap(u, None, case.grad_u_exact).seminorm,
+            error_gap(p, None, None).seminorm, error_h1(u, case.u_exact, case.grad_u_exact),
             *error_gap(p, case.p_exact, case.grad_p_exact),
             quotient_norm_l2(p, case.p_exact), div_l2(u)])
 
     def residual():
         # the volume terms are bounded by this scale, by Cauchy-Schwarz
-        scale = error_l2(u, None) * seminorm_h1(p) + div_l2(u) * error_l2(p, None)
+        u_norms, p_norms = error_gap(u, None, None), error_gap(p, None, None)
+        scale = u_norms.l2 * p_norms.seminorm + div_l2(u) * p_norms.l2
         return gauss_formula_residual(u, p), scale
 
     monkeypatch.setattr(fem, "BLOCK", 10**9)

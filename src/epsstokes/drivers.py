@@ -25,14 +25,17 @@ coupling B (S and ES only), the two load vectors of each body force, in
 one pass over the cells, each problem's system with its Dirichlet dofs
 eliminated, and the factors below.
 S and ES are held as their blocks (sparse.SaddleSystem): the scalar K
-eliminated, which both share and apply to each velocity component, the
-eliminated D, and the P1 pressure block C.  The gradient coupling is -D^T,
+eliminated, which both share and apply to each velocity component, one
+div, B with its velocity boundary columns masked, which both share too,
+and the P1 pressure block C.  Each applies its own fixed pressure dofs,
+the gauge dof or the pressure boundary, as a 0/1 mask in its D and D^T
+products, and B itself is not kept.  The gradient coupling is -D^T,
 applied as D^T and never stored.  No monolithic saddle matrix and no
 kron(K, I2) is built, except to write one out inside sparse.dump_matrices;
 PP forms no D.  ES keeps ES(0) and its Kp part, and builds ES(eps) by
 summing only its pressure block, C(eps) = ES(0)'s + eps * Kp part, and its
-lift, in new arrays.  A driver given a Discretization refuses one built
-on another mesh than its input's.
+lift's pressure rows, in new arrays.  A driver given a Discretization
+refuses one built on another mesh than its input's.
 
 Each system goes through sparse.solve with a preconditioner built from
 factors.  The Discretization makes each of two on first use and keeps it:
@@ -177,10 +180,11 @@ class Eliminated(NamedTuple):
 
     matrix is the system with the rows and columns of the sorted dofs
     `fixed` zeroed and 1 on their diagonal: a CSR matrix, or for S and ES a
-    SaddleSystem whose blocks are so eliminated (ES's Kp part, which is
+    SaddleSystem whose A and C are so eliminated and whose D has nothing in
+    the fixed columns and masks the fixed rows (ES's Kp part, which is
     added to ES(0)'s pressure block, has 0 there); lift holds the system's
     columns at those dofs, which carry the fixed values to the right-hand
-    side.
+    side (of ES's Kp part, their pressure rows).
     """
 
     matrix: sps.csr_matrix | SaddleSystem
@@ -203,13 +207,22 @@ def _frozen(matrix: sps.csr_matrix) -> sps.csr_matrix:
 @np.errstate(over="ignore")
 def _at_eps(parts: tuple[Eliminated, Eliminated], eps: float) -> Eliminated:
     """ES(eps) from ES(0) and its Kp part: ES(0)'s blocks with the pressure
-    block ES(0)'s + eps * Kp part, and the lift likewise.  The parts store
-    disjoint entries, so each sum is exact, and it is in new arrays; A and D
-    are ES(0)'s own, read-only.  An eps whose scaling overflows leaves
-    inf entries, which solve refuses."""
+    block ES(0)'s + eps * Kp part, and ES(0)'s lift with its pressure rows
+    likewise summed.  The lift's velocity rows do not depend on eps and are
+    copied, not summed.  The parts store disjoint entries, so each sum is
+    exact, and it is in new arrays; A and D are ES(0)'s own, read-only.  An
+    eps whose scaling overflows leaves inf entries, which solve refuses."""
     base, kp = parts
+    lift = base.lift
+    nu = lift.shape[0] - kp.lift.shape[0]
+    k = lift.indptr[nu]
+    rows = sps.csr_matrix((lift.data[k:], lift.indices[k:], lift.indptr[nu:] - k),
+                          kp.lift.shape) + eps * kp.lift
+    lift = sps.csr_matrix((np.concatenate([lift.data[:k], rows.data]),
+                           np.concatenate([lift.indices[:k], rows.indices]),
+                           np.concatenate([lift.indptr[:nu], rows.indptr + k])), lift.shape)
     return Eliminated(base.matrix._replace(pressure=base.matrix.pressure + eps * kp.matrix),
-                      base.lift + eps * kp.lift, base.fixed.copy())
+                      lift, base.fixed.copy())
 
 
 class Discretization:
@@ -220,21 +233,23 @@ class Discretization:
     pressure_system: each matrix with its boundary fixed, and its columns
     there as lift, which together hold all of K or Kp.  It also assembles
     the pressure mean, then hands the C heap's free pages back
-    (sparse.release_free_heap).  The coupling B, the mass
-    matrices Mp and M2, load vector pairs (memoized per body-force callable), S's
-    and ES's systems, the cell orders of the two spaces and the factors A
-    and Kp are built on first use and live as long as the Discretization.
+    (sparse.release_free_heap).  The coupling B, split at the velocity
+    boundary (_div_parts), the mass matrices Mp and M2, load vector pairs
+    (memoized per body-force callable), S's and ES's systems, the cell
+    orders of the two spaces and the factors A and Kp are built on first
+    use and live as long as the Discretization.
     PP alone builds no factor of A: it is in vars() once S, ES or the 1/eps
     series has used it, and solve_pp uses it then.
 
     S and ES are SaddleSystems: their velocity block is velocity_system's
-    matrix, the scalar K eliminated, which both share, and each keeps its
-    eliminated D, whose negated transpose is its gradient block.  ES keeps
-    two parts, ES(0) and its Kp part, which store disjoint entries:
-    coupled_system(eps) sums only the P1 pressure block and the lift,
-    ES(0)'s + eps * Kp part's, each sum exact and in new arrays.  The blocks
-    it shares with ES(0) are read-only, so nothing done to a returned
-    system reaches the cache.
+    matrix, the scalar K eliminated, and their div is B with its velocity
+    boundary columns masked; both share the two.  Each masks its own fixed
+    pressure dofs in D, whose negated transpose is its gradient block.  ES
+    keeps two parts, ES(0) and its Kp part, which store disjoint entries:
+    coupled_system(eps) sums only the P1 pressure block and the lift's
+    pressure rows, ES(0)'s + eps * Kp part's, each sum exact and in new
+    arrays.  The blocks and the mask it shares with ES(0) are read-only, so
+    nothing done to a returned system reaches the cache.
     """
 
     @one_blas_thread()
@@ -260,8 +275,13 @@ class Discretization:
         return self.pspace.ndofs
 
     @cached_property
-    def div(self) -> sps.csr_matrix:
-        return fem.assemble_div_coupling(self.vspace, self.pspace)
+    def _div_parts(self) -> tuple[sps.csr_matrix, sps.csr_matrix]:
+        """The coupling B split at the velocity boundary: div, B with those
+        columns masked, the D that S and ES share, read-only; and B's
+        columns there, which their lifts carry.  B itself is not kept."""
+        b = fem.assemble_div_coupling(self.vspace, self.pspace)
+        fixed_u = fem.vector_dofs(self.velocity_system.fixed)
+        return _frozen(fem.masked(b, [], fixed_u)), b[:, fixed_u]
 
     @cached_property
     def mass_p(self) -> sps.csr_matrix:
@@ -300,23 +320,26 @@ class Discretization:
 
     def _saddle_system(self, fixed_p: np.ndarray) -> Eliminated:
         """[[K, -D^T], [D, 0]] with the velocity boundary and the pressure
-        dofs fixed_p fixed, as its blocks: velocity_system's matrix, B masked
-        by fem.masked as D, and 1 at fixed_p in the pressure block.  The lift
-        is the system's columns at the fixed dofs: velocity_system's lift per
-        component, then -B^T's and B's.  -B^T differs from G only in the
-        velocity boundary rows, which _lifted overwrites."""
+        dofs fixed_p fixed, as its blocks: velocity_system's matrix, the
+        shared div masked at fixed_p (SaddleSystem.free), and 1 at fixed_p
+        in the pressure block.  The lift is the system's columns at the
+        fixed dofs: velocity_system's lift per component, then -D^T's, and
+        B's velocity boundary columns.  -D^T's lift has nothing in the
+        velocity boundary rows, where G differs from -B^T anyway and which
+        _lifted overwrites."""
         vel, nu, n_p = self.velocity_system, self.nu, self.np_
-        fixed_u = fem.vector_dofs(vel.fixed)
-        n_fu = len(fixed_u)
-        blocks = (vel.matrix, fem.masked(self.div, fixed_p, fixed_u),
-                  fem.eliminate(sps.csr_matrix((n_p, n_p)), fixed_p))
+        div, div_bnd = self._div_parts
+        n_fu = div_bnd.shape[1]
+        free = np.ones(n_p)
+        free[fixed_p] = 0.0
+        free.setflags(write=False)
+        pressure = fem.eliminate(sps.csr_matrix((n_p, n_p)), fixed_p)
         lift = placed(interleaved(vel.lift)
-                      + [(-self.div[fixed_p].T, np.arange(nu),
-                          n_fu + np.arange(len(fixed_p))),
-                         (self.div[:, fixed_u], nu + np.arange(n_p), np.arange(n_fu))],
+                      + [(-div[fixed_p].T, np.arange(nu), n_fu + np.arange(len(fixed_p))),
+                         (div_bnd, nu + np.arange(n_p), np.arange(n_fu))],
                       (nu + n_p, n_fu + len(fixed_p)))
-        return Eliminated(SaddleSystem(*map(_frozen, blocks)), lift,
-                          np.concatenate([fixed_u, fixed_p + nu]))
+        return Eliminated(SaddleSystem(_frozen(vel.matrix), div, _frozen(pressure), free),
+                          lift, np.concatenate([fem.vector_dofs(vel.fixed), fixed_p + nu]))
 
     def coupled_system(self, eps: float) -> Eliminated:
         """[[K, -D^T], [D, eps*Kp]] with both boundaries fixed: ES(0)'s blocks
@@ -327,13 +350,14 @@ class Discretization:
     def _coupled_parts(self) -> tuple[Eliminated, Eliminated]:
         """ES(0), and ES's Kp part: pressure_system's matrix without the
         pressure boundary's unit diagonal, the part of ES's pressure block,
-        and as its lift pressure_system's, Kp's columns there, in the
-        pressure rows of a lift shaped like ES(0)'s."""
+        and as its lift pressure_system's, Kp's columns there, placed in
+        the columns of ES(0)'s lift: the part's pressure rows, the only ones
+        it has."""
         pbnd, kp = self.pspace.boundary_nodes, self.pressure_system
         base = self._saddle_system(pbnd)
         n_fu = len(base.fixed) - len(pbnd)
-        lift = placed([(kp.lift, self.nu + np.arange(self.np_),
-                        n_fu + np.arange(len(pbnd)))], base.lift.shape)
+        lift = placed([(kp.lift, np.arange(self.np_), n_fu + np.arange(len(pbnd)))],
+                      (self.np_, base.lift.shape[1]))
         return base, Eliminated(_frozen(fem.masked(kp.matrix, pbnd, pbnd)), lift,
                                 base.fixed)
 
@@ -406,23 +430,20 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     at small eps one nearly constant inside that drops to 0 at the boundary.
     """
     nu, vel, m = disc.nu, disc.velocity_factor, system.matrix
-    div, block = m.div, m.pressure
-    gt = div.T          # -G, a view: the products below are G's, bit for bit
+    div, block, free = m.div, m.pressure, m.free
+    gt = div.T      # a view, made once: D^T q is m.dt(q), gt @ (free * q)
     fixed_p = system.fixed[system.fixed >= nu] - nu
     schur = Factor(fem.eliminate(block + disc.mass_p, fixed_p), disc.pressure_order)
-    coarse = np.ones(disc.np_)
-    coarse[fixed_p] = 0.0
     log = KrylovLog()
 
     def schur_op(q):
-        return block @ q - div @ _solve_velocity(vel, -(gt @ q))
+        return block @ q - free * (div @ _solve_velocity(vel, -(gt @ (free * q))))
 
     def apply(r):
         r_u = r[:nu]
         z = _solve_velocity(vel, r_u)
-        p = cg(schur_op, schur.solve, r[nu:] - div @ z, AIM * tol * norm(r), log,
-               coarse)
-        return np.concatenate([_solve_velocity(vel, r_u + gt @ p), p])
+        p = cg(schur_op, schur.solve, r[nu:] - m.d(z), AIM * tol * norm(r), log, free)
+        return np.concatenate([_solve_velocity(vel, r_u + m.dt(p)), p])
 
     return Preconditioner(f"cg[schur(A, {name})]", apply, (vel, schur), log)
 
@@ -691,11 +712,10 @@ class EpsSweep:
         vel = disc.velocity_factor      # the terms apply A, so PP applies it too
         pp = pp or solve_pp(inp, disc, tol)
         nu, (base, kp) = disc.nu, disc._coupled_parts
-        div = base.matrix.div
-        gt = div.T      # -G, a view
+        m = base.matrix
         # The ES right-hand side is b0 + eps * b1: load and lift are affine in
         # eps, and its fixed rows hold the values at every eps, so b1's are 0.
-        b0, b_unit = (_lifted(base.lift + e * kp.lift, base.fixed,
+        b0, b_unit = (_lifted(_at_eps((base, kp), e).lift, base.fixed,
                               _coupled_load(disc, inp, e), self.values) for e in (0.0, 1.0))
         b1 = b_unit - b0
         with np.errstate(over="ignore"):        # an overflowing b fails its check
@@ -705,7 +725,7 @@ class EpsSweep:
         # r_0 is x_0's residual in the pressure rows of ES(0): -B u_0 on the
         # free rows (b0 lifts the trace) and 0 on the fixed ones.
         x = np.concatenate([pp.u.coefficients.ravel(), pp.p.coefficients])
-        r = (b0 - base.matrix @ x)[nu:]
+        r = (b0 - m @ x)[nu:]
         self.r_norms = [float(np.linalg.norm(r))]
         open_ = {eps: (np.zeros(len(x)), []) for eps in bnorms}
         self.series = {}        # eps: (sum of its terms, bound after each)
@@ -715,9 +735,9 @@ class EpsSweep:
                 break
             if k:               # x_k with M x_k = [0; r_k]; r becomes r_(k+1)
                 p = disc.pressure_factor.solve(r)
-                u = _solve_velocity(vel, gt @ p)
+                u = _solve_velocity(vel, m.dt(p))
                 x = np.concatenate([u, p])
-                r = -(div @ u)
+                r = -m.d(u)     # 0 on the fixed rows, masked
                 self.r_norms.append(float(np.linalg.norm(r)))
             left = SERIES_TERMS - 1 - k
             for eps, (total, bounds) in list(open_.items()):

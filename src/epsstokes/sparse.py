@@ -32,7 +32,8 @@ With the cell graph, A's factor holds 1.75M entries at n = 96, against
 
 A system is a CSR matrix, or a SaddleSystem: the saddle-point matrix
 [[kron(A, I2), -D^T], [D, C]] of Stokes and ES, held as its three blocks,
-the scalar A applied to each velocity component.  solve takes it as an
+the scalar A applied to each velocity component and D as a coupling whose
+fixed pressure rows a 0/1 mask zeroes in each product.  solve takes it as an
 operator: it checks each block for non-finite entries, and its residual
 product runs block by block.  The one CSR matrix is assembled only to be
 written inside dump_matrices, by placed, which puts each block's entries at
@@ -383,23 +384,35 @@ def placed(parts, shape) -> sps.csr_matrix:
 
 class SaddleSystem(NamedTuple):
     """The saddle-point matrix [[kron(A, I2), -D^T], [D, C]], held as its
-    three blocks.
+    three blocks and a pressure mask.
 
     velocity is the scalar A, applied to the x and the y dofs alike
-    (fem.vector_dofs); div is D and pressure the P1 block C.  The gradient
-    block is -D^T, applied as D^T and subtracted; it is not stored.
-    system @ x multiplies block by block, each block's rows summed in its
-    own stored order (D^T's in D's column order) and the two blocks of a row
-    then added.  assembled() is the one CSR matrix, canonical, built only to
-    write it out (see dump_solved).  nnz counts the blocks' stored entries,
-    A once, and indptr, indices and data lay the blocks' CSR arrays end to
-    end, so a caller that sizes or fingerprints a solved matrix by those
-    arrays reads what the system stores.
+    (fem.vector_dofs), and pressure the P1 block C.  D is div with its rows
+    at the fixed pressure dofs masked: free is 1 on the free pressure dofs
+    and 0 on the fixed ones, d(u) is free * (div @ u) and dt(p), D^T p, is
+    div^T (free * p).  So systems that fix different pressure dofs can hold
+    one div.  On finite input dt is D^T's product bit for bit, as a masked
+    row adds only signed zeros, and d differs from D's at most in the sign
+    of a zero in a masked row.  The gradient block is -D^T, applied as dt
+    and subtracted; it is not stored.  system @ x multiplies block by
+    block, each block's rows summed in its own stored order (D^T's in div's
+    column order) and the two blocks of a row then added.  assembled() is
+    the one CSR matrix, canonical, with D's masked rows dropped, built only
+    to write it out (see dump_solved).  blocks are the three stored
+    matrices; nnz counts their entries, A once, and indptr, indices and
+    data lay their CSR arrays end to end, so a caller that sizes or
+    fingerprints a solved matrix by those arrays reads what the system
+    stores besides the mask.
     """
 
     velocity: sps.csr_matrix
     div: sps.csr_matrix
     pressure: sps.csr_matrix
+    free: np.ndarray
+
+    @property
+    def blocks(self) -> tuple:
+        return self.velocity, self.div, self.pressure
 
     @property
     def shape(self) -> tuple:
@@ -408,19 +421,25 @@ class SaddleSystem(NamedTuple):
 
     @property
     def nnz(self) -> int:
-        return sum(m.nnz for m in self)
+        return sum(m.nnz for m in self.blocks)
 
     @property
     def indptr(self) -> np.ndarray:
-        return np.concatenate([m.indptr for m in self])
+        return np.concatenate([m.indptr for m in self.blocks])
 
     @property
     def indices(self) -> np.ndarray:
-        return np.concatenate([m.indices for m in self])
+        return np.concatenate([m.indices for m in self.blocks])
 
     @property
     def data(self) -> np.ndarray:
-        return np.concatenate([m.data for m in self])
+        return np.concatenate([m.data for m in self.blocks])
+
+    def d(self, u: np.ndarray) -> np.ndarray:
+        return self.free * (self.div @ u)
+
+    def dt(self, p: np.ndarray) -> np.ndarray:
+        return self.div.T @ (self.free * p)
 
     @np.errstate(over="ignore", invalid="ignore")
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -428,16 +447,18 @@ class SaddleSystem(NamedTuple):
         u, p = x[:nu], x[nu:]
         out = np.empty(len(x))
         out[:nu] = (self.velocity @ u.reshape(-1, 2)).ravel()
-        out[:nu] -= self.div.T @ p
-        out[nu:] = self.div @ u
+        out[:nu] -= self.dt(p)
+        out[nu:] = self.d(u)
         out[nu:] += self.pressure @ p
         return out
 
     def assembled(self) -> sps.csr_matrix:
         nu = self.div.shape[1]
         u, p = np.arange(nu), nu + np.arange(self.pressure.shape[0])
+        rows = np.flatnonzero(self.free)
+        d = self.div[rows]
         return placed(interleaved(self.velocity)
-                      + [(-self.div.T, u, p), (self.div, p, u), (self.pressure, p, p)],
+                      + [(-d.T, u, p[rows]), (d, p[rows], u), (self.pressure, p, p)],
                       self.shape)
 
 
@@ -586,7 +607,7 @@ def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL, *,
         raise ValueError(f"matrix is not square: {a.shape}")
     if not tol >= TOL_FLOOR:
         raise ValueError(f"tolerance must be >= the floor {TOL_FLOOR:g}, got {tol}")
-    blocks = tuple(a) if isinstance(a, SaddleSystem) else (a,)
+    blocks = a.blocks if isinstance(a, SaddleSystem) else (a,)
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: matrix {a.shape}, rhs {b.shape}")

@@ -352,6 +352,13 @@ def vector_block(scalar):
     return sps.kron(scalar, sps.identity(2), format="csr")
 
 
+def div_coupling(disc):
+    """B, the P2-P1 divergence coupling of disc's spaces, assembled afresh:
+    a Discretization keeps only B masked at the velocity boundary and B's
+    columns there."""
+    return fem.assemble_div_coupling(disc.vspace, disc.pspace)
+
+
 def vector_stiffness(disc):
     """kron(K, I2) on disc's interleaved velocity dofs, assembled afresh:
     a Discretization keeps only the scalar K."""
@@ -377,9 +384,9 @@ def stokes_lagrange_reference(inp, disc):
     reference for the pinned-dof gauge in drivers.solve_stokes.
     """
     nu, npp = disc.nu, disc.np_
-    m = sps.csr_matrix(disc.mean_p[None, :])
-    system = sps.bmat([[vector_stiffness(disc), -disc.div.T, None],
-                       [-disc.div, None, m.T],
+    m, div = sps.csr_matrix(disc.mean_p[None, :]), div_coupling(disc)
+    system = sps.bmat([[vector_stiffness(disc), -div.T, None],
+                       [-div, None, m.T],
                        [None, m, None]], format="csr")
     rhs = np.zeros(nu + npp + 1)
     rhs[:nu] = velocity_load(disc, inp.body_force)
@@ -397,7 +404,7 @@ def reference_system(stage, inp, disc, p=None, grad=None):
     coefficients p).  S is [[K, G], [D, 0]], ES's saddle form at eps = 0.
     grad is their G: by default grad_coupling_direct, independent of the
     -D^T that the drivers apply.  A test that compares eliminated entries
-    bit for bit passes -disc.div.T, which differs from it by round-off off
+    bit for bit passes -div_coupling(disc).T, which differs from it by round-off off
     the velocity boundary rows.
     """
     nu = disc.nu
@@ -407,7 +414,7 @@ def reference_system(stage, inp, disc, p=None, grad=None):
     u_bdofs, u_bvals = velocity_boundary(disc, inp.u_bc)
     if stage == "S":
         system = sps.bmat([[vector_stiffness(disc), grad],
-                           [disc.div, None]], format="csr")
+                           [div_coupling(disc), None]], format="csr")
         system.sum_duplicates()
         return (system, np.concatenate([f, np.zeros(disc.np_)]),
                 np.append(u_bdofs, nu), np.append(u_bvals, 0.0))
@@ -422,7 +429,7 @@ def reference_system(stage, inp, disc, p=None, grad=None):
         return fem.assemble_stiffness(disc.pspace), g, p_bdofs, p_bvals
     eps = inp.epsilon
     system = sps.bmat([[vector_stiffness(disc), grad],
-                       [disc.div, eps * fem.assemble_stiffness(disc.pspace)]],
+                       [div_coupling(disc), eps * fem.assemble_stiffness(disc.pspace)]],
                       format="csr")
     system.sum_duplicates()
     return (system, np.concatenate([f, eps * g]),

@@ -34,6 +34,13 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                     value, unit = trace["metrics"][name].split()
                     assert unit == "s" and float(value) > 0.0, (path.name, side, name)
         assert set(record.get("traces", {})) in (set(), {"base", "change"}), path.name
+        # newer records also keep one scale row per side: S and then ES at
+        # n = 256 in a fresh process
+        if "scale" in record:
+            assert set(record["scale"]) == {"base", "change"}, path.name
+            for side, row in record["scale"].items():
+                assert row["n"] == 256 and row["wall_s"] > 0.0, (path.name, side)
+                assert row["peak_rss_mib"] > 0.0 and row["bytes_after_S_ES"] > 0
         # newer records also keep the sha256 of each side's mesh-pp VTK files:
         # both sides must have written the same bytes or, in records that
         # keep their number differences, where a change moved the solutions
@@ -135,7 +142,8 @@ def test_bench_record_size_functions_run_on_this_package():
     # base checkout too: a renamed attribute fails here, not in a recording
     code = _bench_record().SIZE_FUNCTIONS + """
 mesh = build_structured_mesh(8)
-print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(mesh)}))
+print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(mesh),
+                  "scale": scale(8)}))
 """
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, stdout=subprocess.PIPE,
                           text=True, check=True)
@@ -148,3 +156,7 @@ print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(m
     # the held bytes cover the two eliminated scalar systems at least
     assert row["Discretization_bytes_after_PP"] > 12 * row["Kp_lu_nnz"] + 12 * row["K"]
     assert row["Discretization_traced_peak_bytes"] > 12 * row["K"]
+    # the scale row's held bytes cover A's factor, which S and ES made
+    scale = row["scale"]
+    assert scale["n"] == 8 and scale["wall_s"] > 0.0 and scale["peak_rss_mib"] > 0.0
+    assert scale["bytes_after_S_ES"] > 12 * row["A_lu_nnz"]

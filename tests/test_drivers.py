@@ -18,10 +18,11 @@ from epsstokes.fem import Field
 from epsstokes.verification import (diff_field, div_l2, error_gap, error_h1,
                                     gauss_formula_residual, quotient_norm_l2,
                                     get_case)
-from helpers import (affine_jittered_mesh, apply_dirichlet, eliminate_by_products,
-                     linear_x_minus_half, loaded_parallelogram_mesh, monolithic_reference,
-                     reference_system, stokes_lagrange_reference, unit_x,
-                     vector_block, zero_scalar, zero_vec)
+from helpers import (affine_jittered_mesh, apply_dirichlet, div_coupling,
+                     eliminate_by_products, linear_x_minus_half,
+                     loaded_parallelogram_mesh, monolithic_reference, reference_system,
+                     stokes_lagrange_reference, unit_x, vector_block, zero_scalar,
+                     zero_vec)
 
 DRIVERS = {"S": solve_stokes, "PP": solve_pp, "ES": solve_es}
 FACTORS = ("velocity_factor", "pressure_factor")
@@ -386,7 +387,7 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     r = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
     x = pre.apply(r)
     p = x[nu:]
-    u = vel.solve((r[:nu] + system.matrix.div.T @ p).reshape(-1, 2)).ravel()
+    u = vel.solve((r[:nu] + system.matrix.dt(p)).reshape(-1, 2)).ravel()
     assert np.array_equal(x[:nu], u)
     aim = sparse.AIM * tol * np.linalg.norm(r)
     assert 1 <= len(pre.log.estimates) and pre.log.estimates[-1] <= aim
@@ -400,12 +401,14 @@ def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
     # Stokes is ES's saddle form at eps = 0, [[K, -D^T], [D, 0]]: the form
     # [[K, -B^T], [-B, 0]], eliminated, with its free pressure rows negated.
     # It stores three blocks: the scalar K eliminated, shared with PP's
-    # velocity system, the eliminated D, and the gauge's unit pressure block
+    # velocity system, B masked at the velocity boundary, whose gauge row
+    # its mask zeroes, and the gauge's unit pressure block
     disc = Discretization(mesh)
     system = disc.stokes_system
+    div = div_coupling(disc)
     transpose_form = eliminate_by_products(
-        sps.bmat([[vector_block(fem.assemble_stiffness(disc.vspace)), -disc.div.T],
-                  [-disc.div, None]], format="csr"), system.fixed)
+        sps.bmat([[vector_block(fem.assemble_stiffness(disc.vspace)), -div.T],
+                  [-div, None]], format="csr"), system.fixed)
     sign = np.ones(transpose_form.shape[0])
     sign[disc.nu:] = -1.0
     sign[disc.nu + drivers.GAUGE_DOF] = 1.0            # the gauge's unit row
@@ -419,8 +422,13 @@ def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
     pressure = system.matrix.pressure.tocoo()
     assert pressure.row.tolist() == pressure.col.tolist() == [drivers.GAUGE_DOF]
     assert pressure.data.tolist() == [1.0]
+    assert np.flatnonzero(system.matrix.free == 0.0).tolist() == [drivers.GAUGE_DOF]
+    gauge_row = system.matrix.div[drivers.GAUGE_DOF].nnz
+    assert gauge_row > 0
+    # A once, div with the gauge row it stores, and C; assembled holds A
+    # twice and the masked D twice, as D and -D^T
     assert system.matrix.nnz == (got.nnz - disc.velocity_system.matrix.nnz
-                                 - system.matrix.div.nnz)
+                                 - system.matrix.div.nnz + 2 * gauge_row)
 
 
 @pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
@@ -435,13 +443,16 @@ def test_coupled_system_is_es0_plus_eps_times_its_kp_part(mesh):
     nu = disc.nu
     fixed_p = base.fixed[base.fixed >= nu] - nu
     assert np.array_equal(kp.fixed, base.fixed)
-    for part in (*base.matrix, base.lift, kp.matrix, kp.lift):
+    for part in (*base.matrix.blocks, base.lift, kp.matrix, kp.lift):
         assert part.has_canonical_format and part.data.all()
     assert kp.matrix.shape == (disc.np_, disc.np_)
     rows, cols = kp.matrix.nonzero()
     assert not np.isin(rows, fixed_p).any() and not np.isin(cols, fixed_p).any()
-    assert kp.lift.nonzero()[0].min() >= nu
-    for a, b in ((base.matrix.pressure, kp.matrix), (base.lift, kp.lift)):
+    # the Kp part's lift is its pressure rows only
+    assert kp.lift.shape == (disc.np_, base.lift.shape[1])
+    whole_kp_lift = sps.vstack([sps.csr_matrix((nu, kp.lift.shape[1])), kp.lift],
+                               format="csr")
+    for a, b in ((base.matrix.pressure, kp.matrix), (base.lift, whole_kp_lift)):
         assert (abs(a).multiply(abs(b))).nnz == 0
     block = base.matrix.pressure.tocoo()          # ES(0): only the fixed unit rows
     assert np.array_equal(block.row, block.col) and (block.data == 1.0).all()
@@ -449,10 +460,14 @@ def test_coupled_system_is_es0_plus_eps_times_its_kp_part(mesh):
     whole_kp = sps.block_diag([sps.csr_matrix((nu, nu)), kp.matrix], format="csr")
     for eps in (0.0, 1e-6, 0.37, 1e6):
         system = disc.coupled_system(eps)
-        for got, want in zip(system.matrix, base.matrix._replace(
-                pressure=base.matrix.pressure + eps * kp.matrix)):
+        for got, want in zip(system.matrix.blocks, base.matrix._replace(
+                pressure=base.matrix.pressure + eps * kp.matrix).blocks):
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert system.matrix.free is base.matrix.free
+        want = base.lift + eps * whole_kp_lift
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(system.lift, name), getattr(want, name)), name
         want = base.matrix.assembled() + eps * whole_kp
         got = system.matrix.assembled()
         for name in ("indptr", "indices", "data"):
@@ -480,6 +495,8 @@ def test_returned_coupled_system_leaves_the_cache_unchanged():
             block.data[:] = 0.0
         with pytest.raises(ValueError):
             block.eliminate_zeros()
+    with pytest.raises(ValueError, match="read-only"):
+        zero.matrix.free[:] = 1.0
     got = disc.coupled_system(1.0)
     for a, b in zip(_arrays(got), _arrays(want)):
         assert np.array_equal(a, b)
@@ -488,6 +505,7 @@ def test_returned_coupled_system_leaves_the_cache_unchanged():
     assert disc.coupled_system(0.0).matrix.pressure.data.all()     # no explicit zero
     base = disc._coupled_parts[0].matrix
     assert all(a is b for a, b in zip(got.matrix[:2], base[:2]))
+    assert got.matrix.free is base.free
     cached = [a for part in disc._coupled_parts for a in _arrays(part)]
     for eps in (0.0, 1.0):
         system = disc.coupled_system(eps)
@@ -495,9 +513,56 @@ def test_returned_coupled_system_leaves_the_cache_unchanged():
             assert not any(np.shares_memory(a, c) for c in cached)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1.0, 1e6, 1e308])
+def test_coupled_right_hand_side_is_the_whole_lift_sum(eps):
+    # coupled_system sums only its lift's pressure rows, yet its right-hand
+    # side is bit for bit that of the whole lifts summed, ES(0)'s plus eps
+    # times the Kp part's placed in ES's pressure rows, also at an eps whose
+    # scaling overflows
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    base, kp = disc._coupled_parts
+    inp = _inp(mesh, get_case("ms1-mismatch"), eps=eps)
+    values = drivers._coupled_values(disc, inp)
+    load = drivers._coupled_load(disc, inp, eps)
+    with np.errstate(over="ignore"):
+        whole = base.lift + eps * sps.vstack(
+            [sps.csr_matrix((disc.nu, kp.lift.shape[1])), kp.lift], format="csr")
+    system = disc.coupled_system(eps)
+    got = drivers._lifted(system.lift, system.fixed, load, values)
+    assert got.tobytes() == drivers._lifted(whole, base.fixed, load, values).tobytes()
+    assert np.isfinite(got).all() == (eps < 1e300)
+
+
+@pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
+                         ids=["structured", "jittered"])
+def test_stokes_and_es0_share_one_masked_divergence(mesh):
+    # S and ES(0) hold one read-only div, B with its velocity boundary
+    # columns masked, and the Discretization keeps no B.  Each system masks
+    # its own fixed pressure dofs, so its assembled D is B masked at those
+    # rows and columns, and its gradient block -D^T, entry for entry
+    disc = Discretization(mesh)
+    systems = (disc.stokes_system, disc._coupled_parts[0])
+    div = systems[0].matrix.div
+    assert systems[1].matrix.div is div
+    with pytest.raises(ValueError, match="read-only"):
+        div.data[:] = 0.0
+    assert "div" not in vars(disc)
+    b, nu = div_coupling(disc), disc.nu
+    fixed_u = fem.vector_dofs(disc.vspace.boundary_nodes)
+    for system in systems:
+        want = fem.masked(b, system.fixed[system.fixed >= nu] - nu, fixed_u)
+        want_t = (-want).T.tocsr()
+        want_t.sort_indices()
+        got = system.matrix.assembled()
+        for block, ref in ((got[nu:, :nu], want), (got[:nu, nu:], want_t)):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(block, name), getattr(ref, name)), name
+
+
 def _arrays(system):
     """Every array of an Eliminated: of each block of a SaddleSystem."""
-    matrices = (*system.matrix, system.lift) if isinstance(
+    matrices = (*system.matrix.blocks, system.lift) if isinstance(
         system.matrix, sparse.SaddleSystem) else system[:2]
     return [getattr(m, name) for m in matrices
             for name in ("indptr", "indices", "data")] + [system.fixed]
@@ -652,7 +717,7 @@ def _reference_solves(problem, inp, disc, p):
     restricted to one interleaved component at a time."""
     if problem != "PP":
         return [apply_dirichlet(*reference_system(problem, inp, disc,
-                                                  grad=-disc.div.T))]
+                                                  grad=-div_coupling(disc).T))]
     vec, vec_rhs = apply_dirichlet(*reference_system("PP-u", inp, disc, p))
     return ([apply_dirichlet(*reference_system("PP-p", inp, disc))]
             + [(vec[c::2, c::2].tocsr(), vec_rhs[c::2]) for c in (0, 1)])
@@ -1238,7 +1303,7 @@ def test_series_residual_is_the_es_residual(monkeypatch):
         ((system, rhs),) = seen
         assert res.report.rel_residual == sparse.product_residual(system @ x, rhs)
         mat, ref_rhs = apply_dirichlet(*reference_system(
-            "ES", _inp(mesh, case, eps=res.epsilon), disc, grad=-disc.div.T))
+            "ES", _inp(mesh, case, eps=res.epsilon), disc, grad=-div_coupling(disc).T))
         want = np.linalg.norm(ref_rhs - mat @ x) / np.linalg.norm(ref_rhs)
         assert abs(res.report.rel_residual - want) <= 1e-16
         bounds = res.report.residual_history

@@ -16,8 +16,8 @@ from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError
 from epsstokes.verification import error_h1, get_case
-from helpers import (affine_jittered_mesh, apply_dirichlet, export_vtk_loop,
-                     loaded_parallelogram_mesh, reference_system, zero_field,
+from helpers import (affine_jittered_mesh, apply_dirichlet, div_coupling,
+                     export_vtk_loop, loaded_parallelogram_mesh, reference_system, zero_field,
                      zero_scalar, zero_vec)
 
 
@@ -650,7 +650,7 @@ def test_dumped_saddle_systems_are_the_reference_elimination(n, tmp_path):
         inp = ProblemInput(mesh=mesh, body_force=case.body_force, u_bc=case.u_bc(),
                            p_bc=case.p_bc(), epsilon=eps)
         want, _ = apply_dirichlet(*reference_system(stage, inp, disc,
-                                                    grad=-disc.div.T))
+                                                    grad=-div_coupling(disc).T))
         got = mmread(str(tmp_path / f"m_{k:03d}.mtx")).tocsr()
         got.sort_indices()
         assert got.shape == want.shape

@@ -18,8 +18,8 @@ from epsstokes.drivers import (Discretization, ProblemInput, solve_es, solve_pp,
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError, solve
 from epsstokes.verification import get_case
-from helpers import (apply_dirichlet, numpy_blas_threads, velocity_boundary,
-                     velocity_load, vector_block, vector_stiffness)
+from helpers import (apply_dirichlet, div_coupling, numpy_blas_threads,
+                     velocity_boundary, velocity_load, vector_block, vector_stiffness)
 
 
 def _random_pair(rng, shape=(5, 5), density=0.4):
@@ -57,9 +57,9 @@ def test_solve_matches_dense_lu_on_stokes_system():
     # assembled Stokes saddle system on the n=2 mesh vs a dense-LU oracle
     mesh = build_structured_mesh(2)
     disc = Discretization(mesh)
-    m = sps.csr_matrix(disc.mean_p[None, :])
-    system = sps.bmat([[vector_stiffness(disc), -disc.div.T, None],
-                       [-disc.div, None, m.T],
+    m, div = sps.csr_matrix(disc.mean_p[None, :]), div_coupling(disc)
+    system = sps.bmat([[vector_stiffness(disc), -div.T, None],
+                       [-div, None, m.T],
                        [None, m, None]], format="csr")
     case = get_case("ms1")
     rhs = np.zeros(system.shape[0])
@@ -73,22 +73,27 @@ def test_solve_matches_dense_lu_on_stokes_system():
 
 
 def _saddle(seed=0, nv=5, n_p=3):
-    """A random SaddleSystem and its monolithic matrix, built by sps.bmat
-    with -D^T as the gradient block."""
+    """A random SaddleSystem whose mask fixes the last pressure dof, and its
+    monolithic matrix, built by sps.bmat with D, div with that row zeroed,
+    and -D^T as the gradient block."""
     rng = np.random.default_rng(seed)
     blocks = [sps.random(r, c, density=0.5, format="csr", random_state=rng)
               for r, c in ((nv, nv), (n_p, 2 * nv), (n_p, n_p))]
     blocks[0] = (blocks[0] + sps.identity(nv, format="csr") * nv).tocsr()
     blocks[2] = (blocks[2] + sps.identity(n_p, format="csr")).tocsr()
-    whole = sps.bmat([[vector_block(blocks[0]), -blocks[1].T],
-                      [blocks[1], blocks[2]]], format="csr")
-    return sp.SaddleSystem(*blocks), whole
+    free = np.ones(n_p)
+    free[-1] = 0.0
+    d = (sps.diags(free) @ blocks[1]).tocsr()
+    d.eliminate_zeros()
+    whole = sps.bmat([[vector_block(blocks[0]), -d.T], [d, blocks[2]]], format="csr")
+    return sp.SaddleSystem(*blocks, free), whole
 
 
 def test_saddle_system_is_its_assembled_matrix():
-    # assembled() is the monolithic matrix, canonical, entry for entry; the
-    # blockwise product agrees with it to round-off, and nnz counts the
-    # three stored blocks: A once, and D but not its negated transpose
+    # assembled() is the monolithic matrix, canonical, entry for entry, with
+    # the masked row of div dropped from D and -D^T; the blockwise product
+    # agrees with it to round-off, and nnz counts the three stored blocks:
+    # A once, and div, masked row included, but not its negated transpose
     system, whole = _saddle()
     got = system.assembled()
     whole.sort_indices()
@@ -97,16 +102,18 @@ def test_saddle_system_is_its_assembled_matrix():
         assert np.array_equal(getattr(got, name), getattr(whole, name)), name
     x = np.random.default_rng(1).standard_normal(whole.shape[0])
     assert np.abs(system @ x - whole @ x).max() <= 1e-14 * np.abs(whole @ x).max()
-    assert len(system) == 3
+    masked_row = system.div[-1].nnz
+    assert masked_row > 0
+    assert len(system.blocks) == 3
     assert (system.nnz == len(system.data)
-            == whole.nnz - system.velocity.nnz - system.div.nnz)
+            == whole.nnz - system.velocity.nnz - system.div.nnz + 2 * masked_row)
     assert len(system.indices) == system.nnz
-    assert len(system.indptr) == sum(m.shape[0] + 1 for m in system)
+    assert len(system.indptr) == sum(m.shape[0] + 1 for m in system.blocks)
 
 
 def test_solve_takes_a_saddle_system_as_an_operator(tmp_path):
     # the residual is checked block by block, a non-finite block is refused,
-    # and a dump writes assembled()
+    # also where the mask zeroes it, and a dump writes assembled()
     system, whole = _saddle()
     b = np.arange(1.0, whole.shape[0] + 1)
     direct = sp.Factor(whole, np.arange(whole.shape[0]))
@@ -115,9 +122,10 @@ def test_solve_takes_a_saddle_system_as_an_operator(tmp_path):
         x, report = solve(system, b, precond=pre)
     assert report.rel_residual == sp.product_residual(system @ x, b) <= 1e-12
     assert np.abs(mmread(str(tmp_path / "m_000.mtx")) - whole).max() == 0.0
-    broken = system._replace(div=system.div * np.inf)
-    with pytest.raises(SolverError, match="not finite"):
-        solve(broken, b, precond=pre)
+    masked_row = sps.diags(1.0 - system.free) @ system.div
+    for div in (system.div * np.inf, system.div + masked_row * np.inf):
+        with pytest.raises(SolverError, match="not finite"):
+            solve(system._replace(div=div.tocsr()), b, precond=pre)
 
 
 def test_ops_against_dense_oracle():

@@ -26,8 +26,13 @@ alone (mesh-pp's case, no factor of A) and its report's Ritz values; on
 the jittered n = 128 mesh also the traced (tracemalloc) peak of building
 a Discretization, and the bytes of the arrays and factors it holds after
 one PP solve (its mesh not counted, a SuperLU factor at 12 bytes an
-entry).  K and Kp are assembled afresh for the table, so the script runs
-in checkouts whose Discretization keeps them and in those that do not.
+entry).  K, Kp and B are assembled afresh for the table, so the script
+runs in checkouts whose Discretization keeps them and in those that do
+not.  Under `scale` each checkout reports, in one more fresh process, one
+S and then one ES at eps = 1e-6 on the structured n = 256 mesh (case
+ms1-mismatch): the wall time from the Discretization to the end of the ES
+solve, the peak RSS of the process and the bytes the Discretization holds
+afterwards, counted as for one PP solve.
 After the pairs each checkout makes one run of each workload with
 `--trace 1`, whose per-layer metrics (perfbench/spans.py: the time in
 assembly, loads, solves, norms and I/O) and per-function table are kept
@@ -69,7 +74,7 @@ WORKLOADS = ("sweep-eps", "verify", "mesh-pp")
 # package only through names that the base checkout has too: K and Kp come
 # from fem.assemble_stiffness, not from what a Discretization keeps.
 SIZE_FUNCTIONS = r"""
-import json, sys, tracemalloc
+import json, resource, sys, time, tracemalloc
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 import numpy as np
@@ -86,7 +91,8 @@ def sizes(mesh):
     kp = fem.assemble_stiffness(disc.pspace)
     schur = {"Mp_gauge_lu_nnz": fem.eliminate(mp, [drivers.GAUGE_DOF]),
              "epsKp_Mp_lu_nnz": fem.eliminate(1e-6 * kp + mp, disc.pspace.boundary_nodes)}
-    return {"K": fem.assemble_stiffness(disc.vspace).nnz, "B": disc.div.nnz,
+    return {"K": fem.assemble_stiffness(disc.vspace).nnz,
+            "B": fem.assemble_div_coupling(disc.vspace, disc.pspace).nnz,
             "S": disc.stokes_system.matrix.nnz,
             "A_lu_nnz": disc.velocity_factor.nnz,
             "Kp_lu_nnz": disc.pressure_factor.nnz,
@@ -142,6 +148,19 @@ def held(mesh):
     reach(mesh, seen)                   # the caller's mesh is not the disc's
     return {"Discretization_traced_peak_bytes": peak,
             "Discretization_bytes_after_PP": reach(disc, seen)}
+
+def scale(n):
+    mesh, case = build_structured_mesh(n), get_case("ms1-mismatch")
+    start = time.perf_counter()
+    disc = Discretization(mesh)
+    drivers.solve_stokes(problem_input(case, mesh), disc)
+    drivers.solve_es(problem_input(case, mesh, 1e-6), disc)
+    wall = time.perf_counter() - start
+    seen = set()
+    reach(mesh, seen)
+    return {"n": n, "wall_s": wall,
+            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "bytes_after_S_ES": reach(disc, seen)}
 """
 
 # Run in a checkout's root: prints the size table of that checkout's package.
@@ -159,6 +178,13 @@ for item in bench.make_inputs("mesh-pp", int(sys.argv[1]), work)["meshes"]:
                                             **(held(mesh) if item["n"] == 128 else {})}
 print(json.dumps(table))
 """
+
+
+# Run in a checkout's root: the scale row of that checkout's package.
+SCALE = SIZE_FUNCTIONS + r"""
+print(json.dumps(scale(int(sys.argv[1]))))
+"""
+SCALE_N = 256
 
 
 def perfbench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -230,6 +256,12 @@ def vtk_difference(base: Path, change: Path) -> dict:
 
 def sizes(checkout: Path, seed: int) -> dict:
     proc = subprocess.run([sys.executable, "-c", SIZES, str(seed)], cwd=checkout,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def scale(checkout: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", SCALE, str(SCALE_N)], cwd=checkout,
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -323,6 +355,7 @@ def main(argv=None) -> int:
             "vtk_number_difference": vtk_difference(sides["base"], CHANGE)}
            if "mesh-pp" in pairs else {}),
         "sizes": {side: sizes(path, args.seed) for side, path in sides.items()},
+        "scale": {side: scale(path) for side, path in sides.items()},
         "traces": {side: traces(path, pairs, args.seed) for side, path in sides.items()},
         "runs": runs,
         "summary": summarize(runs, end_to_end),

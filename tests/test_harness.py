@@ -17,8 +17,8 @@ from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError
 from epsstokes.verification import error_h1, get_case
 from helpers import (affine_jittered_mesh, apply_dirichlet, div_coupling,
-                     export_vtk_loop, loaded_parallelogram_mesh, reference_system, zero_field,
-                     zero_scalar, zero_vec)
+                     export_vtk_loop, loaded_parallelogram_mesh, reference_system,
+                     zero_field, zero_scalar, zero_vec)
 
 
 # ---------------------------------------------------------------------------

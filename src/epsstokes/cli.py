@@ -40,7 +40,6 @@ FLAGS = (
     ("n", "mesh subdivisions; list for sweep-h, e.g. 8,16,32"),
     ("eps", "comma-separated epsilon list"),
     ("delta", "trace-mismatch amplitude override"),
-    ("tol", "solver relative-residual tolerance"),
     ("out", "output path (table, report or VTK file)"),
     ("format", f"table format, csv or json (default {RunConfig.fmt})"),
     ("dump_matrix", "prefix for MatrixMarket dumps of each solved system"),
@@ -48,7 +47,7 @@ FLAGS = (
 CONFIG_KEYS = tuple(key for key, _ in FLAGS if key != "config")  # a file's keys
 # The type of each number flag, whose text is a number or, for n and eps, a
 # comma-separated list of numbers; every other flag is a str.
-_TYPES = {"n": int, "eps": float, "delta": float, "tol": float}
+_TYPES = {"n": int, "eps": float, "delta": float}
 _LISTS = ("n", "eps")
 _FIELDS = {"eps": "eps_list", "format": "fmt"}     # RunConfig's names for them
 
@@ -122,8 +121,7 @@ def _solve_one(config: RunConfig):
     mesh = build_structured_mesh(config.n)
     disc = Discretization(mesh)
     inp = problem_input(case, mesh, epsilon=config.eps_list[0])
-    return case, {prob: solve_problem(prob, inp, disc, config.tol)
-                  for prob in config.problems}
+    return case, {prob: solve_problem(prob, inp, disc) for prob in config.problems}
 
 
 def _summary(case, results) -> dict:

@@ -51,9 +51,9 @@ no entry because it is exactly 0.  The Discretization computes each
 space's order once and keeps the labels, not the graph.
 
 PP makes three scalar solves, Kp, then A once per velocity component, each
-component meeting the tolerance against its own right-hand side.  The Kp
-solve is direct.  A velocity solve is direct too if the Discretization
-already holds A's factor.  Otherwise PP factors nothing more: the
+component meeting TOL against its own right-hand side.  The Kp solve is
+direct.  A velocity solve is direct too if the Discretization already
+holds A's factor.  Otherwise PP factors nothing more: the
 conjugate gradient method (sparse.cg) solves A, preconditioned by a
 two-level cycle, damped Jacobi on A around the exact coarse solve
 P Kp^-1 P^T, where P embeds the P1 space in the P2 one (fem.prolongation).
@@ -96,8 +96,8 @@ solve with the factors of Kp and A, into one running sum per epsilon.  The
 series converges for eps above the ratio of successive terms, about 0.02
 on the unit square.  Iterating the sweep checks each sum in the true ES
 residual; an epsilon the series cannot reach within SERIES_TERMS terms,
-or whose sum misses the tolerance, is solved by solve_es as above when
-its turn comes.
+or whose sum misses TOL, is solved by solve_es as above when its turn
+comes.
 
 Building a Discretization and each driver call run numpy's BLAS on one
 thread (sparse.one_blas_thread), which covers the per-cell matmuls of
@@ -117,10 +117,10 @@ from scipy import sparse as sps
 from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
-from .sparse import (AIM, DEFAULT_TOL, RESIDUAL_FLOOR, Factor, KrylovLog,
-                     Preconditioner, SaddleSystem, SolverReport, cg, dump_solved,
-                     interleaved, norm, one_blas_thread, placed,
-                     product_residual, release_free_heap, solve)
+from .sparse import (AIM, RESIDUAL_FLOOR, TOL, Factor, KrylovLog, Preconditioner,
+                     SaddleSystem, SolverReport, cg, dump_solved, interleaved,
+                     norm, one_blas_thread, placed, product_residual,
+                     release_free_heap, solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
@@ -413,16 +413,16 @@ def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
 
 
 def _schur_reduction(disc: Discretization, system: Eliminated,
-                     name: str, tol: float) -> Preconditioner:
+                     name: str) -> Preconditioner:
     """Solve by reduction to the pressure Schur complement, with the blocks
     of the solved SaddleSystem [[A, -D^T], [D, C]].
 
     apply(r) takes z = A^-1 r_u, then solves S p = r_p - D z for the
     symmetric positive definite S = C + D A^-1 D^T by cg, preconditioned by
     the factor of C + Mp with the fixed pressure dofs eliminated (Mp for
-    Stokes, eps*Kp + Mp for ES), aiming at AIM * tol ||r||, and returns
+    Stokes, eps*Kp + Mp for ES), aiming at AIM * TOL ||r||, and returns
     [A^-1 (r_u + D^T p), p].  Its residual is that of the pressure solve, so
-    x = M b meets tol, and CG runs on pressure-length vectors only.
+    x = M b meets TOL, and CG runs on pressure-length vectors only.
 
     cg deflates the coarse vector 1 on the free pressure dofs and 0 on the
     fixed ones, which nearly spans S's one soft mode: for Stokes a
@@ -442,13 +442,13 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     def apply(r):
         r_u = r[:nu]
         z = _solve_velocity(vel, r_u)
-        p = cg(schur_op, schur.solve, r[nu:] - m.d(z), AIM * tol * norm(r), log, free)
+        p = cg(schur_op, schur.solve, r[nu:] - m.d(z), AIM * TOL * norm(r), log, free)
         return np.concatenate([_solve_velocity(vel, r_u + m.dt(p)), p])
 
     return Preconditioner(f"cg[schur(A, {name})]", apply, (vel, schur), log)
 
 
-def _two_level(disc: Discretization, tol: float) -> Callable[[], Preconditioner]:
+def _two_level(disc: Discretization) -> Callable[[], Preconditioner]:
     """The builder of a preconditioner for A that solves by CG, with a
     two-level P2 -> P1 cycle coarse-solved by the factor of Kp.
 
@@ -464,7 +464,7 @@ def _two_level(disc: Discretization, tol: float) -> Callable[[], Preconditioner]
     (see JACOBI_WEIGHT): the Ritz values of the cycle times A lie in (0, 1].
     P, P^T and the Jacobi weights are built once; each preconditioner the
     builder returns keeps the KrylovLog of its solve, and apply(r) runs cg
-    on A from 0, aiming at AIM * tol ||r||.
+    on A from 0, aiming at AIM * TOL ||r||.
     """
     a, kp = disc.velocity_system.matrix, disc.pressure_factor
     free = np.ones(disc.np_)
@@ -483,7 +483,7 @@ def _two_level(disc: Discretization, tol: float) -> Callable[[], Preconditioner]
         log = KrylovLog()
         return Preconditioner(
             "cg[two_level(A, Kp)]",
-            lambda r: cg(a.dot, cycle, r, AIM * tol * norm(r), log), (kp,), log)
+            lambda r: cg(a.dot, cycle, r, AIM * TOL * norm(r), log), (kp,), log)
 
     return precond
 
@@ -500,18 +500,17 @@ def _lifted(lift: sps.csr_matrix, fixed: np.ndarray, load: np.ndarray,
 
 
 def _solve_fixed(system: Eliminated, load: np.ndarray, values: np.ndarray,
-                 tol: float, precond) -> tuple[np.ndarray, SolverReport]:
+                 precond) -> tuple[np.ndarray, SolverReport]:
     """Solve an eliminated system, lifting and restoring the fixed values."""
     x, report = solve(system.matrix,
-                      _lifted(system.lift, system.fixed, load, values), tol,
+                      _lifted(system.lift, system.fixed, load, values),
                       precond=precond)
     x[system.fixed] = values
     return x, report
 
 
 @one_blas_thread()
-def solve_stokes(inp: ProblemInput, disc: Discretization = None,
-                 tol: float = DEFAULT_TOL) -> SolveResult:
+def solve_stokes(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     """Velocity-pressure saddle solve with zero-mean pressure gauge.
 
     The first pressure dof is pinned to zero with the velocity Dirichlet
@@ -527,8 +526,8 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
     rhs[:nu] = disc.velocity_load(inp.body_force).ravel()
     u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     x, report = _solve_fixed(
-        system, rhs, np.append(u_vals, 0.0), tol,    # pressure gauge: p dof = 0
-        lambda: _schur_reduction(disc, system, "Mp", tol))
+        system, rhs, np.append(u_vals, 0.0),    # pressure gauge: p dof = 0
+        lambda: _schur_reduction(disc, system, "Mp"))
 
     p = x[nu:]
     p -= (disc.mean_p @ p) / disc.mean_p.sum()
@@ -538,8 +537,7 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None,
 
 
 @one_blas_thread()
-def solve_pp(inp: ProblemInput, disc: Discretization = None,
-             tol: float = DEFAULT_TOL) -> SolveResult:
+def solve_pp(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     """Two-stage decoupled solve: scalar pressure Poisson, then velocity.
 
     The velocity right-hand side uses the discrete pressure gradient
@@ -559,7 +557,7 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
 
     p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     p_coeff, report = _solve_fixed(         # the solve factors Kp on first use
-        disc.pressure_system, disc.pressure_load(inp.body_force), p_vals, tol,
+        disc.pressure_system, disc.pressure_load(inp.body_force), p_vals,
         lambda: Preconditioner("Kp", disc.pressure_factor.solve,
                                (disc.pressure_factor,)))
     reports = [report]
@@ -574,11 +572,11 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
         velocity = partial(Preconditioner, "A", vel.solve, (vel,))
     else:
         factors = (disc.pressure_factor,)
-        velocity = _two_level(disc, tol)
+        velocity = _two_level(disc)
     u_coeff = np.empty_like(f)
     for c in (0, 1):          # one scalar solve per velocity component
         u_coeff[:, c], report = _solve_fixed(
-            disc.velocity_system, f[:, c], u_vals[:, c], tol, velocity)
+            disc.velocity_system, f[:, c], u_vals[:, c], velocity)
         reports.append(report)
 
     ritz = [v for r in reports[1:] for v in r.ritz]
@@ -592,8 +590,7 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None,
 
 
 @one_blas_thread()
-def solve_es(inp: ProblemInput, disc: Discretization = None,
-             tol: float = DEFAULT_TOL) -> SolveResult:
+def solve_es(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     """Coupled solve of the epsilon-scaled system.
 
     The gradient block is -D^T, so the discrete integration-by-parts
@@ -606,8 +603,8 @@ def solve_es(inp: ProblemInput, disc: Discretization = None,
     values = _coupled_values(disc, inp)
     system = disc.coupled_system(eps)
     x, report = _solve_fixed(
-        system, _coupled_load(disc, inp, eps), values, tol,
-        lambda: _schur_reduction(disc, system, "eps*Kp + Mp", tol))
+        system, _coupled_load(disc, inp, eps), values,
+        lambda: _schur_reduction(disc, system, "eps*Kp + Mp"))
     return _coupled_result(disc, x, eps, report)
 
 
@@ -647,7 +644,7 @@ def _coupled_result(disc: Discretization, x: np.ndarray, eps: float,
 
 
 def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
-                   tol: float = DEFAULT_TOL, pp: SolveResult = None) -> EpsSweep:
+                   pp: SolveResult = None) -> EpsSweep:
     """Solve ES at each eps of eps_list, by its 1/eps series where it converges.
 
     Dividing the free pressure rows of ES(eps) by eps gives
@@ -665,9 +662,9 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
 
     The terms x_0 ... x_K leave exactly the residual r_(K+1) / eps^K in the
     pressure rows of ES(eps), so each eps takes terms until that is
-    AIM * tol of its ||b||, as the Krylov solves aim.  An eps
+    AIM * TOL of its ||b||, as the Krylov solves aim.  An eps
     whose bound, shrinking at the measured term ratio, cannot get there
-    within SERIES_TERMS terms, or whose sum then misses tol in the true
+    within SERIES_TERMS terms, or whose sum then misses TOL in the true
     residual ||b - ES(eps) x|| / ||b|| (with the system and right-hand side
     solve_es would solve, bit for bit), is solved by solve_es.
     inp.epsilon is not read.  See EpsSweep for the results.
@@ -675,7 +672,7 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
     disc = _discretization(inp, disc)
     eps_list = list(eps_list)
     _check_epsilons(eps_list)
-    return EpsSweep(inp, eps_list, disc, tol, pp)
+    return EpsSweep(inp, eps_list, disc, pp)
 
 
 class EpsSweep:
@@ -690,7 +687,7 @@ class EpsSweep:
     added, so a tiny eps forms no power of 1/eps.
 
     Iterating yields one SolveResult per eps, in list order: the sum of an
-    eps the series solved, once it meets tol in the true residual, and
+    eps the series solved, once it meets TOL in the true residual, and
     otherwise solve_es's solution, solved when the iteration reaches it.
     The report of a series solution has method "series[Kp, A]", the number
     of terms as its iterations, the residual bound after each term as its
@@ -705,12 +702,12 @@ class EpsSweep:
 
     @one_blas_thread()
     def __init__(self, inp: ProblemInput, eps_list: list, disc: Discretization,
-                 tol: float, pp: SolveResult = None):
+                 pp: SolveResult = None):
         start = time.perf_counter()
-        self.inp, self.eps_list, self.disc, self.tol = inp, eps_list, disc, tol
+        self.inp, self.eps_list, self.disc = inp, eps_list, disc
         self.values = _coupled_values(disc, inp)
         vel = disc.velocity_factor      # the terms apply A, so PP applies it too
-        pp = pp or solve_pp(inp, disc, tol)
+        pp = pp or solve_pp(inp, disc)
         nu, (base, kp) = disc.nu, disc._coupled_parts
         m = base.matrix
         # The ES right-hand side is b0 + eps * b1: load and lift are affine in
@@ -729,7 +726,7 @@ class EpsSweep:
         self.r_norms = [float(np.linalg.norm(r))]
         open_ = {eps: (np.zeros(len(x)), []) for eps in bnorms}
         self.series = {}        # eps: (sum of its terms, bound after each)
-        aim = AIM * tol
+        aim = AIM * TOL
         for k in range(SERIES_TERMS):
             if k > 1 and not open_:
                 break
@@ -762,12 +759,12 @@ class EpsSweep:
         for eps in self.eps_list:
             res = self._checked(eps, first)
             first = first and res is None
-            yield res or solve_es(replace(self.inp, epsilon=eps), self.disc, self.tol)
+            yield res or solve_es(replace(self.inp, epsilon=eps), self.disc)
 
     @one_blas_thread()
     def _checked(self, eps: float, first: bool):
         """The series SolveResult of eps if the series solved eps and its sum
-        meets tol in the ES residual; else None.
+        meets TOL in the ES residual; else None.
 
         The residual is that of solve_es's system and right-hand side, bit
         for bit: ES(eps) is summed as coupled_system sums it, which costs
@@ -784,7 +781,7 @@ class EpsSweep:
         b = _lifted(system.lift, system.fixed, _coupled_load(disc, self.inp, eps),
                     self.values)
         res = product_residual(system.matrix @ x, b)
-        if not res <= self.tol:
+        if not res <= TOL:
             return None
         dump_solved(system.matrix)
         return _coupled_result(disc, x, eps, SolverReport.from_factors(
@@ -794,13 +791,13 @@ class EpsSweep:
             self.start if first else check))
 
 
-def solve_problem(name: str, inp: ProblemInput, disc: Discretization = None,
-                  tol: float = DEFAULT_TOL) -> SolveResult:
+def solve_problem(name: str, inp: ProblemInput,
+                  disc: Discretization = None) -> SolveResult:
     """Solve problem `name`, one of PROBLEMS, with its driver."""
     if name == "S":
-        return solve_stokes(inp, disc, tol)
+        return solve_stokes(inp, disc)
     if name == "PP":
-        return solve_pp(inp, disc, tol)
+        return solve_pp(inp, disc)
     if name == "ES":
-        return solve_es(inp, disc, tol)
+        return solve_es(inp, disc)
     raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEMS}")

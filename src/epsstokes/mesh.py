@@ -223,8 +223,9 @@ def load_mesh(path) -> Mesh:
 
     Format: header line ``mesh2d v1``; ``vertices K`` followed by K lines
     ``x y``; ``triangles M`` followed by M lines ``i j k``; ``boundary B``
-    followed by B lines ``i j marker``.  Indices are 0-based.  Boundary
-    edges are reoriented to run with the domain on their left.
+    followed by B lines ``i j marker``.  Indices are 0-based.  Blank lines
+    are skipped; any other text after the boundary section is refused.
+    Boundary edges are reoriented to run with the domain on their left.
 
     Each section is read by np.loadtxt.  A section it refuses, or reads in
     another shape, is parsed line by line (str.split, then np.array), which
@@ -290,6 +291,9 @@ def load_mesh(path) -> Mesh:
     vertices = read_section("vertices", 2, float)
     triangles = read_section("triangles", 3, np.int64)
     boundary = read_section("boundary", 3, np.int64)
+    if pos < len(texts):
+        raise MeshFormatError(f"line {lineno(pos)}: unexpected text after the "
+                              f"boundary section: {texts[pos]!r}")
 
     nv = len(vertices)
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):

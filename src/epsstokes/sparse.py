@@ -1,10 +1,10 @@
 """Linear solution of the assembled sparse systems.
 
 Every system takes one path, solve: x = M b with a preconditioner M, and
-the true relative residual ||b - A x|| / ||b|| checked against the
-tolerance.  A preconditioner is a factor of the matrix itself, or it runs a
-Krylov solve of its own, aiming below the tolerance, and keeps that solve's
-steps in a KrylovLog.  The one Krylov method is this module's own: cg,
+the true relative residual ||b - A x|| / ||b|| checked against TOL, the
+one residual contract.  A preconditioner is a factor of the matrix itself,
+or it runs a Krylov solve of its own, aiming below TOL, and keeps that
+solve's steps in a KrylovLog.  The one Krylov method is this module's own: cg,
 the preconditioned conjugate gradient method (Hestenes & Stiefel, 1952)
 for a symmetric positive definite operator and preconditioner, which keeps
 five vectors and no orthogonalization, and can deflate one coarse vector.
@@ -47,8 +47,8 @@ runs cg on the pressure Schur complement, which is symmetric positive
 definite since the gradient block is -D^T, deflating the coarse vector of
 the free pressure dofs; for a PP velocity component on a Discretization
 without A's factor it runs cg on A, preconditioned by a two-level cycle on
-the factor of Kp (see drivers).  A preconditioner that misses the
-tolerance fails the solve: no Krylov solve runs around another one, or
+the factor of Kp (see drivers).  A preconditioner that misses TOL fails
+the solve: no Krylov solve runs around another one, or
 around an inexact factor.
 
 A solve runs numpy's BLAS on one thread.  Full-length Krylov vectors at
@@ -94,16 +94,15 @@ import numpy as np
 from scipy import sparse as sps
 from scipy.sparse.linalg import splu
 
-DEFAULT_TOL = 1e-10
-TOL_FLOOR = 1e-14      # the smallest tolerance solve accepts
+TOL = 1e-10            # the relative residual every solve meets
 RESIDUAL_FLOOR = 1e-300
 ORDERING = "rcm+mmd_at_plus_a"     # the ordering a factor runs, as reported
 PERMC_SPEC = "MMD_AT_PLUS_A"        # SuperLU's part of it
-# The Krylov solves and the 1/eps series of drivers aim this far below the
-# tolerance, as close to a direct solve as round-off allows; only tol itself
-# is enforced.
+# The Krylov solves and the 1/eps series of drivers aim this far below TOL,
+# as close to a direct solve as round-off allows; only TOL itself is
+# enforced.
 # Verify's criterion 8 bounds its gradient-forcing deviation by 1e-9: aims of
-# 1e-1, 1e-2 and 1e-4 times tol left 1.7e-9, 2.2e-10 and 4.3e-13.
+# 1e-1, 1e-2 and 1e-4 times TOL left 1.7e-9, 2.2e-10 and 4.3e-13.
 AIM = 1e-4
 _MAX_STEPS = 800     # steps one cg call takes at most; Stokes needs about 28
 
@@ -488,7 +487,7 @@ def norm(v: np.ndarray) -> float:
 
 def product_residual(ax, b, bnorm=None) -> float:
     """||b - A x|| / ||b|| for a product ax = A x formed by the caller, the
-    residual solve holds to tol; ||b|| is floored at RESIDUAL_FLOOR, and
+    residual solve holds to TOL; ||b|| is floored at RESIDUAL_FLOOR, and
     bnorm, if given, is that floored norm.  inf if either norm is not
     finite, so that no gate passes it."""
     if bnorm is None:
@@ -589,9 +588,8 @@ def dump_solved(a) -> None:
 
 
 @one_blas_thread()
-def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL, *,
-          precond: Callable[[], Preconditioner]):
-    """Solve A x = b to a relative residual of at most tol.
+def solve(a, b: np.ndarray, *, precond: Callable[[], Preconditioner]):
+    """Solve A x = b to a relative residual of at most TOL.
 
     a is a CSR matrix or a SaddleSystem, which is applied block by block.
     precond builds the preconditioner M; it is called once inside this
@@ -599,14 +597,12 @@ def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL, *,
     x = M b, and the report takes its method from M's name and its steps
     and Ritz values from M's log, if M runs a Krylov solve.  Raises
     SolverError if a block of the matrix or b has a non-finite entry, if a
-    factorization or M's Krylov solve fails, or if ||b - A x|| <= tol ||b||
+    factorization or M's Krylov solve fails, or if ||b - A x|| <= TOL ||b||
     does not hold.  The factorization and M run with numpy's BLAS on one
     thread; the previous count is restored on return or raise.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
-    if not tol >= TOL_FLOOR:
-        raise ValueError(f"tolerance must be >= the floor {TOL_FLOOR:g}, got {tol}")
     blocks = a.blocks if isinstance(a, SaddleSystem) else (a,)
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
@@ -628,9 +624,9 @@ def solve(a, b: np.ndarray, tol: float = DEFAULT_TOL, *,
         raise SolverError("factorization produced non-finite solution "
                           "(singular matrix)")
     res = product_residual(a @ x, b, bnorm)
-    if not res <= tol:
+    if not res <= TOL:
         raise SolverError(
-            f"solver did not reach tol={tol:g}; achieved residual {res:.3e}",
+            f"solver did not reach tol={TOL:g}; achieved residual {res:.3e}",
             residual=res)
     return x, SolverReport.from_factors(
         pre.name, res, [e / bnorm for e in log.estimates],

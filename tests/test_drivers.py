@@ -378,8 +378,7 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
         system = disc.coupled_system(eps)
         kp = fem.assemble_stiffness(disc.pspace)
         want = eliminate_by_products(eps * kp + mp if eps else mp, pbnd)
-    tol = sparse.DEFAULT_TOL
-    pre = drivers._schur_reduction(disc, system, problem, tol)
+    pre = drivers._schur_reduction(disc, system, problem)
     (schur_matrix,) = factored
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(schur_matrix, name), getattr(want, name)), name
@@ -389,7 +388,7 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     p = x[nu:]
     u = vel.solve((r[:nu] + system.matrix.dt(p)).reshape(-1, 2)).ravel()
     assert np.array_equal(x[:nu], u)
-    aim = sparse.AIM * tol * np.linalg.norm(r)
+    aim = sparse.AIM * sparse.TOL * np.linalg.norm(r)
     assert 1 <= len(pre.log.estimates) and pre.log.estimates[-1] <= aim
     assert np.linalg.norm(r - system.matrix @ x) <= 10 * aim
     assert np.linalg.norm(r - system.matrix.assembled() @ x) <= 10 * aim
@@ -678,7 +677,7 @@ def test_stokes_smallest_ritz_value_is_the_inf_sup_constant_squared(n):
 @given(exponent=st.floats(-320.0, 308.0))
 def test_es_at_any_eps_meets_tol_or_fails_closed(exponent):
     # down to subnormal eps and up to where eps * Kp overflows, solve_es and
-    # the sweep either meet tol with a finite residual or raise; never a
+    # the sweep either meet TOL with a finite residual or raise; never a
     # residual over an overflowed ||b|| and never a floating-point warning
     eps = 10.0 ** exponent
     case = get_case("ms1-mismatch")
@@ -691,7 +690,7 @@ def test_es_at_any_eps_meets_tol_or_fails_closed(exponent):
             res = run()
         except (sparse.SolverError, ValueError):
             continue
-        assert 0.0 <= res.report.rel_residual <= sparse.DEFAULT_TOL, eps
+        assert 0.0 <= res.report.rel_residual <= sparse.TOL, eps
         assert np.all(np.isfinite(res.u.coefficients)), eps
         assert np.all(np.isfinite(res.p.coefficients)), eps
 
@@ -1210,9 +1209,9 @@ def test_series_falls_back_to_schur_cg_below_its_radius(monkeypatch):
     calls = []
     real = drivers.solve_es
 
-    def counted(inp, disc, tol):
+    def counted(inp, disc):
         calls.append(inp.epsilon)
-        return real(inp, disc, tol)
+        return real(inp, disc)
 
     monkeypatch.setattr(drivers, "solve_es", counted)
     sweep = solve_es_sweep(_inp(mesh, case, eps=5.0), [1e-3, 10.0], disc)
@@ -1234,7 +1233,7 @@ def test_series_leaves_tiny_eps_to_schur_cg_without_overflow():
     assert [r.epsilon for r in results] == [1e-310, 1e-30, 1.0]
     for res in results[:2]:
         assert res.report.method.startswith("cg[")
-        assert res.report.rel_residual <= sparse.DEFAULT_TOL
+        assert res.report.rel_residual <= sparse.TOL
     assert results[2].report.method == SERIES
 
 
@@ -1307,7 +1306,7 @@ def test_series_residual_is_the_es_residual(monkeypatch):
         want = np.linalg.norm(ref_rhs - mat @ x) / np.linalg.norm(ref_rhs)
         assert abs(res.report.rel_residual - want) <= 1e-16
         bounds = res.report.residual_history
-        assert bounds[-1] <= 1e-4 * sparse.DEFAULT_TOL < bounds[-2]
+        assert bounds[-1] <= 1e-4 * sparse.TOL < bounds[-2]
 
 
 def test_series_gap_to_pp_converges_monotonically():

@@ -123,16 +123,19 @@ def test_sweep_h_rates_and_footer():
     assert 1.6 <= table.rates["S:err_p_L2R_vs_S"] <= 2.2
 
 
-@pytest.mark.parametrize("tol, rated", [(None, True), ("1e-4", False)])
-def test_sweep_h_fits_rates_only_above_the_saturation_floor(tmp_path, tol, rated):
-    # the sweep fits a rate only through errors at or above 10 * tol: at the
-    # default tol S's errors at n = 8, 16 and 32 (2.6e-3 down to 1.6e-4 in
-    # u H1) all count and fit about 2, while at tol = 1e-4 only n = 8's stay
-    # above the floor of 1e-3, so the file gets no rate line
+@pytest.mark.parametrize("floor, rated", [(None, True), (1e-3, False)])
+def test_sweep_h_fits_rates_only_above_the_saturation_floor(tmp_path, monkeypatch,
+                                                            floor, rated):
+    # the sweep fits a rate only through errors at or above the saturation
+    # floor: at its fixed 1e-9, S's errors at n = 8, 16 and 32 (2.6e-3 down to
+    # 1.6e-4 in u H1) all count and fit about 2, while at a floor of 1e-3
+    # only n = 8's stay above it, so the file gets no rate line
+    import epsstokes.harness as harness
+    if floor is not None:
+        monkeypatch.setattr(harness, "SATURATION_FLOOR", floor)
     out = tmp_path / "h.csv"
-    argv = ["sweep-h", "--case", "ms1", "--problem", "S", "--n", "8,16,32",
-            "--out", str(out)] + (["--tol", tol] if tol else [])
-    assert main(argv) == 0
+    assert main(["sweep-h", "--case", "ms1", "--problem", "S", "--n", "8,16,32",
+                 "--out", str(out)]) == 0
     rates = {line.split(",")[1]: float(line.split(",")[2])
              for line in out.read_text().splitlines() if line.startswith("# rate,")}
     if rated:
@@ -182,11 +185,11 @@ def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
     real = dr.solve_es
     calls = {"k": 0}
 
-    def explode_on_second(inp, disc, tol):
+    def explode_on_second(inp, disc):
         calls["k"] += 1
         if calls["k"] == 2:
             raise SolverError("synthetic failure")
-        return real(inp, disc, tol)
+        return real(inp, disc)
 
     monkeypatch.setattr(dr, "solve_es", explode_on_second)
     with pytest.raises(SolverError):
@@ -698,8 +701,7 @@ def test_cli_write_failure_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "nan"), ("--eps", "inf"), ("--delta", "nan"), ("--delta", "inf"),
-    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"),
-    ("--tol", "1e-20"), ("--eps", "abc"), ("--n", "4.5"),
+    ("--eps", "abc"), ("--n", "4.5"),
 ])
 def test_cli_bad_number_exits_2(flag, value, capsys):
     assert main(["sweep-eps", "--case", "ms1-mismatch", "--n", "4",
@@ -710,7 +712,7 @@ def test_cli_bad_number_exits_2(flag, value, capsys):
 @pytest.mark.parametrize("conf, flags", [
     ({"out": 5}, []), ({"out": 2}, []), ({"n": 4.5}, []), ({"n": [4, 6.9]}, []),
     ({"n": True}, []), ({"eps": None}, []),
-    (None, ["--tol", "abc"]), (None, ["--delta", "abc"]),
+    (None, ["--n", ""]), (None, ["--delta", "abc"]),
     (None, ["--format", "xml"]), (None, ["--eps", ""]),
 ])
 def test_cli_bad_setting_exits_2(conf, flags, tmp_path, monkeypatch, capsys):
@@ -729,10 +731,21 @@ def test_cli_bad_setting_exits_2(conf, flags, tmp_path, monkeypatch, capsys):
     assert written == []
 
 
+def test_cli_has_no_tolerance_setting(tmp_path, capsys):
+    # every solve meets sparse.TOL; neither a flag nor a config key sets another
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--n", "4", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tol": 1e-9}))
+    assert main(["solve", "--n", "4", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key(s) tol in ")
+
+
 @pytest.mark.parametrize("conf, flags", [
-    ({"n": [8, 16], "eps": [1, 10], "delta": 0.5, "tol": 1e-9, "format": "json"},
-     ["--n", "8,16", "--eps", "1,10", "--delta", "0.5", "--tol", "1e-9",
-      "--format", "json"]),
+    ({"n": [8, 16], "eps": [1, 10], "delta": 0.5, "format": "json"},
+     ["--n", "8,16", "--eps", "1,10", "--delta", "0.5", "--format", "json"]),
     ({"eps": 5}, ["--eps", "5"]),
     ({"delta": "0.5"}, ["--delta", "0.5"]),
 ])
@@ -747,7 +760,7 @@ def test_cli_config_file_equals_flags(conf, flags, tmp_path, monkeypatch):
     assert seen[0] == seen[1]
     if "n" in conf:
         assert (seen[0].n, seen[0].n_list, seen[0].eps_list) == (8, (8, 16), (1.0, 10.0))
-        assert (seen[0].delta, seen[0].tol, seen[0].fmt) == (0.5, 1e-9, "json")
+        assert (seen[0].delta, seen[0].fmt) == (0.5, "json")
 
 
 def test_readme_config_keys_match_the_parser():

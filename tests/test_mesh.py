@@ -202,6 +202,23 @@ def test_load_mesh_round_trip(tmp_path):
     validate_mesh(loaded)
 
 
+@pytest.mark.parametrize("tail, line", [
+    ("vertices 3\n0 0\n1 1\nnot a number\n", "line 15: unexpected text after "
+                                             "the boundary section: 'vertices 3'"),
+    ("\n  \nnot a number", "line 17: unexpected text .*'not a number'"),
+    ("\n  \n\n", None),
+])
+def test_load_mesh_refuses_text_after_the_boundary_section(tmp_path, tail, line):
+    # blank lines may follow the last section; anything else is an error
+    path = tmp_path / "tail.mesh"
+    path.write_text(_structured_n1_text() + tail)
+    if line is None:
+        assert load_mesh(path).num_triangles == 2
+    else:
+        with pytest.raises(MeshFormatError, match=line):
+            load_mesh(path)
+
+
 def test_load_mesh_clockwise_triangle(tmp_path):
     path = tmp_path / "cw.mesh"
     path.write_text("\n".join([

@@ -148,13 +148,6 @@ def test_solve_rejects_singular_factorization():
         _solve_factored(a, np.array([1.0, 2.0]))
 
 
-def test_solve_rejects_too_tight_tolerance():
-    with pytest.raises(ValueError, match="floor"):
-        _solve_factored(sps.identity(2, format="csr"), np.ones(2), tol=1e-15)
-    with pytest.raises(ValueError, match="floor"):
-        _solve_factored(sps.identity(2, format="csr"), np.ones(2), tol=np.nan)
-
-
 def test_conditioning_robustness_gate():
     # the coupled system at both epsilon extremes meets 1e-10 on n=16
     mesh = build_structured_mesh(16)
@@ -163,7 +156,7 @@ def test_conditioning_robustness_gate():
     for eps in (1e-6, 1e6):
         inp = ProblemInput(mesh=mesh, body_force=case.body_force,
                            u_bc=case.u_bc(), p_bc=case.p_bc(), epsilon=eps)
-        res = solve_es(inp, disc, tol=1e-10)
+        res = solve_es(inp, disc)
         assert res.report.rel_residual <= 1e-10, eps
 
 
@@ -202,7 +195,7 @@ def test_report_fields():
     assert report.method == "factor"
     assert report.ordering == sp.ORDERING
     assert report.wall_time >= 0.0
-    assert report.iterations == 0      # the factor of a meets tol by itself
+    assert report.iterations == 0      # the factor of a meets TOL by itself
     assert report.residual_history == ()
     assert report.lu_nnz == 6          # unit-diagonal L and diagonal U
     assert report.fill == 2.0
@@ -216,10 +209,10 @@ def _laplace_1d(n, diag=2.0):
 
 def _krylov(a, inner, factors):
     """A preconditioner for a that runs sp.cg itself, preconditioned by
-    inner, aiming at AIM * DEFAULT_TOL ||r||, with a log."""
+    inner, aiming at AIM * TOL ||r||, with a log."""
     def precond():
         log = sp.KrylovLog()
-        aim = sp.AIM * sp.DEFAULT_TOL
+        aim = sp.AIM * sp.TOL
         return sp.Preconditioner(
             "cg[near]", lambda r: sp.cg(a.dot, inner, r, aim * sp.norm(r), log),
             factors, log)
@@ -247,7 +240,7 @@ def test_cg_with_kept_inexact_factor():
 
 
 def test_kept_inexact_factor_without_krylov_log_fails():
-    # x = M b is all a solve does: a factor of another matrix misses tol,
+    # x = M b is all a solve does: a factor of another matrix misses TOL,
     # and no Krylov solve runs around it
     a = _laplace_1d(60)
     b = np.random.default_rng(3).standard_normal(60)
@@ -590,12 +583,12 @@ def test_blas_threads_restored_after_solver_error(two_blas_threads, failure):
         with pytest.raises(SolverError, match="zero"):
             _solve_factored(sps.diags([1.0, 0.0, 1.0], format="csr"), np.ones(3))
     else:
-        # x = b, the identity preconditioner's answer, misses 1e-14 on a
+        # x = b, the identity preconditioner's answer, misses TOL on a
         # long 1D Laplacian
         a = _laplace_1d(2000)
         seen, precond = _counting()
         with pytest.raises(SolverError, match="did not reach"):
-            solve(a, np.ones(2000), tol=1e-14, precond=precond)
+            solve(a, np.ones(2000), precond=precond)
         assert set(seen) == {1}
     assert two_blas_threads() == 2
 

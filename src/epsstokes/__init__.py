@@ -8,7 +8,7 @@ from .fem import Field, QuadratureRule, Space, triangle_rule_d5
 from .harness import (DEFAULT_EPS_GRID, ConfigError, RunConfig, export_vtk,
                       run_acceptance, run_sweep_eps, run_sweep_h)
 from .mesh import (Mesh, MeshError, MeshFormatError, MeshTopologyError,
-                   build_structured_mesh, load_mesh, mesh_size, validate_mesh)
+                   build_structured_mesh, load_mesh, validate_mesh)
 from .sparse import SolverError, SolverReport, solve
 from .verification import (ErrorRow, ErrorTable, ManufacturedCase,
                            fit_log_slope, get_case, registry)
@@ -20,7 +20,7 @@ __all__ = [
     "MeshTopologyError", "ProblemInput", "QuadratureRule", "RunConfig",
     "SolveResult", "SolverError", "SolverReport", "Space",
     "build_structured_mesh", "check_compatibility", "export_vtk",
-    "fit_log_slope", "get_case", "load_mesh", "mesh_size", "registry",
+    "fit_log_slope", "get_case", "load_mesh", "registry",
     "run_acceptance", "run_sweep_eps", "run_sweep_h", "solve", "solve_es",
     "solve_es_sweep", "solve_pp", "solve_problem", "solve_stokes", "triangle_rule_d5",
     "validate_mesh",

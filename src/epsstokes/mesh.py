@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -124,15 +123,8 @@ class Mesh:
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def triangle_areas(self) -> np.ndarray:
-        """Signed areas (positive for counterclockwise triangles)."""
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def area(self) -> float:
-        return float(self.triangle_areas().sum())
+        return 0.5 * float(self.geometry[2].sum())
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
@@ -228,9 +220,8 @@ def load_mesh(path) -> Mesh:
     Boundary edges are reoriented to run with the domain on their left.
 
     Each section is read by np.loadtxt.  A section it refuses, or reads in
-    another shape, is parsed line by line (str.split, then np.array), which
-    reads every line loadtxt reads to the same values, also reads what only
-    float() and int() accept (such as 1_000), and names the first bad line.
+    another shape, is read again one line at a time to name the first bad
+    line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -267,26 +258,15 @@ def load_mesh(path) -> Mesh:
             raise MeshFormatError(f"line {lineno(pos - 1)}: bad count {parts[1]!r}")
         first = pos
         body = take(count)
-        rows = _loadtxt_rows(body, dtype, width)
-        if rows is not None:
-            return rows
-        fields = list(map(str.split, body))
-        if set(map(len, fields)) <= {width}:
-            try:
-                return np.array(list(chain.from_iterable(fields)),
-                                dtype=dtype).reshape(count, width)
-            except (ValueError, OverflowError):
-                pass
-        for k, row in enumerate(fields):                    # find the bad line
-            if len(row) != width:
-                raise MeshFormatError(f"line {lineno(first + k)}: expected "
-                                      f"{width} fields, got {len(row)}")
-            try:
-                np.array(row, dtype=dtype)
-            except (ValueError, OverflowError):
-                raise MeshFormatError(f"line {lineno(first + k)}: bad value "
-                                      f"in {body[k]!r}") from None
-        raise AssertionError("unreachable: every line of the section parsed")
+        try:
+            return _loadtxt_rows(body, dtype, width)
+        except ValueError:
+            for k, line in enumerate(body):                 # find the bad line
+                try:
+                    _loadtxt_rows([line], dtype, width)
+                except ValueError as err:
+                    raise MeshFormatError(f"line {lineno(first + k)}: {err}") from None
+            raise
 
     vertices = read_section("vertices", 2, float)
     triangles = read_section("triangles", 3, np.int64)
@@ -328,36 +308,38 @@ def load_mesh(path) -> Mesh:
 _FLOAT_MARKS = ".eEiInN"
 
 
-def _loadtxt_rows(body: list, dtype, width: int):
-    """The (len(body), width) rows of a section's lines by np.loadtxt, or
-    None where loadtxt refuses them or reads another shape; load_mesh then
-    parses the lines one by one.
+def _loadtxt_rows(lines: list, dtype, width: int) -> np.ndarray:
+    """The (len(lines), width) rows of a section's lines by np.loadtxt.
 
-    No lines give None, as loadtxt warns on them.  So does an integer
-    section holding a character of a float: older numpy versions read 2.0
-    as the integer 2, with a DeprecationWarning, where int() refuses it
-    (numpy 2.4 refuses it too).
+    Raises ValueError where loadtxt refuses the lines or reads another
+    shape, with a message that fits a single line, as load_mesh reads a
+    refused section again line by line.  So does an integer section holding
+    a character of a float: older numpy versions read 2.0 as the integer 2,
+    with a DeprecationWarning (numpy 2.4 refuses it).
     """
-    if not body:
-        return None
-    if np.issubdtype(dtype, np.integer):
-        text = "\n".join(body)
-        if any(mark in text for mark in _FLOAT_MARKS):
-            return None
+    if not lines:                          # loadtxt warns on no lines
+        return np.empty((0, width), dtype=dtype)
     try:
-        rows = np.loadtxt(body, dtype=dtype, ndmin=2, comments=None)
+        if np.issubdtype(dtype, np.integer):
+            text = "\n".join(lines)
+            if any(mark in text for mark in _FLOAT_MARKS):
+                raise ValueError
+        rows = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
     except (ValueError, OverflowError):
-        return None
-    return rows if rows.shape == (len(body), width) else None
+        raise ValueError(f"bad value in {lines[0]!r}") from None
+    if rows.shape != (len(lines), width):
+        raise ValueError(f"expected {width} fields, got {rows.shape[1]}")
+    return rows
 
 
 def validate_mesh(mesh: Mesh) -> None:
     """Enforce all mesh invariants; raises MeshTopologyError on violation."""
-    areas = mesh.triangle_areas()
-    if np.any(areas <= 0.0):
-        bad = int(np.argmin(areas))
-        raise MeshTopologyError(
-            f"triangle {bad} has non-positive area {areas[bad]:.3e} (not counterclockwise)")
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    if not finite.all():
+        v = int(np.argmin(finite))
+        raise MeshTopologyError(f"vertex {v} has a coordinate that is not finite: "
+                                f"{tuple(mesh.vertices[v].tolist())}")
+    det = mesh.geometry[2]            # refuses clockwise and collapsed triangles
 
     table = mesh.edges
     if table.counts.size and table.counts.max() > 2:
@@ -410,10 +392,16 @@ def validate_mesh(mesh: Mesh) -> None:
     vi = mesh.vertices[mesh.boundary_edges[:, 0]]
     vj = mesh.vertices[mesh.boundary_edges[:, 1]]
     loop_area = 0.5 * float(np.sum(vi[:, 0] * vj[:, 1] - vj[:, 0] * vi[:, 1]))
-    total = float(areas.sum())
+    total = 0.5 * float(det.sum())
     if abs(loop_area - total) > _GEOM_TOL * max(1.0, abs(total)):
         raise MeshTopologyError(
             f"triangle areas sum to {total!r} but the boundary encloses {loop_area!r}")
+
+    unused = np.ones(mesh.num_vertices, dtype=bool)
+    unused[mesh.triangles] = False
+    if np.any(unused):
+        v = int(np.argmax(unused))
+        raise MeshTopologyError(f"vertex {v} is not a vertex of any triangle")
 
 
 def _traversed(triangles, table: EdgeTable, ids) -> np.ndarray:
@@ -422,13 +410,6 @@ def _traversed(triangles, table: EdgeTable, ids) -> np.ndarray:
     counterclockwise, local edge k runs from vertex k to vertex (k + 1) % 3."""
     local = table.owner_local[ids, None] + np.array([0, 1])
     return triangles[table.owner[ids, None], local % 3]
-
-
-def mesh_size(mesh: Mesh) -> float:
-    """Longest triangle edge in the mesh."""
-    ends = mesh.vertices[mesh.edges.vertices]
-    d = ends[:, 1] - ends[:, 0]
-    return float(np.hypot(d[:, 0], d[:, 1]).max(initial=0.0))
 
 
 def _pair(p) -> tuple:

@@ -356,11 +356,12 @@ def gauss_formula_residual(u: Field, w: Field) -> float:
 def fit_log_slope(pairs) -> float:
     """Least-squares slope of log(y) against log(x).
 
-    pairs is a sequence of (x, y) with strictly positive entries.
+    pairs is a sequence of (x, y) with strictly positive entries and at
+    least two distinct x values.
     """
     arr = np.asarray(list(pairs), dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ValueError("need at least two (x, y) pairs")
+    if arr.ndim != 2 or len(np.unique(arr[:, 0])) < 2:
+        raise ValueError("need (x, y) pairs with at least two distinct x values")
     if np.any(arr <= 0.0):
         raise ValueError("log-log fit requires positive data")
     return float(np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)[0])

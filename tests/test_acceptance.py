@@ -110,6 +110,18 @@ def test_criterion_7_discretization_rates(acceptance_report):
     assert c.passed
 
 
+def test_criterion_7_family_runs_alone_before_the_battery(acceptance_run):
+    # refcounting alone frees each of criterion 7's own meshes (no
+    # gc.collect): the n = 64 one, the battery's largest system, is built
+    # with no other Discretization alive, and the n = 32 battery's after
+    # the n = 8, 16 and 64 ones are dead
+    _, builds = acceptance_run
+    alive_at_build = {nv: alive for nv, _, alive in builds}
+    assert len(alive_at_build) == len(builds) == 4      # one per mesh size
+    assert alive_at_build[4225] == []
+    assert builds[-1][0] == 1089 and alive_at_build[1089] == []
+
+
 def test_criterion_8_structural_identities(acceptance_report):
     c = _emit(acceptance_report, 8)
     assert c.details["max_gauss_residual"] <= 1e-10

@@ -42,6 +42,13 @@ def test_config_validation():
     assert cfg.eps_list == (1.0, 10.0)
 
 
+def test_config_refuses_a_repeated_n():
+    # two rows at one n used to fit a "rate" of 1.43 for sweep-h --n 8,8
+    with pytest.raises(ConfigError, match=r"\[8\] repeated"):
+        RunConfig(n_list=(8, 16, 8))
+    assert RunConfig(n_list=(16, 8)).n_list == (16, 8)
+
+
 def test_config_unknown_case():
     with pytest.raises(ConfigError, match="unknown case"):
         RunConfig(case="mystery").manufactured_case()
@@ -436,6 +443,8 @@ def test_cli_unknown_case_exits_2(capsys):
 
 def test_cli_bad_n_exits_2(capsys):
     assert main(["solve", "--case", "ms1", "--n", "1"]) == 2
+    assert main(["sweep-h", "--case", "ms1", "--problem", "S", "--n", "8,8"]) == 2
+    assert "[8] repeated" in capsys.readouterr().err
 
 
 def test_cli_sweep_eps_writes_csv(tmp_path):

@@ -394,6 +394,8 @@ def test_fit_log_slope_rejects_bad_input():
         fit_log_slope([(1.0, 1.0), (2.0, -1.0)])
     with pytest.raises(ValueError):
         fit_log_slope([(1.0, 1.0)])
+    with pytest.raises(ValueError, match="two distinct x"):
+        fit_log_slope([(0.125, 2.6e-3), (0.125, 2.6e-3)])
 
 
 def test_saturation_filter():

@@ -31,12 +31,16 @@ def _digit_words():
 
 # The kernels' tables: the 4-digit groups, the head "d." or "-d." of a first
 # digit d, "e+dd" or "e-ddd" of an exponent, and 10**k correctly rounded
-# (float() of "1e{k}" is, 10.0**k need not be)
+# (float() of "1e{k}" is, 10.0**k need not be), read-only, since every
+# writer in the process shares them
 _DIGITS4, _LEADING4 = _digit_words()
 _HEAD = _words([f"{sign}{d}." for sign in ("", "-") for d in range(10)], 1)[:, 0]
 _TABLE_MIN = -300
 _EXP = _words([f"e{e:+03d}" for e in range(_TABLE_MIN, 301)], 2).view(np.uint64)[:, 0]
 _POW10 = np.array([float(f"1e{k}") for k in range(_TABLE_MIN, 309)])
+for _table in (_DIGITS4, _LEADING4, _HEAD, _EXP, _POW10):
+    _table.setflags(write=False)
+del _table
 
 
 def sci12(values):

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: solve, sweep-eps, sweep-h, verify, export-vtk.  A JSON config
-file may preset any flag; explicit flags override it.  Exit codes:
-0 success, 1 acceptance-criterion failure, 2 config/input error,
-3 solver failure.
+Subcommands: solve, sweep-eps, sweep-h, verify, export-vtk, each with the
+flags its run reads; a JSON config file may preset them, explicit flags
+override it.  Exit codes: 0 success, 1 acceptance-criterion failure,
+2 config/input error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -25,31 +25,36 @@ EXIT_CRITERION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+# Each subcommand, its help and the keys its run reads, each a config key and
+# a flag --key (dashes for _); "*" marks the one key it reads as a list.
 COMMANDS = (
-    ("solve", "run one problem and print a summary"),
-    ("sweep-eps", "epsilon sweep against fixed references"),
-    ("sweep-h", "mesh-refinement sweep with fitted rates"),
-    ("verify", "run the acceptance suite"),
-    ("export-vtk", "solve and write a VTK file"),
+    ("solve", "run one problem and print a summary",
+     ("case", "problem", "n", "eps", "delta", "out", "dump_matrix")),
+    ("sweep-eps", "epsilon sweep against fixed references",
+     ("case", "n", "eps*", "delta", "out", "format", "dump_matrix")),
+    ("sweep-h", "mesh-refinement sweep with fitted rates",
+     ("case", "problem", "n*", "eps", "delta", "out", "format", "dump_matrix")),
+    ("verify", "run the acceptance suite", ("out", "dump_matrix")),
+    ("export-vtk", "solve and write a VTK file",
+     ("case", "problem", "n", "eps", "delta", "out", "dump_matrix")),
 )
-# Every subcommand's flags as (key, help); the flag is --key, dashes for _.
+# Each flag's help, as (key, help); every subcommand takes --config.
 FLAGS = (
-    ("config", "JSON file presetting any other flag"),
+    ("config", "JSON file presetting any other flag of the command"),
     ("case", f"manufactured case name (default {RunConfig.case})"),
     ("problem", f"S, PP, ES or all (default {RunConfig.problem})"),
-    ("n", "mesh subdivisions; list for sweep-h, e.g. 8,16,32"),
-    ("eps", "comma-separated epsilon list"),
+    ("n", "mesh subdivisions; a list for sweep-h, e.g. 8,16,32"),
+    ("eps", "epsilon; a list for sweep-eps, e.g. 1,10,100"),
     ("delta", "trace-mismatch amplitude override"),
     ("out", "output path (table, report or VTK file)"),
     ("format", f"table format, csv or json (default {RunConfig.fmt})"),
     ("dump_matrix", "prefix for MatrixMarket dumps of each solved system"),
 )
-CONFIG_KEYS = tuple(key for key, _ in FLAGS if key != "config")  # a file's keys
-# The type of each number flag, whose text is a number or, for n and eps, a
-# comma-separated list of numbers; every other flag is a str.
+# The type of each number flag, whose text is a number or, for a list key,
+# a comma-separated list of numbers; every other flag is a str.
 _TYPES = {"n": int, "eps": float, "delta": float}
-_LISTS = ("n", "eps")
-_FIELDS = {"eps": "eps_list", "format": "fmt"}     # RunConfig's names for them
+# RunConfig's names for the keys as COMMANDS lists them
+_FIELDS = {"n*": "n_list", "eps": "eps_list", "eps*": "eps_list", "format": "fmt"}
 
 
 def _build_parser():
@@ -58,10 +63,11 @@ def _build_parser():
         description="Stokes / pressure-Poisson / coupled-parameter flow lab "
                     "on triangulated domains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, command_help in COMMANDS:
+    helps = dict(FLAGS)
+    for command, command_help, keys in COMMANDS:
         p = sub.add_parser(command, help=command_help)
-        for key, flag_help in FLAGS:
-            p.add_argument("--" + key.replace("_", "-"), help=flag_help)
+        for key in ("config",) + tuple(entry.rstrip("*") for entry in keys):
+            p.add_argument("--" + key.replace("_", "-"), help=helps[key])
     return parser
 
 
@@ -76,19 +82,23 @@ def _flag_text(key, value) -> str:
     return value
 
 
-def _parse(key, text):
-    """The value of flag key's text, from the command line or _flag_text."""
+def _parse(entry, text):
+    """The value of a flag's text, from the command line or _flag_text;
+    entry is its key as COMMANDS lists it.  A single eps is a list of one."""
+    key = entry.rstrip("*")
     kind = _TYPES.get(key, str)
     try:
-        if key in _LISTS:
+        if entry.endswith("*"):
             return tuple(kind(tok) for tok in text.split(",") if tok.strip())
-        return kind(text)
+        return (kind(text),) if key == "eps" else kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad --{key.replace('_', '-')} value {text!r}: {exc}") from None
 
 
-def _make_config(args) -> RunConfig:
-    """The keys set by the config file or flags, on RunConfig's defaults."""
+def _make_config(command, args) -> RunConfig:
+    """The keys command reads, from the config file and flags, on RunConfig's defaults."""
+    keys = {entry.rstrip("*"): entry for name, _, entries in COMMANDS
+            if name == command for entry in entries}
     texts = {}
     if args.config:
         try:
@@ -98,22 +108,16 @@ def _make_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_conf, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_conf) - set(CONFIG_KEYS))
+        unknown = sorted(set(file_conf) - set(keys))
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in "
-                              f"{args.config}; allowed: {', '.join(CONFIG_KEYS)}")
+                              f"{args.config}; {command} reads: {', '.join(keys)}")
         texts = {key: _flag_text(key, value) for key, value in file_conf.items()}
-
-    for key in CONFIG_KEYS:               # explicit flags override the file
+    for key in keys:                      # explicit flags override the file
         if getattr(args, key) is not None:
             texts[key] = getattr(args, key)
-
-    settings = {_FIELDS.get(key, key): _parse(key, text) for key, text in texts.items()}
-    if "n" in settings:                   # the first n is the single-mesh n
-        if not settings["n"]:
-            raise ConfigError("--n needs at least one value")
-        settings.update(n=settings["n"][0], n_list=settings["n"])
-    return RunConfig(**settings)
+    return RunConfig(**{_FIELDS.get(keys[key], key): _parse(keys[key], text)
+                        for key, text in texts.items()})
 
 
 def _solve_one(config: RunConfig):
@@ -149,7 +153,7 @@ def _summary(case, results) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _make_config(args)
+        config = _make_config(args.command, args)
         for flag, path in (("--out", config.out), ("--dump-matrix", config.dump_matrix)):
             if not os.path.isdir(os.path.dirname(path or "") or "."):
                 raise ConfigError(f"{flag} {path}: its directory does not exist")

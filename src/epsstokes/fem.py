@@ -102,6 +102,8 @@ def triangle_rule_d5() -> QuadratureRule:
 # volume rule.
 _EDGE_T = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
 _EDGE_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+_EDGE_T.setflags(write=False)
+_EDGE_W.setflags(write=False)
 
 
 def shape_values(degree: int, ref_pts: np.ndarray) -> np.ndarray:

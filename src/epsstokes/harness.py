@@ -292,6 +292,7 @@ P1_REFERENCE_STIFFNESS = np.array([
     [-0.5, 0.5, 0.0],
     [-0.5, 0.0, 0.5],
 ])
+P1_REFERENCE_STIFFNESS.setflags(write=False)
 
 
 def run_acceptance(config: RunConfig = None) -> AcceptanceReport:

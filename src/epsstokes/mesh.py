@@ -156,10 +156,12 @@ class Mesh:
         """Affine map of each triangle from the reference triangle:
         (jac, inv, det) of shapes (M,2,2), (M,2,2), (M,).  Raises
         MeshTopologyError for a cell whose det is not positive and finite,
-        which no quadrature or inverse map can use."""
+        which no quadrature or inverse map can use: finite coordinates can
+        give an inf or nan det, refused here, not warned of."""
         p = self.vertices[self.triangles]
-        jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+            det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         bad = ~(np.isfinite(det) & (det > 0.0))
         if np.any(bad):
             k = int(np.argmax(bad))

@@ -15,7 +15,7 @@ from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
                                problem_input, run_sweep_eps, run_sweep_h)
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.sparse import SolverError
-from epsstokes.verification import error_h1, get_case
+from epsstokes.verification import ErrorRow, error_h1, fit_log_slope, get_case
 from helpers import (affine_jittered_mesh, apply_dirichlet, div_coupling,
                      export_vtk_loop, loaded_parallelogram_mesh, reference_system,
                      zero_field, zero_scalar, zero_vec)
@@ -150,6 +150,26 @@ def test_sweep_h_fits_rates_only_above_the_saturation_floor(tmp_path, monkeypatc
         assert all(1.9 <= r <= 2.1 for r in rates.values()), rates
     else:
         assert rates == {}
+
+
+def test_sweep_h_rates_fit_an_error_between_1e_9_and_1e_8(monkeypatch):
+    # a finest error of 5e-9 lies above the saturation floor, ten times the
+    # solves' residual 1e-10, and so counts in the fit: a floor of 1e-8 would
+    # drop it and fit 2.0 from the other two
+    import epsstokes.harness as harness
+    errors = {2: 4e-7, 4: 1e-7, 8: 5e-9}
+
+    def row(disc, result, s_ref, pp_ref, case, n, mismatch):
+        return ErrorRow(problem=result.problem, n=n, eps=None, err_u_H1_vs_S=errors[n],
+                        err_u_L2_vs_S=errors[n], err_p_L2R_vs_S=errors[n],
+                        err_u_H1_vs_PP=0.0, err_p_H1_vs_PP=0.0, div_u_L2=0.0,
+                        trace_mismatch_L2G=mismatch)
+
+    monkeypatch.setattr(harness, "_error_row", row)
+    table, _ = run_sweep_h(RunConfig(case="ms1", problem="S", n_list=tuple(errors)))
+    rate = fit_log_slope([(1.0 / n, e) for n, e in errors.items()])
+    assert table.rates == {"S:err_u_H1_vs_S": rate, "S:err_p_L2R_vs_S": rate}
+    assert 3.1 < rate < 3.2
 
 
 def test_sweep_h_single_n_omits_rates():
@@ -415,6 +435,26 @@ def test_decimal_matches_percent_format(values):
     assert _kernel_text(decimal, values + [10**11])[:-1] == ["%d" % i for i in values]
 
 
+def test_module_level_arrays_refuse_a_write():
+    # a write to _numtext._POW10 would corrupt every later VTK file of the
+    # process; every module-level array of the package is read-only
+    import importlib
+    import pkgutil
+    import epsstokes
+    arrays = {f"{info.name}.{name}": value
+              for info in pkgutil.iter_modules(epsstokes.__path__)
+              if info.name != "__main__"
+              for name, value in vars(importlib.import_module(f"epsstokes.{info.name}")).items()
+              if isinstance(value, np.ndarray)}
+    assert set(arrays) == {
+        "fem._EDGE_T", "fem._EDGE_W", "harness.P1_REFERENCE_STIFFNESS",
+        "_numtext._DIGITS4", "_numtext._LEADING4", "_numtext._HEAD",
+        "_numtext._EXP", "_numtext._POW10"}
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+
+
 def test_rows_joins_kernel_columns_and_literals():
     x = np.array([0.5, -1e-150, np.nan])
     i = np.array([0, 12345, 7])
@@ -670,30 +710,88 @@ def test_dumped_saddle_systems_are_the_reference_elimination(n, tmp_path):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
 
 
-@pytest.mark.parametrize("out", ["nodir/x.out", ""])
-@pytest.mark.parametrize("command", ["solve", "sweep-eps", "sweep-h", "verify",
-                                     "export-vtk"])
-def test_cli_unwritable_out_exits_2_before_any_solve(command, out, tmp_path,
-                                                     monkeypatch, capsys):
+# The keys each subcommand's run reads, as flags and as config keys; "*"
+# marks the one it reads as a comma-separated list.
+READS = {
+    "solve": "case problem n eps delta out dump_matrix",
+    "sweep-eps": "case n eps* delta out format dump_matrix",
+    "sweep-h": "case problem n* eps delta out format dump_matrix",
+    "verify": "out dump_matrix",
+    "export-vtk": "case problem n eps delta out dump_matrix",
+}
+# A value of each key that a run reading it would take
+VALUES = {"case": "ms1", "problem": "PP", "n": "2", "eps": "1", "delta": "0.5",
+          "out": "x.out", "format": "json", "dump_matrix": "m_"}
+
+
+def _reads(command):
+    return READS[command].replace("*", "").split()
+
+
+def _refuse_discretizations(monkeypatch):
     def refuse(self, mesh):
         raise AssertionError("a Discretization was built")
 
     monkeypatch.setattr(Discretization, "__init__", refuse)
+
+
+@pytest.mark.parametrize("out", ["nodir/x.out", ""])
+@pytest.mark.parametrize("command", READS)
+def test_cli_unwritable_out_exits_2_before_any_solve(command, out, tmp_path,
+                                                     monkeypatch, capsys):
+    _refuse_discretizations(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    assert main([command, "--case", "ms1", "--problem", "PP", "--n", "2",
-                 "--out", out]) == 2
+    flags = [arg for key in _reads(command) if key not in ("out", "dump_matrix")
+             for arg in (f"--{key}", VALUES[key])]
+    assert main([command] + flags + ["--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in READS for key in VALUES
+    if key not in _reads(command)])
+def test_cli_refuses_a_flag_or_config_key_its_command_does_not_read(
+        command, key, tmp_path, monkeypatch, capsys):
+    # no run read these: verify --n 64 --case ms1-mismatch ran the n = 32
+    # battery, and sweep-eps --problem PP printed ES rows, each with exit 0
+    _refuse_discretizations(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, VALUES[key]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {VALUES[key]}" in capsys.readouterr().err
+    (tmp_path / "conf.json").write_text(json.dumps({key: VALUES[key]}))
+    assert main([command, "--config", "conf.json"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown config key(s) {key} in conf.json; {command} reads: "
+        f"{', '.join(_reads(command))}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in READS for key in ("n", "eps")
+    if key in READS[command].split()])
+def test_cli_refuses_a_list_for_a_single_n_or_eps(command, key, tmp_path,
+                                                  monkeypatch, capsys):
+    # such a list used to be cut without a word: solve --eps 5,0.001 solved
+    # eps = 0.001, sweep-eps --n 4,8 swept n = 4 alone
+    _refuse_discretizations(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, f"--{key}", "4,8", "--out", "x.out"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad --{key} value '4,8': ")
+    (tmp_path / "conf.json").write_text(json.dumps({key: [4, 8]}))
+    assert main([command, "--config", "conf.json", "--out", "x.out"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad --{key} value '4,8': ")
+    assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]
 
 
 def test_cli_dump_matrix_missing_directory_exits_2_before_any_solve(
         tmp_path, monkeypatch, capsys):
     # scipy's mmwrite raises nothing for a missing directory, so without the
     # check up front such a run wrote no file and exited 0
-    def refuse(self, mesh):
-        raise AssertionError("a Discretization was built")
-
-    monkeypatch.setattr(Discretization, "__init__", refuse)
+    _refuse_discretizations(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert main(["solve", "--n", "4", "--eps", "1",
                  "--dump-matrix", "nodir/m_"]) == 2
@@ -710,7 +808,7 @@ def test_cli_write_failure_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "nan"), ("--eps", "inf"), ("--delta", "nan"), ("--delta", "inf"),
-    ("--eps", "abc"), ("--n", "4.5"),
+    ("--eps", "abc"), ("--n", "4.5"), ("--eps", ""), ("--eps", ","),
 ])
 def test_cli_bad_number_exits_2(flag, value, capsys):
     assert main(["sweep-eps", "--case", "ms1-mismatch", "--n", "4",
@@ -722,16 +820,17 @@ def test_cli_bad_number_exits_2(flag, value, capsys):
     ({"out": 5}, []), ({"out": 2}, []), ({"n": 4.5}, []), ({"n": [4, 6.9]}, []),
     ({"n": True}, []), ({"eps": None}, []),
     (None, ["--n", ""]), (None, ["--delta", "abc"]),
-    (None, ["--format", "xml"]), (None, ["--eps", ""]),
+    (None, ["--format", "xml"]), (None, ["--eps", ""]), ({"format": "xml"}, []),
 ])
 def test_cli_bad_setting_exits_2(conf, flags, tmp_path, monkeypatch, capsys):
     # a bad value from a config file or a flag is a config error before any
-    # solve: exit 2 with an error line, no SystemExit, no file descriptor used
+    # solve: exit 2 with an error line, no SystemExit, no file descriptor used;
+    # sweep-h reads every key but dump_matrix, and n as a list
     monkeypatch.chdir(tmp_path)
     if conf is not None:
         (tmp_path / "conf.json").write_text(json.dumps(conf))
         flags = ["--config", "conf.json"] + flags
-    assert main(["solve", "--case", "ms1-mismatch"] + flags) == 2
+    assert main(["sweep-h", "--case", "ms1-mismatch"] + flags) == 2
     for fd in (1, 2):
         os.fstat(fd)                  # raises if the run closed the descriptor
     captured = capsys.readouterr()
@@ -752,39 +851,65 @@ def test_cli_has_no_tolerance_setting(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: unknown config key(s) tol in ")
 
 
-@pytest.mark.parametrize("conf, flags", [
-    ({"n": [8, 16], "eps": [1, 10], "delta": 0.5, "format": "json"},
-     ["--n", "8,16", "--eps", "1,10", "--delta", "0.5", "--format", "json"]),
-    ({"eps": 5}, ["--eps", "5"]),
-    ({"delta": "0.5"}, ["--delta", "0.5"]),
-])
-def test_cli_config_file_equals_flags(conf, flags, tmp_path, monkeypatch):
+def _config_pair(command, conf, flags, tmp_path, monkeypatch):
+    """The RunConfig of command from the config file conf and from flags."""
     import epsstokes.cli as cli
     seen = []
     monkeypatch.setattr(cli, "_dispatch", lambda command, config: seen.append(config) or 0)
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(conf))
-    assert main(["sweep-h", "--config", str(path)]) == 0
-    assert main(["sweep-h"] + flags) == 0
-    assert seen[0] == seen[1]
+    assert main([command, "--config", str(path)]) == 0
+    assert main([command] + flags) == 0
+    return seen
+
+
+@pytest.mark.parametrize("conf, flags", [
+    ({"n": [8, 16], "eps": 1, "delta": 0.5, "format": "json"},
+     ["--n", "8,16", "--eps", "1", "--delta", "0.5", "--format", "json"]),
+    ({"eps": 5}, ["--eps", "5"]),
+    ({"delta": "0.5"}, ["--delta", "0.5"]),
+])
+def test_cli_config_file_equals_flags(conf, flags, tmp_path, monkeypatch):
+    from_file, from_flags = _config_pair("sweep-h", conf, flags, tmp_path, monkeypatch)
+    assert from_file == from_flags
     if "n" in conf:
-        assert (seen[0].n, seen[0].n_list, seen[0].eps_list) == (8, (8, 16), (1.0, 10.0))
-        assert (seen[0].delta, seen[0].fmt) == (0.5, "json")
+        assert (from_file.n_list, from_file.eps_list) == ((8, 16), (1.0,))
+        assert (from_file.delta, from_file.fmt) == (0.5, "json")
+
+
+@pytest.mark.parametrize("command, conf, flags, want", [
+    ("sweep-eps", {"n": 8, "eps": [10, 1]}, ["--n", "8", "--eps", "10,1"],
+     dict(n=8, eps_list=(1.0, 10.0))),
+    ("solve", {"n": 16, "eps": 5}, ["--n", "16", "--eps", "5"],
+     dict(n=16, eps_list=(5.0,))),
+    ("export-vtk", {"n": 4, "eps": "0.5"}, ["--n", "4", "--eps", "0.5"],
+     dict(n=4, eps_list=(0.5,))),
+])
+def test_cli_single_and_list_keys_set_their_fields(command, conf, flags, want,
+                                                   tmp_path, monkeypatch):
+    # the list key fills its list alone: no n_list for a single-mesh command
+    assert _config_pair(command, conf, flags, tmp_path, monkeypatch) == [RunConfig(**want)] * 2
 
 
 def test_readme_config_keys_match_the_parser():
     import epsstokes.cli as cli
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (listed,) = re.findall(r"Its keys are the flag names \((.*?)\)", readme, flags=re.S)
-    assert tuple(re.findall(r"`(\w+)`", listed)) == cli.CONFIG_KEYS
-    # every subcommand takes exactly --config and one flag per config key
-    flags = [arg for key in cli.CONFIG_KEYS
-             for arg in (f"--{key.replace('_', '-')}", f"v-{key}")]
+    (table,) = re.findall(r"Each command's config keys are its flag names:\n\n"
+                          r"((?:\|.*\n)+)", readme)
+    listed = {command: " ".join(re.findall(r"`(\w+\*?)`", keys.replace("` (list)", "*`")))
+              for command, keys in re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table,
+                                              flags=re.M)}
+    # the README, the parser and READS hold one table; (list) marks a list key
+    assert listed == READS
+    assert {command: " ".join(keys) for command, _, keys in cli.COMMANDS} == READS
+    # each subcommand takes exactly --config and one flag per key it reads
     parser = cli._build_parser()
-    for command, _ in cli.COMMANDS:
+    for command in READS:
+        flags = [arg for key in _reads(command)
+                 for arg in (f"--{key.replace('_', '-')}", f"v-{key}")]
         args = parser.parse_args([command, "--config", "c"] + flags)
         assert vars(args) == {"command": command, "config": "c",
-                              **{key: f"v-{key}" for key in cli.CONFIG_KEYS}}
+                              **{key: f"v-{key}" for key in _reads(command)}}
 
 
 def test_readme_library_example_runs(capsys):

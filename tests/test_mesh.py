@@ -240,6 +240,20 @@ def test_collapsed_affine_map_raises_before_dividing_by_det():
         Discretization(mesh)
 
 
+@pytest.mark.parametrize("vertices, det", [
+    ([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]], "inf"),
+    ([[-1e308, 0.0], [1e308, 0.0], [0.0, 0.0]], "nan"),
+])
+def test_validate_mesh_refuses_a_det_that_finite_coordinates_overflow(vertices, det):
+    # det 1e320 overflows to inf, and an inf edge times 0 is nan: the overflow
+    # used to warn (an error in the tests) before the refusal, and a check of
+    # det > 0 alone accepts inf
+    mesh = Mesh(np.array(vertices), np.array([[0, 1, 2]]),
+                np.array([[0, 1, 1], [1, 2, 1], [2, 0, 1]]))
+    with pytest.raises(MeshTopologyError, match=f"triangle 0 has affine map determinant {det}"):
+        validate_mesh(mesh)
+
+
 def _three_triangle_strip(boundary_lines):
     # three CCW triangles on a 3x2 vertex strip; edge (1,3) is interior
     return "\n".join([

@@ -71,13 +71,14 @@ def _build_parser():
     return parser
 
 
-def _flag_text(key, value) -> str:
-    """A config-file value as the text of its flag: a string, or for a
-    number flag also a number or a list of numbers, joined by commas."""
-    if key in _TYPES and type(value) in (int, float, list):
+def _flag_text(entry, value) -> str:
+    """A config value as the text of its flag; a list only for a list key."""
+    key, many = entry.rstrip("*"), entry.endswith("*")
+    if key in _TYPES and type(value) in (int, float, list)[:2 + many]:
         value = ",".join(map(str, value)) if type(value) is list else str(value)
     if not isinstance(value, str):
-        kind = "a number, a list of numbers or a string" if key in _TYPES else "a string"
+        kind = ("a string" if key not in _TYPES else "a number, a list of numbers or a string"
+                if many else "a number or a string")
         raise ConfigError(f"config key {key} takes {kind}, not {json.dumps(value)}")
     return value
 
@@ -95,10 +96,9 @@ def _parse(entry, text):
         raise ConfigError(f"bad --{key.replace('_', '-')} value {text!r}: {exc}") from None
 
 
-def _make_config(command, args) -> RunConfig:
-    """The keys command reads, from the config file and flags, on RunConfig's defaults."""
-    keys = {entry.rstrip("*"): entry for name, _, entries in COMMANDS
-            if name == command for entry in entries}
+def _make_config(args) -> RunConfig:
+    """The keys args.command reads, from config file and flags, on RunConfig's defaults."""
+    keys = {e.rstrip("*"): e for e in {c: k for c, _, k in COMMANDS}[args.command]}
     texts = {}
     if args.config:
         try:
@@ -111,8 +111,8 @@ def _make_config(command, args) -> RunConfig:
         unknown = sorted(set(file_conf) - set(keys))
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in "
-                              f"{args.config}; {command} reads: {', '.join(keys)}")
-        texts = {key: _flag_text(key, value) for key, value in file_conf.items()}
+                              f"{args.config}; {args.command} reads: {', '.join(keys)}")
+        texts = {key: _flag_text(keys[key], value) for key, value in file_conf.items()}
     for key in keys:                      # explicit flags override the file
         if getattr(args, key) is not None:
             texts[key] = getattr(args, key)
@@ -153,7 +153,7 @@ def _summary(case, results) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _make_config(args.command, args)
+        config = _make_config(args)
         for flag, path in (("--out", config.out), ("--dump-matrix", config.dump_matrix)):
             if not os.path.isdir(os.path.dirname(path or "") or "."):
                 raise ConfigError(f"{flag} {path}: its directory does not exist")

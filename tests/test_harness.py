@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epsstokes.cli import main
+from epsstokes.cli import COMMANDS, main
 from epsstokes.drivers import Discretization, ProblemInput, solve_es, solve_stokes
 from epsstokes._numtext import decimal, rows, sci12
 from epsstokes.harness import (ConfigError, RunConfig, export_vtk,
@@ -710,22 +710,17 @@ def test_dumped_saddle_systems_are_the_reference_elimination(n, tmp_path):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
 
 
-# The keys each subcommand's run reads, as flags and as config keys; "*"
-# marks the one it reads as a comma-separated list.
-READS = {
-    "solve": "case problem n eps delta out dump_matrix",
-    "sweep-eps": "case n eps* delta out format dump_matrix",
-    "sweep-h": "case problem n* eps delta out format dump_matrix",
-    "verify": "out dump_matrix",
-    "export-vtk": "case problem n eps delta out dump_matrix",
-}
+# The keys each subcommand's run reads, as flags and as config keys, "*"
+# marking the one it reads as a list; test_readme_config_keys_match_the_parser
+# pins this table to the README's.
+READS = {command: keys for command, _, keys in COMMANDS}
 # A value of each key that a run reading it would take
 VALUES = {"case": "ms1", "problem": "PP", "n": "2", "eps": "1", "delta": "0.5",
           "out": "x.out", "format": "json", "dump_matrix": "m_"}
 
 
 def _reads(command):
-    return READS[command].replace("*", "").split()
+    return [key.rstrip("*") for key in READS[command]]
 
 
 def _refuse_discretizations(monkeypatch):
@@ -772,18 +767,22 @@ def test_cli_refuses_a_flag_or_config_key_its_command_does_not_read(
 
 @pytest.mark.parametrize("command, key", [
     (command, key) for command in READS for key in ("n", "eps")
-    if key in READS[command].split()])
+    if key in READS[command]])
 def test_cli_refuses_a_list_for_a_single_n_or_eps(command, key, tmp_path,
                                                   monkeypatch, capsys):
     # such a list used to be cut without a word: solve --eps 5,0.001 solved
-    # eps = 0.001, sweep-eps --n 4,8 swept n = 4 alone
+    # eps = 0.001, sweep-eps --n 4,8 swept n = 4 alone; a config file may
+    # give the key a number or its flag's text, not a list, even of one
     _refuse_discretizations(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert main([command, f"--{key}", "4,8", "--out", "x.out"]) == 2
     assert capsys.readouterr().err.startswith(f"error: bad --{key} value '4,8': ")
-    (tmp_path / "conf.json").write_text(json.dumps({key: [4, 8]}))
-    assert main([command, "--config", "conf.json", "--out", "x.out"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: bad --{key} value '4,8': ")
+    for value in ("4,8", [4, 8], [4]):
+        (tmp_path / "conf.json").write_text(json.dumps({key: value}))
+        assert main([command, "--config", "conf.json", "--out", "x.out"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: bad --{key} value '4,8': " if value == "4,8" else
+            f"error: config key {key} takes a number or a string, not {json.dumps(value)}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]
 
 
@@ -816,25 +815,42 @@ def test_cli_bad_number_exits_2(flag, value, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("conf, flags", [
-    ({"out": 5}, []), ({"out": 2}, []), ({"n": 4.5}, []), ({"n": [4, 6.9]}, []),
-    ({"n": True}, []), ({"eps": None}, []),
-    (None, ["--n", ""]), (None, ["--delta", "abc"]),
-    (None, ["--format", "xml"]), (None, ["--eps", ""]), ({"format": "xml"}, []),
-])
-def test_cli_bad_setting_exits_2(conf, flags, tmp_path, monkeypatch, capsys):
+# Each bad setting, from a config file or flags, and the start of its error
+BAD_SETTINGS = [
+    ({"out": 5}, [], "config key out takes a string, not 5\n"),
+    ({"out": 2}, [], "config key out takes a string, not 2\n"),
+    ({"n": 4.5}, [], "bad --n value '4.5': "),
+    ({"n": [4, 6.9]}, [], "bad --n value '4,6.9': "),
+    ({"n": True}, [], "config key n takes a number, a list of numbers or a string, not true\n"),
+    ({"eps": None}, [], "config key eps takes a number or a string, not null\n"),
+    (None, ["--n", ""], "h sweep needs a nonempty n list\n"),
+    (None, ["--delta", "abc"], "bad --delta value 'abc': "),
+    (None, ["--format", "xml"], "unknown format 'xml'\n"),
+    (None, ["--eps", ""], "bad --eps value '': "),
+    ({"format": "xml"}, [], "unknown format 'xml'\n"),
+    ({"eps": [5]}, [], "config key eps takes a number or a string, not [5]\n"),
+]
+
+
+@pytest.mark.parametrize("conf, flags, error", BAD_SETTINGS, ids=[
+    f"{'None' if conf is None else f'conf{i}'}-flags{i}"
+    for i, (conf, _, _) in enumerate(BAD_SETTINGS)])
+def test_cli_bad_setting_exits_2(conf, flags, error, tmp_path, monkeypatch, capsys):
     # a bad value from a config file or a flag is a config error before any
-    # solve: exit 2 with an error line, no SystemExit, no file descriptor used;
-    # sweep-h reads every key but dump_matrix, and n as a list
+    # solve: exit 2 with an error line naming it, no SystemExit, no file
+    # descriptor used.  sweep-h reads every key, and n as a list; the other
+    # settings, --n 4,8 where the case sets no n, would run a sweep
+    _refuse_discretizations(monkeypatch)
     monkeypatch.chdir(tmp_path)
     if conf is not None:
         (tmp_path / "conf.json").write_text(json.dumps(conf))
         flags = ["--config", "conf.json"] + flags
-    assert main(["sweep-h", "--case", "ms1-mismatch"] + flags) == 2
+    n = [] if "n" in (conf or {}) or "--n" in flags else ["--n", "4,8"]
+    assert main(["sweep-h", "--case", "ms1-mismatch"] + n + flags) == 2
     for fd in (1, 2):
         os.fstat(fd)                  # raises if the run closed the descriptor
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.startswith("error: " + error) and captured.out == ""
     written = [p.name for p in tmp_path.iterdir() if p.name != "conf.json"]
     assert written == []
 
@@ -896,12 +912,11 @@ def test_readme_config_keys_match_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (table,) = re.findall(r"Each command's config keys are its flag names:\n\n"
                           r"((?:\|.*\n)+)", readme)
-    listed = {command: " ".join(re.findall(r"`(\w+\*?)`", keys.replace("` (list)", "*`")))
+    listed = {command: tuple(re.findall(r"`(\w+\*?)`", keys.replace("` (list)", "*`")))
               for command, keys in re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table,
                                               flags=re.M)}
-    # the README, the parser and READS hold one table; (list) marks a list key
+    # the README and the parser hold one table; (list) marks a list key
     assert listed == READS
-    assert {command: " ".join(keys) for command, _, keys in cli.COMMANDS} == READS
     # each subcommand takes exactly --config and one flag per key it reads
     parser = cli._build_parser()
     for command in READS:

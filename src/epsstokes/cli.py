@@ -180,10 +180,8 @@ def _dispatch(command: str, config: RunConfig) -> int:
     if command in ("sweep-eps", "sweep-h"):
         sweep = run_sweep_eps if command == "sweep-eps" else run_sweep_h
         table, _ = sweep(config)
-        if config.out is None and config.fmt == "json":
-            print(json.dumps(table.to_json_obj(), indent=2))
-        elif config.out is None:
-            print(table.to_csv_text(), end="")
+        if config.out is None:
+            print(table.text(config.fmt), end="")
         return EXIT_OK
 
     if command == "verify":

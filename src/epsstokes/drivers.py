@@ -94,10 +94,10 @@ For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
 solve with the factors of Kp and A, into one running sum per epsilon.  The
 series converges for eps above the ratio of successive terms, about 0.02
-on the unit square.  Iterating the sweep checks each sum in the true ES
-residual; an epsilon the series cannot reach within SERIES_TERMS terms,
-or whose sum misses TOL, is solved by solve_es as above when its turn
-comes.
+on the unit square.  Iterating the sweep hands each sum to sparse.solve
+with the system and right-hand side solve_es would solve; an epsilon the
+series cannot reach within SERIES_TERMS terms, or whose sum misses solve's
+gate, is solved by solve_es as above when its turn comes.
 
 Building a Discretization and each driver call run numpy's BLAS on one
 thread (sparse.one_blas_thread), which covers the per-cell matmuls of
@@ -118,9 +118,8 @@ from . import fem
 from .fem import Field, Space
 from .mesh import Mesh
 from .sparse import (AIM, RESIDUAL_FLOOR, TOL, Factor, KrylovLog, Preconditioner,
-                     SaddleSystem, SolverReport, cg, dump_solved, interleaved,
-                     norm, one_blas_thread, placed, product_residual,
-                     release_free_heap, solve)
+                     SaddleSystem, SolverError, SolverReport, cg, interleaved,
+                     norm, one_blas_thread, placed, release_free_heap, solve)
 
 COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
@@ -664,9 +663,9 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
     pressure rows of ES(eps), so each eps takes terms until that is
     AIM * TOL of its ||b||, as the Krylov solves aim.  An eps
     whose bound, shrinking at the measured term ratio, cannot get there
-    within SERIES_TERMS terms, or whose sum then misses TOL in the true
-    residual ||b - ES(eps) x|| / ||b|| (with the system and right-hand side
-    solve_es would solve, bit for bit), is solved by solve_es.
+    within SERIES_TERMS terms, or whose sum then misses sparse.solve's gate
+    on the system and right-hand side solve_es would solve, is solved by
+    solve_es.
     inp.epsilon is not read.  See EpsSweep for the results.
     """
     disc = _discretization(inp, disc)
@@ -687,13 +686,14 @@ class EpsSweep:
     added, so a tiny eps forms no power of 1/eps.
 
     Iterating yields one SolveResult per eps, in list order: the sum of an
-    eps the series solved, once it meets TOL in the true residual, and
-    otherwise solve_es's solution, solved when the iteration reaches it.
-    The report of a series solution has method "series[Kp, A]", the number
-    of terms as its iterations, the residual bound after each term as its
-    history and the true residual; the first one's wall_time and
-    factor_time include the shared terms.  Inside dump_matrices each series
-    solution dumps the ES system it was checked against.
+    eps the series solved, as one sparse.solve call returns it, and
+    otherwise, or if the sum misses solve's gate, solve_es's solution,
+    solved when the iteration reaches it.  A series report is that call's:
+    method "series[Kp, A]", the number of terms as its iterations, the
+    residual bound after each term as its history and the true residual;
+    the first one's wall_time and factor_time also include the shared
+    terms.  Inside dump_matrices every solve call writes its system, so an
+    eps whose sum misses the gate writes two.
 
     term_ratio is ||r_(k+1)|| / ||r_k|| at the last term computed: the eps
     below which the series diverges.  It is 0 when r_k is 0, as every later
@@ -725,7 +725,7 @@ class EpsSweep:
         r = (b0 - m @ x)[nu:]
         self.r_norms = [float(np.linalg.norm(r))]
         open_ = {eps: (np.zeros(len(x)), []) for eps in bnorms}
-        self.series = {}        # eps: (sum of its terms, bound after each)
+        self.series = {}        # eps: (sum of its terms, residual norm after each)
         aim = AIM * TOL
         for k in range(SERIES_TERMS):
             if k > 1 and not open_:
@@ -737,18 +737,20 @@ class EpsSweep:
                 r = -m.d(u)     # 0 on the fixed rows, masked
                 self.r_norms.append(float(np.linalg.norm(r)))
             left = SERIES_TERMS - 1 - k
-            for eps, (total, bounds) in list(open_.items()):
+            for eps, (total, norms) in list(open_.items()):
                 if k and self.term_ratio >= eps:     # diverges; 1/eps^k may overflow
                     del open_[eps]
                     continue
                 total += eps ** -k * x
-                bound = eps ** -k * self.r_norms[k] / bnorms[eps]
-                bounds.append(bound)
+                norms.append(eps ** -k * self.r_norms[k])
+                bound = norms[-1] / bnorms[eps]
                 if bound <= aim:
                     self.series[eps] = open_.pop(eps)
                 elif left == 0 or (k and bound * (self.term_ratio / eps) ** left > aim):
                     del open_[eps]
-        self.start, self.elapsed = start, time.perf_counter() - start
+        self.factors = (disc.pressure_factor, vel)
+        self.elapsed = time.perf_counter() - start
+        self.factor_time = sum(f.factor_time for f in self.factors if f.finished >= start)
 
     @property
     def term_ratio(self) -> float:
@@ -757,38 +759,32 @@ class EpsSweep:
     def __iter__(self) -> Iterator[SolveResult]:
         first = True
         for eps in self.eps_list:
-            res = self._checked(eps, first)
+            res = self._summed(eps, first)
             first = first and res is None
             yield res or solve_es(replace(self.inp, epsilon=eps), self.disc)
 
-    @one_blas_thread()
-    def _checked(self, eps: float, first: bool):
-        """The series SolveResult of eps if the series solved eps and its sum
-        meets TOL in the ES residual; else None.
-
-        The residual is that of solve_es's system and right-hand side, bit
-        for bit: ES(eps) is summed as coupled_system sums it, which costs
-        its P1 pressure block and its lift, and is dumped inside
-        dump_matrices.
-        """
+    def _summed(self, eps: float, first: bool):
+        """The series SolveResult of eps, as sparse.solve returns it for
+        solve_es's system (ES(eps) summed as coupled_system sums it) and
+        right-hand side from a preconditioner that returns the sum, whose
+        log holds the residual norm after each term; None if the series
+        left eps or its sum misses the gate."""
         if eps not in self.series:
             return None
-        check = time.perf_counter()
-        disc, (x, bounds) = self.disc, self.series[eps]
+        disc, (total, norms) = self.disc, self.series[eps]
         system = _at_eps(disc._coupled_parts, eps)
-        x[system.fixed] = self.values
-        # an overflowing eps leaves b or the product not finite: it fails the check
-        b = _lifted(system.lift, system.fixed, _coupled_load(disc, self.inp, eps),
-                    self.values)
-        res = product_residual(system.matrix @ x, b)
-        if not res <= TOL:
+        total[system.fixed] = self.values
+        try:
+            x, report = _solve_fixed(
+                system, _coupled_load(disc, self.inp, eps), self.values,
+                lambda: Preconditioner("series[Kp, A]", lambda b: total,
+                                       self.factors, KrylovLog(norms)))
+        except SolverError:         # the sum misses the gate: solve_es solves eps
             return None
-        dump_solved(system.matrix)
-        return _coupled_result(disc, x, eps, SolverReport.from_factors(
-            "series[Kp, A]", res, bounds,
-            time.perf_counter() - check + (self.elapsed if first else 0.0),
-            (disc.pressure_factor, disc.velocity_factor),
-            self.start if first else check))
+        if first:
+            report = replace(report, wall_time=report.wall_time + self.elapsed,
+                             factor_time=report.factor_time + self.factor_time)
+        return _coupled_result(disc, x, eps, report)
 
 
 def solve_problem(name: str, inp: ProblemInput,

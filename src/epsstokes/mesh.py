@@ -156,24 +156,22 @@ class Mesh:
         """Affine map of each triangle from the reference triangle:
         (jac, inv, det) of shapes (M,2,2), (M,2,2), (M,).  Raises
         MeshTopologyError for a cell whose det is not positive and finite,
-        which no quadrature or inverse map can use: finite coordinates can
-        give an inf or nan det, refused here, not warned of."""
+        or whose inverse is not finite, which no quadrature or inverse map
+        can use: finite coordinates can give an inf or nan det, and a
+        subnormal det an inf inverse, refused here, not warned of."""
         p = self.vertices[self.triangles]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
             det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        bad = ~(np.isfinite(det) & (det > 0.0))
+            # adj([[a, b], [c, d]]) = [[d, -b], [-c, a]], then over det in place
+            inv = jac[:, ::-1, ::-1].transpose(0, 2, 1) * [[1.0, -1.0], [-1.0, 1.0]]
+            inv /= det[:, None, None]
+        bad = ~(np.isfinite(det) & (det > 0.0) & np.isfinite(inv).all(axis=(1, 2)))
         if np.any(bad):
             k = int(np.argmax(bad))
             raise MeshTopologyError(
                 f"triangle {k} has affine map determinant {det[k]:.3e} "
-                "(collapsed, clockwise or not finite)")
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
+                "(collapsed, clockwise, not finite or with no finite inverse)")
         for arr in (jac, inv, det):
             arr.setflags(write=False)
         return jac, inv, det

@@ -120,8 +120,9 @@ _BLAS_THREAD_NAMES = (
 def dump_matrices(prefix):
     """Write every matrix solved inside the block to a MatrixMarket file.
 
-    The files are <prefix>000.mtx, <prefix>001.mtx, ... in solve order.  A
-    prefix of None dumps nothing.  A debugging aid for --dump-matrix.
+    The files are <prefix>000.mtx, <prefix>001.mtx, ... in solve order:
+    one per solve call, a call that then fails its gate included.  A prefix
+    of None dumps nothing.  A debugging aid for --dump-matrix.
     """
     token = _DUMP_SINK.set(None if prefix is None else (prefix, itertools.count()))
     try:
@@ -576,8 +577,8 @@ def cg(op: Callable, precond: Callable, b: np.ndarray, aim: float,
 
 def dump_solved(a) -> None:
     """Write a, a CSR matrix or a SaddleSystem assembled, as the next solved
-    system of the active dump_matrices block, if there is one.  solve calls
-    it; so does a solver that checks its own solution against a."""
+    system of the active dump_matrices block, if there is one; solve calls
+    it."""
     sink = _DUMP_SINK.get()
     if sink is not None:
         prefix, counter = sink

@@ -16,6 +16,7 @@ measures the L2 and the gradient error in one pass, at one set of points.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -412,6 +413,17 @@ class ErrorTable:
                     raise ValueError(f"table entry {col}={v!r} is not a "
                                      "finite nonnegative number")
 
+    def text(self, fmt: str) -> str:
+        """The table as fmt, "csv" or "json", text, once validate passes:
+        what a sweep writes to its --out file or, without one, to stdout."""
+        self.validate()
+        if fmt != "json":
+            return self.to_csv_text()
+        obj = {"schema": CSV_SCHEMA, "rows": [dataclasses.asdict(r) for r in self.rows]}
+        if self.rates is not None:
+            obj["rates"] = dict(self.rates)
+        return json.dumps(obj, indent=2) + "\n"
+
     def to_csv_text(self) -> str:
         lines = [CSV_SCHEMA, ",".join(CSV_COLUMNS)]
         for row in self.rows:
@@ -422,10 +434,3 @@ class ErrorTable:
             for key in sorted(self.rates):
                 lines.append(f"# rate,{key},{self.rates[key]:.12e}")
         return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        obj = {"schema": CSV_SCHEMA,
-               "rows": [dataclasses.asdict(r) for r in self.rows]}
-        if self.rates is not None:
-            obj["rates"] = dict(self.rates)
-        return obj

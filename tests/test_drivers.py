@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -708,6 +709,20 @@ def _record_solves(monkeypatch):
     return seen
 
 
+def _record_reports(monkeypatch):
+    """The report of every sparse.solve call of the drivers that returns."""
+    reports = []
+    real = drivers.solve
+
+    def recording(*args, **kwargs):
+        x, report = real(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(drivers, "solve", recording)
+    return reports
+
+
 def _reference_solves(problem, inp, disc, p):
     """(eliminated matrix, rhs) of each system a driver hands to sparse.solve.
 
@@ -755,15 +770,7 @@ def test_solved_systems_match_reference_elimination(problem, eps, tmp_path,
 
 
 def test_pp_report_is_worst_of_its_three_solves(monkeypatch):
-    reports = []
-    real = drivers.solve
-
-    def recording(*args, **kwargs):
-        x, report = real(*args, **kwargs)
-        reports.append(report)
-        return x, report
-
-    monkeypatch.setattr(drivers, "solve", recording)
+    reports = _record_reports(monkeypatch)
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
     res = solve_pp(_inp(mesh, get_case("ms1-mismatch")), disc)
@@ -835,15 +842,7 @@ def test_pp_alone_takes_few_cg_steps_per_component(kind, n, monkeypatch):
     # 17 steps per component on structured meshes, 19 to 22 on jittered
     # ones (affine_jittered_mesh seeds 0 to 4); an SPD two-level cycle
     # times A has its spectrum, and so its Ritz values, in (0, 1]
-    reports = []
-    real = drivers.solve
-
-    def recording(*args, **kwargs):
-        x, report = real(*args, **kwargs)
-        reports.append(report)
-        return x, report
-
-    monkeypatch.setattr(drivers, "solve", recording)
+    reports = _record_reports(monkeypatch)
     mesh = build_structured_mesh(n) if kind == "structured" else affine_jittered_mesh(n, 1)
     res = solve_pp(_inp(mesh, get_case("ms1-mismatch")), Discretization(mesh))
     assert [r.method for r in reports[1:]] == ["cg[two_level(A, Kp)]"] * 2
@@ -852,6 +851,17 @@ def test_pp_alone_takes_few_cg_steps_per_component(kind, n, monkeypatch):
         assert report.rel_residual <= 1e-10
     low, high = res.report.ritz
     assert 0.0 < low <= high <= 1.0
+
+
+def test_pp_alone_on_stretched_cells_takes_more_than_60_cg_steps(monkeypatch):
+    # at aspect 0.02 the two-level cycle is slow (127 and 132 steps per
+    # component) yet still meets TOL, so cg's step cap must stay above 60
+    reports = _record_reports(monkeypatch)
+    mesh = affine_jittered_mesh(16, 0, ((1.0, 0.0), (0.0, 0.02)))
+    solve_pp(_inp(mesh, get_case("ms1-mismatch")), Discretization(mesh))
+    assert [r.method for r in reports[1:]] == ["cg[two_level(A, Kp)]"] * 2
+    for report in reports[1:]:
+        assert report.iterations > 60 and report.rel_residual <= sparse.TOL
 
 
 @pytest.mark.parametrize("linear", [((1.0, 2.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, 0.1))],
@@ -1027,8 +1037,9 @@ def test_velocity_mass_is_built_for_the_first_row_only(monkeypatch):
 
 def test_sweep_builds_no_es_system_for_its_rhs_norms(monkeypatch):
     # every eps's ||b|| comes from two right-hand sides built once, and a
-    # series sum is checked on ES(0) and its Kp part: an ES system is built
-    # only for a Schur CG solve, at the 5 eps below the series' reach
+    # series sum is solved with ES(eps) summed from ES(0) and its Kp part: an
+    # ES system is built only for a Schur CG solve, at the 5 eps below the
+    # series' reach
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
@@ -1307,6 +1318,57 @@ def test_series_residual_is_the_es_residual(monkeypatch):
         assert abs(res.report.rel_residual - want) <= 1e-16
         bounds = res.report.residual_history
         assert bounds[-1] <= 1e-4 * sparse.TOL < bounds[-2]
+
+
+def test_each_series_solution_is_one_solve_of_the_es_system(monkeypatch):
+    # every eps the sweep yields is one sparse.solve call on the system and
+    # right-hand side solve_es hands over, and its report is that call's;
+    # the first series report also holds the terms every eps shares, here
+    # the factors of Kp and A, which the sweep made
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    disc = Discretization(mesh)
+    sweep = solve_es_sweep(_inp(mesh, case), (1e-3, 0.1, 1e4), disc)
+    seen = _record_solves(monkeypatch)
+    reports = _record_reports(monkeypatch)
+    results = list(sweep)
+    assert [r.report.method for r in results] == [
+        "cg[schur(A, eps*Kp + Mp)]", SERIES, SERIES]
+    assert len(seen) == len(reports) == 3
+    first = results[1].report
+    assert first.wall_time == pytest.approx(reports[1].wall_time + sweep.elapsed)
+    assert first.factor_time == pytest.approx(
+        disc.pressure_factor.factor_time + disc.velocity_factor.factor_time)
+    assert first.factor_time > 0.0 and reports[1].factor_time == 0.0
+    assert replace(first, wall_time=reports[1].wall_time, factor_time=0.0) == reports[1]
+    assert results[0].report == reports[0] and results[2].report == reports[2]
+    for res, (system, rhs) in zip(results[1:], seen[1:]):
+        calls = len(seen)
+        solve_es(_inp(mesh, case, eps=res.epsilon), disc)
+        ((want, want_rhs),) = seen[calls:]
+        assert np.array_equal(rhs, want_rhs)
+        got, want = system.assembled(), want.assembled()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_series_sum_that_misses_the_gate_goes_to_schur_cg(tmp_path):
+    # a sum that fails sparse.solve's gate sends its eps to solve_es.  Inside
+    # dump_matrices each solve call writes its system, the failed one
+    # included, and the shared terms' time moves to the next series report
+    case = get_case("ms1-mismatch")
+    mesh = build_structured_mesh(8)
+    sweep = solve_es_sweep(_inp(mesh, case), (10.0, 1e3))
+    sweep.series[10.0][0][:] += 1.0           # off by 1 on every free dof
+    with sparse.dump_matrices(str(tmp_path / "m_")):
+        missed, kept = sweep
+    assert missed.report.method == "cg[schur(A, eps*Kp + Mp)]"
+    assert missed.report.rel_residual <= sparse.TOL
+    assert kept.report.method == SERIES
+    assert kept.report.wall_time > sweep.elapsed
+    assert kept.report.factor_time > 0.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"m_{k:03d}.mtx" for k in range(3)]
 
 
 def test_series_gap_to_pp_converges_monotonically():

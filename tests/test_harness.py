@@ -632,6 +632,20 @@ def test_cli_solver_failure_exits_3(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [None, "sweep.csv"])
+def test_cli_refuses_a_table_with_a_non_finite_row(out, tmp_path, monkeypatch, capsys):
+    # the table is checked before it is written, to stdout as to a file
+    import dataclasses
+    from epsstokes import harness
+    real = harness._error_row
+    monkeypatch.setattr(harness, "_error_row", lambda *args: dataclasses.replace(
+        real(*args), div_u_L2=float("nan")))
+    argv = ["sweep-eps", "--case", "ms1", "--n", "4", "--eps", "1"]
+    with pytest.raises(ValueError, match="div_u_L2=nan is not a finite"):
+        main(argv + ([] if out is None else ["--out", str(tmp_path / out)]))
+    assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_cli_dump_matrix(tmp_path):
     prefix = str(tmp_path / "mat_")
     code = main(["solve", "--case", "ms1", "--problem", "PP", "--n", "2",
@@ -669,7 +683,7 @@ def test_cli_solve_pp_alone_factors_kp_only(tmp_path):
 
 def test_cli_sweep_dumps_one_system_per_solve(tmp_path):
     # S, the three PP solves and one ES system per eps, in eps order: the
-    # 1/eps series dumps the ES system it checked its sum against
+    # 1/eps series dumps the ES system its sum was solved with
     from scipy.io import mmread
     prefix = str(tmp_path / "m_")
     assert main(["sweep-eps", "--case", "ms1-mismatch", "--n", "4",

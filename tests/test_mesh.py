@@ -243,11 +243,13 @@ def test_collapsed_affine_map_raises_before_dividing_by_det():
 @pytest.mark.parametrize("vertices, det", [
     ([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]], "inf"),
     ([[-1e308, 0.0], [1e308, 0.0], [0.0, 0.0]], "nan"),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-310]], "1.000e-310"),
 ])
 def test_validate_mesh_refuses_a_det_that_finite_coordinates_overflow(vertices, det):
     # det 1e320 overflows to inf, and an inf edge times 0 is nan: the overflow
     # used to warn (an error in the tests) before the refusal, and a check of
-    # det > 0 alone accepts inf
+    # det > 0 alone accepts inf.  A subnormal det is positive and finite, but
+    # its inverse map overflows: that used to warn, or validate as inf
     mesh = Mesh(np.array(vertices), np.array([[0, 1, 2]]),
                 np.array([[0, 1, 1], [1, 2, 1], [2, 0, 1]]))
     with pytest.raises(MeshTopologyError, match=f"triangle 0 has affine map determinant {det}"):

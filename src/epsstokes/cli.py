@@ -3,7 +3,8 @@
 Subcommands: solve, sweep-eps, sweep-h, verify, export-vtk, each with the
 flags its run reads; a JSON config file may preset them, explicit flags
 override it.  Exit codes: 0 success, 1 acceptance-criterion failure,
-2 config/input error, 3 solver failure.
+2 config/input error, 3 solver failure, a sweep table with a non-finite
+or negative entry included.
 """
 
 from __future__ import annotations
@@ -164,6 +165,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except sparse.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ver.TableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

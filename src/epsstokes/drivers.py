@@ -75,10 +75,12 @@ S = C + D A^-1 D^T on the pressure alone.  A and C are symmetric positive
 definite, the fixed pressure dofs as unit rows, so S is too, at every
 eps.  sparse.cg solves it (Uzawa-type CG: Verfuerth, IMA J. Numer. Anal. 4,
 1984; Benzi, Golub & Liesen, Acta Numerica 2005, section 5),
-preconditioned by the factor of C + Mp with the fixed pressure dofs
-eliminated: eps*Kp + Mp for ES and Mp for Stokes, whose gauge row stays an
-identity row (Elman, Silvester & Wathen, Finite Elements and Fast
-Iterative Solvers, 2014; Mardal & Winther, NLAA 2011).  CG deflates the
+preconditioned by (C + Mp)^-1 with the fixed pressure dofs eliminated, by
+its factor, or by k Chebyshev steps when C = 0 (Elman, Silvester & Wathen,
+Finite Elements and Fast Iterative Solvers, 2014; Mardal & Winther, NLAA
+2011; Wathen & Rees, ETNA 34, 2009): ES factors eps*Kp + Mp, and Stokes,
+whose gauge row stays an identity row, takes CHEB_STEPS = 8 Chebyshev
+steps on diag(Mp) and factors nothing but A.  CG deflates the
 coarse vector that is 1 on the free pressure dofs and 0 on the fixed ones
 (Nicolaides, SIAM J. Numer. Anal. 24, 1987), which nearly spans S's one
 soft mode, whose eigenvalue for Stokes shrinks like h^2: it takes S at
@@ -86,9 +88,10 @@ n = 40 from 32 steps to 26, and S's smallest Ritz value is then the
 smallest on the data's Krylov space, beta_h^2 only if the data excite
 the lowest mode (sparse.SolverReport).  One velocity solve then recovers
 u.  D and C are the solved system's own blocks.  A Krylov step is one
-two-column A solve, one factor solve and three sparse products on vectors
-of pressure length: at n = 40, 1.7k entries where the whole system has
-14.8k.  sparse.solve checks x against the system block by block.
+two-column A solve, one factor solve or 7 products with Mp, and three
+sparse products on vectors of pressure length: at n = 40, 1.7k entries
+where the whole system has 14.8k.  sparse.solve checks x against the
+system block by block.
 
 For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
@@ -125,6 +128,11 @@ COMPATIBILITY_TOL = 1e-8
 GAUGE_DOF = 0          # the pressure dof pinned in the Stokes solve
 PROBLEMS = ("S", "PP", "ES")
 SERIES_TERMS = 16      # most terms of the 1/eps series one sweep computes
+# Chebyshev steps on diag(Mp) that precondition S's pressure Schur CG in
+# place of a factor of Mp (_chebyshev).  S took 23, 25, 26, 27 and 28 steps
+# on ms1-mismatch at n = 8 to 128 with 8, as with the factor but for 1 more
+# at n = 32; with 4 it took up to 1 more than with 8.
+CHEB_STEPS = 8
 # Weight of the damped-Jacobi steps of PP's two-level velocity cycle.  The
 # cycle is symmetric positive definite while the weight times the largest
 # eigenvalue of D^-1 A is below 2: 1.53 on structured meshes, 1.59-1.63 on
@@ -295,7 +303,7 @@ class Discretization:
     @cached_property
     def pressure_order(self) -> np.ndarray:
         """fem.cell_order of the P1 space: the labels of the factors of Kp
-        and of every Schur preconditioner."""
+        and of every Schur factor."""
         return fem.cell_order(self.pspace)
 
     @cached_property
@@ -417,11 +425,18 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     of the solved SaddleSystem [[A, -D^T], [D, C]].
 
     apply(r) takes z = A^-1 r_u, then solves S p = r_p - D z for the
-    symmetric positive definite S = C + D A^-1 D^T by cg, preconditioned by
-    the factor of C + Mp with the fixed pressure dofs eliminated (Mp for
-    Stokes, eps*Kp + Mp for ES), aiming at AIM * TOL ||r||, and returns
-    [A^-1 (r_u + D^T p), p].  Its residual is that of the pressure solve, so
-    x = M b meets TOL, and CG runs on pressure-length vectors only.
+    symmetric positive definite S = C + D A^-1 D^T by cg, aiming at
+    AIM * TOL ||r||, and returns [A^-1 (r_u + D^T p), p].  Its residual is
+    that of the pressure solve, so x = M b meets TOL, and CG runs on
+    pressure-length vectors only.
+
+    The CG is preconditioned by (C + Mp)^-1, with the fixed pressure dofs
+    eliminated: by its factor, or by CHEB_STEPS Chebyshev steps
+    (_chebyshev) when C = 0, which is read off the solved block: C stores
+    nothing but the unit rows of the fixed dofs.  So Stokes applies the
+    Chebyshev steps on Mp and factors nothing, and ES factors eps*Kp + Mp.
+    name is that matrix as the report names it, "Mp" or "eps*Kp + Mp", and
+    a Chebyshev preconditioner reports it as cheb8(name).
 
     cg deflates the coarse vector 1 on the free pressure dofs and 0 on the
     fixed ones, which nearly spans S's one soft mode: for Stokes a
@@ -432,7 +447,13 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     div, block, free = m.div, m.pressure, m.free
     gt = div.T      # a view, made once: D^T q is m.dt(q), gt @ (free * q)
     fixed_p = system.fixed[system.fixed >= nu] - nu
-    schur = Factor(fem.eliminate(block + disc.mass_p, fixed_p), disc.pressure_order)
+    c_mp = fem.eliminate(block + disc.mass_p, fixed_p)
+    if fem.masked(block, fixed_p, fixed_p).nnz:      # C has free entries
+        schur = Factor(c_mp, disc.pressure_order)
+        precond, factors = schur.solve, (vel, schur)
+    else:
+        precond, factors = _chebyshev(c_mp), (vel,)
+        name = f"cheb{CHEB_STEPS}({name})"
     log = KrylovLog()
 
     def schur_op(q):
@@ -441,10 +462,42 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     def apply(r):
         r_u = r[:nu]
         z = _solve_velocity(vel, r_u)
-        p = cg(schur_op, schur.solve, r[nu:] - m.d(z), AIM * TOL * norm(r), log, free)
+        p = cg(schur_op, precond, r[nu:] - m.d(z), AIM * TOL * norm(r), log, free)
         return np.concatenate([_solve_velocity(vel, r_u + m.dt(p)), p])
 
-    return Preconditioner(f"cg[schur(A, {name})]", apply, (vel, schur), log)
+    return Preconditioner(f"cg[schur(A, {name})]", apply, factors, log)
+
+
+def _chebyshev(mass: sps.csr_matrix) -> Callable:
+    """r -> z after k = CHEB_STEPS steps of Chebyshev semi-iteration on
+    mass z = r from z = 0, preconditioned by diag(mass), for the eigenvalues
+    of diag(mass)^-1 mass in [1/2, 2].
+
+    Those are the bounds of a P1 mass matrix on triangles of any shape
+    (Wathen, IMA J. Numer. Anal. 7, 1987), and eliminating dofs keeps them,
+    a unit row adding the eigenvalue 1.  z = P r for a fixed polynomial in
+    diag(mass)^-1 mass times diag(mass)^-1, so P is symmetric, and the
+    eigenvalues of P mass lie within 1/T_k(5/3) = 2 / (3^k + 3^-k) of 1,
+    T_k the Chebyshev polynomial: P is symmetric positive definite, as cg
+    needs (Golub & Varga, Numer. Math. 3, 1961; Wathen & Rees, ETNA 34,
+    2009).  A step past the first costs one product with mass, and nothing
+    is factored.
+    """
+    scale = 1.0 / mass.diagonal()
+    center, half = 1.25, 0.75       # of the interval [1/2, 2]
+
+    def apply(r):
+        d = (scale / center) * r
+        z, res, rho = d.copy(), r.copy(), half / center
+        for _ in range(CHEB_STEPS - 1):
+            res -= mass @ d
+            rho, last = 1.0 / (2.0 * center / half - rho), rho
+            d *= rho * last
+            d += (2.0 * rho / half) * (scale * res)
+            z += d
+        return z
+
+    return apply
 
 
 def _two_level(disc: Discretization) -> Callable[[], Preconditioner]:

@@ -11,8 +11,8 @@ five vectors and no orthogonalization, and can deflate one coarse vector.
 A factor is SuperLU of the matrix as given, in symmetric mode: a
 minimum-degree ordering of the pattern of A + A^T (multiple minimum degree;
 Liu, ACM TOMS 1985), applied to rows and columns alike, with diagonal
-pivots preferred.  Every matrix the drivers
-factor, A, Kp and the Schur preconditioner C + Mp, is symmetric positive
+pivots preferred.  Every matrix the drivers factor, A, Kp and ES's Schur
+preconditioner eps*Kp + Mp, is symmetric positive
 definite, and such a matrix factored on its diagonal has no pivot growth
 for a scaling to bound (Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 10), so none is applied.
@@ -245,7 +245,9 @@ class SolverReport:
     tridiagonal matrix, () without steps.  For Stokes and ES they are those
     of the Schur operator with the coarse vector deflated (cg; Nicolaides,
     SIAM J. Numer. Anal. 24, 1987; Saad, Yeung, Erhel & Guyomarc'h, SIAM J.
-    Sci. Comput. 21, 2000).  For Stokes the largest tends to 1, and the
+    Sci. Comput. 21, 2000).  For Stokes the largest is at most
+    1 + 1/T_8(5/3) = 1 + 2/(3^8 + 3^-8), about 1.000305, the bound of its
+    8 Chebyshev steps on Mp (drivers._chebyshev), and the
     smallest, no longer the pinned gauge mode the deflation removes, is the
     smallest on the data's Krylov space: beta_h^2, the discrete inf-sup
     constant squared, only if the right-hand side excites the lowest mode

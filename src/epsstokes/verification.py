@@ -398,6 +398,10 @@ CSV_SCHEMA = "eps_stokes_table v1"
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ErrorRow))
 
 
+class TableError(ValueError):
+    """A sweep table entry is not a finite nonnegative number."""
+
+
 @dataclass
 class ErrorTable:
     """Rows of sweep measurements plus optional fitted-rate footer."""
@@ -410,7 +414,7 @@ class ErrorTable:
             for col in CSV_COLUMNS[3:]:
                 v = getattr(row, col)
                 if not np.isfinite(v) or v < 0.0:
-                    raise ValueError(f"table entry {col}={v!r} is not a "
+                    raise TableError(f"table entry {col}={v!r} is not a "
                                      "finite nonnegative number")
 
     def text(self, fmt: str) -> str:

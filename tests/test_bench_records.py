@@ -41,6 +41,8 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
             for side, row in record["scale"].items():
                 assert row["n"] == 256 and row["wall_s"] > 0.0, (path.name, side)
                 assert row["peak_rss_mib"] > 0.0 and row["bytes_after_S_ES"] > 0
+                # newer rows also keep the peak once S is solved, before ES
+                assert 0.0 < row.get("S_peak_rss_mib", 1.0) <= row["peak_rss_mib"]
         # newer records also keep the sha256 of each side's mesh-pp VTK files:
         # both sides must have written the same bytes or, in records that
         # keep their number differences, where a change moved the solutions
@@ -149,14 +151,17 @@ print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(m
                           text=True, check=True)
     row = json.loads(proc.stdout)
     assert row["K"] > row["B"] > 0 and row["S"] > row["K"]
-    for key in ("A_lu_nnz", "Kp_lu_nnz", "Mp_gauge_lu_nnz", "epsKp_Mp_lu_nnz", "S_steps",
+    for key in ("A_lu_nnz", "Kp_lu_nnz", "epsKp_Mp_lu_nnz", "S_steps",
                 "ES_steps_eps=1e-06", "ES_steps_eps=0.01"):
         assert isinstance(row[key], int) and row[key] > 0, key
+    # S factors no Mp, so no record made now holds its factor's entries
+    assert "Mp_gauge_lu_nnz" not in row
     assert len(row["PP_velocity_steps"]) == 2 and row["PP_ritz"] and row["S_ritz"]
     # the held bytes cover the two eliminated scalar systems at least
     assert row["Discretization_bytes_after_PP"] > 12 * row["Kp_lu_nnz"] + 12 * row["K"]
     assert row["Discretization_traced_peak_bytes"] > 12 * row["K"]
     # the scale row's held bytes cover A's factor, which S and ES made
     scale = row["scale"]
-    assert scale["n"] == 8 and scale["wall_s"] > 0.0 and scale["peak_rss_mib"] > 0.0
+    assert scale["n"] == 8 and scale["wall_s"] > 0.0
+    assert 0.0 < scale["S_peak_rss_mib"] <= scale["peak_rss_mib"]
     assert scale["bytes_after_S_ES"] > 12 * row["A_lu_nnz"]

@@ -284,7 +284,8 @@ def test_factor_fill_at_n32():
 
 def test_fill_is_lu_nnz_over_the_factored_matrices(monkeypatch):
     # every report counts each distinct factor it applied once, so PP and
-    # the 1/eps series, which apply the same Kp and A, report one fill
+    # the 1/eps series, which apply the same Kp and A, report one fill;
+    # Stokes factors no Schur preconditioner and counts A's factor alone
     made = []
 
     class Recorded(sparse.Factor):
@@ -298,12 +299,13 @@ def test_fill_is_lu_nnz_over_the_factored_matrices(monkeypatch):
     disc = Discretization(mesh)
     vel, kp = disc.velocity_factor, disc.pressure_factor
     es = solve_es(_inp(mesh, case, eps=1.0), disc).report
-    runs = [(solve_stokes(_inp(mesh, case), disc).report, (vel, made[3])),
+    runs = [(solve_stokes(_inp(mesh, case), disc).report, (vel,)),
             (solve_pp(_inp(mesh, case), disc).report, (kp, vel)),
             (es, (vel, made[2])),
             (next(iter(solve_es_sweep(_inp(mesh, case), [1e6], disc))).report,
              (kp, vel))]
     assert es.method.startswith("cg[") and runs[3][0].method == "series[Kp, A]"
+    assert len(made) == 3 and runs[0][0].method == "cg[schur(A, cheb8(Mp))]"
     for report, factors in runs:
         assert report.lu_nnz == sum(f.nnz for f in factors)
         assert report.matrix_nnz == sum(f.matrix_nnz for f in factors)
@@ -356,22 +358,31 @@ def test_velocity_factor_on_a_jittered_mesh_is_ordered_by_its_cells():
 @pytest.mark.parametrize("problem, eps", [("S", None), ("ES", 1e-3), ("ES", 0.0)],
                          ids=["S", "ES", "ES-eps0"])
 def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, monkeypatch):
-    # the Schur factor is the solved pressure block C plus Mp with the fixed
-    # pressure dofs eliminated: Mp with the gauge dof eliminated for Stokes,
-    # eps*Kp + Mp for ES and Mp at eps = 0; the velocity is A^-1 (r_u + D^T p)
-    # with D the solved system's own block, and the pressure meets the aim
-    # in the residual of the solved system, whose lower blocks are D and C
-    factored = []
+    # the Schur preconditioner inverts the solved pressure block C plus Mp
+    # with the fixed pressure dofs eliminated: Mp with the gauge dof
+    # eliminated for Stokes, eps*Kp + Mp for ES and Mp at eps = 0.  Where C
+    # stores only the fixed dofs' unit rows, as for Stokes and ES at eps = 0,
+    # it takes Chebyshev steps on that matrix and factors nothing; otherwise
+    # it factors it.  The velocity is A^-1 (r_u + D^T p) with D the solved
+    # system's own block, and the pressure meets the aim in the residual of
+    # the solved system, whose lower blocks are D and C
+    factored, stepped = [], []
 
     class Recorded(sparse.Factor):
         def __init__(self, a, perm=None):
             factored.append(a)
             super().__init__(a, perm)
 
+    def chebyshev(a):
+        stepped.append(a)
+        return real_chebyshev(a)
+
     disc = Discretization(build_structured_mesh(8))
     nu, vel, mp = disc.nu, disc.velocity_factor, disc.mass_p
     pbnd = disc.pspace.boundary_nodes
+    real_chebyshev = drivers._chebyshev
     monkeypatch.setattr(drivers, "Factor", Recorded)
+    monkeypatch.setattr(drivers, "_chebyshev", chebyshev)
     if problem == "S":
         system = disc.stokes_system
         want = eliminate_by_products(mp, [drivers.GAUGE_DOF])
@@ -380,10 +391,17 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
         kp = fem.assemble_stiffness(disc.pspace)
         want = eliminate_by_products(eps * kp + mp if eps else mp, pbnd)
     pre = drivers._schur_reduction(disc, system, problem)
-    (schur_matrix,) = factored
+    if eps:
+        (schur_matrix,) = factored
+        assert stepped == [] and len(pre.factors) == 2
+        assert pre.name == f"cg[schur(A, {problem})]"
+    else:
+        (schur_matrix,) = stepped
+        assert factored == [] and len(pre.factors) == 1
+        assert pre.name == f"cg[schur(A, cheb8({problem}))]"
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(schur_matrix, name), getattr(want, name)), name
-    assert len(pre.factors) == 2 and pre.factors[0] is vel
+    assert pre.factors[0] is vel
     r = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
     x = pre.apply(r)
     p = x[nu:]
@@ -598,17 +616,20 @@ def test_drivers_match_monolithic_reference(problem, tmp_path):
 
 
 def test_schur_complements_of_s_and_es_are_symmetric(monkeypatch):
-    # CG on C + D A^-1 D^T is sound only for a symmetric operator: the
-    # gradient block is -D^T by construction and C is symmetric, so the Schur
-    # operator the reduction hands to cg is symmetric up to A's round-off.
-    # Every matrix factored is exactly symmetric with a positive diagonal,
-    # which is why Factor takes it as given, with no scaling
-    ops, factored = [], []
+    # CG on C + D A^-1 D^T is sound only for a symmetric operator and
+    # preconditioner: the gradient block is -D^T by construction and C is
+    # symmetric, so the Schur operator the reduction hands to cg is
+    # symmetric up to A's round-off, and so is Stokes' preconditioner, a
+    # polynomial in diag(Mp)^-1 Mp times diag(Mp)^-1.  Every matrix factored
+    # is exactly symmetric with a positive diagonal, which is why Factor
+    # takes it as given, with no scaling
+    ops, preconds, factored = [], [], []
     real = drivers.cg
 
-    def recording(op, *args):
+    def recording(op, precond, *args):
         ops.append(op)
-        return real(op, *args)
+        preconds.append(precond)
+        return real(op, precond, *args)
 
     class Recorded(sparse.Factor):
         def __init__(self, a, perm=None):
@@ -623,11 +644,11 @@ def test_schur_complements_of_s_and_es_are_symmetric(monkeypatch):
     solve_stokes(_inp(mesh, case), disc)
     solve_es(_inp(mesh, case, eps=1e-3), disc)
     solve_pp(_inp(mesh, case), disc)
-    # A, Mp with the gauge eliminated, 1e-3 Kp + Mp with the boundary
-    # eliminated, and Kp
-    assert len(factored) == 4
+    # A, 1e-3 Kp + Mp with the boundary eliminated, and Kp: Stokes
+    # factors no Mp
+    assert len(factored) == 3
     assert factored[0] is disc.velocity_system.matrix
-    assert factored[3] is disc.pressure_system.matrix
+    assert factored[2] is disc.pressure_system.matrix
     for m in factored:
         assert abs(m - m.T).max() == 0.0
         assert np.all(m.diagonal() > 0.0)
@@ -641,6 +662,11 @@ def test_schur_complements_of_s_and_es_are_symmetric(monkeypatch):
         s1, s2 = op(q1), op(q2)
         scale = np.linalg.norm(q1) * np.linalg.norm(s2)
         assert abs(q1 @ s2 - q2 @ s1) <= 1e-12 * scale
+    # Stokes' preconditioner, its Chebyshev steps on Mp, likewise
+    cheb = preconds[0]
+    q1, q2 = rng.standard_normal((2, disc.np_))
+    z1, z2 = cheb(q1), cheb(q2)
+    assert abs(q1 @ z2 - q2 @ z1) <= 1e-14 * np.linalg.norm(q1) * np.linalg.norm(z2)
 
 
 def test_reports_carry_the_ritz_values_of_the_pressure_space_gmres():
@@ -667,11 +693,50 @@ def test_stokes_smallest_ritz_value_is_the_inf_sup_constant_squared(n):
     # the Schur CG deflates the near-constant pressure that only the pinned
     # gauge dof holds, whose eigenvalue shrinks like h^2 (5.4e-4 at n = 8,
     # 3.4e-5 at n = 32 without it): the smallest Ritz value left is beta_h^2,
-    # about 0.133 on the unit square at every n
+    # about 0.133 on the unit square at every n.  Preconditioned by Mp^-1,
+    # the Ritz values lie in (0, 1]; by 8 Chebyshev steps P on Mp instead,
+    # the eigenvalues of P Mp are at most 1 + 1/T_8(5/3) = 1 + 2/(3^8 + 3^-8)
+    # (drivers._chebyshev), so those of P S are too, as S <= Mp
     mesh = build_structured_mesh(n)
     report = solve_stokes(_inp(mesh, get_case("ms1-mismatch"))).report
     low, high = report.ritz
-    assert 0.1 <= low <= high <= 1.0 + 1e-10
+    assert 0.1 <= low <= high <= 1.0 + 2.0 / (3.0 ** 8 + 3.0 ** -8)
+
+
+def _jacobi_spectrum(m):
+    """The eigenvalues of diag(m)^-1 m, by the similar diag^-1/2 m diag^-1/2."""
+    d = 1.0 / np.sqrt(m.diagonal())
+    return np.linalg.eigvalsh(d[:, None] * m * d[None, :])
+
+
+@pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(8, 1),
+                                  affine_jittered_mesh(8, 0, ((1.0, 0.0), (0.0, 0.02)))],
+                         ids=["structured", "jittered", "aspect-0.02"])
+def test_chebyshev_steps_on_mp_are_symmetric_and_near_its_inverse(mesh):
+    # the eigenvalues of diag(Mp)^-1 Mp lie in [1/2, 2] on P1 triangles of
+    # any shape (Wathen 1987), both ends reached up to round-off here (2 is
+    # the constant's), and eliminating the gauge
+    # dof keeps them there.  8 Chebyshev steps P on that interval leave P Mp
+    # the eigenvalues 1 - T_8((5/4 - lam) / (3/4)) / T_8(5/3), lam those of
+    # diag(Mp)^-1 Mp, so within 1/T_8(5/3) = 2/(3^8 + 3^-8) of 1
+    disc = Discretization(mesh)
+    mass = fem.eliminate(disc.mass_p, [drivers.GAUGE_DOF]).toarray()
+    for m in (disc.mass_p.toarray(), mass):
+        lam = _jacobi_spectrum(m)
+        assert 0.5 - 1e-12 <= lam[0] and lam[-1] <= 2.0 + 1e-12
+    cheb = drivers._chebyshev(sps.csr_matrix(mass))
+    p = np.column_stack([cheb(e) for e in np.eye(disc.np_)])
+    assert abs(p - p.T).max() <= 1e-14 * abs(p).max()
+    mu = np.linalg.eigvals(p @ mass)
+    assert abs(mu.imag).max() <= 1e-12
+    mu = np.sort(mu.real)
+    t8 = np.polynomial.Chebyshev.basis(8)
+    bound = 1.0 / t8(5.0 / 3.0)
+    assert bound == pytest.approx(2.0 / (3.0 ** 8 + 3.0 ** -8), rel=1e-14)
+    want = np.sort(1.0 - bound * t8((1.25 - _jacobi_spectrum(mass)) / 0.75))
+    assert abs(mu - want).max() <= 1e-12
+    # the ends are reached where lam is 1/2 or 2
+    assert 1.0 - bound - 1e-12 <= mu[0] and mu[-1] <= 1.0 + bound + 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -968,13 +1033,14 @@ def test_sweep_factors_velocity_block_once(monkeypatch):
     n_velocity = 17 * 17                  # scalar P2 nodes at n = 8
     assert len(table.rows) == 13 and len(reports) == 15
     assert sizes.count(n_velocity) == 1
-    # besides A: Mp for Stokes, Kp for PP and one eps*Kp + Mp per epsilon that
-    # the Schur CG solves, 1e-6 ... 1e-2; the 1/eps series solves 0.1 ... 1e6
-    # on the factors A and Kp
+    # besides A: Kp for PP and one eps*Kp + Mp per epsilon that the Schur CG
+    # solves, 1e-6 ... 1e-2; Stokes factors no Mp, and the 1/eps series
+    # solves 0.1 ... 1e6 on the factors A and Kp
+    assert reports[0].method == "cg[schur(A, cheb8(Mp))]"
     methods = [r.method for r in reports[2:]]
     assert all(m.startswith("cg[") for m in methods[:5])
     assert methods[5:] == ["series[Kp, A]"] * 8
-    assert sizes.count(9 * 9) == 7 and len(sizes) == 8
+    assert sizes.count(9 * 9) == 6 and len(sizes) == 7
     assert reports[0].factor_time > 0.0   # Stokes builds A inside its solve
 
 

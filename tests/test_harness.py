@@ -634,16 +634,20 @@ def test_cli_solver_failure_exits_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("out", [None, "sweep.csv"])
 def test_cli_refuses_a_table_with_a_non_finite_row(out, tmp_path, monkeypatch, capsys):
-    # the table is checked before it is written, to stdout as to a file
+    # the table is checked before it is written, to stdout as to a file: a
+    # non-finite row is an error line and exit 3, the solver failure's code,
+    # with nothing written
     import dataclasses
     from epsstokes import harness
     real = harness._error_row
     monkeypatch.setattr(harness, "_error_row", lambda *args: dataclasses.replace(
         real(*args), div_u_L2=float("nan")))
     argv = ["sweep-eps", "--case", "ms1", "--n", "4", "--eps", "1"]
-    with pytest.raises(ValueError, match="div_u_L2=nan is not a finite"):
-        main(argv + ([] if out is None else ["--out", str(tmp_path / out)]))
-    assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []
+    assert main(argv + ([] if out is None else ["--out", str(tmp_path / out)])) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err == ("error: table entry div_u_L2=nan is not a finite "
+                            "nonnegative number\n")
 
 
 def test_cli_dump_matrix(tmp_path):

@@ -9,8 +9,8 @@ from epsstokes.drivers import Discretization
 from epsstokes.fem import Field, Space
 from epsstokes.mesh import build_structured_mesh
 from epsstokes.verification import (CSV_COLUMNS, CSV_SCHEMA, ErrorRow,
-                                    ErrorTable, diff_field, div_l2, error_gap,
-                                    error_h1, fit_log_slope, gap,
+                                    ErrorTable, TableError, diff_field, div_l2,
+                                    error_gap, error_h1, fit_log_slope, gap,
                                     gap_quotient_l2, gauss_formula_residual,
                                     get_case, quotient_norm_l2, registry,
                                     saturation_filter, trace_mismatch)
@@ -420,8 +420,8 @@ def test_error_table_validation_and_csv():
     assert lines[1].split(",") == list(CSV_COLUMNS)
     assert lines[2].startswith("ES,8,1.000000000000e+00,")
     bad = ErrorTable(rows=[_row(div_u_L2=float("nan"))])
-    with pytest.raises(ValueError):
+    with pytest.raises(TableError):
         bad.validate()
     neg = ErrorTable(rows=[_row(err_u_H1_vs_S=-1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(TableError):
         neg.validate()

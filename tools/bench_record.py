@@ -15,9 +15,10 @@ every output check passed.  Then each checkout reports, in a fresh process,
 the stored entries of K, B and the eliminated Stokes system (`nnz` of the
 matrix S solves: where it is a SaddleSystem, of the blocks it stores, A, D
 and C; its gradient block -D^T is applied, not stored), and the factor
-entries (`lu_nnz`) of A, of Kp and of the two kinds of Schur
-preconditioner, Mp with the gauge dof eliminated (S) and eps*Kp + Mp at
-eps = 1e-6 with the pressure boundary eliminated (ES), on the structured
+entries (`lu_nnz`) of A, of Kp and of ES's Schur preconditioner,
+eps*Kp + Mp at eps = 1e-6 with the pressure boundary eliminated (S's takes
+Chebyshev steps on Mp and is no factor; records up to BENCH_47.json also
+hold `Mp_gauge_lu_nnz`, Mp with the gauge dof eliminated), on the structured
 meshes n = 32, 64 and 128 and on the jittered mesh-pp meshes n = 96 and 128
 of the seed; on the structured meshes also the pressure Schur CG steps of S
 and of ES at eps = 1e-6 and 1e-2, and S's Ritz values (case ms1-mismatch);
@@ -31,8 +32,8 @@ runs in checkouts whose Discretization keeps them and in those that do
 not.  Under `scale` each checkout reports, in one more fresh process, one
 S and then one ES at eps = 1e-6 on the structured n = 256 mesh (case
 ms1-mismatch): the wall time from the Discretization to the end of the ES
-solve, the peak RSS of the process and the bytes the Discretization holds
-afterwards, counted as for one PP solve.
+solve, the peak RSS of the process once S is solved and at the end, and the
+bytes the Discretization holds afterwards, counted as for one PP solve.
 After the pairs each checkout makes one run of each workload with
 `--trace 1`, whose per-layer metrics (perfbench/spans.py: the time in
 assembly, loads, solves, norms and I/O) and per-function table are kept
@@ -87,16 +88,14 @@ from epsstokes.sparse import Factor
 
 def sizes(mesh):
     disc = Discretization(mesh)
-    mp, order = disc.mass_p, disc.pressure_order
     kp = fem.assemble_stiffness(disc.pspace)
-    schur = {"Mp_gauge_lu_nnz": fem.eliminate(mp, [drivers.GAUGE_DOF]),
-             "epsKp_Mp_lu_nnz": fem.eliminate(1e-6 * kp + mp, disc.pspace.boundary_nodes)}
+    schur = fem.eliminate(1e-6 * kp + disc.mass_p, disc.pspace.boundary_nodes)
     return {"K": fem.assemble_stiffness(disc.vspace).nnz,
             "B": fem.assemble_div_coupling(disc.vspace, disc.pspace).nnz,
             "S": disc.stokes_system.matrix.nnz,
             "A_lu_nnz": disc.velocity_factor.nnz,
             "Kp_lu_nnz": disc.pressure_factor.nnz,
-            **{key: Factor(a, order).nnz for key, a in schur.items()}}
+            "epsKp_Mp_lu_nnz": Factor(schur, disc.pressure_order).nnz}
 
 def schur_steps(mesh):
     disc, case = Discretization(mesh), get_case("ms1-mismatch")
@@ -154,11 +153,12 @@ def scale(n):
     start = time.perf_counter()
     disc = Discretization(mesh)
     drivers.solve_stokes(problem_input(case, mesh), disc)
+    s_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     drivers.solve_es(problem_input(case, mesh, 1e-6), disc)
     wall = time.perf_counter() - start
     seen = set()
     reach(mesh, seen)
-    return {"n": n, "wall_s": wall,
+    return {"n": n, "wall_s": wall, "S_peak_rss_mib": s_peak,
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "bytes_after_S_ES": reach(disc, seen)}
 """

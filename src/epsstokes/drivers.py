@@ -21,9 +21,9 @@ functions of their input; sweeps share one Discretization, so a sweep
 assembles, eliminates and factors each block once.  At construction it
 builds the P2 and P1 spaces and assembles their stiffness matrices: K, the
 Laplacian of one velocity component, and Kp.  On first use it builds the
-coupling B (S and ES only), the two load vectors of each body force, in
-one pass over the cells, each problem's system with its Dirichlet dofs
-eliminated, and the factors below.
+coupling B (S and ES only), the two read-only load vectors of each body
+force in one pass over the cells (Discretization.loads), each problem's
+system with its Dirichlet dofs eliminated, and the factors below.
 S and ES are held as their blocks (sparse.SaddleSystem): the scalar K
 eliminated, which both share and apply to each velocity component, one
 div, B with its velocity boundary columns masked, which both share too,
@@ -80,7 +80,8 @@ its factor, or by k Chebyshev steps when C = 0 (Elman, Silvester & Wathen,
 Finite Elements and Fast Iterative Solvers, 2014; Mardal & Winther, NLAA
 2011; Wathen & Rees, ETNA 34, 2009): ES factors eps*Kp + Mp, and Stokes,
 whose gauge row stays an identity row, takes CHEB_STEPS = 8 Chebyshev
-steps on diag(Mp) and factors nothing but A.  CG deflates the
+steps on diag(Mp) and factors nothing but A.  The report names the branch
+taken, cheb8(Mp) or eps*Kp + Mp, not the caller.  CG deflates the
 coarse vector that is 1 on the free pressure dofs and 0 on the fixed ones
 (Nicolaides, SIAM J. Numer. Anal. 24, 1987), which nearly spans S's one
 soft mode, whose eigenvalue for Stokes shrinks like h^2: it takes S at
@@ -97,10 +98,11 @@ For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
 solve with the factors of Kp and A, into one running sum per epsilon.  The
 series converges for eps above the ratio of successive terms, about 0.02
-on the unit square.  Iterating the sweep hands each sum to sparse.solve
-with the system and right-hand side solve_es would solve; an epsilon the
-series cannot reach within SERIES_TERMS terms, or whose sum misses solve's
-gate, is solved by solve_es as above when its turn comes.
+on the unit square.  ES has one solve path, _solve_coupled: ES(eps), its
+load and fixed values through sparse.solve, preconditioned by the Schur
+reduction for solve_es and by the sum when iterating the sweep.  An
+epsilon the series cannot reach within SERIES_TERMS terms, or whose sum
+misses solve's gate, is solved by solve_es when its turn comes.
 
 Building a Discretization and each driver call run numpy's BLAS on one
 thread (sparse.one_blas_thread), which covers the per-cell matmuls of
@@ -241,10 +243,11 @@ class Discretization:
     there as lift, which together hold all of K or Kp.  It also assembles
     the pressure mean, then hands the C heap's free pages back
     (sparse.release_free_heap).  The coupling B, split at the velocity
-    boundary (_div_parts), the mass matrices Mp and M2, load vector pairs
-    (memoized per body-force callable), S's and ES's systems, the cell
-    orders of the two spaces and the factors A and Kp are built on first
-    use and live as long as the Discretization.
+    boundary (_div_parts), the mass matrices Mp and M2, the read-only load
+    pair of each body-force callable (loads: velocity and pressure, one
+    pass over the cells), S's and ES's systems, the cell orders of the two
+    spaces and the factors A and Kp are built on first use and live as
+    long as the Discretization.
     PP alone builds no factor of A: it is in vars() once S, ES or the 1/eps
     series has used it, and solve_pp uses it then.
 
@@ -368,16 +371,9 @@ class Discretization:
         return base, Eliminated(_frozen(fem.masked(kp.matrix, pbnd, pbnd)), lift,
                                 base.fixed)
 
-    def velocity_load(self, body_force) -> np.ndarray:
-        """Read-only (x, y) load rows of body_force against the P2 basis."""
-        return self._body_force_loads(body_force)[0]
-
-    def pressure_load(self, body_force) -> np.ndarray:
-        """Read-only load vector of body_force against the pressure gradients."""
-        return self._body_force_loads(body_force)[1]
-
-    def _body_force_loads(self, body_force) -> tuple[np.ndarray, np.ndarray]:
-        """The velocity and the pressure load of body_force, built together
+    def loads(self, body_force) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only loads of body_force: its (x, y) rows against the P2
+        basis, and its vector against the pressure gradients, built together
         by one pass over the cells on first use (fem.assemble_body_force_loads)."""
         loads = self._loads.get(body_force)
         if loads is None:
@@ -419,8 +415,7 @@ def _solve_velocity(factor: Factor, r: np.ndarray) -> np.ndarray:
     return factor.solve(r.reshape(-1, 2)).ravel()
 
 
-def _schur_reduction(disc: Discretization, system: Eliminated,
-                     name: str) -> Preconditioner:
+def _schur_reduction(disc: Discretization, system: Eliminated) -> Preconditioner:
     """Solve by reduction to the pressure Schur complement, with the blocks
     of the solved SaddleSystem [[A, -D^T], [D, C]].
 
@@ -435,8 +430,9 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     (_chebyshev) when C = 0, which is read off the solved block: C stores
     nothing but the unit rows of the fixed dofs.  So Stokes applies the
     Chebyshev steps on Mp and factors nothing, and ES factors eps*Kp + Mp.
-    name is that matrix as the report names it, "Mp" or "eps*Kp + Mp", and
-    a Chebyshev preconditioner reports it as cheb8(name).
+    The report names the branch taken, not the caller's problem:
+    cg[schur(A, cheb8(Mp))] when C = 0, ES(0) included, and
+    cg[schur(A, eps*Kp + Mp)] when C + Mp is factored.
 
     cg deflates the coarse vector 1 on the free pressure dofs and 0 on the
     fixed ones, which nearly spans S's one soft mode: for Stokes a
@@ -450,10 +446,9 @@ def _schur_reduction(disc: Discretization, system: Eliminated,
     c_mp = fem.eliminate(block + disc.mass_p, fixed_p)
     if fem.masked(block, fixed_p, fixed_p).nnz:      # C has free entries
         schur = Factor(c_mp, disc.pressure_order)
-        precond, factors = schur.solve, (vel, schur)
+        name, precond, factors = "eps*Kp + Mp", schur.solve, (vel, schur)
     else:
-        precond, factors = _chebyshev(c_mp), (vel,)
-        name = f"cheb{CHEB_STEPS}({name})"
+        name, precond, factors = f"cheb{CHEB_STEPS}(Mp)", _chebyshev(c_mp), (vel,)
     log = KrylovLog()
 
     def schur_op(q):
@@ -573,13 +568,9 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     _require_compatible(inp)
     nu = disc.nu
     system = disc.stokes_system
-
-    rhs = np.zeros(nu + disc.np_)
-    rhs[:nu] = disc.velocity_load(inp.body_force).ravel()
-    u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    x, report = _solve_fixed(
-        system, rhs, np.append(u_vals, 0.0),    # pressure gauge: p dof = 0
-        lambda: _schur_reduction(disc, system, "Mp"))
+    values = np.append(fem.interpolate_boundary(disc.vspace, inp.u_bc), 0.0)  # gauge p = 0
+    x, report = _solve_fixed(system, _coupled_load(disc, inp, 0.0),  # ES's load at eps = 0
+                             values, partial(_schur_reduction, disc, system))
 
     p = x[nu:]
     p -= (disc.mean_p @ p) / disc.mean_p.sum()
@@ -607,16 +598,16 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     if inp.p_bc is None:
         raise ValueError("pressure boundary data is required")
 
+    velocity_load, pressure_load = disc.loads(inp.body_force)
     p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     p_coeff, report = _solve_fixed(         # the solve factors Kp on first use
-        disc.pressure_system, disc.pressure_load(inp.body_force), p_vals,
+        disc.pressure_system, pressure_load, p_vals,
         lambda: Preconditioner("Kp", disc.pressure_factor.solve,
                                (disc.pressure_factor,)))
     reports = [report]
     p = Field(disc.pspace, p_coeff)
 
-    f = (disc.velocity_load(inp.body_force)
-         - fem.assemble_field_grad_load(disc.vspace, p))
+    f = velocity_load - fem.assemble_field_grad_load(disc.vspace, p)
     u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     if "velocity_factor" in vars(disc):     # reading it would factor A
         vel = disc.velocity_factor
@@ -650,14 +641,9 @@ def solve_es(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     behind the asymptotic estimates carries over verbatim.
     """
     disc = _discretization(inp, disc)
-    eps = inp.epsilon
-    _check_epsilons([eps])
-    values = _coupled_values(disc, inp)
-    system = disc.coupled_system(eps)
-    x, report = _solve_fixed(
-        system, _coupled_load(disc, inp, eps), values,
-        lambda: _schur_reduction(disc, system, "eps*Kp + Mp"))
-    return _coupled_result(disc, x, eps, report)
+    _check_epsilons([inp.epsilon])
+    return _solve_coupled(disc, inp, inp.epsilon, _coupled_values(disc, inp),
+                          partial(_schur_reduction, disc))
 
 
 def _check_epsilons(eps_list):
@@ -680,15 +666,18 @@ def _coupled_values(disc: Discretization, inp: ProblemInput) -> np.ndarray:
 @np.errstate(over="ignore")
 def _coupled_load(disc: Discretization, inp: ProblemInput, eps: float) -> np.ndarray:
     """The ES load at eps: the velocity load, then eps times the pressure one."""
-    nu = disc.nu
-    load = np.empty(nu + disc.np_)
-    load[:nu] = disc.velocity_load(inp.body_force).ravel()
-    load[nu:] = eps * disc.pressure_load(inp.body_force)
-    return load
+    velocity, pressure = disc.loads(inp.body_force)
+    return np.concatenate([velocity.ravel(), eps * pressure])
 
 
-def _coupled_result(disc: Discretization, x: np.ndarray, eps: float,
-                    report: SolverReport) -> SolveResult:
+def _solve_coupled(disc: Discretization, inp: ProblemInput, eps: float, values: np.ndarray,
+                   precond: Callable[[Eliminated], Preconditioner]) -> SolveResult:
+    """The one ES solve path: ES(eps) with inp's load at eps and the fixed
+    values, solved by sparse.solve with precond(system): the Schur reduction
+    for solve_es, a 1/eps series sum for EpsSweep."""
+    system = disc.coupled_system(eps)
+    x, report = _solve_fixed(system, _coupled_load(disc, inp, eps), values,
+                             lambda: precond(system))
     nu = disc.nu
     return SolveResult(u=Field(disc.vspace, x[:nu].reshape(-1, 2)),
                        p=Field(disc.pspace, x[nu:]),
@@ -717,8 +706,7 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
     AIM * TOL of its ||b||, as the Krylov solves aim.  An eps
     whose bound, shrinking at the measured term ratio, cannot get there
     within SERIES_TERMS terms, or whose sum then misses sparse.solve's gate
-    on the system and right-hand side solve_es would solve, is solved by
-    solve_es.
+    on solve_es's own path (_solve_coupled), is solved by solve_es.
     inp.epsilon is not read.  See EpsSweep for the results.
     """
     disc = _discretization(inp, disc)
@@ -797,8 +785,9 @@ class EpsSweep:
                 total += eps ** -k * x
                 norms.append(eps ** -k * self.r_norms[k])
                 bound = norms[-1] / bnorms[eps]
-                if bound <= aim:
+                if bound <= aim:       # fixed entries: the values themselves
                     self.series[eps] = open_.pop(eps)
+                    total[base.fixed] = self.values
                 elif left == 0 or (k and bound * (self.term_ratio / eps) ** left > aim):
                     del open_[eps]
         self.factors = (disc.pressure_factor, vel)
@@ -817,27 +806,22 @@ class EpsSweep:
             yield res or solve_es(replace(self.inp, epsilon=eps), self.disc)
 
     def _summed(self, eps: float, first: bool):
-        """The series SolveResult of eps, as sparse.solve returns it for
-        solve_es's system (ES(eps) summed as coupled_system sums it) and
-        right-hand side from a preconditioner that returns the sum, whose
-        log holds the residual norm after each term; None if the series
-        left eps or its sum misses the gate."""
+        """The series SolveResult of eps, by solve_es's path with a
+        preconditioner that returns the sum, its log the residual bound
+        after each term; None if the series left eps or the sum misses the gate."""
         if eps not in self.series:
             return None
-        disc, (total, norms) = self.disc, self.series[eps]
-        system = _at_eps(disc._coupled_parts, eps)
-        total[system.fixed] = self.values
+        total, norms = self.series[eps]
+        series = Preconditioner("series[Kp, A]", lambda b: total, self.factors,
+                                KrylovLog(norms))
         try:
-            x, report = _solve_fixed(
-                system, _coupled_load(disc, self.inp, eps), self.values,
-                lambda: Preconditioner("series[Kp, A]", lambda b: total,
-                                       self.factors, KrylovLog(norms)))
+            res = _solve_coupled(self.disc, self.inp, eps, self.values, lambda _: series)
         except SolverError:         # the sum misses the gate: solve_es solves eps
             return None
         if first:
-            report = replace(report, wall_time=report.wall_time + self.elapsed,
-                             factor_time=report.factor_time + self.factor_time)
-        return _coupled_result(disc, x, eps, report)
+            res.report = replace(res.report, wall_time=res.report.wall_time + self.elapsed,
+                                 factor_time=res.report.factor_time + self.factor_time)
+        return res
 
 
 def solve_problem(name: str, inp: ProblemInput,

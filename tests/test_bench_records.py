@@ -43,6 +43,14 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                 assert row["peak_rss_mib"] > 0.0 and row["bytes_after_S_ES"] > 0
                 # newer rows also keep the peak once S is solved, before ES
                 assert 0.0 < row.get("S_peak_rss_mib", 1.0) <= row["peak_rss_mib"]
+        # from BENCH_49.json on, records also keep each side's per-layer
+        # metrics of one traced sweep-eps at n = 32, 64 and 128
+        if int(path.stem.split("_")[1]) >= 49:
+            assert set(record["layers"]) == {"base", "change"}, path.name
+            for side, rows in record["layers"].items():
+                assert set(rows) == {"n=32", "n=64", "n=128"}, (path.name, side)
+                for n, metrics in rows.items():
+                    _check_layers(metrics, (path.name, side, n))
         # newer records also keep the sha256 of each side's mesh-pp VTK files:
         # both sides must have written the same bytes or, in records that
         # keep their number differences, where a change moved the solutions
@@ -60,12 +68,29 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                     assert geometry == 0.0 and data <= 1e-12, (path.name, name)
 
 
-def _bench_record():
-    spec = importlib.util.spec_from_file_location("bench_record",
-                                                  ROOT / "tools" / "bench_record.py")
+def _check_layers(metrics, where):
+    """metrics is one traced sweep-eps's per-layer metrics, as perfbench
+    formats them: S, PP's three solves and the 13 ES solutions of the
+    default grid, each one sparse.solve call."""
+    spans = _load("perfbench_spans", "perfbench/spans.py")
+    assert set(metrics) == ({name for name, _, _ in spans.SPAN_METRICS}
+                            | {name for name, _ in spans.SOLVE_METRICS}), where
+    assert metrics["sparse.solve.calls"] == "17 count", where
+    for name in ("sparse.solve.s", "fem.assemble_stiffness.s", "verification.norms.self_s"):
+        value, unit = metrics[name].split()
+        assert unit == "s" and float(value) > 0.0, (where, name)
+
+
+def _load(name, path):
+    """The module at ROOT / path, loaded by path as name."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_record():
+    return _load("bench_record", "tools/bench_record.py")
 
 
 def _runs(workload, name, unit, base, change):
@@ -165,3 +190,11 @@ print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(m
     assert scale["n"] == 8 and scale["wall_s"] > 0.0
     assert 0.0 < scale["S_peak_rss_mib"] <= scale["peak_rss_mib"]
     assert scale["bytes_after_S_ES"] > 12 * row["A_lu_nnz"]
+
+
+def test_bench_record_layers_run_on_this_package():
+    # the per-layer row loads perfbench/spans.py by path and traces one
+    # sweep-eps in a fresh process, as it does in the base checkout
+    proc = subprocess.run([sys.executable, "-c", _bench_record().LAYERS, "8"], cwd=ROOT,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    _check_layers(json.loads(proc.stdout), "n=8")

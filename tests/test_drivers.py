@@ -363,9 +363,10 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
     # eliminated for Stokes, eps*Kp + Mp for ES and Mp at eps = 0.  Where C
     # stores only the fixed dofs' unit rows, as for Stokes and ES at eps = 0,
     # it takes Chebyshev steps on that matrix and factors nothing; otherwise
-    # it factors it.  The velocity is A^-1 (r_u + D^T p) with D the solved
-    # system's own block, and the pressure meets the aim in the residual of
-    # the solved system, whose lower blocks are D and C
+    # it factors it.  Its name follows the branch, not the problem, so ES(0)
+    # reports cheb8(Mp) as S does.  The velocity is A^-1 (r_u + D^T p) with D
+    # the solved system's own block, and the pressure meets the aim in the
+    # residual of the solved system, whose lower blocks are D and C
     factored, stepped = [], []
 
     class Recorded(sparse.Factor):
@@ -390,15 +391,15 @@ def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, mo
         system = disc.coupled_system(eps)
         kp = fem.assemble_stiffness(disc.pspace)
         want = eliminate_by_products(eps * kp + mp if eps else mp, pbnd)
-    pre = drivers._schur_reduction(disc, system, problem)
+    pre = drivers._schur_reduction(disc, system)
     if eps:
         (schur_matrix,) = factored
         assert stepped == [] and len(pre.factors) == 2
-        assert pre.name == f"cg[schur(A, {problem})]"
+        assert pre.name == "cg[schur(A, eps*Kp + Mp)]"
     else:
         (schur_matrix,) = stepped
         assert factored == [] and len(pre.factors) == 1
-        assert pre.name == f"cg[schur(A, cheb8({problem}))]"
+        assert pre.name == "cg[schur(A, cheb8(Mp))]"
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(schur_matrix, name), getattr(want, name)), name
     assert pre.factors[0] is vel
@@ -874,8 +875,7 @@ def test_pp_after_stokes_applies_the_factor_of_a():
     assert res.report.method == "Kp; A"
     assert res.report.lu_nnz == disc.pressure_factor.nnz + disc.velocity_factor.nnz
     system = disc.velocity_system
-    f = (disc.velocity_load(case.body_force)
-         - fem.assemble_field_grad_load(disc.vspace, res.p))
+    f = disc.loads(case.body_force)[0] - fem.assemble_field_grad_load(disc.vspace, res.p)
     u_vals = fem.interpolate_boundary(disc.vspace, case.u_bc())
     for c in (0, 1):
         want = disc.velocity_factor.solve(
@@ -1102,18 +1102,20 @@ def test_velocity_mass_is_built_for_the_first_row_only(monkeypatch):
 
 
 def test_sweep_builds_no_es_system_for_its_rhs_norms(monkeypatch):
-    # every eps's ||b|| comes from two right-hand sides built once, and a
-    # series sum is solved with ES(eps) summed from ES(0) and its Kp part: an
-    # ES system is built only for a Schur CG solve, at the 5 eps below the
-    # series' reach
+    # every eps's ||b|| comes from two right-hand sides built once, so the
+    # sweep builds no ES system up front.  Each eps is then solved through the
+    # one ES path, which builds its ES(eps) with coupled_system: one system per
+    # eps solved, the 8 series sums and the 5 Schur CG solves below the
+    # series' reach alike, since no sum misses the gate
     case = get_case("ms1-mismatch")
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
     pp = solve_pp(_inp(mesh, case), disc)
     calls = _count_calls(monkeypatch, Discretization, ("coupled_system",))
+    schur = _count_calls(monkeypatch, drivers, ("_schur_reduction",))
     sweep = solve_es_sweep(_inp(mesh, case), DEFAULT_EPS_GRID, disc, pp=pp)
-    assert calls == []
-    assert len(list(sweep)) == 13 and len(calls) == 5
+    assert calls == [] and schur == []
+    assert len(list(sweep)) == 13 and len(calls) == 13 and len(schur) == 5
 
 
 def test_discretization_assembles_div_coupling_once(monkeypatch):
@@ -1191,8 +1193,8 @@ def test_loads_assembled_once_per_body_force(monkeypatch):
     for eps in (1e-3, 1e3):
         solve_es(_inp(mesh, case, eps=eps), disc)
     assert calls == ["assemble_body_force_loads"]
-    assert not disc.velocity_load(case.body_force).flags.writeable
-    assert not disc.pressure_load(case.body_force).flags.writeable
+    velocity, pressure = disc.loads(case.body_force)
+    assert not velocity.flags.writeable and not pressure.flags.writeable
     solve_es(ProblemInput(mesh=mesh, body_force=unit_x, u_bc=zero_vec,
                           p_bc=linear_x_minus_half, epsilon=1.0), disc)
     assert calls == ["assemble_body_force_loads"] * 2    # a new body force

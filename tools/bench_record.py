@@ -34,6 +34,11 @@ S and then one ES at eps = 1e-6 on the structured n = 256 mesh (case
 ms1-mismatch): the wall time from the Discretization to the end of the ES
 solve, the peak RSS of the process once S is solved and at the end, and the
 bytes the Discretization holds afterwards, counted as for one PP solve.
+Under `layers` each checkout reports, in one fresh process per n = 32, 64
+and 128, the per-layer metrics (perfbench/spans.py `layer_metrics`, loaded
+by path) of one traced `run_sweep_eps` of case ms1-mismatch over the
+default eps grid.  Its times include the tracing overhead: compare them
+with the other side's, not with an untraced run.
 After the pairs each checkout makes one run of each workload with
 `--trace 1`, whose per-layer metrics (perfbench/spans.py: the time in
 assembly, loads, solves, norms and I/O) and per-function table are kept
@@ -186,6 +191,25 @@ print(json.dumps(scale(int(sys.argv[1]))))
 """
 SCALE_N = 256
 
+# Run in a checkout's root: the per-layer metrics of one sweep-eps at n =
+# argv[1] under that checkout's perfbench/spans.py, formatted as perfbench
+# formats them.  The package is imported before the tracer is installed,
+# which wraps the functions of the modules already loaded.
+LAYERS = r"""
+import importlib.util, json, sys
+sys.path[:0] = ["src"]
+from epsstokes import harness
+spec = importlib.util.spec_from_file_location("perfbench_spans", "perfbench/spans.py")
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+harness.run_sweep_eps(harness.RunConfig(case="ms1-mismatch", n=int(sys.argv[1])))
+metrics = spans.layer_metrics({"spans": tracer.spans, "solves": tracer.solves})
+print(json.dumps({k: f"{v:.6g} {u}" for k, (v, u) in metrics.items()}))
+"""
+LAYER_NS = (32, 64, 128)
+
 
 def perfbench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One perfbench run in checkout: its env, result and summary lines."""
@@ -264,6 +288,17 @@ def scale(checkout: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", SCALE, str(SCALE_N)], cwd=checkout,
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def layers(checkout: Path) -> dict:
+    """{"n=N": per-layer metrics} of a traced sweep-eps in checkout, one
+    fresh process per n of LAYER_NS."""
+    out = {}
+    for n in LAYER_NS:
+        proc = subprocess.run([sys.executable, "-c", LAYERS, str(n)], cwd=checkout,
+                              stdout=subprocess.PIPE, text=True, check=True)
+        out[f"n={n}"] = json.loads(proc.stdout)
+    return out
 
 
 def quartiles(values) -> dict:
@@ -356,6 +391,7 @@ def main(argv=None) -> int:
            if "mesh-pp" in pairs else {}),
         "sizes": {side: sizes(path, args.seed) for side, path in sides.items()},
         "scale": {side: scale(path) for side, path in sides.items()},
+        "layers": {side: layers(path) for side, path in sides.items()},
         "traces": {side: traces(path, pairs, args.seed) for side, path in sides.items()},
         "runs": runs,
         "summary": summarize(runs, end_to_end),

@@ -32,10 +32,10 @@ the gauge dof or the pressure boundary, as a 0/1 mask in its D and D^T
 products, and B itself is not kept.  The gradient coupling is -D^T,
 applied as D^T and never stored.  No monolithic saddle matrix and no
 kron(K, I2) is built, except to write one out inside sparse.dump_matrices;
-PP forms no D.  ES keeps ES(0) and its Kp part, and builds ES(eps) by
-summing only its pressure block, C(eps) = ES(0)'s + eps * Kp part, and its
-lift's pressure rows, in new arrays.  A driver given a Discretization
-refuses one built on another mesh than its input's.
+PP forms no D.  ES keeps ES(0) and its Kp part, both of ES's shape, and
+builds ES(eps) as two sums in new arrays, its pressure block
+C(eps) = ES(0)'s + eps * Kp part's and its lift likewise.  A driver given
+a Discretization refuses one built on another mesh than its input's.
 
 Each system goes through sparse.solve with a preconditioner built from
 factors.  The Discretization makes each of two on first use and keeps it:
@@ -193,7 +193,7 @@ class Eliminated(NamedTuple):
     the fixed columns and masks the fixed rows (ES's Kp part, which is
     added to ES(0)'s pressure block, has 0 there); lift holds the system's
     columns at those dofs, which carry the fixed values to the right-hand
-    side (of ES's Kp part, their pressure rows).
+    side (ES's Kp part has entries in its pressure rows only).
     """
 
     matrix: sps.csr_matrix | SaddleSystem
@@ -211,27 +211,6 @@ def _frozen(matrix: sps.csr_matrix) -> sps.csr_matrix:
     for arr in (matrix.indptr, matrix.indices, matrix.data):
         arr.setflags(write=False)
     return matrix
-
-
-@np.errstate(over="ignore")
-def _at_eps(parts: tuple[Eliminated, Eliminated], eps: float) -> Eliminated:
-    """ES(eps) from ES(0) and its Kp part: ES(0)'s blocks with the pressure
-    block ES(0)'s + eps * Kp part, and ES(0)'s lift with its pressure rows
-    likewise summed.  The lift's velocity rows do not depend on eps and are
-    copied, not summed.  The parts store disjoint entries, so each sum is
-    exact, and it is in new arrays; A and D are ES(0)'s own, read-only.  An
-    eps whose scaling overflows leaves inf entries, which solve refuses."""
-    base, kp = parts
-    lift = base.lift
-    nu = lift.shape[0] - kp.lift.shape[0]
-    k = lift.indptr[nu]
-    rows = sps.csr_matrix((lift.data[k:], lift.indices[k:], lift.indptr[nu:] - k),
-                          kp.lift.shape) + eps * kp.lift
-    lift = sps.csr_matrix((np.concatenate([lift.data[:k], rows.data]),
-                           np.concatenate([lift.indices[:k], rows.indices]),
-                           np.concatenate([lift.indptr[:nu], rows.indptr + k])), lift.shape)
-    return Eliminated(base.matrix._replace(pressure=base.matrix.pressure + eps * kp.matrix),
-                      lift, base.fixed.copy())
 
 
 class Discretization:
@@ -255,11 +234,11 @@ class Discretization:
     matrix, the scalar K eliminated, and their div is B with its velocity
     boundary columns masked; both share the two.  Each masks its own fixed
     pressure dofs in D, whose negated transpose is its gradient block.  ES
-    keeps two parts, ES(0) and its Kp part, which store disjoint entries:
-    coupled_system(eps) sums only the P1 pressure block and the lift's
-    pressure rows, ES(0)'s + eps * Kp part's, each sum exact and in new
-    arrays.  The blocks and the mask it shares with ES(0) are read-only, so
-    nothing done to a returned system reaches the cache.
+    keeps two parts of one shape, ES(0) and its Kp part, which store
+    disjoint entries: coupled_system(eps) sums the P1 pressure block and
+    the lift, ES(0)'s + eps * Kp part's, each sum exact and in new arrays.
+    The blocks and the mask it shares with ES(0) are read-only, so nothing
+    done to a returned system reaches the cache.
     """
 
     @one_blas_thread()
@@ -351,23 +330,29 @@ class Discretization:
         return Eliminated(SaddleSystem(_frozen(vel.matrix), div, _frozen(pressure), free),
                           lift, np.concatenate([fem.vector_dofs(vel.fixed), fixed_p + nu]))
 
+    @np.errstate(over="ignore")
     def coupled_system(self, eps: float) -> Eliminated:
-        """[[K, -D^T], [D, eps*Kp]] with both boundaries fixed: ES(0)'s blocks
-        with the pressure block and the lift summed (_at_eps)."""
-        return _at_eps(self._coupled_parts, eps)
+        """[[K, -D^T], [D, eps*Kp]] with both boundaries fixed: ES(0) plus eps
+        times its Kp part, in the pressure block and in the lift.  The parts
+        store disjoint entries, so each sum is exact, and it is in new
+        arrays; A and D are ES(0)'s own, read-only.  An eps whose scaling
+        overflows leaves inf entries, which solve refuses."""
+        base, kp = self._coupled_parts
+        return Eliminated(base.matrix._replace(pressure=base.matrix.pressure + eps * kp.matrix),
+                          base.lift + eps * kp.lift, base.fixed.copy())
 
     @cached_property
     def _coupled_parts(self) -> tuple[Eliminated, Eliminated]:
         """ES(0), and ES's Kp part: pressure_system's matrix without the
         pressure boundary's unit diagonal, the part of ES's pressure block,
         and as its lift pressure_system's, Kp's columns there, placed in
-        the columns of ES(0)'s lift: the part's pressure rows, the only ones
-        it has."""
+        ES's pressure rows and the pressure boundary's columns of a matrix
+        of ES(0)'s lift's shape."""
         pbnd, kp = self.pspace.boundary_nodes, self.pressure_system
         base = self._saddle_system(pbnd)
         n_fu = len(base.fixed) - len(pbnd)
-        lift = placed([(kp.lift, np.arange(self.np_), n_fu + np.arange(len(pbnd)))],
-                      (self.np_, base.lift.shape[1]))
+        lift = placed([(kp.lift, self.nu + np.arange(self.np_), n_fu + np.arange(len(pbnd)))],
+                      base.lift.shape)
         return base, Eliminated(_frozen(fem.masked(kp.matrix, pbnd, pbnd)), lift,
                                 base.fixed)
 
@@ -428,8 +413,9 @@ def _schur_reduction(disc: Discretization, system: Eliminated) -> Preconditioner
     The CG is preconditioned by (C + Mp)^-1, with the fixed pressure dofs
     eliminated: by its factor, or by CHEB_STEPS Chebyshev steps
     (_chebyshev) when C = 0, which is read off the solved block: C stores
-    nothing but the unit rows of the fixed dofs.  So Stokes applies the
-    Chebyshev steps on Mp and factors nothing, and ES factors eps*Kp + Mp.
+    nothing but the unit rows of the fixed dofs, one entry per fixed dof.
+    So Stokes applies the Chebyshev steps on Mp and factors nothing, and ES
+    factors eps*Kp + Mp.
     The report names the branch taken, not the caller's problem:
     cg[schur(A, cheb8(Mp))] when C = 0, ES(0) included, and
     cg[schur(A, eps*Kp + Mp)] when C + Mp is factored.
@@ -444,7 +430,7 @@ def _schur_reduction(disc: Discretization, system: Eliminated) -> Preconditioner
     gt = div.T      # a view, made once: D^T q is m.dt(q), gt @ (free * q)
     fixed_p = system.fixed[system.fixed >= nu] - nu
     c_mp = fem.eliminate(block + disc.mass_p, fixed_p)
-    if fem.masked(block, fixed_p, fixed_p).nnz:      # C has free entries
+    if block.nnz > len(fixed_p):        # C has free entries
         schur = Factor(c_mp, disc.pressure_order)
         name, precond, factors = "eps*Kp + Mp", schur.solve, (vel, schur)
     else:
@@ -753,7 +739,7 @@ class EpsSweep:
         m = base.matrix
         # The ES right-hand side is b0 + eps * b1: load and lift are affine in
         # eps, and its fixed rows hold the values at every eps, so b1's are 0.
-        b0, b_unit = (_lifted(_at_eps((base, kp), e).lift, base.fixed,
+        b0, b_unit = (_lifted(base.lift + e * kp.lift, base.fixed,
                               _coupled_load(disc, inp, e), self.values) for e in (0.0, 1.0))
         b1 = b_unit - b0
         with np.errstate(over="ignore"):        # an overflowing b fails its check

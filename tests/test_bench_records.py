@@ -44,13 +44,29 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                 # newer rows also keep the peak once S is solved, before ES
                 assert 0.0 < row.get("S_peak_rss_mib", 1.0) <= row["peak_rss_mib"]
         # from BENCH_49.json on, records also keep each side's per-layer
-        # metrics of one traced sweep-eps at n = 32, 64 and 128
-        if int(path.stem.split("_")[1]) >= 49:
+        # metrics of one traced sweep-eps at n = 32, 64 and 128: one process
+        # per row in BENCH_49.json, and from BENCH_50.json on three, each
+        # kept, with the median of each metric, next to a traced sweep-h row
+        number = int(path.stem.split("_")[1])
+        if number >= 49:
             assert set(record["layers"]) == {"base", "change"}, path.name
             for side, rows in record["layers"].items():
                 assert set(rows) == {"n=32", "n=64", "n=128"}, (path.name, side)
-                for n, metrics in rows.items():
-                    _check_layers(metrics, (path.name, side, n))
+                for n, row in rows.items():
+                    if number == 49:
+                        _check_layers(row, (path.name, side, n))
+                    else:
+                        _check_layer_runs(row, (path.name, side, n))
+        if number >= 50:
+            assert set(record["sweep_h_layers"]) == {"base", "change"}, path.name
+            for side, rows in record["sweep_h_layers"].items():
+                assert set(rows) == {"n=8,16,32,64"}, (path.name, side)
+                _check_layer_runs(rows["n=8,16,32,64"], (path.name, side), calls=20)
+            # and the entries of the Schur matrix eps*Kp + Mp next to its factor's
+            for side in ("base", "change"):
+                for mesh, row in record["sizes"][side].items():
+                    assert 0 < row["epsKp_Mp_matrix_nnz"] < row["epsKp_Mp_lu_nnz"], (
+                        path.name, side, mesh)
         # newer records also keep the sha256 of each side's mesh-pp VTK files:
         # both sides must have written the same bytes or, in records that
         # keep their number differences, where a change moved the solutions
@@ -68,17 +84,27 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                     assert geometry == 0.0 and data <= 1e-12, (path.name, name)
 
 
-def _check_layers(metrics, where):
-    """metrics is one traced sweep-eps's per-layer metrics, as perfbench
-    formats them: S, PP's three solves and the 13 ES solutions of the
-    default grid, each one sparse.solve call."""
+def _check_layers(metrics, where, calls=17):
+    """metrics is one traced sweep's per-layer metrics, as perfbench formats
+    them, with `calls` sparse.solve calls: 17 for sweep-eps, S, PP's three
+    solves and the 13 ES solutions of the default grid; for sweep-h, 5 per
+    mesh, S, PP's three and ES at the smallest eps."""
     spans = _load("perfbench_spans", "perfbench/spans.py")
     assert set(metrics) == ({name for name, _, _ in spans.SPAN_METRICS}
                             | {name for name, _ in spans.SOLVE_METRICS}), where
-    assert metrics["sparse.solve.calls"] == "17 count", where
+    assert metrics["sparse.solve.calls"] == f"{calls} count", where
     for name in ("sparse.solve.s", "fem.assemble_stiffness.s", "verification.norms.self_s"):
         value, unit = metrics[name].split()
         assert unit == "s" and float(value) > 0.0, (where, name)
+
+
+def _check_layer_runs(row, where, calls=17):
+    """row holds the per-layer metrics of three processes, each checked,
+    and the median of each metric over them."""
+    assert set(row) == {"runs", "median"} and len(row["runs"]) == 3, where
+    for metrics in (*row["runs"], row["median"]):
+        _check_layers(metrics, where, calls)
+    assert row["median"] == _bench_record().median_metrics(row["runs"]), where
 
 
 def _load(name, path):
@@ -176,9 +202,10 @@ print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(m
                           text=True, check=True)
     row = json.loads(proc.stdout)
     assert row["K"] > row["B"] > 0 and row["S"] > row["K"]
-    for key in ("A_lu_nnz", "Kp_lu_nnz", "epsKp_Mp_lu_nnz", "S_steps",
-                "ES_steps_eps=1e-06", "ES_steps_eps=0.01"):
+    for key in ("A_lu_nnz", "Kp_lu_nnz", "epsKp_Mp_lu_nnz", "epsKp_Mp_matrix_nnz",
+                "S_steps", "ES_steps_eps=1e-06", "ES_steps_eps=0.01"):
         assert isinstance(row[key], int) and row[key] > 0, key
+    assert row["epsKp_Mp_matrix_nnz"] < row["epsKp_Mp_lu_nnz"]
     # S factors no Mp, so no record made now holds its factor's entries
     assert "Mp_gauge_lu_nnz" not in row
     assert len(row["PP_velocity_steps"]) == 2 and row["PP_ritz"] and row["S_ritz"]
@@ -192,9 +219,27 @@ print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(m
     assert scale["bytes_after_S_ES"] > 12 * row["A_lu_nnz"]
 
 
+def _traced(*args):
+    """The per-layer metrics of bench_record's LAYERS run in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", _bench_record().LAYERS, *args], cwd=ROOT,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def test_bench_record_layers_run_on_this_package():
     # the per-layer row loads perfbench/spans.py by path and traces one
     # sweep-eps in a fresh process, as it does in the base checkout
-    proc = subprocess.run([sys.executable, "-c", _bench_record().LAYERS, "8"], cwd=ROOT,
-                          stdout=subprocess.PIPE, text=True, check=True)
-    _check_layers(json.loads(proc.stdout), "n=8")
+    _check_layers(_traced("sweep-eps", "8"), "n=8")
+
+
+def test_bench_record_sweep_h_layers_run_on_this_package():
+    # the sweep-h row traces one run_sweep_h the same way: 5 solves per mesh
+    _check_layers(_traced("sweep-h", "4", "8"), "n=4,8", calls=10)
+
+
+def test_bench_record_median_metrics_keep_each_unit():
+    runs = [{"sparse.solve.s": "0.3 s", "sparse.solve.calls": "17 count"},
+            {"sparse.solve.s": "0.1 s", "sparse.solve.calls": "17 count"},
+            {"sparse.solve.s": "0.25 s", "sparse.solve.calls": "17 count"}]
+    assert _bench_record().median_metrics(runs) == {"sparse.solve.s": "0.25 s",
+                                                    "sparse.solve.calls": "17 count"}

@@ -355,15 +355,17 @@ def test_velocity_factor_on_a_jittered_mesh_is_ordered_by_its_cells():
     assert disc.velocity_factor.nnz <= 575_060
 
 
-@pytest.mark.parametrize("problem, eps", [("S", None), ("ES", 1e-3), ("ES", 0.0)],
-                         ids=["S", "ES", "ES-eps0"])
+@pytest.mark.parametrize("problem, eps",
+                         [("S", None), ("ES", 1e-3), ("ES", 0.0), ("ES", 5e-324)],
+                         ids=["S", "ES", "ES-eps0", "ES-subnormal"])
 def test_schur_reduction_reads_its_blocks_off_the_solved_matrix(problem, eps, monkeypatch):
     # the Schur preconditioner inverts the solved pressure block C plus Mp
     # with the fixed pressure dofs eliminated: Mp with the gauge dof
     # eliminated for Stokes, eps*Kp + Mp for ES and Mp at eps = 0.  Where C
     # stores only the fixed dofs' unit rows, as for Stokes and ES at eps = 0,
     # it takes Chebyshev steps on that matrix and factors nothing; otherwise
-    # it factors it.  Its name follows the branch, not the problem, so ES(0)
+    # it factors it, also where its free entries are subnormal (eps =
+    # 5e-324).  Its name follows the branch, not the problem, so ES(0)
     # reports cheb8(Mp) as S does.  The velocity is A^-1 (r_u + D^T p) with D
     # the solved system's own block, and the pressure meets the aim in the
     # residual of the solved system, whose lower blocks are D and C
@@ -453,7 +455,7 @@ def test_stokes_system_is_the_transpose_form_with_pressure_rows_negated(mesh):
 @pytest.mark.parametrize("mesh", [build_structured_mesh(8), affine_jittered_mesh(6, 3)],
                          ids=["structured", "jittered"])
 def test_coupled_system_is_es0_plus_eps_times_its_kp_part(mesh):
-    # ES(0)'s pressure block and the Kp part store disjoint entries and no
+    # ES(0) and its Kp part have one shape and store disjoint entries and no
     # explicit zero, and the Kp part has nothing in a fixed row or column, so
     # each sum is exact; ES(eps) is ES(0)'s blocks with only the pressure
     # block and the lift summed, and assembled it is the whole sum
@@ -467,11 +469,10 @@ def test_coupled_system_is_es0_plus_eps_times_its_kp_part(mesh):
     assert kp.matrix.shape == (disc.np_, disc.np_)
     rows, cols = kp.matrix.nonzero()
     assert not np.isin(rows, fixed_p).any() and not np.isin(cols, fixed_p).any()
-    # the Kp part's lift is its pressure rows only
-    assert kp.lift.shape == (disc.np_, base.lift.shape[1])
-    whole_kp_lift = sps.vstack([sps.csr_matrix((nu, kp.lift.shape[1])), kp.lift],
-                               format="csr")
-    for a, b in ((base.matrix.pressure, kp.matrix), (base.lift, whole_kp_lift)):
+    # the Kp part's lift has ES's shape and entries in its pressure rows only
+    assert kp.lift.shape == base.lift.shape
+    assert kp.lift.indptr[nu] == 0
+    for a, b in ((base.matrix.pressure, kp.matrix), (base.lift, kp.lift)):
         assert (abs(a).multiply(abs(b))).nnz == 0
     block = base.matrix.pressure.tocoo()          # ES(0): only the fixed unit rows
     assert np.array_equal(block.row, block.col) and (block.data == 1.0).all()
@@ -484,7 +485,7 @@ def test_coupled_system_is_es0_plus_eps_times_its_kp_part(mesh):
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert system.matrix.free is base.matrix.free
-        want = base.lift + eps * whole_kp_lift
+        want = base.lift + eps * kp.lift
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(system.lift, name), getattr(want, name)), name
         want = base.matrix.assembled() + eps * whole_kp
@@ -534,10 +535,9 @@ def test_returned_coupled_system_leaves_the_cache_unchanged():
 
 @pytest.mark.parametrize("eps", [1e-6, 1.0, 1e6, 1e308])
 def test_coupled_right_hand_side_is_the_whole_lift_sum(eps):
-    # coupled_system sums only its lift's pressure rows, yet its right-hand
-    # side is bit for bit that of the whole lifts summed, ES(0)'s plus eps
-    # times the Kp part's placed in ES's pressure rows, also at an eps whose
-    # scaling overflows
+    # coupled_system's right-hand side is bit for bit that of the whole
+    # lifts summed, ES(0)'s plus eps times the Kp part's, also at an eps
+    # whose scaling overflows
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
     base, kp = disc._coupled_parts
@@ -545,8 +545,7 @@ def test_coupled_right_hand_side_is_the_whole_lift_sum(eps):
     values = drivers._coupled_values(disc, inp)
     load = drivers._coupled_load(disc, inp, eps)
     with np.errstate(over="ignore"):
-        whole = base.lift + eps * sps.vstack(
-            [sps.csr_matrix((disc.nu, kp.lift.shape[1])), kp.lift], format="csr")
+        whole = base.lift + eps * kp.lift
     system = disc.coupled_system(eps)
     got = drivers._lifted(system.lift, system.fixed, load, values)
     assert got.tobytes() == drivers._lifted(whole, base.fixed, load, values).tobytes()

@@ -16,12 +16,17 @@ the stored entries of K, B and the eliminated Stokes system (`nnz` of the
 matrix S solves: where it is a SaddleSystem, of the blocks it stores, A, D
 and C; its gradient block -D^T is applied, not stored), and the factor
 entries (`lu_nnz`) of A, of Kp and of ES's Schur preconditioner,
-eps*Kp + Mp at eps = 1e-6 with the pressure boundary eliminated (S's takes
-Chebyshev steps on Mp and is no factor; records up to BENCH_47.json also
-hold `Mp_gauge_lu_nnz`, Mp with the gauge dof eliminated), on the structured
-meshes n = 32, 64 and 128 and on the jittered mesh-pp meshes n = 96 and 128
-of the seed; on the structured meshes also the pressure Schur CG steps of S
-and of ES at eps = 1e-6 and 1e-2, and S's Ritz values (case ms1-mismatch);
+eps*Kp + Mp at eps = 1e-6 with the pressure boundary eliminated, and that
+matrix's own entries (`matrix_nnz`, from BENCH_50.json on); S's Schur CG
+takes Chebyshev steps on Mp and factors no Mp (records up to BENCH_47.json
+also hold `Mp_gauge_lu_nnz`, Mp with the gauge dof eliminated).  SuperLU
+keeps the diagonal pivots of that SPD matrix, so its pattern alone sets the
+fill, which is why one eps is recorded: both counts were the same at
+eps = 1e-6, 1e-4, 1e-2 and 1 on the n = 32 and 64 meshes.  The table
+covers the structured meshes n = 32, 64 and 128 and the jittered mesh-pp
+meshes n = 96 and 128 of the seed; on the structured meshes it also holds
+the pressure Schur CG steps of S and of ES at eps = 1e-6 and 1e-2, and S's
+Ritz values (case ms1-mismatch);
 on the jittered meshes also the Krylov steps of each velocity solve of PP
 alone (mesh-pp's case, no factor of A) and its report's Ritz values; on
 the jittered n = 128 mesh also the traced (tracemalloc) peak of building
@@ -34,11 +39,16 @@ S and then one ES at eps = 1e-6 on the structured n = 256 mesh (case
 ms1-mismatch): the wall time from the Discretization to the end of the ES
 solve, the peak RSS of the process once S is solved and at the end, and the
 bytes the Discretization holds afterwards, counted as for one PP solve.
-Under `layers` each checkout reports, in one fresh process per n = 32, 64
-and 128, the per-layer metrics (perfbench/spans.py `layer_metrics`, loaded
-by path) of one traced `run_sweep_eps` of case ms1-mismatch over the
-default eps grid.  Its times include the tracing overhead: compare them
-with the other side's, not with an untraced run.
+Under `layers` each checkout reports, for each n = 32, 64 and 128, the
+per-layer metrics (perfbench/spans.py `layer_metrics`, loaded by path) of
+one traced `run_sweep_eps` of case ms1-mismatch over the default eps grid,
+and under `sweep_h_layers` those of one traced `run_sweep_h` of that case
+over n = 8, 16, 32 and 64.  Each row runs in LAYER_PROCESSES fresh
+processes per checkout, the two checkouts taking turns; the record keeps
+each process's metrics (`runs`) and the median of each metric (`median`),
+as one process cannot tell a change from noise.  The times include the
+tracing overhead: compare them with the other side's, not with an
+untraced run.
 After the pairs each checkout makes one run of each workload with
 `--trace 1`, whose per-layer metrics (perfbench/spans.py: the time in
 assembly, loads, solves, norms and I/O) and per-function table are kept
@@ -100,7 +110,8 @@ def sizes(mesh):
             "S": disc.stokes_system.matrix.nnz,
             "A_lu_nnz": disc.velocity_factor.nnz,
             "Kp_lu_nnz": disc.pressure_factor.nnz,
-            "epsKp_Mp_lu_nnz": Factor(schur, disc.pressure_order).nnz}
+            "epsKp_Mp_lu_nnz": Factor(schur, disc.pressure_order).nnz,
+            "epsKp_Mp_matrix_nnz": schur.nnz}
 
 def schur_steps(mesh):
     disc, case = Discretization(mesh), get_case("ms1-mismatch")
@@ -191,10 +202,11 @@ print(json.dumps(scale(int(sys.argv[1]))))
 """
 SCALE_N = 256
 
-# Run in a checkout's root: the per-layer metrics of one sweep-eps at n =
-# argv[1] under that checkout's perfbench/spans.py, formatted as perfbench
-# formats them.  The package is imported before the tracer is installed,
-# which wraps the functions of the modules already loaded.
+# Run in a checkout's root: the per-layer metrics of one sweep, argv[1]
+# sweep-eps at n = argv[2] or sweep-h over n = argv[2:], under that
+# checkout's perfbench/spans.py, formatted as perfbench formats them.  The
+# package is imported before the tracer is installed, which wraps the
+# functions of the modules already loaded.
 LAYERS = r"""
 import importlib.util, json, sys
 sys.path[:0] = ["src"]
@@ -204,11 +216,17 @@ spans = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(spans)
 tracer = spans.Tracer()
 tracer.install()
-harness.run_sweep_eps(harness.RunConfig(case="ms1-mismatch", n=int(sys.argv[1])))
+sweep, ns = sys.argv[1], [int(n) for n in sys.argv[2:]]
+if sweep == "sweep-h":
+    harness.run_sweep_h(harness.RunConfig(case="ms1-mismatch", n_list=ns))
+else:
+    harness.run_sweep_eps(harness.RunConfig(case="ms1-mismatch", n=ns[0]))
 metrics = spans.layer_metrics({"spans": tracer.spans, "solves": tracer.solves})
 print(json.dumps({k: f"{v:.6g} {u}" for k, (v, u) in metrics.items()}))
 """
 LAYER_NS = (32, 64, 128)
+SWEEP_H_NS = (8, 16, 32, 64)
+LAYER_PROCESSES = 3
 
 
 def perfbench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -290,14 +308,28 @@ def scale(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def layers(checkout: Path) -> dict:
-    """{"n=N": per-layer metrics} of a traced sweep-eps in checkout, one
-    fresh process per n of LAYER_NS."""
+def layers(sides: dict, rows: dict) -> dict:
+    """{side: {row: {"runs": [metrics], "median": metrics}}}: the per-layer
+    metrics of LAYERS run with each row's arguments in LAYER_PROCESSES fresh
+    processes per side, the sides taking turns to go first, and the median
+    of each metric over them."""
+    runs = {side: {row: [] for row in rows} for side in sides}
+    for k in range(LAYER_PROCESSES):
+        for row, args in rows.items():
+            for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
+                proc = subprocess.run([sys.executable, "-c", LAYERS, *args], cwd=sides[side],
+                                      stdout=subprocess.PIPE, text=True, check=True)
+                runs[side][row].append(json.loads(proc.stdout))
+    return {side: {row: {"runs": r, "median": median_metrics(r)} for row, r in by_row.items()}
+            for side, by_row in runs.items()}
+
+
+def median_metrics(runs: list) -> dict:
+    """The median of each metric over runs, formatted as perfbench formats it."""
     out = {}
-    for n in LAYER_NS:
-        proc = subprocess.run([sys.executable, "-c", LAYERS, str(n)], cwd=checkout,
-                              stdout=subprocess.PIPE, text=True, check=True)
-        out[f"n={n}"] = json.loads(proc.stdout)
+    for name, first in runs[0].items():
+        unit = first.split()[1]
+        out[name] = f"{statistics.median(float(r[name].split()[0]) for r in runs):.6g} {unit}"
     return out
 
 
@@ -391,7 +423,9 @@ def main(argv=None) -> int:
            if "mesh-pp" in pairs else {}),
         "sizes": {side: sizes(path, args.seed) for side, path in sides.items()},
         "scale": {side: scale(path) for side, path in sides.items()},
-        "layers": {side: layers(path) for side, path in sides.items()},
+        "layers": layers(sides, {f"n={n}": ("sweep-eps", str(n)) for n in LAYER_NS}),
+        "sweep_h_layers": layers(sides, {"n=" + ",".join(map(str, SWEEP_H_NS)):
+                                         ("sweep-h", *map(str, SWEEP_H_NS))}),
         "traces": {side: traces(path, pairs, args.seed) for side, path in sides.items()},
         "runs": runs,
         "summary": summarize(runs, end_to_end),

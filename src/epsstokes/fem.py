@@ -46,7 +46,7 @@ import numpy as np
 from scipy import sparse as sps
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .mesh import Mesh
+from .mesh import Mesh, int32_indices
 from .sparse import one_blas_thread
 
 _SQRT15 = np.sqrt(15.0)
@@ -148,7 +148,9 @@ class Space:
     degree 1 puts one node per vertex; degree 2 adds one per edge; ndofs
     counts the nodes.  boundary_nodes are exactly the nodes that lie on a
     boundary edge.  Row k of boundary_edge_nodes holds the nodes on boundary
-    edge k: its endpoints, then for degree 2 its midpoint node.
+    edge k: its endpoints, then for degree 2 its midpoint node.  cells,
+    boundary_nodes and boundary_edge_nodes are int32, as the mesh's indices
+    are; a degree 2 space with more nodes than int32 can number is refused.
     """
 
     def __init__(self, mesh: Mesh, degree: int):
@@ -158,13 +160,16 @@ class Space:
         self.degree = degree
 
         nv = mesh.num_vertices
-        ends = mesh.boundary_edges[:, :2]
+        ends = int32_indices(mesh.boundary_edges[:, :2], "boundary edge")
         if degree == 1:
             self.cells = mesh.triangles
             self.node_coords = mesh.vertices
             self.boundary_edge_nodes = ends
         else:
             edges = mesh.edges
+            if nv + len(edges.vertices) - 1 > np.iinfo(np.int32).max:
+                raise ValueError(f"{nv} vertices and {len(edges.vertices)} edges "
+                                 "are more P2 nodes than int32 can number")
             self.cells = np.hstack([mesh.triangles, edges.tri_edges + nv])
             a, b = edges.vertices.T
             self.node_coords = np.concatenate(
@@ -203,7 +208,8 @@ def vector_dofs(nodes) -> np.ndarray:
     and 2k+1 (y).  An (..., a) array of nodes gives (..., 2a), column 2i+c
     for component c of node i."""
     nodes = np.asarray(nodes)
-    return (2 * nodes[..., None] + np.arange(2)).reshape(*nodes.shape[:-1], -1)
+    twice = np.multiply(nodes[..., None], 2, dtype=np.int64)    # int32 would wrap
+    return (twice + np.arange(2)).reshape(*nodes.shape[:-1], -1)
 
 
 @dataclass
@@ -240,14 +246,14 @@ def quad_points_physical(mesh: Mesh, quad: QuadratureRule, cells=slice(None)):
     """Physical coordinates of the rule's points on the cells: (B, Q) x/y,
     each point its barycentric combination of the triangle's vertices, and
     each array C-contiguous: one plain product per coordinate."""
-    corners = mesh.vertices[mesh.triangles[cells]]                # (B, 3, 2)
+    corners = np.take(mesh.vertices, mesh.triangles[cells], axis=0)   # (B, 3, 2)
     return corners[..., 0] @ quad.points.T, corners[..., 1] @ quad.points.T
 
 
 def quad_weights_physical(mesh: Mesh, quad: QuadratureRule,
                           cells=slice(None)) -> np.ndarray:
     """Quadrature weights scaled by the Jacobian determinant: (B, Q)."""
-    _, _, det = mesh.geometry
+    _, det = mesh.geometry
     return quad.weights[None, :] * det[cells, None]
 
 
@@ -256,7 +262,7 @@ def eval_at_quad(field: Field, quad: QuadratureRule, cells=slice(None)) -> np.nd
     """Field values at quadrature points: (B, Q) scalar or (B, Q, 2) vector."""
     sp = field.space
     vals = shape_values(sp.degree, quad.ref_points())          # (Q, nloc)
-    local = field.coefficients[sp.cells[cells]]      # (B, nloc) or (B, nloc, 2)
+    local = np.take(field.coefficients, sp.cells[cells], axis=0)  # (B, nloc[, 2])
     return local @ vals.T if local.ndim == 2 else vals @ local
 
 
@@ -270,12 +276,12 @@ def eval_grad_at_quad(field: Field, quad: QuadratureRule,
     shape gradients first, then each cell's inverse Jacobian maps the result.
     """
     sp = field.space
-    _, inv, _ = sp.mesh.geometry
+    inv, _ = sp.mesh.geometry
     inv = inv[cells]
     dref = shape_gradients(sp.degree, quad.ref_points())       # (Q, nloc, 2)
     m, q = inv.shape[0], dref.shape[0]
     table = dref.transpose(1, 0, 2).reshape(sp.nloc, 2 * q)
-    local = field.coefficients[sp.cells[cells]]      # (B, nloc) or (B, nloc, 2)
+    local = np.take(field.coefficients, sp.cells[cells], axis=0)  # (B, nloc[, 2])
     if local.ndim == 2:
         return (local @ table).reshape(m, q, 2) @ inv
     ref = (local.transpose(0, 2, 1) @ table).reshape(m, 2 * q, 2)
@@ -320,10 +326,11 @@ def value_gradient_tensor(val_degree: int, grad_degree: int) -> np.ndarray:
 
 def _cell_pairs(rows_dofs: np.ndarray, cols_dofs: np.ndarray):
     """The int32 (rows, cols) of every (cell, a, b) entry, raveled, for the
-    (B, a) row and (B, b) column dofs of a block of cells."""
+    (B, a) row and (B, b) column dofs of a block of cells; a block that is
+    int32 already is not copied."""
     shape = rows_dofs.shape + cols_dofs.shape[1:]
-    rows = np.broadcast_to(rows_dofs.astype(np.int32)[:, :, None], shape)
-    cols = np.broadcast_to(cols_dofs.astype(np.int32)[:, None, :], shape)
+    rows = np.broadcast_to(rows_dofs.astype(np.int32, copy=False)[:, :, None], shape)
+    cols = np.broadcast_to(cols_dofs.astype(np.int32, copy=False)[:, None, :], shape)
     return rows.ravel(), cols.ravel()
 
 
@@ -408,7 +415,7 @@ def assemble_stiffness(space: Space) -> sps.csr_matrix:
     Symmetric positive semidefinite; constants span the kernel before
     boundary conditions are applied.
     """
-    _, inv, det = space.mesh.geometry
+    inv, det = space.mesh.geometry
     nloc = space.nloc
     # The metric |J| J^-1 J^-T is symmetric, so it meets the tensor
     # symmetrized in (a, b): its entries 00, 01 and 11 meet R00, R01 + R10
@@ -441,7 +448,7 @@ def assemble_mass(space: Space) -> sps.csr_matrix:
     Symmetric positive definite.
     """
     quad = triangle_rule_d5()
-    _, _, det = space.mesh.geometry
+    _, det = space.mesh.geometry
     vals = shape_values(space.degree, quad.ref_points())
     # the exact tensor is symmetric, and so is each cell's multiple of it
     ref = _exact((quad.weights * vals.T) @ vals)
@@ -452,7 +459,7 @@ def assemble_mass(space: Space) -> sps.csr_matrix:
 def assemble_mass_against_one(space: Space) -> np.ndarray:
     """Vector of integrals of each basis function."""
     quad = triangle_rule_d5()
-    _, _, det = space.mesh.geometry
+    _, det = space.mesh.geometry
     ref = quad.weights @ shape_values(space.degree, quad.ref_points())
     (out,) = _add_cells([space], lambda cells: [np.outer(det[cells], ref)])
     return out
@@ -462,7 +469,7 @@ def _value_gradient_local(val_space: Space, grad_space: Space):
     """local(cells): the (B, 2, nv, ng) integrals of phi_j * d(chi_a)/dx_c
     over each triangle of a slice of cells, indexed [m, c, j, a], for the
     values phi of val_space and the gradients chi of grad_space."""
-    _, inv, det = val_space.mesh.geometry
+    inv, det = val_space.mesh.geometry
     ref = value_gradient_tensor(val_space.degree, grad_space.degree)
     _, nv, ng = ref.shape
     ref = ref.reshape(2, nv * ng)
@@ -525,7 +532,7 @@ def _gradient_entries(pspace: Space):
     values wf against the gradients of pspace's basis.  They meet each
     cell's inverse Jacobian first, then the reference shape gradients: the
     adjoint of eval_grad_at_quad."""
-    _, inv, _ = pspace.mesh.geometry
+    inv, _ = pspace.mesh.geometry
     dref = shape_gradients(pspace.degree, triangle_rule_d5().ref_points())
     table = dref.transpose(0, 2, 1).reshape(-1, pspace.nloc)    # row 2q+k
 
@@ -677,11 +684,11 @@ def eval_on_boundary(field: Field, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     sp = field.space
     mesh = sp.mesh
     owner = mesh.edges.owner[mesh.boundary_edge_ids]
-    _, inv, _ = mesh.geometry
-    x0 = mesh.vertices[mesh.triangles[owner, 0]]
+    inv, _ = mesh.geometry
+    x0 = np.take(mesh.vertices, mesh.triangles[owner, 0], axis=0)
     rel = np.stack([xs - x0[:, None, 0], ys - x0[:, None, 1]], axis=-1)
     ref = np.einsum("bdk,bqk->bqd", inv[owner], rel)
     vals = shape_values(sp.degree, ref.reshape(-1, 2)).reshape(
         ref.shape[0], ref.shape[1], sp.nloc)
-    local = field.coefficients[sp.cells[owner]]     # (B, nloc) or (B, nloc, 2)
+    local = np.take(field.coefficients, sp.cells[owner], axis=0)  # (B, nloc[, 2])
     return np.einsum("bi...,bqi->bq...", local, vals)

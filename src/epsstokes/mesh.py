@@ -45,6 +45,8 @@ class EdgeTable(NamedTuple):
     counts      : (E,) number of triangles sharing each edge
     owner       : (E,) owner triangle of each edge
     owner_local : (E,) local index of each edge in its owner (0, 1 or 2)
+
+    Every array is int32.
     """
 
     vertices: np.ndarray
@@ -58,25 +60,30 @@ class EdgeTable(NamedTuple):
         pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
         both = np.concatenate([self.vertices, pairs])
         _, inverse = np.unique(_pair_keys(both), return_inverse=True)
-        slot = np.full(len(both), -1, dtype=np.int64)
+        slot = np.full(len(both), -1, dtype=np.int32)
         slot[inverse[:len(self.vertices)]] = np.arange(len(self.vertices))
         return slot[inverse[len(self.vertices):]]
 
 
 def edge_table(triangles) -> EdgeTable:
-    """Enumerate the edges of (M, 3) triangles; see EdgeTable."""
-    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    """Enumerate the edges of (M, 3) triangles; see EdgeTable.  Refuses
+    triangles with more local edges than int32 can number."""
+    tris = np.asarray(triangles).reshape(-1, 3)
+    if 3 * len(tris) - 1 > np.iinfo(np.int32).max:
+        raise MeshError(f"{len(tris)} triangles have more local edges than "
+                        "int32 can number")
+    tris = int32_indices(tris, "triangle")
     pairs = np.sort(tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
     _, first, inverse, counts = np.unique(
         _pair_keys(pairs), return_index=True, return_inverse=True, return_counts=True)
     # np.unique orders the edges by key; renumber them in first-seen order
     order = np.argsort(first)
-    rank = np.empty_like(order)
+    rank = np.empty(len(order), np.int32)
     rank[order] = np.arange(len(order))
-    first = first[order]
+    first = first[order].astype(np.int32)
     table = EdgeTable(vertices=pairs[first],
                       tri_edges=rank[inverse].reshape(-1, 3),
-                      counts=counts[order], owner=first // 3,
+                      counts=counts[order].astype(np.int32), owner=first // 3,
                       owner_local=first % 3)
     for arr in table:
         arr.setflags(write=False)
@@ -90,21 +97,38 @@ def _pair_keys(pairs) -> np.ndarray:
     return pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
 
 
+def int32_indices(indices, what: str) -> np.ndarray:
+    """(M, k) vertex indices as int32, the same array if they are int32
+    already.  A row with an index that int32 cannot hold is refused, naming
+    it as `what` and its number, never wrapped."""
+    indices = np.asarray(indices)
+    info = np.iinfo(np.int32)
+    if (not np.can_cast(indices.dtype, np.int32) and indices.size
+            and (indices.min() < info.min or indices.max() > info.max)):
+        k = int(np.argmax(((indices < info.min) | (indices > info.max)).any(axis=1)))
+        raise MeshTopologyError(f"{what} {k} references a vertex index that "
+                                f"int32 cannot hold: {indices[k].tolist()}")
+    return indices.astype(np.int32, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulation of a polygon.
 
     vertices       : (K, 2) float array of coordinates
-    triangles      : (M, 3) int array of vertex indices, counterclockwise
+    triangles      : (M, 3) int32 array of vertex indices, counterclockwise;
+                     other integer types are narrowed, and an index that
+                     int32 cannot hold is refused
     boundary_edges : (B, 3) int array of rows (i, j, marker), each edge
-                     running from i to j with the domain on its left
+                     running from i to j with the domain on its left; its
+                     integer type is kept
 
     Derived data is computed on first use and stored on the mesh itself, so
     it lives and dies with the mesh: ``edge_normals`` (the unit outward
-    normal of each boundary edge), ``edges`` (the EdgeTable of the
-    triangles), ``boundary_edge_ids`` (the edge id of each boundary edge)
-    and ``geometry`` (the affine map of each triangle: its Jacobian, the
-    inverse Jacobian and the determinant).
+    normal of each boundary edge), ``edges`` (the int32 EdgeTable of the
+    triangles), ``boundary_edge_ids`` (the int32 edge id of each boundary
+    edge) and ``geometry`` (the affine map of each triangle: the inverse
+    Jacobian and the determinant).
     """
 
     vertices: np.ndarray
@@ -112,6 +136,7 @@ class Mesh:
     boundary_edges: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "triangles", int32_indices(self.triangles, "triangle"))
         for arr in (self.vertices, self.triangles, self.boundary_edges):
             arr.setflags(write=False)
 
@@ -122,9 +147,6 @@ class Mesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    def area(self) -> float:
-        return 0.5 * float(self.geometry[2].sum())
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
@@ -153,18 +175,21 @@ class Mesh:
 
     @cached_property
     def geometry(self):
-        """Affine map of each triangle from the reference triangle:
-        (jac, inv, det) of shapes (M,2,2), (M,2,2), (M,).  Raises
+        """Affine map of each triangle from the reference triangle, whose
+        Jacobian J has the columns p1 - p0 and p2 - p0: (inv, det), J^-1 and
+        det J, of shapes (M,2,2) and (M,).  J itself is not kept.  Raises
         MeshTopologyError for a cell whose det is not positive and finite,
         or whose inverse is not finite, which no quadrature or inverse map
         can use: finite coordinates can give an inf or nan det, and a
         subnormal det an inf inverse, refused here, not warned of."""
-        p = self.vertices[self.triangles]
+        p = np.take(self.vertices, self.triangles, axis=0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+            del p
             det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
             # adj([[a, b], [c, d]]) = [[d, -b], [-c, a]], then over det in place
             inv = jac[:, ::-1, ::-1].transpose(0, 2, 1) * [[1.0, -1.0], [-1.0, 1.0]]
+            del jac
             inv /= det[:, None, None]
         bad = ~(np.isfinite(det) & (det > 0.0) & np.isfinite(inv).all(axis=(1, 2)))
         if np.any(bad):
@@ -172,9 +197,9 @@ class Mesh:
             raise MeshTopologyError(
                 f"triangle {k} has affine map determinant {det[k]:.3e} "
                 "(collapsed, clockwise, not finite or with no finite inverse)")
-        for arr in (jac, inv, det):
+        for arr in (inv, det):
             arr.setflags(write=False)
-        return jac, inv, det
+        return inv, det
 
     def boundary_edge_lengths(self) -> np.ndarray:
         d = (self.vertices[self.boundary_edges[:, 1]]
@@ -282,6 +307,7 @@ def load_mesh(path) -> Mesh:
     if boundary.size and (boundary[:, :2].min() < 0 or boundary[:, :2].max() >= nv):
         bad = int(np.argwhere((boundary[:, :2] < 0) | (boundary[:, :2] >= nv))[0][0])
         raise MeshTopologyError(f"boundary edge {bad} references a vertex out of range")
+    triangles = int32_indices(triangles, "triangle")
 
     # Reorient each declared boundary edge to match the traversal of its
     # owning triangle (domain on the left).
@@ -339,7 +365,7 @@ def validate_mesh(mesh: Mesh) -> None:
         v = int(np.argmin(finite))
         raise MeshTopologyError(f"vertex {v} has a coordinate that is not finite: "
                                 f"{tuple(mesh.vertices[v].tolist())}")
-    det = mesh.geometry[2]            # refuses clockwise and collapsed triangles
+    _, det = mesh.geometry            # refuses clockwise and collapsed triangles
 
     table = mesh.edges
     if table.counts.size and table.counts.max() > 2:

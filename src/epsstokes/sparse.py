@@ -310,7 +310,8 @@ class Factor:
     more.  A CSR matrix given with duplicate entries has them summed in
     place (by scipy's abs).  solve(r) applies the inverse of the matrix
     given to an (n,) or (n, k) array, gathering by perm and back by its
-    inverse iperm.  nnz is SuperLU's count of stored L and U entries and
+    inverse iperm, of perm's integer type (int32 for the drivers' RCM
+    orders).  nnz is SuperLU's count of stored L and U entries and
     matrix_nnz the stored entries of the matrix given, so their ratio is
     the fill; factor_time is the wall time of the factorization and
     finished the perf_counter reading at its end.
@@ -324,7 +325,8 @@ class Factor:
             k = int(np.argmin(row_max))
             raise SolverError(f"matrix is structurally singular: row {k} is zero")
         self.perm = perm
-        self.iperm = np.argsort(perm)
+        self.iperm = np.empty_like(perm)
+        self.iperm[perm] = np.arange(len(perm))
         csc = a.tocsc()[perm][:, perm]
         try:
             self.lu = splu(csc, permc_spec=PERMC_SPEC,

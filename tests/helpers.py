@@ -58,7 +58,7 @@ def structured_mesh_loop(n):
     def vid(i, j):
         return j * (n + 1) + i
 
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    triangles = np.empty((2 * n * n, 3), dtype=np.int32)      # Mesh's index type
     k = 0
     for j in range(n):
         for i in range(n):
@@ -139,14 +139,17 @@ def p2_boundary_nodes_loop(mesh, edge_index) -> np.ndarray:
 
 def physical_gradients_einsum(space, quad):
     """(M, Q, nloc, 2) physical gradients of the scalar shape functions."""
-    _, inv, _ = space.mesh.geometry
+    inv, _ = space.mesh.geometry
     dref = fem.shape_gradients(space.degree, quad.ref_points())
     return np.einsum("mkd,qik->mqid", inv, dref)
 
 
 def quad_points_einsum(mesh, quad):
-    jac, _, _ = mesh.geometry
-    x0 = mesh.vertices[mesh.triangles[:, 0]]
+    # each cell's own Jacobian, its columns p1 - p0 and p2 - p0, from the
+    # vertices: the mesh keeps only its inverse
+    p = mesh.vertices[mesh.triangles]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    x0 = p[:, 0]
     pts = np.einsum("mdk,qk->mqd", jac, quad.ref_points()) + x0[:, None, :]
     return pts[..., 0], pts[..., 1]
 
@@ -209,7 +212,7 @@ def ms1_p_bc_stack(delta):
 
 
 def stiffness_einsum(space, quad):
-    _, _, det = space.mesh.geometry
+    _, det = space.mesh.geometry
     grads = physical_gradients_einsum(space, quad)
     local = np.einsum("q,m,mqid,mqjd->mij", quad.weights, det, grads, grads)
     out = fem._scatter(space.cells, lambda cells: local[cells], (space.ndofs, space.ndofs))
@@ -220,7 +223,7 @@ def stiffness_matmul_symmetrized(space):
     """The stiffness by the earlier local kernel: the metric |J| J^-1 J^-T by
     a batched 2x2 matmul, its four entries against the full (2, 2, nloc,
     nloc) tensor, then each cell's block made symmetric as (x + x^T) / 2."""
-    _, inv, det = space.mesh.geometry
+    inv, det = space.mesh.geometry
     nloc = space.nloc
     ref = fem.stiffness_tensor(space.degree).reshape(4, nloc * nloc)
 
@@ -235,7 +238,7 @@ def stiffness_matmul_symmetrized(space):
 
 
 def div_coupling_einsum(vspace, pspace, quad):
-    _, _, det = vspace.mesh.geometry
+    _, det = vspace.mesh.geometry
     gu = physical_gradients_einsum(vspace, quad)
     pv = fem.shape_values(pspace.degree, quad.ref_points())
     local = np.einsum("q,m,qj,mqac->mjac", quad.weights, det, pv, gu)
@@ -246,7 +249,7 @@ def div_coupling_einsum(vspace, pspace, quad):
 
 
 def grad_coupling_einsum(vspace, pspace, quad):
-    _, _, det = vspace.mesh.geometry
+    _, det = vspace.mesh.geometry
     gp = physical_gradients_einsum(pspace, quad)
     uv = fem.shape_values(vspace.degree, quad.ref_points())
     local = np.einsum("q,m,mqjc,qa->majc", quad.weights, det, gp, uv)

@@ -236,7 +236,7 @@ def test_gradient_forcing_on_loaded_parallelogram_mesh(tmp_path):
     # end-to-end on a sheared, file-loaded mesh: (u, p) = (0, x) solves the
     # coupled problem exactly for gradient forcing with matching trace data
     mesh = loaded_parallelogram_mesh(tmp_path)
-    assert abs(mesh.area() - 1.0) <= 1e-12   # shear preserves area
+    assert abs(mesh.geometry[1].sum() / 2 - 1.0) <= 1e-12   # shear preserves area
     disc = Discretization(mesh)
     inp = ProblemInput(mesh=mesh, body_force=unit_x, u_bc=zero_vec,
                        p_bc=lambda x, y: x, epsilon=3.0)
@@ -995,6 +995,26 @@ def test_discretization_keeps_no_raw_stiffness():
     # norms and ES's Kp part read
     disc = Discretization(build_structured_mesh(4))
     assert not hasattr(disc, "stiff_u") and not hasattr(disc, "stiff_p")
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["structured", "loaded"])
+def test_index_arrays_are_int32_and_the_geometry_is_two_arrays(loaded, tmp_path):
+    # every per-mesh index array is held as int32, and the mesh keeps only
+    # the inverse Jacobian and the determinant of each cell
+    mesh = loaded_parallelogram_mesh(tmp_path) if loaded else build_structured_mesh(4)
+    disc = Discretization(mesh)
+    vel, pre = disc.velocity_factor, disc.pressure_factor
+    arrays = {"triangles": mesh.triangles, **mesh.edges._asdict(),
+              "boundary_edge_ids": mesh.boundary_edge_ids,
+              "P2 cells": disc.vspace.cells, "P2 boundary_nodes": disc.vspace.boundary_nodes,
+              "P2 boundary_edge_nodes": disc.vspace.boundary_edge_nodes,
+              "A perm": vel.perm, "A iperm": vel.iperm,
+              "Kp perm": pre.perm, "Kp iperm": pre.iperm}
+    for name, array in arrays.items():
+        assert array.dtype == np.int32, name
+    assert np.array_equal(vel.perm[vel.iperm], np.arange(len(vel.perm)))
+    inv, det = mesh.geometry
+    assert inv.shape == (mesh.num_triangles, 2, 2) and det.shape == (mesh.num_triangles,)
 
 
 def test_discretization_releases_free_heap_after_assembly(monkeypatch):

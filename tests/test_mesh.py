@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from epsstokes import mesh as mesh_module
 from epsstokes.fem import Space, vector_dofs
-from epsstokes.mesh import (Mesh, MeshFormatError, MeshTopologyError,
+from epsstokes.mesh import (Mesh, MeshError, MeshFormatError, MeshTopologyError,
                             build_structured_mesh, load_mesh, validate_mesh)
 from helpers import (affine_jittered_mesh, boundary_owner_loop,
                      edge_numbering_loop, loaded_parallelogram_mesh,
@@ -34,7 +34,7 @@ def test_structured_counts_n4_and_area():
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
         - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
     assert abs(shoelace.sum() - 1.0) <= 1e-12
-    assert abs(m.area() - 1.0) <= 1e-12
+    assert abs(m.geometry[1].sum() / 2 - 1.0) <= 1e-12
 
 
 def test_structured_counts_formula_up_to_128():
@@ -191,7 +191,7 @@ def test_load_mesh_round_trip(tmp_path):
                        np.sort(built.vertices, axis=0))
     assert loaded.num_triangles == built.num_triangles
     assert len(loaded.boundary_edges) == len(built.boundary_edges)
-    assert abs(loaded.area() - 1.0) <= 1e-12
+    assert abs(loaded.geometry[1].sum() / 2 - 1.0) <= 1e-12
     validate_mesh(loaded)
 
 
@@ -356,6 +356,59 @@ def test_load_mesh_refuses_a_vertex_the_solves_cannot_use(tmp_path, old, new, me
     path.write_text(_structured_n1_text().replace(old, new, 1))
     with pytest.raises(MeshTopologyError, match=message):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("0 3 2", "0 3 4", "triangle 1 references a vertex out of range"),
+    ("0 3 2", "0 -1 2", "triangle 1 references a vertex out of range"),
+    # 2**31 is out of range before it is beyond int32, and is not wrapped
+    ("0 3 2", "0 3 2147483648", "triangle 1 references a vertex out of range"),
+    ("3 2 3", "3 4 3", "boundary edge 2 references a vertex out of range"),
+    ("2 0 4", "-1 0 4", "boundary edge 3 references a vertex out of range"),
+], ids=["triangle", "negative", "beyond-int32", "boundary", "boundary-negative"])
+def test_load_mesh_refuses_an_index_out_of_range(tmp_path, old, new, message):
+    path = tmp_path / "range.mesh"
+    path.write_text(_structured_n1_text().replace(old, new, 1))
+    with pytest.raises(MeshTopologyError, match=message):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("index", [2**31, -2**31 - 1])
+def test_mesh_refuses_a_vertex_index_that_int32_cannot_hold(index):
+    # int32 would wrap 2**31 to -2**31, and -2**31 - 1 to 2**31 - 1
+    m = build_structured_mesh(1)
+    triangles = m.triangles.astype(np.int64)
+    triangles[1, 2] = index
+    with pytest.raises(MeshTopologyError,
+                       match=re.escape(f"triangle 1 references a vertex index that "
+                                       f"int32 cannot hold: [0, 3, {index}]")):
+        Mesh(m.vertices, triangles, m.boundary_edges)
+    # the boundary edges keep their type, and a space narrows their ends
+    boundary = m.boundary_edges.copy()
+    boundary[2, 1] = index
+    with pytest.raises(MeshTopologyError, match="boundary edge 2 references a vertex index"):
+        Space(Mesh(m.vertices, m.triangles, boundary), 1)
+
+
+def test_counts_that_int32_cannot_number_are_refused():
+    # zero-stride arrays: nothing of their size is allocated
+    triangles = np.broadcast_to(np.array([0, 1, 2], np.int32), (2**31 // 3 + 1, 3))
+    with pytest.raises(MeshError, match="more local edges than int32 can number"):
+        mesh_module.edge_table(triangles)
+    # 2**31 vertices and 3 edges are more P2 nodes than int32 can number
+    mesh = Mesh(np.broadcast_to(np.zeros(2), (2**31, 2)), np.array([[0, 1, 2]]),
+                np.array([[0, 1, 1], [1, 2, 1], [2, 0, 1]]))
+    with pytest.raises(ValueError, match="more P2 nodes than int32 can number"):
+        Space(mesh, 2)
+
+
+@pytest.mark.parametrize("row", [[1, 3, 2], [3, 1, 2]], ids=["same", "reversed"])
+def test_validate_mesh_refuses_a_duplicate_boundary_edge(row):
+    # an edge declared twice, in either direction
+    m = build_structured_mesh(1)
+    twice = np.vstack([m.boundary_edges, [row]])
+    with pytest.raises(MeshTopologyError, match="boundary edge 4 duplicates edge 1"):
+        validate_mesh(Mesh(m.vertices, m.triangles, twice))
 
 
 def test_load_mesh_bad_header(tmp_path):

@@ -207,6 +207,20 @@ def _laplace_1d(n, diag=2.0):
                      [-1, 0, 1], format="csr")
 
 
+@pytest.mark.parametrize("n, steps", [(250, 250), (300, 301), (400, 401)])
+def test_cg_step_cap_lets_tridiag_take_all_its_steps(n, steps):
+    # unpreconditioned CG on tridiag(-1, 2, -1) with a standard-normal
+    # right-hand side takes about n steps in floating point, one more past
+    # n = 300, and still meets TOL: the cap must stay above 401, which also
+    # keeps it above the 368 steps PP alone needs at aspect 0.02, n = 64
+    a = _laplace_1d(n)
+    b = np.random.default_rng(0).standard_normal(n)
+    log = sp.KrylovLog()
+    x = sp.cg(lambda v: a @ v, lambda r: r, b, sp.AIM * sp.TOL * np.linalg.norm(b), log)
+    assert len(log.estimates) == steps
+    assert np.linalg.norm(b - a @ x) <= sp.TOL * np.linalg.norm(b)
+
+
 def _krylov(a, inner, factors):
     """A preconditioner for a that runs sp.cg itself, preconditioned by
     inner, aiming at AIM * TOL ||r||, with a log."""

@@ -19,11 +19,12 @@ where that converges, and by ``solve_es`` below the measured crossover.
 ``solve_problem`` dispatches on the problem name.  Drivers are pure
 functions of their input; sweeps share one Discretization, so a sweep
 assembles, eliminates and factors each block once.  At construction it
-builds the P2 and P1 spaces and assembles their stiffness matrices: K, the
-Laplacian of one velocity component, and Kp.  On first use it builds the
-coupling B (S and ES only), the two read-only load vectors of each body
-force in one pass over the cells (Discretization.loads), each problem's
-system with its Dirichlet dofs eliminated, and the factors below.
+builds the P2 and P1 spaces and assembles K, the Laplacian of one velocity
+component.  On first use it builds Kp, the P1 Laplacian (PP, ES and the
+pressure gap norms; S alone never assembles it), the coupling B (S and ES
+only), the two read-only load vectors of each body force in one pass over
+the cells (Discretization.loads), each problem's system with its Dirichlet
+dofs eliminated, and the factors below.
 S and ES are held as their blocks (sparse.SaddleSystem): the scalar K
 eliminated, which both share and apply to each velocity component, one
 div, B with its velocity boundary columns masked, which both share too,
@@ -216,17 +217,19 @@ def _frozen(matrix: sps.csr_matrix) -> sps.csr_matrix:
 class Discretization:
     """Taylor-Hood spaces and the epsilon-independent operator blocks.
 
-    Construction assembles the P2 stiffness K of one velocity component and
-    the P1 stiffness Kp but keeps only PP's two stages, velocity_system and
-    pressure_system: each matrix with its boundary fixed, and its columns
-    there as lift, which together hold all of K or Kp.  It also assembles
-    the pressure mean, then hands the C heap's free pages back
-    (sparse.release_free_heap).  The coupling B, split at the velocity
-    boundary (_div_parts), the mass matrices Mp and M2, the read-only load
-    pair of each body-force callable (loads: velocity and pressure, one
-    pass over the cells), S's and ES's systems, the cell orders of the two
-    spaces and the factors A and Kp are built on first use and live as
-    long as the Discretization.
+    Construction assembles the P2 stiffness K of one velocity component but
+    keeps only velocity_system: K with its boundary fixed, and its columns
+    there as lift, which together hold all of K.  It also assembles the
+    pressure mean, then hands the C heap's free pages back
+    (sparse.release_free_heap).  pressure_system, PP's pressure stage, is
+    the P1 stiffness Kp held the same way; it is assembled on first use, by
+    PP, ES, the 1/eps series or a pressure gap norm, so a Discretization
+    that only S uses never assembles Kp.  The coupling B, split at the
+    velocity boundary (_div_parts), the mass matrices Mp and M2, the
+    read-only load pair of each body-force callable (loads: velocity and
+    pressure, one pass over the cells), S's and ES's systems, the cell
+    orders of the two spaces and the factors A and Kp are built on first
+    use too, and all of them live as long as the Discretization.
     PP alone builds no factor of A: it is in vars() once S, ES or the 1/eps
     series has used it, and solve_pp uses it then.
 
@@ -246,11 +249,9 @@ class Discretization:
         self.mesh = mesh
         self.vspace = Space(mesh, degree=2)
         self.pspace = Space(mesh, degree=1)
-        # K, then Kp: each raw matrix is dropped once its system is built
+        # the raw K is dropped once its system is built
         self.velocity_system = _eliminated(fem.assemble_stiffness(self.vspace),
                                            self.vspace.boundary_nodes)
-        self.pressure_system = _eliminated(fem.assemble_stiffness(self.pspace),
-                                           self.pspace.boundary_nodes)
         self.mean_p = fem.assemble_mass_against_one(self.pspace)
         self._loads = {}
         release_free_heap()     # the assembly temporaries
@@ -262,6 +263,12 @@ class Discretization:
     @property
     def np_(self):
         return self.pspace.ndofs
+
+    @cached_property
+    @one_blas_thread()
+    def pressure_system(self) -> Eliminated:
+        """Kp with the pressure boundary fixed, and its columns there as lift."""
+        return _eliminated(fem.assemble_stiffness(self.pspace), self.pspace.boundary_nodes)
 
     @cached_property
     def _div_parts(self) -> tuple[sps.csr_matrix, sps.csr_matrix]:

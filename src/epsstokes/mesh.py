@@ -10,7 +10,8 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -246,28 +247,24 @@ def load_mesh(path) -> Mesh:
 
     Each section is read by np.loadtxt.  A section it refuses, or reads in
     another shape, is read again one line at a time to name the first bad
-    line.
+    line.  The file is read as the sections need it, so one section's
+    lines at most are held at once.  Its lines are those of str.splitlines,
+    and only an error message reads the whole file, to number its lines.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    texts = list(filter(None, map(str.strip, lines)))      # non-blank lines
-    pos = 0
+    pos = 0                 # the non-blank lines taken so far
 
     def lineno(i):
-        """File line number of texts[i]; only error messages need it."""
-        return [k for k, line in enumerate(lines, 1) if line.strip()][i]
+        """File line number of the i-th non-blank line; only error messages
+        need it."""
+        return [k for k, line in enumerate(_lines(path), 1) if line.strip()][i]
 
     def take(count):
         nonlocal pos
-        if pos + count > len(texts):
-            raise MeshFormatError(f"line {len(lines) + 1}: unexpected end of file")
-        pos += count
-        return texts[pos - count:pos]
-
-    [header] = take(1)
-    if header != "mesh2d v1":
-        raise MeshFormatError(f"line {lineno(pos - 1)}: expected header "
-                              f"'mesh2d v1', got {header!r}")
+        got = list(islice(texts, count))
+        pos += len(got)
+        if len(got) < count:
+            raise MeshFormatError(f"line {len(_lines(path)) + 1}: unexpected end of file")
+        return got
 
     def read_section(keyword, width, dtype):
         [head] = take(1)
@@ -293,12 +290,19 @@ def load_mesh(path) -> Mesh:
                     raise MeshFormatError(f"line {lineno(first + k)}: {err}") from None
             raise
 
-    vertices = read_section("vertices", 2, float)
-    triangles = read_section("triangles", 3, np.int64)
-    boundary = read_section("boundary", 3, np.int64)
-    if pos < len(texts):
+    with open(path) as fh:
+        texts = filter(None, map(str.strip, chain.from_iterable(_read_lines(fh))))
+        [header] = take(1)
+        if header != "mesh2d v1":
+            raise MeshFormatError(f"line {lineno(pos - 1)}: expected header "
+                                  f"'mesh2d v1', got {header!r}")
+        vertices = read_section("vertices", 2, float)
+        triangles = read_section("triangles", 3, np.int64)
+        boundary = read_section("boundary", 3, np.int64)
+        rest = next(texts, None)                # to the end, blank lines allowed
+    if rest is not None:
         raise MeshFormatError(f"line {lineno(pos)}: unexpected text after the "
-                              f"boundary section: {texts[pos]!r}")
+                              f"boundary section: {rest!r}")
 
     nv = len(vertices)
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
@@ -327,6 +331,28 @@ def load_mesh(path) -> Mesh:
     vars(mesh).update(edges=table, boundary_edge_ids=ids)   # as cached values
     validate_mesh(mesh)
     return mesh
+
+
+def _lines(path) -> list:
+    """The lines of the file at path."""
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def _read_lines(fh, size=1 << 16):
+    """The lines of the text file fh, those of fh.read().splitlines(), in
+    one list per read of size characters.  A file read as text has its
+    carriage returns already turned into newlines, so the one line boundary
+    of two characters never spans two reads.  A sentinel character after
+    each read ends the last piece, the start of a line that the next read
+    continues, or "" after a line boundary."""
+    tail = ""
+    for chunk in iter(partial(fh.read, size), ""):
+        lines = (tail + chunk + ".").splitlines()
+        tail = lines.pop()[:-1]
+        yield lines
+    if tail:
+        yield [tail]
 
 
 # Characters of a number that int() refuses and numpy's float parser reads:

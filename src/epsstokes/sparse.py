@@ -70,13 +70,13 @@ largest entry only where that overflows, so a finite norm keeps its bits; a
 right-hand side or matrix with a non-finite entry is refused, and a residual
 whose norm is not finite fails the gate.
 
-A solve, and each factorization, first hands the C heap's free pages back to
-the operating system (glibc's malloc_trim), and so does a Discretization
-once it has assembled its blocks.  SuperLU's work arrays and the assembly
-temporaries are freed into that heap, which otherwise shrinks only from its
-top, so how much of them stayed resident depended on allocation order: the
-peak memory of the acceptance battery varied by 15 MiB from one process to
-the next.
+A solve first hands the C heap's free pages back to the operating system
+(glibc's malloc_trim), and so does each factorization, right before SuperLU
+runs and again after it, and a Discretization once it has assembled its
+blocks.  SuperLU's work arrays and the assembly temporaries are freed into
+that heap, which otherwise shrinks only from its top, so how much of them
+stayed resident depended on allocation order: the peak memory of the
+acceptance battery varied by 15 MiB from one process to the next.
 """
 
 from __future__ import annotations
@@ -301,33 +301,48 @@ class Factor:
     """SuperLU factor of a square sparse matrix, taken as given.
 
     The matrix is relabelled by perm, the order given, before SuperLU orders
-    it by minimum degree.  A zero row is refused.  Each step is a plain scipy
-    operation that makes its own copy.  SuperLU factors one column at a
-    time (panel_size 1): its default panels of several columns gave the
-    same column order, fill and solutions to 3e-15, but on a jittered
-    n = 128 mesh they took 401-418 ms for A against 319-373 ms and raised
-    the peak RSS of factoring A by 12-21 MiB more, and of Kp by 5.5 MiB
-    more.  A CSR matrix given with duplicate entries has them summed in
-    place (by scipy's abs).  solve(r) applies the inverse of the matrix
-    given to an (n,) or (n, k) array, gathering by perm and back by its
-    inverse iperm, of perm's integer type (int32 for the drivers' RCM
-    orders).  nnz is SuperLU's count of stored L and U entries and
-    matrix_nnz the stored entries of the matrix given, so their ratio is
-    the fill; factor_time is the wall time of the factorization and
+    it by minimum degree.  A row that stores no nonzero entry is refused.
+    SuperLU factors one column at a time (panel_size 1): its default panels
+    of several columns gave the same column order, fill and solutions to
+    3e-15, but on a jittered n = 128 mesh they took 401-418 ms for A against
+    319-373 ms and raised the peak RSS of factoring A by 12-21 MiB more, and
+    of Kp by 5.5 MiB more.  A CSR matrix given with duplicate entries has
+    them summed in place.  SuperLU reads one copy of the matrix, the
+    canonical CSC of a[perm][:, perm], built in one conversion: a's arrays
+    with the column labels relabelled go to CSC, whose row labels are then
+    relabelled and sorted in place.  The C heap's free pages are handed back
+    right before SuperLU runs, so the conversion's transients, and what the
+    caller freed just before (the cell graph of fem.cell_order), hold no
+    pages while it factors: A's factor at n = 64, which sets the acceptance
+    battery's peak RSS, then starts from 72 MiB resident where it started
+    from 75 MiB, and the peak fell from 82.3 to 81.4 MiB.  solve(r) applies
+    the inverse of the matrix given to an (n,) or (n, k) array, gathering by
+    perm and back by its inverse iperm, of perm's integer type (int32 for
+    the drivers' RCM orders).  nnz is SuperLU's count of stored L and U
+    entries and matrix_nnz the stored entries of the matrix given, so their
+    ratio is the fill; factor_time is the wall time of the factorization and
     finished the perf_counter reading at its end.
     """
 
     def __init__(self, a: sps.csr_matrix, perm: np.ndarray):
         start = time.perf_counter()
         a = a.tocsr()
-        row_max = abs(a).max(axis=1).toarray().ravel()
-        if np.any(row_max == 0.0):
-            k = int(np.argmin(row_max))
+        a.sum_duplicates()
+        stored = np.diff(a.indptr) > 0
+        nonzero = np.zeros(a.shape[0], dtype=bool)
+        nonzero[stored] = np.logical_or.reduceat(a.data != 0.0, a.indptr[:-1][stored])
+        if not nonzero.all():
+            k = int(np.argmin(nonzero))
             raise SolverError(f"matrix is structurally singular: row {k} is zero")
         self.perm = perm
         self.iperm = np.empty_like(perm)
         self.iperm[perm] = np.arange(len(perm))
-        csc = a.tocsc()[perm][:, perm]
+        csc = sps.csr_matrix((a.data, self.iperm[a.indices], a.indptr),
+                             shape=a.shape).tocsc()
+        csc.indices = self.iperm[csc.indices]
+        csc.has_sorted_indices = False      # tocsc set it, for the old labels
+        csc.sort_indices()
+        release_free_heap()
         try:
             self.lu = splu(csc, permc_spec=PERMC_SPEC,
                            diag_pivot_thresh=1e-3, panel_size=1,

@@ -1,12 +1,15 @@
 import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from epsstokes import build_structured_mesh
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = {"sweep-eps", "verify", "mesh-pp"}
@@ -67,6 +70,17 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                 for mesh, row in record["sizes"][side].items():
                     assert 0 < row["epsKp_Mp_matrix_nnz"] < row["epsKp_Mp_lu_nnz"], (
                         path.name, side, mesh)
+        # from BENCH_54.json on, records keep the sha256 of each output of the
+        # CLI set (bench_record.GOLDEN) on each side, and the list of those
+        # that differ; the Discretization's mesh is counted on its own
+        if number >= 54:
+            _check_golden(record, path.name)
+            row = record["sizes"]["change"]["jittered n=128"]
+            assert 0 < row["mesh_bytes"] < row["Discretization_bytes_after_PP"], path.name
+            for side, row in record["scale"].items():
+                assert 0 < row["mesh_bytes"] < row["bytes_after_S_ES"], (path.name, side)
+        if number == 54:        # its change moved no output
+            assert record["golden_differ"] == [], path.name
         # newer records also keep the sha256 of each side's mesh-pp VTK files:
         # both sides must have written the same bytes or, in records that
         # keep their number differences, where a change moved the solutions
@@ -82,6 +96,21 @@ def test_every_bench_record_holds_correct_runs_of_each_workload():
                     assert difference is not None, (path.name, name)
                     geometry, data = difference
                     assert geometry == 0.0 and data <= 1e-12, (path.name, name)
+
+
+def _check_golden(record, where):
+    """Each side digests every GOLDEN run's stdout, verify's JSON, the VTK
+    file and the 17 matrices of the dump, and golden_differ lists exactly
+    the outputs whose digests differ."""
+    digests = record["golden_sha256"]
+    assert set(digests) == {"base", "change"}, where
+    for side, got in digests.items():
+        names = {name for name, _ in _bench_record().GOLDEN}
+        assert names | {"verify: verify.json", "export-vtk ES n=8: es.vtk"} <= set(got)
+        assert sum(key.startswith("sweep-eps n=4 dump: m_") for key in got) == 17, side
+    keys = set(digests["base"]) | set(digests["change"])
+    assert record["golden_differ"] == sorted(
+        key for key in keys if digests["base"].get(key) != digests["change"].get(key)), where
 
 
 def _check_layers(metrics, where, calls=17):
@@ -209,14 +238,34 @@ print(json.dumps({**sizes(mesh), **schur_steps(mesh), **pp_alone(mesh), **held(m
     # S factors no Mp, so no record made now holds its factor's entries
     assert "Mp_gauge_lu_nnz" not in row
     assert len(row["PP_velocity_steps"]) == 2 and row["PP_ritz"] and row["S_ritz"]
-    # the held bytes cover the two eliminated scalar systems at least
+    # the held bytes cover the two eliminated scalar systems at least, and
+    # the mesh's own bytes its vertices and triangles at least
     assert row["Discretization_bytes_after_PP"] > 12 * row["Kp_lu_nnz"] + 12 * row["K"]
+    mesh = build_structured_mesh(8)
+    assert row["mesh_bytes"] >= mesh.vertices.nbytes + mesh.triangles.nbytes
+    assert row["scale"]["mesh_bytes"] >= mesh.vertices.nbytes + mesh.triangles.nbytes
     assert row["Discretization_traced_peak_bytes"] > 12 * row["K"]
     # the scale row's held bytes cover A's factor, which S and ES made
     scale = row["scale"]
     assert scale["n"] == 8 and scale["wall_s"] > 0.0
     assert 0.0 < scale["S_peak_rss_mib"] <= scale["peak_rss_mib"]
     assert scale["bytes_after_S_ES"] > 12 * row["A_lu_nnz"]
+
+
+def test_bench_record_golden_masks_wall_time_in_each_output(tmp_path, monkeypatch):
+    # each GOLDEN run's stdout and files are digested with every wall_time
+    # value masked, so a rerun of the same code gives the same digests
+    bench = _bench_record()
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    run = ("solve", "--problem", "S", "--n", "2", "--out", "s.json")
+    monkeypatch.setattr(bench, "GOLDEN", (("solve S n=2", run),))
+    digests = bench.golden(tmp_path)
+    assert set(digests) == {"solve S n=2", "solve S n=2: s.json"}
+    written = (tmp_path / ".bench_work" / "golden-runs" / "solve_S_n=2" / "s.json").read_bytes()
+    masked = re.sub(rb'("wall_time": )[^,\n}]+', rb"\1null", written)
+    assert masked != written and masked.count(b'"wall_time": null') == 1
+    assert digests["solve S n=2: s.json"] == hashlib.sha256(masked).hexdigest()
+    assert bench.golden(tmp_path) == digests
 
 
 def _traced(*args):

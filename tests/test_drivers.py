@@ -49,6 +49,30 @@ def test_compatibility_zero_and_translation():
     assert abs(flux) <= 1e-13
 
 
+@pytest.mark.parametrize("u_bc", [
+    lambda x, y: np.zeros(x.shape + (3,)),
+    lambda x, y: np.zeros(x.shape),
+    lambda x, y: np.zeros(x.shape + (1,)),
+    lambda x, y: np.zeros((2,) + x.shape),
+], ids=["three-components", "scalar", "one-component", "components-first"])
+def test_compatibility_refuses_boundary_data_of_the_wrong_shape(u_bc):
+    inp = ProblemInput(mesh=build_structured_mesh(2), body_force=zero_vec, u_bc=u_bc,
+                       p_bc=zero_scalar)
+    with pytest.raises(ValueError, match=r"^u_bc must return shape \(\.\.\., 2\)$"):
+        check_compatibility(inp)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inp: solve_es(replace(inp, epsilon=1.0)),
+    lambda inp: solve_es_sweep(inp, [1.0, 1e-3]),
+    solve_pp,
+], ids=["solve_es", "sweep", "solve_pp"])
+def test_es_and_pp_refuse_missing_pressure_data(solve):
+    inp = ProblemInput(mesh=build_structured_mesh(2), body_force=zero_vec, u_bc=zero_vec)
+    with pytest.raises(ValueError, match="^pressure boundary data is required$"):
+        solve(inp)
+
+
 def test_compatibility_rejects_net_outflow():
     mesh = build_structured_mesh(4)
     inp = ProblemInput(mesh=mesh, body_force=zero_vec,
@@ -981,8 +1005,9 @@ def test_discretization_builds_no_factor(monkeypatch):
     mesh = build_structured_mesh(8)
     disc = Discretization(mesh)
     assert sizes == []
-    # construction builds the two scalar systems PP solves, and nothing else
-    assert not set(FACTORS + SADDLE_SYSTEMS + ("mass_p",)) & set(vars(disc))
+    # construction builds K's system, and nothing else: PP's Kp system is
+    # built on first use
+    assert not set(FACTORS + SADDLE_SYSTEMS + ("mass_p", "pressure_system")) & set(vars(disc))
     for system in (disc.velocity_system, disc.pressure_system):
         assert isinstance(system.matrix, sps.csr_matrix)
     solve_pp(_inp(mesh, get_case("ms1")), disc)
@@ -995,6 +1020,26 @@ def test_discretization_keeps_no_raw_stiffness():
     # norms and ES's Kp part read
     disc = Discretization(build_structured_mesh(4))
     assert not hasattr(disc, "stiff_u") and not hasattr(disc, "stiff_p")
+
+
+def test_stokes_alone_never_assembles_kp(monkeypatch):
+    # Kp's system is built on first use: S reads no Kp, and a later PP
+    # builds the arrays that construction used to build
+    stiffness, real = [], fem.assemble_stiffness
+    monkeypatch.setattr(fem, "assemble_stiffness",
+                        lambda space: stiffness.append(space.degree) or real(space))
+    case, mesh = get_case("ms1-mismatch"), build_structured_mesh(8)
+    disc = Discretization(mesh)
+    solve_stokes(_inp(mesh, case), disc)
+    assert stiffness == [2] and "pressure_system" not in vars(disc)
+    solve_pp(_inp(mesh, case), disc)
+    assert stiffness == [2, 1]
+    eager = drivers._eliminated(real(disc.pspace), disc.pspace.boundary_nodes)
+    got = disc.pressure_system
+    for a, b in ((got.matrix, eager.matrix), (got.lift, eager.lift)):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(got.fixed, eager.fixed)
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["structured", "loaded"])

@@ -570,6 +570,28 @@ def test_cli_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "eps_list" in err and "nn" in err
 
 
+@pytest.mark.parametrize("text, error", [
+    (None, "cannot read config file .*missing.json: .*No such file"),
+    ('{"n": 4', "cannot read config file .*missing.json: Expecting ',' delimiter"),
+    ("[4]", "config file must hold a JSON object"),
+    ('"n"', "config file must hold a JSON object"),
+], ids=["absent", "not-json", "list", "string"])
+def test_cli_refuses_a_config_file_it_cannot_read(text, error, tmp_path, capsys):
+    conf = tmp_path / "missing.json"
+    if text is not None:
+        conf.write_text(text)
+    assert main(["solve", "--config", str(conf)]) == 2
+    assert re.fullmatch(f"error: {error}.*\n", capsys.readouterr().err, re.DOTALL)
+
+
+def test_cli_export_vtk_refuses_all_problems(tmp_path, capsys):
+    out = tmp_path / "all.vtk"
+    assert main(["export-vtk", "--problem", "all", "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: export-vtk writes a single problem, "
+                                       "not 'all'\n")
+    assert not out.exists()
+
+
 def test_cli_export_vtk(tmp_path):
     out = tmp_path / "field.vtk"
     code = main(["export-vtk", "--case", "ms1", "--problem", "S", "--n", "2",

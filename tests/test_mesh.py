@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -300,6 +301,54 @@ def test_load_mesh_parse_error_carries_line_number(tmp_path):
     path.write_text("mesh2d v1\nvertices 2\n0.0 0.0\n1.0 oops\n")
     with pytest.raises(MeshFormatError, match="line 4"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mesh2d v2\nvertices 0\n", "line 1: expected header 'mesh2d v1', got 'mesh2d v2'"),
+    ("\n\nmesh2d v1\n\nvertex 3\n", "line 5: expected 'vertices <count>', got 'vertex 3'"),
+    ("mesh2d v1\nvertices 3 4\n", "line 2: expected 'vertices <count>', got 'vertices 3 4'"),
+    ("mesh2d v1\nvertices 1\n0 0\nboundary 0\n",
+     "line 4: expected 'triangles <count>', got 'boundary 0'"),
+    ("", "line 1: unexpected end of file"),
+    ("mesh2d v1\n", "line 2: unexpected end of file"),
+    # the line after the file's last, blank lines counted
+    ("mesh2d v1\nvertices 3\n0 0\n1 0\n\n\n", "line 7: unexpected end of file"),
+    ("mesh2d v1\r\nvertices 1\r\n0 0\r\ntriangles 2\r\n0 0 0", "line 6: unexpected end of file"),
+    ("mesh2d v1\nvertices 1\n0 0\ntriangles 0\nboundary 1\n",
+     "line 6: unexpected end of file"),
+])
+def test_load_mesh_refuses_a_bad_header_or_an_early_end(tmp_path, text, message):
+    path = tmp_path / "short.mesh"
+    path.write_bytes(text.encode())
+    with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+        load_mesh(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.text(alphabet="ab \t\n\r\x0b\x0c\x1c\x85\u2028\u2029", max_size=40),
+       size=st.integers(1, 6))
+def test_read_lines_gives_the_lines_of_splitlines(text, size):
+    # load_mesh reads a file in pieces; its lines and so the line numbers of
+    # its errors are those of the whole text's str.splitlines
+    def wrapper():
+        return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+    pieces = list(mesh_module._read_lines(wrapper(), size))
+    assert [line for piece in pieces for line in piece] == wrapper().read().splitlines()
+
+
+def test_validate_mesh_refuses_triangles_that_cover_more_than_the_boundary():
+    # three triangles folded into a fourth, each over one of its edges: every
+    # triangle is counterclockwise and the boundary one closed loop, but the
+    # triangles cover 0.8 where the loop encloses 0.2, running clockwise
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                         [0.5, 0.2], [0.4, 0.4], [0.2, 0.5]])
+    triangles = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 4], [2, 0, 5]])
+    boundary = np.array([[1, 3, 1], [3, 0, 1], [2, 4, 1], [4, 1, 1], [0, 5, 1], [5, 2, 1]])
+    mesh = Mesh(vertices, triangles, boundary)
+    with pytest.raises(MeshTopologyError, match=r"^triangle areas sum to 0\.79+\d but the "
+                                                r"boundary encloses -0\.20+\d$"):
+        validate_mesh(mesh)
 
 
 @pytest.mark.parametrize("text, line", [

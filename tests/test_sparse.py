@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse as sps
 from scipy.io import mmread
 
-from epsstokes import sparse as sp
+from epsstokes import fem, sparse as sp
 from epsstokes.drivers import (Discretization, ProblemInput, solve_es, solve_pp,
                                solve_stokes)
 from epsstokes.mesh import build_structured_mesh
@@ -497,6 +497,52 @@ def test_factor_of_non_canonical_matrix_matches_canonical_form():
     assert np.abs(got.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("which", ["nonsymmetric", "K"])
+def test_factor_hands_splu_the_permuted_canonical_csc(which, monkeypatch):
+    # SuperLU reads the arrays that the copies a.tocsc()[perm][:, perm]
+    # gave, summed to canonical form, bit for bit, in a's dtype and layout
+    if which == "K":
+        disc = Discretization(build_structured_mesh(6))
+        a, perm = disc.velocity_system.matrix, fem.cell_order(disc.vspace)
+    else:
+        a, _ = _labelled_system(40, 11, False)
+        perm = np.random.default_rng(12).permutation(40).astype(np.int32)
+        assert abs(a - a.T).max() > 0.0
+    want = a.tocsc()[perm][:, perm]
+    want.sum_duplicates()
+    seen, real = [], sp.splu
+    monkeypatch.setattr(sp, "splu", lambda m, **kw: seen.append(m) or real(m, **kw))
+    sp.Factor(a, perm)
+    [got] = seen
+    assert got.format == "csc" and got.shape == a.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+@pytest.mark.parametrize("row", [0, 3, 5])
+@pytest.mark.parametrize("stored", [True, False], ids=["stored-zeros", "empty"])
+def test_factor_refuses_a_row_without_a_nonzero_entry(row, stored):
+    # a row that stores only zeros, or nothing, is refused before SuperLU
+    # runs; an explicit zero next to a nonzero entry is not
+    def with_zeros(dense, cols):
+        """dense as CSR, with explicit zeros stored in row at cols."""
+        a = sps.coo_matrix(dense)
+        return sps.csr_matrix((np.append(a.data, [0.0, -0.0][:len(cols)]),
+                               (np.append(a.row, [row] * len(cols)),
+                                np.append(a.col, cols))), a.shape)
+
+    dense = _laplace_1d(6).toarray()
+    dense[row] = 0.0
+    a = with_zeros(dense, [row, (row + 1) % 6] if stored else [])
+    assert a.getrow(row).nnz == (2 if stored else 0)
+    with pytest.raises(SolverError, match=fr"^matrix is structurally singular: row {row} is zero$"):
+        sp.Factor(a, np.arange(6))
+    kept = with_zeros(_laplace_1d(6).toarray(), [(row + 3) % 6])   # beside nonzeros
+    assert kept.getrow(row).nnz == 4 - (row in (0, 5))
+    assert sp.Factor(kept, np.arange(6)).nnz > 0
+
+
 @pytest.mark.parametrize("columns", [None, 2])
 def test_factor_solve_is_the_fancy_index_expression(columns):
     # bit for bit what out[perm] = lu.solve(r[perm]) gives
@@ -778,10 +824,13 @@ def test_solve_releases_free_heap_before_and_after_factoring(monkeypatch):
     a = _laplace_1d(60)
     b = np.random.default_rng(6).standard_normal(60)
     x, _ = _solve_factored(a, b)
-    pads = []
+    pads, real_splu = [], sp.splu
     monkeypatch.setattr(sp, "_malloc_trim", lambda: pads.append)
+    monkeypatch.setattr(sp, "splu", lambda *args, **kw: pads.append("splu")
+                        or real_splu(*args, **kw))
     x_counted, _ = _solve_factored(a, b)
-    assert pads == [0, 0]            # on entry, and after the factorization
+    # on entry, right before SuperLU factors, and after it
+    assert pads == [0, 0, "splu", 0]
     monkeypatch.setattr(sp, "_malloc_trim", lambda: None)
     x_none, _ = _solve_factored(a, b)
     assert np.array_equal(x_counted, x) and np.array_equal(x_none, x)

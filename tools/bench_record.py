@@ -32,13 +32,14 @@ alone (mesh-pp's case, no factor of A) and its report's Ritz values; on
 the jittered n = 128 mesh also the traced (tracemalloc) peak of building
 a Discretization, and the bytes of the arrays and factors it holds after
 one PP solve (its mesh not counted, a SuperLU factor at 12 bytes an
-entry).  K, Kp and B are assembled afresh for the table, so the script
-runs in checkouts whose Discretization keeps them and in those that do
-not.  Under `scale` each checkout reports, in one more fresh process, one
+entry), and from BENCH_54.json on the mesh's own bytes (`mesh_bytes`).
+K, Kp and B are assembled afresh for the table, so the script runs in
+checkouts whose Discretization keeps them and in those that do not.  Under `scale` each checkout reports, in one more fresh process, one
 S and then one ES at eps = 1e-6 on the structured n = 256 mesh (case
 ms1-mismatch): the wall time from the Discretization to the end of the ES
 solve, the peak RSS of the process once S is solved and at the end, and the
-bytes the Discretization holds afterwards, counted as for one PP solve.
+bytes the Discretization holds afterwards, counted as for one PP solve, and
+the mesh's own bytes.
 Under `layers` each checkout reports, for each n = 32, 64 and 128, the
 per-layer metrics (perfbench/spans.py `layer_metrics`, loaded by path) of
 one traced `run_sweep_eps` of case ms1-mismatch over the default eps grid,
@@ -59,8 +60,13 @@ run wrote (`.bench_work/mesh-pp/pp-<n>.vtk`), so it shows whether the two
 sides write the same bytes, and, under `vtk_number_difference`, the largest
 difference between the two sides' numbers in each file's geometry and in
 its point data, each relative to the largest magnitude there, or null
-where the files differ in anything else.  Nothing outside the two
-checkouts is written; perfbench works under each checkout's `.bench_work/`.
+where the files differ in anything else.  From BENCH_54.json on, each
+checkout also runs the CLI commands of GOLDEN once, each in a fresh process
+and an empty directory, and the record keeps the sha256 of each one's
+standard output and of each file it writes, every `wall_time` value
+masked (`golden_sha256`), and the outputs whose digests differ between the
+two sides (`golden_differ`).  Nothing outside the two checkouts is
+written; perfbench works under each checkout's `.bench_work/`.
 
 The record ends with a summary of each workload's end-to-end metrics, as
 BENCHMARK.json names them, which is also printed: each side's median and
@@ -78,6 +84,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -160,8 +169,8 @@ def held(mesh):
     tracemalloc.stop()
     drivers.solve_pp(problem_input(get_case("ms1"), mesh), disc)
     seen = set()
-    reach(mesh, seen)                   # the caller's mesh is not the disc's
-    return {"Discretization_traced_peak_bytes": peak,
+    mesh_bytes = reach(mesh, seen)      # the caller's mesh is not the disc's
+    return {"Discretization_traced_peak_bytes": peak, "mesh_bytes": mesh_bytes,
             "Discretization_bytes_after_PP": reach(disc, seen)}
 
 def scale(n):
@@ -173,8 +182,8 @@ def scale(n):
     drivers.solve_es(problem_input(case, mesh, 1e-6), disc)
     wall = time.perf_counter() - start
     seen = set()
-    reach(mesh, seen)
     return {"n": n, "wall_s": wall, "S_peak_rss_mib": s_peak,
+            "mesh_bytes": reach(mesh, seen),
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "bytes_after_S_ES": reach(disc, seen)}
 """
@@ -227,6 +236,17 @@ print(json.dumps({k: f"{v:.6g} {u}" for k, (v, u) in metrics.items()}))
 LAYER_NS = (32, 64, 128)
 SWEEP_H_NS = (8, 16, 32, 64)
 LAYER_PROCESSES = 3
+# The CLI runs whose outputs each record fingerprints: name and arguments.
+GOLDEN = (
+    ("verify", ("verify", "--out", "verify.json")),
+    ("sweep-eps ms1-mismatch n=40", ("sweep-eps", "--case", "ms1-mismatch", "--n", "40")),
+    ("sweep-eps n=16 json", ("sweep-eps", "--n", "16", "--format", "json")),
+    ("sweep-h all n=8,16", ("sweep-h", "--problem", "all", "--n", "8,16")),
+    ("solve all n=8 eps=1e-3", ("solve", "--problem", "all", "--n", "8", "--eps", "1e-3")),
+    ("export-vtk ES n=8", ("export-vtk", "--problem", "ES", "--n", "8", "--out", "es.vtk")),
+    ("sweep-eps n=4 dump", ("sweep-eps", "--n", "4", "--dump-matrix", "m_")),
+)
+WALL_TIME = re.compile(rb'("wall_time": )[^,\n}]+')
 
 
 def perfbench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -294,6 +314,23 @@ def vtk_difference(base: Path, change: Path) -> dict:
 
     return {name: number_difference(text(base, name), text(change, name))
             for name in vtk_digests(base)}
+
+
+def golden(checkout: Path) -> dict:
+    """{output: sha256} of the standard output ("<name>") and of each file
+    ("<name>: <file>") of each GOLDEN run in checkout, wall_time masked."""
+    digests, root = {}, checkout / ".bench_work" / "golden-runs"
+    shutil.rmtree(root, ignore_errors=True)
+    for name, args in GOLDEN:
+        work = root / name.replace(" ", "_")
+        work.mkdir(parents=True)
+        proc = subprocess.run([sys.executable, "-m", "epsstokes", *args], cwd=work,
+                              env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+                              stdout=subprocess.PIPE, check=True)
+        for key, data in [(name, proc.stdout), *((f"{name}: {path.name}", path.read_bytes())
+                                                 for path in sorted(work.iterdir()))]:
+            digests[key] = hashlib.sha256(WALL_TIME.sub(rb"\1null", data)).hexdigest()
+    return digests
 
 
 def sizes(checkout: Path, seed: int) -> dict:
@@ -421,6 +458,9 @@ def main(argv=None) -> int:
         **({"vtk_sha256": {side: vtk_digests(path) for side, path in sides.items()},
             "vtk_number_difference": vtk_difference(sides["base"], CHANGE)}
            if "mesh-pp" in pairs else {}),
+        "golden_sha256": (digests := {side: golden(path) for side, path in sides.items()}),
+        "golden_differ": sorted(key for key in {**digests["base"], **digests["change"]}
+                                if digests["base"].get(key) != digests["change"].get(key)),
         "sizes": {side: sizes(path, args.seed) for side, path in sides.items()},
         "scale": {side: scale(path) for side, path in sides.items()},
         "layers": layers(sides, {f"n={n}": ("sweep-eps", str(n)) for n in LAYER_NS}),

@@ -5,9 +5,9 @@ the same mesh, so their solutions are directly comparable.  A velocity is a
 Field on the scalar P2 space with one (x, y) coefficient row per node; in the
 assembled systems its dofs are those rows raveled (fem.vector_dofs).
 
-* ``solve_stokes``  -- saddle-point system with velocity Dirichlet data; the
-  first pressure dof is pinned to fix the gauge and the pressure is then
-  shifted to zero mean;
+* ``solve_stokes``  -- saddle-point system with velocity Dirichlet data,
+  solved as ES at eps = 0; the first pressure dof is pinned to fix the
+  gauge and the pressure is then shifted to zero mean;
 * ``solve_pp``      -- decoupled Poisson solves: pressure first from the
   gradient-type right-hand side, then each velocity component, driven by
   the discrete pressure gradient, as its own scalar problem;
@@ -16,15 +16,18 @@ assembled systems its dofs are those rows raveled (fem.vector_dofs).
 
 ``solve_es_sweep`` solves ES over a list of epsilons: by its 1/eps series
 where that converges, and by ``solve_es`` below the measured crossover.
-``solve_problem`` dispatches on the problem name.  Drivers are pure
-functions of their input; sweeps share one Discretization, so a sweep
-assembles, eliminates and factors each block once.  At construction it
-builds the P2 and P1 spaces and assembles K, the Laplacian of one velocity
-component.  On first use it builds Kp, the P1 Laplacian (PP, ES and the
-pressure gap norms; S alone never assembles it), the coupling B (S and ES
-only), the two read-only load vectors of each body force in one pass over
-the cells (Discretization.loads), each problem's system with its Dirichlet
-dofs eliminated, and the factors below.
+``solve_problem`` dispatches on the problem name.  Every driver checks its
+data in one function, _traces: it refuses a net boundary flux first, then
+a missing p_bc where the problem reads one (PP and ES), and then
+interpolates the traces.  Drivers are pure functions of their input;
+sweeps share one Discretization, so a sweep assembles, eliminates and
+factors each block once.  At construction it builds the P2 and P1 spaces
+and assembles K, the Laplacian of one velocity component.  On first use
+it builds Kp, the P1 Laplacian (PP, ES and the pressure gap norms; S alone
+never assembles it), the coupling B (S and ES only), the two read-only
+load vectors of each body force in one pass over the cells
+(Discretization.loads), each problem's system with its Dirichlet dofs
+eliminated, and the factors below.
 S and ES are held as their blocks (sparse.SaddleSystem): the scalar K
 eliminated, which both share and apply to each velocity component, one
 div, B with its velocity boundary columns masked, which both share too,
@@ -99,11 +102,13 @@ For large epsilon, ES is PP plus a series in 1/eps.  solve_es_sweep
 computes its terms once, up front, each one Kp solve and one two-column A
 solve with the factors of Kp and A, into one running sum per epsilon.  The
 series converges for eps above the ratio of successive terms, about 0.02
-on the unit square.  ES has one solve path, _solve_coupled: ES(eps), its
-load and fixed values through sparse.solve, preconditioned by the Schur
-reduction for solve_es and by the sum when iterating the sweep.  An
-epsilon the series cannot reach within SERIES_TERMS terms, or whose sum
-misses solve's gate, is solved by solve_es when its turn comes.
+on the unit square.  S and ES have one solve path, _solve_saddle: ES(eps)
+or S's gauge-fixed system, ES's load at eps and the fixed values through
+sparse.solve, preconditioned by the Schur reduction for solve_stokes and
+solve_es and by the sum when iterating the sweep.  solve_stokes is that
+solve at eps = 0, then the mean shift.  An epsilon the series cannot
+reach within SERIES_TERMS terms, or whose sum misses solve's gate, is
+solved by solve_es when its turn comes.
 
 Building a Discretization and each driver call run numpy's BLAS on one
 thread (sparse.one_blas_thread), which covers the per-cell matmuls of
@@ -385,11 +390,18 @@ def check_compatibility(inp: ProblemInput) -> float:
     return float(np.einsum("bq,bqc,bc->", w, ub, normals))
 
 
-def _require_compatible(inp):
+def _traces(disc: Discretization, inp: ProblemInput, pressure: bool = True):
+    """inp's checked boundary data, interpolated: the velocity trace, one
+    (x, y) row per boundary node, and the pressure trace, or None when the
+    problem reads no p_bc (pressure False).  Refuses a net boundary flux
+    first, then a missing p_bc that the problem reads."""
     flux = check_compatibility(inp)
     if abs(flux) > COMPATIBILITY_TOL:
         raise IncompatibleDataError(flux)
-    return flux
+    if pressure and inp.p_bc is None:
+        raise ValueError("pressure boundary data is required")
+    return (fem.interpolate_boundary(disc.vspace, inp.u_bc),
+            fem.interpolate_boundary(disc.pspace, inp.p_bc) if pressure else None)
 
 
 def _discretization(inp: ProblemInput, disc: Discretization) -> Discretization:
@@ -558,18 +570,12 @@ def solve_stokes(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     of a mean-value Lagrange multiplier, without its dense row and column.
     """
     disc = _discretization(inp, disc)
-    _require_compatible(inp)
-    nu = disc.nu
-    system = disc.stokes_system
-    values = np.append(fem.interpolate_boundary(disc.vspace, inp.u_bc), 0.0)  # gauge p = 0
-    x, report = _solve_fixed(system, _coupled_load(disc, inp, 0.0),  # ES's load at eps = 0
-                             values, partial(_schur_reduction, disc, system))
-
-    p = x[nu:]
+    u_vals, _ = _traces(disc, inp, pressure=False)
+    res = _solve_saddle(disc, inp, disc.stokes_system, 0.0,    # ES's solve at eps = 0
+                        np.append(u_vals, 0.0), partial(_schur_reduction, disc))  # gauge p = 0
+    p = res.p.coefficients
     p -= (disc.mean_p @ p) / disc.mean_p.sum()
-    return SolveResult(u=Field(disc.vspace, x[:nu].reshape(-1, 2)),
-                       p=Field(disc.pspace, p),
-                       problem="S", epsilon=None, report=report)
+    return replace(res, problem="S", epsilon=None)
 
 
 @one_blas_thread()
@@ -587,12 +593,8 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     """
     start = time.perf_counter()
     disc = _discretization(inp, disc)
-    _require_compatible(inp)
-    if inp.p_bc is None:
-        raise ValueError("pressure boundary data is required")
-
+    u_vals, p_vals = _traces(disc, inp)
     velocity_load, pressure_load = disc.loads(inp.body_force)
-    p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
     p_coeff, report = _solve_fixed(         # the solve factors Kp on first use
         disc.pressure_system, pressure_load, p_vals,
         lambda: Preconditioner("Kp", disc.pressure_factor.solve,
@@ -601,7 +603,6 @@ def solve_pp(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     p = Field(disc.pspace, p_coeff)
 
     f = velocity_load - fem.assemble_field_grad_load(disc.vspace, p)
-    u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
     if "velocity_factor" in vars(disc):     # reading it would factor A
         vel = disc.velocity_factor
         factors = (disc.pressure_factor, vel)
@@ -635,25 +636,15 @@ def solve_es(inp: ProblemInput, disc: Discretization = None) -> SolveResult:
     """
     disc = _discretization(inp, disc)
     _check_epsilons([inp.epsilon])
-    return _solve_coupled(disc, inp, inp.epsilon, _coupled_values(disc, inp),
-                          partial(_schur_reduction, disc))
+    values = np.append(*_traces(disc, inp))
+    return _solve_saddle(disc, inp, disc.coupled_system(inp.epsilon), inp.epsilon, values,
+                         partial(_schur_reduction, disc))
 
 
 def _check_epsilons(eps_list):
     for eps in eps_list:
         if eps is None or not 0.0 < eps < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {eps}")
-
-
-def _coupled_values(disc: Discretization, inp: ProblemInput) -> np.ndarray:
-    """The fixed values of the ES system: both traces, in the order of its
-    fixed dofs; checks the data first."""
-    _require_compatible(inp)
-    if inp.p_bc is None:
-        raise ValueError("pressure boundary data is required")
-    u_vals = fem.interpolate_boundary(disc.vspace, inp.u_bc)
-    p_vals = fem.interpolate_boundary(disc.pspace, inp.p_bc)
-    return np.concatenate([u_vals.ravel(), p_vals])
 
 
 @np.errstate(over="ignore")
@@ -663,12 +654,13 @@ def _coupled_load(disc: Discretization, inp: ProblemInput, eps: float) -> np.nda
     return np.concatenate([velocity.ravel(), eps * pressure])
 
 
-def _solve_coupled(disc: Discretization, inp: ProblemInput, eps: float, values: np.ndarray,
-                   precond: Callable[[Eliminated], Preconditioner]) -> SolveResult:
-    """The one ES solve path: ES(eps) with inp's load at eps and the fixed
+def _solve_saddle(disc: Discretization, inp: ProblemInput, system: Eliminated, eps: float,
+                  values: np.ndarray, precond: Callable[[Eliminated], Preconditioner]
+                  ) -> SolveResult:
+    """The one saddle solve path of S and ES: system, ES(eps) or S's
+    stokes_system at eps = 0, with inp's ES load at eps and the fixed
     values, solved by sparse.solve with precond(system): the Schur reduction
-    for solve_es, a 1/eps series sum for EpsSweep."""
-    system = disc.coupled_system(eps)
+    for solve_stokes and solve_es, a 1/eps series sum for EpsSweep."""
     x, report = _solve_fixed(system, _coupled_load(disc, inp, eps), values,
                              lambda: precond(system))
     nu = disc.nu
@@ -699,7 +691,7 @@ def solve_es_sweep(inp: ProblemInput, eps_list, disc: Discretization = None,
     AIM * TOL of its ||b||, as the Krylov solves aim.  An eps
     whose bound, shrinking at the measured term ratio, cannot get there
     within SERIES_TERMS terms, or whose sum then misses sparse.solve's gate
-    on solve_es's own path (_solve_coupled), is solved by solve_es.
+    on solve_es's own path (_solve_saddle), is solved by solve_es.
     inp.epsilon is not read.  See EpsSweep for the results.
     """
     disc = _discretization(inp, disc)
@@ -739,7 +731,7 @@ class EpsSweep:
                  pp: SolveResult = None):
         start = time.perf_counter()
         self.inp, self.eps_list, self.disc = inp, eps_list, disc
-        self.values = _coupled_values(disc, inp)
+        self.values = np.append(*_traces(disc, inp))
         vel = disc.velocity_factor      # the terms apply A, so PP applies it too
         pp = pp or solve_pp(inp, disc)
         nu, (base, kp) = disc.nu, disc._coupled_parts
@@ -808,7 +800,8 @@ class EpsSweep:
         series = Preconditioner("series[Kp, A]", lambda b: total, self.factors,
                                 KrylovLog(norms))
         try:
-            res = _solve_coupled(self.disc, self.inp, eps, self.values, lambda _: series)
+            res = _solve_saddle(self.disc, self.inp, self.disc.coupled_system(eps), eps,
+                                self.values, lambda _: series)
         except SolverError:         # the sum misses the gate: solve_es solves eps
             return None
         if first:

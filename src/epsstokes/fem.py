@@ -569,17 +569,6 @@ def _force_loads(f, terms) -> list[np.ndarray]:
     return _add_cells([space for space, _ in terms], local)
 
 
-def assemble_load(space: Space, f) -> np.ndarray:
-    """Load vector with entries integral of f . phi_i by quadrature.
-
-    f maps coordinate arrays (x, y) to scalar values, giving (ndofs,), or to
-    vectors with a trailing axis of length 2, giving one (x, y) row per node.
-    f is called once per block of cells.
-    """
-    (load,) = _force_loads(f, [(space, _value_entries(space))])
-    return load
-
-
 def assemble_body_force_loads(vspace: Space, pspace: Space, f):
     """The loads of a body force f, mapping (x, y) to vectors (..., 2), of
     f . phi_i on vspace, one (x, y) row per node, and of f . grad(psi_q) on

@@ -67,7 +67,6 @@ class ManufacturedCase:
     u_exact: object
     grad_u_exact: object
     p_exact: object
-    grad_p_exact: object
     body_force: object
     trace_perturbation: object
     delta: float
@@ -104,13 +103,6 @@ def _ms1_p(x, y):
     return x ** 3 + y ** 3 - 0.5
 
 
-def _ms1_grad_p(x, y):
-    g = np.empty(np.broadcast(x, y).shape + (2,))
-    g[..., 0] = 3.0 * x * x
-    g[..., 1] = 3.0 * y * y
-    return g
-
-
 def _ms1_force(x, y):
     f = np.empty(np.broadcast(x, y).shape + (2,))
     f[..., 0] = -_bump2(x) * _bump1(y) - _bump(x) * _bump3(y) + 3.0 * x * x
@@ -127,7 +119,7 @@ def registry() -> list:
     base = ManufacturedCase(
         name="ms1",
         u_exact=_ms1_u, grad_u_exact=_ms1_grad_u,
-        p_exact=_ms1_p, grad_p_exact=_ms1_grad_p,
+        p_exact=_ms1_p,
         body_force=_ms1_force,
         trace_perturbation=_cos_mismatch,
         delta=0.0,

@@ -368,9 +368,21 @@ def vector_stiffness(disc):
     return vector_block(fem.assemble_stiffness(disc.vspace))
 
 
+def assemble_load(space, f):
+    """Load vector with entries integral of f . phi_i by quadrature: the
+    reference for fem.assemble_body_force_loads, which builds the P2 one.
+
+    f maps coordinate arrays (x, y) to scalar values, giving (ndofs,), or to
+    vectors with a trailing axis of length 2, giving one (x, y) row per node.
+    f is called once per block of cells.
+    """
+    (load,) = fem._force_loads(f, [(space, fem._value_entries(space))])
+    return load
+
+
 def velocity_load(disc, body_force):
     """The velocity load vector in the interleaved layout of the systems."""
-    return fem.assemble_load(disc.vspace, body_force).ravel()
+    return assemble_load(disc.vspace, body_force).ravel()
 
 
 def velocity_boundary(disc, u_bc):

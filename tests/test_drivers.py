@@ -83,6 +83,34 @@ def test_compatibility_rejects_net_outflow():
     assert abs(err.value.flux - 4.0) <= 1e-12
 
 
+@pytest.mark.parametrize("problem", sorted(DRIVERS))
+def test_each_driver_checks_its_data_once(problem, monkeypatch):
+    # one check refuses a net boundary flux before a missing p_bc, and only
+    # the problems that read p_bc require it; each call checks the flux once
+    real, calls = drivers.check_compatibility, []
+    monkeypatch.setattr(drivers, "check_compatibility",
+                        lambda inp: calls.append(inp) or real(inp))
+    mesh, case = build_structured_mesh(4), get_case("ms1")
+    solve = DRIVERS[problem]
+    outward = ProblemInput(mesh=mesh, body_force=zero_vec, u_bc=_outward_normal_data,
+                           epsilon=1.0)
+    with pytest.raises(IncompatibleDataError) as err:
+        solve(outward)
+    assert abs(err.value.flux - 4.0) <= 1e-12 and len(calls) == 1
+    no_p_bc = ProblemInput(mesh=mesh, body_force=case.body_force, u_bc=case.u_bc(),
+                           epsilon=1.0)
+    if problem == "S":
+        res = solve(no_p_bc)
+        ref = solve(replace(no_p_bc, p_bc=case.p_bc()))
+        assert res.u.coefficients.tobytes() == ref.u.coefficients.tobytes()
+        assert res.p.coefficients.tobytes() == ref.p.coefficients.tobytes()
+        assert len(calls) == 3
+    else:
+        with pytest.raises(ValueError, match="^pressure boundary data is required$"):
+            solve(no_p_bc)
+        assert len(calls) == 2
+
+
 def test_zero_data_gives_zero_solutions():
     mesh = build_structured_mesh(4)
     disc = Discretization(mesh)
@@ -172,13 +200,6 @@ def test_pp_exact_linear_pressure():
     res = solve_pp(inp, disc)
     assert np.abs(res.u.coefficients).max() <= 1e-10
     assert np.abs(res.p.coefficients - disc.pspace.node_coords[:, 0]).max() <= 1e-10
-
-
-def test_pp_requires_pressure_data():
-    mesh = build_structured_mesh(2)
-    inp = ProblemInput(mesh=mesh, body_force=zero_vec, u_bc=zero_vec)
-    with pytest.raises(ValueError, match="pressure boundary data"):
-        solve_pp(inp)
 
 
 def test_pp_matches_stokes_error_with_compatible_trace():
@@ -566,7 +587,7 @@ def test_coupled_right_hand_side_is_the_whole_lift_sum(eps):
     disc = Discretization(mesh)
     base, kp = disc._coupled_parts
     inp = _inp(mesh, get_case("ms1-mismatch"), eps=eps)
-    values = drivers._coupled_values(disc, inp)
+    values = np.append(*drivers._traces(disc, inp))
     load = drivers._coupled_load(disc, inp, eps)
     with np.errstate(over="ignore"):
         whole = base.lift + eps * kp.lift
@@ -1247,8 +1268,8 @@ def test_loads_assembled_once_per_body_force(monkeypatch):
         return wrapper
 
     # one pass builds both loads of a body force, on its first use
-    for name in ("assemble_body_force_loads", "assemble_load"):
-        monkeypatch.setattr(fem, name, counted(name, getattr(fem, name)))
+    monkeypatch.setattr(fem, "assemble_body_force_loads",
+                        counted("assemble_body_force_loads", fem.assemble_body_force_loads))
     mesh = build_structured_mesh(4)
     disc = Discretization(mesh)
     case = get_case("ms1-mismatch")

@@ -10,13 +10,12 @@ from scipy import sparse as sps
 import helpers
 from epsstokes import fem
 from epsstokes.fem import (Field, Space, assemble_div_coupling,
-                           assemble_field_grad_load, assemble_load,
-                           assemble_stiffness, interpolate_boundary,
-                           triangle_rule_d5, vector_dofs)
+                           assemble_field_grad_load, assemble_stiffness,
+                           interpolate_boundary, triangle_rule_d5, vector_dofs)
 from epsstokes.mesh import Mesh, build_structured_mesh
 from epsstokes.verification import gauss_formula_residual
-from helpers import (apply_dirichlet, loaded_parallelogram_mesh, masked_by_products,
-                     ref_triangle_mesh, vector_block)
+from helpers import (apply_dirichlet, assemble_load, loaded_parallelogram_mesh,
+                     masked_by_products, ref_triangle_mesh, vector_block)
 
 # local P1 stiffness on the reference triangle, by symbolic integration
 P1_STIFFNESS = np.array([[1.0, -0.5, -0.5],

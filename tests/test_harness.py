@@ -1003,7 +1003,8 @@ def test_perfbench_span_targets_exist():
     missing = {f"{module}.{attr}" for module, attr in spans.TARGETS
                if not hasattr(importlib.import_module(f"epsstokes.{module}"), attr)}
     # gone on purpose: elimination moved, the saddle systems apply -B^T, and
-    # three front-ends that no workload calls were deleted
+    # three front-ends that no workload calls were deleted, and assemble_load
+    # moved to the tests as the reference of assemble_body_force_loads
     assert missing <= {"fem.apply_dirichlet", "fem.assemble_grad_coupling",
-                       "fem.assemble_grad_load", "verification.error_l2",
-                       "verification.seminorm_h1"}
+                       "fem.assemble_grad_load", "fem.assemble_load",
+                       "verification.error_l2", "verification.seminorm_h1"}

@@ -673,8 +673,8 @@ def test_assembly_in_drivers_runs_on_one_blas_thread(two_blas_threads, monkeypat
     # the per-cell matmuls of assembly and loads, outside sparse.solve
     from epsstokes import fem
     seen = _record_blas_threads(monkeypatch, fem, (
-        "assemble_stiffness", "assemble_div_coupling", "assemble_load",
-        "assemble_body_force_loads", "assemble_field_grad_load"))
+        "assemble_stiffness", "assemble_div_coupling", "assemble_body_force_loads",
+        "assemble_field_grad_load"))
     mesh = build_structured_mesh(4)
     case = get_case("ms1")
     disc = Discretization(mesh)
